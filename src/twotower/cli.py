@@ -26,7 +26,7 @@ import numpy as np
 from . import config as config_mod
 from . import data as data_mod
 from .config import ConfigError, RunConfig, fingerprint, loss_config_from, render_config, verify_seeds
-from .evaluation import build_eval_cases, evaluate
+from .evaluation import EvalCase, EvalPool, RankingIndex, build_eval_cases, evaluate
 from .model import EncoderConfig, ModelParams
 from .trainer import (
     Checkpoint,
@@ -270,27 +270,19 @@ def _load_params(args: argparse.Namespace, cfg: RunConfig, num_items: int) -> Ch
     return checkpoint
 
 
-def _eval_report(cfg: RunConfig, prepared: Prepared, params: ModelParams, task: str, verbose: bool):
-    enc = EncoderConfig(cfg.model.aggregator)
+def _test_cases(cfg: RunConfig, prepared: Prepared, task: str) -> tuple[list[EvalCase], EvalPool]:
     if not prepared.split.test:
         raise CliError("test split is empty; nothing to evaluate")
-    cases, pool = build_eval_cases(
-        prepared.split.test,
-        task,
-        cfg.eval.num_negatives,
-        seed=_derive_seed(cfg.seed, _TAG_TEST_CASES),
-        cutoff=cfg.eval.top_n,
-    )
-    return evaluate(
-        cases,
-        pool,
-        params,
-        enc,
-        records=prepared.log.records,
-        anchor_day=_test_anchor_day(prepared),
-        window_days=cfg.eval.popularity_window_days,
-        keep_per_case=verbose,
-    )
+    try:
+        return build_eval_cases(
+            prepared.split.test,
+            task,
+            cfg.eval.num_negatives,
+            seed=_derive_seed(cfg.seed, _TAG_TEST_CASES),
+            cutoff=cfg.eval.top_n,
+        )
+    except ValueError as exc:
+        raise CliError(f"cannot build test cases: {exc}") from exc
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -299,7 +291,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _write_resolved(cfg)
     checkpoint = _load_params(args, cfg, prepared.log.num_items)
     task = args.task or cfg.eval.task
-    report = _eval_report(cfg, prepared, checkpoint.params, task, args.verbose)
+    cases, pool = _test_cases(cfg, prepared, task)
+    report = evaluate(
+        cases,
+        pool,
+        checkpoint.params,
+        EncoderConfig(cfg.model.aggregator),
+        records=prepared.log.records,
+        anchor_day=_test_anchor_day(prepared),
+        window_days=cfg.eval.popularity_window_days,
+        keep_per_case=args.verbose,
+    )
     payload = dataclasses.asdict(report)
     if not args.verbose:
         payload.pop("per_case")
@@ -339,19 +341,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(text, end="")
     failed = [r for r in result.reports if not r.passed]
     print(f"{len(result.reports) - len(failed)}/{len(result.reports)} optimum checks passed -> {out_path}")
-    return 0
-
-
-def _rank_all_items(params: ModelParams, enc: EncoderConfig, query_ids: list[int], top_n: int) -> list[tuple[int, float]]:
-    from .model import encode_user
-
-    user = encode_user(query_ids, params, enc, strict=False)
-    u_hat = user / np.linalg.norm(user)
-    table = params.item_embeddings
-    norms = np.linalg.norm(table, axis=1)
-    scores = table @ u_hat / (norms * params.temperature)
-    order = sorted(range(params.num_items), key=lambda i: (-scores[i], i))[:top_n]
-    return [(i, float(scores[i])) for i in order]
+    return 1 if failed else 0
 
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
@@ -365,7 +355,6 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     tokens = [t for t in re.split(r"[ ,]+", args.query.strip()) if t]
     if not tokens:
         raise CliError("--query is empty")
-    item_token = {idx: tok for tok, idx in prepared.log.item_vocab.items()}
 
     if task == "ir":
         ids = []
@@ -376,34 +365,29 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
                 logger.warning("unknown item token %r skipped", tok)
         if not ids:
             raise CliError("no known items in the query sequence")
-        for rank, (item, score_value) in enumerate(_rank_all_items(params, enc, ids, top_n), start=1):
-            print(f"{rank}\t{item_token[item]}\t{score_value:.6f}")
-        return 0
-
-    if len(tokens) != 1:
-        raise CliError("user targeting takes exactly one item token as the query")
-    tok = tokens[0]
-    if tok not in prepared.log.item_vocab:
-        raise CliError(f"unknown item token {tok!r}")
-    item_id = prepared.log.item_vocab[tok]
-    keys = sorted(
-        {ex.pseudo_user for part in (prepared.split.train, prepared.split.validation, prepared.split.test) for ex in part}
-    )
-    key_owner: dict[tuple[int, ...], int] = {}
-    for part in (prepared.split.train, prepared.split.validation, prepared.split.test):
-        for ex in part:
-            key_owner.setdefault(ex.pseudo_user, ex.user_id)
-    from .model import encode_user_batch, normalize_rows
-
-    users = encode_user_batch(keys, params, enc, strict=True)
-    u_hat, _ = normalize_rows(users.vectors)
-    item_vec = params.item_embeddings[item_id]
-    i_hat = item_vec / np.linalg.norm(item_vec)
-    scores = u_hat @ i_hat / params.temperature
-    order = sorted(range(len(keys)), key=lambda pos: (-scores[pos], pos))[:top_n]
-    user_token = {idx: t for t, idx in prepared.log.user_vocab.items()}
-    for rank, pos in enumerate(order, start=1):
-        print(f"{rank}\t{user_token[key_owner[keys[pos]]]}\t{scores[pos]:.6f}")
+        query = tuple(ids)
+        index = RankingIndex.build(params, enc, [query], strict=False)
+        ranked, scores = index.rank("ir", query, range(params.num_items))
+        item_token = {idx: tok for tok, idx in prepared.log.item_vocab.items()}
+        names = [item_token[item] for item in ranked[:top_n].tolist()]
+    else:
+        if len(tokens) != 1:
+            raise CliError("user targeting takes exactly one item token as the query")
+        tok = tokens[0]
+        if tok not in prepared.log.item_vocab:
+            raise CliError(f"unknown item token {tok!r}")
+        parts = (prepared.split.train, prepared.split.validation, prepared.split.test)
+        key_owner: dict[tuple[int, ...], int] = {}
+        for part in parts:
+            for ex in part:
+                key_owner.setdefault(ex.pseudo_user, ex.user_id)
+        keys = sorted(key_owner)
+        index = RankingIndex.build(params, enc, keys)
+        ranked, scores = index.rank("ut", prepared.log.item_vocab[tok], range(len(keys)))
+        user_token = {idx: t for t, idx in prepared.log.user_vocab.items()}
+        names = [user_token[key_owner[keys[pos]]] for pos in ranked[:top_n].tolist()]
+    for rank, (name, score_value) in enumerate(zip(names, scores), start=1):
+        print(f"{rank}\t{name}\t{score_value:.6f}")
     return 0
 
 
@@ -416,6 +400,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if not paths:
         raise CliError(f"no month checkpoints found in {directory}")
     task = args.task or cfg.eval.task
+    enc = EncoderConfig(cfg.model.aggregator)
+    cases, pool = _test_cases(cfg, prepared, task)  # the same cases for every checkpoint
     rows = []
     for path in paths:
         try:
@@ -423,7 +409,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         except CheckpointError as exc:
             raise CliError(str(exc)) from exc
         month = int(os.path.basename(path)[len("month_") : len("month_") + 4])
-        report = _eval_report(cfg, prepared, checkpoint.params, task, verbose=False)
+        report = evaluate(cases, pool, checkpoint.params, enc)
         rows.append({"month": month, "recall": report.recall_at_n, "ndcg": report.ndcg_at_n})
     out_path = os.path.join(cfg.paths.output_dir, "month_trace.tsv")
     _write_trace(out_path, rows, append=False)

@@ -80,67 +80,79 @@ def build_eval_cases(
         raise ValueError("no test examples to evaluate")
     rng = np.random.default_rng(seed)
     ordered = sorted(test_examples, key=lambda e: (e.user_id, e.day, e.target_item, e.pseudo_user))
-    cases: list[EvalCase] = []
 
+    # (exclusion group, query, positive) per case: IR groups by user, UT by item.
     if task == "ir":
-        pool = sorted({ex.target_item for ex in ordered})
-        pool_arr = np.array(pool, dtype=np.int64)
-        user_positives: dict[int, set[int]] = {}
-        for ex in ordered:
-            user_positives.setdefault(ex.user_id, set()).add(ex.target_item)
-        for ex in ordered:
-            exclude = user_positives[ex.user_id]
-            eligible = pool_arr[~np.isin(pool_arr, sorted(exclude))]
-            if eligible.size < num_negatives:
-                raise ValueError(
-                    f"item pool too small: {eligible.size} eligible negatives, {num_negatives} requested"
-                )
-            negs = rng.choice(eligible, size=num_negatives, replace=False) if num_negatives else np.array([], dtype=np.int64)
-            candidates = (ex.target_item, *[int(n) for n in negs])
-            cases.append(EvalCase("ir", ex.pseudo_user, frozenset({ex.target_item}), candidates, cutoff))
-        return cases, EvalPool(task="ir")
-
-    keys = sorted({ex.pseudo_user for ex in ordered})
-    key_index = {key: pos for pos, key in enumerate(keys)}
-    key_owner: dict[UserKey, int] = {}
-    for ex in ordered:
-        key_owner.setdefault(ex.pseudo_user, ex.user_id)
-    item_positives: dict[int, set[int]] = {}
-    for ex in ordered:
-        item_positives.setdefault(ex.target_item, set()).add(key_index[ex.pseudo_user])
-    all_indices = np.arange(len(keys))
-    for ex in ordered:
-        positive = key_index[ex.pseudo_user]
-        exclude = item_positives[ex.target_item]
-        eligible = all_indices[~np.isin(all_indices, sorted(exclude))]
-        if eligible.size < num_negatives:
-            raise ValueError(
-                f"user pool too small: {eligible.size} eligible negatives, {num_negatives} requested"
-            )
-        negs = rng.choice(eligible, size=num_negatives, replace=False) if num_negatives else np.array([], dtype=np.int64)
-        candidates = (positive, *[int(n) for n in negs])
-        cases.append(EvalCase("ut", ex.target_item, frozenset({positive}), candidates, cutoff))
-    return cases, EvalPool(task="ut", user_keys=tuple(keys), key_owner=key_owner)
-
-
-def _candidate_vectors(
-    case: EvalCase,
-    params: ModelParams,
-    enc_config: EncoderConfig,
-    pool: EvalPool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized query vector and candidate matrix for one case."""
-    if case.task == "ir":
-        users = encode_user_batch([case.query], params, enc_config, strict=True)
-        query = users.vectors[0]
-        cand = params.item_embeddings[np.asarray(case.candidates, dtype=np.int64)]
+        universe = sorted({ex.target_item for ex in ordered})
+        triples = [(ex.user_id, ex.pseudo_user, ex.target_item) for ex in ordered]
+        pool = EvalPool(task="ir")
     else:
-        query = params.item_embeddings[int(case.query)]
-        keys = [pool.user_keys[idx] for idx in case.candidates]
-        cand = encode_user_batch(keys, params, enc_config, strict=True).vectors
-    q_hat, _ = normalize_rows(query[None, :])
-    c_hat, _ = normalize_rows(cand)
-    return q_hat[0], c_hat
+        keys = sorted({ex.pseudo_user for ex in ordered})
+        key_index = {key: pos for pos, key in enumerate(keys)}
+        key_owner: dict[UserKey, int] = {}
+        for ex in ordered:
+            key_owner.setdefault(ex.pseudo_user, ex.user_id)
+        universe = range(len(keys))
+        triples = [(ex.target_item, ex.target_item, key_index[ex.pseudo_user]) for ex in ordered]
+        pool = EvalPool(task="ut", user_keys=tuple(keys), key_owner=key_owner)
+    universe_arr = np.asarray(universe, dtype=np.int64)
+    excluded: dict[int, set[int]] = {}
+    for group, _, positive in triples:
+        excluded.setdefault(group, set()).add(positive)
+    # One eligible-negative array per exclusion set; every positive is in the universe.
+    eligible = {
+        group: np.delete(universe_arr, np.searchsorted(universe_arr, sorted(pos))) for group, pos in excluded.items()
+    }
+    cases: list[EvalCase] = []
+    for group, query, positive in triples:
+        pick = eligible[group]
+        if pick.size < num_negatives:
+            what = "item" if task == "ir" else "user"
+            raise ValueError(f"{what} pool too small: {pick.size} eligible negatives, {num_negatives} requested")
+        negs = rng.choice(pick, size=num_negatives, replace=False).tolist() if num_negatives else []
+        cases.append(EvalCase(task, query, frozenset({positive}), (positive, *negs), cutoff))
+    return cases, pool
+
+
+@dataclass
+class RankingIndex:
+    """Row-normalized item table and row-normalized vectors of distinct
+    pseudo-users, built once per parameter snapshot, so that ranking a case
+    is a row gather and one matrix-vector product."""
+
+    items: np.ndarray  # (num_items, d)
+    users: np.ndarray  # (num_keys, d); row r encodes the r-th key
+    user_row: dict[UserKey, int]
+    temperature: float
+
+    @classmethod
+    def build(
+        cls, params: ModelParams, enc_config: EncoderConfig, keys: Sequence[UserKey], strict: bool = True
+    ) -> "RankingIndex":
+        """Encode each of the distinct ``keys`` once, as a row of the user table."""
+        items, _ = normalize_rows(params.item_embeddings)
+        users, _ = normalize_rows(encode_user_batch(keys, params, enc_config, strict=strict).vectors)
+        return cls(items, users, {key: row for row, key in enumerate(keys)}, params.temperature)
+
+    @classmethod
+    def for_cases(
+        cls, cases: Sequence[EvalCase], pool: EvalPool, params: ModelParams, enc_config: EncoderConfig
+    ) -> "RankingIndex":
+        """IR encodes the cases' distinct query sequences, UT the pool's keys."""
+        keys = pool.user_keys if pool.task == "ut" else list(dict.fromkeys(case.query for case in cases))
+        return cls.build(params, enc_config, keys)
+
+    def rank(self, task: str, query: UserKey | int, candidates: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Candidates by descending score, ties by ascending id, and their scores.
+        IR ranks item ids for a pseudo-user, UT user-table rows for an item id."""
+        if task == "ir":
+            table, q_hat = self.items, self.users[self.user_row[query]]
+        else:
+            table, q_hat = self.users, self.items[int(query)]
+        cand = np.asarray(candidates, dtype=np.int64)
+        scores = table[cand] @ q_hat / self.temperature
+        order = np.lexsort((cand, -scores))
+        return cand[order], scores[order]
 
 
 def rank_candidates(
@@ -150,10 +162,8 @@ def rank_candidates(
     pool: EvalPool,
 ) -> list[int]:
     """Candidates by descending score; ties broken by ascending id."""
-    q_hat, c_hat = _candidate_vectors(case, params, enc_config, pool)
-    scores = c_hat @ q_hat / params.temperature
-    order = sorted(range(len(case.candidates)), key=lambda pos: (-scores[pos], case.candidates[pos]))
-    return [case.candidates[pos] for pos in order]
+    index = RankingIndex.for_cases([case], pool, params, enc_config)
+    return index.rank(case.task, case.query, case.candidates)[0].tolist()
 
 
 def recall_at_n(case: EvalCase, ranking: Sequence[int]) -> float:
@@ -206,24 +216,22 @@ def evaluate(
     window_days: int = 365,
     keep_per_case: bool = False,
 ) -> EvalReport:
-    """Rank every case and aggregate metrics (mean of per-case values)."""
+    """Rank every case and aggregate metrics (mean of per-case values).
+    One ``RankingIndex`` serves all cases; each is ranked and scored in turn."""
     if not cases:
         raise ValueError("no evaluation cases")
     recalls: list[float] = []
     ndcgs: list[float] = []
     per_case: list[dict] = []
     top_lists: list[list[int]] = []
+    index = RankingIndex.for_cases(cases, pool, params, enc_config)
     for case in cases:
-        ranking = rank_candidates(case, params, enc_config, pool)
-        r = recall_at_n(case, ranking)
-        n = ndcg_at_n(case, ranking)
+        top = index.rank(case.task, case.query, case.candidates)[0][: case.cutoff].tolist()
+        r = recall_at_n(case, top)
+        n = ndcg_at_n(case, top)
         recalls.append(r)
         ndcgs.append(n)
-        top = ranking[: case.cutoff]
-        if pool.task == "ut":
-            top_objects = [pool.key_owner[pool.user_keys[idx]] for idx in top]
-        else:
-            top_objects = top
+        top_objects = [pool.key_owner[pool.user_keys[idx]] for idx in top] if pool.task == "ut" else top
         top_lists.append(top_objects)
         if keep_per_case:
             per_case.append({"query": list(case.query) if case.task == "ir" else case.query, "recall": r, "ndcg": n, "top": top_objects})

@@ -203,21 +203,21 @@ def save_checkpoint(path: str, checkpoint: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str, expected_fingerprint: int | None = None) -> Checkpoint:
+    """Read a checkpoint.  A file that is cut short, has bytes after the
+    payload or does not parse raises ``CheckpointError`` and never loads."""
     with open(path, "rb") as src:
         blob = src.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    version = struct.unpack_from("<I", blob, 4)[0]
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    fingerprint = struct.unpack_from("<Q", blob, 8)[0]
-    if expected_fingerprint is not None and fingerprint != expected_fingerprint:
-        raise CheckpointError(
-            f"{path}: configuration fingerprint mismatch "
-            f"(checkpoint {fingerprint:#018x}, config {expected_fingerprint:#018x})"
-        )
     try:
-        meta_len = struct.unpack_from("<I", blob, 16)[0]
+        version, fingerprint, meta_len = struct.unpack_from("<IQI", blob, 4)
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        if expected_fingerprint is not None and fingerprint != expected_fingerprint:
+            raise CheckpointError(
+                f"{path}: configuration fingerprint mismatch "
+                f"(checkpoint {fingerprint:#018x}, config {expected_fingerprint:#018x})"
+            )
         meta = json.loads(blob[20 : 20 + meta_len].decode("utf-8"))
         offset = 20 + meta_len
         arrays: dict[str, np.ndarray] = {}
@@ -227,38 +227,42 @@ def load_checkpoint(path: str, expected_fingerprint: int | None = None) -> Check
             arr = np.frombuffer(blob, dtype=entry["dtype"], count=count, offset=offset).reshape(shape)
             arrays[entry["name"]] = arr.copy()
             offset += arr.nbytes
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt checkpoint ({exc})") from exc
+        if offset != len(blob):
+            raise ValueError(f"{len(blob) - offset} bytes after the payload")
 
-    params = ModelParams(arrays["item_embeddings"], arrays["attention_vector"], meta["temperature"])
-    opt_meta = meta["optimizer"]
-    opt = OptimizerState(
-        kind=opt_meta["kind"],
-        learning_rate=opt_meta["learning_rate"],
-        beta1=opt_meta["beta1"],
-        beta2=opt_meta["beta2"],
-        epsilon=opt_meta["epsilon"],
-        attn_t=opt_meta["attn_t"],
-    )
-    if opt.kind == "adam":
-        row_ids = arrays["adam_row_ids"]
-        for pos, row_id in enumerate(row_ids):
-            opt.row_m[int(row_id)] = arrays["adam_row_m"][pos]
-            opt.row_v[int(row_id)] = arrays["adam_row_v"][pos]
-            opt.row_t[int(row_id)] = int(arrays["adam_row_t"][pos])
-        if arrays["adam_attn_m"].size:
-            opt.attn_m = arrays["adam_attn_m"]
-            opt.attn_v = arrays["adam_attn_v"]
-    return Checkpoint(
-        params=params,
-        optimizer=opt,
-        month_cursor=meta["month_cursor"],
-        epoch_cursor=meta["epoch_cursor"],
-        months=tuple(meta["months"]),
-        seed=meta["seed"],
-        aggregator=meta["aggregator"],
-        fingerprint=fingerprint,
-    )
+        params = ModelParams(arrays["item_embeddings"], arrays["attention_vector"], meta["temperature"])
+        opt_meta = meta["optimizer"]
+        opt = OptimizerState(
+            kind=opt_meta["kind"],
+            learning_rate=opt_meta["learning_rate"],
+            beta1=opt_meta["beta1"],
+            beta2=opt_meta["beta2"],
+            epsilon=opt_meta["epsilon"],
+            attn_t=opt_meta["attn_t"],
+        )
+        if opt.kind == "adam":
+            row_ids = arrays["adam_row_ids"]
+            for pos, row_id in enumerate(row_ids):
+                opt.row_m[int(row_id)] = arrays["adam_row_m"][pos]
+                opt.row_v[int(row_id)] = arrays["adam_row_v"][pos]
+                opt.row_t[int(row_id)] = int(arrays["adam_row_t"][pos])
+            if arrays["adam_attn_m"].size:
+                opt.attn_m = arrays["adam_attn_m"]
+                opt.attn_v = arrays["adam_attn_v"]
+        return Checkpoint(
+            params=params,
+            optimizer=opt,
+            month_cursor=meta["month_cursor"],
+            epoch_cursor=meta["epoch_cursor"],
+            months=tuple(meta["months"]),
+            seed=meta["seed"],
+            aggregator=meta["aggregator"],
+            fingerprint=fingerprint,
+        )
+    except CheckpointError:
+        raise
+    except (struct.error, ValueError, KeyError, TypeError, IndexError) as exc:
+        raise CheckpointError(f"{path}: corrupt checkpoint ({exc})") from exc
 
 
 @dataclass

@@ -231,6 +231,25 @@ class TestTrainEvalTrace:
         assert main(["eval", "--config", altered, "--checkpoint", ckpt]) == 1
         assert "fingerprint" in capsys.readouterr().err
 
+    def test_corrupt_checkpoint_fails_cleanly(self, trained_workspace, tmp_path, capsys):
+        config, out = trained_workspace
+        blob = (out / "checkpoints" / "final.ckpt").read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        for damaged in [blob[:cut] for cut in (0, 4, 11, 19, 20, 60, len(blob) // 2, len(blob) - 1)] + [blob + b"\x00"]:
+            bad.write_bytes(damaged)
+            assert main(["eval", "--config", config, "--checkpoint", str(bad)]) == 1
+            err = capsys.readouterr().err
+            assert "error:" in err and "Traceback" not in err
+
+    def test_too_few_eval_negatives_fails_cleanly(self, trained_workspace, tmp_path, capsys):
+        config, out = trained_workspace
+        settings = dict(line.split(" = ", 1) for line in open(config).read().splitlines())
+        greedy = write_config(tmp_path / "greedy.cfg", **(settings | {"eval.num_negatives": 1000}))
+        ckpt = str(out / "checkpoints" / "final.ckpt")
+        for command in (["eval", "--checkpoint", ckpt], ["trace"]):
+            assert main([*command, "--config", greedy]) == 1
+            assert "pool too small" in capsys.readouterr().err
+
     def test_trace_matches_final_eval(self, trained_workspace, capsys):
         config, out = trained_workspace
         assert main(["trace", "--config", config]) == 0
@@ -416,4 +435,23 @@ class TestVerifyCommand:
         report = (out / "sweep_report.tsv").read_text()
         assert report.splitlines()[0].startswith("label\tseed")
         assert len([l for l in report.splitlines() if l and not l.startswith(("label", "group"))]) >= 10
+        assert "optimum checks passed" in capsys.readouterr().out
+
+    def test_failed_gate_exits_one_after_writing_the_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = write_config(
+            tmp_path / "verify.cfg",
+            **{
+                "verify.num_users": 4,
+                "verify.num_items": 5,
+                "verify.num_samples": 5000,
+                "verify.dim": 6,
+                "verify.epochs": 2,
+                "verify.seeds": "1",
+                "paths.output_dir": str(out),
+            },
+        )
+        assert main(["verify", "--config", config]) == 1
+        report = (out / "sweep_report.tsv").read_text()
+        assert "\tFAIL" in report
         assert "optimum checks passed" in capsys.readouterr().out

@@ -290,3 +290,110 @@ class TestEvaluate:
             cases, pool = build_eval_cases(examples, "ir", num_negatives=3, seed=7, cutoff=3)
             reports.append(evaluate(cases, pool, params, ENC))
         assert reports[0] == reports[1]
+
+
+def reference_cases(test_examples, task, num_negatives, seed, cutoff):
+    """The case draw as first written: one ``np.isin`` per case, then
+    ``rng.choice`` over that case's eligible negatives."""
+    rng = np.random.default_rng(seed)
+    ordered = sorted(test_examples, key=lambda e: (e.user_id, e.day, e.target_item, e.pseudo_user))
+    out = []
+    if task == "ir":
+        pool_arr = np.array(sorted({ex.target_item for ex in ordered}), dtype=np.int64)
+        positives = {}
+        for ex in ordered:
+            positives.setdefault(ex.user_id, set()).add(ex.target_item)
+        for ex in ordered:
+            eligible = pool_arr[~np.isin(pool_arr, sorted(positives[ex.user_id]))]
+            negs = rng.choice(eligible, size=num_negatives, replace=False) if num_negatives else []
+            out.append((ex.pseudo_user, ex.target_item, (ex.target_item, *[int(n) for n in negs])))
+        return out
+    keys = sorted({ex.pseudo_user for ex in ordered})
+    key_index = {key: pos for pos, key in enumerate(keys)}
+    positives = {}
+    for ex in ordered:
+        positives.setdefault(ex.target_item, set()).add(key_index[ex.pseudo_user])
+    all_indices = np.arange(len(keys))
+    for ex in ordered:
+        eligible = all_indices[~np.isin(all_indices, sorted(positives[ex.target_item]))]
+        negs = rng.choice(eligible, size=num_negatives, replace=False) if num_negatives else []
+        positive = key_index[ex.pseudo_user]
+        out.append((ex.target_item, positive, (positive, *[int(n) for n in negs])))
+    return out
+
+
+def random_examples(rng, num_users=30, num_items=40, count=120):
+    """Test examples with repeated users, items and pseudo-user keys."""
+    out = []
+    for _ in range(count):
+        user = int(rng.integers(num_users))
+        seq = tuple(int(x) for x in rng.integers(0, num_items, size=int(rng.integers(1, 5))))
+        out.append(TrainingExample(user, seq, int(rng.integers(num_items)), int(rng.integers(90, 120))))
+    return out
+
+
+class TestCaseDrawUnchanged:
+    @pytest.mark.parametrize("task", ["ir", "ut"])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 23, 101])
+    def test_matches_per_case_reference(self, task, seed):
+        examples = random_examples(np.random.default_rng(seed + 1000))
+        for num_negatives in (0, 5, 15):
+            cases, _ = build_eval_cases(examples, task, num_negatives=num_negatives, seed=seed, cutoff=4)
+            got = [(c.query, next(iter(c.positives)), c.candidates) for c in cases]
+            assert got == reference_cases(examples, task, num_negatives, seed, 4)
+
+
+def oracle_scores(case, params, enc, pool):
+    """Per-case reference scores from ``encode_user`` and ``score``."""
+    if case.task == "ir":
+        user = encode_user(case.query, params, enc)
+        return {c: score(user, params.item_embeddings[c], params.temperature) for c in case.candidates}
+    item = params.item_embeddings[case.query]
+    return {c: score(encode_user(pool.user_keys[c], params, enc), item, params.temperature) for c in case.candidates}
+
+
+class TestRankingIndexMatchesOracle:
+    """``evaluate`` and ``rank_candidates`` rank exactly like the per-case oracle,
+    exact ties included."""
+
+    @staticmethod
+    def tied_setup(seed, aggregator):
+        rng = np.random.default_rng(seed)
+        num_items = 40
+        params = ModelParams.initialize(num_items, 6, 0.2, seed)
+        params.attention_vector[:] = rng.normal(size=6)
+        # Duplicate item rows: items 5, 6 and 7 score exactly alike for every query.
+        params.item_embeddings[6] = params.item_embeddings[5]
+        params.item_embeddings[7] = params.item_embeddings[5]
+        examples = random_examples(rng, num_items=num_items)
+        # (3,), (3, 3) and (9, 3) are different keys; the first two share the
+        # vector under every aggregator, (9, 3) ties with them under "last".
+        for user, seq in enumerate([(3,), (3, 3), (9, 3)]):
+            for target in (5, 11, 12):
+                examples.append(TrainingExample(100 + user, seq, target, 95))
+        return params, examples, EncoderConfig(aggregator)
+
+    @pytest.mark.parametrize("aggregator", ["mean", "last", "attention"])
+    @pytest.mark.parametrize("task", ["ir", "ut"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_evaluate_and_rank_candidates(self, aggregator, task, seed):
+        params, examples, enc = self.tied_setup(seed, aggregator)
+        cases, pool = build_eval_cases(examples, task, num_negatives=25, seed=seed, cutoff=5)
+        report = evaluate(cases, pool, params, enc, keep_per_case=True)
+        recalls, ndcgs, tied = [], [], 0
+        for case, row in zip(cases, report.per_case):
+            scores = oracle_scores(case, params, enc, pool)
+            expected = sorted(case.candidates, key=lambda c: (-scores[c], c))
+            tied += len(set(scores.values())) < len(scores)
+            assert rank_candidates(case, params, enc, pool) == expected
+            top = expected[: case.cutoff]
+            if task == "ut":
+                top = [pool.key_owner[pool.user_keys[idx]] for idx in top]
+            assert row["top"] == top
+            assert row["recall"] == recall_at_n(case, expected)
+            assert row["ndcg"] == ndcg_at_n(case, expected)
+            recalls.append(row["recall"])
+            ndcgs.append(row["ndcg"])
+        assert tied > 0  # the exact-tie path is exercised
+        assert report.recall_at_n == float(np.mean(recalls))
+        assert report.ndcg_at_n == float(np.mean(ndcgs))

@@ -122,6 +122,26 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(str(path))
 
+    def test_every_truncation_and_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(str(path), self._checkpoint())
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(str(path))
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(CheckpointError, match="after the payload"):
+            load_checkpoint(str(path))
+
+    def test_missing_array_rejected(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(str(path), self._checkpoint())
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b'"attention_vector"', b'"attention_vectoX"'))
+        with pytest.raises(CheckpointError, match="attention_vector"):
+            load_checkpoint(str(path))
+
     def test_save_is_deterministic(self, tmp_path):
         a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
         save_checkpoint(a, self._checkpoint())
