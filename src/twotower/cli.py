@@ -35,7 +35,6 @@ from .trainer import (
     load_checkpoint,
     save_checkpoint,
     train_incremental,
-    train_shuffled,
 )
 from .verify import SyntheticSpec, random_joint, run_table_sweep, sweep_report_text
 
@@ -196,17 +195,21 @@ def cmd_train(args: argparse.Namespace) -> int:
     if loss_config.family == "bidirectional" and cfg.train.batch_size < 2:
         raise CliError("in-batch losses need train.batch_size >= 2 (a batch must contain a negative)")
     fp = fingerprint(cfg)
-    train_config = TrainConfig(
-        epochs_per_month=cfg.train.epochs_per_month,
-        batch_size=cfg.train.batch_size,
-        learning_rate=cfg.train.learning_rate,
-        optimizer=cfg.train.optimizer,
-        adam_beta1=cfg.train.adam_beta1,
-        adam_beta2=cfg.train.adam_beta2,
-        adam_epsilon=cfg.train.adam_epsilon,
-        seed=cfg.seed,
-        months=tuple(prepared.train_months),
-    )
+    try:
+        train_config = TrainConfig(
+            epochs_per_month=cfg.train.epochs_per_month,
+            batch_size=cfg.train.batch_size,
+            learning_rate=cfg.train.learning_rate,
+            optimizer=cfg.train.optimizer,
+            adam_beta1=cfg.train.adam_beta1,
+            adam_beta2=cfg.train.adam_beta2,
+            adam_epsilon=cfg.train.adam_epsilon,
+            seed=cfg.seed,
+            months=tuple(prepared.train_months),
+            mode=cfg.train.mode,
+        )
+    except ValueError as exc:
+        raise CliError(f"train: {exc}") from exc
     params = ModelParams.initialize(prepared.log.num_items, cfg.model.dim, cfg.model.temperature, cfg.seed)
     examples = _labeled_train(cfg, prepared) if loss_config.family == "bce" else prepared.split.train
     eval_fn = _validation_eval_fn(cfg, prepared, enc)
@@ -228,19 +231,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     if loss_config.family == "full_softmax_col":
         kwargs["user_universe"] = sorted({ex.pseudo_user for ex in prepared.split.train})
-    if cfg.train.mode == "incremental":
-        result = train_incremental(
-            examples, prepared.split.month_index, params, enc, loss_config, train_config, resume=resume, **kwargs
-        )
-    elif cfg.train.mode == "shuffled":
-        result = train_shuffled(examples, prepared.split.month_index, params, enc, loss_config, train_config, **kwargs)
-    else:
-        raise CliError(f"unknown train.mode {cfg.train.mode!r}")
+    result = train_incremental(
+        examples, prepared.split.month_index, params, enc, loss_config, train_config, resume=resume, **kwargs
+    )
 
     _write_trace(os.path.join(cfg.paths.output_dir, "trace.tsv"), result.trace, append=resume is not None)
     final_path = os.path.join(checkpoint_dir, "final.ckpt")
     if result.checkpoints:
-        shutil.copyfile(result.checkpoints[-1], final_path)
+        shutil.copyfile(result.checkpoints[-1], final_path + ".tmp")
+        os.replace(final_path + ".tmp", final_path)
     for notice in result.notices:
         logger.info("%s", notice)
     if args.export_embeddings:

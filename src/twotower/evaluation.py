@@ -20,6 +20,7 @@ from .data import InteractionRecord, TrainingExample, UserKey
 from .model import EncoderConfig, ModelParams, encode_user_batch, normalize_rows
 
 TASKS = ("ir", "ut")
+ENCODE_CHUNK = 512  # pseudo-users per padded encoder batch in RankingIndex.build
 
 
 @dataclass(frozen=True)
@@ -129,9 +130,14 @@ class RankingIndex:
     def build(
         cls, params: ModelParams, enc_config: EncoderConfig, keys: Sequence[UserKey], strict: bool = True
     ) -> "RankingIndex":
-        """Encode each of the distinct ``keys`` once, as a row of the user table."""
+        """Encode each of the distinct ``keys`` once, as a row of the user table,
+        ``ENCODE_CHUNK`` keys at a time (a padded batch gathers ``(n, L, d)``)."""
         items, _ = normalize_rows(params.item_embeddings)
-        users, _ = normalize_rows(encode_user_batch(keys, params, enc_config, strict=strict).vectors)
+        users = np.empty((len(keys), params.dim))
+        for start in range(0, len(keys), ENCODE_CHUNK):
+            chunk = keys[start : start + ENCODE_CHUNK]
+            users[start : start + len(chunk)] = encode_user_batch(chunk, params, enc_config, strict=strict).vectors
+        users, _ = normalize_rows(users)
         return cls(items, users, {key: row for row, key in enumerate(keys)}, params.temperature)
 
     @classmethod

@@ -16,10 +16,11 @@ Five families over the temperature-scaled cosine score ``phi``:
 * ``ssm``               sampled softmax with proposal-corrected logits.
 
 Every loss reports its gradient with respect to the raw scores; parameter
-gradients are obtained by chaining through the encoder backward passes in
-:mod:`twotower.model`.  Softmax terms are computed with max-subtracted
-log-sum-exp throughout; bias terms are added to the logits before
-stabilization.  In-batch duplicates (two examples sharing a target) are not
+gradients are obtained by chaining it through the one scoring kernel of
+:mod:`twotower.model` (shared columns for the in-batch and full-softmax
+losses, per-row candidates for ``bce`` pairs and ``ssm``).  Softmax terms
+are computed with max-subtracted log-sum-exp throughout; bias terms are
+added to the logits before stabilization.  In-batch duplicates (two examples sharing a target) are not
 masked: the marginal correction is the intended remedy for popularity skew.
 """
 
@@ -33,17 +34,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .data import EmpiricalMarginals, LabeledExample, TrainingExample, UserKey
-from .model import (
-    EncoderConfig,
-    GradientTable,
-    ModelParams,
-    score_matrix_backward,
-    score_matrix_forward,
-    score_pairs_backward,
-    score_pairs_forward,
-    score_rowsets_backward,
-    score_rowsets_forward,
-)
+from .model import EncoderConfig, GradientTable, ModelParams, score_matrix_backward, score_matrix_forward
 
 LOSS_FAMILIES = ("bce", "ssm", "full_softmax_row", "full_softmax_col", "bidirectional")
 
@@ -111,7 +102,7 @@ class LossOutput:
 
     value: float
     gradients: GradientTable | None = None
-    dscore: np.ndarray | list[np.ndarray] | None = None
+    dscore: np.ndarray | None = None
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -207,11 +198,11 @@ def bce_loss(
     if not batch:
         raise ValueError("batch is empty")
     sequences = [ex.pseudo_user for ex in batch]
-    items = [ex.target_item for ex in batch]
+    items = np.array([[ex.target_item] for ex in batch], dtype=np.int64)  # one candidate per row
     labels = np.array([ex.label for ex in batch], dtype=float)
-    phi, cache = score_pairs_forward(sequences, items, params, enc_config)
-    value, dphi = bce_value(phi, labels)
-    grads = score_pairs_backward(cache, dphi, params, enc_config)
+    phi, cache = score_matrix_forward(sequences, items, params, enc_config)
+    value, dphi = bce_value(phi[:, 0], labels)
+    grads = score_matrix_backward(cache, dphi[:, None], params, enc_config)
     return LossOutput(value=value, gradients=grads, dscore=dphi)
 
 
@@ -321,8 +312,8 @@ def ssm_loss(
     q = _proposal_distribution(marginals, num_items, proposal)
 
     sequences = [ex.pseudo_user for ex in batch]
-    candidates: list[np.ndarray] = []
-    for ex in batch:
+    candidates = np.empty((len(batch), 1 + num_sampled), dtype=np.int64)  # positive first
+    for b, ex in enumerate(batch):
         if q[ex.target_item] <= 0.0:
             raise ValueError(f"positive item {ex.target_item} has zero proposal probability")
         masked = q.copy()
@@ -331,23 +322,13 @@ def ssm_loss(
         if support < num_sampled:
             raise ValueError("proposal support too small to draw num_sampled negatives without replacement")
         masked /= masked.sum()
-        negs = rng.choice(num_items, size=num_sampled, replace=False, p=masked)
-        candidates.append(np.concatenate(([ex.target_item], negs)))
+        candidates[b, 0] = ex.target_item
+        candidates[b, 1:] = rng.choice(num_items, size=num_sampled, replace=False, p=masked)
 
-    phi_list, cache = score_rowsets_forward(sequences, candidates, params, enc_config)
-    size = len(batch)
-    value = 0.0
-    dphi_list: list[np.ndarray] = []
-    for cand, phi in zip(candidates, phi_list):
-        corrected = phi - np.log(q[cand])
-        lse = logsumexp(corrected)
-        value += float(lse - corrected[0])
-        p = np.exp(corrected - lse)
-        p[0] -= 1.0
-        dphi_list.append(p / size)
-    value /= size
-    grads = score_rowsets_backward(cache, dphi_list, params, enc_config)
-    return LossOutput(value=value, gradients=grads, dscore=dphi_list)
+    phi, cache = score_matrix_forward(sequences, candidates, params, enc_config)
+    value, dphi = full_softmax_value(phi - np.log(q[candidates]), np.zeros(len(batch), dtype=np.int64))
+    grads = score_matrix_backward(cache, dphi, params, enc_config)
+    return LossOutput(value=value, gradients=grads, dscore=dphi)
 
 
 def loss_with_gradients(

@@ -6,17 +6,24 @@ mean, last or attention pooling.  The match score is the l2-normalized dot
 product rescaled by a fixed temperature, so scores live in
 ``[-1/tau, +1/tau]`` and are invariant to the scale of either vector.
 
-Besides the forward operations this module provides the analytic backward
-pass through scoring, normalization and aggregation, producing sparse
-per-row gradients.  The loss modules supply the gradient of the loss with
-respect to the score matrix; everything below the scores lives here.
+A batch of pseudo-users is held padded: a ``(B, L)`` id matrix, the mask of
+its real positions and the lengths, so pooling and its backward pass are
+array operations over the whole batch.  One scoring kernel serves every
+loss: ``score_matrix_forward`` scores the batch against shared item columns
+(1-d ids, a ``(B, C)`` score matrix) or against candidates of its own per
+row (``(B, K)`` ids and scores; ``K = 1`` scores pairs), and
+``score_matrix_backward`` chains the loss gradient with respect to those
+scores through normalization and pooling into a sparse ``GradientTable``
+over embedding rows.  The loss modules supply the score gradient;
+everything below the scores lives here.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,43 +86,88 @@ class EncoderConfig:
 
 @dataclass
 class GradientTable:
-    """Sparse gradient: touched embedding rows plus the attention vector."""
+    """Sparse gradient: the touched embedding rows as unique ascending ids
+    with one gradient row each, plus the attention-vector gradient."""
 
-    rows: dict[int, np.ndarray] = field(default_factory=dict)
+    rows: np.ndarray  # (R,) int64
+    values: np.ndarray  # (R, dim)
     attention: np.ndarray | None = None
 
-    def add_row(self, row_id: int, grad: np.ndarray) -> None:
-        if row_id in self.rows:
-            self.rows[row_id] += grad
-        else:
-            self.rows[row_id] = grad.copy()
-
-    def add_attention(self, grad: np.ndarray) -> None:
-        if self.attention is None:
-            self.attention = grad.copy()
-        else:
-            self.attention += grad
-
-    def is_finite(self) -> bool:
-        if self.attention is not None and not np.all(np.isfinite(self.attention)):
-            return False
-        return all(np.all(np.isfinite(g)) for g in self.rows.values())
+    @classmethod
+    def accumulate(cls, ids: np.ndarray, grads: np.ndarray, attention: np.ndarray | None = None) -> "GradientTable":
+        """Sum the gradient rows of repeated ids.  ``np.bincount`` adds its
+        weights in input order, so each row's sum takes its contributions in
+        the order given, as a loop over them would."""
+        rows, inverse = np.unique(ids, return_inverse=True)
+        dim = grads.shape[1]
+        flat = (inverse[:, None] * dim + np.arange(dim)).ravel()
+        values = np.bincount(flat, weights=grads.ravel(), minlength=rows.size * dim)
+        return cls(rows, values.reshape(rows.size, dim), attention)
 
 
-def _resolve_sequence(pseudo_user: Sequence[int], params: ModelParams, strict: bool) -> np.ndarray:
-    ids = np.asarray(pseudo_user, dtype=np.int64)
-    if ids.size == 0:
+@dataclass
+class UserBatch:
+    """Pseudo-users padded to ``(B, L)``: item ids (padding holds id 0), the
+    mask of real positions, the lengths, the pooled raw vectors ``(B, d)``
+    and, under attention pooling, the ``(B, L)`` weights (0 on padding)."""
+
+    ids: np.ndarray
+    mask: np.ndarray
+    lengths: np.ndarray
+    vectors: np.ndarray
+    weights: np.ndarray | None
+
+
+def _pad_sequences(
+    sequences: Sequence[Sequence[int]], params: ModelParams, strict: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Padded ids, mask and lengths.  With ``strict`` (training),
+    out-of-vocabulary ids raise; otherwise they are skipped with a warning
+    and only a sequence left with no known item raises."""
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+    if np.any(lengths == 0):
         raise ValueError("pseudo-user sequence is empty")
-    known = (ids >= 0) & (ids < params.num_items)
+    flat = np.fromiter(itertools.chain.from_iterable(sequences), dtype=np.int64, count=int(lengths.sum()))
+    known = (flat >= 0) & (flat < params.num_items)
     if not np.all(known):
-        bad = ids[~known]
+        bad = flat[~known]
         if strict:
             raise VocabularyError(f"unknown item id(s) {bad.tolist()} in pseudo-user sequence")
-        logger.warning("skipping %d unknown item id(s) in pseudo-user sequence", bad.size)
-        ids = ids[known]
-        if ids.size == 0:
+        logger.warning("skipping %d unknown item id(s) in pseudo-user sequences", bad.size)
+        owner = np.repeat(np.arange(lengths.size), lengths)
+        lengths = np.bincount(owner[known], minlength=lengths.size)
+        if np.any(lengths == 0):
             raise VocabularyError("pseudo-user sequence contains no known items")
-    return ids
+        flat = flat[known]
+    mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    ids = np.zeros(mask.shape, dtype=np.int64)
+    ids[mask] = flat
+    return ids, mask, lengths
+
+
+def encode_user_batch(
+    sequences: Sequence[Sequence[int]],
+    params: ModelParams,
+    config: EncoderConfig,
+    strict: bool = True,
+) -> UserBatch:
+    """Pool every sequence's embedding rows into one raw user vector: a
+    masked mean, the row at ``len - 1``, or a masked-softmax attention."""
+    ids, mask, lengths = _pad_sequences(sequences, params, strict)
+    weights = None
+    if config.aggregator == "last":
+        vectors = params.item_embeddings[ids[np.arange(lengths.size), lengths - 1]]
+    else:
+        rows = params.item_embeddings[ids]  # (B, L, d)
+        if config.aggregator == "mean":
+            rows[~mask] = 0.0
+            vectors = rows.sum(axis=1) / lengths[:, None]
+        else:
+            logits = np.where(mask, rows @ params.attention_vector, -np.inf)
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            weights = e / e.sum(axis=1, keepdims=True)
+            vectors = np.einsum("bl,bld->bd", weights, rows)
+    return UserBatch(ids, mask, lengths, vectors, weights)
 
 
 def encode_user(
@@ -129,15 +181,7 @@ def encode_user(
     With ``strict`` (training), out-of-vocabulary ids raise; otherwise they
     are skipped with a warning and only a fully unknown sequence raises.
     """
-    ids = _resolve_sequence(pseudo_user, params, strict)
-    rows = params.item_embeddings[ids]
-    if config.aggregator == "mean":
-        return rows.mean(axis=0)
-    if config.aggregator == "last":
-        return rows[-1].copy()
-    scores = rows @ params.attention_vector
-    weights = _softmax(scores)
-    return weights @ rows
+    return encode_user_batch([pseudo_user], params, config, strict).vectors[0]
 
 
 def encode_item(item_id: int, params: ModelParams) -> np.ndarray:
@@ -156,48 +200,12 @@ def score(u_vec: np.ndarray, i_vec: np.ndarray, temperature: float) -> float:
     return float(u_vec @ i_vec / (nu * ni * temperature))
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(x, axis=1)
+    """Unit vectors along the last axis and their norms."""
+    norms = np.linalg.norm(x, axis=-1)
     if np.any(norms == 0.0):
         raise ValueError("zero-norm vector encountered during scoring")
-    return x / norms[:, None], norms
-
-
-@dataclass
-class UserBatch:
-    sequences: list[np.ndarray]
-    vectors: np.ndarray  # (B, d) raw aggregator outputs
-    attn_weights: list[np.ndarray] | None
-
-
-def encode_user_batch(
-    sequences: Sequence[Sequence[int]],
-    params: ModelParams,
-    config: EncoderConfig,
-    strict: bool = True,
-) -> UserBatch:
-    resolved = [_resolve_sequence(seq, params, strict) for seq in sequences]
-    vectors = np.empty((len(resolved), params.dim))
-    attn_weights: list[np.ndarray] | None = None
-    if config.aggregator == "attention":
-        attn_weights = []
-    for b, ids in enumerate(resolved):
-        rows = params.item_embeddings[ids]
-        if config.aggregator == "mean":
-            vectors[b] = rows.mean(axis=0)
-        elif config.aggregator == "last":
-            vectors[b] = rows[-1]
-        else:
-            weights = _softmax(rows @ params.attention_vector)
-            attn_weights.append(weights)  # type: ignore[union-attr]
-            vectors[b] = weights @ rows
-    return UserBatch(resolved, vectors, attn_weights)
+    return x / norms[..., None], norms
 
 
 def _user_backward(
@@ -205,55 +213,53 @@ def _user_backward(
     d_vectors: np.ndarray,
     params: ModelParams,
     config: EncoderConfig,
-    grads: GradientTable,
-) -> None:
-    """Push gradients w.r.t. raw user vectors into the embedding rows."""
-    for b, ids in enumerate(users.sequences):
-        du = d_vectors[b]
-        if config.aggregator == "mean":
-            share = du / ids.size
-            for item in ids:
-                grads.add_row(int(item), share)
-        elif config.aggregator == "last":
-            grads.add_row(int(ids[-1]), du)
-        else:
-            rows = params.item_embeddings[ids]
-            weights = users.attn_weights[b]  # type: ignore[index]
-            q = rows @ du  # dL/dw per position
-            ds = weights * (q - weights @ q)  # softmax backward
-            for p, item in enumerate(ids):
-                grads.add_row(int(item), weights[p] * du + ds[p] * params.attention_vector)
-            grads.add_attention(rows.T @ ds)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Gradient rows of the pooled sequence positions, in batch order, as
+    ``(item ids, gradients)``, plus the attention-vector gradient."""
+    if config.aggregator == "last":
+        return users.ids[np.arange(users.lengths.size), users.lengths - 1], d_vectors, None
+    if config.aggregator == "mean":
+        return users.ids[users.mask], np.repeat(d_vectors / users.lengths[:, None], users.lengths, axis=0), None
+    rows = params.item_embeddings[users.ids]
+    q = np.einsum("bld,bd->bl", rows, d_vectors)  # dL/dw per position
+    ds = users.weights * (q - np.sum(users.weights * q, axis=1, keepdims=True))  # softmax backward
+    w, ds_flat = users.weights[users.mask], ds[users.mask]
+    grads = w[:, None] * np.repeat(d_vectors, users.lengths, axis=0) + ds_flat[:, None] * params.attention_vector
+    return users.ids[users.mask], grads, np.einsum("bld,bl->d", rows, ds)
 
 
 @dataclass
 class MatrixCache:
-    """Forward state for a users-by-items score matrix."""
+    """Forward state of a score matrix over shared columns or per-row candidates."""
 
     users: UserBatch
-    col_ids: np.ndarray
+    col_ids: np.ndarray  # (C,) shared columns or (B, K) candidates per row
     u_hat: np.ndarray
     u_norm: np.ndarray
-    v_hat: np.ndarray
+    v_hat: np.ndarray  # (C, d) or (B, K, d)
     v_norm: np.ndarray
-    cos: np.ndarray  # (B, C) cosine matrix; phi = cos / tau
+    cos: np.ndarray  # (B, C) or (B, K) cosines; phi = cos / tau
 
 
 def score_matrix_forward(
     sequences: Sequence[Sequence[int]],
-    col_item_ids: Sequence[int],
+    col_item_ids: Sequence[int] | np.ndarray,
     params: ModelParams,
     config: EncoderConfig,
     strict: bool = True,
 ) -> tuple[np.ndarray, MatrixCache]:
-    """Score every user row against every item column."""
+    """Score every user row against item columns.
+
+    1-d ``col_item_ids`` are columns shared by all rows (scores ``(B, C)``);
+    2-d ids ``(B, K)`` give each row its own candidates (scores ``(B, K)``).
+    """
     users = encode_user_batch(sequences, params, config, strict)
     col_ids = np.asarray(col_item_ids, dtype=np.int64)
     if np.any((col_ids < 0) | (col_ids >= params.num_items)):
         raise VocabularyError("unknown item id among score columns")
     u_hat, u_norm = normalize_rows(users.vectors)
     v_hat, v_norm = normalize_rows(params.item_embeddings[col_ids])
-    cos = u_hat @ v_hat.T
+    cos = u_hat @ v_hat.T if col_ids.ndim == 1 else np.einsum("bd,bkd->bk", u_hat, v_hat)
     phi = cos / params.temperature
     return phi, MatrixCache(users, col_ids, u_hat, u_norm, v_hat, v_norm, cos)
 
@@ -264,118 +270,27 @@ def score_matrix_backward(
     params: ModelParams,
     config: EncoderConfig,
 ) -> GradientTable:
-    """Chain a loss gradient w.r.t. the score matrix down to parameter rows."""
+    """Chain a loss gradient w.r.t. the scores down to parameter rows.
+
+    Row gradients are summed column contributions first, then the user
+    positions in batch order.
+    """
     tau = params.temperature
-    g_cos = (dphi * cache.cos).astype(float)
-    d_users = (dphi @ cache.v_hat - g_cos.sum(axis=1)[:, None] * cache.u_hat) / (tau * cache.u_norm[:, None])
-    d_items = (dphi.T @ cache.u_hat - g_cos.sum(axis=0)[:, None] * cache.v_hat) / (tau * cache.v_norm[:, None])
-    grads = GradientTable()
-    for c, item in enumerate(cache.col_ids):
-        grads.add_row(int(item), d_items[c])
-    _user_backward(cache.users, d_users, params, config, grads)
-    return grads
-
-
-@dataclass
-class PairCache:
-    users: UserBatch
-    item_ids: np.ndarray
-    u_hat: np.ndarray
-    u_norm: np.ndarray
-    v_hat: np.ndarray
-    v_norm: np.ndarray
-    cos: np.ndarray  # (B,)
-
-
-def score_pairs_forward(
-    sequences: Sequence[Sequence[int]],
-    item_ids: Sequence[int],
-    params: ModelParams,
-    config: EncoderConfig,
-    strict: bool = True,
-) -> tuple[np.ndarray, PairCache]:
-    """Score the b-th user against the b-th item only."""
-    users = encode_user_batch(sequences, params, config, strict)
-    ids = np.asarray(item_ids, dtype=np.int64)
-    if np.any((ids < 0) | (ids >= params.num_items)):
-        raise VocabularyError("unknown item id among scored pairs")
-    u_hat, u_norm = normalize_rows(users.vectors)
-    v_hat, v_norm = normalize_rows(params.item_embeddings[ids])
-    cos = np.einsum("bd,bd->b", u_hat, v_hat)
-    return cos / params.temperature, PairCache(users, ids, u_hat, u_norm, v_hat, v_norm, cos)
-
-
-def score_pairs_backward(
-    cache: PairCache,
-    dphi: np.ndarray,
-    params: ModelParams,
-    config: EncoderConfig,
-) -> GradientTable:
-    tau = params.temperature
-    coef = dphi / tau
-    d_users = (cache.v_hat - cache.cos[:, None] * cache.u_hat) * (coef / cache.u_norm)[:, None]
-    d_items = (cache.u_hat - cache.cos[:, None] * cache.v_hat) * (coef / cache.v_norm)[:, None]
-    grads = GradientTable()
-    for b, item in enumerate(cache.item_ids):
-        grads.add_row(int(item), d_items[b])
-    _user_backward(cache.users, d_users, params, config, grads)
-    return grads
-
-
-@dataclass
-class RowsetCache:
-    """Forward state when every user row has its own candidate item list."""
-
-    users: UserBatch
-    candidate_ids: list[np.ndarray]
-    u_hat: np.ndarray
-    u_norm: np.ndarray
-    v_hat: list[np.ndarray]
-    v_norm: list[np.ndarray]
-    cos: list[np.ndarray]
-
-
-def score_rowsets_forward(
-    sequences: Sequence[Sequence[int]],
-    candidate_ids: Sequence[Sequence[int]],
-    params: ModelParams,
-    config: EncoderConfig,
-) -> tuple[list[np.ndarray], RowsetCache]:
-    users = encode_user_batch(sequences, params, config)
-    u_hat, u_norm = normalize_rows(users.vectors)
-    ids_list, vh_list, vn_list, cos_list, phi_list = [], [], [], [], []
-    for b, cand in enumerate(candidate_ids):
-        ids = np.asarray(cand, dtype=np.int64)
-        if np.any((ids < 0) | (ids >= params.num_items)):
-            raise VocabularyError("unknown item id among candidates")
-        v_hat, v_norm = normalize_rows(params.item_embeddings[ids])
-        cos = v_hat @ u_hat[b]
-        ids_list.append(ids)
-        vh_list.append(v_hat)
-        vn_list.append(v_norm)
-        cos_list.append(cos)
-        phi_list.append(cos / params.temperature)
-    return phi_list, RowsetCache(users, ids_list, u_hat, u_norm, vh_list, vn_list, cos_list)
-
-
-def score_rowsets_backward(
-    cache: RowsetCache,
-    dphi: Sequence[np.ndarray],
-    params: ModelParams,
-    config: EncoderConfig,
-) -> GradientTable:
-    tau = params.temperature
-    grads = GradientTable()
-    d_users = np.zeros_like(cache.u_hat)
-    for b, ids in enumerate(cache.candidate_ids):
-        g = np.asarray(dphi[b], dtype=float)
-        v_hat, v_norm, cos = cache.v_hat[b], cache.v_norm[b], cache.cos[b]
-        d_users[b] = (g @ v_hat - (g @ cos) * cache.u_hat[b]) / (tau * cache.u_norm[b])
-        d_items = (np.outer(g, cache.u_hat[b]) - (g * cos)[:, None] * v_hat) / (tau * v_norm[:, None])
-        for c, item in enumerate(ids):
-            grads.add_row(int(item), d_items[c])
-    _user_backward(cache.users, d_users, params, config, grads)
-    return grads
+    dphi = np.asarray(dphi, dtype=float)
+    g_cos = dphi * cache.cos
+    if cache.col_ids.ndim == 1:
+        pulled = dphi @ cache.v_hat
+        d_items = (dphi.T @ cache.u_hat - g_cos.sum(axis=0)[:, None] * cache.v_hat) / (tau * cache.v_norm[:, None])
+    else:
+        pulled = np.einsum("bk,bkd->bd", dphi, cache.v_hat)
+        d_items = (dphi[:, :, None] * cache.u_hat[:, None, :] - g_cos[:, :, None] * cache.v_hat) / (
+            tau * cache.v_norm[:, :, None]
+        )
+    d_users = (pulled - g_cos.sum(axis=1)[:, None] * cache.u_hat) / (tau * cache.u_norm[:, None])
+    user_ids, user_grads, d_attention = _user_backward(cache.users, d_users, params, config)
+    ids = np.concatenate((cache.col_ids.ravel(), user_ids))
+    grads = np.concatenate((d_items.reshape(-1, params.dim), user_grads))
+    return GradientTable.accumulate(ids, grads, d_attention)
 
 
 def score_matrix(batch: Sequence, params: ModelParams, config: EncoderConfig) -> np.ndarray:

@@ -1,22 +1,28 @@
 """Month-by-month incremental training with deterministic checkpoint resume.
 
-The incremental loop consumes training data in absolute-time order: for each
-month, a fixed number of epochs over that month's batches, stepping a lazy
-per-row optimizer and writing a checkpoint at every epoch and month
-boundary.  A shuffled baseline runs the identical loop over the pooled data.
+One loop serves both modes.  In ``incremental`` mode it consumes training
+data in absolute-time order: for each month, a fixed number of epochs over
+that month's batches, writing a checkpoint at every epoch and month
+boundary.  In ``shuffled`` mode (the baseline) the same loop runs one phase
+over the pooled data.  Each step applies SGD or lazy Adam: the Adam moments
+are dense tables with a per-row step count, and a step moves only the rows
+its gradient touched.
 
 Determinism contract: every random draw is made by a generator derived from
-``(seed, phase, epoch)``, so resuming from any epoch or month checkpoint
-reproduces the uninterrupted run bit for bit.
+``(seed, phase, epoch)``, so resuming from any epoch or month checkpoint, in
+either mode, reproduces the uninterrupted run bit for bit.
 
 Checkpoints are a small binary container: magic ``UMCK``, a format version,
 the 64-bit fingerprint of the identity-relevant configuration, a JSON
 metadata block (cursor, rng derivation, optimizer scalars, array manifest)
-and the raw little-endian float64/int64 array payload.
+and the raw little-endian float64/int64 array payload.  The Adam tables are
+stored for the rows that have taken a step only.  A checkpoint is written to
+a temporary file and renamed into place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
@@ -44,6 +50,9 @@ class CheckpointError(ValueError):
     """Corrupt checkpoint file or configuration fingerprint mismatch."""
 
 
+TRAIN_MODES = ("incremental", "shuffled")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs_per_month: int = 2
@@ -55,6 +64,7 @@ class TrainConfig:
     adam_epsilon: float = 1e-8
     seed: int = 0
     months: tuple[int, ...] = ()
+    mode: str = "incremental"
 
     def __post_init__(self) -> None:
         if self.epochs_per_month < 1:
@@ -67,23 +77,29 @@ class TrainConfig:
             raise ValueError("optimizer must be 'sgd' or 'adam'")
         if list(self.months) != sorted(set(self.months)):
             raise ValueError("months must be strictly ascending")
+        if self.mode not in TRAIN_MODES:
+            raise ValueError(f"mode must be one of {TRAIN_MODES}")
 
 
 @dataclass
 class OptimizerState:
-    """SGD or lazily-updated Adam with per-row moments and step counters."""
+    """SGD, or lazily-updated Adam: dense moment tables ``m`` and ``v`` and a
+    per-row step count ``t``, allocated at the first step.  A step moves only
+    the rows in its gradient and advances only their counts, so every row
+    keeps its own bias correction."""
 
     kind: str
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    row_m: dict[int, np.ndarray] = field(default_factory=dict)
-    row_v: dict[int, np.ndarray] = field(default_factory=dict)
-    row_t: dict[int, int] = field(default_factory=dict)
+    m: np.ndarray | None = None  # (num_items, dim)
+    v: np.ndarray | None = None  # (num_items, dim)
+    t: np.ndarray | None = None  # (num_items,) int64; 0 = never updated
     attn_m: np.ndarray | None = None
     attn_v: np.ndarray | None = None
     attn_t: int = 0
+    _powers: dict[float, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_config(cls, config: TrainConfig) -> "OptimizerState":
@@ -95,44 +111,57 @@ class OptimizerState:
             epsilon=config.adam_epsilon,
         )
 
-    def _adam_update(self, m: np.ndarray, v: np.ndarray, t: int, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def tables(self, num_items: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The Adam tables ``(m, v, t)``, allocated as zeros on first use."""
+        if self.t is None:
+            self.m, self.v = np.zeros((num_items, dim)), np.zeros((num_items, dim))
+            self.t = np.zeros(num_items, dtype=np.int64)
+        return self.m, self.v, self.t
+
+    def _bias_correction(self, beta: float, t: np.ndarray) -> np.ndarray:
+        """``1 - beta**t`` with each power from a table of Python float powers
+        (C ``pow``), so the value equals the scalar formula's; numpy's
+        vectorized power differs from it in the last bit for some ``t``."""
+        table = self._powers.get(beta)
+        if table is None or table.size <= t.max(initial=0):
+            table = self._powers[beta] = np.array([beta**k for k in range(max(1024, 2 * int(t.max())))])
+        return 1.0 - table[t]
+
+    def _adam_update(self, m: np.ndarray, v: np.ndarray, t: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """New moments and the step for rows (or one vector) at step counts ``t``."""
         m = self.beta1 * m + (1.0 - self.beta1) * grad
         v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-        m_hat = m / (1.0 - self.beta1**t)
-        v_hat = v / (1.0 - self.beta2**t)
+        m_hat = m / self._bias_correction(self.beta1, t)[..., None]
+        v_hat = v / self._bias_correction(self.beta2, t)[..., None]
         step = self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
         return m, v, step
 
 
 def apply_optimizer_step(params: ModelParams, grads: GradientTable, state: OptimizerState) -> None:
     """Apply one update in place; rows absent from the gradient are untouched."""
-    if not grads.is_finite():
-        bad_rows = sorted(r for r, g in grads.rows.items() if not np.all(np.isfinite(g)))
+    finite = np.all(np.isfinite(grads.values), axis=1)
+    if not np.all(finite) or (grads.attention is not None and not np.all(np.isfinite(grads.attention))):
+        bad_rows = grads.rows[~finite].tolist()
         raise NonFiniteGradientError(f"non-finite gradient (rows {bad_rows[:8]}{'...' if len(bad_rows) > 8 else ''})")
+    rows = grads.rows
     if state.kind == "sgd":
-        for row_id, grad in grads.rows.items():
-            params.item_embeddings[row_id] -= state.learning_rate * grad
+        params.item_embeddings[rows] -= state.learning_rate * grads.values
         if grads.attention is not None:
             params.attention_vector -= state.learning_rate * grads.attention
         return
-    dim = params.dim
-    for row_id, grad in grads.rows.items():
-        t = state.row_t.get(row_id, 0) + 1
-        m = state.row_m.get(row_id)
-        if m is None:
-            m = np.zeros(dim)
-            v = np.zeros(dim)
-        else:
-            v = state.row_v[row_id]
-        m, v, step = state._adam_update(m, v, t, grad)
-        state.row_m[row_id], state.row_v[row_id], state.row_t[row_id] = m, v, t
-        params.item_embeddings[row_id] -= step
+    m, v, t = state.tables(params.num_items, params.dim)
+    row_t = t[rows] + 1
+    m[rows], v[rows], step = state._adam_update(m[rows], v[rows], row_t, grads.values)
+    t[rows] = row_t
+    params.item_embeddings[rows] -= step
     if grads.attention is not None:
         state.attn_t += 1
         if state.attn_m is None:
-            state.attn_m = np.zeros(dim)
-            state.attn_v = np.zeros(dim)
-        state.attn_m, state.attn_v, step = state._adam_update(state.attn_m, state.attn_v, state.attn_t, grads.attention)
+            state.attn_m = np.zeros(params.dim)
+            state.attn_v = np.zeros(params.dim)
+        state.attn_m, state.attn_v, step = state._adam_update(
+            state.attn_m, state.attn_v, np.asarray(state.attn_t), grads.attention
+        )
         params.attention_vector -= step
 
 
@@ -166,11 +195,12 @@ def save_checkpoint(path: str, checkpoint: Checkpoint) -> None:
         ("attention_vector", params.attention_vector),
     ]
     if opt.kind == "adam":
-        row_ids = np.array(sorted(opt.row_m), dtype=np.int64)
+        m, v, t = opt.tables(params.num_items, params.dim)
+        row_ids = np.flatnonzero(t)  # only rows that have taken a step
         arrays.append(("adam_row_ids", row_ids))
-        arrays.append(("adam_row_m", np.stack([opt.row_m[r] for r in row_ids]) if row_ids.size else np.zeros((0, params.dim))))
-        arrays.append(("adam_row_v", np.stack([opt.row_v[r] for r in row_ids]) if row_ids.size else np.zeros((0, params.dim))))
-        arrays.append(("adam_row_t", np.array([opt.row_t[r] for r in row_ids], dtype=np.int64)))
+        arrays.append(("adam_row_m", m[row_ids]))
+        arrays.append(("adam_row_v", v[row_ids]))
+        arrays.append(("adam_row_t", t[row_ids]))
         arrays.append(("adam_attn_m", opt.attn_m if opt.attn_m is not None else np.zeros(0)))
         arrays.append(("adam_attn_v", opt.attn_v if opt.attn_v is not None else np.zeros(0)))
     manifest, payload = _array_payload(arrays)
@@ -193,13 +223,22 @@ def save_checkpoint(path: str, checkpoint: Checkpoint) -> None:
         "arrays": manifest,
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as out:
-        out.write(CHECKPOINT_MAGIC)
-        out.write(struct.pack("<I", CHECKPOINT_VERSION))
-        out.write(struct.pack("<Q", checkpoint.fingerprint))
-        out.write(struct.pack("<I", len(meta_bytes)))
-        out.write(meta_bytes)
-        out.write(payload)
+    # Write a temp file in the same directory and rename it over ``path``, so
+    # a write that fails midway never leaves a partial checkpoint behind.
+    tmp_path = path + ".tmp"
+    try:
+        with open(tmp_path, "wb") as out:
+            out.write(CHECKPOINT_MAGIC)
+            out.write(struct.pack("<I", CHECKPOINT_VERSION))
+            out.write(struct.pack("<Q", checkpoint.fingerprint))
+            out.write(struct.pack("<I", len(meta_bytes)))
+            out.write(meta_bytes)
+            out.write(payload)
+        os.replace(tmp_path, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_path)
+        raise
 
 
 def load_checkpoint(path: str, expected_fingerprint: int | None = None) -> Checkpoint:
@@ -242,10 +281,8 @@ def load_checkpoint(path: str, expected_fingerprint: int | None = None) -> Check
         )
         if opt.kind == "adam":
             row_ids = arrays["adam_row_ids"]
-            for pos, row_id in enumerate(row_ids):
-                opt.row_m[int(row_id)] = arrays["adam_row_m"][pos]
-                opt.row_v[int(row_id)] = arrays["adam_row_v"][pos]
-                opt.row_t[int(row_id)] = int(arrays["adam_row_t"][pos])
+            m, v, t = opt.tables(params.num_items, params.dim)
+            m[row_ids], v[row_ids], t[row_ids] = arrays["adam_row_m"], arrays["adam_row_v"], arrays["adam_row_t"]
             if arrays["adam_attn_m"].size:
                 opt.attn_m = arrays["adam_attn_m"]
                 opt.attn_v = arrays["adam_attn_v"]
@@ -278,50 +315,6 @@ def _epoch_rng(seed: int, phase: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, phase, epoch]))
 
 
-def _month_path(directory: str, month: int) -> str:
-    return os.path.join(directory, f"month_{month:04d}.ckpt")
-
-
-def _epoch_path(directory: str, month: int, epoch: int) -> str:
-    return os.path.join(directory, f"month_{month:04d}_epoch_{epoch:02d}.ckpt")
-
-
-def _run_phase_epoch(
-    examples: Sequence,
-    month: int | None,
-    month_index: dict[int, int],
-    params: ModelParams,
-    enc_config: EncoderConfig,
-    loss_config: LossConfig,
-    train_config: TrainConfig,
-    state: OptimizerState,
-    rng: np.random.Generator,
-    notices: list[str],
-    *,
-    marginals: EmpiricalMarginals | None,
-    num_items: int | None,
-    user_universe: Sequence[UserKey] | None,
-) -> int:
-    steps = 0
-    for batch in make_batches(examples, train_config.batch_size, month, month_index, rng):
-        if loss_config.family == "bidirectional" and len(batch) < 2:
-            notices.append(f"dropped trailing batch of 1 example (month {month})")
-            continue
-        out = loss_with_gradients(
-            batch,
-            params,
-            enc_config,
-            loss_config,
-            marginals=marginals,
-            rng=rng,
-            num_items=num_items,
-            user_universe=user_universe,
-        )
-        apply_optimizer_step(params, out.gradients, state)
-        steps += 1
-    return steps
-
-
 def train_incremental(
     examples: Sequence,
     month_index: dict[int, int],
@@ -339,27 +332,38 @@ def train_incremental(
     resume: Checkpoint | None = None,
     stop_after_month: int | None = None,
 ) -> TrainResult:
-    """Train month by month in ascending time order.
+    """Train in phases of ``epochs_per_month`` epochs each.
+
+    Mode ``incremental`` runs one phase per month in ascending time order,
+    writing ``month_*_epoch_*.ckpt`` inside a month and ``month_*.ckpt`` after
+    it.  Mode ``shuffled`` (the baseline) runs one phase over the pooled data,
+    writing ``shuffled_epoch_*.ckpt`` after every epoch, and reports its
+    metrics as month ``-1``; with a single month of data it reproduces the
+    incremental step sequence exactly (same derived generators, same pool).
 
     ``examples`` must already be in the form the loss family consumes
     (labeled pairs for ``bce``, bias-annotated examples otherwise).  After
-    each month the optional ``eval_fn`` is invoked on a parameter snapshot
+    each phase the optional ``eval_fn`` is invoked on a parameter snapshot
     and its metrics are appended to the trace.  ``resume`` continues from a
-    checkpoint's cursor; ``stop_after_month`` ends the run early right after
-    that month's checkpoint (used to exercise interruption).
+    checkpoint's cursor in either mode; ``stop_after_month`` ends an
+    incremental run early right after that month's checkpoint (used to
+    exercise interruption).
     """
     months = train_config.months
-    if not months:
+    shuffled = train_config.mode == "shuffled"
+    if not months and not shuffled:
         raise ValueError("train_config.months must list the months to train, ascending")
+    phases: Sequence[int | None] = (None,) if shuffled else months  # None: the pooled data
+    epochs = train_config.epochs_per_month
     state = OptimizerState.from_config(train_config)
-    start_month_pos, start_epoch = 0, 0
+    start_phase, start_epoch = 0, 0
     if resume is not None:
         if resume.months != tuple(months):
             raise CheckpointError(f"checkpoint months {resume.months} do not match configured {tuple(months)}")
         params.item_embeddings[...] = resume.params.item_embeddings
         params.attention_vector[...] = resume.params.attention_vector
         state = resume.optimizer
-        start_month_pos, start_epoch = resume.month_cursor, resume.epoch_cursor
+        start_phase, start_epoch = resume.month_cursor, resume.epoch_cursor
 
     notices: list[str] = []
     trace: list[dict] = []
@@ -368,105 +372,49 @@ def train_incremental(
     if checkpoint_dir:
         os.makedirs(checkpoint_dir, exist_ok=True)
 
-    def _save(path: str, month_pos: int, epoch: int) -> None:
+    def _save(name: str, phase: int, epoch: int) -> None:
         if not checkpoint_dir:
             return
+        path = os.path.join(checkpoint_dir, name)
         save_checkpoint(
             path,
-            Checkpoint(params, state, month_pos, epoch, tuple(months), train_config.seed, enc_config.aggregator, fingerprint),
+            Checkpoint(params, state, phase, epoch, tuple(months), train_config.seed, enc_config.aggregator, fingerprint),
         )
         checkpoints.append(path)
 
-    for month_pos in range(start_month_pos, len(months)):
-        month = months[month_pos]
-        month_examples = [ex for ex in examples if month_index[ex.day] == month]
-        epoch0 = start_epoch if month_pos == start_month_pos else 0
-        if not month_examples:
+    for phase in range(start_phase, len(phases)):
+        month = phases[phase]
+        if month is not None and not any(month_index[ex.day] == month for ex in examples):
             notices.append(f"month {month} has no training data; skipped")
             logger.info("month %d empty; skipped", month)
         else:
-            for epoch in range(epoch0, train_config.epochs_per_month):
-                rng = _epoch_rng(train_config.seed, month_pos, epoch)
-                steps += _run_phase_epoch(
-                    examples,
-                    month,
-                    month_index,
-                    params,
-                    enc_config,
-                    loss_config,
-                    train_config,
-                    state,
-                    rng,
-                    notices,
-                    marginals=marginals,
-                    num_items=num_items,
-                    user_universe=user_universe,
-                )
-                if checkpoint_dir and epoch < train_config.epochs_per_month - 1:
-                    _save(_epoch_path(checkpoint_dir, month, epoch), month_pos, epoch + 1)
-        _save(_month_path(checkpoint_dir, month) if checkpoint_dir else "", month_pos + 1, 0)
+            for epoch in range(start_epoch if phase == start_phase else 0, epochs):
+                rng = _epoch_rng(train_config.seed, phase, epoch)
+                for batch in make_batches(examples, train_config.batch_size, month, month_index, rng):
+                    if loss_config.family == "bidirectional" and len(batch) < 2:
+                        notices.append(f"dropped trailing batch of 1 example (month {month})")
+                        continue
+                    out = loss_with_gradients(
+                        batch,
+                        params,
+                        enc_config,
+                        loss_config,
+                        marginals=marginals,
+                        rng=rng,
+                        num_items=num_items,
+                        user_universe=user_universe,
+                    )
+                    apply_optimizer_step(params, out.gradients, state)
+                    steps += 1
+                if shuffled:
+                    _save(f"shuffled_epoch_{epoch:02d}.ckpt", phase, epoch + 1)
+                elif epoch < epochs - 1:
+                    _save(f"month_{month:04d}_epoch_{epoch:02d}.ckpt", phase, epoch + 1)
+        if not shuffled:
+            _save(f"month_{month:04d}.ckpt", phase + 1, 0)
+        label = -1 if month is None else month
         if eval_fn is not None:
-            metrics = eval_fn(params.clone(), month)
-            trace.append({"month": month, **metrics})
+            trace.append({"month": label, **eval_fn(params.clone(), label)})
         if stop_after_month is not None and month == stop_after_month:
             break
-    return TrainResult(params, trace, notices, steps, checkpoints)
-
-
-def train_shuffled(
-    examples: Sequence,
-    month_index: dict[int, int],
-    params: ModelParams,
-    enc_config: EncoderConfig,
-    loss_config: LossConfig,
-    train_config: TrainConfig,
-    *,
-    marginals: EmpiricalMarginals | None = None,
-    num_items: int | None = None,
-    user_universe: Sequence[UserKey] | None = None,
-    eval_fn: Callable[[ModelParams, int], dict] | None = None,
-    checkpoint_dir: str | None = None,
-    fingerprint: int = 0,
-) -> TrainResult:
-    """Baseline: the same loop over globally shuffled data, one phase.
-
-    ``epochs_per_month`` acts as the total epoch count, so a run over the
-    same data costs the same number of steps per epoch as one incremental
-    month.  With a single month of data this reproduces the incremental
-    step sequence exactly (same derived generators, same pool).
-    """
-    state = OptimizerState.from_config(train_config)
-    notices: list[str] = []
-    checkpoints: list[str] = []
-    steps = 0
-    if checkpoint_dir:
-        os.makedirs(checkpoint_dir, exist_ok=True)
-    for epoch in range(train_config.epochs_per_month):
-        rng = _epoch_rng(train_config.seed, 0, epoch)
-        steps += _run_phase_epoch(
-            examples,
-            None,
-            month_index,
-            params,
-            enc_config,
-            loss_config,
-            train_config,
-            state,
-            rng,
-            notices,
-            marginals=marginals,
-            num_items=num_items,
-            user_universe=user_universe,
-        )
-        if checkpoint_dir:
-            path = os.path.join(checkpoint_dir, f"shuffled_epoch_{epoch:02d}.ckpt")
-            save_checkpoint(
-                path,
-                Checkpoint(params, state, 0, epoch + 1, tuple(train_config.months), train_config.seed, enc_config.aggregator, fingerprint),
-            )
-            checkpoints.append(path)
-    trace: list[dict] = []
-    if eval_fn is not None:
-        metrics = eval_fn(params.clone(), -1)
-        trace.append({"month": -1, **metrics})
     return TrainResult(params, trace, notices, steps, checkpoints)

@@ -20,9 +20,8 @@ def numeric_gradient(
     with_attention: bool,
     step: float = 1e-6,
 ) -> GradientTable:
-    grads = GradientTable()
-    for row in rows:
-        g = np.zeros(params.dim)
+    grads = GradientTable(np.asarray(rows, dtype=np.int64), np.zeros((len(rows), params.dim)))
+    for g, row in zip(grads.values, rows):
         for j in range(params.dim):
             original = params.item_embeddings[row, j]
             params.item_embeddings[row, j] = original + step
@@ -31,7 +30,6 @@ def numeric_gradient(
             down = loss_fn()
             params.item_embeddings[row, j] = original
             g[j] = (up - down) / (2.0 * step)
-        grads.rows[row] = g
     if with_attention:
         g = np.zeros(params.dim)
         for j in range(params.dim):
@@ -46,6 +44,12 @@ def numeric_gradient(
     return grads
 
 
+def row_gradient(grads: GradientTable, row: int) -> np.ndarray:
+    """The gradient of embedding row ``row`` (zero if the table omits it)."""
+    hit = np.flatnonzero(grads.rows == row)
+    return grads.values[hit[0]] if hit.size else np.zeros(grads.values.shape[1])
+
+
 def max_relative_error(analytic: GradientTable, numeric: GradientTable) -> float:
     """Worst elementwise relative error, floored at 1e-6 of the gradient scale.
 
@@ -55,15 +59,15 @@ def max_relative_error(analytic: GradientTable, numeric: GradientTable) -> float
     magnitude keeps the comparison meaningful for them.
     """
     scale = 0.0
-    for num in numeric.rows.values():
+    for num in numeric.values:
         scale = max(scale, float(np.max(np.abs(num))))
     if numeric.attention is not None:
         scale = max(scale, float(np.max(np.abs(numeric.attention))))
     floor = 1e-6 * max(1.0, scale)
 
     worst = 0.0
-    for row, num in numeric.rows.items():
-        ana = analytic.rows.get(row, np.zeros_like(num))
+    for row, num in zip(numeric.rows, numeric.values):
+        ana = row_gradient(analytic, row)
         denom = np.maximum(np.maximum(np.abs(num), np.abs(ana)), floor)
         worst = max(worst, float(np.max(np.abs(ana - num) / denom)))
     if numeric.attention is not None:

@@ -6,6 +6,7 @@ every loss configuration on the default 8x12 synthetic setup, three sample seeds
 is shared between the two tests.
 """
 
+import dataclasses
 import math
 import os
 import time
@@ -28,7 +29,7 @@ from twotower.evaluation import (
 )
 from twotower.losses import LossConfig, bidirectional_nce_loss, full_softmax_row_loss, ssm_loss
 from twotower.model import EncoderConfig, ModelParams
-from twotower.trainer import TrainConfig, load_checkpoint, train_incremental, train_shuffled
+from twotower.trainer import TrainConfig, load_checkpoint, train_incremental
 from twotower.verify import (
     SyntheticSpec,
     generate_synthetic,
@@ -310,7 +311,7 @@ def run_drift_experiment(seed: int):
     trace = [row["ndcg"] for row in inc.trace]
 
     params_shuf = ModelParams.initialize(spec.num_items + spec.num_users, 8, 0.1, seed)
-    train_shuffled(examples, sample.month_index, params_shuf, ENC, loss, config)
+    train_incremental(examples, sample.month_index, params_shuf, ENC, loss, dataclasses.replace(config, mode="shuffled"))
     shuf_ndcg = evaluate(cases, pool, params_shuf, ENC).ndcg_at_n
     return trace, shuf_ndcg
 

@@ -374,6 +374,20 @@ class TestTrainVariants:
         assert "batch_size" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("train.mode", "sideways", "mode must be one of"), ("train.epochs_per_month", "0", "epochs_per_month")],
+    )
+    def test_invalid_train_setting_fails_cleanly(self, small_events, capsys, key, value, message):
+        tmp_path, events = small_events
+        config = write_config(
+            tmp_path / "invalid.cfg",
+            **{"data.input": str(events), key: value, "paths.output_dir": str(tmp_path / "invalid")},
+        )
+        assert main(["train", "--config", config]) == 1
+        assert message in capsys.readouterr().err
+
+
 class TestResumeViaCli:
     def test_interrupted_training_resumes_bit_identically(self, tmp_path):
         events = tmp_path / "events.csv"
@@ -414,6 +428,37 @@ class TestResumeViaCli:
         final_a = (out_full / "checkpoints" / "final.ckpt").read_bytes()
         final_b = (out_resume / "checkpoints" / "final.ckpt").read_bytes()
         assert final_a == final_b
+
+
+    def test_shuffled_run_resumes_from_its_epoch_checkpoint(self, tmp_path, capsys):
+        events = tmp_path / "events.csv"
+        synthetic_events_csv(events, seed=4)
+        common = {
+            "seed": 9,
+            "data.input": str(events),
+            "data.min_degree": 2,
+            "model.dim": 6,
+            "train.mode": "shuffled",
+            "train.epochs_per_month": 2,
+            "train.batch_size": 64,
+            "eval.num_negatives": 2,
+            "eval.top_n": 3,
+        }
+        out_full = tmp_path / "full"
+        cfg_full = write_config(tmp_path / "full.cfg", **common, **{"paths.output_dir": str(out_full)})
+        assert main(["train", "--config", cfg_full]) == 0
+        full_steps = int(capsys.readouterr().out.split("trained ")[1].split(" steps")[0])
+
+        out_resume = tmp_path / "resume"
+        cfg_resume = write_config(tmp_path / "resume.cfg", **common, **{"paths.output_dir": str(out_resume)})
+        epoch0 = str(out_full / "checkpoints" / "shuffled_epoch_00.ckpt")
+        assert main(["train", "--config", cfg_resume, "--checkpoint", epoch0]) == 0
+        resumed_steps = int(capsys.readouterr().out.split("trained ")[1].split(" steps")[0])
+        assert full_steps > 0 and resumed_steps * 2 == full_steps
+        final_a = (out_full / "checkpoints" / "final.ckpt").read_bytes()
+        final_b = (out_resume / "checkpoints" / "final.ckpt").read_bytes()
+        assert final_a == final_b
+        assert (out_resume / "trace.tsv").read_text() == (out_full / "trace.tsv").read_text()
 
 
 class TestVerifyCommand:

@@ -110,7 +110,7 @@ class TestFiniteDifferenceAgreement:
 
     @pytest.mark.parametrize("aggregator", ["mean", "last"])
     def test_other_aggregators(self, aggregator):
-        for family in ("bidirectional", "bce"):
+        for family in FAMILIES:
             err = check_family(family, aggregator, 7)
             assert err <= 1e-4, f"{family}/{aggregator}: max rel err {err:.2e}"
 
@@ -167,7 +167,7 @@ class TestCriticalPoint:
         ]
         out = loss_with_gradients(batch, params, EncoderConfig("mean"), LossConfig.from_preset("simclr"))
         assert abs(np.asarray(out.dscore).sum()) < 1e-12
-        for grad in out.gradients.rows.values():
+        for grad in out.gradients.values:
             np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_bce_logit_slope_at_zero(self):

@@ -371,7 +371,7 @@ class TestDispatcher:
         ]
         for batch, config in cases:
             out = loss_with_gradients(batch, params, ENC, config, marginals=marginals, rng=rng)
-            assert out.gradients is not None and out.gradients.rows, config.family
+            assert out.gradients is not None and out.gradients.rows.size, config.family
             assert np.isfinite(out.value)
 
     def test_full_softmax_col_needs_universe(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gradcheck import row_gradient
 from twotower.data import TrainingExample
 from twotower.model import (
     EncoderConfig,
@@ -218,7 +219,7 @@ class TestSharedRowGradients:
         phi, cache = score_matrix_forward([(0,)], [1], params, enc)
         grads = score_matrix_backward(cache, np.ones_like(phi), params, enc)
         before = params.item_embeddings.copy()
-        for row, g in grads.rows.items():
+        for row, g in zip(grads.rows, grads.values):
             params.item_embeddings[row] -= 0.1 * g
         changed = np.where(np.any(params.item_embeddings != before, axis=1))[0]
         assert set(changed.tolist()) == {0, 1}
@@ -230,4 +231,47 @@ class TestSharedRowGradients:
         grads_a = score_matrix_backward(cache_a, np.ones_like(phi_a), params, enc)
         phi_b, cache_b = score_matrix_forward([(0,)], [1], params, enc)
         grads_b = score_matrix_backward(cache_b, np.ones_like(phi_b), params, enc)
-        np.testing.assert_allclose(grads_a.rows[0], grads_b.rows[0], atol=1e-12)
+        np.testing.assert_allclose(row_gradient(grads_a, 0), row_gradient(grads_b, 0), atol=1e-12)
+        assert np.any(row_gradient(grads_b, 0) != 0.0)
+
+    @pytest.mark.parametrize("aggregator", ["mean", "last", "attention"])
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_shared_row_sums_its_occurrences(self, aggregator, per_row):
+        """Item 2 is a duplicate target and repeats inside one history.  Its
+        gradient must equal the sum over an untied table in which every
+        occurrence reads its own copy of row 2 (the chain rule for a shared
+        parameter), under both kernel branches.  The sum is exact when taken
+        in the kernel's order: target columns first, then history positions
+        in batch order, which is the order the copies are numbered in."""
+        params = make_params(num_items=6, seed=12)
+        params.attention_vector[:] = np.random.default_rng(0).normal(size=params.dim)
+        enc = EncoderConfig(aggregator)
+        sequences = [(2, 0, 2), (1,), (3, 2)]
+        targets = np.array([[2, 4], [2, 5], [0, 2]]) if per_row else np.array([2, 4, 2])
+        dphi = np.random.default_rng(1).normal(size=targets.shape if per_row else (3, 3))
+
+        # Give every occurrence of item 2 its own row: a copy appended to the table.
+        copies = iter(range(params.num_items, params.num_items + 7))
+
+        def untie(ids):
+            return [next(copies) if i == 2 else i for i in ids]
+
+        untied_targets = np.array([untie(row) for row in targets]) if per_row else np.array(untie(targets))
+        untied_sequences = [tuple(untie(seq)) for seq in sequences]
+        extra = np.repeat(params.item_embeddings[2:3], 7, axis=0)
+        untied = ModelParams(np.vstack([params.item_embeddings, extra]), params.attention_vector.copy(), params.temperature)
+
+        phi, cache = score_matrix_forward(sequences, targets, params, enc)
+        phi_u, cache_u = score_matrix_forward(untied_sequences, untied_targets, untied, enc)
+        np.testing.assert_array_equal(phi_u, phi)
+        tied = score_matrix_backward(cache, dphi, params, enc)
+        split = score_matrix_backward(cache_u, dphi, untied, enc)
+        reference = np.zeros(params.dim)
+        for r in range(params.num_items, params.num_items + 7):
+            reference = reference + row_gradient(split, r)
+        assert np.any(reference != 0.0)
+        np.testing.assert_array_equal(row_gradient(tied, 2), reference)
+        for r in (0, 1, 3, 4, 5):
+            np.testing.assert_array_equal(row_gradient(tied, r), row_gradient(split, r))
+        if aggregator == "attention":
+            np.testing.assert_array_equal(tied.attention, split.attention)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from twotower.trainer import (
     load_checkpoint,
     save_checkpoint,
     train_incremental,
-    train_shuffled,
 )
 from twotower.verify import SyntheticSpec, generate_synthetic, random_joint
 
@@ -27,12 +27,12 @@ ENC = EncoderConfig("mean")
 
 
 def grads_of(rows: dict[int, list[float]], attention=None) -> GradientTable:
-    table = GradientTable()
-    for row, g in rows.items():
-        table.rows[row] = np.asarray(g, dtype=float)
-    if attention is not None:
-        table.attention = np.asarray(attention, dtype=float)
-    return table
+    ids = sorted(rows)
+    return GradientTable(
+        np.array(ids, dtype=np.int64),
+        np.array([rows[r] for r in ids], dtype=float),
+        None if attention is None else np.asarray(attention, dtype=float),
+    )
 
 
 class TestOptimizerStep:
@@ -77,9 +77,33 @@ class TestOptimizerStep:
         state = OptimizerState(kind="adam", learning_rate=0.1)
         apply_optimizer_step(params, grads_of({0: [1.0]}), state)
         apply_optimizer_step(params, grads_of({0: [1.0]}), state)
-        assert state.row_t[0] == 2
+        assert state.t[0] == 2
         # constant gradient: both steps move by ~lr
         np.testing.assert_allclose(params.item_embeddings[0, 0], -0.2, rtol=1e-3)
+
+    def test_lazy_adam_equals_scalar_formula_bit_for_bit(self):
+        """Rows at different step counts in one step; the dense update must
+        equal the per-row scalar Adam formula exactly, bias corrections
+        included, over thousands of steps."""
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(4)
+        params = ModelParams(np.zeros((3, 2)), np.zeros(2), 1.0)
+        state = OptimizerState(kind="adam", learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
+        ref = np.zeros((3, 2))
+        ref_m, ref_v, ref_t = np.zeros((3, 2)), np.zeros((3, 2)), [0, 0, 0]
+        for step in range(3000):
+            touched = [0, 1] if step % 3 else [0, 2]
+            grads = {row: rng.normal(size=2) for row in touched}
+            apply_optimizer_step(params, grads_of(grads), state)
+            for row, g in grads.items():
+                ref_t[row] += 1
+                ref_m[row] = b1 * ref_m[row] + (1.0 - b1) * g
+                ref_v[row] = b2 * ref_v[row] + (1.0 - b2) * g * g
+                m_hat = ref_m[row] / (1.0 - b1 ** ref_t[row])
+                v_hat = ref_v[row] / (1.0 - b2 ** ref_t[row])
+                ref[row] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.testing.assert_array_equal(state.t, ref_t)
+        np.testing.assert_array_equal(params.item_embeddings, ref)
 
     def test_non_finite_gradient_aborts(self):
         params = ModelParams(np.zeros((1, 2)), np.zeros(2), 1.0)
@@ -106,8 +130,9 @@ class TestCheckpointFile:
         assert loaded.months == (1, 2, 3)
         assert loaded.month_cursor == 1 and loaded.epoch_cursor == 0
         assert loaded.fingerprint == 0xDEADBEEF
-        np.testing.assert_array_equal(loaded.optimizer.row_m[2], original.optimizer.row_m[2])
-        assert loaded.optimizer.row_t[2] == 1
+        np.testing.assert_array_equal(loaded.optimizer.m, original.optimizer.m)
+        np.testing.assert_array_equal(loaded.optimizer.v, original.optimizer.v)
+        np.testing.assert_array_equal(loaded.optimizer.t, [0, 0, 1, 0, 0])
         np.testing.assert_array_equal(loaded.optimizer.attn_m, original.optimizer.attn_m)
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
@@ -141,6 +166,30 @@ class TestCheckpointFile:
         path.write_bytes(blob.replace(b'"attention_vector"', b'"attention_vectoX"'))
         with pytest.raises(CheckpointError, match="attention_vector"):
             load_checkpoint(str(path))
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        """A write that raises after the header started leaves the previous
+        file loadable and no temporary file behind."""
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(str(path), self._checkpoint(seed=3))
+        before = path.read_bytes()
+        real_pack = struct.pack
+        calls = []
+
+        def failing_pack(fmt, *values):
+            calls.append(fmt)
+            if len(calls) == 2:  # magic and version are already written
+                raise OSError("disk full")
+            return real_pack(fmt, *values)
+
+        monkeypatch.setattr(struct, "pack", failing_pack)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(str(path), self._checkpoint(seed=4))
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert path.read_bytes() == before
+        load_checkpoint(str(path))
+        assert os.listdir(tmp_path) == ["c.ckpt"]
 
     def test_save_is_deterministic(self, tmp_path):
         a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
@@ -283,9 +332,37 @@ class TestTrainingLoop:
         params_inc = fresh_params(spec)
         inc = train_incremental(examples, month_index, params_inc, ENC, LOSS, config)
         params_shuf = fresh_params(spec)
-        shuf = train_shuffled(examples, month_index, params_shuf, ENC, LOSS, config)
+        shuf = train_incremental(examples, month_index, params_shuf, ENC, LOSS, dataclasses.replace(config, mode="shuffled"))
         assert inc.steps == shuf.steps
         np.testing.assert_array_equal(params_inc.item_embeddings, params_shuf.item_embeddings)
+
+    def test_shuffled_resume_trains_only_the_remaining_epochs(self, tmp_path):
+        spec, examples, month_index, _ = synthetic_training_set(num_months=3)
+        months = sorted({month_index[ex.day] for ex in examples})
+        config = train_config(months, epochs_per_month=3, mode="shuffled")
+
+        def eval_fn(params, month):
+            return {"ndcg": float(month)}
+
+        full_dir = str(tmp_path / "full")
+        full = train_incremental(
+            examples, month_index, fresh_params(spec), ENC, LOSS, config,
+            eval_fn=eval_fn, checkpoint_dir=full_dir, fingerprint=5,
+        )
+        assert [os.path.basename(p) for p in full.checkpoints] == [f"shuffled_epoch_{e:02d}.ckpt" for e in range(3)]
+        assert full.steps % 3 == 0
+
+        resume_ckpt = load_checkpoint(os.path.join(full_dir, "shuffled_epoch_00.ckpt"), expected_fingerprint=5)
+        resume_dir = str(tmp_path / "resume")
+        resumed = train_incremental(
+            examples, month_index, fresh_params(spec), ENC, LOSS, config,
+            eval_fn=eval_fn, checkpoint_dir=resume_dir, fingerprint=5, resume=resume_ckpt,
+        )
+        assert resumed.steps == full.steps * 2 // 3
+        assert [os.path.basename(p) for p in resumed.checkpoints] == ["shuffled_epoch_01.ckpt", "shuffled_epoch_02.ckpt"]
+        assert resumed.trace == full.trace == [{"month": -1, "ndcg": -1.0}]
+        last = "shuffled_epoch_02.ckpt"
+        assert open(os.path.join(resume_dir, last), "rb").read() == open(os.path.join(full_dir, last), "rb").read()
 
     def test_full_batch_sgd_descends(self):
         spec, examples, month_index, _ = synthetic_training_set(num_months=1, num_samples=120)
