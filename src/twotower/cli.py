@@ -19,6 +19,7 @@ import os
 import re
 import shutil
 import sys
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,8 @@ import numpy as np
 from . import config as config_mod
 from . import data as data_mod
 from .config import ConfigError, RunConfig, fingerprint, loss_config_from, render_config, verify_seeds
-from .evaluation import EvalCase, EvalPool, RankingIndex, build_eval_cases, evaluate
-from .model import EncoderConfig, ModelParams
+from .evaluation import EvalCase, EvalPool, PoolTooSmallError, RankingIndex, build_eval_cases, evaluate
+from .model import EncoderConfig, ModelParams, encode_user
 from .trainer import (
     Checkpoint,
     CheckpointError,
@@ -79,6 +80,15 @@ def _write_resolved(cfg: RunConfig) -> None:
         out.write(render_config(cfg))
 
 
+def _configured(section: str, build: Callable, *args, **kwargs):
+    """``build(*args, **kwargs)`` from config values; a ``ValueError`` becomes
+    a ``CliError`` that names the config section."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise CliError(f"{section}: {exc}") from exc
+
+
 def _run_pipeline(cfg: RunConfig) -> Prepared:
     path = cfg.data.input
     if not path:
@@ -90,27 +100,25 @@ def _run_pipeline(cfg: RunConfig) -> Prepared:
             log = data_mod.ingest_logs(src, delimiter=cfg.data.delimiter)
         except data_mod.IngestError as exc:
             raise CliError(f"{path}: {exc}") from exc
-    examples = data_mod.build_examples(log.records, cfg.data.horizon_days, cfg.data.max_seq_len)
+        except ValueError as exc:
+            raise CliError(f"data: {exc}") from exc
+    examples = _configured("data", data_mod.build_examples, log.records, cfg.data.horizon_days, cfg.data.max_seq_len)
     months_total = cfg.data.months_total or log.num_months
     if months_total < 3:
         raise CliError(f"need at least 3 months of data, found {months_total}")
     split = data_mod.split_by_time(examples, months_total, log.day_to_month)
-    split = data_mod.filter_sparse(split, cfg.data.min_degree)
+    split = _configured("data", data_mod.filter_sparse, split, cfg.data.min_degree)
     if not split.train:
         raise CliError("no training examples survive the split and degree filter")
     marginals = data_mod.compute_marginals(split.train)
-    split = data_mod.DatasetSplit(
-        train=data_mod.annotate_bias(split.train, marginals),
-        validation=data_mod.annotate_bias(split.validation, marginals),
-        test=data_mod.annotate_bias(split.test, marginals),
-        month_index=split.month_index,
-    )
     train_months = sorted({split.month_index[ex.day] for ex in split.train})
     return Prepared(log, split, marginals, months_total, train_months)
 
 
 def _labeled_train(cfg: RunConfig, prepared: Prepared) -> list[data_mod.LabeledExample]:
-    return data_mod.sample_negatives_bce(
+    return _configured(
+        "loss",
+        data_mod.sample_negatives_bce,
         prepared.split.train,
         cfg.loss.negative_strategy,
         num_items=prepared.log.num_items,
@@ -124,11 +132,11 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     prepared = _run_pipeline(cfg)
     _write_resolved(cfg)
     out_dir = cfg.paths.output_dir
-    data_mod.write_examples_tsv(prepared.split.train, os.path.join(out_dir, "train_examples.tsv"))
-    data_mod.write_examples_tsv(prepared.split.validation, os.path.join(out_dir, "validation_examples.tsv"))
-    data_mod.write_examples_tsv(prepared.split.test, os.path.join(out_dir, "test_examples.tsv"))
+    for name in ("train", "validation", "test"):
+        part = getattr(prepared.split, name)
+        data_mod.write_examples_tsv(part, prepared.marginals, os.path.join(out_dir, f"{name}_examples.tsv"))
     data_mod.write_marginals_tsv(prepared.marginals, os.path.join(out_dir, "marginals.tsv"))
-    loss_config = loss_config_from(cfg)
+    loss_config = _configured("loss", loss_config_from, cfg)
     if loss_config.family == "bce":
         labeled = _labeled_train(cfg, prepared)
         data_mod.write_labeled_tsv(labeled, os.path.join(out_dir, "train_labeled.tsv"))
@@ -151,9 +159,11 @@ def _validation_eval_fn(cfg: RunConfig, prepared: Prepared, enc: EncoderConfig):
             seed=_derive_seed(cfg.seed, _TAG_VALIDATION_CASES),
             cutoff=cfg.eval.top_n,
         )
-    except ValueError as exc:
+    except PoolTooSmallError as exc:
         logger.warning("cannot build validation cases (%s); no per-month metrics recorded", exc)
         return None
+    except ValueError as exc:
+        raise CliError(f"eval: {exc}") from exc
 
     def eval_fn(params: ModelParams, month: int) -> dict:
         report = evaluate(cases, pool, params, enc)
@@ -162,18 +172,21 @@ def _validation_eval_fn(cfg: RunConfig, prepared: Prepared, enc: EncoderConfig):
     return eval_fn
 
 
-def _write_trace(path: str, rows: list[dict], append: bool) -> None:
-    mode = "a" if append and os.path.exists(path) else "w"
-    with open(path, mode, encoding="utf-8") as out:
-        if mode == "w":
-            out.write("month\trecall\tndcg\n")
+def _write_trace(path: str, rows: list[dict], keep_months: Collection[int] = ()) -> None:
+    """Write ``rows`` after the lines of the existing file whose month is in
+    ``keep_months`` (a resumed run keeps the months its checkpoint finished)."""
+    kept = []
+    if keep_months and os.path.exists(path):
+        with open(path, encoding="utf-8") as src:
+            kept = [line for line in list(src)[1:] if int(line.split("\t", 1)[0]) in keep_months]
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("month\trecall\tndcg\n")
+        out.writelines(kept)
         for row in rows:
             out.write(f"{row['month']}\t{row.get('recall', float('nan')):.6f}\t{row.get('ndcg', float('nan')):.6f}\n")
 
 
 def _export_embeddings(path: str, params: ModelParams, prepared: Prepared, enc: EncoderConfig) -> None:
-    from .model import encode_user
-
     item_token = {idx: tok for tok, idx in prepared.log.item_vocab.items()}
     keys = sorted({ex.pseudo_user for ex in prepared.split.train})
     with open(path, "w", encoding="utf-8") as out:
@@ -190,27 +203,27 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     prepared = _run_pipeline(cfg)
     _write_resolved(cfg)
-    enc = EncoderConfig(cfg.model.aggregator)
-    loss_config = loss_config_from(cfg)
+    enc = _configured("model", EncoderConfig, cfg.model.aggregator)
+    loss_config = _configured("loss", loss_config_from, cfg)
     if loss_config.family == "bidirectional" and cfg.train.batch_size < 2:
         raise CliError("in-batch losses need train.batch_size >= 2 (a batch must contain a negative)")
     fp = fingerprint(cfg)
-    try:
-        train_config = TrainConfig(
-            epochs_per_month=cfg.train.epochs_per_month,
-            batch_size=cfg.train.batch_size,
-            learning_rate=cfg.train.learning_rate,
-            optimizer=cfg.train.optimizer,
-            adam_beta1=cfg.train.adam_beta1,
-            adam_beta2=cfg.train.adam_beta2,
-            adam_epsilon=cfg.train.adam_epsilon,
-            seed=cfg.seed,
-            months=tuple(prepared.train_months),
-            mode=cfg.train.mode,
-        )
-    except ValueError as exc:
-        raise CliError(f"train: {exc}") from exc
-    params = ModelParams.initialize(prepared.log.num_items, cfg.model.dim, cfg.model.temperature, cfg.seed)
+    train_config = _configured(
+        "train",
+        TrainConfig,
+        epochs_per_month=cfg.train.epochs_per_month,
+        batch_size=cfg.train.batch_size,
+        learning_rate=cfg.train.learning_rate,
+        optimizer=cfg.train.optimizer,
+        adam_beta1=cfg.train.adam_beta1,
+        adam_beta2=cfg.train.adam_beta2,
+        adam_epsilon=cfg.train.adam_epsilon,
+        seed=cfg.seed,
+        months=tuple(prepared.train_months),
+        mode=cfg.train.mode,
+    )
+    model = cfg.model
+    params = _configured("model", ModelParams.initialize, prepared.log.num_items, model.dim, model.temperature, cfg.seed)
     examples = _labeled_train(cfg, prepared) if loss_config.family == "bce" else prepared.split.train
     eval_fn = _validation_eval_fn(cfg, prepared, enc)
     checkpoint_dir = os.path.join(cfg.paths.output_dir, "checkpoints")
@@ -235,7 +248,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         examples, prepared.split.month_index, params, enc, loss_config, train_config, resume=resume, **kwargs
     )
 
-    _write_trace(os.path.join(cfg.paths.output_dir, "trace.tsv"), result.trace, append=resume is not None)
+    done = resume.months[: resume.month_cursor] if resume is not None else ()
+    _write_trace(os.path.join(cfg.paths.output_dir, "trace.tsv"), result.trace, keep_months=done)
     final_path = os.path.join(checkpoint_dir, "final.ckpt")
     if result.checkpoints:
         shutil.copyfile(result.checkpoints[-1], final_path + ".tmp")
@@ -295,7 +309,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         cases,
         pool,
         checkpoint.params,
-        EncoderConfig(cfg.model.aggregator),
+        _configured("model", EncoderConfig, cfg.model.aggregator),
         records=prepared.log.records,
         anchor_day=_test_anchor_day(prepared),
         window_days=cfg.eval.popularity_window_days,
@@ -319,12 +333,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     _write_resolved(cfg)
     v = cfg.verify
-    spec = SyntheticSpec(
-        num_users=v.num_users,
-        num_items=v.num_items,
-        joint=random_joint(v.num_users, v.num_items, seed=v.table_seed, table_rank=v.table_rank, sparsity=v.sparsity),
-        num_samples=v.num_samples,
+    joint = _configured(
+        "verify", random_joint, v.num_users, v.num_items, seed=v.table_seed, table_rank=v.table_rank, sparsity=v.sparsity
     )
+    spec = SyntheticSpec(num_users=v.num_users, num_items=v.num_items, joint=joint, num_samples=v.num_samples)
     result = run_table_sweep(
         spec,
         verify_seeds(cfg),
@@ -345,12 +357,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    top_n = cfg.eval.top_n if args.top_n is None else args.top_n
+    if top_n < 1:
+        raise CliError(f"top-n must be >= 1, got {top_n}")
     prepared = _run_pipeline(cfg)
     checkpoint = _load_params(args, cfg, prepared.log.num_items)
     params = checkpoint.params
-    enc = EncoderConfig(cfg.model.aggregator)
+    enc = _configured("model", EncoderConfig, cfg.model.aggregator)
     task = args.task or cfg.eval.task
-    top_n = args.top_n or cfg.eval.top_n
     tokens = [t for t in re.split(r"[ ,]+", args.query.strip()) if t]
     if not tokens:
         raise CliError("--query is empty")
@@ -399,7 +413,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if not paths:
         raise CliError(f"no month checkpoints found in {directory}")
     task = args.task or cfg.eval.task
-    enc = EncoderConfig(cfg.model.aggregator)
+    enc = _configured("model", EncoderConfig, cfg.model.aggregator)
     cases, pool = _test_cases(cfg, prepared, task)  # the same cases for every checkpoint
     rows = []
     for path in paths:
@@ -411,7 +425,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         report = evaluate(cases, pool, checkpoint.params, enc)
         rows.append({"month": month, "recall": report.recall_at_n, "ndcg": report.ndcg_at_n})
     out_path = os.path.join(cfg.paths.output_dir, "month_trace.tsv")
-    _write_trace(out_path, rows, append=False)
+    _write_trace(out_path, rows)
     print("month\trecall\tndcg")
     for row in rows:
         print(f"{row['month']}\t{row['recall']:.6f}\t{row['ndcg']:.6f}")

@@ -4,8 +4,9 @@ Raw purchase events ``(user, item, day)`` are turned into next-n-day
 prediction examples: each example pairs a pseudo-user (the sequence of items
 purchased before a cut day) with one item purchased during the following
 horizon window.  This module also owns the month-based split, the degree
-filter, empirical marginals with their log-bias annotations, negative
-sampling for the binary-label loss, and month-filtered batch iteration.
+filter, the empirical marginals and their per-example log-bias lookup,
+negative sampling for the binary-label loss, and month-filtered batch
+iteration.
 
 Pseudo-users are keyed by their exact (truncated) item sequence: two
 examples share a user identity iff their sequences are identical.
@@ -13,7 +14,6 @@ examples share a user identity iff their sequences are identical.
 
 from __future__ import annotations
 
-import dataclasses
 import datetime
 import logging
 import math
@@ -50,16 +50,12 @@ class TrainingExample:
 
     ``pseudo_user`` holds the items bought strictly before ``day``,
     most-recent-last and truncated to the configured maximum length.
-    ``log_p_u`` / ``log_p_i`` are the natural-log empirical marginals used as
-    bias-correction terms; they stay ``None`` until :func:`annotate_bias`.
     """
 
     user_id: int
     pseudo_user: UserKey
     target_item: int
     day: int
-    log_p_u: float | None = None
-    log_p_i: float | None = None
 
 
 @dataclass(frozen=True)
@@ -113,6 +109,14 @@ class EmpiricalMarginals:
         """Log-probability assigned to keys unseen in the training set."""
         return -math.log(self.total + 1)
 
+    def log_bias(self, examples: Sequence[TrainingExample]) -> tuple[np.ndarray, np.ndarray]:
+        """The bias-correction terms ``log p(u)`` and ``log p(i)`` of each
+        example's pseudo-user and target; unseen keys get :meth:`floor_log`."""
+        floor = self.floor_log()
+        log_p_u = np.fromiter((self.log_p_user.get(ex.pseudo_user, floor) for ex in examples), float, len(examples))
+        log_p_i = np.fromiter((self.log_p_item.get(ex.target_item, floor) for ex in examples), float, len(examples))
+        return log_p_u, log_p_i
+
 
 @dataclass
 class DatasetSplit:
@@ -147,6 +151,8 @@ def ingest_logs(source: Union[IO[str], IO[bytes], Iterable[str]], delimiter: str
     calendar months; for integer input, months are consecutive 30-day
     buckets.  Month ordinals are 1-based.
     """
+    if not delimiter:
+        raise ValueError("delimiter must not be empty")
     user_vocab: dict[str, int] = {}
     item_vocab: dict[str, int] = {}
     parsed: list[tuple[int, int, Union[int, datetime.date]]] = []
@@ -313,24 +319,6 @@ def compute_marginals(train_examples: Sequence[TrainingExample]) -> EmpiricalMar
     return EmpiricalMarginals(log_p_user, log_p_item, dict(count_user), dict(count_item), total)
 
 
-def annotate_bias(
-    examples: Sequence[TrainingExample],
-    marginals: EmpiricalMarginals,
-) -> list[TrainingExample]:
-    """Attach log-marginal bias terms; unseen keys get the floor value."""
-    floor = marginals.floor_log()
-    annotated = []
-    for ex in examples:
-        annotated.append(
-            dataclasses.replace(
-                ex,
-                log_p_u=marginals.log_p_user.get(ex.pseudo_user, floor),
-                log_p_i=marginals.log_p_item.get(ex.target_item, floor),
-            )
-        )
-    return annotated
-
-
 def sample_negatives_bce(
     train_examples: Sequence[TrainingExample],
     strategy: str,
@@ -413,22 +401,17 @@ def make_batches(
         yield [pool[idx] for idx in order[start : start + batch_size]]
 
 
-def _format_key(ex) -> str:
-    return str(ex.user_id)
-
-
-def write_examples_tsv(examples: Sequence[TrainingExample], path: str) -> None:
+def write_examples_tsv(examples: Sequence[TrainingExample], marginals: EmpiricalMarginals, path: str) -> None:
     """Write the multinomial-format example file.
 
     Columns: user key, space-separated item sequence, target item, and the
-    two log-marginal bias terms (6 decimal places).
+    two log-marginal bias terms from ``marginals`` (6 decimal places).
     """
+    log_p_u, log_p_i = marginals.log_bias(examples)
     with open(path, "w", encoding="utf-8") as out:
-        for ex in examples:
-            if ex.log_p_u is None or ex.log_p_i is None:
-                raise ValueError("examples must be bias-annotated before writing")
+        for ex, lpu, lpi in zip(examples, log_p_u.tolist(), log_p_i.tolist()):
             seq = " ".join(str(i) for i in ex.pseudo_user)
-            out.write(f"{_format_key(ex)}\t{seq}\t{ex.target_item}\t{ex.log_p_u:.6f}\t{ex.log_p_i:.6f}\n")
+            out.write(f"{ex.user_id}\t{seq}\t{ex.target_item}\t{lpu:.6f}\t{lpi:.6f}\n")
 
 
 def write_labeled_tsv(examples: Sequence[LabeledExample], path: str) -> None:
@@ -436,7 +419,7 @@ def write_labeled_tsv(examples: Sequence[LabeledExample], path: str) -> None:
     with open(path, "w", encoding="utf-8") as out:
         for ex in examples:
             seq = " ".join(str(i) for i in ex.pseudo_user)
-            out.write(f"{_format_key(ex)}\t{seq}\t{ex.target_item}\t{ex.label}\n")
+            out.write(f"{ex.user_id}\t{seq}\t{ex.target_item}\t{ex.label}\n")
 
 
 def write_marginals_tsv(marginals: EmpiricalMarginals, path: str) -> None:

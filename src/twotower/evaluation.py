@@ -23,6 +23,10 @@ TASKS = ("ir", "ut")
 ENCODE_CHUNK = 512  # pseudo-users per padded encoder batch in RankingIndex.build
 
 
+class PoolTooSmallError(ValueError):
+    """The candidate pool holds fewer eligible negatives than requested."""
+
+
 @dataclass(frozen=True)
 class EvalCase:
     """One ranking problem: a query against a fixed candidate pool.
@@ -77,6 +81,8 @@ def build_eval_cases(
         raise ValueError(f"task must be one of {TASKS}")
     if num_negatives < 0:
         raise ValueError("num_negatives must be >= 0")
+    if cutoff < 1:
+        raise ValueError("top-N cutoff must be >= 1")
     if not test_examples:
         raise ValueError("no test examples to evaluate")
     rng = np.random.default_rng(seed)
@@ -109,7 +115,7 @@ def build_eval_cases(
         pick = eligible[group]
         if pick.size < num_negatives:
             what = "item" if task == "ir" else "user"
-            raise ValueError(f"{what} pool too small: {pick.size} eligible negatives, {num_negatives} requested")
+            raise PoolTooSmallError(f"{what} pool too small: {pick.size} eligible negatives, {num_negatives} requested")
         negs = rng.choice(pick, size=num_negatives, replace=False).tolist() if num_negatives else []
         cases.append(EvalCase(task, query, frozenset({positive}), (positive, *negs), cutoff))
     return cases, pool

@@ -7,7 +7,8 @@ Five families over the temperature-scaled cosine score ``phi``:
 * ``bidirectional``     the generalized in-batch loss: a row softmax over the
                         batch's items plus a column softmax over the batch's
                         users, each optionally bias-corrected by subtracting
-                        the log empirical marginal of the sampled side.  Flag
+                        the log empirical marginal of the sampled side, looked
+                        up in the training marginals per batch.  Flag
                         presets recover InfoNCE, SimCLR, row-bcNCE, col-bcNCE
                         and bbcNCE;
 * ``full_softmax_row``  exact multinomial NLL with the partition over the whole
@@ -70,6 +71,8 @@ class LossConfig:
                 raise ValueError(f"{name} must be 0 or 1")
         if self.family == "bidirectional" and self.alpha == 0 and self.beta == 0:
             raise ValueError("bidirectional loss with alpha=beta=0 is identically zero")
+        if self.family == "ssm" and self.num_sampled < 1:
+            raise ValueError("num_sampled must be >= 1")
         if self.ssm_proposal not in ("marginal", "uniform"):
             raise ValueError("ssm_proposal must be 'marginal' or 'uniform'")
         if self.preset is not None:
@@ -206,27 +209,18 @@ def bce_loss(
     return LossOutput(value=value, gradients=grads, dscore=dphi)
 
 
-def _bias_vectors(batch: Sequence[TrainingExample]) -> tuple[np.ndarray, np.ndarray]:
-    log_p_u = np.empty(len(batch))
-    log_p_i = np.empty(len(batch))
-    for b, ex in enumerate(batch):
-        if ex.log_p_u is None or ex.log_p_i is None:
-            raise ValueError("batch examples lack bias annotations; run annotate_bias first")
-        log_p_u[b] = ex.log_p_u
-        log_p_i[b] = ex.log_p_i
-    return log_p_u, log_p_i
-
-
 def bidirectional_batch_loss(
     batch: Sequence[TrainingExample],
     params: ModelParams,
     enc_config: EncoderConfig,
     config: LossConfig,
+    marginals: EmpiricalMarginals,
 ) -> LossOutput:
-    """Score the batch, apply the bidirectional loss, backprop to parameters."""
+    """Score the batch, apply the bidirectional loss with the bias terms of
+    the training ``marginals``, backprop to parameters."""
     sequences = [ex.pseudo_user for ex in batch]
     targets = [ex.target_item for ex in batch]
-    log_p_u, log_p_i = _bias_vectors(batch)
+    log_p_u, log_p_i = marginals.log_bias(batch)
     phi, cache = score_matrix_forward(sequences, targets, params, enc_config)
     out = bidirectional_nce_loss(phi, log_p_u, log_p_i, config)
     out.gradients = score_matrix_backward(cache, out.dscore, params, enc_config)
@@ -304,8 +298,6 @@ def ssm_loss(
     """
     if not batch:
         raise ValueError("batch is empty")
-    if num_sampled < 1:
-        raise ValueError("num_sampled must be >= 1")
     num_items = params.num_items
     if num_sampled >= num_items:
         raise ValueError("num_sampled must be smaller than the item vocabulary")
@@ -346,7 +338,9 @@ def loss_with_gradients(
     if config.family == "bce":
         return bce_loss(batch, params, enc_config)
     if config.family == "bidirectional":
-        return bidirectional_batch_loss(batch, params, enc_config, config)
+        if marginals is None:
+            raise ValueError("bidirectional loss needs the training marginals")
+        return bidirectional_batch_loss(batch, params, enc_config, config, marginals)
     if config.family == "full_softmax_row":
         return full_softmax_row_loss(batch, params, enc_config, num_items)
     if config.family == "full_softmax_col":

@@ -64,6 +64,8 @@ class ModelParams:
     def initialize(cls, num_items: int, dim: int, temperature: float, seed: int) -> "ModelParams":
         """Fresh parameters: table i.i.d. uniform on [-1/sqrt(d), +1/sqrt(d)],
         attention vector zero (attention pooling then starts out as mean)."""
+        if dim < 1:
+            raise ValueError("dim must be >= 1")
         rng = np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(dim)
         table = rng.uniform(-scale, scale, size=(num_items, dim))

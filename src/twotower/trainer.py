@@ -342,7 +342,8 @@ def train_incremental(
     incremental step sequence exactly (same derived generators, same pool).
 
     ``examples`` must already be in the form the loss family consumes
-    (labeled pairs for ``bce``, bias-annotated examples otherwise).  After
+    (labeled pairs for ``bce``, training examples otherwise); the
+    bidirectional and ``ssm`` losses read the training ``marginals``.  After
     each phase the optional ``eval_fn`` is invoked on a parameter snapshot
     and its metrics are appended to the trace.  ``resume`` continues from a
     checkpoint's cursor in either mode; ``stop_after_month`` ends an

@@ -105,6 +105,8 @@ def random_joint(
     sparsity: float = 0.3,
 ) -> np.ndarray:
     """Low-rank positive random table with a sparsified support, normalized."""
+    if num_users < 1 or num_items < 1:
+        raise ValueError("num_users and num_items must be >= 1")
     rng = np.random.default_rng(seed)
     left = rng.gamma(shape=2.0, scale=1.0, size=(num_users, table_rank))
     right = rng.gamma(shape=2.0, scale=1.0, size=(table_rank, num_items))
@@ -516,9 +518,6 @@ class SweepResult:
     agreements: list[GroupAgreement]
     phi_tables: dict[tuple[str, int], np.ndarray]
     masks: dict[int, np.ndarray]
-
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.reports)
 
 
 def run_table_sweep(

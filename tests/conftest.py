@@ -1,9 +1,8 @@
 import io
 
-import numpy as np
 import pytest
 
-from twotower.data import TrainingExample, ingest_logs
+from twotower.data import ingest_logs
 
 
 @pytest.fixture
@@ -22,21 +21,3 @@ def tiny_log_text() -> str:
 def tiny_log(tiny_log_text):
     return ingest_logs(io.StringIO(tiny_log_text))
 
-
-def random_examples(rng: np.random.Generator, num: int, num_items: int, max_len: int = 4, max_day: int = 100):
-    """Bias-annotated examples with arbitrary (valid) log-probabilities."""
-    out = []
-    for k in range(num):
-        length = int(rng.integers(1, max_len + 1))
-        seq = tuple(int(i) for i in rng.integers(0, num_items, size=length))
-        out.append(
-            TrainingExample(
-                user_id=int(rng.integers(0, 50)),
-                pseudo_user=seq,
-                target_item=int(rng.integers(0, num_items)),
-                day=int(rng.integers(0, max_day)),
-                log_p_u=float(np.log(rng.uniform(0.01, 1.0))),
-                log_p_i=float(np.log(rng.uniform(0.01, 1.0))),
-            )
-        )
-    return out

@@ -17,7 +17,7 @@ import pytest
 from test_gradients import FAMILIES, check_family
 from twotower.cli import main
 from twotower.config import VerifySection
-from twotower.data import annotate_bias, compute_marginals
+from twotower.data import compute_marginals
 from twotower.evaluation import (
     EvalCase,
     EvalPool,
@@ -292,8 +292,8 @@ def final_month_cases(spec: SyntheticSpec, seed: int, cutoff: int = 5):
 def run_drift_experiment(seed: int):
     spec = drifting_spec()
     sample = generate_synthetic(spec, seed=seed)
-    marginals = compute_marginals(sample.examples)
-    examples = annotate_bias(sample.examples, marginals)
+    examples = sample.examples
+    marginals = compute_marginals(examples)
     months = sorted({m for m in (sample.month_index[ex.day] for ex in examples)})
     cases, pool = final_month_cases(spec, seed)
 
@@ -307,11 +307,14 @@ def run_drift_experiment(seed: int):
     loss = LossConfig.from_preset("bbcnce")
 
     params_inc = ModelParams.initialize(spec.num_items + spec.num_users, 8, 0.1, seed)
-    inc = train_incremental(examples, sample.month_index, params_inc, ENC, loss, config, eval_fn=eval_fn)
+    inc = train_incremental(
+        examples, sample.month_index, params_inc, ENC, loss, config, marginals=marginals, eval_fn=eval_fn
+    )
     trace = [row["ndcg"] for row in inc.trace]
 
     params_shuf = ModelParams.initialize(spec.num_items + spec.num_users, 8, 0.1, seed)
-    train_incremental(examples, sample.month_index, params_shuf, ENC, loss, dataclasses.replace(config, mode="shuffled"))
+    shuffled = dataclasses.replace(config, mode="shuffled")
+    train_incremental(examples, sample.month_index, params_shuf, ENC, loss, shuffled, marginals=marginals)
     shuf_ndcg = evaluate(cases, pool, params_shuf, ENC).ndcg_at_n
     return trace, shuf_ndcg
 
@@ -391,8 +394,8 @@ def test_criterion_9_determinism(tmp_path):
         num_samples=2_000, num_months=3,
     )
     sample = generate_synthetic(spec, seed=5)
-    marginals = compute_marginals(sample.examples)
-    examples = annotate_bias(sample.examples, marginals)
+    examples = sample.examples
+    marginals = compute_marginals(examples)
     months = sorted({sample.month_index[ex.day] for ex in examples})
     config = TrainConfig(epochs_per_month=2, batch_size=64, learning_rate=1e-3, seed=17, months=tuple(months))
     loss = LossConfig.from_preset("bbcnce")
@@ -402,18 +405,21 @@ def test_criterion_9_determinism(tmp_path):
 
     full_dir = str(tmp_path / "full")
     params_full = init()
-    train_incremental(examples, sample.month_index, params_full, ENC, loss, config, checkpoint_dir=full_dir, fingerprint=1)
+    train_incremental(
+        examples, sample.month_index, params_full, ENC, loss, config,
+        marginals=marginals, checkpoint_dir=full_dir, fingerprint=1,
+    )
 
     part_dir = str(tmp_path / "part")
     params_part = init()
     train_incremental(
         examples, sample.month_index, params_part, ENC, loss, config,
-        checkpoint_dir=part_dir, fingerprint=1, stop_after_month=months[0],
+        marginals=marginals, checkpoint_dir=part_dir, fingerprint=1, stop_after_month=months[0],
     )
     resume = load_checkpoint(os.path.join(part_dir, f"month_{months[0]:04d}.ckpt"), expected_fingerprint=1)
     train_incremental(
         examples, sample.month_index, params_part, ENC, loss, config,
-        checkpoint_dir=part_dir, fingerprint=1, resume=resume,
+        marginals=marginals, checkpoint_dir=part_dir, fingerprint=1, resume=resume,
     )
     bit_identical = bool(
         np.array_equal(params_part.item_embeddings, params_full.item_embeddings)

@@ -320,6 +320,20 @@ def small_events(tmp_path_factory):
     return tmp_path, events
 
 
+@pytest.fixture(scope="module")
+def small_checkpoint(small_events):
+    """``final.ckpt`` of a run at the default settings on ``small_events``."""
+    tmp_path, events = small_events
+    out = tmp_path / "valid"
+    config = write_config(tmp_path / "valid.cfg", **{"data.input": str(events), "paths.output_dir": str(out)})
+    assert main(["train", "--config", config]) == 0
+    return str(out / "checkpoints" / "final.ckpt")
+
+
+def setting(command, settings, message, id):
+    return pytest.param(command, settings, message, id=id)
+
+
 class TestTrainVariants:
     def _run(self, tmp_path, events, name, **extra):
         out = tmp_path / name
@@ -375,17 +389,56 @@ class TestTrainVariants:
 
 
     @pytest.mark.parametrize(
-        "key, value, message",
-        [("train.mode", "sideways", "mode must be one of"), ("train.epochs_per_month", "0", "epochs_per_month")],
+        "command, settings, message",
+        [
+            setting(
+                "train", {"train.mode": "sideways"}, "mode must be one of", "train.mode-sideways-mode must be one of"
+            ),
+            setting(
+                "train", {"train.epochs_per_month": 0}, "epochs_per_month", "train.epochs_per_month-0-epochs_per_month"
+            ),
+            setting("prepare", {"data.horizon_days": 0}, "horizon_days", "prepare-data.horizon_days-0"),
+            setting("prepare", {"data.max_seq_len": 0}, "max_seq_len", "prepare-data.max_seq_len-0"),
+            setting("prepare", {"data.min_degree": 0}, "min_degree", "prepare-data.min_degree-0"),
+            setting("prepare", {"data.delimiter": ""}, "delimiter", "prepare-data.delimiter-empty"),
+            setting(
+                "prepare",
+                {"loss.family": "bce", "loss.preset": "", "loss.negative_strategy": "zz"},
+                "negative-sampling strategy",
+                "prepare-bce-loss.negative_strategy-zz",
+            ),
+            setting("train", {"model.aggregator": "foo"}, "aggregator", "train-model.aggregator-foo"),
+            setting("train", {"model.temperature": 0}, "temperature", "train-model.temperature-0"),
+            setting("train", {"model.dim": 0}, "dim", "train-model.dim-0"),
+            setting("train", {"loss.family": "foo"}, "unknown loss family", "train-loss.family-foo"),
+            setting("train", {"loss.preset": "zz"}, "unknown preset", "train-loss.preset-zz"),
+            setting(
+                "train",
+                {"loss.family": "ssm", "loss.preset": "", "loss.num_sampled": 0},
+                "num_sampled",
+                "train-ssm-loss.num_sampled-0",
+            ),
+            setting("train", {"eval.top_n": 0}, "cutoff", "train-eval.top_n-0"),
+            setting("eval --checkpoint {ckpt}", {"eval.top_n": 0}, "cutoff", "eval-eval.top_n-0"),
+            setting("verify", {"verify.num_users": 0}, "num_users", "verify-verify.num_users-0"),
+            setting("retrieve --checkpoint {ckpt} --query i1 --top-n -3", {}, "top-n", "retrieve-top-n-negative"),
+            setting("retrieve --checkpoint {ckpt} --query i1 --top-n 0", {}, "top-n", "retrieve-top-n-0"),
+        ],
     )
-    def test_invalid_train_setting_fails_cleanly(self, small_events, capsys, key, value, message):
+    def test_invalid_train_setting_fails_cleanly(
+        self, small_events, small_checkpoint, capsys, command, settings, message
+    ):
+        """A config value or option the program rejects ends in one ``error:``
+        line and exit 1, never a traceback."""
         tmp_path, events = small_events
         config = write_config(
             tmp_path / "invalid.cfg",
-            **{"data.input": str(events), key: value, "paths.output_dir": str(tmp_path / "invalid")},
+            **{"data.input": str(events), "paths.output_dir": str(tmp_path / "invalid")} | settings,
         )
-        assert main(["train", "--config", config]) == 1
-        assert message in capsys.readouterr().err
+        assert main([*command.format(ckpt=small_checkpoint).split(), "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+        assert "Traceback" not in err
 
 
 class TestResumeViaCli:
@@ -428,7 +481,8 @@ class TestResumeViaCli:
         final_a = (out_full / "checkpoints" / "final.ckpt").read_bytes()
         final_b = (out_resume / "checkpoints" / "final.ckpt").read_bytes()
         assert final_a == final_b
-
+        # resuming in place rewrites the rows of the resumed months once
+        assert (out_resume / "trace.tsv").read_text() == (out_full / "trace.tsv").read_text()
 
     def test_shuffled_run_resumes_from_its_epoch_checkpoint(self, tmp_path, capsys):
         events = tmp_path / "events.csv"

@@ -14,7 +14,6 @@ from twotower.data import (
     IngestError,
     InteractionRecord,
     TrainingExample,
-    annotate_bias,
     build_examples,
     compute_marginals,
     filter_sparse,
@@ -73,6 +72,10 @@ class TestIngest:
     def test_custom_delimiter(self):
         log = ingest_logs(io.StringIO("u1|i1|0\n"), delimiter="|")
         assert log.num_items == 1
+
+    def test_empty_delimiter_rejected(self):
+        with pytest.raises(ValueError, match="delimiter"):
+            ingest_logs(io.StringIO("u1,i1,0\n"), delimiter="")
 
     def test_bytes_input_accepted(self):
         log = ingest_logs(io.BytesIO(b"u1,i1,0\n"))
@@ -288,15 +291,16 @@ class TestMarginals:
         assert sum(marginals.count_user.values()) == marginals.total
         assert sum(marginals.count_item.values()) == marginals.total
 
-    def test_annotation_and_floor(self):
+    def test_log_bias_reads_training_marginals_with_floor(self):
+        """A pseudo-user and an item seen only in validation get ``floor_log()``."""
         train = [TrainingExample(0, (1,), 2, 0), TrainingExample(0, (1,), 3, 0)]
+        validation = [TrainingExample(0, (1,), 2, 40), TrainingExample(9, (9,), 9, 40), TrainingExample(0, (1,), 9, 41)]
         marginals = compute_marginals(train)
-        annotated = annotate_bias(train, marginals)
-        assert annotated[0].log_p_u == pytest.approx(0.0)
-        assert annotated[0].log_p_i == pytest.approx(math.log(0.5))
-        unseen = annotate_bias([TrainingExample(9, (9,), 9, 0)], marginals)[0]
-        assert unseen.log_p_u == pytest.approx(-math.log(3))
-        assert unseen.log_p_i == pytest.approx(-math.log(3))
+        floor = marginals.floor_log()
+        assert floor == pytest.approx(-math.log(3))
+        log_p_u, log_p_i = marginals.log_bias(validation)
+        assert log_p_u.tolist() == [0.0, floor, 0.0]
+        assert log_p_i.tolist() == [math.log(0.5), floor, floor]
 
     def test_logs_are_nonpositive(self):
         rng = np.random.default_rng(8)
@@ -431,14 +435,11 @@ class TestBatches:
 
 class TestExampleFile:
     def test_written_format(self, tmp_path):
-        examples = [TrainingExample(3, (1, 2), 7, 5, log_p_u=math.log(0.5), log_p_i=math.log(0.25))]
+        examples = [TrainingExample(3, (1, 2), 7, 5)]
+        marginals = EmpiricalMarginals({(1, 2): math.log(0.5)}, {7: math.log(0.25)}, {(1, 2): 2}, {7: 1}, total=4)
         path = tmp_path / "ex.tsv"
-        write_examples_tsv(examples, str(path))
+        write_examples_tsv(examples, marginals, str(path))
         assert path.read_text() == "3\t1 2\t7\t-0.693147\t-1.386294\n"
-
-    def test_unannotated_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="annotated"):
-            write_examples_tsv([TrainingExample(0, (1,), 2, 0)], str(tmp_path / "x.tsv"))
 
     def test_labeled_format(self, tmp_path):
         from twotower.data import LabeledExample, write_labeled_tsv

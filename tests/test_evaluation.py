@@ -10,6 +10,7 @@ from twotower.data import InteractionRecord, TrainingExample
 from twotower.evaluation import (
     EvalCase,
     EvalPool,
+    PoolTooSmallError,
     build_eval_cases,
     evaluate,
     ndcg_at_n,
@@ -172,6 +173,15 @@ class TestBuildCases:
         examples = [TrainingExample(0, (1,), 4, 90)]
         with pytest.raises(ValueError, match="pool"):
             build_eval_cases(examples, "ir", num_negatives=10, seed=0, cutoff=5)
+
+    def test_settings_are_checked_before_the_pool(self):
+        """A bad cutoff is a plain ``ValueError``, not a too-small pool."""
+        examples = [TrainingExample(0, (1,), 4, 90)]
+        with pytest.raises(PoolTooSmallError):
+            build_eval_cases(examples, "ir", num_negatives=10, seed=0, cutoff=5)
+        with pytest.raises(ValueError, match="cutoff") as info:
+            build_eval_cases(examples, "ir", num_negatives=10, seed=0, cutoff=0)
+        assert not isinstance(info.value, PoolTooSmallError)
 
     def test_deterministic_under_seed(self):
         examples = make_test_examples()

@@ -22,22 +22,22 @@ def small_params(rng: np.random.Generator, scale: float = 1e-2) -> ModelParams:
     return params
 
 
-def random_annotated(rng: np.random.Generator) -> list[TrainingExample]:
-    batch = []
+def bias_marginals(log_p_user: dict, log_p_item: dict) -> EmpiricalMarginals:
+    """Marginals that hold just the given bias terms (counts are not read)."""
+    return EmpiricalMarginals(log_p_user, log_p_item, count_user={}, count_item={}, total=BATCH)
+
+
+def random_batch(rng: np.random.Generator) -> tuple[list[TrainingExample], EmpiricalMarginals]:
+    """A batch and marginals with arbitrary (valid) log-probabilities for its keys."""
+    batch, log_p_user, log_p_item = [], {}, {}
     for _ in range(BATCH):
         length = int(rng.integers(1, 4))
         seq = tuple(int(x) for x in rng.integers(0, NUM_ITEMS, size=length))
-        batch.append(
-            TrainingExample(
-                0,
-                seq,
-                int(rng.integers(NUM_ITEMS)),
-                0,
-                log_p_u=float(np.log(rng.uniform(0.05, 0.8))),
-                log_p_i=float(np.log(rng.uniform(0.05, 0.8))),
-            )
-        )
-    return batch
+        target = int(rng.integers(NUM_ITEMS))
+        log_p_user[seq] = float(np.log(rng.uniform(0.05, 0.8)))
+        log_p_item[target] = float(np.log(rng.uniform(0.05, 0.8)))
+        batch.append(TrainingExample(0, seq, target, 0))
+    return batch, bias_marginals(log_p_user, log_p_item)
 
 
 def random_labeled(rng: np.random.Generator) -> list[LabeledExample]:
@@ -64,16 +64,17 @@ def family_case(family: str, rng: np.random.Generator):
     if family == "bce":
         return random_labeled(rng), LossConfig(family="bce"), {}
     if family == "bidirectional":
-        return random_annotated(rng), LossConfig.from_preset("bbcnce"), {}
+        batch, marginals = random_batch(rng)
+        return batch, LossConfig.from_preset("bbcnce"), {"marginals": marginals}
     if family == "full_softmax_row":
-        return random_annotated(rng), LossConfig(family="full_softmax_row"), {}
+        return random_batch(rng)[0], LossConfig(family="full_softmax_row"), {}
     if family == "full_softmax_col":
-        batch = random_annotated(rng)
+        batch = random_batch(rng)[0]
         universe = sorted({ex.pseudo_user for ex in batch} | {(0,), (1, 2)})
         return batch, LossConfig(family="full_softmax_col"), {"user_universe": universe}
     if family == "ssm":
         seed = int(rng.integers(2**31))
-        batch = random_annotated(rng)
+        batch = random_batch(rng)[0]
         config = LossConfig(family="ssm", num_sampled=2)
         return batch, config, {"marginals": uniform_marginals(), "ssm_seed": seed}
     raise AssertionError(family)
@@ -121,15 +122,14 @@ class TestSharingEdgeCases:
         rng = np.random.default_rng(99)
         params = small_params(rng)
         enc = EncoderConfig("mean")
-        batch = [
-            TrainingExample(0, (0, 1), 5, 0, log_p_u=math.log(0.4), log_p_i=math.log(0.3)),
-            TrainingExample(1, (2,), 5, 0, log_p_u=math.log(0.6), log_p_i=math.log(0.3)),
-            TrainingExample(2, (3, 5), 4, 0, log_p_u=math.log(0.2), log_p_i=math.log(0.4)),
-        ]
+        batch = [TrainingExample(0, (0, 1), 5, 0), TrainingExample(1, (2,), 5, 0), TrainingExample(2, (3, 5), 4, 0)]
+        marginals = bias_marginals(
+            {(0, 1): math.log(0.4), (2,): math.log(0.6), (3, 5): math.log(0.2)}, {5: math.log(0.3), 4: math.log(0.4)}
+        )
         config = LossConfig.from_preset("bbcnce")
 
         def evaluate():
-            return loss_with_gradients(batch, params, enc, config)
+            return loss_with_gradients(batch, params, enc, config, marginals=marginals)
 
         analytic = evaluate().gradients
         numeric = numeric_gradient(lambda: evaluate().value, params, sorted(analytic.rows), with_attention=False)
@@ -140,14 +140,13 @@ class TestSharingEdgeCases:
         rng = np.random.default_rng(98)
         params = small_params(rng)
         enc = EncoderConfig("attention")
-        batch = [
-            TrainingExample(0, (4, 4, 1), 2, 0, log_p_u=math.log(0.5), log_p_i=math.log(0.5)),
-            TrainingExample(1, (0, 4), 3, 0, log_p_u=math.log(0.5), log_p_i=math.log(0.5)),
-        ]
+        batch = [TrainingExample(0, (4, 4, 1), 2, 0), TrainingExample(1, (0, 4), 3, 0)]
+        half = math.log(0.5)
+        marginals = bias_marginals({(4, 4, 1): half, (0, 4): half}, {2: half, 3: half})
         config = LossConfig.from_preset("simclr")
 
         def evaluate():
-            return loss_with_gradients(batch, params, enc, config)
+            return loss_with_gradients(batch, params, enc, config, marginals=marginals)
 
         analytic = evaluate().gradients
         numeric = numeric_gradient(lambda: evaluate().value, params, sorted(analytic.rows), with_attention=True)
@@ -161,11 +160,12 @@ class TestCriticalPoint:
         vanishes (normalized identical vectors have no tangential pull)."""
         params = ModelParams.initialize(4, 3, temperature=0.5, seed=0)
         params.item_embeddings[:] = np.ones((4, 3)) * 0.2
-        batch = [
-            TrainingExample(0, (0,), 1, 0, log_p_u=math.log(0.25), log_p_i=math.log(0.25)),
-            TrainingExample(1, (2,), 3, 0, log_p_u=math.log(0.25), log_p_i=math.log(0.25)),
-        ]
-        out = loss_with_gradients(batch, params, EncoderConfig("mean"), LossConfig.from_preset("simclr"))
+        batch = [TrainingExample(0, (0,), 1, 0), TrainingExample(1, (2,), 3, 0)]
+        quarter = math.log(0.25)
+        marginals = bias_marginals({(0,): quarter, (2,): quarter}, {1: quarter, 3: quarter})
+        out = loss_with_gradients(
+            batch, params, EncoderConfig("mean"), LossConfig.from_preset("simclr"), marginals=marginals
+        )
         assert abs(np.asarray(out.dscore).sum()) < 1e-12
         for grad in out.gradients.values:
             np.testing.assert_allclose(grad, 0.0, atol=1e-12)

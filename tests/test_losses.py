@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from twotower.data import EmpiricalMarginals, LabeledExample, TrainingExample
+from twotower.data import EmpiricalMarginals, LabeledExample, TrainingExample, compute_marginals
 from twotower.losses import (
     PRESETS,
     LossConfig,
@@ -59,6 +59,11 @@ class TestLossConfig:
     def test_nonbinary_flag_rejected(self):
         with pytest.raises(ValueError):
             LossConfig(alpha=2)
+
+    def test_ssm_without_samples_rejected(self):
+        with pytest.raises(ValueError, match="num_sampled"):
+            LossConfig(family="ssm", num_sampled=0)
+        LossConfig(family="bidirectional", num_sampled=0)  # not read outside ssm
 
 
 class TestBceValue:
@@ -237,13 +242,10 @@ class TestFullSoftmax:
 
     def test_matches_bidirectional_row_term_when_batch_covers_vocab(self):
         params = make_params(num_items=4, dim=3, seed=2)
-        log_bias = math.log(0.25)
-        batch = [
-            TrainingExample(0, (t,), (t + 1) % 4, 0, log_p_u=log_bias, log_p_i=log_bias)
-            for t in range(4)
-        ]
+        batch = [TrainingExample(0, (t,), (t + 1) % 4, 0) for t in range(4)]
+        marginals = compute_marginals(batch)  # every user and item at probability 1/4
         full = full_softmax_row_loss(batch, params, ENC)
-        in_batch = loss_with_gradients(batch, params, ENC, LossConfig.from_preset("row_bcnce"))
+        in_batch = loss_with_gradients(batch, params, ENC, LossConfig.from_preset("row_bcnce"), marginals=marginals)
         assert in_batch.value == pytest.approx(full.value, abs=1e-12)
 
     def test_gradient_rows_cover_vocabulary(self):
@@ -358,21 +360,23 @@ class TestDispatcher:
         params = make_params(num_items=6, dim=3, seed=8)
         marginals = uniform_marginals(6)
         rng = np.random.default_rng(4)
-        annotated = [
-            TrainingExample(0, (0, 1), 2, 0, log_p_u=math.log(0.5), log_p_i=math.log(0.3)),
-            TrainingExample(1, (3,), 4, 0, log_p_u=math.log(0.5), log_p_i=math.log(0.7)),
-        ]
+        examples = [TrainingExample(0, (0, 1), 2, 0), TrainingExample(1, (3,), 4, 0)]
         labeled = [LabeledExample(0, (0,), 1, 0, 1), LabeledExample(1, (2,), 3, 0, 0)]
         cases = [
             (labeled, LossConfig(family="bce")),
-            (annotated, LossConfig.from_preset("bbcnce")),
-            (annotated, LossConfig(family="full_softmax_row")),
-            (annotated, LossConfig(family="ssm", num_sampled=3)),
+            (examples, LossConfig.from_preset("bbcnce")),
+            (examples, LossConfig(family="full_softmax_row")),
+            (examples, LossConfig(family="ssm", num_sampled=3)),
         ]
         for batch, config in cases:
             out = loss_with_gradients(batch, params, ENC, config, marginals=marginals, rng=rng)
             assert out.gradients is not None and out.gradients.rows.size, config.family
             assert np.isfinite(out.value)
+
+    def test_bidirectional_needs_marginals(self):
+        batch = [TrainingExample(0, (0,), 1, 0), TrainingExample(1, (2,), 3, 0)]
+        with pytest.raises(ValueError, match="marginals"):
+            loss_with_gradients(batch, make_params(), ENC, LossConfig.from_preset("bbcnce"))
 
     def test_full_softmax_col_needs_universe(self):
         params = make_params()

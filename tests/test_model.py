@@ -29,6 +29,10 @@ class TestParams:
         assert np.all(np.abs(params.item_embeddings) <= bound)
         assert np.all(params.attention_vector == 0.0)
 
+    def test_dim_must_be_positive(self):
+        with pytest.raises(ValueError, match="dim"):
+            make_params(dim=0)
+
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValueError):
             ModelParams(np.zeros((2, 2)), np.zeros(2), temperature=0.0)

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from twotower.data import compute_marginals, annotate_bias
+from twotower.data import compute_marginals
 from twotower.losses import LossConfig, loss_with_gradients
 from twotower.model import EncoderConfig, GradientTable, ModelParams
 from twotower.trainer import (
@@ -207,9 +207,7 @@ def synthetic_training_set(num_months=3, num_samples=1_500, seed=5):
         num_months=num_months,
     )
     sample = generate_synthetic(spec, seed)
-    marginals = compute_marginals(sample.examples)
-    examples = annotate_bias(sample.examples, marginals)
-    return spec, examples, sample.month_index, marginals
+    return spec, sample.examples, sample.month_index, compute_marginals(sample.examples)
 
 
 def fresh_params(spec, seed=11):
@@ -231,7 +229,7 @@ class TestTrainingLoop:
         month1 = [ex for ex in examples if month_index[ex.day] == 1]
         params = fresh_params(spec)
         config = train_config([1], epochs_per_month=1, batch_size=len(month1) + 10)
-        result = train_incremental(examples, month_index, params, ENC, LOSS, config)
+        result = train_incremental(examples, month_index, params, ENC, LOSS, config, marginals=marginals)
         assert result.steps == 1
 
     def test_step_count_formula(self):
@@ -239,7 +237,7 @@ class TestTrainingLoop:
         months = sorted({month_index[ex.day] for ex in examples})
         config = train_config(months, epochs_per_month=2, batch_size=50)
         params = fresh_params(spec)
-        result = train_incremental(examples, month_index, params, ENC, LOSS, config)
+        result = train_incremental(examples, month_index, params, ENC, LOSS, config, marginals=marginals)
         expected = 0
         for month in months:
             n = sum(1 for ex in examples if month_index[ex.day] == month)
@@ -249,16 +247,16 @@ class TestTrainingLoop:
         assert result.steps == expected
 
     def test_empty_month_is_skipped_with_notice(self):
-        spec, examples, month_index, _ = synthetic_training_set(num_months=3)
+        spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
         month_index = dict(month_index)
         month_index[999] = 9  # a month with no data
         config = train_config([1, 9])
         params = fresh_params(spec)
-        result = train_incremental(examples, month_index, params, ENC, LOSS, config)
+        result = train_incremental(examples, month_index, params, ENC, LOSS, config, marginals=marginals)
         assert any("month 9" in n for n in result.notices)
 
     def test_eval_snapshot_recorded_per_month(self):
-        spec, examples, month_index, _ = synthetic_training_set(num_months=3)
+        spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
         months = sorted({month_index[ex.day] for ex in examples})
         seen = []
 
@@ -269,30 +267,35 @@ class TestTrainingLoop:
 
         params = fresh_params(spec)
         config = train_config(months, epochs_per_month=1)
-        result = train_incremental(examples, month_index, params, ENC, LOSS, config, eval_fn=eval_fn)
+        result = train_incremental(
+            examples, month_index, params, ENC, LOSS, config, marginals=marginals, eval_fn=eval_fn
+        )
         assert seen == months
         assert [row["month"] for row in result.trace] == months
         assert np.any(params.item_embeddings != 0.0)
 
     def test_resume_from_month_checkpoint_is_bit_identical(self, tmp_path):
-        spec, examples, month_index, _ = synthetic_training_set(num_months=3)
+        spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
         months = sorted({month_index[ex.day] for ex in examples})
         config = train_config(months)
 
         full_dir = str(tmp_path / "full")
         params_full = fresh_params(spec)
-        full = train_incremental(examples, month_index, params_full, ENC, LOSS, config, checkpoint_dir=full_dir, fingerprint=7)
+        full = train_incremental(
+            examples, month_index, params_full, ENC, LOSS, config,
+            marginals=marginals, checkpoint_dir=full_dir, fingerprint=7,
+        )
 
         part_dir = str(tmp_path / "part")
         params_part = fresh_params(spec)
         train_incremental(
             examples, month_index, params_part, ENC, LOSS, config,
-            checkpoint_dir=part_dir, fingerprint=7, stop_after_month=months[0],
+            marginals=marginals, checkpoint_dir=part_dir, fingerprint=7, stop_after_month=months[0],
         )
         resume_ckpt = load_checkpoint(os.path.join(part_dir, f"month_{months[0]:04d}.ckpt"), expected_fingerprint=7)
         resumed = train_incremental(
             examples, month_index, params_part, ENC, LOSS, config,
-            checkpoint_dir=part_dir, fingerprint=7, resume=resume_ckpt,
+            marginals=marginals, checkpoint_dir=part_dir, fingerprint=7, resume=resume_ckpt,
         )
         np.testing.assert_array_equal(params_part.item_embeddings, params_full.item_embeddings)
         np.testing.assert_array_equal(params_part.attention_vector, params_full.attention_vector)
@@ -300,44 +303,48 @@ class TestTrainingLoop:
         assert open(os.path.join(part_dir, final), "rb").read() == open(os.path.join(full_dir, final), "rb").read()
 
     def test_resume_from_epoch_checkpoint_is_bit_identical(self, tmp_path):
-        spec, examples, month_index, _ = synthetic_training_set(num_months=3)
+        spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
         months = sorted({month_index[ex.day] for ex in examples})
         config = train_config(months, epochs_per_month=2)
 
         full_dir = str(tmp_path / "full")
         params_full = fresh_params(spec)
-        train_incremental(examples, month_index, params_full, ENC, LOSS, config, checkpoint_dir=full_dir, fingerprint=3)
+        train_incremental(
+            examples, month_index, params_full, ENC, LOSS, config,
+            marginals=marginals, checkpoint_dir=full_dir, fingerprint=3,
+        )
 
         epoch_ckpt = load_checkpoint(os.path.join(full_dir, f"month_{months[1]:04d}_epoch_00.ckpt"), expected_fingerprint=3)
         params_resumed = fresh_params(spec)
         train_incremental(
             examples, month_index, params_resumed, ENC, LOSS, config,
-            checkpoint_dir=str(tmp_path / "resume"), fingerprint=3, resume=epoch_ckpt,
+            marginals=marginals, checkpoint_dir=str(tmp_path / "resume"), fingerprint=3, resume=epoch_ckpt,
         )
         np.testing.assert_array_equal(params_resumed.item_embeddings, params_full.item_embeddings)
 
     def test_repeat_runs_are_identical(self):
-        spec, examples, month_index, _ = synthetic_training_set(num_months=3)
+        spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
         months = sorted({month_index[ex.day] for ex in examples})
         outs = []
         for _ in range(2):
             params = fresh_params(spec)
-            train_incremental(examples, month_index, params, ENC, LOSS, train_config(months))
+            train_incremental(examples, month_index, params, ENC, LOSS, train_config(months), marginals=marginals)
             outs.append(params.item_embeddings.copy())
         np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_shuffled_equals_incremental_on_single_month(self):
-        spec, examples, month_index, _ = synthetic_training_set(num_months=1)
+        spec, examples, month_index, marginals = synthetic_training_set(num_months=1)
         config = train_config([1], epochs_per_month=2)
         params_inc = fresh_params(spec)
-        inc = train_incremental(examples, month_index, params_inc, ENC, LOSS, config)
+        inc = train_incremental(examples, month_index, params_inc, ENC, LOSS, config, marginals=marginals)
         params_shuf = fresh_params(spec)
-        shuf = train_incremental(examples, month_index, params_shuf, ENC, LOSS, dataclasses.replace(config, mode="shuffled"))
+        shuffled = dataclasses.replace(config, mode="shuffled")
+        shuf = train_incremental(examples, month_index, params_shuf, ENC, LOSS, shuffled, marginals=marginals)
         assert inc.steps == shuf.steps
         np.testing.assert_array_equal(params_inc.item_embeddings, params_shuf.item_embeddings)
 
     def test_shuffled_resume_trains_only_the_remaining_epochs(self, tmp_path):
-        spec, examples, month_index, _ = synthetic_training_set(num_months=3)
+        spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
         months = sorted({month_index[ex.day] for ex in examples})
         config = train_config(months, epochs_per_month=3, mode="shuffled")
 
@@ -347,7 +354,7 @@ class TestTrainingLoop:
         full_dir = str(tmp_path / "full")
         full = train_incremental(
             examples, month_index, fresh_params(spec), ENC, LOSS, config,
-            eval_fn=eval_fn, checkpoint_dir=full_dir, fingerprint=5,
+            marginals=marginals, eval_fn=eval_fn, checkpoint_dir=full_dir, fingerprint=5,
         )
         assert [os.path.basename(p) for p in full.checkpoints] == [f"shuffled_epoch_{e:02d}.ckpt" for e in range(3)]
         assert full.steps % 3 == 0
@@ -356,7 +363,7 @@ class TestTrainingLoop:
         resume_dir = str(tmp_path / "resume")
         resumed = train_incremental(
             examples, month_index, fresh_params(spec), ENC, LOSS, config,
-            eval_fn=eval_fn, checkpoint_dir=resume_dir, fingerprint=5, resume=resume_ckpt,
+            marginals=marginals, eval_fn=eval_fn, checkpoint_dir=resume_dir, fingerprint=5, resume=resume_ckpt,
         )
         assert resumed.steps == full.steps * 2 // 3
         assert [os.path.basename(p) for p in resumed.checkpoints] == ["shuffled_epoch_01.ckpt", "shuffled_epoch_02.ckpt"]
@@ -365,11 +372,11 @@ class TestTrainingLoop:
         assert open(os.path.join(resume_dir, last), "rb").read() == open(os.path.join(full_dir, last), "rb").read()
 
     def test_full_batch_sgd_descends(self):
-        spec, examples, month_index, _ = synthetic_training_set(num_months=1, num_samples=120)
+        spec, examples, month_index, marginals = synthetic_training_set(num_months=1, num_samples=120)
         params = fresh_params(spec)
         values = []
         for _ in range(6):
-            out = loss_with_gradients(examples, params, ENC, LOSS)
+            out = loss_with_gradients(examples, params, ENC, LOSS, marginals=marginals)
             values.append(out.value)
             state = OptimizerState(kind="sgd", learning_rate=0.02)
             apply_optimizer_step(params, out.gradients, state)
@@ -409,7 +416,7 @@ class TestTrainingLoop:
             assert np.all(np.isfinite(params.item_embeddings)), loss_config.family
 
     def test_attention_aggregator_trains_its_query_vector(self):
-        spec, examples, month_index, _ = synthetic_training_set(num_months=1, num_samples=400)
+        spec, examples, month_index, marginals = synthetic_training_set(num_months=1, num_samples=400)
         params = fresh_params(spec)
         enc = EncoderConfig("attention")
         # singleton pseudo-users make attention weights constant but the
@@ -419,7 +426,8 @@ class TestTrainingLoop:
             for k, ex in enumerate(examples)
         ]
         train_incremental(
-            merged, month_index, params, enc, LOSS, train_config([1], epochs_per_month=1, batch_size=32)
+            merged, month_index, params, enc, LOSS, train_config([1], epochs_per_month=1, batch_size=32),
+            marginals=marginals,
         )
         assert np.any(params.attention_vector != 0.0)
 
@@ -429,10 +437,13 @@ class TestTrainingLoop:
             train_incremental(examples, month_index, fresh_params(spec), ENC, LOSS, train_config([]))
 
     def test_mismatched_resume_months_rejected(self, tmp_path):
-        spec, examples, month_index, _ = synthetic_training_set(num_months=3)
+        spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
         params = fresh_params(spec)
         config = train_config([1, 2])
-        result = train_incremental(examples, month_index, params, ENC, LOSS, config, checkpoint_dir=str(tmp_path), fingerprint=0)
+        result = train_incremental(
+            examples, month_index, params, ENC, LOSS, config,
+            marginals=marginals, checkpoint_dir=str(tmp_path), fingerprint=0,
+        )
         checkpoint = load_checkpoint(result.checkpoints[0])
         with pytest.raises(CheckpointError, match="months"):
             train_incremental(examples, month_index, params, ENC, LOSS, train_config([1, 2, 3]), resume=checkpoint)

@@ -52,6 +52,10 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError, match="nonnegative"):
             SyntheticSpec(num_users=2, num_items=2, joint=joint)
 
+    def test_empty_random_table_rejected(self):
+        with pytest.raises(ValueError, match="num_users"):
+            random_joint(0, 3, seed=1)
+
 
 class TestGenerateSynthetic:
     def test_point_mass_yields_identical_samples(self):
@@ -268,7 +272,7 @@ class TestMinibatchConvergence:
         the aggregated full-batch harness) must also land near the predicted
         optimum.  The gate is looser than the full-batch one: finite batches
         and stochastic steps leave residual noise around the target."""
-        from twotower.data import annotate_bias, compute_marginals
+        from twotower.data import compute_marginals
         from twotower.model import EncoderConfig, ModelParams
         from twotower.trainer import TrainConfig, train_incremental
 
@@ -278,10 +282,10 @@ class TestMinibatchConvergence:
         )
         sample = generate_synthetic(spec, seed=2)
         marginals = compute_marginals(sample.examples)
-        examples = annotate_bias(sample.examples, marginals)
         params = ModelParams.initialize(20, 10, 0.05, seed=3)
         config = TrainConfig(epochs_per_month=25, batch_size=128, learning_rate=0.02, seed=4, months=(1,))
-        train_incremental(examples, sample.month_index, params, enc, LossConfig.from_preset("bbcnce"), config)
+        loss = LossConfig.from_preset("bbcnce")
+        train_incremental(sample.examples, sample.month_index, params, enc, loss, config, marginals=marginals)
 
         from scipy.stats import spearmanr
 
