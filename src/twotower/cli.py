@@ -28,6 +28,7 @@ from . import config as config_mod
 from . import data as data_mod
 from .config import ConfigError, RunConfig, fingerprint, loss_config_from, render_config, verify_seeds
 from .evaluation import EvalCase, EvalPool, PoolTooSmallError, RankingIndex, build_eval_cases, evaluate
+from .losses import proposal_distribution
 from .model import EncoderConfig, ModelParams, encode_user
 from .trainer import (
     Checkpoint,
@@ -61,7 +62,6 @@ class Prepared:
     split: data_mod.DatasetSplit
     marginals: data_mod.EmpiricalMarginals
     months_total: int
-    train_months: list[int]
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -111,8 +111,7 @@ def _run_pipeline(cfg: RunConfig) -> Prepared:
     if not split.train:
         raise CliError("no training examples survive the split and degree filter")
     marginals = data_mod.compute_marginals(split.train)
-    train_months = sorted({split.month_index[ex.day] for ex in split.train})
-    return Prepared(log, split, marginals, months_total, train_months)
+    return Prepared(log, split, marginals, months_total)
 
 
 def _labeled_train(cfg: RunConfig, prepared: Prepared) -> list[data_mod.LabeledExample]:
@@ -207,6 +206,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     loss_config = _configured("loss", loss_config_from, cfg)
     if loss_config.family == "bidirectional" and cfg.train.batch_size < 2:
         raise CliError("in-batch losses need train.batch_size >= 2 (a batch must contain a negative)")
+    if loss_config.family == "ssm":  # a num_sampled the proposal cannot supply fails before the first step
+        proposal = (prepared.marginals, prepared.log.num_items, loss_config.ssm_proposal, loss_config.num_sampled)
+        _configured("loss", proposal_distribution, *proposal)
     fp = fingerprint(cfg)
     train_config = _configured(
         "train",
@@ -219,7 +221,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         adam_beta2=cfg.train.adam_beta2,
         adam_epsilon=cfg.train.adam_epsilon,
         seed=cfg.seed,
-        months=tuple(prepared.train_months),
         mode=cfg.train.mode,
     )
     model = cfg.model
@@ -237,7 +238,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     kwargs = dict(
         marginals=prepared.marginals,
-        num_items=prepared.log.num_items,
         eval_fn=eval_fn,
         checkpoint_dir=checkpoint_dir,
         fingerprint=fp,
@@ -258,7 +258,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         logger.info("%s", notice)
     if args.export_embeddings:
         _export_embeddings(args.export_embeddings, params, prepared, enc)
-    print(f"trained {result.steps} steps over months {list(train_config.months)}; final checkpoint {final_path}")
+    print(f"trained {result.steps} steps over months {list(result.months)}; final checkpoint {final_path}")
     for row in result.trace:
         print(f"  month {row['month']}: recall={row.get('recall', float('nan')):.4f} ndcg={row.get('ndcg', float('nan')):.4f}")
     return 0
@@ -336,10 +336,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     joint = _configured(
         "verify", random_joint, v.num_users, v.num_items, seed=v.table_seed, table_rank=v.table_rank, sparsity=v.sparsity
     )
+    seeds = verify_seeds(cfg)
+    if not seeds:
+        raise CliError("verify: seeds must list at least one seed")
+    for name in ("num_samples", "dim", "epochs"):
+        if getattr(v, name) < 1:
+            raise CliError(f"verify: {name} must be >= 1")
+    for name in ("temperature", "learning_rate"):
+        if getattr(v, name) <= 0:
+            raise CliError(f"verify: {name} must be positive")
     spec = SyntheticSpec(num_users=v.num_users, num_items=v.num_items, joint=joint, num_samples=v.num_samples)
     result = run_table_sweep(
         spec,
-        verify_seeds(cfg),
+        seeds,
         dim=v.dim,
         temperature=v.temperature,
         epochs=v.epochs,

@@ -5,8 +5,7 @@ prediction examples: each example pairs a pseudo-user (the sequence of items
 purchased before a cut day) with one item purchased during the following
 horizon window.  This module also owns the month-based split, the degree
 filter, the empirical marginals and their per-example log-bias lookup,
-negative sampling for the binary-label loss, and month-filtered batch
-iteration.
+negative sampling for the binary-label loss, and shuffled batch iteration.
 
 Pseudo-users are keyed by their exact (truncated) item sequence: two
 examples share a user identity iff their sequences are identical.
@@ -27,6 +26,9 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 UserKey = tuple[int, ...]
+
+# Integer day indices fall into consecutive months of this many days.
+DAYS_PER_MONTH = 30
 
 NEGATIVE_STRATEGIES = ("user-marginal", "item-marginal", "product-of-marginals", "uniform")
 
@@ -148,8 +150,8 @@ def ingest_logs(source: Union[IO[str], IO[bytes], Iterable[str]], delimiter: str
     interaction counts drive the empirical marginals downstream.
 
     For ISO input, day 0 is the earliest date in the log and months are
-    calendar months; for integer input, months are consecutive 30-day
-    buckets.  Month ordinals are 1-based.
+    calendar months; for integer input, months are consecutive
+    ``DAYS_PER_MONTH``-day buckets.  Month ordinals are 1-based.
     """
     if not delimiter:
         raise ValueError("delimiter must not be empty")
@@ -203,7 +205,7 @@ def ingest_logs(source: Union[IO[str], IO[bytes], Iterable[str]], delimiter: str
     else:
         days = [p[2] for p in parsed]  # type: ignore[misc]
         max_day = max(days)
-        day_to_month = {d: d // 30 + 1 for d in range(max_day + 1)}
+        day_to_month = {d: d // DAYS_PER_MONTH + 1 for d in range(max_day + 1)}
 
     records = [InteractionRecord(u, i, day) for (u, i, _), day in zip(parsed, days)]
     records.sort(key=lambda r: (r.user_id, r.day))
@@ -375,30 +377,17 @@ def sample_negatives_bce(
     return out
 
 
-def make_batches(
-    examples: Sequence,
-    batch_size: int,
-    month: int | None,
-    month_index: dict[int, int],
-    rng: np.random.Generator,
-) -> Iterator[list]:
-    """Yield shuffled fixed-size batches from one month (or all, if ``None``).
+def make_batches(examples: Sequence, batch_size: int, rng: np.random.Generator) -> Iterator[list]:
+    """Yield shuffled fixed-size batches of ``examples``.
 
-    The final short batch is emitted as-is; a month without data yields
-    nothing.  Identical inputs and generator state give an identical batch
-    stream.
+    The final short batch is emitted as-is.  Identical inputs and generator
+    state give an identical batch stream.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if month is None:
-        pool = list(examples)
-    else:
-        pool = [ex for ex in examples if month_index[ex.day] == month]
-    if not pool:
-        return
-    order = rng.permutation(len(pool))
-    for start in range(0, len(pool), batch_size):
-        yield [pool[idx] for idx in order[start : start + batch_size]]
+    order = rng.permutation(len(examples))
+    for start in range(0, len(examples), batch_size):
+        yield [examples[idx] for idx in order[start : start + batch_size]]
 
 
 def write_examples_tsv(examples: Sequence[TrainingExample], marginals: EmpiricalMarginals, path: str) -> None:

@@ -61,7 +61,6 @@ class LossConfig:
     negative_strategy: str = "uniform"
     num_sampled: int = 10
     ssm_proposal: str = "marginal"
-    preset: str | None = None
 
     def __post_init__(self) -> None:
         if self.family not in LOSS_FAMILIES:
@@ -75,13 +74,6 @@ class LossConfig:
             raise ValueError("num_sampled must be >= 1")
         if self.ssm_proposal not in ("marginal", "uniform"):
             raise ValueError("ssm_proposal must be 'marginal' or 'uniform'")
-        if self.preset is not None:
-            expected = PRESETS.get(self.preset)
-            if expected is None:
-                raise ValueError(f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
-            actual = (self.alpha, self.delta_alpha, self.beta, self.delta_beta)
-            if actual != expected:
-                raise ValueError(f"flags {actual} do not match preset {self.preset!r} {expected}")
 
     @classmethod
     def from_preset(cls, name: str, **kwargs) -> "LossConfig":
@@ -94,7 +86,6 @@ class LossConfig:
             beta=beta,
             delta_alpha=delta_alpha,
             delta_beta=delta_beta,
-            preset=name,
             **kwargs,
         )
 
@@ -231,15 +222,13 @@ def full_softmax_row_loss(
     batch: Sequence[TrainingExample],
     params: ModelParams,
     enc_config: EncoderConfig,
-    num_items: int | None = None,
 ) -> LossOutput:
     """Multinomial NLL with the partition over the entire item vocabulary."""
     if not batch:
         raise ValueError("batch is empty")
-    num_items = params.num_items if num_items is None else num_items
     sequences = [ex.pseudo_user for ex in batch]
     targets = np.array([ex.target_item for ex in batch], dtype=np.int64)
-    phi, cache = score_matrix_forward(sequences, np.arange(num_items), params, enc_config)
+    phi, cache = score_matrix_forward(sequences, np.arange(params.num_items), params, enc_config)
     value, dphi = full_softmax_value(phi, targets)
     grads = score_matrix_backward(cache, dphi, params, enc_config)
     return LossOutput(value=value, gradients=grads, dscore=dphi)
@@ -267,16 +256,28 @@ def full_softmax_col_loss(
     return LossOutput(value=value, gradients=grads, dscore=dphi_t.T)
 
 
-def _proposal_distribution(
+def proposal_distribution(
     marginals: EmpiricalMarginals,
     num_items: int,
     proposal: str,
+    num_sampled: int,
 ) -> np.ndarray:
+    """The sampled-softmax proposal over the item vocabulary: ``uniform``, or
+    the training item ``marginal``.  A positive's negatives are drawn without
+    replacement from the rest of the proposal's support, so ``num_sampled``
+    may be at most that support minus one."""
     if proposal == "uniform":
-        return np.full(num_items, 1.0 / num_items)
-    q = np.zeros(num_items)
-    for item, count in marginals.count_item.items():
-        q[item] = count / marginals.total
+        q = np.full(num_items, 1.0 / num_items)
+    else:
+        q = np.zeros(num_items)
+        for item, count in marginals.count_item.items():
+            q[item] = count / marginals.total
+    support = np.count_nonzero(q)
+    if num_sampled > support - 1:
+        raise ValueError(
+            f"num_sampled = {num_sampled}, but the {proposal} proposal covers {support} items of the vocabulary,"
+            f" so at most {support - 1} negatives can be drawn without replacement"
+        )
     return q
 
 
@@ -299,9 +300,7 @@ def ssm_loss(
     if not batch:
         raise ValueError("batch is empty")
     num_items = params.num_items
-    if num_sampled >= num_items:
-        raise ValueError("num_sampled must be smaller than the item vocabulary")
-    q = _proposal_distribution(marginals, num_items, proposal)
+    q = proposal_distribution(marginals, num_items, proposal, num_sampled)
 
     sequences = [ex.pseudo_user for ex in batch]
     candidates = np.empty((len(batch), 1 + num_sampled), dtype=np.int64)  # positive first
@@ -310,9 +309,6 @@ def ssm_loss(
             raise ValueError(f"positive item {ex.target_item} has zero proposal probability")
         masked = q.copy()
         masked[ex.target_item] = 0.0
-        support = np.count_nonzero(masked)
-        if support < num_sampled:
-            raise ValueError("proposal support too small to draw num_sampled negatives without replacement")
         masked /= masked.sum()
         candidates[b, 0] = ex.target_item
         candidates[b, 1:] = rng.choice(num_items, size=num_sampled, replace=False, p=masked)
@@ -331,7 +327,6 @@ def loss_with_gradients(
     *,
     marginals: EmpiricalMarginals | None = None,
     rng: np.random.Generator | None = None,
-    num_items: int | None = None,
     user_universe: Sequence[UserKey] | None = None,
 ) -> LossOutput:
     """Evaluate the configured loss on a batch; value plus exact gradients."""
@@ -342,7 +337,7 @@ def loss_with_gradients(
             raise ValueError("bidirectional loss needs the training marginals")
         return bidirectional_batch_loss(batch, params, enc_config, config, marginals)
     if config.family == "full_softmax_row":
-        return full_softmax_row_loss(batch, params, enc_config, num_items)
+        return full_softmax_row_loss(batch, params, enc_config)
     if config.family == "full_softmax_col":
         if user_universe is None:
             raise ValueError("full_softmax_col needs a user universe")

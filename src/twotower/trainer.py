@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import json
-import logging
+import math
 import os
 import struct
 from collections.abc import Callable, Sequence
@@ -36,14 +36,16 @@ from .data import EmpiricalMarginals, UserKey, make_batches
 from .losses import LossConfig, loss_with_gradients
 from .model import EncoderConfig, GradientTable, ModelParams
 
-logger = logging.getLogger(__name__)
-
 CHECKPOINT_MAGIC = b"UMCK"
 CHECKPOINT_VERSION = 1
 
 
 class NonFiniteGradientError(RuntimeError):
     """A gradient became NaN or infinite; training aborts loudly."""
+
+
+class NonFiniteLossError(RuntimeError):
+    """A loss value became NaN or infinite; training aborts loudly."""
 
 
 class CheckpointError(ValueError):
@@ -63,7 +65,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_epsilon: float = 1e-8
     seed: int = 0
-    months: tuple[int, ...] = ()
     mode: str = "incremental"
 
     def __post_init__(self) -> None:
@@ -75,8 +76,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError("optimizer must be 'sgd' or 'adam'")
-        if list(self.months) != sorted(set(self.months)):
-            raise ValueError("months must be strictly ascending")
         if self.mode not in TRAIN_MODES:
             raise ValueError(f"mode must be one of {TRAIN_MODES}")
 
@@ -305,6 +304,7 @@ def load_checkpoint(path: str, expected_fingerprint: int | None = None) -> Check
 @dataclass
 class TrainResult:
     params: ModelParams
+    months: tuple[int, ...]
     trace: list[dict]
     notices: list[str]
     steps: int
@@ -324,19 +324,18 @@ def train_incremental(
     train_config: TrainConfig,
     *,
     marginals: EmpiricalMarginals | None = None,
-    num_items: int | None = None,
     user_universe: Sequence[UserKey] | None = None,
     eval_fn: Callable[[ModelParams, int], dict] | None = None,
     checkpoint_dir: str | None = None,
     fingerprint: int = 0,
     resume: Checkpoint | None = None,
-    stop_after_month: int | None = None,
 ) -> TrainResult:
     """Train in phases of ``epochs_per_month`` epochs each.
 
-    Mode ``incremental`` runs one phase per month in ascending time order,
-    writing ``month_*_epoch_*.ckpt`` inside a month and ``month_*.ckpt`` after
-    it.  Mode ``shuffled`` (the baseline) runs one phase over the pooled data,
+    The months are those of the examples' days (``month_index``), ascending.
+    Mode ``incremental`` runs one phase per month in that order, writing
+    ``month_*_epoch_*.ckpt`` inside a month and ``month_*.ckpt`` after it.
+    Mode ``shuffled`` (the baseline) runs one phase over the pooled data,
     writing ``shuffled_epoch_*.ckpt`` after every epoch, and reports its
     metrics as month ``-1``; with a single month of data it reproduces the
     incremental step sequence exactly (same derived generators, same pool).
@@ -346,21 +345,23 @@ def train_incremental(
     bidirectional and ``ssm`` losses read the training ``marginals``.  After
     each phase the optional ``eval_fn`` is invoked on a parameter snapshot
     and its metrics are appended to the trace.  ``resume`` continues from a
-    checkpoint's cursor in either mode; ``stop_after_month`` ends an
-    incremental run early right after that month's checkpoint (used to
-    exercise interruption).
+    checkpoint's cursor in either mode.
     """
-    months = train_config.months
+    by_month: dict[int, list] = {}
+    for ex in examples:
+        by_month.setdefault(month_index[ex.day], []).append(ex)
+    months = tuple(sorted(by_month))
+    if not months:
+        raise ValueError("no training examples, so no months to train")
     shuffled = train_config.mode == "shuffled"
-    if not months and not shuffled:
-        raise ValueError("train_config.months must list the months to train, ascending")
-    phases: Sequence[int | None] = (None,) if shuffled else months  # None: the pooled data
+    # One pool per phase; the label -1 marks the pooled data.
+    phases = [(-1, examples)] if shuffled else [(month, by_month[month]) for month in months]
     epochs = train_config.epochs_per_month
     state = OptimizerState.from_config(train_config)
     start_phase, start_epoch = 0, 0
     if resume is not None:
-        if resume.months != tuple(months):
-            raise CheckpointError(f"checkpoint months {resume.months} do not match configured {tuple(months)}")
+        if resume.months != months:
+            raise CheckpointError(f"checkpoint months {resume.months} do not match the data's {months}")
         params.item_embeddings[...] = resume.params.item_embeddings
         params.attention_vector[...] = resume.params.attention_vector
         state = resume.optimizer
@@ -379,43 +380,37 @@ def train_incremental(
         path = os.path.join(checkpoint_dir, name)
         save_checkpoint(
             path,
-            Checkpoint(params, state, phase, epoch, tuple(months), train_config.seed, enc_config.aggregator, fingerprint),
+            Checkpoint(params, state, phase, epoch, months, train_config.seed, enc_config.aggregator, fingerprint),
         )
         checkpoints.append(path)
 
     for phase in range(start_phase, len(phases)):
-        month = phases[phase]
-        if month is not None and not any(month_index[ex.day] == month for ex in examples):
-            notices.append(f"month {month} has no training data; skipped")
-            logger.info("month %d empty; skipped", month)
-        else:
-            for epoch in range(start_epoch if phase == start_phase else 0, epochs):
-                rng = _epoch_rng(train_config.seed, phase, epoch)
-                for batch in make_batches(examples, train_config.batch_size, month, month_index, rng):
-                    if loss_config.family == "bidirectional" and len(batch) < 2:
-                        notices.append(f"dropped trailing batch of 1 example (month {month})")
-                        continue
-                    out = loss_with_gradients(
-                        batch,
-                        params,
-                        enc_config,
-                        loss_config,
-                        marginals=marginals,
-                        rng=rng,
-                        num_items=num_items,
-                        user_universe=user_universe,
-                    )
-                    apply_optimizer_step(params, out.gradients, state)
-                    steps += 1
-                if shuffled:
-                    _save(f"shuffled_epoch_{epoch:02d}.ckpt", phase, epoch + 1)
-                elif epoch < epochs - 1:
-                    _save(f"month_{month:04d}_epoch_{epoch:02d}.ckpt", phase, epoch + 1)
+        month, pool = phases[phase]
+        for epoch in range(start_epoch if phase == start_phase else 0, epochs):
+            rng = _epoch_rng(train_config.seed, phase, epoch)
+            for batch in make_batches(pool, train_config.batch_size, rng):
+                if loss_config.family == "bidirectional" and len(batch) < 2:
+                    notices.append(f"dropped trailing batch of 1 example (month {month})")
+                    continue
+                out = loss_with_gradients(
+                    batch,
+                    params,
+                    enc_config,
+                    loss_config,
+                    marginals=marginals,
+                    rng=rng,
+                    user_universe=user_universe,
+                )
+                if not math.isfinite(out.value):
+                    raise NonFiniteLossError(f"non-finite loss {out.value} (month {month}, epoch {epoch})")
+                apply_optimizer_step(params, out.gradients, state)
+                steps += 1
+            if shuffled:
+                _save(f"shuffled_epoch_{epoch:02d}.ckpt", phase, epoch + 1)
+            elif epoch < epochs - 1:
+                _save(f"month_{month:04d}_epoch_{epoch:02d}.ckpt", phase, epoch + 1)
         if not shuffled:
             _save(f"month_{month:04d}.ckpt", phase + 1, 0)
-        label = -1 if month is None else month
         if eval_fn is not None:
-            trace.append({"month": label, **eval_fn(params.clone(), label)})
-        if stop_after_month is not None and month == stop_after_month:
-            break
-    return TrainResult(params, trace, notices, steps, checkpoints)
+            trace.append({"month": month, **eval_fn(params.clone(), month)})
+    return TrainResult(params, months, trace, notices, steps, checkpoints)

@@ -38,17 +38,17 @@ single-constant diagnostics for reference.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
 from scipy.stats import spearmanr
 
-from .data import InteractionRecord, TrainingExample
+from .data import DAYS_PER_MONTH, InteractionRecord, TrainingExample
 from .losses import PRESETS, LossConfig
 from .model import EncoderConfig, ModelParams, score_matrix_backward, score_matrix_forward
-from .trainer import OptimizerState, TrainConfig, apply_optimizer_step
+from .trainer import OptimizerState, apply_optimizer_step
 
 BCE_SWEEP = ("user-marginal", "item-marginal", "product-of-marginals", "uniform")
 MULTINOMIAL_SWEEP = ("ssm", "infonce", "simclr", "row_bcnce", "col_bcnce", "bbcnce")
@@ -60,6 +60,15 @@ EQUAL_OPTIMA_GROUPS: dict[str, tuple[str, ...]] = {
     "pmi": ("bce/product-of-marginals", "infonce", "simclr"),
 }
 
+# A synthetic user is one token, so every aggregator pools it to that
+# token's row; mean pooling stands for all of them.
+USER_ENCODER = EncoderConfig("mean")
+
+# Optimum gates: a trained table passes when its gauged residual is at most
+# RESIDUAL_GATE and its gauged rank correlation at least RANK_GATE.
+RANK_GATE = 0.95
+RESIDUAL_GATE = 0.25
+
 
 @dataclass
 class SyntheticSpec:
@@ -70,7 +79,6 @@ class SyntheticSpec:
     joint: np.ndarray | None = None
     num_samples: int = 200_000
     num_months: int = 1
-    days_per_month: int = 30
     drift: list[np.ndarray] | None = None
 
     def __post_init__(self) -> None:
@@ -163,9 +171,13 @@ class EmpiricalTables:
 
 @dataclass
 class SyntheticSample:
+    """A drawn sample held as arrays: each event's day and its (user, item)
+    cell ``user * num_items + item``, sorted by day, with the cell counts of
+    the whole sample and of each month."""
+
     spec: SyntheticSpec
-    records: list[InteractionRecord]
-    examples: list[TrainingExample]
+    days: np.ndarray
+    cells: np.ndarray
     counts: np.ndarray
     month_counts: list[np.ndarray]
     month_index: dict[int, int]
@@ -173,6 +185,21 @@ class SyntheticSample:
     @property
     def tables(self) -> EmpiricalTables:
         return EmpiricalTables(self.counts)
+
+    def _events(self) -> Iterator[tuple[int, int, int]]:
+        users, items = np.divmod(self.cells, self.spec.num_items)
+        return zip(users.tolist(), items.tolist(), self.days.tolist())
+
+    @property
+    def records(self) -> list[InteractionRecord]:
+        """The events as interaction records, built on each read."""
+        return [InteractionRecord(u, i, d) for u, i, d in self._events()]
+
+    @property
+    def examples(self) -> list[TrainingExample]:
+        """The events as training examples whose pseudo-user is the user's
+        reserved token, built on each read."""
+        return [TrainingExample(u, (self.spec.user_token(u),), i, d) for u, i, d in self._events()]
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticSample:
@@ -183,32 +210,23 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticSample:
     examples as singleton pseudo-user sequences holding their reserved token.
     """
     rng = np.random.default_rng(seed)
-    num_days = spec.num_months * spec.days_per_month
+    num_days = spec.num_months * DAYS_PER_MONTH
     days = np.sort(rng.integers(0, num_days, size=spec.num_samples))
-    month_of = days // spec.days_per_month + 1
+    month_of = days // DAYS_PER_MONTH + 1
 
-    records: list[InteractionRecord] = []
-    examples: list[TrainingExample] = []
-    counts = np.zeros((spec.num_users, spec.num_items), dtype=np.int64)
-    month_counts = [np.zeros((spec.num_users, spec.num_items), dtype=np.int64) for _ in range(spec.num_months)]
+    num_cells = spec.num_users * spec.num_items
     cells = np.empty(spec.num_samples, dtype=np.int64)
+    month_counts = []
     for month in range(1, spec.num_months + 1):
         sel = month_of == month
         n = int(sel.sum())
-        if n == 0:
-            continue
-        flat = spec.table_for_month(month).ravel()
-        cells[sel] = rng.choice(flat.size, size=n, p=flat)
-    for day, cell in zip(days, cells):
-        user, item = divmod(int(cell), spec.num_items)
-        records.append(InteractionRecord(user, item, int(day)))
-        examples.append(
-            TrainingExample(user_id=user, pseudo_user=(spec.user_token(user),), target_item=item, day=int(day))
-        )
-        counts[user, item] += 1
-        month_counts[int(day) // spec.days_per_month][user, item] += 1
-    month_index = {d: d // spec.days_per_month + 1 for d in range(num_days)}
-    return SyntheticSample(spec, records, examples, counts, month_counts, month_index)
+        if n:
+            flat = spec.table_for_month(month).ravel()
+            cells[sel] = rng.choice(flat.size, size=n, p=flat)
+        month_counts.append(np.bincount(cells[sel], minlength=num_cells).reshape(spec.num_users, spec.num_items))
+    counts = np.bincount(cells, minlength=num_cells).reshape(spec.num_users, spec.num_items)
+    month_index = {d: d // DAYS_PER_MONTH + 1 for d in range(num_days)}
+    return SyntheticSample(spec, days, cells, counts, month_counts, month_index)
 
 
 def _target_kind(config: LossConfig) -> str:
@@ -280,7 +298,6 @@ def population_loss(
     phi: np.ndarray,
     tables: EmpiricalTables,
     config: LossConfig,
-    ssm_proposal: str = "marginal",
 ) -> tuple[float, np.ndarray]:
     """Exact full-batch loss over the empirical distribution, with gradient.
 
@@ -311,7 +328,7 @@ def population_loss(
         return value, dphi
 
     if config.family == "ssm":
-        if ssm_proposal == "marginal":
+        if config.ssm_proposal == "marginal":
             masked = np.where(obs_items[None, :], phi, -np.inf)
         else:
             masked = phi
@@ -355,11 +372,10 @@ def population_loss(
 def phi_table(
     params: ModelParams,
     spec: SyntheticSpec,
-    enc_config: EncoderConfig,
 ) -> np.ndarray:
     """Score every synthetic user token against every item."""
     sequences = [(spec.user_token(u),) for u in range(spec.num_users)]
-    phi, _ = score_matrix_forward(sequences, np.arange(spec.num_items), params, enc_config)
+    phi, _ = score_matrix_forward(sequences, np.arange(spec.num_items), params, USER_ENCODER)
     return phi
 
 
@@ -373,19 +389,16 @@ def train_to_optimum(
     epochs: int = 2000,
     learning_rate: float = 0.05,
     seed: int = 0,
-    enc_config: EncoderConfig = EncoderConfig("mean"),
 ) -> ModelParams:
     """Full-batch training of one loss configuration on the empirical tables."""
     params = ModelParams.initialize(spec.num_items + spec.num_users, dim, temperature, seed)
-    opt = OptimizerState.from_config(
-        TrainConfig(learning_rate=learning_rate, optimizer="adam", batch_size=2, months=())
-    )
+    opt = OptimizerState(kind="adam", learning_rate=learning_rate)
     sequences = [(spec.user_token(u),) for u in range(spec.num_users)]
     item_ids = np.arange(spec.num_items)
     for _ in range(epochs):
-        phi, cache = score_matrix_forward(sequences, item_ids, params, enc_config)
-        _, dphi = population_loss(phi, tables, config, ssm_proposal=config.ssm_proposal)
-        grads = score_matrix_backward(cache, dphi, params, enc_config)
+        phi, cache = score_matrix_forward(sequences, item_ids, params, USER_ENCODER)
+        _, dphi = population_loss(phi, tables, config)
+        grads = score_matrix_backward(cache, dphi, params, USER_ENCODER)
         apply_optimizer_step(params, grads, opt)
     return params
 
@@ -427,11 +440,8 @@ def check_optimum(
     tables: EmpiricalTables,
     spec: SyntheticSpec,
     *,
-    enc_config: EncoderConfig = EncoderConfig("mean"),
     label: str = "",
     seed: int = 0,
-    rank_gate: float = 0.95,
-    residual_gate: float = 0.25,
 ) -> OptimumReport:
     """Fit the additive constants and report residual plus rank agreement.
 
@@ -439,7 +449,7 @@ def check_optimum(
     excluded (their count is reported).  A constant target (uniform joint)
     leaves rank correlation undefined; the residual gate alone then decides.
     """
-    phi = phi_table(params, spec, enc_config)
+    phi = phi_table(params, spec)
     target_name, target = target_table(config, tables)
     gauge = optimum_gauge(config)
     mask = tables.observed
@@ -462,7 +472,7 @@ def check_optimum(
 
     centered = target_obs - (target_obs.max() + target_obs.min()) / 2.0
     range_ok = bool(np.abs(centered).max() <= 1.0 / params.temperature)
-    passed = residual_gauged <= residual_gate and (math.isnan(rank_gauged) or rank_gauged >= rank_gate)
+    passed = residual_gauged <= RESIDUAL_GATE and (math.isnan(rank_gauged) or rank_gauged >= RANK_GATE)
     return OptimumReport(
         label=label,
         seed=seed,
@@ -528,8 +538,6 @@ def run_table_sweep(
     temperature: float = 0.05,
     epochs: int = 2000,
     learning_rate: float = 0.05,
-    rank_gate: float = 0.95,
-    residual_gate: float = 0.25,
 ) -> SweepResult:
     """Train every configuration per seed and gate each against its optimum.
 
@@ -540,7 +548,6 @@ def run_table_sweep(
     agreements: list[GroupAgreement] = []
     phi_tables: dict[tuple[str, int], np.ndarray] = {}
     masks: dict[int, np.ndarray] = {}
-    enc_config = EncoderConfig("mean")
     for seed in seeds:
         sample = generate_synthetic(spec, seed)
         tables = sample.tables
@@ -563,14 +570,11 @@ def run_table_sweep(
                     params,
                     tables,
                     spec,
-                    enc_config=enc_config,
                     label=label,
                     seed=seed,
-                    rank_gate=rank_gate,
-                    residual_gate=residual_gate,
                 )
             )
-            phi_tables[(label, seed)] = phi_table(params, spec, enc_config)
+            phi_tables[(label, seed)] = phi_table(params, spec)
         for group, labels in EQUAL_OPTIMA_GROUPS.items():
             gauge = GROUP_GAUGE[group]
             for pos, label_a in enumerate(labels):

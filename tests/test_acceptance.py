@@ -17,7 +17,7 @@ import pytest
 from test_gradients import FAMILIES, check_family
 from twotower.cli import main
 from twotower.config import VerifySection
-from twotower.data import compute_marginals
+from twotower.data import DAYS_PER_MONTH, compute_marginals
 from twotower.evaluation import (
     EvalCase,
     EvalPool,
@@ -294,16 +294,13 @@ def run_drift_experiment(seed: int):
     sample = generate_synthetic(spec, seed=seed)
     examples = sample.examples
     marginals = compute_marginals(examples)
-    months = sorted({m for m in (sample.month_index[ex.day] for ex in examples)})
     cases, pool = final_month_cases(spec, seed)
 
     def eval_fn(params, month):
         rep = evaluate(cases, pool, params, ENC)
         return {"ndcg": rep.ndcg_at_n}
 
-    config = TrainConfig(
-        epochs_per_month=2, batch_size=128, learning_rate=0.01, optimizer="adam", seed=seed, months=tuple(months)
-    )
+    config = TrainConfig(epochs_per_month=2, batch_size=128, learning_rate=0.01, optimizer="adam", seed=seed)
     loss = LossConfig.from_preset("bbcnce")
 
     params_inc = ModelParams.initialize(spec.num_items + spec.num_users, 8, 0.1, seed)
@@ -363,10 +360,10 @@ def test_criterion_8_popularity_direction():
         spec = skewed_spec(100 + seed)
         sample = generate_synthetic(spec, seed=seed)
         tables = sample.tables
-        item_counts, _ = popularity_counts(sample.records, anchor_day=spec.num_months * spec.days_per_month, window_days=365)
+        item_counts, _ = popularity_counts(sample.records, anchor_day=spec.num_months * DAYS_PER_MONTH, window_days=365)
         for preset in ("infonce", "bbcnce"):
             params = train_to_optimum(LossConfig.from_preset(preset), tables, spec, seed=seed)
-            phi = phi_table(params, spec, ENC)
+            phi = phi_table(params, spec)
             top_lists = []
             for u in range(spec.num_users):
                 order = sorted(range(spec.num_items), key=lambda i: (-phi[u, i], i))[:5]
@@ -397,7 +394,7 @@ def test_criterion_9_determinism(tmp_path):
     examples = sample.examples
     marginals = compute_marginals(examples)
     months = sorted({sample.month_index[ex.day] for ex in examples})
-    config = TrainConfig(epochs_per_month=2, batch_size=64, learning_rate=1e-3, seed=17, months=tuple(months))
+    config = TrainConfig(epochs_per_month=2, batch_size=64, learning_rate=1e-3, seed=17)
     loss = LossConfig.from_preset("bbcnce")
 
     def init():
@@ -410,13 +407,10 @@ def test_criterion_9_determinism(tmp_path):
         marginals=marginals, checkpoint_dir=full_dir, fingerprint=1,
     )
 
+    # resume a fresh model from the first month's checkpoint of the full run
     part_dir = str(tmp_path / "part")
     params_part = init()
-    train_incremental(
-        examples, sample.month_index, params_part, ENC, loss, config,
-        marginals=marginals, checkpoint_dir=part_dir, fingerprint=1, stop_after_month=months[0],
-    )
-    resume = load_checkpoint(os.path.join(part_dir, f"month_{months[0]:04d}.ckpt"), expected_fingerprint=1)
+    resume = load_checkpoint(os.path.join(full_dir, f"month_{months[0]:04d}.ckpt"), expected_fingerprint=1)
     train_incremental(
         examples, sample.month_index, params_part, ENC, loss, config,
         marginals=marginals, checkpoint_dir=part_dir, fingerprint=1, resume=resume,

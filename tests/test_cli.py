@@ -420,7 +420,31 @@ class TestTrainVariants:
             ),
             setting("train", {"eval.top_n": 0}, "cutoff", "train-eval.top_n-0"),
             setting("eval --checkpoint {ckpt}", {"eval.top_n": 0}, "cutoff", "eval-eval.top_n-0"),
+            setting(
+                "train",
+                {"loss.family": "ssm", "loss.preset": "", "loss.num_sampled": 500},
+                "loss: num_sampled = 500",
+                "train-ssm-loss.num_sampled-500",
+            ),
+            setting(
+                "train",
+                {"loss.family": "ssm", "loss.preset": "", "loss.ssm_proposal": "uniform", "loss.num_sampled": 12},
+                "uniform proposal covers 12 items",
+                "train-ssm-uniform-num_sampled-vocabulary",
+            ),
+            setting(
+                "train",
+                {"loss.family": "ssm", "loss.preset": "", "data.min_degree": 60, "loss.num_sampled": 11},
+                "marginal proposal covers 11 items",
+                "train-ssm-marginal-num_sampled-seen-items",
+            ),
             setting("verify", {"verify.num_users": 0}, "num_users", "verify-verify.num_users-0"),
+            setting("verify", {"verify.num_samples": 0}, "verify: num_samples", "verify-verify.num_samples-0"),
+            setting("verify", {"verify.dim": 0}, "verify: dim", "verify-verify.dim-0"),
+            setting("verify", {"verify.temperature": 0}, "verify: temperature", "verify-verify.temperature-0"),
+            setting("verify", {"verify.learning_rate": -1}, "verify: learning_rate", "verify-verify.learning_rate-neg"),
+            setting("verify", {"verify.epochs": 0}, "verify: epochs", "verify-verify.epochs-0"),
+            setting("verify", {"verify.seeds": ""}, "verify: seeds", "verify-verify.seeds-empty"),
             setting("retrieve --checkpoint {ckpt} --query i1 --top-n -3", {}, "top-n", "retrieve-top-n-negative"),
             setting("retrieve --checkpoint {ckpt} --query i1 --top-n 0", {}, "top-n", "retrieve-top-n-0"),
         ],

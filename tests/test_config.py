@@ -80,8 +80,7 @@ class TestLossFromConfig:
     def test_explicit_flags_without_preset(self):
         config = parse_config("loss.preset =\nloss.alpha = 1\nloss.beta = 0\nloss.delta_alpha = 0\nloss.delta_beta = 0\n")
         loss = loss_config_from(config)
-        assert loss.preset is None
-        assert loss.alpha == 1 and loss.beta == 0
+        assert (loss.alpha, loss.delta_alpha, loss.beta, loss.delta_beta) == (1, 0, 0, 0)
 
     def test_bce_family_ignores_preset(self):
         config = parse_config("loss.family = bce\nloss.negative_strategy = user-marginal\n")

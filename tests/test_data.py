@@ -402,35 +402,20 @@ class TestNegativeSampling:
 
 
 class TestBatches:
-    def _examples(self, n, month_index, rng=None):
-        days = list(range(n))
-        return [_example(day=d % len(month_index)) for d in days]
-
     def test_batch_sizes(self):
-        month_index = {d: 1 for d in range(200)}
         examples = [_example(day=d) for d in range(130)]
         rng = np.random.default_rng(0)
-        sizes = [len(b) for b in make_batches(examples, 64, 1, month_index, rng)]
+        sizes = [len(b) for b in make_batches(examples, 64, rng)]
         assert sizes == [64, 64, 2]
 
     def test_same_seed_same_stream(self):
-        month_index = {d: 1 for d in range(50)}
         examples = [_example(day=d) for d in range(50)]
-        a = [tuple(id(e) for e in b) for b in make_batches(examples, 8, 1, month_index, np.random.default_rng(3))]
-        b = [tuple(id(e) for e in b) for b in make_batches(examples, 8, 1, month_index, np.random.default_rng(3))]
+        a = [tuple(id(e) for e in b) for b in make_batches(examples, 8, np.random.default_rng(3))]
+        b = [tuple(id(e) for e in b) for b in make_batches(examples, 8, np.random.default_rng(3))]
         assert a == b
 
-    def test_month_filter(self):
-        month_index = {d: d // 10 + 1 for d in range(30)}
-        examples = [_example(day=d) for d in range(30)]
-        for month in (1, 2, 3):
-            batched = [e for b in make_batches(examples, 4, month, month_index, np.random.default_rng(0)) for e in b]
-            assert {month_index[e.day] for e in batched} == {month}
-            assert len(batched) == 10
-
     def test_empty_month_yields_nothing(self):
-        month_index = {0: 1}
-        assert list(make_batches([_example(day=0)], 4, 99, {0: 1, 99: 99}, np.random.default_rng(0))) == []
+        assert list(make_batches([], 4, np.random.default_rng(0))) == []
 
 
 class TestExampleFile:

@@ -48,10 +48,6 @@ class TestLossConfig:
         with pytest.raises(ValueError, match="identically zero"):
             LossConfig(family="bidirectional", alpha=0, beta=0)
 
-    def test_preset_flag_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="preset"):
-            LossConfig(family="bidirectional", alpha=1, beta=1, delta_alpha=0, delta_beta=0, preset="bbcnce")
-
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="family"):
             LossConfig(family="hinge")
@@ -340,10 +336,18 @@ class TestSampledSoftmax:
                 num_sampled=4,
                 rng=np.random.default_rng(0),
             )
+        # the marginal proposal covers only the items seen in training
+        seen_two = EmpiricalMarginals({(0,): 0.0}, {0: math.log(0.5), 1: math.log(0.5)}, {(0,): 2}, {0: 1, 1: 1}, total=2)
+        batch = [TrainingExample(0, (0,), 1, 0)]
+        with pytest.raises(ValueError, match="covers 2 items"):
+            ssm_loss(batch, params, ENC, seen_two, num_sampled=2, rng=np.random.default_rng(0))
+        ssm_loss(batch, params, ENC, seen_two, num_sampled=2, rng=np.random.default_rng(0), proposal="uniform")
+        assert ssm_loss(batch, params, ENC, seen_two, num_sampled=1, rng=np.random.default_rng(0)).gradients.rows.size
 
     def test_zero_probability_positive_rejected(self):
         params = make_params(num_items=4)
-        marginals = EmpiricalMarginals({(0,): 0.0}, {0: math.log(1.0)}, {(0,): 1}, {0: 1}, total=1)
+        # items 0 and 1 seen in training, so one negative can be drawn; the positive 2 was never seen
+        marginals = EmpiricalMarginals({(0,): 0.0}, {0: math.log(0.5), 1: math.log(0.5)}, {(0,): 2}, {0: 1, 1: 1}, total=2)
         with pytest.raises(ValueError, match="zero proposal"):
             ssm_loss(
                 [TrainingExample(0, (0,), 2, 0)],

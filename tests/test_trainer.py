@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from twotower import trainer as trainer_mod
 from twotower.data import compute_marginals
 from twotower.losses import LossConfig, loss_with_gradients
 from twotower.model import EncoderConfig, GradientTable, ModelParams
@@ -14,6 +15,7 @@ from twotower.trainer import (
     Checkpoint,
     CheckpointError,
     NonFiniteGradientError,
+    NonFiniteLossError,
     OptimizerState,
     TrainConfig,
     apply_optimizer_step,
@@ -214,10 +216,10 @@ def fresh_params(spec, seed=11):
     return ModelParams.initialize(spec.num_items + spec.num_users, 4, 0.2, seed)
 
 
-def train_config(months, **kwargs) -> TrainConfig:
+def train_config(**kwargs) -> TrainConfig:
     defaults = dict(epochs_per_month=2, batch_size=64, learning_rate=1e-3, optimizer="adam", seed=17)
     defaults.update(kwargs)
-    return TrainConfig(months=tuple(months), **defaults)
+    return TrainConfig(**defaults)
 
 
 LOSS = LossConfig.from_preset("bbcnce")
@@ -228,14 +230,15 @@ class TestTrainingLoop:
         spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
         month1 = [ex for ex in examples if month_index[ex.day] == 1]
         params = fresh_params(spec)
-        config = train_config([1], epochs_per_month=1, batch_size=len(month1) + 10)
-        result = train_incremental(examples, month_index, params, ENC, LOSS, config, marginals=marginals)
+        config = train_config(epochs_per_month=1, batch_size=len(month1) + 10)
+        result = train_incremental(month1, month_index, params, ENC, LOSS, config, marginals=marginals)
+        assert result.months == (1,)
         assert result.steps == 1
 
     def test_step_count_formula(self):
         spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
         months = sorted({month_index[ex.day] for ex in examples})
-        config = train_config(months, epochs_per_month=2, batch_size=50)
+        config = train_config(epochs_per_month=2, batch_size=50)
         params = fresh_params(spec)
         result = train_incremental(examples, month_index, params, ENC, LOSS, config, marginals=marginals)
         expected = 0
@@ -246,14 +249,33 @@ class TestTrainingLoop:
             expected += 2 * batches
         assert result.steps == expected
 
-    def test_empty_month_is_skipped_with_notice(self):
+    def test_each_month_batches_hold_only_that_months_examples(self, monkeypatch):
+        """Every epoch of a month's phase batches exactly that month's
+        examples, each once, and the months run in ascending order."""
         spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
-        month_index = dict(month_index)
-        month_index[999] = 9  # a month with no data
-        config = train_config([1, 9])
+        batched: list = []
+        per_month: dict = {}
+        real_make_batches = trainer_mod.make_batches
+
+        def recording_make_batches(*args):
+            for batch in real_make_batches(*args):
+                batched.extend(batch)
+                yield batch
+
+        def eval_fn(params, month):
+            per_month[month] = list(batched)
+            batched.clear()
+            return {}
+
+        monkeypatch.setattr(trainer_mod, "make_batches", recording_make_batches)
+        config = train_config(epochs_per_month=2, batch_size=16)
         params = fresh_params(spec)
-        result = train_incremental(examples, month_index, params, ENC, LOSS, config, marginals=marginals)
-        assert any("month 9" in n for n in result.notices)
+        result = train_incremental(examples, month_index, params, ENC, LOSS, config, marginals=marginals, eval_fn=eval_fn)
+        assert result.months == (1, 2, 3)
+        assert list(per_month) == [1, 2, 3]
+        for month, fed in per_month.items():
+            own = [ex for ex in examples if month_index[ex.day] == month]
+            assert sorted(map(id, fed)) == sorted(map(id, own * 2))
 
     def test_eval_snapshot_recorded_per_month(self):
         spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
@@ -266,7 +288,7 @@ class TestTrainingLoop:
             return {"ndcg": float(month)}
 
         params = fresh_params(spec)
-        config = train_config(months, epochs_per_month=1)
+        config = train_config(epochs_per_month=1)
         result = train_incremental(
             examples, month_index, params, ENC, LOSS, config, marginals=marginals, eval_fn=eval_fn
         )
@@ -277,7 +299,7 @@ class TestTrainingLoop:
     def test_resume_from_month_checkpoint_is_bit_identical(self, tmp_path):
         spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
         months = sorted({month_index[ex.day] for ex in examples})
-        config = train_config(months)
+        config = train_config()
 
         full_dir = str(tmp_path / "full")
         params_full = fresh_params(spec)
@@ -288,15 +310,13 @@ class TestTrainingLoop:
 
         part_dir = str(tmp_path / "part")
         params_part = fresh_params(spec)
-        train_incremental(
-            examples, month_index, params_part, ENC, LOSS, config,
-            marginals=marginals, checkpoint_dir=part_dir, fingerprint=7, stop_after_month=months[0],
-        )
-        resume_ckpt = load_checkpoint(os.path.join(part_dir, f"month_{months[0]:04d}.ckpt"), expected_fingerprint=7)
+        resume_ckpt = load_checkpoint(os.path.join(full_dir, f"month_{months[0]:04d}.ckpt"), expected_fingerprint=7)
         resumed = train_incremental(
             examples, month_index, params_part, ENC, LOSS, config,
             marginals=marginals, checkpoint_dir=part_dir, fingerprint=7, resume=resume_ckpt,
         )
+        written = [os.path.basename(p) for p in resumed.checkpoints]
+        assert written == [name for m in months[1:] for name in (f"month_{m:04d}_epoch_00.ckpt", f"month_{m:04d}.ckpt")]
         np.testing.assert_array_equal(params_part.item_embeddings, params_full.item_embeddings)
         np.testing.assert_array_equal(params_part.attention_vector, params_full.attention_vector)
         final = f"month_{months[-1]:04d}.ckpt"
@@ -305,7 +325,7 @@ class TestTrainingLoop:
     def test_resume_from_epoch_checkpoint_is_bit_identical(self, tmp_path):
         spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
         months = sorted({month_index[ex.day] for ex in examples})
-        config = train_config(months, epochs_per_month=2)
+        config = train_config(epochs_per_month=2)
 
         full_dir = str(tmp_path / "full")
         params_full = fresh_params(spec)
@@ -324,17 +344,16 @@ class TestTrainingLoop:
 
     def test_repeat_runs_are_identical(self):
         spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
-        months = sorted({month_index[ex.day] for ex in examples})
         outs = []
         for _ in range(2):
             params = fresh_params(spec)
-            train_incremental(examples, month_index, params, ENC, LOSS, train_config(months), marginals=marginals)
+            train_incremental(examples, month_index, params, ENC, LOSS, train_config(), marginals=marginals)
             outs.append(params.item_embeddings.copy())
         np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_shuffled_equals_incremental_on_single_month(self):
         spec, examples, month_index, marginals = synthetic_training_set(num_months=1)
-        config = train_config([1], epochs_per_month=2)
+        config = train_config(epochs_per_month=2)
         params_inc = fresh_params(spec)
         inc = train_incremental(examples, month_index, params_inc, ENC, LOSS, config, marginals=marginals)
         params_shuf = fresh_params(spec)
@@ -345,8 +364,7 @@ class TestTrainingLoop:
 
     def test_shuffled_resume_trains_only_the_remaining_epochs(self, tmp_path):
         spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
-        months = sorted({month_index[ex.day] for ex in examples})
-        config = train_config(months, epochs_per_month=3, mode="shuffled")
+        config = train_config(epochs_per_month=3, mode="shuffled")
 
         def eval_fn(params, month):
             return {"ndcg": float(month)}
@@ -406,9 +424,8 @@ class TestTrainingLoop:
                 params,
                 ENC,
                 loss_config,
-                train_config([1], epochs_per_month=1, batch_size=64),
+                train_config(epochs_per_month=1, batch_size=64),
                 marginals=marginals,
-                num_items=spec.num_items + spec.num_users,
                 user_universe=universe,
             )
             assert result.steps > 0, loss_config.family
@@ -426,24 +443,44 @@ class TestTrainingLoop:
             for k, ex in enumerate(examples)
         ]
         train_incremental(
-            merged, month_index, params, enc, LOSS, train_config([1], epochs_per_month=1, batch_size=32),
+            merged, month_index, params, enc, LOSS, train_config(epochs_per_month=1, batch_size=32),
             marginals=marginals,
         )
         assert np.any(params.attention_vector != 0.0)
 
     def test_months_must_be_configured(self):
-        spec, examples, month_index, _ = synthetic_training_set()
+        """The months come from the examples; with none there is nothing to train."""
+        spec, _, month_index, _ = synthetic_training_set()
         with pytest.raises(ValueError, match="months"):
-            train_incremental(examples, month_index, fresh_params(spec), ENC, LOSS, train_config([]))
+            train_incremental([], month_index, fresh_params(spec), ENC, LOSS, train_config())
 
     def test_mismatched_resume_months_rejected(self, tmp_path):
         spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
         params = fresh_params(spec)
-        config = train_config([1, 2])
+        first_two = [ex for ex in examples if month_index[ex.day] <= 2]
         result = train_incremental(
-            examples, month_index, params, ENC, LOSS, config,
+            first_two, month_index, params, ENC, LOSS, train_config(),
             marginals=marginals, checkpoint_dir=str(tmp_path), fingerprint=0,
         )
+        assert result.months == (1, 2)
         checkpoint = load_checkpoint(result.checkpoints[0])
         with pytest.raises(CheckpointError, match="months"):
-            train_incremental(examples, month_index, params, ENC, LOSS, train_config([1, 2, 3]), resume=checkpoint)
+            train_incremental(examples, month_index, params, ENC, LOSS, train_config(), resume=checkpoint)
+
+    def test_non_finite_loss_aborts(self, monkeypatch):
+        """A loss value of NaN or infinity stops training before the step,
+        even when the gradients are finite."""
+        spec, examples, month_index, marginals = synthetic_training_set(num_months=1, num_samples=120)
+        real_loss = trainer_mod.loss_with_gradients
+
+        def infinite_loss(*args, **kwargs):
+            out = real_loss(*args, **kwargs)
+            out.value = float("inf")
+            return out
+
+        monkeypatch.setattr(trainer_mod, "loss_with_gradients", infinite_loss)
+        params = fresh_params(spec)
+        before = params.item_embeddings.copy()
+        with pytest.raises(NonFiniteLossError, match="inf"):
+            train_incremental(examples, month_index, params, ENC, LOSS, train_config(), marginals=marginals)
+        np.testing.assert_array_equal(params.item_embeddings, before)

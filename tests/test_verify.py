@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from twotower.data import DAYS_PER_MONTH
 from twotower.losses import LossConfig
 from twotower.verify import (
     EQUAL_OPTIMA_GROUPS,
@@ -92,7 +93,7 @@ class TestGenerateSynthetic:
         spec = SyntheticSpec(num_users=2, num_items=3, drift=[a, b], num_months=2, num_samples=1_000)
         sample = generate_synthetic(spec, seed=5)
         for rec in sample.records:
-            month = rec.day // spec.days_per_month + 1
+            month = rec.day // DAYS_PER_MONTH + 1
             if month == 1:
                 assert (rec.user_id, rec.item_id) == (0, 0)
             else:
@@ -158,7 +159,7 @@ class TestPopulationLoss:
         tables = dense_tables([[5, 1, 0, 2], [0, 3, 4, 1], [2, 0, 1, 6]])
         phi = self._phi(tables.joint.shape, seed=2)
         config = LossConfig(family="ssm", ssm_proposal="uniform")
-        _, dphi = population_loss(phi, tables, config, ssm_proposal="uniform")
+        _, dphi = population_loss(phi, tables, config)
         step = 1e-6
         for u in range(phi.shape[0]):
             for i in range(phi.shape[1]):
@@ -166,8 +167,8 @@ class TestPopulationLoss:
                 up[u, i] += step
                 down[u, i] -= step
                 numeric = (
-                    population_loss(up, tables, config, ssm_proposal="uniform")[0]
-                    - population_loss(down, tables, config, ssm_proposal="uniform")[0]
+                    population_loss(up, tables, config)[0]
+                    - population_loss(down, tables, config)[0]
                 ) / (2 * step)
                 assert dphi[u, i] == pytest.approx(numeric, abs=5e-7)
 
@@ -283,14 +284,14 @@ class TestMinibatchConvergence:
         sample = generate_synthetic(spec, seed=2)
         marginals = compute_marginals(sample.examples)
         params = ModelParams.initialize(20, 10, 0.05, seed=3)
-        config = TrainConfig(epochs_per_month=25, batch_size=128, learning_rate=0.02, seed=4, months=(1,))
+        config = TrainConfig(epochs_per_month=25, batch_size=128, learning_rate=0.02, seed=4)
         loss = LossConfig.from_preset("bbcnce")
         train_incremental(sample.examples, sample.month_index, params, enc, loss, config, marginals=marginals)
 
         from scipy.stats import spearmanr
 
         tables = sample.tables
-        phi = phi_table(params, spec, enc)
+        phi = phi_table(params, spec)
         _, target = target_table(LossConfig.from_preset("bbcnce"), tables)
         mask = tables.observed
         rho = spearmanr(phi[mask], target[mask]).statistic
