@@ -33,6 +33,8 @@ from .model import EncoderConfig, ModelParams, encode_user
 from .trainer import (
     Checkpoint,
     CheckpointError,
+    NonFiniteGradientError,
+    NonFiniteLossError,
     TrainConfig,
     load_checkpoint,
     save_checkpoint,
@@ -244,9 +246,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     if loss_config.family == "full_softmax_col":
         kwargs["user_universe"] = sorted({ex.pseudo_user for ex in prepared.split.train})
-    result = train_incremental(
-        examples, prepared.split.month_index, params, enc, loss_config, train_config, resume=resume, **kwargs
-    )
+    try:
+        result = train_incremental(
+            examples, prepared.split.month_index, params, enc, loss_config, train_config, resume=resume, **kwargs
+        )
+    except (NonFiniteLossError, NonFiniteGradientError) as exc:
+        raise CliError(f"train: {exc}") from exc
 
     done = resume.months[: resume.month_cursor] if resume is not None else ()
     _write_trace(os.path.join(cfg.paths.output_dir, "trace.tsv"), result.trace, keep_months=done)
@@ -305,7 +310,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     checkpoint = _load_params(args, cfg, prepared.log.num_items)
     task = args.task or cfg.eval.task
     cases, pool = _test_cases(cfg, prepared, task)
-    report = evaluate(
+    report = _configured(
+        "eval",
+        evaluate,
         cases,
         pool,
         checkpoint.params,

@@ -11,6 +11,7 @@ without invalidating a checkpoint.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 
 from .losses import LossConfig
@@ -121,13 +122,12 @@ FIELD_MAP = _field_map()
 
 def _coerce(key: str, raw: str, target: type):
     try:
-        if target is int:
-            return int(raw)
-        if target is float:
-            return float(raw)
-        return raw
+        value = target(raw)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {target.__name__}") from exc
+    if target is float and not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: {raw!r} is not finite")
+    return value
 
 
 def parse_config(text: str) -> RunConfig:
@@ -153,7 +153,11 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as src:
-        return parse_config(src.read())
+        try:
+            text = src.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+    return parse_config(text)
 
 
 def render_config(config: RunConfig) -> str:

@@ -199,6 +199,8 @@ def popularity_counts(
     window_days: int = 365,
 ) -> tuple[Counter, Counter]:
     """Interactions per item and per user inside ``[anchor-window, anchor)``."""
+    if window_days < 1:
+        raise ValueError(f"popularity_window_days must be >= 1, got {window_days}")
     items: Counter = Counter()
     users: Counter = Counter()
     lo = anchor_day - window_days

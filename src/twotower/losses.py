@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import EmpiricalMarginals, LabeledExample, TrainingExample, UserKey
 from .model import EncoderConfig, GradientTable, ModelParams, score_matrix_backward, score_matrix_forward
@@ -97,6 +96,20 @@ class LossOutput:
     value: float
     gradients: GradientTable | None = None
     dscore: np.ndarray | None = None
+
+
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """``log(sum(exp(a)))`` along ``axis``, bit-identical to scipy's.
+
+    scipy's order of operations: the maxima are taken out of the sum, each
+    counted once, and the rest enters as ``log1p(rest / count)``; an
+    all-``-inf`` line gives ``-inf``.
+    """
+    a_max = a.max(axis, keepdims=True)
+    top = a == a_max
+    rest = np.where(top, 0.0, np.exp(a - a_max)).sum(axis, keepdims=True)
+    count = top.sum(axis, keepdims=True, dtype=float)
+    return np.squeeze(np.log1p(rest / count) + np.log(count) + a_max, axis=axis)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

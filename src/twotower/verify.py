@@ -42,11 +42,9 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import spearmanr
 
 from .data import DAYS_PER_MONTH, InteractionRecord, TrainingExample
-from .losses import PRESETS, LossConfig
+from .losses import PRESETS, LossConfig, logsumexp
 from .model import EncoderConfig, ModelParams, score_matrix_backward, score_matrix_forward
 from .trainer import OptimizerState, apply_optimizer_step
 
@@ -428,10 +426,24 @@ class OptimumReport:
     passed: bool
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; a run of equal values shares its mean rank."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, x.size])
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(starts + (counts + 1) / 2, counts)
+    return ranks
+
+
 def _rank_corr(a: np.ndarray, b: np.ndarray) -> float:
-    if np.ptp(a) < 1e-12 or np.ptp(b) < 1e-12:
+    """Spearman's rank correlation: the Pearson correlation of average ranks;
+    ``nan`` for a constant input or one that holds a ``nan``."""
+    if not (np.ptp(a) >= 1e-12 and np.ptp(b) >= 1e-12):
         return math.nan
-    return float(spearmanr(a, b).statistic)
+    ranks = np.column_stack((_average_ranks(a), _average_ranks(b)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 def check_optimum(

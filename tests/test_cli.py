@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import twotower
 from twotower.cli import main
 from twotower.model import EncoderConfig, encode_user, score
 from twotower.trainer import load_checkpoint
@@ -47,7 +50,8 @@ GOLDEN_MARGINALS = (
 
 def write_config(path, **overrides) -> str:
     lines = [f"{key} = {value}" for key, value in overrides.items()]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # surrogateescape: a value "\udcff" writes the byte 0xff, which is not UTF-8
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
     return str(path)
 
 
@@ -410,6 +414,16 @@ class TestTrainVariants:
             setting("train", {"model.aggregator": "foo"}, "aggregator", "train-model.aggregator-foo"),
             setting("train", {"model.temperature": 0}, "temperature", "train-model.temperature-0"),
             setting("train", {"model.dim": 0}, "dim", "train-model.dim-0"),
+            setting("train", {"model.temperature": "nan"}, "'model.temperature': 'nan' is not finite", "train-temp-nan"),
+            setting("train", {"train.learning_rate": "nan"}, "'train.learning_rate': 'nan'", "train-lr-nan"),
+            setting("train", {"train.learning_rate": "-inf"}, "'train.learning_rate': '-inf'", "train-lr-inf"),
+            setting("train", {"model.aggregator": "\udcff"}, "not UTF-8", "train-config-not-utf8"),
+            setting(
+                "train",
+                {"train.optimizer": "sgd", "train.learning_rate": 1e308},
+                "train: non-finite",
+                "train-sgd-diverges",
+            ),
             setting("train", {"loss.family": "foo"}, "unknown loss family", "train-loss.family-foo"),
             setting("train", {"loss.preset": "zz"}, "unknown preset", "train-loss.preset-zz"),
             setting(
@@ -420,6 +434,12 @@ class TestTrainVariants:
             ),
             setting("train", {"eval.top_n": 0}, "cutoff", "train-eval.top_n-0"),
             setting("eval --checkpoint {ckpt}", {"eval.top_n": 0}, "cutoff", "eval-eval.top_n-0"),
+            setting(
+                "eval --checkpoint {ckpt}",
+                {"eval.num_negatives": 2, "eval.popularity_window_days": -5},
+                "eval: popularity_window_days must be >= 1",
+                "eval-eval.popularity_window_days-neg",
+            ),
             setting(
                 "train",
                 {"loss.family": "ssm", "loss.preset": "", "loss.num_sampled": 500},
@@ -578,3 +598,14 @@ class TestVerifyCommand:
         report = (out / "sweep_report.tsv").read_text()
         assert "\tFAIL" in report
         assert "optimum checks passed" in capsys.readouterr().out
+
+
+def test_runtime_imports_no_scipy():
+    """The runtime needs only numpy: importing the command line loads no
+    scipy module (scipy is a test dependency)."""
+    src = os.path.dirname(os.path.dirname(twotower.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, twotower.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from twotower.data import EmpiricalMarginals, LabeledExample, TrainingExample, compute_marginals
 from twotower.losses import (
@@ -14,6 +15,7 @@ from twotower.losses import (
     bidirectional_nce_loss,
     full_softmax_row_loss,
     full_softmax_value,
+    logsumexp,
     loss_with_gradients,
     ssm_loss,
 )
@@ -60,6 +62,30 @@ class TestLossConfig:
         with pytest.raises(ValueError, match="num_sampled"):
             LossConfig(family="ssm", num_sampled=0)
         LossConfig(family="bidirectional", num_sampled=0)  # not read outside ssm
+
+
+class TestLogsumexp:
+    """Exact agreement with ``scipy.special.logsumexp``, established against
+    scipy 1.17.1: every loss value, and so every checkpoint and report, stays
+    bit-identical to the scipy-based code."""
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_bit_identical_to_scipy(self, axis):
+        rng = np.random.default_rng(5)
+        for trial in range(200):
+            shape = tuple(rng.integers(1, 30, size=2))
+            a = rng.normal(scale=[0.1, 1.0, 10.0, 100.0][trial % 4], size=shape)
+            if trial % 3 == 0:  # -inf entries, every line keeps one finite entry
+                a[rng.random(shape) < 0.4] = -np.inf
+                a[0, :] = a[:, 0] = rng.normal(size=1)
+            if trial % 5 == 1:  # ties, tied maxima among them
+                a = np.round(a)
+            assert np.array_equal(logsumexp(a, axis=axis), scipy.special.logsumexp(a, axis=axis))
+
+    def test_tied_maxima_and_infinite_entries(self):
+        a = np.array([[2.0, 2.0, 1.0], [-np.inf, 0.5, -np.inf], [3.0, 3.0, 3.0]])
+        for axis in (0, 1):
+            assert np.array_equal(logsumexp(a, axis=axis), scipy.special.logsumexp(a, axis=axis))
 
 
 class TestBceValue:

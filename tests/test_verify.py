@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import chisquare, spearmanr
 
 from twotower.data import DAYS_PER_MONTH
 from twotower.losses import LossConfig
@@ -14,6 +14,7 @@ from twotower.verify import (
     EmpiricalTables,
     OptimumReport,
     SyntheticSpec,
+    _rank_corr,
     check_optimum,
     generate_synthetic,
     optimum_gauge,
@@ -232,6 +233,26 @@ class TestTargets:
         assert optimum_gauge(LossConfig.from_preset("col_bcnce")) == "per-item"
 
 
+class TestRankCorrelation:
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_bit_identical_to_spearmanr(self, ties):
+        """Exact agreement with ``scipy.stats.spearmanr``, established against
+        scipy 1.17.1, so ``sweep_report.tsv`` stays byte-identical."""
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            n = int(rng.integers(3, 60))
+            a = rng.normal(size=n)
+            b = a + rng.normal(size=n)
+            if ties:
+                a, b = np.round(2 * a), np.round(b)
+            if np.ptp(a) > 0 and np.ptp(b) > 0:
+                assert _rank_corr(a, b) == spearmanr(a, b).statistic
+
+    def test_constant_or_nan_input_is_nan(self):
+        assert math.isnan(_rank_corr(np.ones(4), np.arange(4.0)))
+        assert math.isnan(_rank_corr(np.array([1.0, np.nan, 2.0]), np.arange(3.0)))
+
+
 class TestCheckOptimum:
     def test_uniform_counts_null_check(self):
         """Exactly uniform counts make every target constant: rank correlation
@@ -287,8 +308,6 @@ class TestMinibatchConvergence:
         config = TrainConfig(epochs_per_month=25, batch_size=128, learning_rate=0.02, seed=4)
         loss = LossConfig.from_preset("bbcnce")
         train_incremental(sample.examples, sample.month_index, params, enc, loss, config, marginals=marginals)
-
-        from scipy.stats import spearmanr
 
         tables = sample.tables
         phi = phi_table(params, spec)

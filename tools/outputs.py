@@ -1,0 +1,226 @@
+"""Run the `twotower` command matrix into a directory, or compare two such runs.
+
+A refactor that promises unchanged behaviour shows it by running the matrix
+on the parent commit and on the change, then comparing the two directories:
+
+    PYTHONPATH=<parent>/src python3 tools/outputs.py run /tmp/outputs-parent
+    PYTHONPATH=src python3 tools/outputs.py run /tmp/outputs-change
+    python3 tools/outputs.py compare /tmp/outputs-parent /tmp/outputs-change
+
+`run` imports `twotower` from the import path, so `PYTHONPATH` picks the
+source tree under test, and `loggen` from this checkout's `bench/`.  It
+writes seeded `bench/loggen.py` logs shaped like the benchmark's three data
+workloads, then runs `prepare`, `train --export-embeddings`, a resume from
+the first checkpoint into a second directory, `eval` for both tasks (plain
+and `--verbose`), `trace` for both tasks (runs with month checkpoints) and
+two `retrieve` queries per task, under each loss configuration of `CASES`;
+and `verify` for two seeds.  Every command runs
+in-process with the run directory as working directory and relative paths,
+so two runs write the same bytes wherever they live.  Each report is kept
+under its own name and the stdout of every command goes to `stdout/`.
+
+`compare` lists the files that are byte-identical, and for each differing
+TSV or JSON file the largest absolute difference of every numeric column
+(JSON: every numeric field).  It exits 0 only when the two trees hold the
+same files with the same bytes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import os
+import shutil
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The log shapes of the benchmark's incremental, targeting and long_history_bce workloads.
+SHAPES = {
+    "incremental": dict(users=500, items=400, events=4000, months=6),
+    "targeting": dict(users=300, items=1200, events=2700, months=3),
+    "long_history": dict(users=120, items=200, events=1800, months=4, activity_sigma=0.5),
+}
+BASE = {
+    "seed": 5,
+    "data.max_seq_len": 20,
+    "data.min_degree": 3,
+    "model.dim": 32,
+    "train.epochs_per_month": 1,
+    "train.batch_size": 256,
+    "eval.num_negatives": 29,
+}
+# name -> (log shape, settings over BASE)
+CASES = {
+    "bbcnce": ("incremental", {}),
+    "infonce": ("targeting", {"loss.preset": "infonce", "eval.num_negatives": 99}),
+    "ssm_last": (
+        "targeting",
+        {"loss.family": "ssm", "loss.preset": "", "loss.num_sampled": 20, "model.aggregator": "last"},
+    ),
+    "full_softmax_row": ("incremental", {"loss.family": "full_softmax_row", "loss.preset": ""}),
+    "full_softmax_col": ("incremental", {"loss.family": "full_softmax_col", "loss.preset": ""}),
+    "bce_attention_shuffled": (
+        "long_history",
+        {
+            "data.max_seq_len": 50,
+            "model.aggregator": "attention",
+            "loss.family": "bce",
+            "loss.negative_strategy": "uniform",
+            "train.mode": "shuffled",
+            "train.epochs_per_month": 2,
+            "train.batch_size": 64,
+        },
+    ),
+}
+VERIFY_SEEDS = (1, 4)
+
+
+def _write_config(path: Path, settings: dict) -> str:
+    path.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()), encoding="utf-8")
+    return path.name
+
+
+def _cli(cli, name: str, argv: list[str]) -> None:
+    """Run one command; its stdout goes to ``stdout/<name>.txt``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    Path("stdout", f"{name}.txt").write_text(out.getvalue(), encoding="utf-8")
+    if code != 0:
+        raise SystemExit(f"{name}: {' '.join(argv)} exited {code}")
+
+
+def run_matrix(directory: Path) -> int:
+    sys.path.insert(0, str(ROOT / "bench"))
+    import loggen
+    from twotower import cli
+
+    directory.mkdir(parents=True, exist_ok=False)
+    os.chdir(directory)
+    os.makedirs("stdout")
+    os.makedirs("logs")
+    for shape, dims in SHAPES.items():
+        loggen.write_csv(loggen.LogShape(**dims), BASE["seed"], f"logs/{shape}.csv")
+
+    for name, (shape, extra) in CASES.items():
+        settings = {**BASE, "data.input": f"logs/{shape}.csv"} | extra
+        cfg = _write_config(Path(f"{name}.cfg"), settings | {"paths.output_dir": name})
+        ckpt = f"{name}/checkpoints/final.ckpt"
+        _cli(cli, f"{name}.prepare", ["prepare", "--config", cfg])
+        _cli(cli, f"{name}.train", ["train", "--config", cfg, "--export-embeddings", f"{name}/embeddings.tsv"])
+        first = sorted(p for p in os.listdir(f"{name}/checkpoints") if p != "final.ckpt")[0]
+        resumed = _write_config(Path(f"{name}.resume.cfg"), settings | {"paths.output_dir": f"{name}.resume"})
+        _cli(cli, f"{name}.resume", ["train", "--config", resumed, "--checkpoint", f"{name}/checkpoints/{first}"])
+        # Each eval and trace rewrites the same report file, so a copy keeps each one.
+        for task in ("ir", "ut"):
+            for verbose in ("", "_verbose"):
+                flags = ["--task", task] + (["--verbose"] if verbose else [])
+                _cli(cli, f"{name}.eval_{task}{verbose}", ["eval", "--config", cfg, "--checkpoint", ckpt, *flags])
+                shutil.copyfile(f"{name}/eval_report.json", f"{name}/eval_report_{task}{verbose}.json")
+            if extra.get("train.mode") != "shuffled":  # trace reads month checkpoints
+                _cli(cli, f"{name}.trace_{task}", ["trace", "--config", cfg, "--task", task])
+                shutil.copyfile(f"{name}/month_trace.tsv", f"{name}/month_trace_{task}.tsv")
+        items = sorted({line.split(",")[1] for line in Path(f"logs/{shape}.csv").read_text().splitlines()})
+        queries = {"ir": [" ".join(items[:3]), " ".join(items[-5:])], "ut": [items[0], items[len(items) // 2]]}
+        for task, texts in queries.items():
+            for k, query in enumerate(texts):
+                flags = ["--task", task, "--query", query, "--top-n", "10"]
+                _cli(cli, f"{name}.retrieve_{task}{k}", ["retrieve", "--config", cfg, "--checkpoint", ckpt, *flags])
+
+    for seed in VERIFY_SEEDS:
+        cfg = _write_config(Path(f"verify{seed}.cfg"), {"verify.seeds": seed, "paths.output_dir": f"verify{seed}"})
+        _cli(cli, f"verify{seed}", ["verify", "--config", cfg])
+    files = sum(len(names) for _, _, names in os.walk("."))
+    print(f"{files} files under {directory} (twotower from {Path(cli.__file__).parent})")
+    return 0
+
+
+def _files(root: Path) -> set[str]:
+    return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+
+
+def _number(value) -> float | None:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _gap(x, y) -> float:
+    """0 for equal values, ``|x - y|`` for two finite numbers, inf otherwise."""
+    nx, ny = _number(x), _number(y)
+    if x == y or nx is not None and ny is not None and math.isnan(nx) and math.isnan(ny):
+        return 0.0
+    if nx is None or ny is None or not (math.isfinite(nx) and math.isfinite(ny)):
+        return math.inf
+    return abs(nx - ny)
+
+
+def _tsv_cells(text: str) -> list[tuple[str, str]]:
+    """(column, value) of every cell split on tabs and spaces; a first row
+    with no number names the columns."""
+    rows = [line.split() for line in text.splitlines()]
+    header = rows[0] if rows and all(_number(cell) is None for cell in rows[0]) else []
+    return [(header[k] if k < len(header) else f"col{k}", cell) for row in rows for k, cell in enumerate(row)]
+
+
+def _json_cells(value, path: str = "") -> list[tuple[str, object]]:
+    """(field path, value) of every leaf; list items share their path."""
+    if isinstance(value, dict):
+        return [cell for key in sorted(value) for cell in _json_cells(value[key], f"{path}.{key}")]
+    if isinstance(value, list):
+        return [cell for item in value for cell in _json_cells(item, f"{path}[]")]
+    return [(path, value)]
+
+
+def _gaps(cells_a: list, cells_b: list) -> dict[str, float]:
+    """Largest gap per column; files of another shape gap at ``layout``."""
+    if [name for name, _ in cells_a] != [name for name, _ in cells_b]:
+        return {"layout": math.inf}
+    gaps: dict[str, float] = {}
+    for (name, x), (_, y) in zip(cells_a, cells_b):
+        gaps[name] = max(gaps.get(name, 0.0), _gap(x, y))
+    return gaps
+
+
+def compare(a: Path, b: Path) -> int:
+    files_a, files_b = _files(a), _files(b)
+    differ = [name for name in sorted(files_a & files_b) if (a / name).read_bytes() != (b / name).read_bytes()]
+    print(
+        f"{len(files_a & files_b) - len(differ)} files byte-identical, {len(differ)} differ, "
+        f"{len(files_a - files_b)} only in {a}, {len(files_b - files_a)} only in {b}"
+    )
+    for name in sorted(files_a ^ files_b):
+        print(f"  only in {a if name in files_a else b}: {name}")
+    cells = {".tsv": _tsv_cells, ".json": lambda text: _json_cells(json.loads(text))}
+    for name in differ:
+        print(f"  differs: {name}")
+        parse = cells.get(Path(name).suffix)
+        if parse is not None:
+            gaps = _gaps(parse((a / name).read_text(encoding="utf-8")), parse((b / name).read_text(encoding="utf-8")))
+            for column, gap in sorted(gaps.items()):
+                if gap:
+                    print(f"    {column}: max |diff| {gap:.3g}")
+    return 0 if not differ and files_a == files_b else 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("run", help="run the command matrix into a new directory").add_argument("dir", type=Path)
+    p_compare = sub.add_parser("compare", help="compare two run directories")
+    p_compare.add_argument("a", type=Path)
+    p_compare.add_argument("b", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        return run_matrix(args.dir.resolve())
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
