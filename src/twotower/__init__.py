@@ -12,13 +12,7 @@ each loss configuration converges to.
 
 __version__ = "0.1.0"
 
-from .data import (  # noqa: F401
-    DatasetSplit,
-    EmpiricalMarginals,
-    InteractionRecord,
-    LabeledExample,
-    TrainingExample,
-)
+from .data import DatasetSplit, EmpiricalMarginals, Events, Examples, Sequences  # noqa: F401
 from .losses import LossConfig, LossOutput  # noqa: F401
 from .model import EncoderConfig, ModelParams  # noqa: F401
 from .trainer import Checkpoint, TrainConfig  # noqa: F401

@@ -108,15 +108,15 @@ def _run_pipeline(cfg: RunConfig) -> Prepared:
     months_total = cfg.data.months_total or log.num_months
     if months_total < 3:
         raise CliError(f"need at least 3 months of data, found {months_total}")
-    split = data_mod.split_by_time(examples, months_total, log.day_to_month)
+    split = data_mod.split_by_time(examples, months_total)
     split = _configured("data", data_mod.filter_sparse, split, cfg.data.min_degree)
-    if not split.train:
+    if not len(split.train):
         raise CliError("no training examples survive the split and degree filter")
-    marginals = data_mod.compute_marginals(split.train)
+    marginals = data_mod.compute_marginals(split.train, log.num_items)
     return Prepared(log, split, marginals, months_total)
 
 
-def _labeled_train(cfg: RunConfig, prepared: Prepared) -> list[data_mod.LabeledExample]:
+def _labeled_train(cfg: RunConfig, prepared: Prepared) -> data_mod.Examples:
     return _configured(
         "loss",
         data_mod.sample_negatives_bce,
@@ -136,7 +136,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     for name in ("train", "validation", "test"):
         part = getattr(prepared.split, name)
         data_mod.write_examples_tsv(part, prepared.marginals, os.path.join(out_dir, f"{name}_examples.tsv"))
-    data_mod.write_marginals_tsv(prepared.marginals, os.path.join(out_dir, "marginals.tsv"))
+    data_mod.write_marginals_tsv(prepared.marginals, prepared.split.train.table, os.path.join(out_dir, "marginals.tsv"))
     loss_config = _configured("loss", loss_config_from, cfg)
     if loss_config.family == "bce":
         labeled = _labeled_train(cfg, prepared)
@@ -149,7 +149,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def _validation_eval_fn(cfg: RunConfig, prepared: Prepared, enc: EncoderConfig):
-    if not prepared.split.validation:
+    if not len(prepared.split.validation):
         logger.warning("validation split empty; no per-month metrics recorded")
         return None
     try:
@@ -189,12 +189,12 @@ def _write_trace(path: str, rows: list[dict], keep_months: Collection[int] = ())
 
 def _export_embeddings(path: str, params: ModelParams, prepared: Prepared, enc: EncoderConfig) -> None:
     item_token = {idx: tok for tok, idx in prepared.log.item_vocab.items()}
-    keys = sorted({ex.pseudo_user for ex in prepared.split.train})
+    train = prepared.split.train
     with open(path, "w", encoding="utf-8") as out:
         for idx in range(params.num_items):
             vec = " ".join(f"{v:.6f}" for v in params.item_embeddings[idx])
             out.write(f"item\t{item_token[idx]}\t{vec}\n")
-        for key in keys:
+        for key in (train.table[k] for k in np.unique(train.key).tolist()):
             vec = " ".join(f"{v:.6f}" for v in encode_user(key, params, enc))
             seq = " ".join(item_token[i] for i in key)
             out.write(f"user\t{seq}\t{vec}\n")
@@ -212,19 +212,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         proposal = (prepared.marginals, prepared.log.num_items, loss_config.ssm_proposal, loss_config.num_sampled)
         _configured("loss", proposal_distribution, *proposal)
     fp = fingerprint(cfg)
-    train_config = _configured(
-        "train",
-        TrainConfig,
-        epochs_per_month=cfg.train.epochs_per_month,
-        batch_size=cfg.train.batch_size,
-        learning_rate=cfg.train.learning_rate,
-        optimizer=cfg.train.optimizer,
-        adam_beta1=cfg.train.adam_beta1,
-        adam_beta2=cfg.train.adam_beta2,
-        adam_epsilon=cfg.train.adam_epsilon,
-        seed=cfg.seed,
-        mode=cfg.train.mode,
-    )
+    train_config = _configured("train", TrainConfig, seed=cfg.seed, **dataclasses.asdict(cfg.train))
     model = cfg.model
     params = _configured("model", ModelParams.initialize, prepared.log.num_items, model.dim, model.temperature, cfg.seed)
     examples = _labeled_train(cfg, prepared) if loss_config.family == "bce" else prepared.split.train
@@ -245,11 +233,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         fingerprint=fp,
     )
     if loss_config.family == "full_softmax_col":
-        kwargs["user_universe"] = sorted({ex.pseudo_user for ex in prepared.split.train})
+        kwargs["user_universe"] = np.unique(prepared.split.train.key)
     try:
-        result = train_incremental(
-            examples, prepared.split.month_index, params, enc, loss_config, train_config, resume=resume, **kwargs
-        )
+        result = train_incremental(examples, params, enc, loss_config, train_config, resume=resume, **kwargs)
     except (NonFiniteLossError, NonFiniteGradientError) as exc:
         raise CliError(f"train: {exc}") from exc
 
@@ -269,11 +255,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _test_anchor_day(prepared: Prepared) -> int:
-    test_days = [d for d, m in prepared.split.month_index.items() if m == prepared.months_total]
-    return min(test_days) if test_days else max(prepared.split.month_index) + 1
-
-
 def _load_params(args: argparse.Namespace, cfg: RunConfig, num_items: int) -> Checkpoint:
     if not args.checkpoint:
         raise CliError("--checkpoint is required")
@@ -289,7 +270,7 @@ def _load_params(args: argparse.Namespace, cfg: RunConfig, num_items: int) -> Ch
 
 
 def _test_cases(cfg: RunConfig, prepared: Prepared, task: str) -> tuple[list[EvalCase], EvalPool]:
-    if not prepared.split.test:
+    if not len(prepared.split.test):
         raise CliError("test split is empty; nothing to evaluate")
     try:
         return build_eval_cases(
@@ -318,7 +299,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         checkpoint.params,
         _configured("model", EncoderConfig, cfg.model.aggregator),
         records=prepared.log.records,
-        anchor_day=_test_anchor_day(prepared),
+        anchor_day=prepared.log.first_day(prepared.months_total),
         window_days=cfg.eval.popularity_window_days,
         keep_per_case=args.verbose,
     )
@@ -394,9 +375,8 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
                 logger.warning("unknown item token %r skipped", tok)
         if not ids:
             raise CliError("no known items in the query sequence")
-        query = tuple(ids)
-        index = RankingIndex.build(params, enc, [query], strict=False)
-        ranked, scores = index.rank("ir", query, range(params.num_items))
+        index = RankingIndex.build(params, enc, data_mod.Sequences.of([ids]), strict=False)
+        ranked, scores = index.rank("ir", 0, range(params.num_items))
         item_token = {idx: tok for tok, idx in prepared.log.item_vocab.items()}
         names = [item_token[item] for item in ranked[:top_n].tolist()]
     else:
@@ -405,16 +385,13 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         tok = tokens[0]
         if tok not in prepared.log.item_vocab:
             raise CliError(f"unknown item token {tok!r}")
+        # A key stands for the user of its first example in train, validation, test order.
         parts = (prepared.split.train, prepared.split.validation, prepared.split.test)
-        key_owner: dict[tuple[int, ...], int] = {}
-        for part in parts:
-            for ex in part:
-                key_owner.setdefault(ex.pseudo_user, ex.user_id)
-        keys = sorted(key_owner)
-        index = RankingIndex.build(params, enc, keys)
+        keys, owners = data_mod.first_owners(np.concatenate([p.key for p in parts]), np.concatenate([p.user for p in parts]))
+        index = RankingIndex.build(params, enc, prepared.split.train.table.take(keys))
         ranked, scores = index.rank("ut", prepared.log.item_vocab[tok], range(len(keys)))
         user_token = {idx: t for t, idx in prepared.log.user_vocab.items()}
-        names = [user_token[key_owner[keys[pos]]] for pos in ranked[:top_n].tolist()]
+        names = [user_token[owner] for owner in owners[ranked[:top_n]].tolist()]
     for rank, (name, score_value) in enumerate(zip(names, scores), start=1):
         print(f"{rank}\t{name}\t{score_value:.6f}")
     return 0

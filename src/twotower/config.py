@@ -184,23 +184,13 @@ def fingerprint(config: RunConfig) -> int:
 
 
 def loss_config_from(config: RunConfig) -> LossConfig:
-    """Build the loss configuration; a preset wins for the bidirectional family."""
+    """Build the loss configuration from the ``loss`` section's fields of the
+    same names; a preset wins for the bidirectional family."""
     section = config.loss
-    common = dict(
-        negative_strategy=section.negative_strategy,
-        num_sampled=section.num_sampled,
-        ssm_proposal=section.ssm_proposal,
-    )
+    values = {f.name: getattr(section, f.name) for f in fields(LossConfig)}
     if section.family == "bidirectional" and section.preset:
-        return LossConfig.from_preset(section.preset, **common)
-    return LossConfig(
-        family=section.family,
-        alpha=section.alpha,
-        beta=section.beta,
-        delta_alpha=section.delta_alpha,
-        delta_beta=section.delta_beta,
-        **common,
-    )
+        return LossConfig.from_preset(section.preset, **values)
+    return LossConfig(**values)
 
 
 def verify_seeds(config: RunConfig) -> tuple[int, ...]:

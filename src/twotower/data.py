@@ -7,28 +7,32 @@ horizon window.  This module also owns the month-based split, the degree
 filter, the empirical marginals and their per-example log-bias lookup,
 negative sampling for the binary-label loss, and shuffled batch iteration.
 
-Pseudo-users are keyed by their exact (truncated) item sequence: two
-examples share a user identity iff their sequences are identical.
+Everything is held as integer columns: events as ``(user, item, day,
+month)``, examples as ``(user, key, target, day, month)``.  Each distinct
+pseudo-user sequence is stored once, as a row of one CSR ``Sequences`` table
+shared by the train, validation and test examples; its row is its key id.
+Key ids follow the sorted order of the sequences as tuples, and two examples
+share a user identity iff their key ids are equal.
 """
 
 from __future__ import annotations
 
 import datetime
+import itertools
 import logging
 import math
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Union
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
 
-UserKey = tuple[int, ...]
-
 # Integer day indices fall into consecutive months of this many days.
 DAYS_PER_MONTH = 30
+# Day indices stay below this bound, so day arithmetic never leaves int64.
+MAX_DAY = 2**53
 
 NEGATIVE_STRATEGIES = ("user-marginal", "item-marginal", "product-of-marginals", "uniform")
 
@@ -38,47 +42,58 @@ class IngestError(ValueError):
 
 
 @dataclass(frozen=True)
-class InteractionRecord:
-    """One purchase event after vocabulary mapping."""
+class Sequences:
+    """Item sequences in CSR form: sequence ``k`` is ``items[offsets[k]:offsets[k + 1]]``."""
 
-    user_id: int
-    item_id: int
-    day: int
+    offsets: np.ndarray  # (K + 1,) int64, starting at 0
+    items: np.ndarray  # (offsets[-1],) int64
+
+    @classmethod
+    def of(cls, sequences: Iterable[Sequence[int]]) -> "Sequences":
+        sequences = list(sequences)
+        offsets = np.r_[0, np.cumsum([len(seq) for seq in sequences], dtype=np.int64)]
+        return cls(offsets, np.fromiter(itertools.chain.from_iterable(sequences), dtype=np.int64, count=offsets[-1]))
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, k: int) -> tuple[int, ...]:
+        return tuple(self.items[self.offsets[k] : self.offsets[k + 1]].tolist())
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return (self[k] for k in range(len(self)))
+
+    def take(self, rows: np.ndarray) -> "Sequences":
+        """The sequences at ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        return Sequences(np.r_[0, np.cumsum(lengths)], self.items[_ranges(starts, lengths)])
 
 
-@dataclass(frozen=True)
-class TrainingExample:
-    """A pseudo-user sequence with one target purchase from its horizon window.
+@dataclass
+class Events:
+    """Purchase events as columns, sorted by ``(user, day)`` with the input
+    order kept for ties; ``month`` is each event's 1-based month."""
 
-    ``pseudo_user`` holds the items bought strictly before ``day``,
-    most-recent-last and truncated to the configured maximum length.
-    """
+    user: np.ndarray
+    item: np.ndarray
+    day: np.ndarray
+    month: np.ndarray
 
-    user_id: int
-    pseudo_user: UserKey
-    target_item: int
-    day: int
-
-
-@dataclass(frozen=True)
-class LabeledExample:
-    """A (pseudo-user, item) pair with a binary label for the BCE loss."""
-
-    user_id: int
-    pseudo_user: UserKey
-    target_item: int
-    day: int
-    label: int
+    def __len__(self) -> int:
+        return self.user.size
 
 
 @dataclass
 class InteractionLog:
-    """Parsed event log: records plus the vocabulary and calendar maps."""
+    """Parsed event log: the events, the vocabularies and ``epoch``, the date
+    of day 0 of an ISO-dated log (``None`` for integer days)."""
 
-    records: list[InteractionRecord]
+    records: Events
     user_vocab: dict[str, int]
     item_vocab: dict[str, int]
-    day_to_month: dict[int, int]
+    epoch: datetime.date | None
 
     @property
     def num_users(self) -> int:
@@ -90,34 +105,81 @@ class InteractionLog:
 
     @property
     def num_months(self) -> int:
-        return max(self.day_to_month.values()) if self.day_to_month else 0
+        return int(self.records.month.max())
+
+    def first_day(self, month: int) -> int:
+        """The first day of ``month`` (day 0 in month 1), or the day after the
+        last event when the log ends before ``month``."""
+        if month > self.num_months:
+            return int(self.records.day.max()) + 1
+        if self.epoch is None:
+            return (month - 1) * DAYS_PER_MONTH
+        year, month0 = divmod(self.epoch.year * 12 + self.epoch.month - 1 + month - 1, 12)
+        return max(0, (datetime.date(year, month0 + 1, 1) - self.epoch).days)
+
+
+@dataclass
+class Examples:
+    """Training examples as columns: row ``r`` pairs pseudo-user ``key[r]`` (a
+    row of the shared ``table``), cut for ``user[r]`` on ``day[r]`` in
+    ``month[r]``, with item ``target[r]``; a binary-label set adds ``label``."""
+
+    table: Sequences
+    user: np.ndarray
+    key: np.ndarray
+    target: np.ndarray
+    day: np.ndarray
+    month: np.ndarray
+    label: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.user.size
+
+    def take(self, rows: np.ndarray) -> "Examples":
+        """The examples at ``rows`` (indices or a mask), sharing the table."""
+        label = None if self.label is None else self.label[rows]
+        return Examples(
+            self.table, self.user[rows], self.key[rows], self.target[rows], self.day[rows], self.month[rows], label
+        )
+
+    def pseudo_users(self) -> Sequences:
+        """Each example's pseudo-user sequence, in row order."""
+        return self.table.take(self.key)
 
 
 @dataclass
 class EmpiricalMarginals:
-    """Empirical pseudo-user and item marginals of a training set.
+    """Empirical pseudo-user and item marginals of a training set: counts
+    per key id and per item id, and ``log(count / total)``, where a zero
+    count gets :meth:`floor_log`.  The exponentials of each log sum to one
+    over the counted support."""
 
-    The exponentials of each log map sum to one over its support; raw counts
-    are kept so that samplers and tests can recompute probabilities exactly.
-    """
+    count_user: np.ndarray
+    count_item: np.ndarray
+    total: int = field(init=False)
+    log_p_user: np.ndarray = field(init=False)
+    log_p_item: np.ndarray = field(init=False)
 
-    log_p_user: dict[UserKey, float]
-    log_p_item: dict[int, float]
-    count_user: dict[UserKey, int]
-    count_item: dict[int, int]
-    total: int
+    def __post_init__(self) -> None:
+        self.total = int(self.count_item.sum())
+        self.log_p_user = self._log_p(self.count_user)
+        self.log_p_item = self._log_p(self.count_item)
 
     def floor_log(self) -> float:
         """Log-probability assigned to keys unseen in the training set."""
         return -math.log(self.total + 1)
 
-    def log_bias(self, examples: Sequence[TrainingExample]) -> tuple[np.ndarray, np.ndarray]:
+    def _log_p(self, counts: np.ndarray) -> np.ndarray:
+        # math.log once per distinct count: np.log differs from it in the
+        # last bit for some ratios.
+        distinct, inverse = np.unique(counts, return_inverse=True)
+        logs = [math.log(c / self.total) if c else self.floor_log() for c in distinct.tolist()]
+        return np.array(logs, dtype=float)[inverse]
+
+    def log_bias(self, examples: Examples) -> tuple[np.ndarray, np.ndarray]:
         """The bias-correction terms ``log p(u)`` and ``log p(i)`` of each
-        example's pseudo-user and target; unseen keys get :meth:`floor_log`."""
-        floor = self.floor_log()
-        log_p_u = np.fromiter((self.log_p_user.get(ex.pseudo_user, floor) for ex in examples), float, len(examples))
-        log_p_i = np.fromiter((self.log_p_item.get(ex.target_item, floor) for ex in examples), float, len(examples))
-        return log_p_u, log_p_i
+        example's pseudo-user and target."""
+        return self.log_p_user[examples.key], self.log_p_item[examples.target]
 
 
 @dataclass
@@ -125,10 +187,9 @@ class DatasetSplit:
     """Month-interval split.  Validation deliberately overlaps the final
     training month; only the test month is disjoint from training."""
 
-    train: list[TrainingExample]
-    validation: list[TrainingExample]
-    test: list[TrainingExample]
-    month_index: dict[int, int]
+    train: Examples
+    validation: Examples
+    test: Examples
 
 
 def _parse_day_field(raw: str) -> Union[int, datetime.date]:
@@ -140,12 +201,12 @@ def _parse_day_field(raw: str) -> Union[int, datetime.date]:
 
 
 def ingest_logs(source: Union[IO[str], IO[bytes], Iterable[str]], delimiter: str = ",") -> InteractionLog:
-    """Parse a delimited event log into records and dense vocabularies.
+    """Parse a delimited event log into event columns and dense vocabularies.
 
     Each line must read ``user,item,date`` where the date is either an
     ISO ``YYYY-MM-DD`` date or a non-negative integer day index.  Integer and
     ISO dates cannot be mixed within one log.  Vocabulary ids are assigned in
-    first-appearance order; records come back sorted by ``(user, day)`` with
+    first-appearance order; events come back sorted by ``(user, day)`` with
     the input order preserved for ties.  Duplicate lines are retained: the
     interaction counts drive the empirical marginals downstream.
 
@@ -157,7 +218,9 @@ def ingest_logs(source: Union[IO[str], IO[bytes], Iterable[str]], delimiter: str
         raise ValueError("delimiter must not be empty")
     user_vocab: dict[str, int] = {}
     item_vocab: dict[str, int] = {}
-    parsed: list[tuple[int, int, Union[int, datetime.date]]] = []
+    users: list[int] = []
+    items: list[int] = []
+    values: list = []
     mode: str | None = None  # "int" or "date"
 
     for lineno, line in enumerate(source, start=1):
@@ -183,79 +246,86 @@ def ingest_logs(source: Union[IO[str], IO[bytes], Iterable[str]], delimiter: str
             raise IngestError(f"line {lineno}: mixes integer days with ISO dates")
         if this_mode == "int" and day_value < 0:
             raise IngestError(f"line {lineno}: negative day index {day_value}")
+        if this_mode == "int" and day_value >= MAX_DAY:
+            raise IngestError(f"line {lineno}: day index {day_value} is not below {MAX_DAY}")
         if user_raw not in user_vocab:
             user_vocab[user_raw] = len(user_vocab)
         if item_raw not in item_vocab:
             item_vocab[item_raw] = len(item_vocab)
-        parsed.append((user_vocab[user_raw], item_vocab[item_raw], day_value))
+        users.append(user_vocab[user_raw])
+        items.append(item_vocab[item_raw])
+        values.append(day_value)
 
-    if not parsed:
+    if not values:
         raise IngestError("input log is empty")
 
+    epoch = None
     if mode == "date":
-        dates = [p[2] for p in parsed]
-        epoch: datetime.date = min(dates)  # type: ignore[type-var]
-        days = [(d - epoch).days for d in dates]  # type: ignore[operator]
-        max_day = max(days)
-        epoch_month = epoch.year * 12 + (epoch.month - 1)
-        day_to_month = {}
-        for d in range(max_day + 1):
-            date = epoch + datetime.timedelta(days=d)
-            day_to_month[d] = date.year * 12 + (date.month - 1) - epoch_month + 1
+        epoch = min(values)
+        epoch_month = epoch.year * 12 + epoch.month - 1
+        day = np.array([(date - epoch).days for date in values], dtype=np.int64)
+        month = np.array([date.year * 12 + date.month - epoch_month for date in values], dtype=np.int64)
     else:
-        days = [p[2] for p in parsed]  # type: ignore[misc]
-        max_day = max(days)
-        day_to_month = {d: d // DAYS_PER_MONTH + 1 for d in range(max_day + 1)}
+        day = np.array(values, dtype=np.int64)
+        month = day // DAYS_PER_MONTH + 1
+    user = np.array(users, dtype=np.int64)
+    order = np.lexsort((day, user))
+    events = Events(user[order], np.array(items, dtype=np.int64)[order], day[order], month[order])
+    return InteractionLog(events, user_vocab, item_vocab, epoch)
 
-    records = [InteractionRecord(u, i, day) for (u, i, _), day in zip(parsed, days)]
-    records.sort(key=lambda r: (r.user_id, r.day))
-    return InteractionLog(records, user_vocab, item_vocab, day_to_month)
 
-
-def build_examples(
-    records: Sequence[InteractionRecord],
-    horizon_days: int,
-    max_seq_len: int,
-) -> list[TrainingExample]:
-    """Enumerate next-n-day prediction examples from sorted records.
+def build_examples(records: Events, horizon_days: int, max_seq_len: int) -> Examples:
+    """Enumerate next-n-day prediction examples from sorted events.
 
     For each user and each of their purchase days ``t`` with non-empty prior
     history, one example is emitted per purchase event inside ``[t, t+n)``.
     The pseudo-user is the chronological prior-purchase sequence truncated to
     the most recent ``max_seq_len`` items.  Users without prior history on a
-    given day contribute nothing for that day.
+    given day contribute nothing for that day.  Examples come in the order
+    user, cut day, target event.
     """
     if horizon_days < 1:
         raise ValueError("horizon_days must be >= 1")
     if max_seq_len < 1:
         raise ValueError("max_seq_len must be >= 1")
+    user, item, day = records.user, records.item, records.day
+    first_of_user = np.r_[True, user[1:] != user[:-1]]
+    # A cut is the first event of each purchase day of a user but the first.
+    cuts = np.flatnonzero(~first_of_user & np.r_[True, day[1:] != day[:-1]])
+    user_start = np.maximum.accumulate(np.where(first_of_user, np.arange(len(records)), 0))
 
-    examples: list[TrainingExample] = []
-    by_user: dict[int, list[InteractionRecord]] = {}
-    for rec in records:
-        by_user.setdefault(rec.user_id, []).append(rec)
+    # Each cut's window ends at the user's first event on or after day t + n:
+    # events sort by (user, rank of day) as one integer.
+    distinct_days = np.unique(day)
+    width = distinct_days.size + 1
+    sort_key = user * width + np.searchsorted(distinct_days, day)
+    horizon_end = day[cuts] + min(horizon_days, MAX_DAY)
+    ends = np.searchsorted(sort_key, user[cuts] * width + np.searchsorted(distinct_days, horizon_end))
 
-    for user_id in sorted(by_user):
-        history = by_user[user_id]  # already day-sorted per ingest contract
-        distinct_days = sorted({rec.day for rec in history})
-        for cut in distinct_days:
-            prior = [rec.item_id for rec in history if rec.day < cut]
-            if not prior:
-                continue
-            pseudo = tuple(prior[-max_seq_len:])
-            for rec in history:
-                if cut <= rec.day < cut + horizon_days:
-                    examples.append(
-                        TrainingExample(user_id=user_id, pseudo_user=pseudo, target_item=rec.item_id, day=cut)
-                    )
-    return examples
+    # The pseudo-user of a cut is the user's items before it, at most max_seq_len,
+    # laid out as rows padded with -1 so that row order is tuple order.
+    starts = np.maximum(user_start[cuts], cuts - max_seq_len)
+    lengths = cuts - starts
+    padded = np.full((cuts.size, int(lengths.max(initial=0))), -1, dtype=np.int64)
+    filled = np.arange(padded.shape[1]) < lengths[:, None]
+    padded[filled] = item[_ranges(starts, lengths)]
+    distinct, cut_key = np.unique(padded, axis=0, return_inverse=True)
+    kept = distinct >= 0
+    table = Sequences(np.r_[0, np.cumsum(kept.sum(axis=1))], distinct[kept])
+
+    counts = ends - cuts
+    source = np.repeat(np.arange(cuts.size), counts)
+    target = item[_ranges(cuts, counts)]
+    return Examples(table, user[cuts][source], cut_key.ravel()[source], target, day[cuts][source], records.month[cuts][source])
 
 
-def split_by_time(
-    examples: Sequence[TrainingExample],
-    months_total: int,
-    month_index: dict[int, int],
-) -> DatasetSplit:
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated positions ``starts[k], ..., starts[k] + lengths[k] - 1``."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
+
+
+def split_by_time(examples: Examples, months_total: int) -> DatasetSplit:
     """Partition examples into train/validation/test month intervals.
 
     With a span of ``T`` months, training covers months ``1..T-1``,
@@ -265,35 +335,23 @@ def split_by_time(
     """
     if months_total < 3:
         raise ValueError("months_total must be >= 3")
-    train: list[TrainingExample] = []
-    validation: list[TrainingExample] = []
-    test: list[TrainingExample] = []
-    for ex in examples:
-        month = month_index[ex.day]
-        if month > months_total:
-            continue
-        if month <= months_total - 1:
-            train.append(ex)
-        if month == months_total - 1:
-            validation.append(ex)
-        if month == months_total:
-            test.append(ex)
-    if not train:
+    month = examples.month
+    train = examples.take(month <= months_total - 1)
+    if not len(train):
         logger.warning("train split is empty for months_total=%d", months_total)
-    return DatasetSplit(train, validation, test, dict(month_index))
+    return DatasetSplit(train, examples.take(month == months_total - 1), examples.take(month == months_total))
 
 
-def _filter_examples(examples: Sequence[TrainingExample], min_degree: int) -> list[TrainingExample]:
+def _filter_examples(examples: Examples, min_degree: int) -> Examples:
     # Iterated to a fixed point so every survivor meets the threshold within
     # the surviving set itself.
-    current = list(examples)
     while True:
-        user_deg = Counter(ex.pseudo_user for ex in current)
-        item_deg = Counter(ex.target_item for ex in current)
-        kept = [ex for ex in current if user_deg[ex.pseudo_user] >= min_degree and item_deg[ex.target_item] >= min_degree]
-        if len(kept) == len(current):
-            return kept
-        current = kept
+        key_degree = np.bincount(examples.key)[examples.key]
+        item_degree = np.bincount(examples.target)[examples.target]
+        keep = (key_degree >= min_degree) & (item_degree >= min_degree)
+        if keep.all():
+            return examples
+        examples = examples.take(keep)
 
 
 def filter_sparse(split: DatasetSplit, min_degree: int = 3) -> DatasetSplit:
@@ -301,33 +359,33 @@ def filter_sparse(split: DatasetSplit, min_degree: int = 3) -> DatasetSplit:
     interactions, independently within each split."""
     if min_degree < 1:
         raise ValueError("min_degree must be >= 1")
-    return DatasetSplit(
-        train=_filter_examples(split.train, min_degree),
-        validation=_filter_examples(split.validation, min_degree),
-        test=_filter_examples(split.test, min_degree),
-        month_index=split.month_index,
+    return DatasetSplit(*(_filter_examples(part, min_degree) for part in (split.train, split.validation, split.test)))
+
+
+def compute_marginals(train_examples: Examples, num_items: int) -> EmpiricalMarginals:
+    """Count pseudo-user keys (over the whole key table) and target items
+    (over the ``num_items`` vocabulary) in the training examples."""
+    if not len(train_examples):
+        raise ValueError("cannot compute marginals of an empty training set")
+    return EmpiricalMarginals(
+        np.bincount(train_examples.key, minlength=len(train_examples.table)),
+        np.bincount(train_examples.target, minlength=num_items),
     )
 
 
-def compute_marginals(train_examples: Sequence[TrainingExample]) -> EmpiricalMarginals:
-    """Count pseudo-user keys and target items over the training examples."""
-    if not train_examples:
-        raise ValueError("cannot compute marginals of an empty training set")
-    count_user: Counter[UserKey] = Counter(ex.pseudo_user for ex in train_examples)
-    count_item: Counter[int] = Counter(ex.target_item for ex in train_examples)
-    total = len(train_examples)
-    log_p_user = {key: math.log(c / total) for key, c in count_user.items()}
-    log_p_item = {item: math.log(c / total) for item, c in count_item.items()}
-    return EmpiricalMarginals(log_p_user, log_p_item, dict(count_user), dict(count_item), total)
+def first_owners(keys: np.ndarray, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys``, ascending, and the user of each one's first occurrence."""
+    distinct, first = np.unique(keys, return_index=True)
+    return distinct, users[first]
 
 
 def sample_negatives_bce(
-    train_examples: Sequence[TrainingExample],
+    train_examples: Examples,
     strategy: str,
     num_items: int,
     ratio: int = 1,
     rng_seed: int = 0,
-) -> list[LabeledExample]:
+) -> Examples:
     """Expand positives into a labeled set with ``ratio`` negatives each.
 
     The four strategies realize the noise distributions
@@ -342,8 +400,9 @@ def sample_negatives_bce(
     * ``uniform``   both drawn uniformly from their universes
       (``p_n = 1/(MK)``).
 
-    Negatives inherit the day of the positive they were drawn for, so they
-    feed the same monthly batches.
+    Each positive is followed by its negatives.  A negative belongs to the
+    user of its key's first training example, and inherits the day of the
+    positive it was drawn for, so it feeds the same monthly batches.
     """
     if strategy not in NEGATIVE_STRATEGIES:
         raise ValueError(f"unknown negative-sampling strategy {strategy!r}; choose from {NEGATIVE_STRATEGIES}")
@@ -351,46 +410,60 @@ def sample_negatives_bce(
         raise ValueError("ratio must be >= 1")
 
     rng = np.random.default_rng(rng_seed)
-    user_keys = sorted({ex.pseudo_user for ex in train_examples})
-    key_owner = {}
-    for ex in train_examples:
-        key_owner.setdefault(ex.pseudo_user, ex.user_id)
-    positives = list(train_examples)
+    user_keys, owners = first_owners(train_examples.key, train_examples.user)
+    owner = np.zeros(len(train_examples.table), dtype=np.int64)
+    owner[user_keys] = owners
+    vocabulary = np.arange(num_items)
+    keys = {"item-marginal": user_keys, "product-of-marginals": train_examples.key, "uniform": user_keys}.get(strategy)
+    items = {"user-marginal": vocabulary, "product-of-marginals": train_examples.target, "uniform": vocabulary}.get(strategy)
 
-    out: list[LabeledExample] = []
-    for ex in positives:
-        out.append(LabeledExample(ex.user_id, ex.pseudo_user, ex.target_item, ex.day, label=1))
-        for _ in range(ratio):
-            if strategy == "user-marginal":
-                key = ex.pseudo_user
-                item = int(rng.integers(num_items))
-            elif strategy == "item-marginal":
-                key = user_keys[int(rng.integers(len(user_keys)))]
-                item = ex.target_item
-            elif strategy == "product-of-marginals":
-                key = positives[int(rng.integers(len(positives)))].pseudo_user
-                item = positives[int(rng.integers(len(positives)))].target_item
-            else:  # uniform
-                key = user_keys[int(rng.integers(len(user_keys)))]
-                item = int(rng.integers(num_items))
-            out.append(LabeledExample(key_owner.get(key, ex.user_id), key, item, ex.day, label=0))
-    return out
+    neg_key = np.repeat(train_examples.key, ratio)
+    neg_item = np.repeat(train_examples.target, ratio)
+    # One draw at a time: the bounds interleave, and a vectorized draw of
+    # bounded integers is not the same stream as scalar draws.
+    for j in range(neg_key.size):
+        if keys is not None:
+            neg_key[j] = keys[rng.integers(keys.size)]
+        if items is not None:
+            neg_item[j] = items[rng.integers(items.size)]
+
+    def interleave(positive: np.ndarray, negative: np.ndarray) -> np.ndarray:
+        return np.column_stack((positive, negative.reshape(-1, ratio))).ravel()
+
+    n = len(train_examples)
+    return Examples(
+        train_examples.table,
+        interleave(train_examples.user, owner[neg_key]),
+        interleave(train_examples.key, neg_key),
+        interleave(train_examples.target, neg_item),
+        np.repeat(train_examples.day, ratio + 1),
+        np.repeat(train_examples.month, ratio + 1),
+        interleave(np.ones(n, dtype=np.int64), np.zeros(n * ratio, dtype=np.int64)),
+    )
 
 
-def make_batches(examples: Sequence, batch_size: int, rng: np.random.Generator) -> Iterator[list]:
-    """Yield shuffled fixed-size batches of ``examples``.
+def make_batches(num_examples: int, batch_size: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Yield the example indices of shuffled fixed-size batches.
 
     The final short batch is emitted as-is.  Identical inputs and generator
     state give an identical batch stream.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    order = rng.permutation(len(examples))
-    for start in range(0, len(examples), batch_size):
-        yield [examples[idx] for idx in order[start : start + batch_size]]
+    order = rng.permutation(num_examples)
+    for start in range(0, num_examples, batch_size):
+        yield order[start : start + batch_size]
 
 
-def write_examples_tsv(examples: Sequence[TrainingExample], marginals: EmpiricalMarginals, path: str) -> None:
+def _row_text(examples: Examples) -> list[str]:
+    """Each example's user, space-separated item sequence and target."""
+    keys = np.unique(examples.key).tolist()
+    seq = dict(zip(keys, (" ".join(map(str, examples.table[k])) for k in keys)))
+    columns = (examples.user.tolist(), examples.key.tolist(), examples.target.tolist())
+    return [f"{u}\t{seq[k]}\t{t}" for u, k, t in zip(*columns)]
+
+
+def write_examples_tsv(examples: Examples, marginals: EmpiricalMarginals, path: str) -> None:
     """Write the multinomial-format example file.
 
     Columns: user key, space-separated item sequence, target item, and the
@@ -398,25 +471,24 @@ def write_examples_tsv(examples: Sequence[TrainingExample], marginals: Empirical
     """
     log_p_u, log_p_i = marginals.log_bias(examples)
     with open(path, "w", encoding="utf-8") as out:
-        for ex, lpu, lpi in zip(examples, log_p_u.tolist(), log_p_i.tolist()):
-            seq = " ".join(str(i) for i in ex.pseudo_user)
-            out.write(f"{ex.user_id}\t{seq}\t{ex.target_item}\t{lpu:.6f}\t{lpi:.6f}\n")
+        for row, lpu, lpi in zip(_row_text(examples), log_p_u.tolist(), log_p_i.tolist()):
+            out.write(f"{row}\t{lpu:.6f}\t{lpi:.6f}\n")
 
 
-def write_labeled_tsv(examples: Sequence[LabeledExample], path: str) -> None:
+def write_labeled_tsv(examples: Examples, path: str) -> None:
     """Write the binary-label example file (bias columns replaced by the label)."""
     with open(path, "w", encoding="utf-8") as out:
-        for ex in examples:
-            seq = " ".join(str(i) for i in ex.pseudo_user)
-            out.write(f"{ex.user_id}\t{seq}\t{ex.target_item}\t{ex.label}\n")
+        for row, label in zip(_row_text(examples), examples.label.tolist()):
+            out.write(f"{row}\t{label}\n")
 
 
-def write_marginals_tsv(marginals: EmpiricalMarginals, path: str) -> None:
-    """Write user-key and item marginals with raw counts, one entry per line."""
+def write_marginals_tsv(marginals: EmpiricalMarginals, table: Sequences, path: str) -> None:
+    """Write the counted user keys (``table`` rows) and items with their
+    counts and logs, one entry per line, each in ascending id order."""
     with open(path, "w", encoding="utf-8") as out:
         out.write(f"total\t{marginals.total}\n")
-        for key in sorted(marginals.log_p_user):
-            seq = " ".join(str(i) for i in key)
+        for key in np.flatnonzero(marginals.count_user).tolist():
+            seq = " ".join(map(str, table[key]))
             out.write(f"user\t{seq}\t{marginals.count_user[key]}\t{marginals.log_p_user[key]:.6f}\n")
-        for item in sorted(marginals.log_p_item):
+        for item in np.flatnonzero(marginals.count_item).tolist():
             out.write(f"item\t{item}\t{marginals.count_item[item]}\t{marginals.log_p_item[item]:.6f}\n")

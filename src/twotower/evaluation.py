@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 import statistics
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import InteractionRecord, TrainingExample, UserKey
+from .data import Events, Examples, Sequences, first_owners
 from .model import EncoderConfig, ModelParams, encode_user_batch, normalize_rows
 
 TASKS = ("ir", "ut")
@@ -31,13 +30,13 @@ class PoolTooSmallError(ValueError):
 class EvalCase:
     """One ranking problem: a query against a fixed candidate pool.
 
-    For IR the query is a pseudo-user sequence and candidates are item ids;
+    For IR the query is a pseudo-user key id and candidates are item ids;
     for UT the query is an item id and candidates are indices into the eval
-    pool's user-key list.
+    pool's ``user_keys``.
     """
 
     task: str
-    query: UserKey | int
+    query: int
     positives: frozenset[int]
     candidates: tuple[int, ...]
     cutoff: int
@@ -45,11 +44,14 @@ class EvalCase:
 
 @dataclass
 class EvalPool:
-    """Shared candidate universe for a batch of cases."""
+    """Shared candidate universe for a batch of cases: the key table the
+    key ids refer to and, for UT, the candidate key ids (ascending) with the
+    user each one stands for."""
 
     task: str
-    user_keys: tuple[UserKey, ...] | None = None
-    key_owner: dict[UserKey, int] | None = None
+    table: Sequences
+    user_keys: np.ndarray | None = None
+    key_owner: np.ndarray | None = None
 
 
 @dataclass
@@ -65,17 +67,19 @@ class EvalReport:
 
 
 def build_eval_cases(
-    test_examples: Sequence[TrainingExample],
+    test_examples: Examples,
     task: str,
     num_negatives: int,
     seed: int,
     cutoff: int,
 ) -> tuple[list[EvalCase], EvalPool]:
-    """One case per (query, positive) pair with sampled negatives.
+    """One case per (query, positive) pair with sampled negatives, in the
+    order of the examples by (user, day, target, key).
 
     IR: each test example's target is the positive, negatives drawn
     uniformly without replacement from the test item pool excluding every
-    positive of that user.  UT is symmetric over pseudo-user keys.
+    positive of that user.  UT is symmetric over pseudo-user keys; a key
+    stands for the smallest user id among its examples.
     """
     if task not in TASKS:
         raise ValueError(f"task must be one of {TASKS}")
@@ -83,33 +87,28 @@ def build_eval_cases(
         raise ValueError("num_negatives must be >= 0")
     if cutoff < 1:
         raise ValueError("top-N cutoff must be >= 1")
-    if not test_examples:
+    if not len(test_examples):
         raise ValueError("no test examples to evaluate")
     rng = np.random.default_rng(seed)
-    ordered = sorted(test_examples, key=lambda e: (e.user_id, e.day, e.target_item, e.pseudo_user))
+    ex = test_examples
+    ex = ex.take(np.lexsort((ex.key, ex.target, ex.day, ex.user)))
 
     # (exclusion group, query, positive) per case: IR groups by user, UT by item.
     if task == "ir":
-        universe = sorted({ex.target_item for ex in ordered})
-        triples = [(ex.user_id, ex.pseudo_user, ex.target_item) for ex in ordered]
-        pool = EvalPool(task="ir")
+        universe = np.unique(ex.target)
+        groups, queries, positives = ex.user, ex.key, ex.target
+        pool = EvalPool("ir", ex.table)
     else:
-        keys = sorted({ex.pseudo_user for ex in ordered})
-        key_index = {key: pos for pos, key in enumerate(keys)}
-        key_owner: dict[UserKey, int] = {}
-        for ex in ordered:
-            key_owner.setdefault(ex.pseudo_user, ex.user_id)
-        universe = range(len(keys))
-        triples = [(ex.target_item, ex.target_item, key_index[ex.pseudo_user]) for ex in ordered]
-        pool = EvalPool(task="ut", user_keys=tuple(keys), key_owner=key_owner)
-    universe_arr = np.asarray(universe, dtype=np.int64)
+        keys, owners = first_owners(ex.key, ex.user)
+        universe = np.arange(keys.size)
+        groups, queries, positives = ex.target, ex.target, np.searchsorted(keys, ex.key)
+        pool = EvalPool("ut", ex.table, keys, owners)
+    triples = list(zip(groups.tolist(), queries.tolist(), positives.tolist()))
     excluded: dict[int, set[int]] = {}
     for group, _, positive in triples:
         excluded.setdefault(group, set()).add(positive)
     # One eligible-negative array per exclusion set; every positive is in the universe.
-    eligible = {
-        group: np.delete(universe_arr, np.searchsorted(universe_arr, sorted(pos))) for group, pos in excluded.items()
-    }
+    eligible = {group: np.delete(universe, np.searchsorted(universe, sorted(pos))) for group, pos in excluded.items()}
     cases: list[EvalCase] = []
     for group, query, positive in triples:
         pick = eligible[group]
@@ -128,39 +127,44 @@ class RankingIndex:
     is a row gather and one matrix-vector product."""
 
     items: np.ndarray  # (num_items, d)
-    users: np.ndarray  # (num_keys, d); row r encodes the r-th key
-    user_row: dict[UserKey, int]
+    users: np.ndarray  # (num_sequences, d); row r encodes the r-th sequence
     temperature: float
 
     @classmethod
     def build(
-        cls, params: ModelParams, enc_config: EncoderConfig, keys: Sequence[UserKey], strict: bool = True
+        cls, params: ModelParams, enc_config: EncoderConfig, sequences: Sequences, strict: bool = True
     ) -> "RankingIndex":
-        """Encode each of the distinct ``keys`` once, as a row of the user table,
-        ``ENCODE_CHUNK`` keys at a time (a padded batch gathers ``(n, L, d)``)."""
+        """Encode each of the distinct ``sequences`` once, as a row of the user
+        table, ``ENCODE_CHUNK`` at a time (a padded batch gathers ``(n, L, d)``)."""
         items, _ = normalize_rows(params.item_embeddings)
-        users = np.empty((len(keys), params.dim))
-        for start in range(0, len(keys), ENCODE_CHUNK):
-            chunk = keys[start : start + ENCODE_CHUNK]
+        users = np.empty((len(sequences), params.dim))
+        for start in range(0, len(sequences), ENCODE_CHUNK):
+            chunk = sequences.take(np.arange(start, min(start + ENCODE_CHUNK, len(sequences))))
             users[start : start + len(chunk)] = encode_user_batch(chunk, params, enc_config, strict=strict).vectors
         users, _ = normalize_rows(users)
-        return cls(items, users, {key: row for row, key in enumerate(keys)}, params.temperature)
+        return cls(items, users, params.temperature)
 
     @classmethod
     def for_cases(
         cls, cases: Sequence[EvalCase], pool: EvalPool, params: ModelParams, enc_config: EncoderConfig
-    ) -> "RankingIndex":
-        """IR encodes the cases' distinct query sequences, UT the pool's keys."""
-        keys = pool.user_keys if pool.task == "ut" else list(dict.fromkeys(case.query for case in cases))
-        return cls.build(params, enc_config, keys)
+    ) -> tuple["RankingIndex", list[int]]:
+        """The index of the cases and each case's query as :meth:`rank` takes
+        it.  IR encodes the cases' distinct query keys in first-appearance
+        order and queries by row, UT encodes the pool's keys."""
+        queries = [case.query for case in cases]
+        if pool.task == "ut":
+            return cls.build(params, enc_config, pool.table.take(pool.user_keys)), queries
+        row = {key: r for r, key in enumerate(dict.fromkeys(queries))}
+        return cls.build(params, enc_config, pool.table.take(list(row))), [row[key] for key in queries]
 
-    def rank(self, task: str, query: UserKey | int, candidates: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    def rank(self, task: str, query: int, candidates: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Candidates by descending score, ties by ascending id, and their scores.
-        IR ranks item ids for a pseudo-user, UT user-table rows for an item id."""
+        IR ranks item ids for user-table row ``query``, UT user-table rows for
+        item id ``query``."""
         if task == "ir":
-            table, q_hat = self.items, self.users[self.user_row[query]]
+            table, q_hat = self.items, self.users[query]
         else:
-            table, q_hat = self.users, self.items[int(query)]
+            table, q_hat = self.users, self.items[query]
         cand = np.asarray(candidates, dtype=np.int64)
         scores = table[cand] @ q_hat / self.temperature
         order = np.lexsort((cand, -scores))
@@ -174,8 +178,8 @@ def rank_candidates(
     pool: EvalPool,
 ) -> list[int]:
     """Candidates by descending score; ties broken by ascending id."""
-    index = RankingIndex.for_cases([case], pool, params, enc_config)
-    return index.rank(case.task, case.query, case.candidates)[0].tolist()
+    index, queries = RankingIndex.for_cases([case], pool, params, enc_config)
+    return index.rank(case.task, queries[0], case.candidates)[0].tolist()
 
 
 def recall_at_n(case: EvalCase, ranking: Sequence[int]) -> float:
@@ -194,26 +198,23 @@ def ndcg_at_n(case: EvalCase, ranking: Sequence[int]) -> float:
 
 
 def popularity_counts(
-    records: Sequence[InteractionRecord],
+    records: Events,
     anchor_day: int,
     window_days: int = 365,
-) -> tuple[Counter, Counter]:
-    """Interactions per item and per user inside ``[anchor-window, anchor)``."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interactions per item id and per user id inside ``[anchor-window, anchor)``."""
     if window_days < 1:
         raise ValueError(f"popularity_window_days must be >= 1, got {window_days}")
-    items: Counter = Counter()
-    users: Counter = Counter()
-    lo = anchor_day - window_days
-    for rec in records:
-        if lo <= rec.day < anchor_day:
-            items[rec.item_id] += 1
-            users[rec.user_id] += 1
+    inside = (records.day >= anchor_day - window_days) & (records.day < anchor_day)
+    items = np.bincount(records.item[inside], minlength=int(records.item.max()) + 1)
+    users = np.bincount(records.user[inside], minlength=int(records.user.max()) + 1)
     return items, users
 
 
-def popularity_stats(top_lists: Sequence[Sequence[int]], counts: Counter) -> tuple[float, float]:
+def popularity_stats(top_lists: Sequence[Sequence[int]], counts: np.ndarray) -> tuple[float, float]:
     """Median and mean trailing-window popularity over all retrieved objects."""
-    values = [counts.get(obj, 0) for ranking in top_lists for obj in ranking]
+    objects = np.array([obj for ranking in top_lists for obj in ranking], dtype=np.int64)
+    values = counts[objects].tolist()
     if not values:
         return 0.0, 0.0
     return float(statistics.median(values)), float(statistics.fmean(values))
@@ -225,7 +226,7 @@ def evaluate(
     params: ModelParams,
     enc_config: EncoderConfig,
     *,
-    records: Sequence[InteractionRecord] | None = None,
+    records: Events | None = None,
     anchor_day: int | None = None,
     window_days: int = 365,
     keep_per_case: bool = False,
@@ -238,17 +239,18 @@ def evaluate(
     ndcgs: list[float] = []
     per_case: list[dict] = []
     top_lists: list[list[int]] = []
-    index = RankingIndex.for_cases(cases, pool, params, enc_config)
-    for case in cases:
-        top = index.rank(case.task, case.query, case.candidates)[0][: case.cutoff].tolist()
+    index, queries = RankingIndex.for_cases(cases, pool, params, enc_config)
+    for case, query in zip(cases, queries):
+        top = index.rank(case.task, query, case.candidates)[0][: case.cutoff].tolist()
         r = recall_at_n(case, top)
         n = ndcg_at_n(case, top)
         recalls.append(r)
         ndcgs.append(n)
-        top_objects = [pool.key_owner[pool.user_keys[idx]] for idx in top] if pool.task == "ut" else top
+        top_objects = pool.key_owner[top].tolist() if pool.task == "ut" else top
         top_lists.append(top_objects)
         if keep_per_case:
-            per_case.append({"query": list(case.query) if case.task == "ir" else case.query, "recall": r, "ndcg": n, "top": top_objects})
+            query = list(pool.table[case.query]) if case.task == "ir" else case.query
+            per_case.append({"query": query, "recall": r, "ndcg": n, "top": top_objects})
 
     pop_median = pop_mean = None
     if records is not None and anchor_day is not None:

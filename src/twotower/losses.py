@@ -27,13 +27,12 @@ masked: the marginal correction is the intended remedy for popularity skew.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .data import EmpiricalMarginals, LabeledExample, TrainingExample, UserKey
+from .data import EmpiricalMarginals, Examples
 from .model import EncoderConfig, GradientTable, ModelParams, score_matrix_backward, score_matrix_forward
 
 LOSS_FAMILIES = ("bce", "ssm", "full_softmax_row", "full_softmax_col", "bidirectional")
@@ -76,17 +75,11 @@ class LossConfig:
 
     @classmethod
     def from_preset(cls, name: str, **kwargs) -> "LossConfig":
+        """The bidirectional loss with the preset's flags; ``kwargs`` set the other fields."""
         if name not in PRESETS:
             raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-        alpha, delta_alpha, beta, delta_beta = PRESETS[name]
-        return cls(
-            family="bidirectional",
-            alpha=alpha,
-            beta=beta,
-            delta_alpha=delta_alpha,
-            delta_beta=delta_beta,
-            **kwargs,
-        )
+        flags = dict(zip(("alpha", "delta_alpha", "beta", "delta_beta"), PRESETS[name]))
+        return cls(**{**kwargs, "family": "bidirectional", **flags})
 
 
 @dataclass
@@ -197,24 +190,23 @@ def full_softmax_value(phi: np.ndarray, positive_cols: np.ndarray) -> tuple[floa
 
 
 def bce_loss(
-    batch: Sequence[LabeledExample],
+    batch: Examples,
     params: ModelParams,
     enc_config: EncoderConfig,
 ) -> LossOutput:
     """Binary cross-entropy over labeled pairs, with parameter gradients."""
-    if not batch:
+    if not len(batch):
         raise ValueError("batch is empty")
-    sequences = [ex.pseudo_user for ex in batch]
-    items = np.array([[ex.target_item] for ex in batch], dtype=np.int64)  # one candidate per row
-    labels = np.array([ex.label for ex in batch], dtype=float)
-    phi, cache = score_matrix_forward(sequences, items, params, enc_config)
+    items = batch.target[:, None]  # one candidate per row
+    labels = batch.label.astype(float)
+    phi, cache = score_matrix_forward(batch.pseudo_users(), items, params, enc_config)
     value, dphi = bce_value(phi[:, 0], labels)
     grads = score_matrix_backward(cache, dphi[:, None], params, enc_config)
     return LossOutput(value=value, gradients=grads, dscore=dphi)
 
 
 def bidirectional_batch_loss(
-    batch: Sequence[TrainingExample],
+    batch: Examples,
     params: ModelParams,
     enc_config: EncoderConfig,
     config: LossConfig,
@@ -222,48 +214,41 @@ def bidirectional_batch_loss(
 ) -> LossOutput:
     """Score the batch, apply the bidirectional loss with the bias terms of
     the training ``marginals``, backprop to parameters."""
-    sequences = [ex.pseudo_user for ex in batch]
-    targets = [ex.target_item for ex in batch]
     log_p_u, log_p_i = marginals.log_bias(batch)
-    phi, cache = score_matrix_forward(sequences, targets, params, enc_config)
+    phi, cache = score_matrix_forward(batch.pseudo_users(), batch.target, params, enc_config)
     out = bidirectional_nce_loss(phi, log_p_u, log_p_i, config)
     out.gradients = score_matrix_backward(cache, out.dscore, params, enc_config)
     return out
 
 
 def full_softmax_row_loss(
-    batch: Sequence[TrainingExample],
+    batch: Examples,
     params: ModelParams,
     enc_config: EncoderConfig,
 ) -> LossOutput:
     """Multinomial NLL with the partition over the entire item vocabulary."""
-    if not batch:
+    if not len(batch):
         raise ValueError("batch is empty")
-    sequences = [ex.pseudo_user for ex in batch]
-    targets = np.array([ex.target_item for ex in batch], dtype=np.int64)
-    phi, cache = score_matrix_forward(sequences, np.arange(params.num_items), params, enc_config)
-    value, dphi = full_softmax_value(phi, targets)
+    phi, cache = score_matrix_forward(batch.pseudo_users(), np.arange(params.num_items), params, enc_config)
+    value, dphi = full_softmax_value(phi, batch.target)
     grads = score_matrix_backward(cache, dphi, params, enc_config)
     return LossOutput(value=value, gradients=grads, dscore=dphi)
 
 
 def full_softmax_col_loss(
-    batch: Sequence[TrainingExample],
+    batch: Examples,
     params: ModelParams,
     enc_config: EncoderConfig,
-    user_universe: Sequence[UserKey],
+    user_universe: np.ndarray,
 ) -> LossOutput:
-    """Symmetric oracle: softmax over a full pseudo-user universe per item."""
-    if not batch:
+    """Symmetric oracle: softmax over a universe of key ids (ascending) per item."""
+    if not len(batch):
         raise ValueError("batch is empty")
-    index = {key: pos for pos, key in enumerate(user_universe)}
-    try:
-        positives = np.array([index[ex.pseudo_user] for ex in batch], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError("batch pseudo-user missing from the supplied universe") from exc
-    targets = [ex.target_item for ex in batch]
+    if not np.isin(batch.key, user_universe).all():
+        raise ValueError("batch pseudo-user missing from the supplied universe")
+    positives = np.searchsorted(user_universe, batch.key)
     # Rows are universe users, columns the batch's targets.
-    phi, cache = score_matrix_forward(list(user_universe), targets, params, enc_config)
+    phi, cache = score_matrix_forward(batch.table.take(user_universe), batch.target, params, enc_config)
     value, dphi_t = full_softmax_value(phi.T, positives)
     grads = score_matrix_backward(cache, dphi_t.T, params, enc_config)
     return LossOutput(value=value, gradients=grads, dscore=dphi_t.T)
@@ -283,8 +268,7 @@ def proposal_distribution(
         q = np.full(num_items, 1.0 / num_items)
     else:
         q = np.zeros(num_items)
-        for item, count in marginals.count_item.items():
-            q[item] = count / marginals.total
+        q[: marginals.count_item.size] = marginals.count_item / marginals.total
     support = np.count_nonzero(q)
     if num_sampled > support - 1:
         raise ValueError(
@@ -295,7 +279,7 @@ def proposal_distribution(
 
 
 def ssm_loss(
-    batch: Sequence[TrainingExample],
+    batch: Examples,
     params: ModelParams,
     enc_config: EncoderConfig,
     marginals: EmpiricalMarginals,
@@ -310,37 +294,36 @@ def ssm_loss(
     every logit is corrected by ``-log q``; the loss is the softmax NLL over
     the positive plus its sampled candidates.
     """
-    if not batch:
+    if not len(batch):
         raise ValueError("batch is empty")
     num_items = params.num_items
     q = proposal_distribution(marginals, num_items, proposal, num_sampled)
 
-    sequences = [ex.pseudo_user for ex in batch]
     candidates = np.empty((len(batch), 1 + num_sampled), dtype=np.int64)  # positive first
-    for b, ex in enumerate(batch):
-        if q[ex.target_item] <= 0.0:
-            raise ValueError(f"positive item {ex.target_item} has zero proposal probability")
+    candidates[:, 0] = batch.target
+    for b, target in enumerate(batch.target.tolist()):
+        if q[target] <= 0.0:
+            raise ValueError(f"positive item {target} has zero proposal probability")
         masked = q.copy()
-        masked[ex.target_item] = 0.0
+        masked[target] = 0.0
         masked /= masked.sum()
-        candidates[b, 0] = ex.target_item
         candidates[b, 1:] = rng.choice(num_items, size=num_sampled, replace=False, p=masked)
 
-    phi, cache = score_matrix_forward(sequences, candidates, params, enc_config)
+    phi, cache = score_matrix_forward(batch.pseudo_users(), candidates, params, enc_config)
     value, dphi = full_softmax_value(phi - np.log(q[candidates]), np.zeros(len(batch), dtype=np.int64))
     grads = score_matrix_backward(cache, dphi, params, enc_config)
     return LossOutput(value=value, gradients=grads, dscore=dphi)
 
 
 def loss_with_gradients(
-    batch: Sequence,
+    batch: Examples,
     params: ModelParams,
     enc_config: EncoderConfig,
     config: LossConfig,
     *,
     marginals: EmpiricalMarginals | None = None,
     rng: np.random.Generator | None = None,
-    user_universe: Sequence[UserKey] | None = None,
+    user_universe: np.ndarray | None = None,
 ) -> LossOutput:
     """Evaluate the configured loss on a batch; value plus exact gradients."""
     if config.family == "bce":

@@ -6,9 +6,9 @@ mean, last or attention pooling.  The match score is the l2-normalized dot
 product rescaled by a fixed temperature, so scores live in
 ``[-1/tau, +1/tau]`` and are invariant to the scale of either vector.
 
-A batch of pseudo-users is held padded: a ``(B, L)`` id matrix, the mask of
-its real positions and the lengths, so pooling and its backward pass are
-array operations over the whole batch.  One scoring kernel serves every
+A batch of pseudo-users (CSR rows, ``data.Sequences``) is held padded: a
+``(B, L)`` id matrix, the mask of its real positions and the lengths, so
+pooling and its backward pass are array operations over the whole batch.  One scoring kernel serves every
 loss: ``score_matrix_forward`` scores the batch against shared item columns
 (1-d ids, a ``(B, C)`` score matrix) or against candidates of its own per
 row (``(B, K)`` ids and scores; ``K = 1`` scores pairs), and
@@ -20,12 +20,13 @@ everything below the scores lives here.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+
+from .data import Examples, Sequences
 
 logger = logging.getLogger(__name__)
 
@@ -120,16 +121,14 @@ class UserBatch:
     weights: np.ndarray | None
 
 
-def _pad_sequences(
-    sequences: Sequence[Sequence[int]], params: ModelParams, strict: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Padded ids, mask and lengths.  With ``strict`` (training),
-    out-of-vocabulary ids raise; otherwise they are skipped with a warning
-    and only a sequence left with no known item raises."""
-    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+def _pad_sequences(sequences: Sequences, params: ModelParams, strict: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Padded ids, mask and lengths of the CSR rows.  With ``strict``
+    (training), out-of-vocabulary ids raise; otherwise they are skipped with
+    a warning and only a sequence left with no known item raises."""
+    lengths = np.diff(sequences.offsets)
     if np.any(lengths == 0):
         raise ValueError("pseudo-user sequence is empty")
-    flat = np.fromiter(itertools.chain.from_iterable(sequences), dtype=np.int64, count=int(lengths.sum()))
+    flat = sequences.items
     known = (flat >= 0) & (flat < params.num_items)
     if not np.all(known):
         bad = flat[~known]
@@ -148,7 +147,7 @@ def _pad_sequences(
 
 
 def encode_user_batch(
-    sequences: Sequence[Sequence[int]],
+    sequences: Sequences,
     params: ModelParams,
     config: EncoderConfig,
     strict: bool = True,
@@ -183,7 +182,7 @@ def encode_user(
     With ``strict`` (training), out-of-vocabulary ids raise; otherwise they
     are skipped with a warning and only a fully unknown sequence raises.
     """
-    return encode_user_batch([pseudo_user], params, config, strict).vectors[0]
+    return encode_user_batch(Sequences.of([pseudo_user]), params, config, strict).vectors[0]
 
 
 def encode_item(item_id: int, params: ModelParams) -> np.ndarray:
@@ -244,7 +243,7 @@ class MatrixCache:
 
 
 def score_matrix_forward(
-    sequences: Sequence[Sequence[int]],
+    sequences: Sequences,
     col_item_ids: Sequence[int] | np.ndarray,
     params: ModelParams,
     config: EncoderConfig,
@@ -295,9 +294,7 @@ def score_matrix_backward(
     return GradientTable.accumulate(ids, grads, d_attention)
 
 
-def score_matrix(batch: Sequence, params: ModelParams, config: EncoderConfig) -> np.ndarray:
+def score_matrix(batch: Examples, params: ModelParams, config: EncoderConfig) -> np.ndarray:
     """Score matrix of a batch: entry (r, c) scores user r against target c."""
-    sequences = [ex.pseudo_user for ex in batch]
-    targets = [ex.target_item for ex in batch]
-    phi, _ = score_matrix_forward(sequences, targets, params, config)
+    phi, _ = score_matrix_forward(batch.pseudo_users(), batch.target, params, config)
     return phi

@@ -27,12 +27,12 @@ import json
 import math
 import os
 import struct
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import EmpiricalMarginals, UserKey, make_batches
+from .data import EmpiricalMarginals, Examples, make_batches
 from .losses import LossConfig, loss_with_gradients
 from .model import EncoderConfig, GradientTable, ModelParams
 
@@ -316,15 +316,14 @@ def _epoch_rng(seed: int, phase: int, epoch: int) -> np.random.Generator:
 
 
 def train_incremental(
-    examples: Sequence,
-    month_index: dict[int, int],
+    examples: Examples,
     params: ModelParams,
     enc_config: EncoderConfig,
     loss_config: LossConfig,
     train_config: TrainConfig,
     *,
     marginals: EmpiricalMarginals | None = None,
-    user_universe: Sequence[UserKey] | None = None,
+    user_universe: np.ndarray | None = None,
     eval_fn: Callable[[ModelParams, int], dict] | None = None,
     checkpoint_dir: str | None = None,
     fingerprint: int = 0,
@@ -332,7 +331,7 @@ def train_incremental(
 ) -> TrainResult:
     """Train in phases of ``epochs_per_month`` epochs each.
 
-    The months are those of the examples' days (``month_index``), ascending.
+    The months are those of the examples' ``month`` column, ascending.
     Mode ``incremental`` runs one phase per month in that order, writing
     ``month_*_epoch_*.ckpt`` inside a month and ``month_*.ckpt`` after it.
     Mode ``shuffled`` (the baseline) runs one phase over the pooled data,
@@ -341,21 +340,18 @@ def train_incremental(
     incremental step sequence exactly (same derived generators, same pool).
 
     ``examples`` must already be in the form the loss family consumes
-    (labeled pairs for ``bce``, training examples otherwise); the
+    (with the ``label`` column for ``bce``); the
     bidirectional and ``ssm`` losses read the training ``marginals``.  After
     each phase the optional ``eval_fn`` is invoked on a parameter snapshot
     and its metrics are appended to the trace.  ``resume`` continues from a
     checkpoint's cursor in either mode.
     """
-    by_month: dict[int, list] = {}
-    for ex in examples:
-        by_month.setdefault(month_index[ex.day], []).append(ex)
-    months = tuple(sorted(by_month))
+    months = tuple(np.unique(examples.month).tolist())
     if not months:
         raise ValueError("no training examples, so no months to train")
     shuffled = train_config.mode == "shuffled"
     # One pool per phase; the label -1 marks the pooled data.
-    phases = [(-1, examples)] if shuffled else [(month, by_month[month]) for month in months]
+    phases = [(-1, examples)] if shuffled else [(month, examples.take(examples.month == month)) for month in months]
     epochs = train_config.epochs_per_month
     state = OptimizerState.from_config(train_config)
     start_phase, start_epoch = 0, 0
@@ -388,7 +384,8 @@ def train_incremental(
         month, pool = phases[phase]
         for epoch in range(start_epoch if phase == start_phase else 0, epochs):
             rng = _epoch_rng(train_config.seed, phase, epoch)
-            for batch in make_batches(pool, train_config.batch_size, rng):
+            for rows in make_batches(len(pool), train_config.batch_size, rng):
+                batch = pool.take(rows)
                 if loss_config.family == "bidirectional" and len(batch) < 2:
                     notices.append(f"dropped trailing batch of 1 example (month {month})")
                     continue

@@ -38,12 +38,12 @@ single-constant diagnostics for reference.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DAYS_PER_MONTH, InteractionRecord, TrainingExample
+from .data import DAYS_PER_MONTH, Sequences
 from .losses import PRESETS, LossConfig, logsumexp
 from .model import EncoderConfig, ModelParams, score_matrix_backward, score_matrix_forward
 from .trainer import OptimizerState, apply_optimizer_step
@@ -98,9 +98,10 @@ class SyntheticSpec:
             return self.drift[month - 1]
         return self.joint  # type: ignore[return-value]
 
-    def user_token(self, user: int) -> int:
-        """Embedding-table row reserved for a synthetic user identity."""
-        return self.num_items + user
+    def user_sequences(self) -> Sequences:
+        """Each synthetic user ``u`` as a one-token sequence: the embedding
+        row ``num_items + u`` reserved for it."""
+        return Sequences(np.arange(self.num_users + 1), self.num_items + np.arange(self.num_users))
 
 
 def random_joint(
@@ -178,34 +179,18 @@ class SyntheticSample:
     cells: np.ndarray
     counts: np.ndarray
     month_counts: list[np.ndarray]
-    month_index: dict[int, int]
 
     @property
     def tables(self) -> EmpiricalTables:
         return EmpiricalTables(self.counts)
-
-    def _events(self) -> Iterator[tuple[int, int, int]]:
-        users, items = np.divmod(self.cells, self.spec.num_items)
-        return zip(users.tolist(), items.tolist(), self.days.tolist())
-
-    @property
-    def records(self) -> list[InteractionRecord]:
-        """The events as interaction records, built on each read."""
-        return [InteractionRecord(u, i, d) for u, i, d in self._events()]
-
-    @property
-    def examples(self) -> list[TrainingExample]:
-        """The events as training examples whose pseudo-user is the user's
-        reserved token, built on each read."""
-        return [TrainingExample(u, (self.spec.user_token(u),), i, d) for u, i, d in self._events()]
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticSample:
     """Draw ``num_samples`` i.i.d. (user, item) events with uniform timestamps.
 
     Each event's day is uniform over the month span; the (user, item) cell is
-    drawn from that month's joint table.  Users appear in the resulting
-    examples as singleton pseudo-user sequences holding their reserved token.
+    drawn from that month's joint table.  A user is scored as the one-token
+    sequence of its reserved row (:meth:`SyntheticSpec.user_sequences`).
     """
     rng = np.random.default_rng(seed)
     num_days = spec.num_months * DAYS_PER_MONTH
@@ -223,8 +208,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticSample:
             cells[sel] = rng.choice(flat.size, size=n, p=flat)
         month_counts.append(np.bincount(cells[sel], minlength=num_cells).reshape(spec.num_users, spec.num_items))
     counts = np.bincount(cells, minlength=num_cells).reshape(spec.num_users, spec.num_items)
-    month_index = {d: d // DAYS_PER_MONTH + 1 for d in range(num_days)}
-    return SyntheticSample(spec, days, cells, counts, month_counts, month_index)
+    return SyntheticSample(spec, days, cells, counts, month_counts)
 
 
 def _target_kind(config: LossConfig) -> str:
@@ -372,8 +356,7 @@ def phi_table(
     spec: SyntheticSpec,
 ) -> np.ndarray:
     """Score every synthetic user token against every item."""
-    sequences = [(spec.user_token(u),) for u in range(spec.num_users)]
-    phi, _ = score_matrix_forward(sequences, np.arange(spec.num_items), params, USER_ENCODER)
+    phi, _ = score_matrix_forward(spec.user_sequences(), np.arange(spec.num_items), params, USER_ENCODER)
     return phi
 
 
@@ -388,12 +371,15 @@ def train_to_optimum(
     learning_rate: float = 0.05,
     seed: int = 0,
 ) -> ModelParams:
-    """Full-batch training of one loss configuration on the empirical tables."""
+    """Full-batch Adam training of one loss configuration on the empirical
+    tables; the learning rate decays on a cosine from ``learning_rate`` to 0
+    over the epochs, so the table settles at the optimum."""
     params = ModelParams.initialize(spec.num_items + spec.num_users, dim, temperature, seed)
     opt = OptimizerState(kind="adam", learning_rate=learning_rate)
-    sequences = [(spec.user_token(u),) for u in range(spec.num_users)]
+    sequences = spec.user_sequences()
     item_ids = np.arange(spec.num_items)
-    for _ in range(epochs):
+    for epoch in range(epochs):
+        opt.learning_rate = learning_rate * 0.5 * (1.0 + math.cos(math.pi * epoch / epochs))
         phi, cache = score_matrix_forward(sequences, item_ids, params, USER_ENCODER)
         _, dphi = population_loss(phi, tables, config)
         grads = score_matrix_backward(cache, dphi, params, USER_ENCODER)

@@ -1,0 +1,154 @@
+"""Reference implementations and builders for the tests.
+
+``reference_build_examples``, ``reference_filter`` and
+``reference_marginals`` are the object-based data layer the columnar one in
+``twotower.data`` replaced: one frozen record per event and per example, a
+tuple per pseudo-user.  The property tests in ``test_data.py`` check the
+columnar pipeline against them.  ``examples_of`` builds columnar examples
+from readable rows, ``example_rows`` reads them back, and ``events_of``,
+``sample_events`` and ``sample_examples`` build the other inputs.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import Counter
+from collections.abc import Sequence
+from dataclasses import dataclass
+
+import numpy as np
+
+from twotower.data import DAYS_PER_MONTH, Events, Examples, Sequences
+
+UserKey = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class InteractionRecord:
+    """One purchase event after vocabulary mapping."""
+
+    user_id: int
+    item_id: int
+    day: int
+
+
+@dataclass(frozen=True)
+class TrainingExample:
+    """A pseudo-user sequence with one target purchase from its horizon window."""
+
+    user_id: int
+    pseudo_user: UserKey
+    target_item: int
+    day: int
+
+
+def reference_build_examples(
+    records: Sequence[InteractionRecord], horizon_days: int, max_seq_len: int
+) -> list[TrainingExample]:
+    """Examples from ``(user, day)``-sorted records, one user and cut day at a time."""
+    examples: list[TrainingExample] = []
+    by_user: dict[int, list[InteractionRecord]] = {}
+    for rec in records:
+        by_user.setdefault(rec.user_id, []).append(rec)
+    for user_id in sorted(by_user):
+        history = by_user[user_id]
+        for cut in sorted({rec.day for rec in history}):
+            prior = [rec.item_id for rec in history if rec.day < cut]
+            if not prior:
+                continue
+            pseudo = tuple(prior[-max_seq_len:])
+            for rec in history:
+                if cut <= rec.day < cut + horizon_days:
+                    examples.append(TrainingExample(user_id, pseudo, rec.item_id, cut))
+    return examples
+
+
+def reference_filter(examples: Sequence[TrainingExample], min_degree: int) -> list[TrainingExample]:
+    """The degree filter, iterated to a fixed point."""
+    current = list(examples)
+    while True:
+        user_deg = Counter(ex.pseudo_user for ex in current)
+        item_deg = Counter(ex.target_item for ex in current)
+        kept = [ex for ex in current if user_deg[ex.pseudo_user] >= min_degree and item_deg[ex.target_item] >= min_degree]
+        if len(kept) == len(current):
+            return kept
+        current = kept
+
+
+@dataclass
+class ReferenceMarginals:
+    log_p_user: dict[UserKey, float]
+    log_p_item: dict[int, float]
+    count_user: dict[UserKey, int]
+    count_item: dict[int, int]
+    total: int
+
+
+def reference_marginals(train_examples: Sequence[TrainingExample]) -> ReferenceMarginals:
+    """Counts of pseudo-user keys and target items, and their logs."""
+    count_user = Counter(ex.pseudo_user for ex in train_examples)
+    count_item = Counter(ex.target_item for ex in train_examples)
+    total = len(train_examples)
+    log_p_user = {key: math.log(c / total) for key, c in count_user.items()}
+    log_p_item = {item: math.log(c / total) for item, c in count_item.items()}
+    return ReferenceMarginals(log_p_user, log_p_item, dict(count_user), dict(count_item), total)
+
+
+def events_of(records: Sequence[tuple[int, int, int]]) -> Events:
+    """Integer-day events from ``(user, item, day)`` rows, sorted by
+    ``(user, day)`` with ties in row order, as ``ingest_logs`` sorts them."""
+    user, item, day = (np.array([row[k] for row in records], dtype=np.int64) for k in range(3))
+    order = np.lexsort((day, user))
+    return Events(user[order], item[order], day[order], day[order] // DAYS_PER_MONTH + 1)
+
+
+def sample_events(sample) -> list[tuple[int, int, int]]:
+    """``(user, item, day)`` per event of a ``verify.SyntheticSample``, in its day order."""
+    users, items = np.divmod(sample.cells, sample.spec.num_items)
+    return list(zip(users.tolist(), items.tolist(), sample.days.tolist()))
+
+
+def sample_examples(sample) -> Examples:
+    """The events of a ``verify.SyntheticSample`` as training examples in
+    day order: user ``u``'s pseudo-user is key ``u`` of
+    ``spec.user_sequences()``, the one-token sequence of its reserved token."""
+    users, items = np.divmod(sample.cells, sample.spec.num_items)
+    month = sample.days // DAYS_PER_MONTH + 1
+    return Examples(sample.spec.user_sequences(), users, users, items, sample.days, month)
+
+
+def examples_of(
+    rows: Sequence[tuple[int, Sequence[int], int, int]],
+    months: Sequence[int] | None = None,
+    labels: Sequence[int] | None = None,
+    extra_keys: Sequence[Sequence[int]] = (),
+) -> Examples:
+    """Examples from ``(user, pseudo-user, target, day)`` rows; the table holds
+    their distinct pseudo-users and ``extra_keys`` in sorted order, and a
+    month defaults to ``day // DAYS_PER_MONTH + 1``."""
+    keys = sorted({tuple(row[1]) for row in rows} | {tuple(key) for key in extra_keys})
+    key_id = {key: k for k, key in enumerate(keys)}
+
+    def column(values) -> np.ndarray:
+        return np.array(list(values), dtype=np.int64)
+
+    day = column(row[3] for row in rows)
+    return Examples(
+        Sequences.of(keys),
+        column(row[0] for row in rows),
+        column(key_id[tuple(row[1])] for row in rows),
+        column(row[2] for row in rows),
+        day,
+        day // DAYS_PER_MONTH + 1 if months is None else column(months),
+        None if labels is None else column(labels),
+    )
+
+
+def example_rows(examples: Examples) -> list[tuple]:
+    """``(user, pseudo-user, target, day)`` per example (plus the label of a
+    labeled set), in row order."""
+    columns = [examples.user.tolist(), [examples.table[k] for k in examples.key.tolist()]]
+    columns += [examples.target.tolist(), examples.day.tolist()]
+    if examples.label is not None:
+        columns.append(examples.label.tolist())
+    return list(zip(*columns))

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from reference import events_of, examples_of, sample_events, sample_examples
 from test_gradients import FAMILIES, check_family
 from twotower.cli import main
 from twotower.config import VerifySection
@@ -105,7 +106,7 @@ def test_criterion_2_metric_oracles():
         num_pos = int(rng.integers(1, pool))
         positives = frozenset(int(x) for x in rng.choice(pool, size=num_pos, replace=False))
         ranking = [int(x) for x in rng.permutation(pool)]
-        case = EvalCase("ir", (0,), positives, tuple(range(pool)), cutoff)
+        case = EvalCase("ir", 0, positives, tuple(range(pool)), cutoff)
         worst = max(worst, abs(recall_at_n(case, ranking) - brute_recall(ranking, positives, cutoff)))
         worst = max(worst, abs(ndcg_at_n(case, ranking) - brute_ndcg(ranking, positives, cutoff)))
     elapsed = time.time() - start
@@ -237,24 +238,20 @@ def test_criterion_5_preset_identities():
 
 
 def test_criterion_6_ssm_exactness():
-    from twotower.data import EmpiricalMarginals, TrainingExample
+    from twotower.data import EmpiricalMarginals
 
     num_items = 5
     params = ModelParams.initialize(num_items, 4, temperature=0.2, seed=6)
-    marginals = EmpiricalMarginals(
-        log_p_user={(0,): 0.0},
-        log_p_item={i: math.log(1.0 / num_items) for i in range(num_items)},
-        count_user={(0,): num_items},
-        count_item={i: 1 for i in range(num_items)},
-        total=num_items,
-    )
+    marginals = EmpiricalMarginals(np.array([num_items]), np.ones(num_items, dtype=np.int64))
     worst = 0.0
     rng = np.random.default_rng(0)
     for seed in range(10):
-        batch = [
-            TrainingExample(0, tuple(int(x) for x in rng.integers(0, num_items, size=rng.integers(1, 4))), int(rng.integers(num_items)), 0)
-            for _ in range(3)
-        ]
+        batch = examples_of(
+            [
+                (0, tuple(int(x) for x in rng.integers(0, num_items, size=rng.integers(1, 4))), int(rng.integers(num_items)), 0)
+                for _ in range(3)
+            ]
+        )
         sampled = ssm_loss(batch, params, ENC, marginals, num_sampled=num_items - 1, rng=np.random.default_rng(seed))
         full = full_softmax_row_loss(batch, params, ENC)
         worst = max(worst, abs(sampled.value - full.value))
@@ -281,19 +278,19 @@ def drifting_spec(num_months=6):
 def final_month_cases(spec: SyntheticSpec, seed: int, cutoff: int = 5):
     """Held-out draws from the final month's joint, all items as candidates."""
     final = SyntheticSpec(num_users=8, num_items=12, joint=spec.drift[-1], num_samples=400, num_months=1)
-    sample = generate_synthetic(final, seed=seed + 9000)
+    examples = sample_examples(generate_synthetic(final, seed=seed + 9000))
     cases = [
-        EvalCase("ir", ex.pseudo_user, frozenset({ex.target_item}), tuple(range(12)), cutoff)
-        for ex in sample.examples
+        EvalCase("ir", key, frozenset({target}), tuple(range(12)), cutoff)
+        for key, target in zip(examples.key.tolist(), examples.target.tolist())
     ]
-    return cases, EvalPool(task="ir")
+    return cases, EvalPool("ir", examples.table)
 
 
 def run_drift_experiment(seed: int):
     spec = drifting_spec()
     sample = generate_synthetic(spec, seed=seed)
-    examples = sample.examples
-    marginals = compute_marginals(examples)
+    examples = sample_examples(sample)
+    marginals = compute_marginals(examples, spec.num_items + spec.num_users)
     cases, pool = final_month_cases(spec, seed)
 
     def eval_fn(params, month):
@@ -305,13 +302,13 @@ def run_drift_experiment(seed: int):
 
     params_inc = ModelParams.initialize(spec.num_items + spec.num_users, 8, 0.1, seed)
     inc = train_incremental(
-        examples, sample.month_index, params_inc, ENC, loss, config, marginals=marginals, eval_fn=eval_fn
+        examples, params_inc, ENC, loss, config, marginals=marginals, eval_fn=eval_fn
     )
     trace = [row["ndcg"] for row in inc.trace]
 
     params_shuf = ModelParams.initialize(spec.num_items + spec.num_users, 8, 0.1, seed)
     shuffled = dataclasses.replace(config, mode="shuffled")
-    train_incremental(examples, sample.month_index, params_shuf, ENC, loss, shuffled, marginals=marginals)
+    train_incremental(examples, params_shuf, ENC, loss, shuffled, marginals=marginals)
     shuf_ndcg = evaluate(cases, pool, params_shuf, ENC).ndcg_at_n
     return trace, shuf_ndcg
 
@@ -360,7 +357,7 @@ def test_criterion_8_popularity_direction():
         spec = skewed_spec(100 + seed)
         sample = generate_synthetic(spec, seed=seed)
         tables = sample.tables
-        item_counts, _ = popularity_counts(sample.records, anchor_day=spec.num_months * DAYS_PER_MONTH, window_days=365)
+        item_counts, _ = popularity_counts(events_of(sample_events(sample)), anchor_day=spec.num_months * DAYS_PER_MONTH, window_days=365)
         for preset in ("infonce", "bbcnce"):
             params = train_to_optimum(LossConfig.from_preset(preset), tables, spec, seed=seed)
             phi = phi_table(params, spec)
@@ -391,9 +388,9 @@ def test_criterion_9_determinism(tmp_path):
         num_samples=2_000, num_months=3,
     )
     sample = generate_synthetic(spec, seed=5)
-    examples = sample.examples
-    marginals = compute_marginals(examples)
-    months = sorted({sample.month_index[ex.day] for ex in examples})
+    examples = sample_examples(sample)
+    marginals = compute_marginals(examples, spec.num_items + spec.num_users)
+    months = sorted(set(examples.month.tolist()))
     config = TrainConfig(epochs_per_month=2, batch_size=64, learning_rate=1e-3, seed=17)
     loss = LossConfig.from_preset("bbcnce")
 
@@ -403,7 +400,7 @@ def test_criterion_9_determinism(tmp_path):
     full_dir = str(tmp_path / "full")
     params_full = init()
     train_incremental(
-        examples, sample.month_index, params_full, ENC, loss, config,
+        examples, params_full, ENC, loss, config,
         marginals=marginals, checkpoint_dir=full_dir, fingerprint=1,
     )
 
@@ -412,7 +409,7 @@ def test_criterion_9_determinism(tmp_path):
     params_part = init()
     resume = load_checkpoint(os.path.join(full_dir, f"month_{months[0]:04d}.ckpt"), expected_fingerprint=1)
     train_incremental(
-        examples, sample.month_index, params_part, ENC, loss, config,
+        examples, params_part, ENC, loss, config,
         marginals=marginals, checkpoint_dir=part_dir, fingerprint=1, resume=resume,
     )
     bit_identical = bool(
@@ -425,8 +422,8 @@ def test_criterion_9_determinism(tmp_path):
     # repeated CLI runs produce byte-identical artifacts
     events = tmp_path / "events.csv"
     with open(events, "w", encoding="utf-8") as out:
-        for rec in sample.records:
-            out.write(f"u{rec.user_id},i{rec.item_id},{rec.day}\n")
+        for user, item, day in sample_events(sample):
+            out.write(f"u{user},i{item},{day}\n")
     outputs = []
     for run in ("a", "b"):
         out_dir = tmp_path / f"cli_{run}"

@@ -6,14 +6,24 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from reference import (
+    InteractionRecord,
+    TrainingExample,
+    events_of,
+    example_rows,
+    examples_of,
+    reference_build_examples,
+    reference_filter,
+    reference_marginals,
+)
 from twotower.data import (
     DatasetSplit,
     EmpiricalMarginals,
     IngestError,
-    InteractionRecord,
-    TrainingExample,
     build_examples,
     compute_marginals,
     filter_sparse,
@@ -22,7 +32,14 @@ from twotower.data import (
     sample_negatives_bce,
     split_by_time,
     write_examples_tsv,
+    write_labeled_tsv,
 )
+
+
+def event_rows(log):
+    """``(user, item, day)`` per event of an ingested log, in its order."""
+    records = log.records
+    return list(zip(records.user.tolist(), records.item.tolist(), records.day.tolist()))
 
 
 class TestIngest:
@@ -47,23 +64,34 @@ class TestIngest:
     def test_duplicate_events_both_retained(self):
         log = ingest_logs(io.StringIO("u1,i1,4\nu1,i1,4\n"))
         assert len(log.records) == 2
-        assert log.records[0] == log.records[1]
+        assert event_rows(log) == [(0, 0, 4), (0, 0, 4)]
 
     def test_records_sorted_by_user_then_day(self):
-        log = ingest_logs(io.StringIO("u2,i1,9\nu1,i2,7\nu1,i1,2\n"))
-        assert [(r.user_id, r.day) for r in log.records] == sorted((r.user_id, r.day) for r in log.records)
+        log = ingest_logs(io.StringIO("u2,i1,9\nu1,i2,7\nu1,i1,2\nu1,i3,2\n"))
+        # u2 -> 0, u1 -> 1; the two day-2 events of u1 keep their input order
+        assert event_rows(log) == [(0, 0, 9), (1, 0, 2), (1, 2, 2), (1, 1, 7)]
+
+    def test_ties_keep_input_order_in_a_long_log(self):
+        rng = np.random.default_rng(4)
+        lines = [(int(rng.integers(2)), k, int(rng.integers(3))) for k in range(400)]
+        log = ingest_logs(io.StringIO("".join(f"u{u},i{i},{d}\n" for u, i, d in lines)))
+        user_id = {0: log.user_vocab["u0"], 1: log.user_vocab["u1"]}
+        expected = sorted(((user_id[u], i, d) for u, i, d in lines), key=lambda r: (r[0], r[2]))
+        assert event_rows(log) == expected
 
     def test_iso_dates_become_day_offsets_and_calendar_months(self, tiny_log):
-        days = {r.day for r in tiny_log.records}
-        assert min(days) == 0  # earliest date is the epoch
+        assert tiny_log.records.day.min() == 0  # earliest date is the epoch
         # 2023-01-05 .. 2023-03-02: January days map to month 1, March to 3
-        assert tiny_log.day_to_month[0] == 1
+        months = dict(zip(tiny_log.records.day.tolist(), tiny_log.records.month.tolist()))
+        assert months[0] == 1 and months[15] == 1 and months[36] == 2 and months[56] == 3
         assert tiny_log.num_months == 3
+        # the first day of each month, counted from the epoch (day 0 for month 1)
+        assert [tiny_log.first_day(m) for m in (1, 2, 3, 4)] == [0, 27, 55, 57]
 
     def test_integer_days_use_30_day_months(self):
         log = ingest_logs(io.StringIO("u1,i1,0\nu1,i1,29\nu1,i1,30\n"))
-        assert log.day_to_month[29] == 1
-        assert log.day_to_month[30] == 2
+        assert log.records.month.tolist() == [1, 1, 2]
+        assert [log.first_day(m) for m in (1, 2, 3)] == [0, 30, 31]
 
     def test_mixed_date_formats_rejected(self):
         with pytest.raises(IngestError, match="mixes"):
@@ -80,6 +108,23 @@ class TestIngest:
     def test_bytes_input_accepted(self):
         log = ingest_logs(io.BytesIO(b"u1,i1,0\n"))
         assert len(log.records) == 1
+
+    def test_far_days_cost_one_entry_per_event(self):
+        """Months come per event, so a day index of 10**12 and the widest ISO
+        range are two-line logs like any other."""
+        log = ingest_logs(io.StringIO(f"a,x,0\nb,y,{10**12}\n"))
+        assert log.records.day.tolist() == [0, 10**12]
+        assert log.records.month.tolist() == [1, 10**12 // 30 + 1]
+        assert log.num_months == 10**12 // 30 + 1
+        log = ingest_logs(io.StringIO("a,x,9999-12-31\nb,y,0001-01-01\n"))
+        assert log.records.day.tolist() == [3652058, 0]
+        assert log.records.month.tolist() == [9999 * 12, 1]
+        assert log.first_day(9999 * 12) == 3652058 - 30
+        assert log.first_day(9999 * 12 + 1) == 3652059
+
+    def test_day_index_beyond_bound_rejected(self):
+        with pytest.raises(IngestError, match="line 2"):
+            ingest_logs(io.StringIO(f"a,x,0\nb,y,{2**53}\n"))
 
 
 def brute_force_windows(records, horizon, max_len):
@@ -100,27 +145,19 @@ def brute_force_windows(records, horizon, max_len):
 
 class TestBuildExamples:
     def test_two_purchases_one_example(self):
-        records = [InteractionRecord(0, 7, 1), InteractionRecord(0, 9, 5)]
-        examples = build_examples(records, horizon_days=30, max_seq_len=10)
-        assert len(examples) == 1
-        ex = examples[0]
-        assert ex.pseudo_user == (7,)
-        assert ex.target_item == 9
-        assert ex.day == 5
+        examples = build_examples(events_of([(0, 7, 1), (0, 9, 5)]), horizon_days=30, max_seq_len=10)
+        assert example_rows(examples) == [(0, (7,), 9, 5)]
+        assert examples.month.tolist() == [1]
 
     def test_single_purchase_yields_nothing(self):
-        assert build_examples([InteractionRecord(0, 1, 3)], 30, 10) == []
+        examples = build_examples(events_of([(0, 1, 3)]), 30, 10)
+        assert example_rows(examples) == [] and len(examples.table) == 0
 
     def test_four_purchase_user_matches_hand_enumeration(self):
         # purchases: i0@d1, i1@d2, i2@d3, i3@d5 with a 2-day horizon
-        records = [
-            InteractionRecord(0, 0, 1),
-            InteractionRecord(0, 1, 2),
-            InteractionRecord(0, 2, 3),
-            InteractionRecord(0, 3, 5),
-        ]
-        examples = build_examples(records, horizon_days=2, max_seq_len=10)
-        got = sorted((e.user_id, e.pseudo_user, e.target_item, e.day) for e in examples)
+        records = [(0, 0, 1), (0, 1, 2), (0, 2, 3), (0, 3, 5)]
+        examples = build_examples(events_of(records), horizon_days=2, max_seq_len=10)
+        got = sorted((u, seq, t, d) for u, seq, t, d in example_rows(examples))
         # by hand: cut@2 -> targets i1@2, i2@3; cut@3 -> i2@3; cut@5 -> i3@5
         assert got == [
             (0, (0,), 1, 2),
@@ -128,139 +165,115 @@ class TestBuildExamples:
             (0, (0, 1), 2, 3),
             (0, (0, 1, 2), 3, 5),
         ]
-        assert got == brute_force_windows(records, 2, 10)
+        assert got == brute_force_windows([InteractionRecord(*r) for r in records], 2, 10)
 
     def test_matches_brute_force_on_random_logs(self):
         rng = np.random.default_rng(42)
-        records = [
-            InteractionRecord(int(rng.integers(5)), int(rng.integers(8)), int(rng.integers(40)))
-            for _ in range(120)
-        ]
-        records.sort(key=lambda r: (r.user_id, r.day))
+        records = [(int(rng.integers(5)), int(rng.integers(8)), int(rng.integers(40))) for _ in range(120)]
+        events = events_of(records)
+        objects = [InteractionRecord(*r) for r in zip(events.user.tolist(), events.item.tolist(), events.day.tolist())]
         for horizon, max_len in [(1, 3), (7, 2), (40, 10)]:
-            examples = build_examples(records, horizon, max_len)
-            got = sorted((e.user_id, e.pseudo_user, e.target_item, e.day) for e in examples)
-            assert got == brute_force_windows(records, horizon, max_len)
+            examples = build_examples(events, horizon, max_len)
+            assert sorted(example_rows(examples)) == brute_force_windows(objects, horizon, max_len)
 
     def test_windowing_causality_invariant(self):
         rng = np.random.default_rng(7)
-        records = sorted(
-            (InteractionRecord(int(rng.integers(4)), int(rng.integers(6)), int(rng.integers(30))) for _ in range(80)),
-            key=lambda r: (r.user_id, r.day),
-        )
+        records = [(int(rng.integers(4)), int(rng.integers(6)), int(rng.integers(30))) for _ in range(80)]
         by_user = {}
-        for r in records:
-            by_user.setdefault(r.user_id, []).append(r)
+        for user, item, day in records:
+            by_user.setdefault(user, []).append((item, day))
         horizon = 5
-        for ex in build_examples(records, horizon, max_seq_len=4):
-            prior_days = [r.day for r in by_user[ex.user_id] if r.item_id in ex.pseudo_user and r.day < ex.day]
+        examples = build_examples(events_of(records), horizon, max_seq_len=4)
+        for user, seq, target, cut in example_rows(examples):
+            prior_days = [day for item, day in by_user[user] if item in seq and day < cut]
             assert prior_days, "pseudo-user items must predate the cut day"
-            target_days = [r.day for r in by_user[ex.user_id] if r.item_id == ex.target_item]
-            assert any(ex.day <= d < ex.day + horizon for d in target_days)
-            assert len(ex.pseudo_user) <= 4
+            target_days = [day for item, day in by_user[user] if item == target]
+            assert any(cut <= d < cut + horizon for d in target_days)
+            assert len(seq) <= 4
 
     def test_truncation_keeps_most_recent(self):
-        records = [InteractionRecord(0, i, i) for i in range(6)]
-        examples = build_examples(records, horizon_days=1, max_seq_len=2)
-        last = [e for e in examples if e.day == 5][0]
-        assert last.pseudo_user == (3, 4)
+        examples = build_examples(events_of([(0, i, i) for i in range(6)]), horizon_days=1, max_seq_len=2)
+        last = [row for row in example_rows(examples) if row[3] == 5][0]
+        assert last[1] == (3, 4)
 
 
-def _example(day: int, user=0, item=0) -> TrainingExample:
-    return TrainingExample(user_id=user, pseudo_user=(1,), target_item=item, day=day)
+def _examples(days, months=None):
+    """One example per day, all of user 0 with pseudo-user (1,) and target 0."""
+    return examples_of([(0, (1,), 0, day) for day in days], months=months)
 
 
 class TestSplitByTime:
-    def _month_index(self, months: int, days_per_month: int = 10):
-        return {d: d // days_per_month + 1 for d in range(months * days_per_month)}
-
     def test_paper_interval_semantics(self):
-        month_index = self._month_index(10)
-        examples = [_example(day=m * 10 - 5) for m in range(1, 11)]  # one per month
-        split = split_by_time(examples, months_total=10, month_index=month_index)
-        train_months = {month_index[e.day] for e in split.train}
-        assert train_months == set(range(1, 10))
-        assert {month_index[e.day] for e in split.validation} == {9}
-        assert {month_index[e.day] for e in split.test} == {10}
+        examples = _examples(range(10), months=range(1, 11))  # one per month
+        split = split_by_time(examples, months_total=10)
+        assert set(split.train.month.tolist()) == set(range(1, 10))
+        assert split.validation.month.tolist() == [9]
+        assert split.test.month.tolist() == [10]
         # validation overlaps the final training month by construction
-        assert set(map(id, split.validation)) <= set(map(id, split.train))
+        assert split.validation.day.tolist() == [8] and 8 in split.train.day.tolist()
 
     def test_too_few_months_rejected(self):
         with pytest.raises(ValueError):
-            split_by_time([], months_total=2, month_index={})
+            split_by_time(_examples([]), months_total=2)
 
     def test_all_in_final_month_warns_and_returns_empty_train(self, caplog):
-        month_index = self._month_index(3)
-        examples = [_example(day=25), _example(day=27)]
+        examples = _examples([25, 27], months=[3, 3])
         with caplog.at_level("WARNING"):
-            split = split_by_time(examples, months_total=3, month_index=month_index)
-        assert split.train == []
+            split = split_by_time(examples, months_total=3)
+        assert len(split.train) == 0
         assert len(split.test) == 2
         assert any("empty" in rec.message for rec in caplog.records)
 
     def test_months_beyond_total_are_dropped(self):
-        month_index = self._month_index(5)
-        examples = [_example(day=5), _example(day=45)]  # months 1 and 5
-        split = split_by_time(examples, months_total=3, month_index=month_index)
-        assert split.train == [examples[0]]
-        assert split.test == [] and split.validation == []
+        examples = _examples([5, 45], months=[1, 5])
+        split = split_by_time(examples, months_total=3)
+        assert split.train.day.tolist() == [5]
+        assert len(split.test) == 0 and len(split.validation) == 0
 
     def test_membership_on_random_examples(self):
         rng = np.random.default_rng(3)
-        month_index = self._month_index(6)
-        examples = [_example(day=int(rng.integers(0, 60))) for _ in range(200)]
-        split = split_by_time(examples, months_total=6, month_index=month_index)
-        for ex in examples:
-            m = month_index[ex.day]
-            assert (ex in split.train) == (m <= 5)
-            assert (ex in split.validation) == (m == 5)
-            assert (ex in split.test) == (m == 6)
-
-
-def brute_force_degree_filter(examples, min_degree):
-    kept = list(examples)
-    while True:
-        users = Counter(e.pseudo_user for e in kept)
-        items = Counter(e.target_item for e in kept)
-        nxt = [e for e in kept if users[e.pseudo_user] >= min_degree and items[e.target_item] >= min_degree]
-        if len(nxt) == len(kept):
-            return nxt
-        kept = nxt
+        days = rng.integers(0, 60, size=200)
+        examples = _examples(days.tolist(), months=(days // 10 + 1).tolist())
+        split = split_by_time(examples, months_total=6)
+        month = days // 10 + 1
+        assert split.train.day.tolist() == days[month <= 5].tolist()
+        assert split.validation.day.tolist() == days[month == 5].tolist()
+        assert split.test.day.tolist() == days[month == 6].tolist()
 
 
 class TestFilterSparse:
-    def _split(self, test_examples):
-        return DatasetSplit(train=[], validation=[], test=test_examples, month_index={})
+    def _split(self, rows):
+        empty = examples_of([])
+        return DatasetSplit(train=empty, validation=empty, test=examples_of(rows))
 
     def test_rare_item_removed_from_test(self):
-        examples = [
-            TrainingExample(0, (1,), 5, 0),
-            TrainingExample(0, (1,), 5, 1),
-            TrainingExample(0, (1,), 7, 2),  # item 7 appears twice only
-            TrainingExample(0, (1,), 7, 3),
+        rows = [
+            (0, (1,), 5, 0),
+            (0, (1,), 5, 1),
+            (0, (1,), 7, 2),  # item 7 appears twice only
+            (0, (1,), 7, 3),
         ]
-        filtered = filter_sparse(self._split(examples), min_degree=3)
-        assert all(e.target_item != 7 for e in filtered.test)
+        filtered = filter_sparse(self._split(rows), min_degree=3)
+        assert 7 not in filtered.test.target.tolist()
 
     def test_min_degree_one_is_identity(self):
         rng = np.random.default_rng(0)
-        examples = [
-            TrainingExample(0, (int(rng.integers(3)),), int(rng.integers(4)), d) for d in range(30)
-        ]
-        filtered = filter_sparse(self._split(examples), min_degree=1)
-        assert filtered.test == examples
+        rows = [(0, (int(rng.integers(3)),), int(rng.integers(4)), d) for d in range(30)]
+        filtered = filter_sparse(self._split(rows), min_degree=1)
+        assert example_rows(filtered.test) == rows
 
     def test_matches_brute_force_fixpoint(self):
         rng = np.random.default_rng(11)
-        examples = [
-            TrainingExample(0, (int(rng.integers(5)),), int(rng.integers(6)), d) for d in range(60)
-        ]
-        filtered = filter_sparse(self._split(examples), min_degree=3)
-        assert filtered.test == brute_force_degree_filter(examples, 3)
-        users = Counter(e.pseudo_user for e in filtered.test)
-        items = Counter(e.target_item for e in filtered.test)
-        for e in filtered.test:
-            assert users[e.pseudo_user] >= 3 and items[e.target_item] >= 3
+        rows = [(0, (int(rng.integers(5)),), int(rng.integers(6)), d) for d in range(60)]
+        filtered = filter_sparse(self._split(rows), min_degree=3)
+        kept = [(ex.user_id, ex.pseudo_user, ex.target_item, ex.day) for ex in reference_filter(
+            [TrainingExample(*row) for row in rows], 3
+        )]
+        assert example_rows(filtered.test) == kept
+        users = Counter(row[1] for row in kept)
+        items = Counter(row[2] for row in kept)
+        for _, seq, target, _ in kept:
+            assert users[seq] >= 3 and items[target] >= 3
 
     def test_min_degree_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -269,100 +282,110 @@ class TestFilterSparse:
 
 class TestMarginals:
     def test_item_counts(self):
-        examples = [TrainingExample(0, (u,), t, 0) for u, t in [(1, 0), (2, 0), (3, 1), (4, 2)]]
-        marginals = compute_marginals(examples)
+        examples = examples_of([(0, (u,), t, 0) for u, t in [(1, 0), (2, 0), (3, 1), (4, 2)]])
+        marginals = compute_marginals(examples, num_items=3)
         assert marginals.log_p_item[0] == pytest.approx(math.log(0.5), abs=1e-12)
         assert marginals.total == 4
 
     def test_single_example_gives_log_one(self):
-        marginals = compute_marginals([TrainingExample(0, (1,), 2, 0)])
-        assert marginals.log_p_user[(1,)] == 0.0
+        marginals = compute_marginals(examples_of([(0, (1,), 2, 0)]), num_items=3)
+        assert marginals.log_p_user[0] == 0.0  # key 0 is (1,)
         assert marginals.log_p_item[2] == 0.0
 
     def test_normalization_invariant(self):
         rng = np.random.default_rng(5)
-        examples = [
-            TrainingExample(0, tuple(rng.integers(0, 4, size=rng.integers(1, 4))), int(rng.integers(6)), 0)
-            for _ in range(500)
+        rows = [
+            (0, tuple(rng.integers(0, 4, size=rng.integers(1, 4)).tolist()), int(rng.integers(6)), 0) for _ in range(500)
         ]
-        marginals = compute_marginals(examples)
-        assert math.fsum(math.exp(v) for v in marginals.log_p_user.values()) == pytest.approx(1.0, abs=1e-9)
-        assert math.fsum(math.exp(v) for v in marginals.log_p_item.values()) == pytest.approx(1.0, abs=1e-9)
-        assert sum(marginals.count_user.values()) == marginals.total
-        assert sum(marginals.count_item.values()) == marginals.total
+        marginals = compute_marginals(examples_of(rows), num_items=6)
+        seen_user, seen_item = marginals.count_user > 0, marginals.count_item > 0
+        assert math.fsum(np.exp(marginals.log_p_user[seen_user])) == pytest.approx(1.0, abs=1e-9)
+        assert math.fsum(np.exp(marginals.log_p_item[seen_item])) == pytest.approx(1.0, abs=1e-9)
+        assert marginals.count_user.sum() == marginals.total
+        assert marginals.count_item.sum() == marginals.total
 
     def test_log_bias_reads_training_marginals_with_floor(self):
         """A pseudo-user and an item seen only in validation get ``floor_log()``."""
-        train = [TrainingExample(0, (1,), 2, 0), TrainingExample(0, (1,), 3, 0)]
-        validation = [TrainingExample(0, (1,), 2, 40), TrainingExample(9, (9,), 9, 40), TrainingExample(0, (1,), 9, 41)]
-        marginals = compute_marginals(train)
+        rows = [(0, (1,), 2, 0), (0, (1,), 3, 0), (0, (1,), 2, 40), (9, (9,), 9, 40), (0, (1,), 9, 41)]
+        examples = examples_of(rows)  # one key table for train and validation
+        marginals = compute_marginals(examples.take(np.arange(2)), num_items=10)
         floor = marginals.floor_log()
         assert floor == pytest.approx(-math.log(3))
-        log_p_u, log_p_i = marginals.log_bias(validation)
+        log_p_u, log_p_i = marginals.log_bias(examples.take(np.arange(2, 5)))
         assert log_p_u.tolist() == [0.0, floor, 0.0]
         assert log_p_i.tolist() == [math.log(0.5), floor, floor]
 
+    def test_logs_are_math_log_bit_for_bit(self):
+        """14 of 37 is a ratio whose ``np.log`` differs from ``math.log`` in
+        the last bit; the marginals hold the latter, as the example files did."""
+        rows = [(0, (1,), 0, 0)] * 14 + [(0, (2,), 1, 0)] * 23
+        marginals = compute_marginals(examples_of(rows), num_items=2)
+        assert float(np.log(14 / 37)) != math.log(14 / 37)
+        assert marginals.log_p_user[0] == math.log(14 / 37) == marginals.log_p_item[0]
+        assert marginals.log_p_user[1] == math.log(23 / 37) == marginals.log_p_item[1]
+
     def test_logs_are_nonpositive(self):
         rng = np.random.default_rng(8)
-        examples = [TrainingExample(0, (int(rng.integers(3)),), int(rng.integers(3)), 0) for _ in range(50)]
-        marginals = compute_marginals(examples)
-        assert all(v <= 0 for v in marginals.log_p_user.values())
-        assert all(v <= 0 for v in marginals.log_p_item.values())
+        rows = [(0, (int(rng.integers(3)),), int(rng.integers(3)), 0) for _ in range(50)]
+        marginals = compute_marginals(examples_of(rows), num_items=3)
+        assert np.all(marginals.log_p_user <= 0)
+        assert np.all(marginals.log_p_item <= 0)
 
 
-def _positives(counts: dict[tuple, int], items: dict[int, int]) -> list[TrainingExample]:
+def _positives(counts: dict[tuple, int], items: dict[int, int]):
     """Training examples with the requested pseudo-user and item frequencies."""
-    out = []
     keys = sorted(counts)
     item_ids = sorted(items)
     k_iter = [k for k in keys for _ in range(counts[k])]
     i_iter = [i for i in item_ids for _ in range(items[i])]
     assert len(k_iter) == len(i_iter)
-    for day, (key, item) in enumerate(zip(k_iter, i_iter)):
-        out.append(TrainingExample(user_id=key[0], pseudo_user=key, target_item=item, day=day))
-    return out
+    return examples_of([(key[0], key, item, day) for day, (key, item) in enumerate(zip(k_iter, i_iter))])
 
 
 class TestNegativeSampling:
     def test_cardinality(self):
-        positives = [TrainingExample(0, (1,), 2, d) for d in range(10)]
+        positives = examples_of([(0, (1,), 2, d) for d in range(10)])
         labeled = sample_negatives_bce(positives, "uniform", num_items=5, ratio=1, rng_seed=0)
         assert len(labeled) == 20
-        assert sum(1 for e in labeled if e.label == 0) == 10
+        assert labeled.label.tolist() == [1, 0] * 10
 
     def test_ratio_two(self):
-        positives = [TrainingExample(0, (1,), 2, d) for d in range(4)]
+        positives = examples_of([(0, (1,), 2, d) for d in range(4)])
         labeled = sample_negatives_bce(positives, "uniform", num_items=5, ratio=2, rng_seed=0)
-        assert sum(1 for e in labeled if e.label == 0) == 8
+        assert labeled.label.tolist() == [1, 0, 0] * 4
 
     def test_user_marginal_keeps_pseudo_user(self):
-        positives = [TrainingExample(u, (u, u + 1), u, 0) for u in range(6)]
+        positives = examples_of([(u, (u, u + 1), u, 0) for u in range(6)])
         labeled = sample_negatives_bce(positives, "user-marginal", num_items=9, ratio=3, rng_seed=1)
-        keys = {e.pseudo_user for e in positives}
-        for e in labeled:
-            if e.label == 0:
-                assert e.pseudo_user in keys
+        rows = example_rows(labeled)
+        for k, (user, seq, _, _, label) in enumerate(rows):
+            if label == 0:  # the positive it follows has the same pseudo-user and user
+                assert (user, seq) == rows[k - k % 4][:2]
 
     def test_item_marginal_keeps_target(self):
-        positives = [TrainingExample(u, (u,), u % 3, 0) for u in range(6)]
+        positives = examples_of([(u, (u,), u % 3, 0) for u in range(6)])
         labeled = sample_negatives_bce(positives, "item-marginal", num_items=9, ratio=2, rng_seed=1)
-        by_pos = [e for e in labeled if e.label == 0]
-        assert {e.target_item for e in by_pos} <= {0, 1, 2}
+        rows = example_rows(labeled)
+        for k, (user, seq, target, _, label) in enumerate(rows):
+            if label == 0:  # the positive's target, and the owner of the drawn key
+                assert target == rows[k - k % 3][2]
+                assert (user, seq) == (seq[0], seq)
 
     def test_negatives_inherit_day(self):
-        positives = [TrainingExample(0, (1,), 2, day=17)]
+        positives = examples_of([(0, (1,), 2, 17)])
         labeled = sample_negatives_bce(positives, "uniform", num_items=4, ratio=2, rng_seed=0)
-        assert all(e.day == 17 for e in labeled)
+        assert labeled.day.tolist() == [17, 17, 17]
+        assert labeled.month.tolist() == [1, 1, 1]
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="strategy"):
-            sample_negatives_bce([TrainingExample(0, (1,), 2, 0)], "nope", num_items=3)
+            sample_negatives_bce(examples_of([(0, (1,), 2, 0)]), "nope", num_items=3)
 
     def test_deterministic_under_seed(self):
-        positives = [TrainingExample(0, (u,), u, 0) for u in range(5)]
+        positives = examples_of([(0, (u,), u, 0) for u in range(5)])
         a = sample_negatives_bce(positives, "product-of-marginals", num_items=7, rng_seed=9)
         b = sample_negatives_bce(positives, "product-of-marginals", num_items=7, rng_seed=9)
-        assert a == b
+        assert example_rows(a) == example_rows(b)
 
     @pytest.mark.parametrize(
         "strategy",
@@ -377,7 +400,7 @@ class TestNegativeSampling:
         total = len(positives)
         ratio = 500  # 200 positives x 500 = 1e5 negative draws
         labeled = sample_negatives_bce(positives, strategy, num_items=num_items, ratio=ratio, rng_seed=12345)
-        negatives = [e for e in labeled if e.label == 0]
+        negatives = [(seq, target) for _, seq, target, _, label in example_rows(labeled) if label == 0]
         assert len(negatives) == total * ratio
 
         p_u = {k: c / total for k, c in keys.items()}
@@ -393,7 +416,7 @@ class TestNegativeSampling:
             cells = {(k, i): 1.0 / (len(key_list) * num_items) for k in key_list for i in range(num_items)}
         cells = {cell: p for cell, p in cells.items() if p > 0}
 
-        observed = Counter((e.pseudo_user, e.target_item) for e in negatives)
+        observed = Counter(negatives)
         assert set(observed) <= set(cells)
         obs = np.array([observed.get(cell, 0) for cell in sorted(cells)])
         exp = np.array([cells[cell] for cell in sorted(cells)]) * len(negatives)
@@ -403,32 +426,89 @@ class TestNegativeSampling:
 
 class TestBatches:
     def test_batch_sizes(self):
-        examples = [_example(day=d) for d in range(130)]
         rng = np.random.default_rng(0)
-        sizes = [len(b) for b in make_batches(examples, 64, rng)]
-        assert sizes == [64, 64, 2]
+        batches = list(make_batches(130, 64, rng))
+        assert [len(b) for b in batches] == [64, 64, 2]
+        assert sorted(np.concatenate(batches).tolist()) == list(range(130))
 
     def test_same_seed_same_stream(self):
-        examples = [_example(day=d) for d in range(50)]
-        a = [tuple(id(e) for e in b) for b in make_batches(examples, 8, np.random.default_rng(3))]
-        b = [tuple(id(e) for e in b) for b in make_batches(examples, 8, np.random.default_rng(3))]
+        a = [b.tolist() for b in make_batches(50, 8, np.random.default_rng(3))]
+        b = [b.tolist() for b in make_batches(50, 8, np.random.default_rng(3))]
         assert a == b
 
     def test_empty_month_yields_nothing(self):
-        assert list(make_batches([], 4, np.random.default_rng(0))) == []
+        assert list(make_batches(0, 4, np.random.default_rng(0))) == []
 
 
 class TestExampleFile:
     def test_written_format(self, tmp_path):
-        examples = [TrainingExample(3, (1, 2), 7, 5)]
-        marginals = EmpiricalMarginals({(1, 2): math.log(0.5)}, {7: math.log(0.25)}, {(1, 2): 2}, {7: 1}, total=4)
+        examples = examples_of([(3, (1, 2), 7, 5)])
+        count_item = np.zeros(8, dtype=np.int64)
+        count_item[[6, 7]] = 3, 1
+        marginals = EmpiricalMarginals(np.array([2]), count_item)  # p(key 0) = 1/2, p(7) = 1/4
         path = tmp_path / "ex.tsv"
         write_examples_tsv(examples, marginals, str(path))
         assert path.read_text() == "3\t1 2\t7\t-0.693147\t-1.386294\n"
 
     def test_labeled_format(self, tmp_path):
-        from twotower.data import LabeledExample, write_labeled_tsv
-
         path = tmp_path / "labeled.tsv"
-        write_labeled_tsv([LabeledExample(3, (1, 2), 7, 5, label=0)], str(path))
+        write_labeled_tsv(examples_of([(3, (1, 2), 7, 5)], labels=[0]), str(path))
         assert path.read_text() == "3\t1 2\t7\t0\n"
+
+
+def _rows(examples):
+    return [(ex.user_id, ex.pseudo_user, ex.target_item, ex.day) for ex in examples]
+
+
+@st.composite
+def event_logs(draw):
+    """``(user, item, day)`` lines over few users, items and days, so that
+    same-day purchases are common, with some lines repeated verbatim."""
+    lines = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 7), st.integers(0, 40)), min_size=1, max_size=50))
+    for position in draw(st.lists(st.integers(0, 49), max_size=8)):
+        position %= len(lines)
+        lines.insert(position, lines[position])
+    return lines
+
+
+class TestColumnarMatchesReference:
+    """The columnar data layer against the object-based one it replaced
+    (``tests/reference.py``), on generated logs."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        lines=event_logs(),
+        horizon_days=st.integers(1, 45),
+        max_seq_len=st.integers(1, 6),
+        min_degree=st.integers(1, 4),
+    )
+    def test_examples_filter_and_marginals(self, lines, horizon_days, max_seq_len, min_degree):
+        log = ingest_logs(io.StringIO("".join(f"u{u},i{i},{d}\n" for u, i, d in lines)))
+        parsed = [(log.user_vocab[f"u{u}"], log.item_vocab[f"i{i}"], d) for u, i, d in lines]
+        records = [InteractionRecord(*row) for row in sorted(parsed, key=lambda r: (r[0], r[2]))]
+        assert event_rows(log) == [(r.user_id, r.item_id, r.day) for r in records]
+
+        examples = build_examples(log.records, horizon_days, max_seq_len)
+        reference = reference_build_examples(records, horizon_days, max_seq_len)
+        assert example_rows(examples) == _rows(reference)
+        # key ids number the distinct pseudo-users in sorted-tuple order
+        assert list(examples.table) == sorted({ex.pseudo_user for ex in reference})
+        assert examples.month.tolist() == [day // 30 + 1 for day in examples.day.tolist()]
+
+        empty = examples.take(np.zeros(0, dtype=np.int64))
+        kept = filter_sparse(DatasetSplit(examples, empty, empty), min_degree).train
+        kept_reference = reference_filter(reference, min_degree)
+        assert example_rows(kept) == _rows(kept_reference)
+        if not kept_reference:
+            return
+        marginals = compute_marginals(kept, log.num_items)
+        expected = reference_marginals(kept_reference)
+        assert marginals.total == expected.total
+        seen_keys = np.flatnonzero(marginals.count_user).tolist()
+        seen_items = np.flatnonzero(marginals.count_item).tolist()
+        assert {examples.table[k]: int(marginals.count_user[k]) for k in seen_keys} == expected.count_user
+        assert {i: int(marginals.count_item[i]) for i in seen_items} == expected.count_item
+        assert {examples.table[k]: float(marginals.log_p_user[k]) for k in seen_keys} == expected.log_p_user
+        assert {i: float(marginals.log_p_item[i]) for i in seen_items} == expected.log_p_item
+        unseen = np.r_[marginals.log_p_user[marginals.count_user == 0], marginals.log_p_item[marginals.count_item == 0]]
+        assert np.all(unseen == -math.log(expected.total + 1))

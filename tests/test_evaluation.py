@@ -1,12 +1,12 @@
 """Eval-case construction, ranking, Recall/NDCG oracles, popularity stats."""
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 
-from twotower.data import InteractionRecord, TrainingExample
+from reference import events_of, example_rows, examples_of
+from twotower.data import Sequences
 from twotower.evaluation import (
     EvalCase,
     EvalPool,
@@ -47,7 +47,7 @@ def brute_ndcg(ranking, positives, cutoff):
 
 
 def _case(positives, candidates, cutoff, task="ir"):
-    return EvalCase(task=task, query=(0,), positives=frozenset(positives), candidates=tuple(candidates), cutoff=cutoff)
+    return EvalCase(task=task, query=0, positives=frozenset(positives), candidates=tuple(candidates), cutoff=cutoff)
 
 
 class TestMetricFormulas:
@@ -127,16 +127,16 @@ class TestMetricFormulas:
 
 
 def make_test_examples(num_users=6, num_items=8, per_user=2, day=95):
-    out = []
+    rows = []
     for u in range(num_users):
         for k in range(per_user):
-            out.append(TrainingExample(u, (u % num_items, (u + 1) % num_items), (u + k) % num_items, day + k))
-    return out
+            rows.append((u, (u % num_items, (u + 1) % num_items), (u + k) % num_items, day + k))
+    return examples_of(rows)
 
 
 class TestBuildCases:
     def test_pool_size_matches_protocol(self):
-        examples = [TrainingExample(u, (u % 3,), u % 7, 90) for u in range(40)]
+        examples = examples_of([(u, (u % 3,), u % 7, 90) for u in range(40)])
         cases, pool = build_eval_cases(examples, "ir", num_negatives=5, seed=0, cutoff=3)
         assert len(cases) == 40
         for case in cases:
@@ -145,7 +145,7 @@ class TestBuildCases:
 
     def test_standard_protocol_pool_of_one_hundred(self):
         """1 positive + 99 sampled negatives per case."""
-        examples = [TrainingExample(u, (u,), u + 10, 90) for u in range(120)]
+        examples = examples_of([(u, (u,), u + 10, 90) for u in range(120)])
         cases, _ = build_eval_cases(examples, "ir", num_negatives=99, seed=3, cutoff=10)
         for case in cases:
             assert len(case.candidates) == 100
@@ -153,7 +153,7 @@ class TestBuildCases:
             assert len(set(case.candidates)) == 100  # drawn without replacement
 
     def test_zero_negatives_gives_trivial_recall(self):
-        examples = [TrainingExample(0, (1,), 4, 90)]
+        examples = examples_of([(0, (1,), 4, 90)])
         cases, pool = build_eval_cases(examples, "ir", num_negatives=0, seed=0, cutoff=5)
         params = ModelParams.initialize(8, 4, 0.25, 0)
         ranking = rank_candidates(cases[0], params, ENC, pool)
@@ -163,20 +163,21 @@ class TestBuildCases:
         examples = make_test_examples()
         cases, _ = build_eval_cases(examples, "ir", num_negatives=3, seed=1, cutoff=3)
         positives_by_user = {}
-        for ex in examples:
-            positives_by_user.setdefault(ex.user_id, set()).add(ex.target_item)
-        for case, ex in zip(cases, sorted(examples, key=lambda e: (e.user_id, e.day, e.target_item, e.pseudo_user))):
+        rows = example_rows(examples)
+        for user, _, target, _ in rows:
+            positives_by_user.setdefault(user, set()).add(target)
+        for case, (user, _, _, _) in zip(cases, sorted(rows, key=lambda r: (r[0], r[3], r[2], r[1]))):
             negatives = set(case.candidates) - case.positives
-            assert not (negatives & positives_by_user[ex.user_id])
+            assert not (negatives & positives_by_user[user])
 
     def test_pool_too_small_rejected(self):
-        examples = [TrainingExample(0, (1,), 4, 90)]
+        examples = examples_of([(0, (1,), 4, 90)])
         with pytest.raises(ValueError, match="pool"):
             build_eval_cases(examples, "ir", num_negatives=10, seed=0, cutoff=5)
 
     def test_settings_are_checked_before_the_pool(self):
         """A bad cutoff is a plain ``ValueError``, not a too-small pool."""
-        examples = [TrainingExample(0, (1,), 4, 90)]
+        examples = examples_of([(0, (1,), 4, 90)])
         with pytest.raises(PoolTooSmallError):
             build_eval_cases(examples, "ir", num_negatives=10, seed=0, cutoff=5)
         with pytest.raises(ValueError, match="cutoff") as info:
@@ -205,17 +206,16 @@ class TestRanking:
         params.item_embeddings[:] = np.array(
             [[1.0, 0.0, 0.0], [0.9, 0.1, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]
         )
-        case = _case({1}, [1, 2, 3], cutoff=3)
-        case = EvalCase("ir", (0,), frozenset({1}), (1, 2, 3), 3)
-        ranking = rank_candidates(case, params, ENC, EvalPool(task="ir"))
+        case = EvalCase("ir", 0, frozenset({1}), (1, 2, 3), 3)  # query: key 0, the sequence (0,)
+        ranking = rank_candidates(case, params, ENC, EvalPool("ir", Sequences.of([(0,)])))
         assert ranking == [1, 2, 3]
 
     def test_ties_break_by_ascending_id(self):
         params = ModelParams.initialize(5, 2, 0.25, 0)
         params.item_embeddings[:] = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [0.5, 0.0], [0.0, 1.0]])
         # items 1,2,3 all have cosine 1 with the query row 0
-        case = EvalCase("ir", (0,), frozenset({2}), (3, 1, 2, 4), 4)
-        ranking = rank_candidates(case, params, ENC, EvalPool(task="ir"))
+        case = EvalCase("ir", 0, frozenset({2}), (3, 1, 2, 4), 4)
+        ranking = rank_candidates(case, params, ENC, EvalPool("ir", Sequences.of([(0,)])))
         assert ranking == [1, 2, 3, 4]
 
     def test_matches_pairwise_scoring_oracle(self):
@@ -224,8 +224,8 @@ class TestRanking:
         for _ in range(20):
             seq = tuple(int(x) for x in rng.integers(0, 9, size=rng.integers(1, 4)))
             candidates = tuple(int(x) for x in rng.choice(9, size=5, replace=False))
-            case = EvalCase("ir", seq, frozenset({candidates[0]}), candidates, 3)
-            ranking = rank_candidates(case, params, ENC, EvalPool(task="ir"))
+            case = EvalCase("ir", 0, frozenset({candidates[0]}), candidates, 3)
+            ranking = rank_candidates(case, params, ENC, EvalPool("ir", Sequences.of([seq])))
             user = encode_user(seq, params, ENC)
             scored = sorted(
                 candidates,
@@ -236,7 +236,7 @@ class TestRanking:
     def test_ut_ranking_uses_user_tower(self):
         params = ModelParams.initialize(6, 3, 0.25, 5)
         keys = ((0,), (1, 2), (3,))
-        pool = EvalPool(task="ut", user_keys=keys, key_owner={k: i for i, k in enumerate(keys)})
+        pool = EvalPool("ut", Sequences.of(keys), user_keys=np.arange(3), key_owner=np.arange(3))
         case = EvalCase("ut", 4, frozenset({1}), (0, 1, 2), 3)
         ranking = rank_candidates(case, params, ENC, pool)
         item_vec = encode_item(4, params)
@@ -248,25 +248,20 @@ class TestRanking:
 
 class TestPopularity:
     def test_constant_popularity(self):
-        counts = Counter({1: 100, 2: 100, 3: 100})
+        counts = np.array([0, 100, 100, 100])
         median, mean = popularity_stats([[1, 2], [3]], counts)
         assert median == 100 and mean == 100
 
     def test_hand_built_log(self):
-        records = [
-            InteractionRecord(0, 1, 10),
-            InteractionRecord(1, 1, 20),
-            InteractionRecord(0, 2, 30),
-            InteractionRecord(0, 3, 400),  # outside the window
-        ]
+        records = events_of([(0, 1, 10), (1, 1, 20), (0, 2, 30), (0, 3, 400)])  # day 400 is outside the window
         items, users = popularity_counts(records, anchor_day=365, window_days=365)
-        assert items == Counter({1: 2, 2: 1})
-        assert users == Counter({0: 2, 1: 1})
+        assert items.tolist() == [0, 2, 1, 0]
+        assert users.tolist() == [2, 1]
         median, mean = popularity_stats([[1, 2, 3]], items)
         assert median == 1 and mean == pytest.approx(1.0)
 
     def test_window_boundaries(self):
-        records = [InteractionRecord(0, 1, 0), InteractionRecord(0, 1, 364), InteractionRecord(0, 1, 365)]
+        records = events_of([(0, 1, 0), (0, 1, 364), (0, 1, 365)])
         items, _ = popularity_counts(records, anchor_day=365, window_days=365)
         assert items[1] == 2  # day 365 is outside [0, 365)
 
@@ -287,7 +282,7 @@ class TestEvaluate:
         examples = make_test_examples()
         cases, pool = build_eval_cases(examples, "ir", num_negatives=3, seed=0, cutoff=3)
         params = ModelParams.initialize(8, 4, 0.25, 1)
-        records = [InteractionRecord(0, i % 8, 50) for i in range(40)]
+        records = events_of([(0, i % 8, 50) for i in range(40)])
         report = evaluate(cases, pool, params, ENC, records=records, anchor_day=90)
         assert report.popularity_median is not None
         assert report.popularity_mean == pytest.approx(5.0)  # every item appears 5 times
@@ -302,43 +297,44 @@ class TestEvaluate:
         assert reports[0] == reports[1]
 
 
-def reference_cases(test_examples, task, num_negatives, seed, cutoff):
-    """The case draw as first written: one ``np.isin`` per case, then
-    ``rng.choice`` over that case's eligible negatives."""
+def reference_cases(rows, task, num_negatives, seed, cutoff):
+    """The case draw as first written, over ``(user, pseudo-user, target,
+    day)`` rows: one ``np.isin`` per case, then ``rng.choice`` over that
+    case's eligible negatives."""
     rng = np.random.default_rng(seed)
-    ordered = sorted(test_examples, key=lambda e: (e.user_id, e.day, e.target_item, e.pseudo_user))
+    ordered = sorted(rows, key=lambda r: (r[0], r[3], r[2], r[1]))
     out = []
     if task == "ir":
-        pool_arr = np.array(sorted({ex.target_item for ex in ordered}), dtype=np.int64)
+        pool_arr = np.array(sorted({target for _, _, target, _ in ordered}), dtype=np.int64)
         positives = {}
-        for ex in ordered:
-            positives.setdefault(ex.user_id, set()).add(ex.target_item)
-        for ex in ordered:
-            eligible = pool_arr[~np.isin(pool_arr, sorted(positives[ex.user_id]))]
+        for user, _, target, _ in ordered:
+            positives.setdefault(user, set()).add(target)
+        for user, seq, target, _ in ordered:
+            eligible = pool_arr[~np.isin(pool_arr, sorted(positives[user]))]
             negs = rng.choice(eligible, size=num_negatives, replace=False) if num_negatives else []
-            out.append((ex.pseudo_user, ex.target_item, (ex.target_item, *[int(n) for n in negs])))
+            out.append((seq, target, (target, *[int(n) for n in negs])))
         return out
-    keys = sorted({ex.pseudo_user for ex in ordered})
+    keys = sorted({seq for _, seq, _, _ in ordered})
     key_index = {key: pos for pos, key in enumerate(keys)}
     positives = {}
-    for ex in ordered:
-        positives.setdefault(ex.target_item, set()).add(key_index[ex.pseudo_user])
+    for _, seq, target, _ in ordered:
+        positives.setdefault(target, set()).add(key_index[seq])
     all_indices = np.arange(len(keys))
-    for ex in ordered:
-        eligible = all_indices[~np.isin(all_indices, sorted(positives[ex.target_item]))]
+    for _, seq, target, _ in ordered:
+        eligible = all_indices[~np.isin(all_indices, sorted(positives[target]))]
         negs = rng.choice(eligible, size=num_negatives, replace=False) if num_negatives else []
-        positive = key_index[ex.pseudo_user]
-        out.append((ex.target_item, positive, (positive, *[int(n) for n in negs])))
+        positive = key_index[seq]
+        out.append((target, positive, (positive, *[int(n) for n in negs])))
     return out
 
 
-def random_examples(rng, num_users=30, num_items=40, count=120):
-    """Test examples with repeated users, items and pseudo-user keys."""
+def random_rows(rng, num_users=30, num_items=40, count=120):
+    """Test example rows with repeated users, items and pseudo-user keys."""
     out = []
     for _ in range(count):
         user = int(rng.integers(num_users))
         seq = tuple(int(x) for x in rng.integers(0, num_items, size=int(rng.integers(1, 5))))
-        out.append(TrainingExample(user, seq, int(rng.integers(num_items)), int(rng.integers(90, 120))))
+        out.append((user, seq, int(rng.integers(num_items)), int(rng.integers(90, 120))))
     return out
 
 
@@ -346,20 +342,22 @@ class TestCaseDrawUnchanged:
     @pytest.mark.parametrize("task", ["ir", "ut"])
     @pytest.mark.parametrize("seed", [0, 1, 7, 23, 101])
     def test_matches_per_case_reference(self, task, seed):
-        examples = random_examples(np.random.default_rng(seed + 1000))
+        rows = random_rows(np.random.default_rng(seed + 1000))
         for num_negatives in (0, 5, 15):
-            cases, _ = build_eval_cases(examples, task, num_negatives=num_negatives, seed=seed, cutoff=4)
-            got = [(c.query, next(iter(c.positives)), c.candidates) for c in cases]
-            assert got == reference_cases(examples, task, num_negatives, seed, 4)
+            cases, pool = build_eval_cases(examples_of(rows), task, num_negatives=num_negatives, seed=seed, cutoff=4)
+            queries = [pool.table[c.query] if task == "ir" else c.query for c in cases]
+            got = [(query, next(iter(c.positives)), c.candidates) for query, c in zip(queries, cases)]
+            assert got == reference_cases(rows, task, num_negatives, seed, 4)
 
 
 def oracle_scores(case, params, enc, pool):
     """Per-case reference scores from ``encode_user`` and ``score``."""
     if case.task == "ir":
-        user = encode_user(case.query, params, enc)
+        user = encode_user(pool.table[case.query], params, enc)
         return {c: score(user, params.item_embeddings[c], params.temperature) for c in case.candidates}
     item = params.item_embeddings[case.query]
-    return {c: score(encode_user(pool.user_keys[c], params, enc), item, params.temperature) for c in case.candidates}
+    keys = pool.user_keys.tolist()
+    return {c: score(encode_user(pool.table[keys[c]], params, enc), item, params.temperature) for c in case.candidates}
 
 
 class TestRankingIndexMatchesOracle:
@@ -375,13 +373,13 @@ class TestRankingIndexMatchesOracle:
         # Duplicate item rows: items 5, 6 and 7 score exactly alike for every query.
         params.item_embeddings[6] = params.item_embeddings[5]
         params.item_embeddings[7] = params.item_embeddings[5]
-        examples = random_examples(rng, num_items=num_items)
+        rows = random_rows(rng, num_items=num_items)
         # (3,), (3, 3) and (9, 3) are different keys; the first two share the
         # vector under every aggregator, (9, 3) ties with them under "last".
         for user, seq in enumerate([(3,), (3, 3), (9, 3)]):
             for target in (5, 11, 12):
-                examples.append(TrainingExample(100 + user, seq, target, 95))
-        return params, examples, EncoderConfig(aggregator)
+                rows.append((100 + user, seq, target, 95))
+        return params, examples_of(rows), EncoderConfig(aggregator)
 
     @pytest.mark.parametrize("aggregator", ["mean", "last", "attention"])
     @pytest.mark.parametrize("task", ["ir", "ut"])
@@ -398,7 +396,7 @@ class TestRankingIndexMatchesOracle:
             assert rank_candidates(case, params, enc, pool) == expected
             top = expected[: case.cutoff]
             if task == "ut":
-                top = [pool.key_owner[pool.user_keys[idx]] for idx in top]
+                top = [int(pool.key_owner[idx]) for idx in top]
             assert row["top"] == top
             assert row["recall"] == recall_at_n(case, expected)
             assert row["ndcg"] == ndcg_at_n(case, expected)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from gradcheck import max_relative_error, numeric_gradient
-from twotower.data import EmpiricalMarginals, LabeledExample, TrainingExample
+from reference import examples_of
+from twotower.data import EmpiricalMarginals, Examples
 from twotower.losses import LossConfig, loss_with_gradients
 from twotower.model import EncoderConfig, ModelParams
 
@@ -22,41 +23,42 @@ def small_params(rng: np.random.Generator, scale: float = 1e-2) -> ModelParams:
     return params
 
 
-def bias_marginals(log_p_user: dict, log_p_item: dict) -> EmpiricalMarginals:
-    """Marginals that hold just the given bias terms (counts are not read)."""
-    return EmpiricalMarginals(log_p_user, log_p_item, count_user={}, count_item={}, total=BATCH)
+def bias_marginals(batch: Examples, log_p_user: dict, log_p_item: dict) -> EmpiricalMarginals:
+    """Marginals that hold just the given bias terms of pseudo-users and
+    items (their counts are not read); any other key or item gets a floor."""
+    floor = -math.log(BATCH + 1)
+    marginals = EmpiricalMarginals(np.ones(len(batch.table), dtype=np.int64), np.ones(NUM_ITEMS, dtype=np.int64))
+    marginals.log_p_user = np.array([log_p_user.get(key, floor) for key in batch.table])
+    marginals.log_p_item = np.array([log_p_item.get(item, floor) for item in range(NUM_ITEMS)])
+    return marginals
 
 
-def random_batch(rng: np.random.Generator) -> tuple[list[TrainingExample], EmpiricalMarginals]:
-    """A batch and marginals with arbitrary (valid) log-probabilities for its keys."""
-    batch, log_p_user, log_p_item = [], {}, {}
+def random_batch(rng: np.random.Generator, extra_keys=()) -> tuple[Examples, EmpiricalMarginals]:
+    """A batch and marginals with arbitrary (valid) log-probabilities for its
+    keys; the batch's key table also holds ``extra_keys``."""
+    rows, log_p_user, log_p_item = [], {}, {}
     for _ in range(BATCH):
         length = int(rng.integers(1, 4))
         seq = tuple(int(x) for x in rng.integers(0, NUM_ITEMS, size=length))
         target = int(rng.integers(NUM_ITEMS))
         log_p_user[seq] = float(np.log(rng.uniform(0.05, 0.8)))
         log_p_item[target] = float(np.log(rng.uniform(0.05, 0.8)))
-        batch.append(TrainingExample(0, seq, target, 0))
-    return batch, bias_marginals(log_p_user, log_p_item)
+        rows.append((0, seq, target, 0))
+    batch = examples_of(rows, extra_keys=extra_keys)
+    return batch, bias_marginals(batch, log_p_user, log_p_item)
 
 
-def random_labeled(rng: np.random.Generator) -> list[LabeledExample]:
-    batch = []
-    for k in range(BATCH):
+def random_labeled(rng: np.random.Generator) -> Examples:
+    rows = []
+    for _ in range(BATCH):
         length = int(rng.integers(1, 4))
         seq = tuple(int(x) for x in rng.integers(0, NUM_ITEMS, size=length))
-        batch.append(LabeledExample(0, seq, int(rng.integers(NUM_ITEMS)), 0, label=k % 2))
-    return batch
+        rows.append((0, seq, int(rng.integers(NUM_ITEMS)), 0))
+    return examples_of(rows, labels=[k % 2 for k in range(BATCH)])
 
 
 def uniform_marginals() -> EmpiricalMarginals:
-    return EmpiricalMarginals(
-        log_p_user={(0,): 0.0},
-        log_p_item={i: math.log(1.0 / NUM_ITEMS) for i in range(NUM_ITEMS)},
-        count_user={(0,): NUM_ITEMS},
-        count_item={i: 1 for i in range(NUM_ITEMS)},
-        total=NUM_ITEMS,
-    )
+    return EmpiricalMarginals(np.array([NUM_ITEMS]), np.ones(NUM_ITEMS, dtype=np.int64))
 
 
 def family_case(family: str, rng: np.random.Generator):
@@ -69,8 +71,8 @@ def family_case(family: str, rng: np.random.Generator):
     if family == "full_softmax_row":
         return random_batch(rng)[0], LossConfig(family="full_softmax_row"), {}
     if family == "full_softmax_col":
-        batch = random_batch(rng)[0]
-        universe = sorted({ex.pseudo_user for ex in batch} | {(0,), (1, 2)})
+        batch = random_batch(rng, extra_keys=[(0,), (1, 2)])[0]
+        universe = np.arange(len(batch.table))  # the batch's keys and the extra ones
         return batch, LossConfig(family="full_softmax_col"), {"user_universe": universe}
     if family == "ssm":
         seed = int(rng.integers(2**31))
@@ -122,8 +124,9 @@ class TestSharingEdgeCases:
         rng = np.random.default_rng(99)
         params = small_params(rng)
         enc = EncoderConfig("mean")
-        batch = [TrainingExample(0, (0, 1), 5, 0), TrainingExample(1, (2,), 5, 0), TrainingExample(2, (3, 5), 4, 0)]
+        batch = examples_of([(0, (0, 1), 5, 0), (1, (2,), 5, 0), (2, (3, 5), 4, 0)])
         marginals = bias_marginals(
+            batch,
             {(0, 1): math.log(0.4), (2,): math.log(0.6), (3, 5): math.log(0.2)}, {5: math.log(0.3), 4: math.log(0.4)}
         )
         config = LossConfig.from_preset("bbcnce")
@@ -140,9 +143,9 @@ class TestSharingEdgeCases:
         rng = np.random.default_rng(98)
         params = small_params(rng)
         enc = EncoderConfig("attention")
-        batch = [TrainingExample(0, (4, 4, 1), 2, 0), TrainingExample(1, (0, 4), 3, 0)]
+        batch = examples_of([(0, (4, 4, 1), 2, 0), (1, (0, 4), 3, 0)])
         half = math.log(0.5)
-        marginals = bias_marginals({(4, 4, 1): half, (0, 4): half}, {2: half, 3: half})
+        marginals = bias_marginals(batch, {(4, 4, 1): half, (0, 4): half}, {2: half, 3: half})
         config = LossConfig.from_preset("simclr")
 
         def evaluate():
@@ -160,9 +163,9 @@ class TestCriticalPoint:
         vanishes (normalized identical vectors have no tangential pull)."""
         params = ModelParams.initialize(4, 3, temperature=0.5, seed=0)
         params.item_embeddings[:] = np.ones((4, 3)) * 0.2
-        batch = [TrainingExample(0, (0,), 1, 0), TrainingExample(1, (2,), 3, 0)]
+        batch = examples_of([(0, (0,), 1, 0), (1, (2,), 3, 0)])
         quarter = math.log(0.25)
-        marginals = bias_marginals({(0,): quarter, (2,): quarter}, {1: quarter, 3: quarter})
+        marginals = bias_marginals(batch, {(0,): quarter, (2,): quarter}, {1: quarter, 3: quarter})
         out = loss_with_gradients(
             batch, params, EncoderConfig("mean"), LossConfig.from_preset("simclr"), marginals=marginals
         )
@@ -174,6 +177,6 @@ class TestCriticalPoint:
         params = ModelParams.initialize(2, 2, temperature=1.0, seed=0)
         params.item_embeddings[:] = np.array([[1.0, 0.0], [0.0, 1.0]])
         out = loss_with_gradients(
-            [LabeledExample(0, (0,), 1, 0, label=1)], params, EncoderConfig("mean"), LossConfig(family="bce")
+            examples_of([(0, (0,), 1, 0)], labels=[1]), params, EncoderConfig("mean"), LossConfig(family="bce")
         )
         assert out.dscore[0] == pytest.approx(-0.5, abs=1e-12)

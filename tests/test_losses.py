@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.special
 
-from twotower.data import EmpiricalMarginals, LabeledExample, TrainingExample, compute_marginals
+from reference import example_rows, examples_of
+from twotower.data import EmpiricalMarginals, Examples, Sequences, compute_marginals
 from twotower.losses import (
     PRESETS,
     LossConfig,
@@ -17,6 +18,7 @@ from twotower.losses import (
     full_softmax_value,
     logsumexp,
     loss_with_gradients,
+    proposal_distribution,
     ssm_loss,
 )
 from twotower.model import EncoderConfig, ModelParams
@@ -29,13 +31,8 @@ def make_params(num_items=6, dim=4, temperature=0.25, seed=0) -> ModelParams:
 
 
 def uniform_marginals(num_items: int) -> EmpiricalMarginals:
-    return EmpiricalMarginals(
-        log_p_user={(0,): 0.0},
-        log_p_item={i: math.log(1.0 / num_items) for i in range(num_items)},
-        count_user={(0,): num_items},
-        count_item={i: 1 for i in range(num_items)},
-        total=num_items,
-    )
+    """Every item seen once; of the key ids 0-3 only key 0 is seen."""
+    return EmpiricalMarginals(count_user=np.array([num_items, 0, 0, 0]), count_item=np.ones(num_items, dtype=np.int64))
 
 
 class TestLossConfig:
@@ -120,23 +117,21 @@ class TestBceLoss:
     def test_orthogonal_positive_gives_log_two(self):
         params = make_params(num_items=2, dim=2)
         params.item_embeddings[:] = np.array([[1.0, 0.0], [0.0, 1.0]])
-        batch = [LabeledExample(0, (0,), 1, 0, label=1)]
+        batch = examples_of([(0, (0,), 1, 0)], labels=[1])
         out = bce_loss(batch, params, ENC)
         assert out.value == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_saturated_extremes(self):
         params = make_params(num_items=3, dim=2, temperature=0.05)
         params.item_embeddings[:] = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
-        batch = [
-            LabeledExample(0, (0,), 1, 0, label=1),  # cosine 1 -> logit +20
-            LabeledExample(0, (0,), 2, 0, label=0),  # cosine -1 -> logit -20
-        ]
+        # cosine 1 -> logit +20 (positive); cosine -1 -> logit -20 (negative)
+        batch = examples_of([(0, (0,), 1, 0), (0, (0,), 2, 0)], labels=[1, 0])
         out = bce_loss(batch, params, ENC)
         assert out.value == pytest.approx(0.0, abs=1e-8)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            bce_loss([], make_params(), ENC)
+            bce_loss(examples_of([], labels=[]), make_params(), ENC)
 
 
 def bidirectional_oracle(phi, log_p_u, log_p_i, alpha, beta, d_alpha, d_beta):
@@ -264,15 +259,15 @@ class TestFullSoftmax:
 
     def test_matches_bidirectional_row_term_when_batch_covers_vocab(self):
         params = make_params(num_items=4, dim=3, seed=2)
-        batch = [TrainingExample(0, (t,), (t + 1) % 4, 0) for t in range(4)]
-        marginals = compute_marginals(batch)  # every user and item at probability 1/4
+        batch = examples_of([(0, (t,), (t + 1) % 4, 0) for t in range(4)])
+        marginals = compute_marginals(batch, 4)  # every user and item at probability 1/4
         full = full_softmax_row_loss(batch, params, ENC)
         in_batch = loss_with_gradients(batch, params, ENC, LossConfig.from_preset("row_bcnce"), marginals=marginals)
         assert in_batch.value == pytest.approx(full.value, abs=1e-12)
 
     def test_gradient_rows_cover_vocabulary(self):
         params = make_params(num_items=5, dim=3, seed=3)
-        batch = [TrainingExample(0, (0,), 1, 0), TrainingExample(0, (2,), 3, 0)]
+        batch = examples_of([(0, (0,), 1, 0), (0, (2,), 3, 0)])
         out = full_softmax_row_loss(batch, params, ENC)
         assert set(out.gradients.rows) == {0, 1, 2, 3, 4}
 
@@ -282,7 +277,7 @@ class TestSampledSoftmax:
         num_items = 5
         params = make_params(num_items=num_items, dim=3, seed=4)
         marginals = uniform_marginals(num_items)
-        batch = [TrainingExample(0, (0,), 2, 0), TrainingExample(0, (1, 3), 4, 0)]
+        batch = examples_of([(0, (0,), 2, 0), (0, (1, 3), 4, 0)])
         rng = np.random.default_rng(0)
         sampled = ssm_loss(batch, params, ENC, marginals, num_sampled=num_items - 1, rng=rng)
         full = full_softmax_row_loss(batch, params, ENC)
@@ -293,7 +288,7 @@ class TestSampledSoftmax:
         params = make_params(num_items=num_items, dim=2, seed=5)
         params.item_embeddings[:] = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         marginals = uniform_marginals(num_items)
-        batch = [TrainingExample(0, (0,), 1, 0)]
+        batch = examples_of([(0, (0,), 1, 0)])
         rng = np.random.default_rng(1)
         out = ssm_loss(batch, params, ENC, marginals, num_sampled=1, rng=rng)
         # positive logit: cos((1,0),(0,1))/tau = 0; the drawn negative is item 0 or 2
@@ -315,7 +310,7 @@ class TestSampledSoftmax:
         num_items = 10
         params = make_params(num_items=num_items, dim=4, seed=6)
         marginals = uniform_marginals(num_items)
-        batch = [TrainingExample(0, (0, 3), 7, 0)]
+        batch = examples_of([(0, (0, 3), 7, 0)])
         full = full_softmax_row_loss(batch, params, ENC).value
 
         from twotower.model import encode_user, score
@@ -344,7 +339,7 @@ class TestSampledSoftmax:
         num_items = 6
         params = make_params(num_items=num_items, dim=3, seed=7)
         marginals = uniform_marginals(num_items)
-        batch = [TrainingExample(0, (0,), 3, 0)]
+        batch = examples_of([(0, (0,), 3, 0)])
         rng = np.random.default_rng(3)
         for _ in range(200):
             out = ssm_loss(batch, params, ENC, marginals, num_sampled=4, rng=rng)
@@ -355,7 +350,7 @@ class TestSampledSoftmax:
         params = make_params(num_items=4)
         with pytest.raises(ValueError, match="vocabulary"):
             ssm_loss(
-                [TrainingExample(0, (0,), 1, 0)],
+                examples_of([(0, (0,), 1, 0)]),
                 params,
                 ENC,
                 uniform_marginals(4),
@@ -363,20 +358,29 @@ class TestSampledSoftmax:
                 rng=np.random.default_rng(0),
             )
         # the marginal proposal covers only the items seen in training
-        seen_two = EmpiricalMarginals({(0,): 0.0}, {0: math.log(0.5), 1: math.log(0.5)}, {(0,): 2}, {0: 1, 1: 1}, total=2)
-        batch = [TrainingExample(0, (0,), 1, 0)]
+        seen_two = EmpiricalMarginals(np.array([2]), np.array([1, 1, 0, 0]))
+        batch = examples_of([(0, (0,), 1, 0)])
         with pytest.raises(ValueError, match="covers 2 items"):
             ssm_loss(batch, params, ENC, seen_two, num_sampled=2, rng=np.random.default_rng(0))
         ssm_loss(batch, params, ENC, seen_two, num_sampled=2, rng=np.random.default_rng(0), proposal="uniform")
         assert ssm_loss(batch, params, ENC, seen_two, num_sampled=1, rng=np.random.default_rng(0)).gradients.rows.size
 
+    def test_marginal_proposal_over_a_larger_table(self):
+        """Item counts over the first 4 ids of a 6-row table leave the other
+        two rows at zero proposal probability."""
+        marginals = EmpiricalMarginals(np.array([4]), np.ones(4, dtype=np.int64))
+        assert proposal_distribution(marginals, 6, "marginal", 2).tolist() == [0.25] * 4 + [0.0] * 2
+        batch = examples_of([(0, (0,), 1, 0)])
+        out = ssm_loss(batch, make_params(num_items=6), ENC, marginals, num_sampled=3, rng=np.random.default_rng(0))
+        assert set(out.gradients.rows.tolist()) == {0, 1, 2, 3}
+
     def test_zero_probability_positive_rejected(self):
         params = make_params(num_items=4)
         # items 0 and 1 seen in training, so one negative can be drawn; the positive 2 was never seen
-        marginals = EmpiricalMarginals({(0,): 0.0}, {0: math.log(0.5), 1: math.log(0.5)}, {(0,): 2}, {0: 1, 1: 1}, total=2)
+        marginals = EmpiricalMarginals(np.array([2]), np.array([1, 1, 0, 0]))
         with pytest.raises(ValueError, match="zero proposal"):
             ssm_loss(
-                [TrainingExample(0, (0,), 2, 0)],
+                examples_of([(0, (0,), 2, 0)]),
                 params,
                 ENC,
                 marginals,
@@ -390,8 +394,8 @@ class TestDispatcher:
         params = make_params(num_items=6, dim=3, seed=8)
         marginals = uniform_marginals(6)
         rng = np.random.default_rng(4)
-        examples = [TrainingExample(0, (0, 1), 2, 0), TrainingExample(1, (3,), 4, 0)]
-        labeled = [LabeledExample(0, (0,), 1, 0, 1), LabeledExample(1, (2,), 3, 0, 0)]
+        examples = examples_of([(0, (0, 1), 2, 0), (1, (3,), 4, 0)])
+        labeled = examples_of([(0, (0,), 1, 0), (1, (2,), 3, 0)], labels=[1, 0])
         cases = [
             (labeled, LossConfig(family="bce")),
             (examples, LossConfig.from_preset("bbcnce")),
@@ -404,27 +408,30 @@ class TestDispatcher:
             assert np.isfinite(out.value)
 
     def test_bidirectional_needs_marginals(self):
-        batch = [TrainingExample(0, (0,), 1, 0), TrainingExample(1, (2,), 3, 0)]
+        batch = examples_of([(0, (0,), 1, 0), (1, (2,), 3, 0)])
         with pytest.raises(ValueError, match="marginals"):
             loss_with_gradients(batch, make_params(), ENC, LossConfig.from_preset("bbcnce"))
 
     def test_full_softmax_col_needs_universe(self):
         params = make_params()
-        batch = [TrainingExample(0, (0,), 1, 0)]
+        batch = examples_of([(0, (0,), 1, 0)])
         with pytest.raises(ValueError, match="universe"):
             loss_with_gradients(batch, params, ENC, LossConfig(family="full_softmax_col"))
 
     def test_full_softmax_col_value(self):
         params = make_params(num_items=5, dim=3, seed=9)
         universe = [(0,), (1,), (2, 3)]
-        batch = [TrainingExample(0, (1,), 4, 0), TrainingExample(1, (2, 3), 0, 0)]
-        out = loss_with_gradients(batch, params, ENC, LossConfig(family="full_softmax_col"), user_universe=universe)
+        # the batch's pseudo-users are keys 1 and 2 of a table holding the universe
+        ids = np.array([0, 1])
+        batch = Examples(Sequences.of(universe), ids, np.array([1, 2]), np.array([4, 0]), ids * 0, ids * 0 + 1)
+        config = LossConfig(family="full_softmax_col")
+        out = loss_with_gradients(batch, params, ENC, config, user_universe=np.arange(3))
         # scalar oracle: softmax over the user universe per batch item
         from twotower.model import encode_user, score
 
         expected = 0.0
-        for ex in batch:
-            logits = [score(encode_user(key, params, ENC), params.item_embeddings[ex.target_item], 0.25) for key in universe]
-            own = universe.index(ex.pseudo_user)
+        for _, seq, target, _ in example_rows(batch):
+            logits = [score(encode_user(key, params, ENC), params.item_embeddings[target], 0.25) for key in universe]
+            own = universe.index(seq)
             expected += -(logits[own] - math.log(sum(math.exp(l) for l in logits)))
         assert out.value == pytest.approx(expected / 2.0, abs=1e-12)

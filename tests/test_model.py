@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gradcheck import row_gradient
-from twotower.data import TrainingExample
+from reference import example_rows, examples_of
+from twotower.data import Sequences
 from twotower.model import (
     EncoderConfig,
     ModelParams,
@@ -150,19 +151,19 @@ class TestScore:
 
 
 def _batch(params, rng, size):
-    examples = []
+    rows = []
     for _ in range(size):
         length = int(rng.integers(1, 4))
         seq = tuple(int(x) for x in rng.integers(0, params.num_items, size=length))
-        examples.append(TrainingExample(0, seq, int(rng.integers(params.num_items)), 0))
-    return examples
+        rows.append((0, seq, int(rng.integers(params.num_items)), 0))
+    return examples_of(rows)
 
 
 class TestScoreMatrix:
     def test_single_example_matrix(self):
         params = make_params()
         enc = EncoderConfig("mean")
-        batch = [TrainingExample(0, (1, 2), 4, 0)]
+        batch = examples_of([(0, (1, 2), 4, 0)])
         mat = score_matrix(batch, params, enc)
         assert mat.shape == (1, 1)
         u = encode_user((1, 2), params, enc)
@@ -174,10 +175,10 @@ class TestScoreMatrix:
         rng = np.random.default_rng(2)
         batch = _batch(params, rng, 4)
         mat = score_matrix(batch, params, enc)
-        for r, ex_r in enumerate(batch):
-            u = encode_user(ex_r.pseudo_user, params, enc)
-            for c, ex_c in enumerate(batch):
-                expected = score(u, params.item_embeddings[ex_c.target_item], params.temperature)
+        for r, (_, seq, _, _) in enumerate(example_rows(batch)):
+            u = encode_user(seq, params, enc)
+            for c, (_, _, target, _) in enumerate(example_rows(batch)):
+                expected = score(u, params.item_embeddings[target], params.temperature)
                 assert mat[r, c] == pytest.approx(expected, abs=1e-12)
 
     def test_permutation_consistency(self):
@@ -187,7 +188,7 @@ class TestScoreMatrix:
         batch = _batch(params, rng, 5)
         mat = score_matrix(batch, params, enc)
         perm = [3, 0, 4, 1, 2]
-        permuted = score_matrix([batch[p] for p in perm], params, enc)
+        permuted = score_matrix(batch.take(perm), params, enc)
         np.testing.assert_allclose(permuted, mat[np.ix_(perm, perm)], atol=1e-14)
 
     def test_diagonal_is_positive_pair_scores(self):
@@ -196,9 +197,9 @@ class TestScoreMatrix:
         rng = np.random.default_rng(4)
         batch = _batch(params, rng, 6)
         mat = score_matrix(batch, params, enc)
-        for r, ex in enumerate(batch):
-            u = encode_user(ex.pseudo_user, params, enc)
-            assert mat[r, r] == pytest.approx(score(u, params.item_embeddings[ex.target_item], params.temperature))
+        for r, (_, seq, target, _) in enumerate(example_rows(batch)):
+            u = encode_user(seq, params, enc)
+            assert mat[r, r] == pytest.approx(score(u, params.item_embeddings[target], params.temperature))
 
     def test_scores_bounded(self):
         params = make_params(seed=8, temperature=0.1)
@@ -211,7 +212,7 @@ class TestSharedRowGradients:
     def test_gradient_touches_only_batch_rows(self):
         params = make_params(num_items=10, seed=9)
         enc = EncoderConfig("mean")
-        sequences = [(0, 1), (2,)]
+        sequences = Sequences.of([(0, 1), (2,)])
         targets = [3, 4]
         phi, cache = score_matrix_forward(sequences, targets, params, enc)
         grads = score_matrix_backward(cache, np.ones_like(phi), params, enc)
@@ -220,7 +221,7 @@ class TestSharedRowGradients:
     def test_step_changes_touched_row_only(self):
         params = make_params(num_items=8, seed=10)
         enc = EncoderConfig("mean")
-        phi, cache = score_matrix_forward([(0,)], [1], params, enc)
+        phi, cache = score_matrix_forward(Sequences.of([(0,)]), [1], params, enc)
         grads = score_matrix_backward(cache, np.ones_like(phi), params, enc)
         before = params.item_embeddings.copy()
         for row, g in zip(grads.rows, grads.values):
@@ -231,9 +232,9 @@ class TestSharedRowGradients:
     def test_repeated_item_in_sequence_accumulates(self):
         params = make_params(num_items=5, seed=11)
         enc = EncoderConfig("mean")
-        phi_a, cache_a = score_matrix_forward([(0, 0)], [1], params, enc)
+        phi_a, cache_a = score_matrix_forward(Sequences.of([(0, 0)]), [1], params, enc)
         grads_a = score_matrix_backward(cache_a, np.ones_like(phi_a), params, enc)
-        phi_b, cache_b = score_matrix_forward([(0,)], [1], params, enc)
+        phi_b, cache_b = score_matrix_forward(Sequences.of([(0,)]), [1], params, enc)
         grads_b = score_matrix_backward(cache_b, np.ones_like(phi_b), params, enc)
         np.testing.assert_allclose(row_gradient(grads_a, 0), row_gradient(grads_b, 0), atol=1e-12)
         assert np.any(row_gradient(grads_b, 0) != 0.0)
@@ -265,8 +266,8 @@ class TestSharedRowGradients:
         extra = np.repeat(params.item_embeddings[2:3], 7, axis=0)
         untied = ModelParams(np.vstack([params.item_embeddings, extra]), params.attention_vector.copy(), params.temperature)
 
-        phi, cache = score_matrix_forward(sequences, targets, params, enc)
-        phi_u, cache_u = score_matrix_forward(untied_sequences, untied_targets, untied, enc)
+        phi, cache = score_matrix_forward(Sequences.of(sequences), targets, params, enc)
+        phi_u, cache_u = score_matrix_forward(Sequences.of(untied_sequences), untied_targets, untied, enc)
         np.testing.assert_array_equal(phi_u, phi)
         tied = score_matrix_backward(cache, dphi, params, enc)
         split = score_matrix_backward(cache_u, dphi, untied, enc)

@@ -7,8 +7,9 @@ import struct
 import numpy as np
 import pytest
 
+from reference import example_rows, examples_of, sample_examples
 from twotower import trainer as trainer_mod
-from twotower.data import compute_marginals
+from twotower.data import EmpiricalMarginals, compute_marginals
 from twotower.losses import LossConfig, loss_with_gradients
 from twotower.model import EncoderConfig, GradientTable, ModelParams
 from twotower.trainer import (
@@ -209,7 +210,8 @@ def synthetic_training_set(num_months=3, num_samples=1_500, seed=5):
         num_months=num_months,
     )
     sample = generate_synthetic(spec, seed)
-    return spec, sample.examples, sample.month_index, compute_marginals(sample.examples)
+    examples = sample_examples(sample)
+    return spec, examples, compute_marginals(examples, spec.num_items + spec.num_users)
 
 
 def fresh_params(spec, seed=11):
@@ -227,23 +229,23 @@ LOSS = LossConfig.from_preset("bbcnce")
 
 class TestTrainingLoop:
     def test_one_month_one_epoch_one_batch_is_one_step(self):
-        spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
-        month1 = [ex for ex in examples if month_index[ex.day] == 1]
+        spec, examples, marginals = synthetic_training_set(num_months=3)
+        month1 = examples.take(examples.month == 1)
         params = fresh_params(spec)
         config = train_config(epochs_per_month=1, batch_size=len(month1) + 10)
-        result = train_incremental(month1, month_index, params, ENC, LOSS, config, marginals=marginals)
+        result = train_incremental(month1, params, ENC, LOSS, config, marginals=marginals)
         assert result.months == (1,)
         assert result.steps == 1
 
     def test_step_count_formula(self):
-        spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
-        months = sorted({month_index[ex.day] for ex in examples})
+        spec, examples, marginals = synthetic_training_set(num_months=3)
+        months = sorted(set(examples.month.tolist()))
         config = train_config(epochs_per_month=2, batch_size=50)
         params = fresh_params(spec)
-        result = train_incremental(examples, month_index, params, ENC, LOSS, config, marginals=marginals)
+        result = train_incremental(examples, params, ENC, LOSS, config, marginals=marginals)
         expected = 0
         for month in months:
-            n = sum(1 for ex in examples if month_index[ex.day] == month)
+            n = int(np.sum(examples.month == month))
             full, rem = divmod(n, 50)
             batches = full + (1 if rem >= 2 else 0)  # trailing singleton dropped for in-batch loss
             expected += 2 * batches
@@ -252,34 +254,43 @@ class TestTrainingLoop:
     def test_each_month_batches_hold_only_that_months_examples(self, monkeypatch):
         """Every epoch of a month's phase batches exactly that month's
         examples, each once, and the months run in ascending order."""
-        spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
+        spec, examples, marginals = synthetic_training_set(num_months=3)
         batched: list = []
+        months_fed: set = set()
         per_month: dict = {}
         real_make_batches = trainer_mod.make_batches
+        real_loss = trainer_mod.loss_with_gradients
 
         def recording_make_batches(*args):
-            for batch in real_make_batches(*args):
-                batched.extend(batch)
-                yield batch
+            for rows in real_make_batches(*args):
+                batched.extend(rows.tolist())
+                yield rows
+
+        def recording_loss(batch, *args, **kwargs):
+            months_fed.update(batch.month.tolist())
+            return real_loss(batch, *args, **kwargs)
 
         def eval_fn(params, month):
-            per_month[month] = list(batched)
+            per_month[month] = (list(batched), set(months_fed))
             batched.clear()
+            months_fed.clear()
             return {}
 
         monkeypatch.setattr(trainer_mod, "make_batches", recording_make_batches)
+        monkeypatch.setattr(trainer_mod, "loss_with_gradients", recording_loss)
         config = train_config(epochs_per_month=2, batch_size=16)
         params = fresh_params(spec)
-        result = train_incremental(examples, month_index, params, ENC, LOSS, config, marginals=marginals, eval_fn=eval_fn)
+        result = train_incremental(examples, params, ENC, LOSS, config, marginals=marginals, eval_fn=eval_fn)
         assert result.months == (1, 2, 3)
         assert list(per_month) == [1, 2, 3]
-        for month, fed in per_month.items():
-            own = [ex for ex in examples if month_index[ex.day] == month]
-            assert sorted(map(id, fed)) == sorted(map(id, own * 2))
+        for month, (fed, months) in per_month.items():
+            # the batches index the month's pool, each example once per epoch
+            assert sorted(fed) == sorted(list(range(int(np.sum(examples.month == month)))) * 2)
+            assert months == {month}
 
     def test_eval_snapshot_recorded_per_month(self):
-        spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
-        months = sorted({month_index[ex.day] for ex in examples})
+        spec, examples, marginals = synthetic_training_set(num_months=3)
+        months = sorted(set(examples.month.tolist()))
         seen = []
 
         def eval_fn(params, month):
@@ -290,21 +301,21 @@ class TestTrainingLoop:
         params = fresh_params(spec)
         config = train_config(epochs_per_month=1)
         result = train_incremental(
-            examples, month_index, params, ENC, LOSS, config, marginals=marginals, eval_fn=eval_fn
+            examples, params, ENC, LOSS, config, marginals=marginals, eval_fn=eval_fn
         )
         assert seen == months
         assert [row["month"] for row in result.trace] == months
         assert np.any(params.item_embeddings != 0.0)
 
     def test_resume_from_month_checkpoint_is_bit_identical(self, tmp_path):
-        spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
-        months = sorted({month_index[ex.day] for ex in examples})
+        spec, examples, marginals = synthetic_training_set(num_months=3)
+        months = sorted(set(examples.month.tolist()))
         config = train_config()
 
         full_dir = str(tmp_path / "full")
         params_full = fresh_params(spec)
         full = train_incremental(
-            examples, month_index, params_full, ENC, LOSS, config,
+            examples, params_full, ENC, LOSS, config,
             marginals=marginals, checkpoint_dir=full_dir, fingerprint=7,
         )
 
@@ -312,7 +323,7 @@ class TestTrainingLoop:
         params_part = fresh_params(spec)
         resume_ckpt = load_checkpoint(os.path.join(full_dir, f"month_{months[0]:04d}.ckpt"), expected_fingerprint=7)
         resumed = train_incremental(
-            examples, month_index, params_part, ENC, LOSS, config,
+            examples, params_part, ENC, LOSS, config,
             marginals=marginals, checkpoint_dir=part_dir, fingerprint=7, resume=resume_ckpt,
         )
         written = [os.path.basename(p) for p in resumed.checkpoints]
@@ -323,47 +334,47 @@ class TestTrainingLoop:
         assert open(os.path.join(part_dir, final), "rb").read() == open(os.path.join(full_dir, final), "rb").read()
 
     def test_resume_from_epoch_checkpoint_is_bit_identical(self, tmp_path):
-        spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
-        months = sorted({month_index[ex.day] for ex in examples})
+        spec, examples, marginals = synthetic_training_set(num_months=3)
+        months = sorted(set(examples.month.tolist()))
         config = train_config(epochs_per_month=2)
 
         full_dir = str(tmp_path / "full")
         params_full = fresh_params(spec)
         train_incremental(
-            examples, month_index, params_full, ENC, LOSS, config,
+            examples, params_full, ENC, LOSS, config,
             marginals=marginals, checkpoint_dir=full_dir, fingerprint=3,
         )
 
         epoch_ckpt = load_checkpoint(os.path.join(full_dir, f"month_{months[1]:04d}_epoch_00.ckpt"), expected_fingerprint=3)
         params_resumed = fresh_params(spec)
         train_incremental(
-            examples, month_index, params_resumed, ENC, LOSS, config,
+            examples, params_resumed, ENC, LOSS, config,
             marginals=marginals, checkpoint_dir=str(tmp_path / "resume"), fingerprint=3, resume=epoch_ckpt,
         )
         np.testing.assert_array_equal(params_resumed.item_embeddings, params_full.item_embeddings)
 
     def test_repeat_runs_are_identical(self):
-        spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
+        spec, examples, marginals = synthetic_training_set(num_months=3)
         outs = []
         for _ in range(2):
             params = fresh_params(spec)
-            train_incremental(examples, month_index, params, ENC, LOSS, train_config(), marginals=marginals)
+            train_incremental(examples, params, ENC, LOSS, train_config(), marginals=marginals)
             outs.append(params.item_embeddings.copy())
         np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_shuffled_equals_incremental_on_single_month(self):
-        spec, examples, month_index, marginals = synthetic_training_set(num_months=1)
+        spec, examples, marginals = synthetic_training_set(num_months=1)
         config = train_config(epochs_per_month=2)
         params_inc = fresh_params(spec)
-        inc = train_incremental(examples, month_index, params_inc, ENC, LOSS, config, marginals=marginals)
+        inc = train_incremental(examples, params_inc, ENC, LOSS, config, marginals=marginals)
         params_shuf = fresh_params(spec)
         shuffled = dataclasses.replace(config, mode="shuffled")
-        shuf = train_incremental(examples, month_index, params_shuf, ENC, LOSS, shuffled, marginals=marginals)
+        shuf = train_incremental(examples, params_shuf, ENC, LOSS, shuffled, marginals=marginals)
         assert inc.steps == shuf.steps
         np.testing.assert_array_equal(params_inc.item_embeddings, params_shuf.item_embeddings)
 
     def test_shuffled_resume_trains_only_the_remaining_epochs(self, tmp_path):
-        spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
+        spec, examples, marginals = synthetic_training_set(num_months=3)
         config = train_config(epochs_per_month=3, mode="shuffled")
 
         def eval_fn(params, month):
@@ -371,7 +382,7 @@ class TestTrainingLoop:
 
         full_dir = str(tmp_path / "full")
         full = train_incremental(
-            examples, month_index, fresh_params(spec), ENC, LOSS, config,
+            examples, fresh_params(spec), ENC, LOSS, config,
             marginals=marginals, eval_fn=eval_fn, checkpoint_dir=full_dir, fingerprint=5,
         )
         assert [os.path.basename(p) for p in full.checkpoints] == [f"shuffled_epoch_{e:02d}.ckpt" for e in range(3)]
@@ -380,7 +391,7 @@ class TestTrainingLoop:
         resume_ckpt = load_checkpoint(os.path.join(full_dir, "shuffled_epoch_00.ckpt"), expected_fingerprint=5)
         resume_dir = str(tmp_path / "resume")
         resumed = train_incremental(
-            examples, month_index, fresh_params(spec), ENC, LOSS, config,
+            examples, fresh_params(spec), ENC, LOSS, config,
             marginals=marginals, eval_fn=eval_fn, checkpoint_dir=resume_dir, fingerprint=5, resume=resume_ckpt,
         )
         assert resumed.steps == full.steps * 2 // 3
@@ -390,7 +401,7 @@ class TestTrainingLoop:
         assert open(os.path.join(resume_dir, last), "rb").read() == open(os.path.join(full_dir, last), "rb").read()
 
     def test_full_batch_sgd_descends(self):
-        spec, examples, month_index, marginals = synthetic_training_set(num_months=1, num_samples=120)
+        spec, examples, marginals = synthetic_training_set(num_months=1, num_samples=120)
         params = fresh_params(spec)
         values = []
         for _ in range(6):
@@ -405,8 +416,8 @@ class TestTrainingLoop:
         """One month of steps under each family moves the touched rows."""
         from twotower.data import sample_negatives_bce
 
-        spec, examples, month_index, marginals = synthetic_training_set(num_months=1, num_samples=400)
-        universe = sorted({ex.pseudo_user for ex in examples})
+        spec, examples, marginals = synthetic_training_set(num_months=1, num_samples=400)
+        universe = np.unique(examples.key)
         labeled = sample_negatives_bce(examples, "uniform", num_items=spec.num_items + spec.num_users, rng_seed=0)
         cases = [
             (LossConfig(family="bce"), labeled),
@@ -420,7 +431,6 @@ class TestTrainingLoop:
             before = params.item_embeddings.copy()
             result = train_incremental(
                 data,
-                month_index,
                 params,
                 ENC,
                 loss_config,
@@ -433,44 +443,44 @@ class TestTrainingLoop:
             assert np.all(np.isfinite(params.item_embeddings)), loss_config.family
 
     def test_attention_aggregator_trains_its_query_vector(self):
-        spec, examples, month_index, marginals = synthetic_training_set(num_months=1, num_samples=400)
+        spec, examples, marginals = synthetic_training_set(num_months=1, num_samples=400)
         params = fresh_params(spec)
         enc = EncoderConfig("attention")
         # singleton pseudo-users make attention weights constant but the
         # query gradient flows through multi-item sequences; build some
-        merged = [
-            dataclasses.replace(ex, pseudo_user=(ex.pseudo_user[0], examples[(k + 1) % len(examples)].pseudo_user[0]))
-            for k, ex in enumerate(examples)
-        ]
+        rows = example_rows(examples)
+        nexts = rows[1:] + rows[:1]
+        merged = examples_of([(user, (seq[0], nxt[1][0]), target, day) for (user, seq, target, day), nxt in zip(rows, nexts)])
+        unseen_keys = EmpiricalMarginals(np.zeros(len(merged.table), dtype=np.int64), marginals.count_item)
         train_incremental(
-            merged, month_index, params, enc, LOSS, train_config(epochs_per_month=1, batch_size=32),
-            marginals=marginals,
+            merged, params, enc, LOSS, train_config(epochs_per_month=1, batch_size=32),
+            marginals=unseen_keys,
         )
         assert np.any(params.attention_vector != 0.0)
 
     def test_months_must_be_configured(self):
         """The months come from the examples; with none there is nothing to train."""
-        spec, _, month_index, _ = synthetic_training_set()
+        spec, examples, _ = synthetic_training_set()
         with pytest.raises(ValueError, match="months"):
-            train_incremental([], month_index, fresh_params(spec), ENC, LOSS, train_config())
+            train_incremental(examples.take(examples.month < 0), fresh_params(spec), ENC, LOSS, train_config())
 
     def test_mismatched_resume_months_rejected(self, tmp_path):
-        spec, examples, month_index, marginals = synthetic_training_set(num_months=3)
+        spec, examples, marginals = synthetic_training_set(num_months=3)
         params = fresh_params(spec)
-        first_two = [ex for ex in examples if month_index[ex.day] <= 2]
+        first_two = examples.take(examples.month <= 2)
         result = train_incremental(
-            first_two, month_index, params, ENC, LOSS, train_config(),
+            first_two, params, ENC, LOSS, train_config(),
             marginals=marginals, checkpoint_dir=str(tmp_path), fingerprint=0,
         )
         assert result.months == (1, 2)
         checkpoint = load_checkpoint(result.checkpoints[0])
         with pytest.raises(CheckpointError, match="months"):
-            train_incremental(examples, month_index, params, ENC, LOSS, train_config(), resume=checkpoint)
+            train_incremental(examples, params, ENC, LOSS, train_config(), resume=checkpoint)
 
     def test_non_finite_loss_aborts(self, monkeypatch):
         """A loss value of NaN or infinity stops training before the step,
         even when the gradients are finite."""
-        spec, examples, month_index, marginals = synthetic_training_set(num_months=1, num_samples=120)
+        spec, examples, marginals = synthetic_training_set(num_months=1, num_samples=120)
         real_loss = trainer_mod.loss_with_gradients
 
         def infinite_loss(*args, **kwargs):
@@ -482,5 +492,5 @@ class TestTrainingLoop:
         params = fresh_params(spec)
         before = params.item_embeddings.copy()
         with pytest.raises(NonFiniteLossError, match="inf"):
-            train_incremental(examples, month_index, params, ENC, LOSS, train_config(), marginals=marginals)
+            train_incremental(examples, params, ENC, LOSS, train_config(), marginals=marginals)
         np.testing.assert_array_equal(params.item_embeddings, before)

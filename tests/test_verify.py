@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, spearmanr
 
+from reference import example_rows, sample_events, sample_examples
 from twotower.data import DAYS_PER_MONTH
 from twotower.losses import LossConfig
 from twotower.verify import (
@@ -65,13 +66,13 @@ class TestGenerateSynthetic:
         joint[1, 2] = 1.0
         spec = SyntheticSpec(num_users=3, num_items=4, joint=joint, num_samples=500)
         sample = generate_synthetic(spec, seed=0)
-        assert all(r.user_id == 1 and r.item_id == 2 for r in sample.records)
+        assert all(u == 1 and i == 2 for u, i, _ in sample_events(sample))
         assert sample.counts[1, 2] == 500
 
     def test_counts_match_records(self):
         spec = SyntheticSpec(num_users=4, num_items=5, joint=random_joint(4, 5, seed=1), num_samples=2_000)
         sample = generate_synthetic(spec, seed=2)
-        recount = Counter((r.user_id, r.item_id) for r in sample.records)
+        recount = Counter((u, i) for u, i, _ in sample_events(sample))
         for (u, i), c in recount.items():
             assert sample.counts[u, i] == c
         assert sample.counts.sum() == 2_000
@@ -93,26 +94,28 @@ class TestGenerateSynthetic:
         b[1, 2] = 1.0
         spec = SyntheticSpec(num_users=2, num_items=3, drift=[a, b], num_months=2, num_samples=1_000)
         sample = generate_synthetic(spec, seed=5)
-        for rec in sample.records:
-            month = rec.day // DAYS_PER_MONTH + 1
+        for user, item, day in sample_events(sample):
+            month = day // DAYS_PER_MONTH + 1
             if month == 1:
-                assert (rec.user_id, rec.item_id) == (0, 0)
+                assert (user, item) == (0, 0)
             else:
-                assert (rec.user_id, rec.item_id) == (1, 2)
+                assert (user, item) == (1, 2)
         assert sample.month_counts[0][0, 0] > 0 and sample.month_counts[1][1, 2] > 0
 
     def test_examples_use_reserved_user_tokens(self):
         spec = SyntheticSpec(num_users=3, num_items=4, joint=random_joint(3, 4, seed=6), num_samples=50)
         sample = generate_synthetic(spec, seed=7)
-        for ex in sample.examples:
-            assert ex.pseudo_user == (4 + ex.user_id,)
-            assert 0 <= ex.target_item < 4
+        examples = sample_examples(sample)
+        for user, seq, target, day in example_rows(examples):
+            assert seq == (4 + user,)
+            assert 0 <= target < 4
+        assert examples.month.tolist() == (examples.day // DAYS_PER_MONTH + 1).tolist()
 
     def test_deterministic(self):
         spec = SyntheticSpec(num_users=3, num_items=4, joint=random_joint(3, 4, seed=8), num_samples=300)
         a = generate_synthetic(spec, seed=9)
         b = generate_synthetic(spec, seed=9)
-        assert a.records == b.records
+        assert sample_events(a) == sample_events(b)
 
 
 def dense_tables(counts: np.ndarray) -> EmpiricalTables:
@@ -303,11 +306,11 @@ class TestMinibatchConvergence:
             num_users=8, num_items=12, joint=random_joint(8, 12, seed=7), num_samples=20_000, num_months=1
         )
         sample = generate_synthetic(spec, seed=2)
-        marginals = compute_marginals(sample.examples)
+        marginals = compute_marginals(sample_examples(sample), spec.num_items + spec.num_users)
         params = ModelParams.initialize(20, 10, 0.05, seed=3)
         config = TrainConfig(epochs_per_month=25, batch_size=128, learning_rate=0.02, seed=4)
         loss = LossConfig.from_preset("bbcnce")
-        train_incremental(sample.examples, sample.month_index, params, enc, loss, config, marginals=marginals)
+        train_incremental(sample_examples(sample), params, enc, loss, config, marginals=marginals)
 
         tables = sample.tables
         phi = phi_table(params, spec)

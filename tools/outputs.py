@@ -10,7 +10,9 @@ on the parent commit and on the change, then comparing the two directories:
 `run` imports `twotower` from the import path, so `PYTHONPATH` picks the
 source tree under test, and `loggen` from this checkout's `bench/`.  It
 writes seeded `bench/loggen.py` logs shaped like the benchmark's three data
-workloads, then runs `prepare`, `train --export-embeddings`, a resume from
+workloads, plus a copy of the `incremental` log with ISO dates (calendar
+months from a first day that is not the first of a month; its seventh,
+partial month is left out), then runs `prepare`, `train --export-embeddings`, a resume from
 the first checkpoint into a second directory, `eval` for both tasks (plain
 and `--verbose`), `trace` for both tasks (runs with month checkpoints) and
 two `retrieve` queries per task, under each loss configuration of `CASES`;
@@ -32,6 +34,7 @@ import contextlib
 import io
 import json
 import math
+import datetime
 import os
 import shutil
 import sys
@@ -54,9 +57,17 @@ BASE = {
     "train.batch_size": 256,
     "eval.num_negatives": 29,
 }
-# name -> (log shape, settings over BASE)
+# The ISO-dated copy of a log: integer day 0 becomes this date.
+ISO_EPOCH = datetime.date(2023, 1, 17)
+ISO_LOGS = {"incremental_iso": "incremental"}
+# name -> (log, settings over BASE)
 CASES = {
     "bbcnce": ("incremental", {}),
+    "bbcnce_iso": ("incremental_iso", {"data.months_total": 6}),
+    "bbcnce_months_total": ("incremental", {"data.months_total": 4}),
+    # One-item pseudo-users are shared by many users, so the user a key
+    # stands for depends on which examples are searched first.
+    "bbcnce_one_item": ("targeting", {"data.max_seq_len": 1, "eval.num_negatives": 29}),
     "infonce": ("targeting", {"loss.preset": "infonce", "eval.num_negatives": 99}),
     "ssm_last": (
         "targeting",
@@ -75,6 +86,11 @@ CASES = {
             "train.epochs_per_month": 2,
             "train.batch_size": 64,
         },
+    ),
+    "bce_item_marginal": ("incremental", {"loss.family": "bce", "loss.negative_strategy": "item-marginal"}),
+    "bce_product": (
+        "targeting",
+        {"loss.family": "bce", "loss.negative_strategy": "product-of-marginals", "loss.negative_ratio": 2},
     ),
 }
 VERIFY_SEEDS = (1, 4)
@@ -106,6 +122,11 @@ def run_matrix(directory: Path) -> int:
     os.makedirs("logs")
     for shape, dims in SHAPES.items():
         loggen.write_csv(loggen.LogShape(**dims), BASE["seed"], f"logs/{shape}.csv")
+    for name, source in ISO_LOGS.items():
+        with open(f"logs/{source}.csv", encoding="utf-8") as src, open(f"logs/{name}.csv", "w", encoding="utf-8") as out:
+            for line in src:
+                user, item, day = line.rstrip("\n").split(",")
+                out.write(f"{user},{item},{ISO_EPOCH + datetime.timedelta(days=int(day))}\n")
 
     for name, (shape, extra) in CASES.items():
         settings = {**BASE, "data.input": f"logs/{shape}.csv"} | extra
