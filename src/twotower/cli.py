@@ -333,7 +333,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for name in ("temperature", "learning_rate"):
         if getattr(v, name) <= 0:
             raise CliError(f"verify: {name} must be positive")
-    spec = SyntheticSpec(num_users=v.num_users, num_items=v.num_items, joint=joint, num_samples=v.num_samples)
+    spec = _configured("verify", SyntheticSpec, v.num_users, v.num_items, joint=joint, num_samples=v.num_samples)
     result = run_table_sweep(
         spec,
         seeds,

@@ -24,7 +24,9 @@ in-batch denominators reduce exactly to marginal-weighted sums over the
 observed support, so the loss is evaluated in aggregated (count-weighted)
 form with gradients flowing through the regular encoder backward pass.
 Synthetic users enter the shared embedding table as one reserved token each,
-giving every user a free embedding row.
+giving every user a free embedding row.  A seed's configurations train
+together as one stacked problem: one forward pass, loss, backward pass and
+Adam step per epoch serve all of them.
 
 A one-sided loss cannot pin the score table completely: a row-only softmax
 is invariant to adding any per-user offset (a column-only one to any
@@ -86,6 +88,8 @@ class SyntheticSpec:
         for table in tables:
             if table.shape != (self.num_users, self.num_items):
                 raise ValueError("joint table shape must be (num_users, num_items)")
+            if not np.all(np.isfinite(table)):
+                raise ValueError("joint table must be finite")
             if np.any(table < 0):
                 raise ValueError("joint table must be nonnegative")
             if abs(float(table.sum()) - 1.0) > 1e-12:
@@ -114,6 +118,8 @@ def random_joint(
     """Low-rank positive random table with a sparsified support, normalized."""
     if num_users < 1 or num_items < 1:
         raise ValueError("num_users and num_items must be >= 1")
+    if table_rank < 1:
+        raise ValueError("table_rank must be >= 1")
     rng = np.random.default_rng(seed)
     left = rng.gamma(shape=2.0, scale=1.0, size=(num_users, table_rank))
     right = rng.gamma(shape=2.0, scale=1.0, size=(table_rank, num_items))
@@ -142,6 +148,9 @@ class EmpiricalTables:
     p_user: np.ndarray = field(init=False)
     p_item: np.ndarray = field(init=False)
     observed: np.ndarray = field(init=False)
+    log_joint: np.ndarray = field(init=False)  # -inf off the support
+    log_p_user: np.ndarray = field(init=False)
+    log_p_item: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.total = int(self.counts.sum())
@@ -151,21 +160,10 @@ class EmpiricalTables:
         self.p_user = self.joint.sum(axis=1)
         self.p_item = self.joint.sum(axis=0)
         self.observed = self.counts > 0
-
-    @property
-    def log_joint(self) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            return np.log(self.joint)
-
-    @property
-    def log_p_user(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.p_user)
-
-    @property
-    def log_p_item(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.p_item)
+            self.log_joint = np.log(self.joint)
+            self.log_p_user = np.log(self.p_user)
+            self.log_p_item = np.log(self.p_item)
 
 
 @dataclass
@@ -276,79 +274,99 @@ def target_table(config: LossConfig, tables: EmpiricalTables) -> tuple[str, np.n
     return TARGET_NAMES[kind], np.where(tables.observed, target, np.nan)
 
 
-def population_loss(
-    phi: np.ndarray,
-    tables: EmpiricalTables,
-    config: LossConfig,
-) -> tuple[float, np.ndarray]:
-    """Exact full-batch loss over the empirical distribution, with gradient.
+@dataclass
+class StackedLoss:
+    """Per-configuration constants of the population losses of ``C``
+    configurations over one empirical table, stacked on a leading axis.
+
+    Every configuration is one formula, ``alpha * row + beta * col + bce``:
+    a weighted row softmax over items with logits ``phi + row_offset``, the
+    same over users with ``col_offset``, and the binary-label term whose
+    positive and negative cells are weighted by ``positives`` and ``p_n``.
+    An offset is ``0`` over the observed support and ``-inf`` off it (a
+    corrected side, or the marginal ssm proposal), ``log p(i)`` or
+    ``log p(u)`` (an uncorrected side), or ``0`` everywhere (the uniform ssm
+    proposal); a corrected side adds its log marginal on the observed cells
+    as ``*_bias``.
+    Unused terms get weight 0 and finite offsets.  Weights are ``(C, 1, 1)``,
+    every other array ``(C, M, K)``.
+    """
+
+    tables: EmpiricalTables
+    alpha: np.ndarray
+    row_offset: np.ndarray
+    row_bias: np.ndarray
+    beta: np.ndarray
+    col_offset: np.ndarray
+    col_bias: np.ndarray
+    positives: np.ndarray  # the joint for the bce family, else 0
+    p_n: np.ndarray  # the bce negative distribution, else 0
+
+    @classmethod
+    def build(cls, tables: EmpiricalTables, configs: Sequence[LossConfig]) -> "StackedLoss":
+        joint = tables.joint
+        m, k = joint.shape
+        zero = np.zeros((m, k))
+        on, off = np.ones((1, 1)), np.zeros((1, 1))
+        item_support = np.where(tables.p_item > 0, 0.0, -np.inf)[None, :] + zero
+        user_support = np.where(tables.p_user > 0, 0.0, -np.inf)[:, None] + zero
+        log_pi = tables.log_p_item[None, :] + zero
+        log_pu = tables.log_p_user[:, None] + zero
+        terms = []
+        for config in configs:
+            row = col = (off, zero, zero)  # (weight, offset, bias)
+            positives = p_n = zero
+            if config.family == "bce":
+                positives = joint
+                if config.negative_strategy == "user-marginal":
+                    p_n = tables.p_user[:, None] / k * np.ones_like(joint)
+                elif config.negative_strategy == "item-marginal":
+                    p_n = np.ones_like(joint) * tables.p_item[None, :] / m
+                elif config.negative_strategy == "product-of-marginals":
+                    p_n = tables.p_user[:, None] * tables.p_item[None, :]
+                elif config.negative_strategy == "uniform":
+                    p_n = np.full_like(joint, 1.0 / (m * k))
+                else:
+                    raise ValueError(f"unknown strategy {config.negative_strategy!r}")
+            elif config.family == "ssm":
+                row = (on, item_support if config.ssm_proposal == "marginal" else zero, zero)
+            elif config.family == "bidirectional":
+                if config.alpha:
+                    bias = np.where(tables.observed, log_pi, 0.0)
+                    row = (on, item_support, bias) if config.delta_alpha else (on, log_pi, zero)
+                if config.beta:
+                    bias = np.where(tables.observed, log_pu, 0.0)
+                    col = (on, user_support, bias) if config.delta_beta else (on, log_pu, zero)
+            else:
+                raise ValueError(f"population loss undefined for family {config.family!r}")
+            terms.append((*row, *col, positives, p_n))
+        return cls(tables, *(np.stack(column) for column in zip(*terms)))
+
+
+def population_loss(phi: np.ndarray, loss: StackedLoss) -> tuple[np.ndarray, np.ndarray]:
+    """Exact full-batch losses ``(C,)`` of the stacked configurations at the
+    score tables ``phi`` ``(C, M, K)``, with their gradients ``(C, M, K)``.
 
     For the in-batch families the denominators are the exact large-batch
     sums: every candidate enters weighted by its empirical marginal, which
     restricts the partition to the observed support.
     """
+    tables = loss.tables
     joint = tables.joint
-    log_pu, log_pi = tables.log_p_user, tables.log_p_item
-    obs_users = tables.p_user > 0
-    obs_items = tables.p_item > 0
-
-    if config.family == "bce":
-        m, k = joint.shape
-        if config.negative_strategy == "user-marginal":
-            p_n = tables.p_user[:, None] / k * np.ones_like(joint)
-        elif config.negative_strategy == "item-marginal":
-            p_n = np.ones_like(joint) * tables.p_item[None, :] / m
-        elif config.negative_strategy == "product-of-marginals":
-            p_n = tables.p_user[:, None] * tables.p_item[None, :]
-        elif config.negative_strategy == "uniform":
-            p_n = np.full_like(joint, 1.0 / (m * k))
-        else:
-            raise ValueError(f"unknown strategy {config.negative_strategy!r}")
-        value = float(np.sum(joint * np.logaddexp(0.0, -phi)) + np.sum(p_n * np.logaddexp(0.0, phi)))
-        sig = 1.0 / (1.0 + np.exp(-phi))
-        dphi = -joint * (1.0 - sig) + p_n * sig
-        return value, dphi
-
-    if config.family == "ssm":
-        if config.ssm_proposal == "marginal":
-            masked = np.where(obs_items[None, :], phi, -np.inf)
-        else:
-            masked = phi
-        lse = logsumexp(masked, axis=1)
-        value = float(np.sum(np.where(tables.observed, joint * (-phi + lse[:, None]), 0.0)))
-        softmax = np.exp(masked - lse[:, None])
-        dphi = -joint + tables.p_user[:, None] * softmax
-        return value, dphi
-
-    if config.family != "bidirectional":
-        raise ValueError(f"population loss undefined for family {config.family!r}")
-
-    value = 0.0
-    dphi = np.zeros_like(phi)
-    if config.alpha:
-        # weighted logits: phi + (1 - delta_alpha) * log p(i), support-restricted
-        if config.delta_alpha:
-            w = np.where(obs_items[None, :], phi, -np.inf)
-        else:
-            w = phi + log_pi[None, :]
-        lse = logsumexp(w, axis=1)
-        bias = config.delta_alpha * log_pi[None, :]
-        per_cell = -phi + np.where(tables.observed, bias, 0.0) + lse[:, None]
-        value += config.alpha * float(np.sum(np.where(tables.observed, joint * per_cell, 0.0)))
-        softmax = np.exp(w - lse[:, None])
-        dphi += config.alpha * (-joint + tables.p_user[:, None] * softmax)
-    if config.beta:
-        if config.delta_beta:
-            w = np.where(obs_users[:, None], phi, -np.inf)
-        else:
-            w = phi + log_pu[:, None]
-        lse = logsumexp(w, axis=0)
-        bias = config.delta_beta * log_pu[:, None]
-        per_cell = -phi + np.where(tables.observed, bias, 0.0) + lse[None, :]
-        value += config.beta * float(np.sum(np.where(tables.observed, joint * per_cell, 0.0)))
-        softmax = np.exp(w - lse[None, :])
-        dphi += config.beta * (-joint + tables.p_item[None, :] * softmax)
-    return value, dphi
+    w = phi + loss.row_offset
+    lse = logsumexp(w, axis=2)[:, :, None]
+    row_value = np.sum(joint * (-phi + loss.row_bias + lse), axis=(1, 2))
+    row_grad = -joint + tables.p_user[:, None] * np.exp(w - lse)
+    w = phi + loss.col_offset
+    lse = logsumexp(w, axis=1)[:, None, :]
+    col_value = np.sum(joint * (-phi + loss.col_bias + lse), axis=(1, 2))
+    col_grad = -joint + tables.p_item[None, :] * np.exp(w - lse)
+    bce_value = np.sum(loss.positives * np.logaddexp(0.0, -phi), axis=(1, 2))
+    bce_value += np.sum(loss.p_n * np.logaddexp(0.0, phi), axis=(1, 2))
+    sig = 1.0 / (1.0 + np.exp(-phi))
+    bce_grad = -loss.positives * (1.0 - sig) + loss.p_n * sig
+    values = loss.alpha[:, 0, 0] * row_value + loss.beta[:, 0, 0] * col_value + bce_value
+    return values, loss.alpha * row_grad + loss.beta * col_grad + bce_grad
 
 
 def phi_table(
@@ -361,7 +379,7 @@ def phi_table(
 
 
 def train_to_optimum(
-    config: LossConfig,
+    configs: Sequence[LossConfig],
     tables: EmpiricalTables,
     spec: SyntheticSpec,
     *,
@@ -370,21 +388,36 @@ def train_to_optimum(
     epochs: int = 2000,
     learning_rate: float = 0.05,
     seed: int = 0,
-) -> ModelParams:
-    """Full-batch Adam training of one loss configuration on the empirical
+) -> list[ModelParams]:
+    """Full-batch Adam training of each loss configuration on the empirical
     tables; the learning rate decays on a cosine from ``learning_rate`` to 0
-    over the epochs, so the table settles at the optimum."""
-    params = ModelParams.initialize(spec.num_items + spec.num_users, dim, temperature, seed)
+    over the epochs, so each table settles at its optimum.
+
+    The configurations train together as one stacked problem: block ``c`` of
+    the embedding table holds configuration ``c``'s item rows and user
+    tokens, each block starting from the same seeded initialization, and
+    every user row is scored only against its own block's items.  Adam is
+    elementwise and every row steps every epoch, so the blocks never
+    interact.  Returns one ``ModelParams`` per configuration.
+    """
+    num_configs, m, k = len(configs), spec.num_users, spec.num_items
+    init = ModelParams.initialize(k + m, dim, temperature, seed)
+    params = ModelParams(np.tile(init.item_embeddings, (num_configs, 1)), init.attention_vector, temperature)
+    first_row = (k + m) * np.arange(num_configs)[:, None]
+    users = Sequences(np.arange(num_configs * m + 1), (first_row + k + np.arange(m)).ravel())
+    items = np.repeat(first_row + np.arange(k), m, axis=0)  # (C * M, K)
+    loss = StackedLoss.build(tables, configs)
     opt = OptimizerState(kind="adam", learning_rate=learning_rate)
-    sequences = spec.user_sequences()
-    item_ids = np.arange(spec.num_items)
     for epoch in range(epochs):
         opt.learning_rate = learning_rate * 0.5 * (1.0 + math.cos(math.pi * epoch / epochs))
-        phi, cache = score_matrix_forward(sequences, item_ids, params, USER_ENCODER)
-        _, dphi = population_loss(phi, tables, config)
-        grads = score_matrix_backward(cache, dphi, params, USER_ENCODER)
+        phi, cache = score_matrix_forward(users, items, params, USER_ENCODER)
+        _, dphi = population_loss(phi.reshape(num_configs, m, k), loss)
+        grads = score_matrix_backward(cache, dphi.reshape(num_configs * m, k), params, USER_ENCODER)
         apply_optimizer_step(params, grads, opt)
-    return params
+    return [
+        ModelParams(block.copy(), init.attention_vector.copy(), temperature)
+        for block in np.split(params.item_embeddings, num_configs)
+    ]
 
 
 @dataclass
@@ -434,20 +467,20 @@ def _rank_corr(a: np.ndarray, b: np.ndarray) -> float:
 
 def check_optimum(
     config: LossConfig,
-    params: ModelParams,
+    phi: np.ndarray,
     tables: EmpiricalTables,
-    spec: SyntheticSpec,
+    temperature: float,
     *,
     label: str = "",
     seed: int = 0,
 ) -> OptimumReport:
-    """Fit the additive constants and report residual plus rank agreement.
+    """Fit the additive constants to the trained score table ``phi`` (see
+    :func:`phi_table`) and report residual plus rank agreement.
 
     Cells never observed in the sample have undefined log targets and are
     excluded (their count is reported).  A constant target (uniform joint)
     leaves rank correlation undefined; the residual gate alone then decides.
     """
-    phi = phi_table(params, spec)
     target_name, target = target_table(config, tables)
     gauge = optimum_gauge(config)
     mask = tables.observed
@@ -469,7 +502,7 @@ def check_optimum(
         rank_gauged = _rank_corr(_center(phi, mask, gauge)[mask], _center(target, mask, gauge)[mask])
 
     centered = target_obs - (target_obs.max() + target_obs.min()) / 2.0
-    range_ok = bool(np.abs(centered).max() <= 1.0 / params.temperature)
+    range_ok = bool(np.abs(centered).max() <= 1.0 / temperature)
     passed = residual_gauged <= RESIDUAL_GATE and (math.isnan(rank_gauged) or rank_gauged >= RANK_GATE)
     return OptimumReport(
         label=label,
@@ -537,7 +570,8 @@ def run_table_sweep(
     epochs: int = 2000,
     learning_rate: float = 0.05,
 ) -> SweepResult:
-    """Train every configuration per seed and gate each against its optimum.
+    """Train every configuration per seed, all of a seed's together, and
+    gate each against its optimum.
 
     Gate failures are flagged in the report rows, never raised.  Pairwise
     rank agreement inside each equal-optimum group is reported alongside.
@@ -546,33 +580,25 @@ def run_table_sweep(
     agreements: list[GroupAgreement] = []
     phi_tables: dict[tuple[str, int], np.ndarray] = {}
     masks: dict[int, np.ndarray] = {}
+    configs = sweep_configs()
     for seed in seeds:
         sample = generate_synthetic(spec, seed)
         tables = sample.tables
         mask = tables.observed
         masks[seed] = mask
-        for label, config in sweep_configs():
-            params = train_to_optimum(
-                config,
-                tables,
-                spec,
-                dim=dim,
-                temperature=temperature,
-                epochs=epochs,
-                learning_rate=learning_rate,
-                seed=seed,
-            )
-            reports.append(
-                check_optimum(
-                    config,
-                    params,
-                    tables,
-                    spec,
-                    label=label,
-                    seed=seed,
-                )
-            )
-            phi_tables[(label, seed)] = phi_table(params, spec)
+        trained = train_to_optimum(
+            [config for _, config in configs],
+            tables,
+            spec,
+            dim=dim,
+            temperature=temperature,
+            epochs=epochs,
+            learning_rate=learning_rate,
+            seed=seed,
+        )
+        for (label, config), params in zip(configs, trained):
+            phi = phi_tables[(label, seed)] = phi_table(params, spec)
+            reports.append(check_optimum(config, phi, tables, temperature, label=label, seed=seed))
         for group, labels in EQUAL_OPTIMA_GROUPS.items():
             gauge = GROUP_GAUGE[group]
             for pos, label_a in enumerate(labels):

@@ -7,6 +7,8 @@ tuple per pseudo-user.  The property tests in ``test_data.py`` check the
 columnar pipeline against them.  ``examples_of`` builds columnar examples
 from readable rows, ``example_rows`` reads them back, and ``events_of``,
 ``sample_events`` and ``sample_examples`` build the other inputs.
+``reference_population_loss`` is the one-configuration loss of the
+``verify`` harness that the stacked ``verify.population_loss`` replaced.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from twotower.data import DAYS_PER_MONTH, Events, Examples, Sequences
+from twotower.losses import LossConfig, logsumexp
 
 UserKey = tuple[int, ...]
 
@@ -152,3 +155,79 @@ def example_rows(examples: Examples) -> list[tuple]:
     if examples.label is not None:
         columns.append(examples.label.tolist())
     return list(zip(*columns))
+
+
+def reference_population_loss(
+    phi: np.ndarray,
+    tables,
+    config: LossConfig,
+) -> tuple[float, np.ndarray]:
+    """Exact full-batch loss of one configuration over a
+    ``verify.EmpiricalTables``, with gradient.
+
+    For the in-batch families the denominators are the exact large-batch
+    sums: every candidate enters weighted by its empirical marginal, which
+    restricts the partition to the observed support.
+    """
+    joint = tables.joint
+    log_pu, log_pi = tables.log_p_user, tables.log_p_item
+    obs_users = tables.p_user > 0
+    obs_items = tables.p_item > 0
+
+    if config.family == "bce":
+        m, k = joint.shape
+        if config.negative_strategy == "user-marginal":
+            p_n = tables.p_user[:, None] / k * np.ones_like(joint)
+        elif config.negative_strategy == "item-marginal":
+            p_n = np.ones_like(joint) * tables.p_item[None, :] / m
+        elif config.negative_strategy == "product-of-marginals":
+            p_n = tables.p_user[:, None] * tables.p_item[None, :]
+        elif config.negative_strategy == "uniform":
+            p_n = np.full_like(joint, 1.0 / (m * k))
+        else:
+            raise ValueError(f"unknown strategy {config.negative_strategy!r}")
+        value = float(np.sum(joint * np.logaddexp(0.0, -phi)) + np.sum(p_n * np.logaddexp(0.0, phi)))
+        sig = 1.0 / (1.0 + np.exp(-phi))
+        dphi = -joint * (1.0 - sig) + p_n * sig
+        return value, dphi
+
+    if config.family == "ssm":
+        if config.ssm_proposal == "marginal":
+            masked = np.where(obs_items[None, :], phi, -np.inf)
+        else:
+            masked = phi
+        lse = logsumexp(masked, axis=1)
+        value = float(np.sum(np.where(tables.observed, joint * (-phi + lse[:, None]), 0.0)))
+        softmax = np.exp(masked - lse[:, None])
+        dphi = -joint + tables.p_user[:, None] * softmax
+        return value, dphi
+
+    if config.family != "bidirectional":
+        raise ValueError(f"population loss undefined for family {config.family!r}")
+
+    value = 0.0
+    dphi = np.zeros_like(phi)
+    if config.alpha:
+        # weighted logits: phi + (1 - delta_alpha) * log p(i), support-restricted
+        if config.delta_alpha:
+            w = np.where(obs_items[None, :], phi, -np.inf)
+        else:
+            w = phi + log_pi[None, :]
+        lse = logsumexp(w, axis=1)
+        bias = config.delta_alpha * log_pi[None, :]
+        per_cell = -phi + np.where(tables.observed, bias, 0.0) + lse[:, None]
+        value += config.alpha * float(np.sum(np.where(tables.observed, joint * per_cell, 0.0)))
+        softmax = np.exp(w - lse[:, None])
+        dphi += config.alpha * (-joint + tables.p_user[:, None] * softmax)
+    if config.beta:
+        if config.delta_beta:
+            w = np.where(obs_users[:, None], phi, -np.inf)
+        else:
+            w = phi + log_pu[:, None]
+        lse = logsumexp(w, axis=0)
+        bias = config.delta_beta * log_pu[:, None]
+        per_cell = -phi + np.where(tables.observed, bias, 0.0) + lse[None, :]
+        value += config.beta * float(np.sum(np.where(tables.observed, joint * per_cell, 0.0)))
+        softmax = np.exp(w - lse[None, :])
+        dphi += config.beta * (-joint + tables.p_item[None, :] * softmax)
+    return value, dphi

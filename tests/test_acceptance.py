@@ -358,8 +358,9 @@ def test_criterion_8_popularity_direction():
         sample = generate_synthetic(spec, seed=seed)
         tables = sample.tables
         item_counts, _ = popularity_counts(events_of(sample_events(sample)), anchor_day=spec.num_months * DAYS_PER_MONTH, window_days=365)
-        for preset in ("infonce", "bbcnce"):
-            params = train_to_optimum(LossConfig.from_preset(preset), tables, spec, seed=seed)
+        presets = ("infonce", "bbcnce")
+        trained = train_to_optimum([LossConfig.from_preset(preset) for preset in presets], tables, spec, seed=seed)
+        for preset, params in zip(presets, trained):
             phi = phi_table(params, spec)
             top_lists = []
             for u in range(spec.num_users):

@@ -460,6 +460,8 @@ class TestTrainVariants:
                 "train-ssm-marginal-num_sampled-seen-items",
             ),
             setting("verify", {"verify.num_users": 0}, "num_users", "verify-verify.num_users-0"),
+            setting("verify", {"verify.table_rank": 0}, "verify: table_rank must be >= 1", "verify-verify.table_rank-0"),
+            setting("verify", {"verify.table_rank": -2}, "verify: table_rank must be >= 1", "verify-verify.table_rank-neg"),
             setting("verify", {"verify.num_samples": 0}, "verify: num_samples", "verify-verify.num_samples-0"),
             setting("verify", {"verify.dim": 0}, "verify: dim", "verify-verify.dim-0"),
             setting("verify", {"verify.temperature": 0}, "verify: temperature", "verify-verify.temperature-0"),

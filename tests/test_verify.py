@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, spearmanr
 
-from reference import example_rows, sample_events, sample_examples
+from reference import example_rows, reference_population_loss, sample_events, sample_examples
 from twotower.data import DAYS_PER_MONTH
 from twotower.losses import LossConfig
 from twotower.verify import (
     EQUAL_OPTIMA_GROUPS,
     EmpiricalTables,
     OptimumReport,
+    StackedLoss,
     SyntheticSpec,
     _rank_corr,
     check_optimum,
@@ -58,6 +59,17 @@ class TestSyntheticSpec:
     def test_empty_random_table_rejected(self):
         with pytest.raises(ValueError, match="num_users"):
             random_joint(0, 3, seed=1)
+
+    def test_rank_zero_random_table_rejected(self):
+        """A rank-0 product is all zeros, and normalizing it gives 0/0."""
+        with pytest.raises(ValueError, match="table_rank"):
+            random_joint(3, 4, seed=1, table_rank=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cell_rejected(self, bad):
+        joint = np.array([[0.5, bad], [0.25, 0.25]])
+        with pytest.raises(ValueError, match="finite"):
+            SyntheticSpec(num_users=2, num_items=2, joint=joint)
 
 
 class TestGenerateSynthetic:
@@ -136,77 +148,98 @@ class TestEmpiricalTables:
 
 
 ALL_CONFIGS = sweep_configs()
+# The sweep's configurations plus the ssm loss with a uniform proposal.
+STACK = [config for _, config in ALL_CONFIGS] + [LossConfig(family="ssm", ssm_proposal="uniform")]
+STACK_IDS = [label for label, _ in ALL_CONFIGS] + ["ssm/uniform"]
+
+
+def stacked_loss(phi, tables: EmpiricalTables, configs) -> tuple[np.ndarray, np.ndarray]:
+    """Losses and gradients of ``configs`` stacked, at their score tables ``phi``."""
+    return population_loss(np.asarray(phi, dtype=float), StackedLoss.build(tables, configs))
 
 
 class TestPopulationLoss:
     def _phi(self, shape, seed=0):
         return np.random.default_rng(seed).normal(size=shape) * 0.5
 
+    def _check_finite_differences(self, index, seed):
+        """Slice ``index`` of the stacked gradient matches central differences
+        of its own loss, and moving its scores leaves every other loss as is."""
+        tables = dense_tables([[5, 1, 0, 2], [0, 3, 4, 1], [2, 0, 1, 6]])
+        loss = StackedLoss.build(tables, STACK)
+        phi = self._phi((len(STACK), *tables.joint.shape), seed=seed)
+        values, dphi = population_loss(phi, loss)
+        others = np.arange(len(STACK)) != index
+        step = 1e-6
+        for u in range(phi.shape[1]):
+            for i in range(phi.shape[2]):
+                up = phi.copy()
+                up[index, u, i] += step
+                down = phi.copy()
+                down[index, u, i] -= step
+                values_up, _ = population_loss(up, loss)
+                values_down, _ = population_loss(down, loss)
+                numeric = (values_up[index] - values_down[index]) / (2 * step)
+                assert dphi[index, u, i] == pytest.approx(numeric, abs=5e-7), (STACK_IDS[index], u, i)
+                assert np.array_equal(values_up[others], values[others])
+
     @pytest.mark.parametrize("label,config", ALL_CONFIGS, ids=[label for label, _ in ALL_CONFIGS])
     def test_gradient_matches_finite_differences(self, label, config):
-        tables = dense_tables([[5, 1, 0, 2], [0, 3, 4, 1], [2, 0, 1, 6]])
-        phi = self._phi(tables.joint.shape, seed=1)
-        _, dphi = population_loss(phi, tables, config)
-        step = 1e-6
-        for u in range(phi.shape[0]):
-            for i in range(phi.shape[1]):
-                up = phi.copy()
-                up[u, i] += step
-                down = phi.copy()
-                down[u, i] -= step
-                numeric = (population_loss(up, tables, config)[0] - population_loss(down, tables, config)[0]) / (2 * step)
-                assert dphi[u, i] == pytest.approx(numeric, abs=5e-7), (label, u, i)
+        self._check_finite_differences(STACK_IDS.index(label), seed=1)
 
     def test_ssm_uniform_proposal_gradient(self):
         """Uniform proposal spreads the partition over the whole vocabulary,
         including never-observed items."""
-        tables = dense_tables([[5, 1, 0, 2], [0, 3, 4, 1], [2, 0, 1, 6]])
-        phi = self._phi(tables.joint.shape, seed=2)
-        config = LossConfig(family="ssm", ssm_proposal="uniform")
-        _, dphi = population_loss(phi, tables, config)
-        step = 1e-6
-        for u in range(phi.shape[0]):
-            for i in range(phi.shape[1]):
-                up, down = phi.copy(), phi.copy()
-                up[u, i] += step
-                down[u, i] -= step
-                numeric = (
-                    population_loss(up, tables, config)[0]
-                    - population_loss(down, tables, config)[0]
-                ) / (2 * step)
-                assert dphi[u, i] == pytest.approx(numeric, abs=5e-7)
+        self._check_finite_differences(STACK_IDS.index("ssm/uniform"), seed=2)
+
+    @pytest.mark.parametrize("index", range(len(STACK)), ids=STACK_IDS)
+    @pytest.mark.parametrize("table", ["small", "sampled"])
+    def test_stacked_matches_reference_per_configuration(self, index, table):
+        """Each slice of the stacked loss is the one-configuration reference:
+        the gradient bit for bit, the value within 1e-15."""
+        if table == "small":
+            tables = dense_tables([[5, 1, 0, 2], [0, 3, 4, 1], [2, 0, 1, 6]])
+        else:
+            spec = SyntheticSpec(num_users=8, num_items=12, joint=random_joint(8, 12, seed=7), num_samples=20_000)
+            tables = generate_synthetic(spec, seed=3).tables
+        phi = np.random.default_rng(index).normal(size=(len(STACK), *tables.joint.shape)) * 3.0
+        values, dphi = stacked_loss(phi, tables, STACK)
+        value, grad = reference_population_loss(phi[index], tables, STACK[index])
+        assert dphi[index].tobytes() == grad.tobytes()
+        assert abs(values[index] - value) <= 1e-15
 
     def test_bce_optimum_is_stationary(self):
         tables = dense_tables([[5, 1, 2], [3, 4, 1]])  # strictly positive support
-        for strategy, p_n in [
-            ("user-marginal", tables.p_user[:, None] / 3 * np.ones((2, 3))),
-            ("item-marginal", np.ones((2, 3)) * tables.p_item[None, :] / 2),
-            ("product-of-marginals", tables.p_user[:, None] * tables.p_item[None, :]),
-            ("uniform", np.full((2, 3), 1 / 6)),
-        ]:
-            config = LossConfig(family="bce", negative_strategy=strategy)
-            phi_star = np.log(tables.joint / p_n)
-            _, dphi = population_loss(phi_star, tables, config)
-            np.testing.assert_allclose(dphi, 0.0, atol=1e-12)
+        strategies = {
+            "user-marginal": tables.p_user[:, None] / 3 * np.ones((2, 3)),
+            "item-marginal": np.ones((2, 3)) * tables.p_item[None, :] / 2,
+            "product-of-marginals": tables.p_user[:, None] * tables.p_item[None, :],
+            "uniform": np.full((2, 3), 1 / 6),
+        }
+        configs = [LossConfig(family="bce", negative_strategy=strategy) for strategy in strategies]
+        phi_star = [np.log(tables.joint / p_n) for p_n in strategies.values()]
+        _, dphi = stacked_loss(phi_star, tables, configs)
+        np.testing.assert_allclose(dphi, 0.0, atol=1e-12)
 
     def test_bbcnce_optimum_is_stationary(self):
         tables = dense_tables([[5, 1, 2], [3, 4, 1], [2, 2, 9]])
         phi_star = tables.log_joint + 0.7  # any global constant
-        _, dphi = population_loss(phi_star, tables, LossConfig.from_preset("bbcnce"))
+        _, dphi = stacked_loss([phi_star], tables, [LossConfig.from_preset("bbcnce")])
         np.testing.assert_allclose(dphi, 0.0, atol=1e-12)
 
     def test_row_loss_optimum_has_per_user_freedom(self):
         tables = dense_tables([[5, 1, 2], [3, 4, 1], [2, 2, 9]])
         offsets = np.array([[0.3], [-1.2], [2.0]])
         phi_star = tables.log_joint - tables.log_p_user[:, None] + offsets
-        _, dphi = population_loss(phi_star, tables, LossConfig.from_preset("row_bcnce"))
+        configs = [LossConfig.from_preset("row_bcnce"), LossConfig(family="ssm")]
+        _, dphi = stacked_loss([phi_star, phi_star], tables, configs)
         np.testing.assert_allclose(dphi, 0.0, atol=1e-12)
 
     def test_col_loss_optimum_has_per_item_freedom(self):
         tables = dense_tables([[5, 1, 2], [3, 4, 1], [2, 2, 9]])
         offsets = np.array([0.5, -0.4, 1.1])
         phi_star = tables.log_joint - tables.log_p_item[None, :] + offsets[None, :]
-        _, dphi = population_loss(phi_star, tables, LossConfig.from_preset("col_bcnce"))
+        _, dphi = stacked_loss([phi_star], tables, [LossConfig.from_preset("col_bcnce")])
         np.testing.assert_allclose(dphi, 0.0, atol=1e-12)
 
 
@@ -263,8 +296,8 @@ class TestCheckOptimum:
         spec = SyntheticSpec(num_users=3, num_items=4, joint=np.full((3, 4), 1 / 12), num_samples=120)
         tables = dense_tables(np.full((3, 4), 10))
         config = LossConfig.from_preset("bbcnce")
-        params = train_to_optimum(config, tables, spec, dim=6, epochs=400, learning_rate=0.05, seed=0)
-        report = check_optimum(config, params, tables, spec)
+        [params] = train_to_optimum([config], tables, spec, dim=6, epochs=400, learning_rate=0.05, seed=0)
+        report = check_optimum(config, phi_table(params, spec), tables, params.temperature)
         assert math.isnan(report.rank_correlation)
         assert report.residual <= 0.05
         assert report.passed
@@ -274,8 +307,8 @@ class TestCheckOptimum:
         spec = SyntheticSpec(num_users=4, num_items=5, joint=joint, num_samples=30_000)
         sample = generate_synthetic(spec, seed=1)
         config = LossConfig.from_preset("bbcnce")
-        params = train_to_optimum(config, sample.tables, spec, dim=6, epochs=1_000, learning_rate=0.05, seed=1)
-        report = check_optimum(config, params, sample.tables, spec, label="bbcnce", seed=1)
+        [params] = train_to_optimum([config], sample.tables, spec, dim=6, epochs=1_000, learning_rate=0.05, seed=1)
+        report = check_optimum(config, phi_table(params, spec), sample.tables, 0.05, label="bbcnce", seed=1)
         assert report.rank_correlation >= 0.95
         assert report.residual <= 0.25
         assert report.range_ok
@@ -285,8 +318,8 @@ class TestCheckOptimum:
         tables = dense_tables([[3, 0], [1, 2]])
         spec = SyntheticSpec(num_users=2, num_items=2, joint=np.full((2, 2), 0.25), num_samples=6)
         config = LossConfig.from_preset("bbcnce")
-        params = train_to_optimum(config, tables, spec, dim=4, epochs=50, learning_rate=0.05, seed=0)
-        report = check_optimum(config, params, tables, spec)
+        [params] = train_to_optimum([config], tables, spec, dim=4, epochs=50, learning_rate=0.05, seed=0)
+        report = check_optimum(config, phi_table(params, spec), tables, params.temperature)
         assert report.num_observed == 3
         assert report.num_excluded == 1
 
@@ -346,3 +379,25 @@ class TestSweep:
         assert text.splitlines()[0].startswith("label\tseed\ttarget\tgauge")
         row = [line for line in text.splitlines() if line.startswith("row_bcnce\t1")][0]
         assert "log p(i|u)" in row
+
+
+class TestStackedTraining:
+    SPEC = SyntheticSpec(num_users=4, num_items=5, joint=random_joint(4, 5, seed=21), num_samples=8_000)
+    SETTINGS = dict(dim=6, epochs=300, learning_rate=0.05, seed=1)
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        tables = generate_synthetic(self.SPEC, seed=1).tables
+        return tables, train_to_optimum([config for _, config in ALL_CONFIGS], tables, self.SPEC, **self.SETTINGS)
+
+    @pytest.mark.parametrize("index", range(len(ALL_CONFIGS)), ids=[label for label, _ in ALL_CONFIGS])
+    def test_configuration_trains_as_alone(self, stack, index):
+        """A configuration trained alone and inside the ten-configuration
+        stack reaches the same table: no block leaks into another."""
+        tables, trained = stack
+        label, config = ALL_CONFIGS[index]
+        [alone] = train_to_optimum([config], tables, self.SPEC, **self.SETTINGS)
+        phi_alone, phi_stacked = phi_table(alone, self.SPEC), phi_table(trained[index], self.SPEC)
+        np.testing.assert_allclose(phi_stacked, phi_alone, rtol=0, atol=1e-12)
+        reports = [check_optimum(config, phi, tables, 0.05, label=label, seed=1) for phi in (phi_alone, phi_stacked)]
+        assert reports[0] == reports[1]
