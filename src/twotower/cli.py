@@ -27,7 +27,7 @@ import numpy as np
 from . import config as config_mod
 from . import data as data_mod
 from .config import ConfigError, RunConfig, fingerprint, loss_config_from, render_config, verify_seeds
-from .evaluation import EvalCase, EvalPool, PoolTooSmallError, RankingIndex, build_eval_cases, evaluate
+from .evaluation import EvalCases, EvalPool, PoolTooSmallError, RankingIndex, build_eval_cases, evaluate
 from .losses import proposal_distribution
 from .model import EncoderConfig, ModelParams, encode_user
 from .trainer import (
@@ -269,7 +269,7 @@ def _load_params(args: argparse.Namespace, cfg: RunConfig, num_items: int) -> Ch
     return checkpoint
 
 
-def _test_cases(cfg: RunConfig, prepared: Prepared, task: str) -> tuple[list[EvalCase], EvalPool]:
+def _test_cases(cfg: RunConfig, prepared: Prepared, task: str) -> tuple[EvalCases, EvalPool]:
     if not len(prepared.split.test):
         raise CliError("test split is empty; nothing to evaluate")
     try:
@@ -376,9 +376,8 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         if not ids:
             raise CliError("no known items in the query sequence")
         index = RankingIndex.build(params, enc, data_mod.Sequences.of([ids]), strict=False)
-        ranked, scores = index.rank("ir", 0, range(params.num_items))
-        item_token = {idx: tok for tok, idx in prepared.log.item_vocab.items()}
-        names = [item_token[item] for item in ranked[:top_n].tolist()]
+        query, candidates = 0, np.arange(params.num_items)
+        label = {idx: tok for tok, idx in prepared.log.item_vocab.items()}
     else:
         if len(tokens) != 1:
             raise CliError("user targeting takes exactly one item token as the query")
@@ -389,9 +388,11 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         parts = (prepared.split.train, prepared.split.validation, prepared.split.test)
         keys, owners = data_mod.first_owners(np.concatenate([p.key for p in parts]), np.concatenate([p.user for p in parts]))
         index = RankingIndex.build(params, enc, prepared.split.train.table.take(keys))
-        ranked, scores = index.rank("ut", prepared.log.item_vocab[tok], range(len(keys)))
+        query, candidates = prepared.log.item_vocab[tok], np.arange(len(keys))
         user_token = {idx: t for t, idx in prepared.log.user_vocab.items()}
-        names = [user_token[owner] for owner in owners[ranked[:top_n]].tolist()]
+        label = [user_token[owner] for owner in owners.tolist()]
+    ranked, scores = (column[0, :top_n] for column in index.rank(task, np.array([query]), candidates[None]))
+    names = [label[candidate] for candidate in ranked.tolist()]
     for rank, (name, score_value) in enumerate(zip(names, scores), start=1):
         print(f"{rank}\t{name}\t{score_value:.6f}")
     return 0
@@ -412,11 +413,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
     for path in paths:
         try:
             checkpoint = load_checkpoint(path, expected_fingerprint=fingerprint(cfg))
-        except CheckpointError as exc:
+        except (OSError, CheckpointError) as exc:
             raise CliError(str(exc)) from exc
-        month = int(os.path.basename(path)[len("month_") : len("month_") + 4])
+        if checkpoint.epoch_cursor or not 0 < checkpoint.month_cursor <= len(checkpoint.months):
+            raise CliError(f"{path}: not the checkpoint of a finished month")
         report = evaluate(cases, pool, checkpoint.params, enc)
+        month = checkpoint.months[checkpoint.month_cursor - 1]
         rows.append({"month": month, "recall": report.recall_at_n, "ndcg": report.ndcg_at_n})
+    rows.sort(key=lambda row: row["month"])
     out_path = os.path.join(cfg.paths.output_dir, "month_trace.tsv")
     _write_trace(out_path, rows)
     print("month\trecall\tndcg")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,26 +19,32 @@ from .model import EncoderConfig, ModelParams, encode_user_batch, normalize_rows
 
 TASKS = ("ir", "ut")
 ENCODE_CHUNK = 512  # pseudo-users per padded encoder batch in RankingIndex.build
+RANK_CHUNK = 128  # cases per candidate gather in evaluate; sets the peak memory of a ranking
 
 
 class PoolTooSmallError(ValueError):
     """The candidate pool holds fewer eligible negatives than requested."""
 
 
-@dataclass(frozen=True)
-class EvalCase:
-    """One ranking problem: a query against a fixed candidate pool.
+@dataclass
+class EvalCases:
+    """The ranking problems of one task as columns: case ``c`` ranks the row
+    ``candidates[c]``, which holds its ``positive``, for ``query[c]``
+    (``build_eval_cases`` puts the positive first, then the negatives).
 
-    For IR the query is a pseudo-user key id and candidates are item ids;
-    for UT the query is an item id and candidates are indices into the eval
-    pool's ``user_keys``.
+    For IR a query is a pseudo-user key id and candidates are item ids; for
+    UT a query is an item id and candidates are indices into the eval pool's
+    ``user_keys``.
     """
 
     task: str
-    query: int
-    positives: frozenset[int]
-    candidates: tuple[int, ...]
     cutoff: int
+    query: np.ndarray  # (n,)
+    positive: np.ndarray  # (n,)
+    candidates: np.ndarray  # (n, C)
+
+    def __len__(self) -> int:
+        return self.query.size
 
 
 @dataclass
@@ -72,7 +77,7 @@ def build_eval_cases(
     num_negatives: int,
     seed: int,
     cutoff: int,
-) -> tuple[list[EvalCase], EvalPool]:
+) -> tuple[EvalCases, EvalPool]:
     """One case per (query, positive) pair with sampled negatives, in the
     order of the examples by (user, day, target, key).
 
@@ -103,21 +108,21 @@ def build_eval_cases(
         universe = np.arange(keys.size)
         groups, queries, positives = ex.target, ex.target, np.searchsorted(keys, ex.key)
         pool = EvalPool("ut", ex.table, keys, owners)
-    triples = list(zip(groups.tolist(), queries.tolist(), positives.tolist()))
     excluded: dict[int, set[int]] = {}
-    for group, _, positive in triples:
+    for group, positive in zip(groups.tolist(), positives.tolist()):
         excluded.setdefault(group, set()).add(positive)
     # One eligible-negative array per exclusion set; every positive is in the universe.
     eligible = {group: np.delete(universe, np.searchsorted(universe, sorted(pos))) for group, pos in excluded.items()}
-    cases: list[EvalCase] = []
-    for group, query, positive in triples:
+    candidates = np.empty((len(ex), 1 + num_negatives), dtype=np.int64)
+    candidates[:, 0] = positives
+    for case, group in enumerate(groups.tolist()):
         pick = eligible[group]
         if pick.size < num_negatives:
             what = "item" if task == "ir" else "user"
             raise PoolTooSmallError(f"{what} pool too small: {pick.size} eligible negatives, {num_negatives} requested")
-        negs = rng.choice(pick, size=num_negatives, replace=False).tolist() if num_negatives else []
-        cases.append(EvalCase(task, query, frozenset({positive}), (positive, *negs), cutoff))
-    return cases, pool
+        if num_negatives:
+            candidates[case, 1:] = rng.choice(pick, size=num_negatives, replace=False)
+    return EvalCases(task, cutoff, queries, positives, candidates), pool
 
 
 @dataclass
@@ -146,55 +151,31 @@ class RankingIndex:
 
     @classmethod
     def for_cases(
-        cls, cases: Sequence[EvalCase], pool: EvalPool, params: ModelParams, enc_config: EncoderConfig
-    ) -> tuple["RankingIndex", list[int]]:
+        cls, cases: EvalCases, pool: EvalPool, params: ModelParams, enc_config: EncoderConfig
+    ) -> tuple["RankingIndex", np.ndarray]:
         """The index of the cases and each case's query as :meth:`rank` takes
         it.  IR encodes the cases' distinct query keys in first-appearance
         order and queries by row, UT encodes the pool's keys."""
-        queries = [case.query for case in cases]
         if pool.task == "ut":
-            return cls.build(params, enc_config, pool.table.take(pool.user_keys)), queries
-        row = {key: r for r, key in enumerate(dict.fromkeys(queries))}
-        return cls.build(params, enc_config, pool.table.take(list(row))), [row[key] for key in queries]
+            return cls.build(params, enc_config, pool.table.take(pool.user_keys)), cases.query
+        keys, first, inverse = np.unique(cases.query, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        row = np.empty_like(order)
+        row[order] = np.arange(order.size)
+        return cls.build(params, enc_config, pool.table.take(keys[order])), row[inverse]
 
-    def rank(self, task: str, query: int, candidates: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Candidates by descending score, ties by ascending id, and their scores.
-        IR ranks item ids for user-table row ``query``, UT user-table rows for
-        item id ``query``."""
+    def rank(self, task: str, queries: np.ndarray, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row of ``candidates`` by descending score, ties by ascending
+        id, and the scores in that order.  IR ranks item ids for user-table
+        rows ``queries``, UT user-table rows for item ids ``queries``."""
         if task == "ir":
-            table, q_hat = self.items, self.users[query]
+            table, q_hat = self.items, self.users[queries]
         else:
-            table, q_hat = self.users, self.items[query]
-        cand = np.asarray(candidates, dtype=np.int64)
-        scores = table[cand] @ q_hat / self.temperature
-        order = np.lexsort((cand, -scores))
-        return cand[order], scores[order]
-
-
-def rank_candidates(
-    case: EvalCase,
-    params: ModelParams,
-    enc_config: EncoderConfig,
-    pool: EvalPool,
-) -> list[int]:
-    """Candidates by descending score; ties broken by ascending id."""
-    index, queries = RankingIndex.for_cases([case], pool, params, enc_config)
-    return index.rank(case.task, queries[0], case.candidates)[0].tolist()
-
-
-def recall_at_n(case: EvalCase, ranking: Sequence[int]) -> float:
-    top = set(ranking[: case.cutoff])
-    hits = len(top & case.positives)
-    return hits / min(len(case.positives), case.cutoff)
-
-
-def ndcg_at_n(case: EvalCase, ranking: Sequence[int]) -> float:
-    dcg = 0.0
-    for pos, candidate in enumerate(ranking[: case.cutoff], start=1):
-        if candidate in case.positives:
-            dcg += 1.0 / math.log2(pos + 1)
-    ideal = sum(1.0 / math.log2(pos + 1) for pos in range(1, min(len(case.positives), case.cutoff) + 1))
-    return dcg / ideal
+            table, q_hat = self.users, self.items[queries]
+        # matmul, not einsum: the per-row matrix-vector product of ``table[row] @ q``, to the bit.
+        scores = np.matmul(table[candidates], q_hat[:, :, None])[:, :, 0] / self.temperature
+        order = np.lexsort((candidates, -scores))
+        return np.take_along_axis(candidates, order, axis=1), np.take_along_axis(scores, order, axis=1)
 
 
 def popularity_counts(
@@ -211,17 +192,25 @@ def popularity_counts(
     return items, users
 
 
-def popularity_stats(top_lists: Sequence[Sequence[int]], counts: np.ndarray) -> tuple[float, float]:
+def popularity_stats(objects: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
     """Median and mean trailing-window popularity over all retrieved objects."""
-    objects = np.array([obj for ranking in top_lists for obj in ranking], dtype=np.int64)
-    values = counts[objects].tolist()
+    values = counts[objects.ravel()].tolist()
     if not values:
         return 0.0, 0.0
     return float(statistics.median(values)), float(statistics.fmean(values))
 
 
+def rank_metrics(ranks: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Recall@cutoff and NDCG@cutoff of one positive at 0-based ``ranks``:
+    a hit counts 1, its gain is ``1 / log2(rank + 2)``."""
+    depth = min(cutoff, int(ranks.max(initial=0)) + 1)  # the gains any rank can read
+    gains = np.array([1.0 / math.log2(k + 2) for k in range(depth)] + [0.0])
+    hit = ranks < cutoff
+    return hit.astype(float), gains[np.where(hit, ranks, depth)]
+
+
 def evaluate(
-    cases: Sequence[EvalCase],
+    cases: EvalCases,
     pool: EvalPool,
     params: ModelParams,
     enc_config: EncoderConfig,
@@ -232,39 +221,42 @@ def evaluate(
     keep_per_case: bool = False,
 ) -> EvalReport:
     """Rank every case and aggregate metrics (mean of per-case values).
-    One ``RankingIndex`` serves all cases; each is ranked and scored in turn."""
-    if not cases:
+    One ``RankingIndex`` serves all cases, ranked ``RANK_CHUNK`` at a time."""
+    if not len(cases):
         raise ValueError("no evaluation cases")
-    recalls: list[float] = []
-    ndcgs: list[float] = []
-    per_case: list[dict] = []
-    top_lists: list[list[int]] = []
     index, queries = RankingIndex.for_cases(cases, pool, params, enc_config)
-    for case, query in zip(cases, queries):
-        top = index.rank(case.task, query, case.candidates)[0][: case.cutoff].tolist()
-        r = recall_at_n(case, top)
-        n = ndcg_at_n(case, top)
-        recalls.append(r)
-        ndcgs.append(n)
-        top_objects = pool.key_owner[top].tolist() if pool.task == "ut" else top
-        top_lists.append(top_objects)
-        if keep_per_case:
-            query = list(pool.table[case.query]) if case.task == "ir" else case.query
-            per_case.append({"query": query, "recall": r, "ndcg": n, "top": top_objects})
+    ranks = np.empty(len(cases), dtype=np.int64)
+    top = np.empty((len(cases), min(cases.cutoff, cases.candidates.shape[1])), dtype=np.int64)
+    for start in range(0, len(cases), RANK_CHUNK):
+        rows = slice(start, start + RANK_CHUNK)
+        ranked = index.rank(cases.task, queries[rows], cases.candidates[rows])[0]
+        ranks[rows] = np.argmax(ranked == cases.positive[rows, None], axis=1)
+        top[rows] = ranked[:, : top.shape[1]]
+    recalls, ndcgs = rank_metrics(ranks, cases.cutoff)
+    if pool.task == "ut":
+        top = pool.key_owner[top]
+
+    per_case = None
+    if keep_per_case:
+        shown = [list(pool.table[q]) for q in cases.query.tolist()] if cases.task == "ir" else cases.query.tolist()
+        per_case = [
+            {"query": query, "recall": r, "ndcg": n, "top": objects}
+            for query, r, n, objects in zip(shown, recalls.tolist(), ndcgs.tolist(), top.tolist())
+        ]
 
     pop_median = pop_mean = None
     if records is not None and anchor_day is not None:
         item_counts, user_counts = popularity_counts(records, anchor_day, window_days)
         counts = item_counts if pool.task == "ir" else user_counts
-        pop_median, pop_mean = popularity_stats(top_lists, counts)
+        pop_median, pop_mean = popularity_stats(top, counts)
 
     return EvalReport(
-        task=cases[0].task,
-        cutoff=cases[0].cutoff,
+        task=cases.task,
+        cutoff=cases.cutoff,
         num_cases=len(cases),
         recall_at_n=float(np.mean(recalls)),
         ndcg_at_n=float(np.mean(ndcgs)),
         popularity_median=pop_median,
         popularity_mean=pop_mean,
-        per_case=per_case if keep_per_case else None,
+        per_case=per_case,
     )

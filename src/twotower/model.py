@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Examples, Sequences
+from .data import Sequences
 
 logger = logging.getLogger(__name__)
 
@@ -185,13 +185,6 @@ def encode_user(
     return encode_user_batch(Sequences.of([pseudo_user]), params, config, strict).vectors[0]
 
 
-def encode_item(item_id: int, params: ModelParams) -> np.ndarray:
-    """Return the item's embedding row (the item tower is the lookup)."""
-    if not 0 <= item_id < params.num_items:
-        raise VocabularyError(f"unknown item id {item_id}")
-    return params.item_embeddings[item_id].copy()
-
-
 def score(u_vec: np.ndarray, i_vec: np.ndarray, temperature: float) -> float:
     """Temperature-scaled cosine: ``<u|i> / (|u||i| tau)``."""
     nu = np.linalg.norm(u_vec)
@@ -292,9 +285,3 @@ def score_matrix_backward(
     ids = np.concatenate((cache.col_ids.ravel(), user_ids))
     grads = np.concatenate((d_items.reshape(-1, params.dim), user_grads))
     return GradientTable.accumulate(ids, grads, d_attention)
-
-
-def score_matrix(batch: Examples, params: ModelParams, config: EncoderConfig) -> np.ndarray:
-    """Score matrix of a batch: entry (r, c) scores user r against target c."""
-    phi, _ = score_matrix_forward(batch.pseudo_users(), batch.target, params, config)
-    return phi

@@ -20,13 +20,12 @@ from twotower.cli import main
 from twotower.config import VerifySection
 from twotower.data import DAYS_PER_MONTH, compute_marginals
 from twotower.evaluation import (
-    EvalCase,
+    EvalCases,
     EvalPool,
     evaluate,
-    ndcg_at_n,
     popularity_counts,
     popularity_stats,
-    recall_at_n,
+    rank_metrics,
 )
 from twotower.losses import LossConfig, bidirectional_nce_loss, full_softmax_row_loss, ssm_loss
 from twotower.model import EncoderConfig, ModelParams
@@ -97,18 +96,24 @@ def brute_ndcg(ranking, positives, cutoff):
 
 
 def test_criterion_2_metric_oracles():
+    """1000 random one-positive cases; the metrics of each cutoff's cases
+    come from one columnar ``rank_metrics`` call."""
     start = time.time()
     rng = np.random.default_rng(20)
-    worst = 0.0
+    cases = []
     for _ in range(1000):
         pool = int(rng.integers(3, 40))
         cutoff = int(rng.integers(1, pool + 4))
-        num_pos = int(rng.integers(1, pool))
-        positives = frozenset(int(x) for x in rng.choice(pool, size=num_pos, replace=False))
+        positive = int(rng.integers(pool))
         ranking = [int(x) for x in rng.permutation(pool)]
-        case = EvalCase("ir", 0, positives, tuple(range(pool)), cutoff)
-        worst = max(worst, abs(recall_at_n(case, ranking) - brute_recall(ranking, positives, cutoff)))
-        worst = max(worst, abs(ndcg_at_n(case, ranking) - brute_ndcg(ranking, positives, cutoff)))
+        cases.append((cutoff, positive, ranking))
+    worst = 0.0
+    for cutoff in sorted({case[0] for case in cases}):
+        chosen = [(positive, ranking) for n, positive, ranking in cases if n == cutoff]
+        recall, ndcg = rank_metrics(np.array([ranking.index(positive) for positive, ranking in chosen]), cutoff)
+        for (positive, ranking), r, n in zip(chosen, recall.tolist(), ndcg.tolist()):
+            worst = max(worst, abs(r - brute_recall(ranking, {positive}, cutoff)))
+            worst = max(worst, abs(n - brute_ndcg(ranking, {positive}, cutoff)))
     elapsed = time.time() - start
     report(
         2,
@@ -279,11 +284,8 @@ def final_month_cases(spec: SyntheticSpec, seed: int, cutoff: int = 5):
     """Held-out draws from the final month's joint, all items as candidates."""
     final = SyntheticSpec(num_users=8, num_items=12, joint=spec.drift[-1], num_samples=400, num_months=1)
     examples = sample_examples(generate_synthetic(final, seed=seed + 9000))
-    cases = [
-        EvalCase("ir", key, frozenset({target}), tuple(range(12)), cutoff)
-        for key, target in zip(examples.key.tolist(), examples.target.tolist())
-    ]
-    return cases, EvalPool("ir", examples.table)
+    candidates = np.tile(np.arange(12), (len(examples), 1))
+    return EvalCases("ir", cutoff, examples.key, examples.target, candidates), EvalPool("ir", examples.table)
 
 
 def run_drift_experiment(seed: int):
@@ -366,7 +368,7 @@ def test_criterion_8_popularity_direction():
             for u in range(spec.num_users):
                 order = sorted(range(spec.num_items), key=lambda i: (-phi[u, i], i))[:5]
                 top_lists.append(order)
-            median, _ = popularity_stats(top_lists, item_counts)
+            median, _ = popularity_stats(np.array(top_lists), item_counts)
             medians[preset].append(median)
     mean_infonce = float(np.mean(medians["infonce"]))
     mean_bbc = float(np.mean(medians["bbcnce"]))

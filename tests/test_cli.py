@@ -1,12 +1,17 @@
 """End-to-end command tests on a tiny fixture and a synthetic workspace."""
 
+import contextlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twotower
 from reference import sample_events
@@ -470,6 +475,12 @@ class TestTrainVariants:
             setting("verify", {"verify.seeds": ""}, "verify: seeds", "verify-verify.seeds-empty"),
             setting("retrieve --checkpoint {ckpt} --query i1 --top-n -3", {}, "top-n", "retrieve-top-n-negative"),
             setting("retrieve --checkpoint {ckpt} --query i1 --top-n 0", {}, "top-n", "retrieve-top-n-0"),
+            setting(
+                "trace --checkpoint-dir {stray}",
+                {"eval.num_negatives": 2},
+                "Is a directory",
+                "trace-month-checkpoint-is-a-directory",
+            ),
         ],
     )
     def test_invalid_train_setting_fails_cleanly(
@@ -482,10 +493,102 @@ class TestTrainVariants:
             tmp_path / "invalid.cfg",
             **{"data.input": str(events), "paths.output_dir": str(tmp_path / "invalid")} | settings,
         )
-        assert main([*command.format(ckpt=small_checkpoint).split(), "--config", config]) == 1
+        stray = tmp_path / "stray"  # a checkpoint directory whose one month checkpoint is a directory
+        (stray / "month_0001.ckpt").mkdir(parents=True, exist_ok=True)
+        assert main([*command.format(ckpt=small_checkpoint, stray=stray).split(), "--config", config]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and message in err
         assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def late_workspace(tmp_path_factory):
+    """A run on a log whose integer days start at 299,940: months 9999-10003,
+    so the month checkpoints' file names do not sort in month order."""
+    tmp_path = tmp_path_factory.mktemp("late")
+    events = tmp_path / "events.csv"
+    spec = SyntheticSpec(
+        num_users=5,
+        num_items=12,
+        joint=random_joint(5, 12, seed=41, table_rank=1, sparsity=0.5),
+        num_samples=1_500,
+        num_months=5,
+    )
+    with open(events, "w", encoding="utf-8") as out:
+        for user, item, day in sample_events(generate_synthetic(spec, seed=1)):
+            out.write(f"u{user},i{item},{day + 9998 * 30}\n")
+    out = tmp_path / "out"
+    config = write_config(
+        tmp_path / "run.cfg",
+        **{
+            "seed": 2,
+            "data.input": str(events),
+            "data.min_degree": 2,
+            "model.dim": 6,
+            "train.epochs_per_month": 2,
+            "train.batch_size": 32,
+            "eval.num_negatives": 2,
+            "eval.top_n": 3,
+            "paths.output_dir": str(out),
+        },
+    )
+    assert main(["train", "--config", config]) == 0
+    return config, out
+
+
+def stray_entries():
+    """One entry named like a month checkpoint: a directory, random bytes, a
+    copy of a month checkpoint cut at a fraction of its length, a padded
+    copy, or an epoch checkpoint."""
+    return st.one_of(
+        st.tuples(st.just("directory"), st.none()),
+        st.tuples(st.just("bytes"), st.binary(max_size=64)),
+        st.tuples(st.just("cut"), st.floats(0.0, 1.0)),
+        st.tuples(st.just("pad"), st.binary(min_size=1, max_size=16)),
+        st.tuples(st.just("epoch"), st.none()),
+    )
+
+
+class TestTraceMonths:
+    def test_months_past_9999_come_from_the_checkpoints(self, late_workspace, capsys):
+        config, out = late_workspace
+        months = load_checkpoint(str(out / "checkpoints" / "final.ckpt")).months
+        assert months == (9999, 10000, 10001, 10002)
+        names = sorted(n for n in os.listdir(out / "checkpoints") if n.startswith("month_") and "_epoch_" not in n)
+        assert names == ["month_10000.ckpt", "month_10001.ckpt", "month_10002.ckpt", "month_9999.ckpt"]
+        capsys.readouterr()
+        assert main(["trace", "--config", config]) == 0
+        printed = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        written = [line.split("\t")[0] for line in (out / "month_trace.tsv").read_text().splitlines()[1:]]
+        assert printed == written == [str(month) for month in months]
+
+    @settings(derandomize=True, database=None, max_examples=12, deadline=None)
+    @given(name=st.sampled_from(["month_0000.ckpt", "month_99999.ckpt", "month_x.ckpt"]), stray=stray_entries())
+    def test_stray_entries_never_end_in_a_traceback(self, late_workspace, tmp_path_factory, name, stray):
+        """``trace`` over the month checkpoints plus one stray entry exits 0
+        (only when the stray is an exact copy) or 1 with one ``error:`` line."""
+        config, out = late_workspace
+        source = out / "checkpoints"
+        directory = tmp_path_factory.mktemp("strays")
+        for month in ("month_9999.ckpt", "month_10000.ckpt"):
+            shutil.copyfile(source / month, directory / month)
+        blob = (source / "month_9999.ckpt").read_bytes()
+        kind, value = stray
+        if kind == "directory":
+            (directory / name).mkdir()
+        elif kind == "epoch":
+            shutil.copyfile(source / "month_10000_epoch_00.ckpt", directory / name)
+        else:
+            damaged = {"bytes": lambda: value, "cut": lambda: blob[: int(value * len(blob))], "pad": lambda: blob + value}
+            (directory / name).write_bytes(damaged[kind]())
+        exact_copy = kind == "cut" and int(value * len(blob)) == len(blob)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["trace", "--config", config, "--checkpoint-dir", str(directory)])
+        assert code == (0 if exact_copy else 1)
+        lines = err.getvalue().splitlines()
+        assert "Traceback" not in err.getvalue()
+        assert sum(line.startswith("error: ") for line in lines) == (0 if exact_copy else 1)
 
 
 class TestResumeViaCli:

@@ -8,18 +8,17 @@ import pytest
 from reference import events_of, example_rows, examples_of
 from twotower.data import Sequences
 from twotower.evaluation import (
-    EvalCase,
+    RANK_CHUNK,
     EvalPool,
     PoolTooSmallError,
+    RankingIndex,
     build_eval_cases,
     evaluate,
-    ndcg_at_n,
     popularity_counts,
     popularity_stats,
-    rank_candidates,
-    recall_at_n,
+    rank_metrics,
 )
-from twotower.model import EncoderConfig, ModelParams, encode_item, encode_user, score
+from twotower.model import EncoderConfig, ModelParams, encode_user, score
 
 ENC = EncoderConfig("mean")
 
@@ -46,52 +45,38 @@ def brute_ndcg(ranking, positives, cutoff):
     return dcg / ideal
 
 
-def _case(positives, candidates, cutoff, task="ir"):
-    return EvalCase(task=task, query=0, positives=frozenset(positives), candidates=tuple(candidates), cutoff=cutoff)
+def metrics(positive, ranking, cutoff):
+    """Recall and NDCG of one case whose ``ranking`` holds its ``positive``."""
+    recall, ndcg = rank_metrics(np.array([list(ranking).index(positive)]), cutoff)
+    return float(recall[0]), float(ndcg[0])
 
 
 class TestMetricFormulas:
     def test_single_positive_inside_cutoff(self):
-        case = _case({5}, range(10), cutoff=10)
         ranking = [9, 8, 5, 0, 1, 2, 3, 4, 6, 7]
-        assert recall_at_n(case, ranking) == 1.0
-
-    def test_two_positives_one_hit(self):
-        case = _case({1, 2}, range(20), cutoff=10)
-        ranking = [1] + [x for x in range(20) if x not in (1, 2)] + [2]
-        assert recall_at_n(case, ranking) == 0.5
-
-    def test_cutoff_smaller_than_positives(self):
-        case = _case({1, 2, 3}, range(10), cutoff=2)
-        ranking = [1, 2] + [x for x in range(10) if x not in (1, 2)]
-        assert recall_at_n(case, ranking) == 1.0  # denominator min(3, 2)
+        assert metrics(5, ranking, cutoff=10)[0] == 1.0
 
     def test_ndcg_rank_one(self):
-        case = _case({4}, range(5), cutoff=5)
-        assert ndcg_at_n(case, [4, 0, 1, 2, 3]) == pytest.approx(1.0)
+        assert metrics(4, [4, 0, 1, 2, 3], cutoff=5)[1] == pytest.approx(1.0)
 
     def test_ndcg_rank_two(self):
-        case = _case({4}, range(12), cutoff=10)
         ranking = [0, 4] + [x for x in range(12) if x not in (0, 4)]
-        assert ndcg_at_n(case, ranking) == pytest.approx(1.0 / math.log2(3.0), abs=1e-12)
+        assert metrics(4, ranking, cutoff=10)[1] == pytest.approx(1.0 / math.log2(3.0), abs=1e-12)
 
     def test_ndcg_outside_cutoff(self):
-        case = _case({11}, range(12), cutoff=10)
         ranking = list(range(11)) + [11]
-        assert ndcg_at_n(case, ranking) == 0.0
+        assert metrics(11, ranking, cutoff=10) == (0.0, 0.0)
 
     def test_matches_brute_force_on_random_cases(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
             pool = int(rng.integers(3, 30))
             cutoff = int(rng.integers(1, pool + 3))
-            num_pos = int(rng.integers(1, pool))
-            candidates = list(range(pool))
-            positives = set(int(x) for x in rng.choice(pool, size=num_pos, replace=False))
+            positive = int(rng.integers(pool))
             ranking = list(rng.permutation(pool))
-            case = _case(positives, candidates, cutoff)
-            assert recall_at_n(case, ranking) == pytest.approx(brute_recall(ranking, positives, cutoff), abs=1e-12)
-            assert ndcg_at_n(case, ranking) == pytest.approx(brute_ndcg(ranking, positives, cutoff), abs=1e-12)
+            recall, ndcg = metrics(positive, ranking, cutoff)
+            assert recall == pytest.approx(brute_recall(ranking, {positive}, cutoff), abs=1e-12)
+            assert ndcg == pytest.approx(brute_ndcg(ranking, {positive}, cutoff), abs=1e-12)
 
     def test_hitrate_equals_recall_for_single_positive(self):
         rng = np.random.default_rng(1)
@@ -100,30 +85,32 @@ class TestMetricFormulas:
             positive = int(rng.integers(pool))
             ranking = list(rng.permutation(pool))
             cutoff = int(rng.integers(1, pool))
-            case = _case({positive}, range(pool), cutoff)
             hit = 1.0 if positive in ranking[:cutoff] else 0.0
-            assert recall_at_n(case, ranking) == hit
+            assert metrics(positive, ranking, cutoff)[0] == hit
 
     def test_ndcg_is_one_iff_leading_ranks_are_all_positive(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             pool = int(rng.integers(3, 15))
             cutoff = int(rng.integers(1, pool))
-            num_pos = int(rng.integers(1, pool))
-            positives = frozenset(int(x) for x in rng.choice(pool, size=num_pos, replace=False))
+            positive = int(rng.integers(pool))
             ranking = [int(x) for x in rng.permutation(pool)]
-            case = _case(positives, range(pool), cutoff)
-            leading = min(num_pos, cutoff)
-            all_leading_positive = all(c in positives for c in ranking[:leading])
-            assert (ndcg_at_n(case, ranking) == pytest.approx(1.0, abs=1e-12)) == all_leading_positive
+            assert (metrics(positive, ranking, cutoff)[1] == pytest.approx(1.0, abs=1e-12)) == (ranking[0] == positive)
 
     def test_permutation_below_cutoff_is_invisible(self):
         rng = np.random.default_rng(2)
-        case = _case({3, 7}, range(15), cutoff=5)
         ranking = list(rng.permutation(15))
         shuffled_tail = ranking[:5] + list(rng.permutation(ranking[5:]))
-        assert recall_at_n(case, ranking) == recall_at_n(case, shuffled_tail)
-        assert ndcg_at_n(case, ranking) == pytest.approx(ndcg_at_n(case, shuffled_tail), abs=1e-15)
+        for positive in range(15):
+            assert metrics(positive, ranking, 5) == metrics(positive, shuffled_tail, 5)
+
+    def test_gains_are_the_reciprocal_log2_of_the_rank(self):
+        """Bit for bit ``1 / log2(k + 2)``; a cutoff past every rank builds no longer table."""
+        ranks = np.arange(40)
+        for cutoff in (1, 7, 40, 10**12):
+            recall, ndcg = rank_metrics(ranks, cutoff)
+            assert recall.tolist() == [float(k < cutoff) for k in range(40)]
+            assert ndcg.tolist() == [1.0 / math.log2(k + 2) if k < cutoff else 0.0 for k in range(40)]
 
 
 def make_test_examples(num_users=6, num_items=8, per_user=2, day=95):
@@ -139,25 +126,23 @@ class TestBuildCases:
         examples = examples_of([(u, (u % 3,), u % 7, 90) for u in range(40)])
         cases, pool = build_eval_cases(examples, "ir", num_negatives=5, seed=0, cutoff=3)
         assert len(cases) == 40
-        for case in cases:
-            assert len(case.candidates) == 6  # 1 positive + 5 negatives
-            assert case.positives <= set(case.candidates)
+        assert cases.candidates.shape == (40, 6)  # 1 positive + 5 negatives
+        assert np.all(cases.candidates[:, 0] == cases.positive)
 
     def test_standard_protocol_pool_of_one_hundred(self):
         """1 positive + 99 sampled negatives per case."""
         examples = examples_of([(u, (u,), u + 10, 90) for u in range(120)])
         cases, _ = build_eval_cases(examples, "ir", num_negatives=99, seed=3, cutoff=10)
-        for case in cases:
-            assert len(case.candidates) == 100
-            assert len(case.positives) == 1
-            assert len(set(case.candidates)) == 100  # drawn without replacement
+        assert cases.candidates.shape == (120, 100)
+        assert cases.positive.shape == (120,)
+        assert np.all(np.diff(np.sort(cases.candidates, axis=1), axis=1) > 0)  # drawn without replacement
 
     def test_zero_negatives_gives_trivial_recall(self):
         examples = examples_of([(0, (1,), 4, 90)])
         cases, pool = build_eval_cases(examples, "ir", num_negatives=0, seed=0, cutoff=5)
         params = ModelParams.initialize(8, 4, 0.25, 0)
-        ranking = rank_candidates(cases[0], params, ENC, pool)
-        assert recall_at_n(cases[0], ranking) == 1.0
+        assert cases.candidates.tolist() == [[4]]
+        assert evaluate(cases, pool, params, ENC).recall_at_n == 1.0
 
     def test_negatives_never_collide_with_user_positives(self):
         examples = make_test_examples()
@@ -166,9 +151,9 @@ class TestBuildCases:
         rows = example_rows(examples)
         for user, _, target, _ in rows:
             positives_by_user.setdefault(user, set()).add(target)
-        for case, (user, _, _, _) in zip(cases, sorted(rows, key=lambda r: (r[0], r[3], r[2], r[1]))):
-            negatives = set(case.candidates) - case.positives
-            assert not (negatives & positives_by_user[user])
+        ordered = sorted(rows, key=lambda r: (r[0], r[3], r[2], r[1]))
+        for negatives, (user, _, _, _) in zip(cases.candidates[:, 1:].tolist(), ordered):
+            assert not (set(negatives) & positives_by_user[user])
 
     def test_pool_too_small_rejected(self):
         examples = examples_of([(0, (1,), 4, 90)])
@@ -188,16 +173,21 @@ class TestBuildCases:
         examples = make_test_examples()
         a, _ = build_eval_cases(examples, "ir", num_negatives=3, seed=9, cutoff=3)
         b, _ = build_eval_cases(examples, "ir", num_negatives=3, seed=9, cutoff=3)
-        assert a == b
+        assert (a.task, a.cutoff) == (b.task, b.cutoff)
+        for name in ("query", "positive", "candidates"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_user_targeting_symmetry(self):
         examples = make_test_examples()
         cases, pool = build_eval_cases(examples, "ut", num_negatives=2, seed=2, cutoff=3)
         assert pool.user_keys is not None
-        for case in cases:
-            assert isinstance(case.query, int)  # the item
-            for cand in case.candidates:
-                assert 0 <= cand < len(pool.user_keys)
+        assert cases.query.dtype.kind == "i"  # the items
+        assert np.all((0 <= cases.candidates) & (cases.candidates < len(pool.user_keys)))
+
+
+def rank_one(index, task, query, candidates):
+    """The ranking of one case as a list, through the batched ``rank``."""
+    return index.rank(task, np.array([query]), np.array([candidates]))[0][0].tolist()
 
 
 class TestRanking:
@@ -206,50 +196,44 @@ class TestRanking:
         params.item_embeddings[:] = np.array(
             [[1.0, 0.0, 0.0], [0.9, 0.1, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]
         )
-        case = EvalCase("ir", 0, frozenset({1}), (1, 2, 3), 3)  # query: key 0, the sequence (0,)
-        ranking = rank_candidates(case, params, ENC, EvalPool("ir", Sequences.of([(0,)])))
-        assert ranking == [1, 2, 3]
+        index = RankingIndex.build(params, ENC, Sequences.of([(0,)]))  # user row 0: the sequence (0,)
+        assert rank_one(index, "ir", 0, [1, 2, 3]) == [1, 2, 3]
 
     def test_ties_break_by_ascending_id(self):
         params = ModelParams.initialize(5, 2, 0.25, 0)
         params.item_embeddings[:] = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [0.5, 0.0], [0.0, 1.0]])
         # items 1,2,3 all have cosine 1 with the query row 0
-        case = EvalCase("ir", 0, frozenset({2}), (3, 1, 2, 4), 4)
-        ranking = rank_candidates(case, params, ENC, EvalPool("ir", Sequences.of([(0,)])))
-        assert ranking == [1, 2, 3, 4]
+        index = RankingIndex.build(params, ENC, Sequences.of([(0,)]))
+        assert rank_one(index, "ir", 0, [3, 1, 2, 4]) == [1, 2, 3, 4]
 
     def test_matches_pairwise_scoring_oracle(self):
         params = ModelParams.initialize(9, 4, 0.25, 3)
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            seq = tuple(int(x) for x in rng.integers(0, 9, size=rng.integers(1, 4)))
-            candidates = tuple(int(x) for x in rng.choice(9, size=5, replace=False))
-            case = EvalCase("ir", 0, frozenset({candidates[0]}), candidates, 3)
-            ranking = rank_candidates(case, params, ENC, EvalPool("ir", Sequences.of([seq])))
+        seqs = [tuple(int(x) for x in rng.integers(0, 9, size=rng.integers(1, 4))) for _ in range(20)]
+        candidates = np.array([rng.choice(9, size=5, replace=False) for _ in seqs])
+        index = RankingIndex.build(params, ENC, Sequences.of(seqs))
+        ranked, scores = index.rank("ir", np.arange(20), candidates)
+        for seq, row, got, got_scores in zip(seqs, candidates.tolist(), ranked.tolist(), scores):
             user = encode_user(seq, params, ENC)
-            scored = sorted(
-                candidates,
-                key=lambda item: (-score(user, encode_item(item, params), params.temperature), item),
-            )
-            assert ranking == scored
+            oracle = {item: score(user, params.item_embeddings[item], params.temperature) for item in row}
+            assert got == sorted(row, key=lambda item: (-oracle[item], item))
+            np.testing.assert_allclose(got_scores, [oracle[item] for item in got], rtol=0, atol=1e-12)
 
     def test_ut_ranking_uses_user_tower(self):
         params = ModelParams.initialize(6, 3, 0.25, 5)
         keys = ((0,), (1, 2), (3,))
-        pool = EvalPool("ut", Sequences.of(keys), user_keys=np.arange(3), key_owner=np.arange(3))
-        case = EvalCase("ut", 4, frozenset({1}), (0, 1, 2), 3)
-        ranking = rank_candidates(case, params, ENC, pool)
-        item_vec = encode_item(4, params)
+        index = RankingIndex.build(params, ENC, Sequences.of(keys))
+        item_vec = params.item_embeddings[4]
         scored = sorted(
             range(3), key=lambda pos: (-score(encode_user(keys[pos], params, ENC), item_vec, params.temperature), pos)
         )
-        assert ranking == scored
+        assert rank_one(index, "ut", 4, [0, 1, 2]) == scored
 
 
 class TestPopularity:
     def test_constant_popularity(self):
         counts = np.array([0, 100, 100, 100])
-        median, mean = popularity_stats([[1, 2], [3]], counts)
+        median, mean = popularity_stats(np.array([1, 2, 3]), counts)
         assert median == 100 and mean == 100
 
     def test_hand_built_log(self):
@@ -257,7 +241,7 @@ class TestPopularity:
         items, users = popularity_counts(records, anchor_day=365, window_days=365)
         assert items.tolist() == [0, 2, 1, 0]
         assert users.tolist() == [2, 1]
-        median, mean = popularity_stats([[1, 2, 3]], items)
+        median, mean = popularity_stats(np.array([[1, 2, 3]]), items)
         assert median == 1 and mean == pytest.approx(1.0)
 
     def test_window_boundaries(self):
@@ -345,24 +329,36 @@ class TestCaseDrawUnchanged:
         rows = random_rows(np.random.default_rng(seed + 1000))
         for num_negatives in (0, 5, 15):
             cases, pool = build_eval_cases(examples_of(rows), task, num_negatives=num_negatives, seed=seed, cutoff=4)
-            queries = [pool.table[c.query] if task == "ir" else c.query for c in cases]
-            got = [(query, next(iter(c.positives)), c.candidates) for query, c in zip(queries, cases)]
+            queries = [pool.table[q] for q in cases.query.tolist()] if task == "ir" else cases.query.tolist()
+            candidates = [tuple(row) for row in cases.candidates.tolist()]
+            got = list(zip(queries, cases.positive.tolist(), candidates))
             assert got == reference_cases(rows, task, num_negatives, seed, 4)
 
 
-def oracle_scores(case, params, enc, pool):
-    """Per-case reference scores from ``encode_user`` and ``score``."""
-    if case.task == "ir":
-        user = encode_user(pool.table[case.query], params, enc)
-        return {c: score(user, params.item_embeddings[c], params.temperature) for c in case.candidates}
-    item = params.item_embeddings[case.query]
-    keys = pool.user_keys.tolist()
-    return {c: score(encode_user(pool.table[keys[c]], params, enc), item, params.temperature) for c in case.candidates}
+def oracle_scores(cases, pool, params, enc):
+    """Per-case reference scores from ``encode_user`` and ``score``, one
+    dict per case; each distinct pseudo-user is encoded once."""
+    encoded = {}
+
+    def user(key):
+        if key not in encoded:
+            encoded[key] = encode_user(pool.table[key], params, enc)
+        return encoded[key]
+
+    out = []
+    for query, candidates in zip(cases.query.tolist(), cases.candidates.tolist()):
+        if cases.task == "ir":
+            out.append({c: score(user(query), params.item_embeddings[c], params.temperature) for c in candidates})
+        else:
+            item = params.item_embeddings[query]
+            keys = pool.user_keys
+            out.append({c: score(user(int(keys[c])), item, params.temperature) for c in candidates})
+    return out
 
 
 class TestRankingIndexMatchesOracle:
-    """``evaluate`` and ``rank_candidates`` rank exactly like the per-case oracle,
-    exact ties included."""
+    """``evaluate`` and ``RankingIndex.rank`` rank exactly like the per-case
+    oracle, exact ties included, over more cases than one ``RANK_CHUNK``."""
 
     @staticmethod
     def tied_setup(seed, aggregator):
@@ -373,7 +369,7 @@ class TestRankingIndexMatchesOracle:
         # Duplicate item rows: items 5, 6 and 7 score exactly alike for every query.
         params.item_embeddings[6] = params.item_embeddings[5]
         params.item_embeddings[7] = params.item_embeddings[5]
-        rows = random_rows(rng, num_items=num_items)
+        rows = random_rows(rng, num_items=num_items, count=2 * RANK_CHUNK + 20)
         # (3,), (3, 3) and (9, 3) are different keys; the first two share the
         # vector under every aggregator, (9, 3) ties with them under "last".
         for user, seq in enumerate([(3,), (3, 3), (9, 3)]):
@@ -387,21 +383,44 @@ class TestRankingIndexMatchesOracle:
     def test_evaluate_and_rank_candidates(self, aggregator, task, seed):
         params, examples, enc = self.tied_setup(seed, aggregator)
         cases, pool = build_eval_cases(examples, task, num_negatives=25, seed=seed, cutoff=5)
+        assert len(cases) > 2 * RANK_CHUNK
         report = evaluate(cases, pool, params, enc, keep_per_case=True)
+        index, queries = RankingIndex.for_cases(cases, pool, params, enc)
+        ranked = index.rank(task, queries, cases.candidates)[0].tolist()
         recalls, ndcgs, tied = [], [], 0
-        for case, row in zip(cases, report.per_case):
-            scores = oracle_scores(case, params, enc, pool)
-            expected = sorted(case.candidates, key=lambda c: (-scores[c], c))
+        for c, (scores, row) in enumerate(zip(oracle_scores(cases, pool, params, enc), report.per_case)):
+            expected = sorted(cases.candidates[c].tolist(), key=lambda cand: (-scores[cand], cand))
             tied += len(set(scores.values())) < len(scores)
-            assert rank_candidates(case, params, enc, pool) == expected
-            top = expected[: case.cutoff]
+            assert ranked[c] == expected
+            top = expected[:5]
             if task == "ut":
                 top = [int(pool.key_owner[idx]) for idx in top]
             assert row["top"] == top
-            assert row["recall"] == recall_at_n(case, expected)
-            assert row["ndcg"] == ndcg_at_n(case, expected)
+            k = expected.index(int(cases.positive[c]))
+            assert row["recall"] == (1.0 if k < 5 else 0.0)
+            assert row["ndcg"] == (1.0 / math.log2(k + 2) if k < 5 else 0.0)
             recalls.append(row["recall"])
             ndcgs.append(row["ndcg"])
         assert tied > 0  # the exact-tie path is exercised
         assert report.recall_at_n == float(np.mean(recalls))
         assert report.ndcg_at_n == float(np.mean(ndcgs))
+
+    @pytest.mark.parametrize("aggregator", ["mean", "attention"])
+    @pytest.mark.parametrize("task", ["ir", "ut"])
+    def test_one_row_over_the_vocabulary(self, aggregator, task):
+        """The shape ``retrieve`` ranks: one query against every item or key."""
+        params, examples, enc = self.tied_setup(0, aggregator)
+        cases, pool = build_eval_cases(examples, "ut", num_negatives=0, seed=0, cutoff=5)
+        index = RankingIndex.build(params, enc, pool.table.take(pool.user_keys))
+        size = params.num_items if task == "ir" else len(pool.user_keys)
+        query = 1 if task == "ir" else 5  # a key row, or item 5 (tied with items 6 and 7)
+        ranked, scores = index.rank(task, np.array([query]), np.arange(size)[None])
+        if task == "ir":
+            user = encode_user(pool.table[int(pool.user_keys[query])], params, enc)
+            oracle = [score(user, params.item_embeddings[i], params.temperature) for i in range(size)]
+        else:
+            item = params.item_embeddings[query]
+            oracle = [score(encode_user(pool.table[int(k)], params, enc), item, params.temperature) for k in pool.user_keys]
+        assert ranked.shape == scores.shape == (1, size)
+        assert ranked[0].tolist() == sorted(range(size), key=lambda c: (-oracle[c], c))
+        np.testing.assert_allclose(scores[0], [oracle[c] for c in ranked[0].tolist()], rtol=0, atol=1e-12)

@@ -10,10 +10,8 @@ from twotower.model import (
     EncoderConfig,
     ModelParams,
     VocabularyError,
-    encode_item,
     encode_user,
     score,
-    score_matrix,
     score_matrix_backward,
     score_matrix_forward,
 )
@@ -101,18 +99,10 @@ class TestEncodeUser:
 
 
 class TestEncodeItem:
-    def test_lookup(self):
-        params = make_params()
-        np.testing.assert_allclose(encode_item(0, params), params.item_embeddings[0])
-
-    def test_oov(self):
-        with pytest.raises(VocabularyError):
-            encode_item(42, make_params())
-
     def test_shared_table_between_towers(self):
+        """The item tower is the row lookup ``params.item_embeddings[i]``."""
         params = make_params()
         params.item_embeddings[2] = np.arange(4, dtype=float)
-        np.testing.assert_allclose(encode_item(2, params), np.arange(4))
         np.testing.assert_allclose(encode_user([2], params, EncoderConfig("mean")), np.arange(4))
 
 
@@ -157,6 +147,11 @@ def _batch(params, rng, size):
         seq = tuple(int(x) for x in rng.integers(0, params.num_items, size=length))
         rows.append((0, seq, int(rng.integers(params.num_items)), 0))
     return examples_of(rows)
+
+
+def score_matrix(batch, params, enc):
+    """Entry (r, c) scores the user of example r against the target of example c."""
+    return score_matrix_forward(batch.pseudo_users(), batch.target, params, enc)[0]
 
 
 class TestScoreMatrix:
