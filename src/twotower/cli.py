@@ -321,18 +321,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     _write_resolved(cfg)
     v = cfg.verify
-    joint = _configured(
-        "verify", random_joint, v.num_users, v.num_items, seed=v.table_seed, table_rank=v.table_rank, sparsity=v.sparsity
-    )
     seeds = verify_seeds(cfg)
     if not seeds:
         raise CliError("verify: seeds must list at least one seed")
-    for name in ("num_samples", "dim", "epochs"):
-        if getattr(v, name) < 1:
-            raise CliError(f"verify: {name} must be >= 1")
+    for name, least in (("num_samples", 1), ("dim", 1), ("epochs", 1), ("table_seed", 0)):
+        if getattr(v, name) < least:
+            raise CliError(f"verify: {name} must be >= {least}")
     for name in ("temperature", "learning_rate"):
         if getattr(v, name) <= 0:
             raise CliError(f"verify: {name} must be positive")
+    joint = _configured(
+        "verify", random_joint, v.num_users, v.num_items, seed=v.table_seed, table_rank=v.table_rank, sparsity=v.sparsity
+    )
     spec = _configured("verify", SyntheticSpec, v.num_users, v.num_items, joint=joint, num_samples=v.num_samples)
     result = run_table_sweep(
         spec,

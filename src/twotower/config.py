@@ -194,7 +194,11 @@ def loss_config_from(config: RunConfig) -> LossConfig:
 
 
 def verify_seeds(config: RunConfig) -> tuple[int, ...]:
+    """The sweep seeds: distinct non-negative integers, in the order given."""
     try:
-        return tuple(int(s) for s in config.verify.seeds.split(",") if s.strip())
+        seeds = tuple(int(s) for s in config.verify.seeds.split(",") if s.strip())
     except ValueError as exc:
         raise ConfigError(f"verify.seeds: cannot parse {config.verify.seeds!r}") from exc
+    if any(seed < 0 for seed in seeds) or len(set(seeds)) < len(seeds):
+        raise ConfigError(f"verify.seeds: seeds must be distinct and >= 0, got {config.verify.seeds!r}")
+    return seeds

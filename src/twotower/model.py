@@ -98,10 +98,12 @@ class GradientTable:
 
     @classmethod
     def accumulate(cls, ids: np.ndarray, grads: np.ndarray, attention: np.ndarray | None = None) -> "GradientTable":
-        """Sum the gradient rows of repeated ids.  ``np.bincount`` adds its
-        weights in input order, so each row's sum takes its contributions in
-        the order given, as a loop over them would."""
-        rows, inverse = np.unique(ids, return_inverse=True)
+        """Sum the gradient rows of repeated ids, found by a count, not a sort.
+        ``np.bincount`` adds its weights in input order, so each row's sum
+        takes its contributions in the order given, as a loop over them would."""
+        present = np.bincount(ids) > 0
+        rows = np.flatnonzero(present)
+        inverse = (np.cumsum(present) - 1)[ids]
         dim = grads.shape[1]
         flat = (inverse[:, None] * dim + np.arange(dim)).ravel()
         values = np.bincount(flat, weights=grads.ravel(), minlength=rows.size * dim)
@@ -195,8 +197,8 @@ def score(u_vec: np.ndarray, i_vec: np.ndarray, temperature: float) -> float:
 
 
 def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit vectors along the last axis and their norms."""
-    norms = np.linalg.norm(x, axis=-1)
+    """Unit vectors along the last axis and their norms, as ``np.linalg.norm``."""
+    norms = np.sqrt(np.add.reduce(x * x, axis=-1))
     if np.any(norms == 0.0):
         raise ValueError("zero-norm vector encountered during scoring")
     return x / norms[..., None], norms

@@ -286,8 +286,7 @@ class StackedLoss:
     An offset is ``0`` over the observed support and ``-inf`` off it (a
     corrected side, or the marginal ssm proposal), ``log p(i)`` or
     ``log p(u)`` (an uncorrected side), or ``0`` everywhere (the uniform ssm
-    proposal); a corrected side adds its log marginal on the observed cells
-    as ``*_bias``.
+    proposal).
     Unused terms get weight 0 and finite offsets.  Weights are ``(C, 1, 1)``,
     every other array ``(C, M, K)``.
     """
@@ -295,10 +294,8 @@ class StackedLoss:
     tables: EmpiricalTables
     alpha: np.ndarray
     row_offset: np.ndarray
-    row_bias: np.ndarray
     beta: np.ndarray
     col_offset: np.ndarray
-    col_bias: np.ndarray
     positives: np.ndarray  # the joint for the bce family, else 0
     p_n: np.ndarray  # the bce negative distribution, else 0
 
@@ -314,7 +311,7 @@ class StackedLoss:
         log_pu = tables.log_p_user[:, None] + zero
         terms = []
         for config in configs:
-            row = col = (off, zero, zero)  # (weight, offset, bias)
+            row = col = (off, zero)  # (weight, offset)
             positives = p_n = zero
             if config.family == "bce":
                 positives = joint
@@ -329,23 +326,22 @@ class StackedLoss:
                 else:
                     raise ValueError(f"unknown strategy {config.negative_strategy!r}")
             elif config.family == "ssm":
-                row = (on, item_support if config.ssm_proposal == "marginal" else zero, zero)
+                row = (on, item_support if config.ssm_proposal == "marginal" else zero)
             elif config.family == "bidirectional":
                 if config.alpha:
-                    bias = np.where(tables.observed, log_pi, 0.0)
-                    row = (on, item_support, bias) if config.delta_alpha else (on, log_pi, zero)
+                    row = (on, item_support if config.delta_alpha else log_pi)
                 if config.beta:
-                    bias = np.where(tables.observed, log_pu, 0.0)
-                    col = (on, user_support, bias) if config.delta_beta else (on, log_pu, zero)
+                    col = (on, user_support if config.delta_beta else log_pu)
             else:
                 raise ValueError(f"population loss undefined for family {config.family!r}")
             terms.append((*row, *col, positives, p_n))
         return cls(tables, *(np.stack(column) for column in zip(*terms)))
 
 
-def population_loss(phi: np.ndarray, loss: StackedLoss) -> tuple[np.ndarray, np.ndarray]:
-    """Exact full-batch losses ``(C,)`` of the stacked configurations at the
-    score tables ``phi`` ``(C, M, K)``, with their gradients ``(C, M, K)``.
+def population_loss(phi: np.ndarray, loss: StackedLoss) -> np.ndarray:
+    """Gradients ``(C, M, K)`` of the exact full-batch losses of the stacked
+    configurations at the score tables ``phi`` ``(C, M, K)``; training reads
+    only the gradient, so the loss values are not computed.
 
     For the in-batch families the denominators are the exact large-batch
     sums: every candidate enters weighted by its empirical marginal, which
@@ -355,18 +351,13 @@ def population_loss(phi: np.ndarray, loss: StackedLoss) -> tuple[np.ndarray, np.
     joint = tables.joint
     w = phi + loss.row_offset
     lse = logsumexp(w, axis=2)[:, :, None]
-    row_value = np.sum(joint * (-phi + loss.row_bias + lse), axis=(1, 2))
     row_grad = -joint + tables.p_user[:, None] * np.exp(w - lse)
     w = phi + loss.col_offset
     lse = logsumexp(w, axis=1)[:, None, :]
-    col_value = np.sum(joint * (-phi + loss.col_bias + lse), axis=(1, 2))
     col_grad = -joint + tables.p_item[None, :] * np.exp(w - lse)
-    bce_value = np.sum(loss.positives * np.logaddexp(0.0, -phi), axis=(1, 2))
-    bce_value += np.sum(loss.p_n * np.logaddexp(0.0, phi), axis=(1, 2))
     sig = 1.0 / (1.0 + np.exp(-phi))
     bce_grad = -loss.positives * (1.0 - sig) + loss.p_n * sig
-    values = loss.alpha[:, 0, 0] * row_value + loss.beta[:, 0, 0] * col_value + bce_value
-    return values, loss.alpha * row_grad + loss.beta * col_grad + bce_grad
+    return loss.alpha * row_grad + loss.beta * col_grad + bce_grad
 
 
 def phi_table(
@@ -411,7 +402,7 @@ def train_to_optimum(
     for epoch in range(epochs):
         opt.learning_rate = learning_rate * 0.5 * (1.0 + math.cos(math.pi * epoch / epochs))
         phi, cache = score_matrix_forward(users, items, params, USER_ENCODER)
-        _, dphi = population_loss(phi.reshape(num_configs, m, k), loss)
+        dphi = population_loss(phi.reshape(num_configs, m, k), loss)
         grads = score_matrix_backward(cache, dphi.reshape(num_configs * m, k), params, USER_ENCODER)
         apply_optimizer_step(params, grads, opt)
     return [

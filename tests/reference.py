@@ -8,7 +8,10 @@ columnar pipeline against them.  ``examples_of`` builds columnar examples
 from readable rows, ``example_rows`` reads them back, and ``events_of``,
 ``sample_events`` and ``sample_examples`` build the other inputs.
 ``reference_population_loss`` is the one-configuration loss of the
-``verify`` harness that the stacked ``verify.population_loss`` replaced.
+``verify`` harness that the stacked ``verify.population_loss`` replaced,
+and ``stacked_population_values`` the loss values of a stack, which
+training never reads.  ``reference_accumulate`` is the sort-based
+``GradientTable.accumulate`` that an occupancy count replaced.
 """
 
 from __future__ import annotations
@@ -231,3 +234,38 @@ def reference_population_loss(
         softmax = np.exp(w - lse[None, :])
         dphi += config.beta * (-joint + tables.p_item[None, :] * softmax)
     return value, dphi
+
+
+def stacked_population_values(phi: np.ndarray, loss, configs: Sequence[LossConfig]) -> np.ndarray:
+    """Exact full-batch losses ``(C,)`` of the configurations of a
+    ``verify.StackedLoss`` at the score tables ``phi`` ``(C, M, K)``: the
+    formula ``alpha * row + beta * col + bce`` whose gradient
+    ``verify.population_loss`` returns.  A corrected side adds its log
+    marginal on the observed cells."""
+    tables = loss.tables
+    joint = tables.joint
+    zero = np.zeros_like(joint)
+    item_bias = np.where(tables.observed, tables.log_p_item[None, :], 0.0)
+    user_bias = np.where(tables.observed, tables.log_p_user[:, None], 0.0)
+    bidirectional = [c for c in configs if c.family == "bidirectional"]
+    row_bias = np.stack([item_bias if c in bidirectional and c.alpha and c.delta_alpha else zero for c in configs])
+    col_bias = np.stack([user_bias if c in bidirectional and c.beta and c.delta_beta else zero for c in configs])
+    w = phi + loss.row_offset
+    lse = logsumexp(w, axis=2)[:, :, None]
+    row_value = np.sum(joint * (-phi + row_bias + lse), axis=(1, 2))
+    w = phi + loss.col_offset
+    lse = logsumexp(w, axis=1)[:, None, :]
+    col_value = np.sum(joint * (-phi + col_bias + lse), axis=(1, 2))
+    bce_value = np.sum(loss.positives * np.logaddexp(0.0, -phi), axis=(1, 2))
+    bce_value += np.sum(loss.p_n * np.logaddexp(0.0, phi), axis=(1, 2))
+    return loss.alpha[:, 0, 0] * row_value + loss.beta[:, 0, 0] * col_value + bce_value
+
+
+def reference_accumulate(ids: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and summed gradient rows of ``GradientTable.accumulate``, with the
+    touched rows found by ``np.unique``."""
+    rows, inverse = np.unique(ids, return_inverse=True)
+    dim = grads.shape[1]
+    flat = (inverse[:, None] * dim + np.arange(dim)).ravel()
+    values = np.bincount(flat, weights=grads.ravel(), minlength=rows.size * dim)
+    return rows, values.reshape(rows.size, dim)

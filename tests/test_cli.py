@@ -473,6 +473,9 @@ class TestTrainVariants:
             setting("verify", {"verify.learning_rate": -1}, "verify: learning_rate", "verify-verify.learning_rate-neg"),
             setting("verify", {"verify.epochs": 0}, "verify: epochs", "verify-verify.epochs-0"),
             setting("verify", {"verify.seeds": ""}, "verify: seeds", "verify-verify.seeds-empty"),
+            setting("verify", {"verify.seeds": -1}, "verify.seeds: seeds must be distinct", "verify-verify.seeds-neg"),
+            setting("verify", {"verify.seeds": "1,1"}, "verify.seeds: seeds must be distinct", "verify-verify.seeds-dup"),
+            setting("verify", {"verify.table_seed": -1}, "verify: table_seed must be >= 0", "verify-verify.table_seed-neg"),
             setting("retrieve --checkpoint {ckpt} --query i1 --top-n -3", {}, "top-n", "retrieve-top-n-negative"),
             setting("retrieve --checkpoint {ckpt} --query i1 --top-n 0", {}, "top-n", "retrieve-top-n-0"),
             setting(

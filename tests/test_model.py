@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import row_gradient
-from reference import example_rows, examples_of
+from reference import example_rows, examples_of, reference_accumulate
 from twotower.data import Sequences
 from twotower.model import (
     EncoderConfig,
+    GradientTable,
     ModelParams,
     VocabularyError,
     encode_user,
+    normalize_rows,
     score,
     score_matrix_backward,
     score_matrix_forward,
@@ -275,3 +279,44 @@ class TestSharedRowGradients:
             np.testing.assert_array_equal(row_gradient(tied, r), row_gradient(split, r))
         if aggregator == "attention":
             np.testing.assert_array_equal(tied.attention, split.attention)
+
+
+class TestGradientTable:
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        ids=st.one_of(
+            st.lists(st.integers(0, 40), max_size=30),  # repeats and gaps
+            st.lists(st.sampled_from([0, 7, 1_199]), max_size=12),  # wide gaps
+            st.integers(0, 40).map(lambda i: [i]),  # a single id
+            st.just([]),  # an empty batch
+        ),
+        dim=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_accumulate_matches_the_sort_based_reference(self, ids, dim, seed):
+        """Rows and summed gradients, bit for bit, equal those of the
+        ``np.unique`` version it replaced."""
+        ids = np.array(ids, dtype=np.int64)
+        grads = np.random.default_rng(seed).normal(size=(ids.size, dim))
+        table = GradientTable.accumulate(ids, grads)
+        rows, values = reference_accumulate(ids, grads)
+        assert table.rows.dtype == rows.dtype
+        assert np.array_equal(table.rows, rows)
+        assert table.values.shape == values.shape
+        assert table.values.tobytes() == values.tobytes()
+
+
+class TestNormalizeRows:
+    @pytest.mark.parametrize("shape", [(7,), (5, 3), (4, 6, 3)])
+    def test_norms_match_linalg_norm_bit_for_bit(self, shape):
+        x = np.random.default_rng(len(shape)).normal(size=shape) * 10.0 ** np.arange(shape[-1])
+        unit, norms = normalize_rows(x)
+        expected = np.linalg.norm(x, axis=-1)
+        assert norms.tobytes() == expected.tobytes()
+        assert unit.tobytes() == (x / expected[..., None]).tobytes()
+
+    def test_zero_row_rejected(self):
+        x = np.ones((3, 4))
+        x[1] = 0.0
+        with pytest.raises(ValueError, match="zero-norm"):
+            normalize_rows(x)

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, spearmanr
 
-from reference import example_rows, reference_population_loss, sample_events, sample_examples
+from reference import (
+    example_rows,
+    reference_population_loss,
+    sample_events,
+    sample_examples,
+    stacked_population_values,
+)
 from twotower.data import DAYS_PER_MONTH
 from twotower.losses import LossConfig
 from twotower.verify import (
@@ -155,7 +161,9 @@ STACK_IDS = [label for label, _ in ALL_CONFIGS] + ["ssm/uniform"]
 
 def stacked_loss(phi, tables: EmpiricalTables, configs) -> tuple[np.ndarray, np.ndarray]:
     """Losses and gradients of ``configs`` stacked, at their score tables ``phi``."""
-    return population_loss(np.asarray(phi, dtype=float), StackedLoss.build(tables, configs))
+    phi = np.asarray(phi, dtype=float)
+    loss = StackedLoss.build(tables, configs)
+    return stacked_population_values(phi, loss, configs), population_loss(phi, loss)
 
 
 class TestPopulationLoss:
@@ -168,7 +176,7 @@ class TestPopulationLoss:
         tables = dense_tables([[5, 1, 0, 2], [0, 3, 4, 1], [2, 0, 1, 6]])
         loss = StackedLoss.build(tables, STACK)
         phi = self._phi((len(STACK), *tables.joint.shape), seed=seed)
-        values, dphi = population_loss(phi, loss)
+        values, dphi = stacked_population_values(phi, loss, STACK), population_loss(phi, loss)
         others = np.arange(len(STACK)) != index
         step = 1e-6
         for u in range(phi.shape[1]):
@@ -177,8 +185,8 @@ class TestPopulationLoss:
                 up[index, u, i] += step
                 down = phi.copy()
                 down[index, u, i] -= step
-                values_up, _ = population_loss(up, loss)
-                values_down, _ = population_loss(down, loss)
+                values_up = stacked_population_values(up, loss, STACK)
+                values_down = stacked_population_values(down, loss, STACK)
                 numeric = (values_up[index] - values_down[index]) / (2 * step)
                 assert dphi[index, u, i] == pytest.approx(numeric, abs=5e-7), (STACK_IDS[index], u, i)
                 assert np.array_equal(values_up[others], values[others])

@@ -16,7 +16,8 @@ partial month is left out), then runs `prepare`, `train --export-embeddings`, a 
 the first checkpoint into a second directory, `eval` for both tasks (plain
 and `--verbose`), `trace` for both tasks (runs with month checkpoints) and
 two `retrieve` queries per task, under each loss configuration of `CASES`;
-and `verify` for two seeds.  Every command runs
+and `verify` for sweep seeds 1, 2 and 3 (the seeds the benchmark's
+`verify_sweep` runs) plus 4.  Every command runs
 in-process with the run directory as working directory and relative paths,
 so two runs write the same bytes wherever they live.  Each report is kept
 under its own name and the stdout of every command goes to `stdout/`.
@@ -93,7 +94,7 @@ CASES = {
         {"loss.family": "bce", "loss.negative_strategy": "product-of-marginals", "loss.negative_ratio": 2},
     ),
 }
-VERIFY_SEEDS = (1, 4)
+VERIFY_SEEDS = (1, 2, 3, 4)
 
 
 def _write_config(path: Path, settings: dict) -> str:
