@@ -226,16 +226,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         except (OSError, CheckpointError) as exc:
             raise CliError(str(exc)) from exc
 
-    kwargs = dict(
-        marginals=prepared.marginals,
-        eval_fn=eval_fn,
-        checkpoint_dir=checkpoint_dir,
-        fingerprint=fp,
-    )
-    if loss_config.family == "full_softmax_col":
-        kwargs["user_universe"] = np.unique(prepared.split.train.key)
     try:
-        result = train_incremental(examples, params, enc, loss_config, train_config, resume=resume, **kwargs)
+        result = train_incremental(
+            examples, params, enc, loss_config, train_config,
+            marginals=prepared.marginals, eval_fn=eval_fn, checkpoint_dir=checkpoint_dir, fingerprint=fp, resume=resume,
+        )
     except (NonFiniteLossError, NonFiniteGradientError) as exc:
         raise CliError(f"train: {exc}") from exc
 

@@ -152,7 +152,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as src:
+    with open(path, "r", encoding="utf-8-sig") as src:  # utf-8, a leading byte-order mark dropped
         try:
             text = src.read()
         except UnicodeDecodeError as exc:

@@ -208,7 +208,8 @@ def ingest_logs(source: Union[IO[str], IO[bytes], Iterable[str]], delimiter: str
     ISO dates cannot be mixed within one log.  Vocabulary ids are assigned in
     first-appearance order; events come back sorted by ``(user, day)`` with
     the input order preserved for ties.  Duplicate lines are retained: the
-    interaction counts drive the empirical marginals downstream.
+    interaction counts drive the empirical marginals downstream.  A leading
+    UTF-8 byte-order mark is dropped; a NUL byte in a field is an error.
 
     For ISO input, day 0 is the earliest date in the log and months are
     calendar months; for integer input, months are consecutive
@@ -226,9 +227,13 @@ def ingest_logs(source: Union[IO[str], IO[bytes], Iterable[str]], delimiter: str
     for lineno, line in enumerate(source, start=1):
         if isinstance(line, bytes):
             line = line.decode("utf-8")
+        if lineno == 1:
+            line = line.removeprefix("\ufeff")  # a UTF-8 byte-order mark is not part of the first user
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        if "\0" in line:
+            raise IngestError(f"line {lineno}: NUL byte in a field")
         fields = line.split(delimiter)
         if len(fields) != 3:
             raise IngestError(f"line {lineno}: expected 3 fields separated by {delimiter!r}, got {len(fields)}")

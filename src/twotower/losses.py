@@ -13,21 +13,25 @@ Five families over the temperature-scaled cosine score ``phi``:
                         and bbcNCE;
 * ``full_softmax_row``  exact multinomial NLL with the partition over the whole
                         item vocabulary (desk-scale oracle);
-* ``full_softmax_col``  the symmetric oracle over a supplied user universe;
-* ``ssm``               sampled softmax with proposal-corrected logits.
+* ``full_softmax_col``  the symmetric oracle: a softmax per item over every
+                        pseudo-user the training marginals count;
+* ``ssm``               sampled softmax over each positive and negatives
+                        drawn from a proposal, logits corrected by ``-log q``.
 
-Every loss reports its gradient with respect to the raw scores; parameter
-gradients are obtained by chaining it through the one scoring kernel of
-:mod:`twotower.model` (shared columns for the in-batch and full-softmax
-losses, per-row candidates for ``bce`` pairs and ``ssm``).  Softmax terms
-are computed with max-subtracted log-sum-exp throughout; bias terms are
-added to the logits before stabilization.  In-batch duplicates (two examples sharing a target) are not
-masked: the marginal correction is the intended remedy for popularity skew.
+Every loss is a kernel from the raw scores to ``(value, dscore)``, its
+gradient with respect to those scores; :func:`loss_with_gradients` chains it
+through the one scoring kernel of :mod:`twotower.model` (shared columns for
+the in-batch and full-softmax losses, per-row candidates for ``bce`` pairs
+and ``ssm``).  Softmax terms are computed with max-subtracted log-sum-exp
+throughout; bias terms are added to the logits before stabilization.
+In-batch duplicates (two examples sharing a target) are not masked: the
+marginal correction is the intended remedy for popularity skew.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
 import numpy as np
@@ -87,8 +91,8 @@ class LossOutput:
     """Loss value, parameter gradients (sparse by row) and score gradients."""
 
     value: float
-    gradients: GradientTable | None = None
-    dscore: np.ndarray | None = None
+    gradients: GradientTable
+    dscore: np.ndarray
 
 
 def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -130,8 +134,9 @@ def bidirectional_nce_loss(
     log_p_u: np.ndarray,
     log_p_i: np.ndarray,
     config: LossConfig,
-) -> LossOutput:
-    """Generalized bidirectional in-batch loss on a precomputed score matrix.
+) -> tuple[float, np.ndarray]:
+    """Generalized bidirectional in-batch loss on a precomputed score matrix,
+    and its score gradient.
 
     The r-th diagonal entry is the positive pair.  The row term softmaxes
     entry (r, r) against row r (the batch's items, each logit reduced by
@@ -174,7 +179,7 @@ def bidirectional_nce_loss(
         p_col[diag, diag] -= 1.0
         dphi += (beta / size) * p_col
 
-    return LossOutput(value=value, dscore=dphi)
+    return value, dphi
 
 
 def full_softmax_value(phi: np.ndarray, positive_cols: np.ndarray) -> tuple[float, np.ndarray]:
@@ -187,71 +192,6 @@ def full_softmax_value(phi: np.ndarray, positive_cols: np.ndarray) -> tuple[floa
     dphi = np.exp(phi - lse[:, None])
     dphi[rows, positive_cols] -= 1.0
     return value, dphi / phi.shape[0]
-
-
-def bce_loss(
-    batch: Examples,
-    params: ModelParams,
-    enc_config: EncoderConfig,
-) -> LossOutput:
-    """Binary cross-entropy over labeled pairs, with parameter gradients."""
-    if not len(batch):
-        raise ValueError("batch is empty")
-    items = batch.target[:, None]  # one candidate per row
-    labels = batch.label.astype(float)
-    phi, cache = score_matrix_forward(batch.pseudo_users(), items, params, enc_config)
-    value, dphi = bce_value(phi[:, 0], labels)
-    grads = score_matrix_backward(cache, dphi[:, None], params, enc_config)
-    return LossOutput(value=value, gradients=grads, dscore=dphi)
-
-
-def bidirectional_batch_loss(
-    batch: Examples,
-    params: ModelParams,
-    enc_config: EncoderConfig,
-    config: LossConfig,
-    marginals: EmpiricalMarginals,
-) -> LossOutput:
-    """Score the batch, apply the bidirectional loss with the bias terms of
-    the training ``marginals``, backprop to parameters."""
-    log_p_u, log_p_i = marginals.log_bias(batch)
-    phi, cache = score_matrix_forward(batch.pseudo_users(), batch.target, params, enc_config)
-    out = bidirectional_nce_loss(phi, log_p_u, log_p_i, config)
-    out.gradients = score_matrix_backward(cache, out.dscore, params, enc_config)
-    return out
-
-
-def full_softmax_row_loss(
-    batch: Examples,
-    params: ModelParams,
-    enc_config: EncoderConfig,
-) -> LossOutput:
-    """Multinomial NLL with the partition over the entire item vocabulary."""
-    if not len(batch):
-        raise ValueError("batch is empty")
-    phi, cache = score_matrix_forward(batch.pseudo_users(), np.arange(params.num_items), params, enc_config)
-    value, dphi = full_softmax_value(phi, batch.target)
-    grads = score_matrix_backward(cache, dphi, params, enc_config)
-    return LossOutput(value=value, gradients=grads, dscore=dphi)
-
-
-def full_softmax_col_loss(
-    batch: Examples,
-    params: ModelParams,
-    enc_config: EncoderConfig,
-    user_universe: np.ndarray,
-) -> LossOutput:
-    """Symmetric oracle: softmax over a universe of key ids (ascending) per item."""
-    if not len(batch):
-        raise ValueError("batch is empty")
-    if not np.isin(batch.key, user_universe).all():
-        raise ValueError("batch pseudo-user missing from the supplied universe")
-    positives = np.searchsorted(user_universe, batch.key)
-    # Rows are universe users, columns the batch's targets.
-    phi, cache = score_matrix_forward(batch.table.take(user_universe), batch.target, params, enc_config)
-    value, dphi_t = full_softmax_value(phi.T, positives)
-    grads = score_matrix_backward(cache, dphi_t.T, params, enc_config)
-    return LossOutput(value=value, gradients=grads, dscore=dphi_t.T)
 
 
 def proposal_distribution(
@@ -278,41 +218,20 @@ def proposal_distribution(
     return q
 
 
-def ssm_loss(
-    batch: Examples,
-    params: ModelParams,
-    enc_config: EncoderConfig,
-    marginals: EmpiricalMarginals,
-    num_sampled: int,
-    rng: np.random.Generator,
-    proposal: str = "marginal",
-) -> LossOutput:
-    """Sampled-softmax estimate of the row loss.
-
-    Per positive, ``num_sampled`` negatives are drawn without replacement
-    from the proposal over the whole vocabulary (the positive excluded) and
-    every logit is corrected by ``-log q``; the loss is the softmax NLL over
-    the positive plus its sampled candidates.
-    """
-    if not len(batch):
-        raise ValueError("batch is empty")
-    num_items = params.num_items
-    q = proposal_distribution(marginals, num_items, proposal, num_sampled)
-
-    candidates = np.empty((len(batch), 1 + num_sampled), dtype=np.int64)  # positive first
-    candidates[:, 0] = batch.target
-    for b, target in enumerate(batch.target.tolist()):
+def _ssm_candidates(targets: np.ndarray, q: np.ndarray, num_sampled: int, rng: np.random.Generator) -> np.ndarray:
+    """Each row's positive followed by ``num_sampled`` negatives drawn without
+    replacement from the proposal ``q`` over the whole vocabulary, the
+    positive excluded."""
+    candidates = np.empty((targets.size, 1 + num_sampled), dtype=np.int64)  # positive first
+    candidates[:, 0] = targets
+    for b, target in enumerate(targets.tolist()):
         if q[target] <= 0.0:
             raise ValueError(f"positive item {target} has zero proposal probability")
         masked = q.copy()
         masked[target] = 0.0
         masked /= masked.sum()
-        candidates[b, 1:] = rng.choice(num_items, size=num_sampled, replace=False, p=masked)
-
-    phi, cache = score_matrix_forward(batch.pseudo_users(), candidates, params, enc_config)
-    value, dphi = full_softmax_value(phi - np.log(q[candidates]), np.zeros(len(batch), dtype=np.int64))
-    grads = score_matrix_backward(cache, dphi, params, enc_config)
-    return LossOutput(value=value, gradients=grads, dscore=dphi)
+        candidates[b, 1:] = rng.choice(q.size, size=num_sampled, replace=False, p=masked)
+    return candidates
 
 
 def loss_with_gradients(
@@ -323,23 +242,51 @@ def loss_with_gradients(
     *,
     marginals: EmpiricalMarginals | None = None,
     rng: np.random.Generator | None = None,
-    user_universe: np.ndarray | None = None,
 ) -> LossOutput:
-    """Evaluate the configured loss on a batch; value plus exact gradients."""
-    if config.family == "bce":
-        return bce_loss(batch, params, enc_config)
-    if config.family == "bidirectional":
-        if marginals is None:
-            raise ValueError("bidirectional loss needs the training marginals")
-        return bidirectional_batch_loss(batch, params, enc_config, config, marginals)
-    if config.family == "full_softmax_row":
-        return full_softmax_row_loss(batch, params, enc_config)
-    if config.family == "full_softmax_col":
-        if user_universe is None:
-            raise ValueError("full_softmax_col needs a user universe")
-        return full_softmax_col_loss(batch, params, enc_config, user_universe)
-    if config.family == "ssm":
-        if marginals is None or rng is None:
-            raise ValueError("ssm loss needs marginals and an rng")
-        return ssm_loss(batch, params, enc_config, marginals, config.num_sampled, rng, config.ssm_proposal)
-    raise ValueError(f"unknown loss family {config.family!r}")
+    """Evaluate the configured loss on a batch; value plus exact gradients.
+
+    Each family picks the user rows and the item columns to score and a
+    kernel from the scores to ``(value, dscore)``; one forward and one
+    backward pass through the model serve every family.  The bidirectional,
+    ``full_softmax_col`` and ``ssm`` losses read the training ``marginals``;
+    ``ssm`` draws its candidates with ``rng``.
+    """
+    if not len(batch):
+        raise ValueError("batch is empty")
+    family = config.family
+    if marginals is None and family in ("bidirectional", "full_softmax_col", "ssm"):
+        raise ValueError(f"{family} loss needs the training marginals")
+    users, items = batch.pseudo_users(), batch.target
+    if family == "bce":
+        items = batch.target[:, None]  # one candidate per row
+        kernel = partial(bce_value, labels=batch.label[:, None])
+    elif family == "bidirectional":
+        log_p_u, log_p_i = marginals.log_bias(batch)
+        kernel = partial(bidirectional_nce_loss, log_p_u=log_p_u, log_p_i=log_p_i, config=config)
+    elif family == "full_softmax_row":
+        items = np.arange(params.num_items)
+        kernel = partial(full_softmax_value, positive_cols=batch.target)
+    elif family == "full_softmax_col":
+        universe = np.flatnonzero(marginals.count_user)  # key ids, ascending
+        if not np.isin(batch.key, universe).all():
+            raise ValueError("batch pseudo-user not counted by the training marginals")
+        users = batch.table.take(universe)  # rows are the universe's users, columns the batch's targets
+        positives = np.searchsorted(universe, batch.key)
+
+        def kernel(phi: np.ndarray) -> tuple[float, np.ndarray]:
+            value, dphi_t = full_softmax_value(phi.T, positives)
+            return value, dphi_t.T
+
+    else:  # ssm
+        if rng is None:
+            raise ValueError("ssm loss needs an rng")
+        q = proposal_distribution(marginals, params.num_items, config.ssm_proposal, config.num_sampled)
+        items = _ssm_candidates(batch.target, q, config.num_sampled, rng)
+        log_q = np.log(q[items])
+
+        def kernel(phi: np.ndarray) -> tuple[float, np.ndarray]:
+            return full_softmax_value(phi - log_q, np.zeros(len(batch), dtype=np.int64))
+
+    phi, cache = score_matrix_forward(users, items, params, enc_config)
+    value, dscore = kernel(phi)
+    return LossOutput(value, score_matrix_backward(cache, dscore, params, enc_config), dscore)

@@ -323,7 +323,6 @@ def train_incremental(
     train_config: TrainConfig,
     *,
     marginals: EmpiricalMarginals | None = None,
-    user_universe: np.ndarray | None = None,
     eval_fn: Callable[[ModelParams, int], dict] | None = None,
     checkpoint_dir: str | None = None,
     fingerprint: int = 0,
@@ -340,11 +339,11 @@ def train_incremental(
     incremental step sequence exactly (same derived generators, same pool).
 
     ``examples`` must already be in the form the loss family consumes
-    (with the ``label`` column for ``bce``); the
-    bidirectional and ``ssm`` losses read the training ``marginals``.  After
-    each phase the optional ``eval_fn`` is invoked on a parameter snapshot
-    and its metrics are appended to the trace.  ``resume`` continues from a
-    checkpoint's cursor in either mode.
+    (with the ``label`` column for ``bce``); the bidirectional,
+    ``full_softmax_col`` and ``ssm`` losses read the training ``marginals``.
+    After each phase the optional ``eval_fn`` is invoked on a parameter
+    snapshot and its metrics are appended to the trace.  ``resume``
+    continues from a checkpoint's cursor in either mode.
     """
     months = tuple(np.unique(examples.month).tolist())
     if not months:
@@ -389,15 +388,7 @@ def train_incremental(
                 if loss_config.family == "bidirectional" and len(batch) < 2:
                     notices.append(f"dropped trailing batch of 1 example (month {month})")
                     continue
-                out = loss_with_gradients(
-                    batch,
-                    params,
-                    enc_config,
-                    loss_config,
-                    marginals=marginals,
-                    rng=rng,
-                    user_universe=user_universe,
-                )
+                out = loss_with_gradients(batch, params, enc_config, loss_config, marginals=marginals, rng=rng)
                 if not math.isfinite(out.value):
                     raise NonFiniteLossError(f"non-finite loss {out.value} (month {month}, epoch {epoch})")
                 apply_optimizer_step(params, out.gradients, state)

@@ -1,23 +1,10 @@
 """Synthetic-data harness checking which probability each loss learns.
 
 Data is drawn i.i.d. from a known user-item joint table, so the realized
-empirical distribution can be counted exactly.  Each loss configuration is
-trained to convergence on that data and the learned score table is compared,
-up to an additive constant, against the optimum the loss should reach:
-
-=====================================  =========================
-configuration                          score converges to
-=====================================  =========================
-bce / user-marginal sampling           log p(i|u)
-bce / item-marginal sampling           log p(u|i)
-bce / product-of-marginals sampling    pmi(u,i)
-bce / uniform sampling                 log p(u,i)
-ssm                                    log p(i|u)
-row_bcnce                              log p(i|u)
-col_bcnce                              log p(u|i)
-infonce, simclr                        pmi(u,i)
-bbcnce                                 log p(u,i)
-=====================================  =========================
+empirical distribution can be counted exactly.  Each loss configuration of
+:data:`SWEEP` is trained to convergence on that data and the learned score
+table is compared, up to an additive constant, against the optimum the table
+names for it: ``log p(i|u)``, ``log p(u|i)``, ``pmi(u,i)`` or ``log p(u,i)``.
 
 Training is full-batch: with the batch equal to the whole sample, the
 in-batch denominators reduce exactly to marginal-weighted sums over the
@@ -42,17 +29,48 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import DAYS_PER_MONTH, Sequences
-from .losses import PRESETS, LossConfig, logsumexp
+from .losses import LossConfig, logsumexp
 from .model import EncoderConfig, ModelParams, score_matrix_backward, score_matrix_forward
 from .trainer import OptimizerState, apply_optimizer_step
 
-BCE_SWEEP = ("user-marginal", "item-marginal", "product-of-marginals", "uniform")
-MULTINOMIAL_SWEEP = ("ssm", "infonce", "simclr", "row_bcnce", "col_bcnce", "bbcnce")
 
+class SweepRow(NamedTuple):
+    """One checkable configuration: its report label, the optimum its score
+    table converges to, and the gauge that optimum leaves undetermined."""
+
+    label: str
+    config: LossConfig
+    target: str
+    gauge: str
+
+
+# The optimum table, in sweep order.  Gauge ``none``: pinned up to one global
+# constant (all bce strategies and the two-sided bidirectional settings).
+# ``per-user``: row-only losses (the row softmax cancels any per-user
+# offset).  ``per-item``: column-only.
+SWEEP: tuple[SweepRow, ...] = (
+    SweepRow("bce/user-marginal", LossConfig(family="bce", negative_strategy="user-marginal"), "log p(i|u)", "none"),
+    SweepRow("bce/item-marginal", LossConfig(family="bce", negative_strategy="item-marginal"), "log p(u|i)", "none"),
+    SweepRow(
+        "bce/product-of-marginals", LossConfig(family="bce", negative_strategy="product-of-marginals"), "pmi", "none"
+    ),
+    SweepRow("bce/uniform", LossConfig(family="bce", negative_strategy="uniform"), "log p(u,i)", "none"),
+    SweepRow("ssm", LossConfig(family="ssm"), "log p(i|u)", "per-user"),
+    SweepRow("infonce", LossConfig.from_preset("infonce"), "pmi", "per-user"),
+    SweepRow("simclr", LossConfig.from_preset("simclr"), "pmi", "none"),
+    SweepRow("row_bcnce", LossConfig.from_preset("row_bcnce"), "log p(i|u)", "per-user"),
+    SweepRow("col_bcnce", LossConfig.from_preset("col_bcnce"), "log p(u|i)", "per-item"),
+    SweepRow("bbcnce", LossConfig.from_preset("bbcnce"), "log p(u,i)", "none"),
+)
+_ROW_OF_CONFIG = {row.config: row for row in SWEEP}
+
+# Each group's members share one optimum; the order sets the order of the
+# agreement rows in the sweep report.
 EQUAL_OPTIMA_GROUPS: dict[str, tuple[str, ...]] = {
     "log p(u,i)": ("bce/uniform", "bbcnce"),
     "log p(i|u)": ("bce/user-marginal", "row_bcnce", "ssm"),
@@ -209,44 +227,16 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticSample:
     return SyntheticSample(spec, days, cells, counts, month_counts)
 
 
-def _target_kind(config: LossConfig) -> str:
-    if config.family == "bce":
-        return {
-            "user-marginal": "row",
-            "item-marginal": "col",
-            "product-of-marginals": "pmi",
-            "uniform": "joint",
-        }[config.negative_strategy]
-    if config.family == "ssm":
-        return "row"
-    if config.family == "bidirectional":
-        flags = (config.alpha, config.delta_alpha, config.beta, config.delta_beta)
-        for name, preset in PRESETS.items():
-            if preset == flags:
-                return {"infonce": "pmi", "simclr": "pmi", "row_bcnce": "row", "col_bcnce": "col", "bbcnce": "joint"}[name]
-        raise ValueError(f"no known optimum for bidirectional flags {flags}")
-    raise ValueError(f"no optimum target for loss family {config.family!r}")
-
-
-TARGET_NAMES = {"row": "log p(i|u)", "col": "log p(u|i)", "pmi": "pmi", "joint": "log p(u,i)"}
+def _sweep_row(config: LossConfig) -> SweepRow:
+    if config not in _ROW_OF_CONFIG:
+        raise ValueError(f"no known optimum for loss configuration {config}")
+    return _ROW_OF_CONFIG[config]
 
 
 def optimum_gauge(config: LossConfig) -> str:
-    """Constant structure the loss leaves undetermined at its optimum.
-
-    ``none``: pinned up to one global constant (all bce strategies and any
-    two-sided bidirectional setting).  ``per-user``: row-only losses (the
-    row softmax cancels any per-user offset).  ``per-item``: column-only.
-    """
-    if config.family == "bce":
-        return "none"
-    if config.family == "ssm":
-        return "per-user"
-    if config.family == "bidirectional":
-        if config.alpha and config.beta:
-            return "none"
-        return "per-user" if config.alpha else "per-item"
-    raise ValueError(f"no optimum gauge for loss family {config.family!r}")
+    """Constant structure the loss leaves undetermined at its optimum (see
+    :data:`SWEEP`)."""
+    return _sweep_row(config).gauge
 
 
 def _center(table: np.ndarray, mask: np.ndarray, gauge: str) -> np.ndarray:
@@ -261,17 +251,17 @@ def _center(table: np.ndarray, mask: np.ndarray, gauge: str) -> np.ndarray:
 
 def target_table(config: LossConfig, tables: EmpiricalTables) -> tuple[str, np.ndarray]:
     """Predicted optimum of the score table, NaN outside the observed support."""
-    kind = _target_kind(config)
+    name = _sweep_row(config).target
     log_joint = tables.log_joint
-    if kind == "row":
+    if name == "log p(i|u)":
         target = log_joint - tables.log_p_user[:, None]
-    elif kind == "col":
+    elif name == "log p(u|i)":
         target = log_joint - tables.log_p_item[None, :]
-    elif kind == "pmi":
+    elif name == "pmi":
         target = log_joint - tables.log_p_user[:, None] - tables.log_p_item[None, :]
     else:
         target = log_joint
-    return TARGET_NAMES[kind], np.where(tables.observed, target, np.nan)
+    return name, np.where(tables.observed, target, np.nan)
 
 
 @dataclass
@@ -513,26 +503,8 @@ def check_optimum(
 
 
 def sweep_configs() -> list[tuple[str, LossConfig]]:
-    """The full strategy-by-preset grid of checkable configurations."""
-    configs: list[tuple[str, LossConfig]] = []
-    for strategy in BCE_SWEEP:
-        configs.append((f"bce/{strategy}", LossConfig(family="bce", negative_strategy=strategy)))
-    for name in MULTINOMIAL_SWEEP:
-        if name == "ssm":
-            configs.append(("ssm", LossConfig(family="ssm")))
-        else:
-            configs.append((name, LossConfig.from_preset(name)))
-    return configs
-
-
-# Comparison gauge per equal-optimum group: one-sided members leave their
-# per-side offsets undetermined, so mixed groups compare centered tables.
-GROUP_GAUGE = {
-    "log p(u,i)": "none",
-    "log p(i|u)": "per-user",
-    "log p(u|i)": "per-item",
-    "pmi": "per-user",
-}
+    """``(label, configuration)`` of every row of :data:`SWEEP`, in order."""
+    return [(row.label, row.config) for row in SWEEP]
 
 
 @dataclass
@@ -548,8 +520,6 @@ class GroupAgreement:
 class SweepResult:
     reports: list[OptimumReport]
     agreements: list[GroupAgreement]
-    phi_tables: dict[tuple[str, int], np.ndarray]
-    masks: dict[int, np.ndarray]
 
 
 def run_table_sweep(
@@ -569,14 +539,11 @@ def run_table_sweep(
     """
     reports: list[OptimumReport] = []
     agreements: list[GroupAgreement] = []
-    phi_tables: dict[tuple[str, int], np.ndarray] = {}
-    masks: dict[int, np.ndarray] = {}
     configs = sweep_configs()
     for seed in seeds:
         sample = generate_synthetic(spec, seed)
         tables = sample.tables
         mask = tables.observed
-        masks[seed] = mask
         trained = train_to_optimum(
             [config for _, config in configs],
             tables,
@@ -587,17 +554,22 @@ def run_table_sweep(
             learning_rate=learning_rate,
             seed=seed,
         )
+        phi_tables: dict[str, np.ndarray] = {}
         for (label, config), params in zip(configs, trained):
-            phi = phi_tables[(label, seed)] = phi_table(params, spec)
+            phi = phi_tables[label] = phi_table(params, spec)
             reports.append(check_optimum(config, phi, tables, temperature, label=label, seed=seed))
         for group, labels in EQUAL_OPTIMA_GROUPS.items():
-            gauge = GROUP_GAUGE[group]
+            # One-sided members leave their per-side offsets undetermined, so
+            # a mixed group compares tables centered by its one gauge other
+            # than ``none``.
+            gauges = {row.gauge for row in SWEEP if row.label in labels} - {"none"}
+            gauge = gauges.pop() if gauges else "none"
             for pos, label_a in enumerate(labels):
                 for label_b in labels[pos + 1 :]:
-                    a = _center(phi_tables[(label_a, seed)], mask, gauge)[mask]
-                    b = _center(phi_tables[(label_b, seed)], mask, gauge)[mask]
+                    a = _center(phi_tables[label_a], mask, gauge)[mask]
+                    b = _center(phi_tables[label_b], mask, gauge)[mask]
                     agreements.append(GroupAgreement(seed, group, label_a, label_b, _rank_corr(a, b)))
-    return SweepResult(reports, agreements, phi_tables, masks)
+    return SweepResult(reports, agreements)
 
 
 def _fmt_rank(value: float) -> str:

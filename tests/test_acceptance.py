@@ -27,7 +27,7 @@ from twotower.evaluation import (
     popularity_stats,
     rank_metrics,
 )
-from twotower.losses import LossConfig, bidirectional_nce_loss, full_softmax_row_loss, ssm_loss
+from twotower.losses import LossConfig, bidirectional_nce_loss, loss_with_gradients
 from twotower.model import EncoderConfig, ModelParams
 from twotower.trainer import TrainConfig, load_checkpoint, train_incremental
 from twotower.verify import (
@@ -219,15 +219,15 @@ def test_criterion_5_preset_identities():
         phi = rng.normal(size=(size, size)) * rng.uniform(0.5, 3.0)
         log_p_u = np.log(rng.dirichlet(np.ones(size)))
         log_p_i = np.log(rng.dirichlet(np.ones(size)))
-        simclr = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("simclr")).value
-        row = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("infonce")).value
-        col = bidirectional_nce_loss(
+        simclr, _ = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("simclr"))
+        row, _ = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("infonce"))
+        col, _ = bidirectional_nce_loss(
             phi, log_p_u, log_p_i, LossConfig(family="bidirectional", alpha=0, beta=1, delta_alpha=0, delta_beta=0)
-        ).value
+        )
         exact &= simclr == row + col
         uniform = np.full(size, -math.log(size))
-        with_bias = bidirectional_nce_loss(phi, uniform, uniform, LossConfig.from_preset("bbcnce")).value
-        without = bidirectional_nce_loss(phi, uniform, uniform, LossConfig.from_preset("simclr")).value
+        with_bias, _ = bidirectional_nce_loss(phi, uniform, uniform, LossConfig.from_preset("bbcnce"))
+        without, _ = bidirectional_nce_loss(phi, uniform, uniform, LossConfig.from_preset("simclr"))
         cancel = max(cancel, abs(with_bias - without))
     report(
         5,
@@ -248,6 +248,7 @@ def test_criterion_6_ssm_exactness():
     num_items = 5
     params = ModelParams.initialize(num_items, 4, temperature=0.2, seed=6)
     marginals = EmpiricalMarginals(np.array([num_items]), np.ones(num_items, dtype=np.int64))
+    exhaustive = LossConfig(family="ssm", num_sampled=num_items - 1)
     worst = 0.0
     rng = np.random.default_rng(0)
     for seed in range(10):
@@ -257,8 +258,9 @@ def test_criterion_6_ssm_exactness():
                 for _ in range(3)
             ]
         )
-        sampled = ssm_loss(batch, params, ENC, marginals, num_sampled=num_items - 1, rng=np.random.default_rng(seed))
-        full = full_softmax_row_loss(batch, params, ENC)
+        sampler = np.random.default_rng(seed)
+        sampled = loss_with_gradients(batch, params, ENC, exhaustive, marginals=marginals, rng=sampler)
+        full = loss_with_gradients(batch, params, ENC, LossConfig(family="full_softmax_row"))
         worst = max(worst, abs(sampled.value - full.value))
     report(6, "SSM with num_sampled = K-1 equals the full softmax", worst <= 1e-9, f"max gap {worst:.1e}")
 

@@ -88,6 +88,15 @@ class TestPrepare:
         assert (out / "marginals.tsv").read_text() == GOLDEN_MARGINALS
         assert (out / "resolved.cfg").exists()
 
+    def test_byte_order_marks_change_nothing(self, tiny_workspace):
+        """A log and a config that start with a UTF-8 byte-order mark give the golden files."""
+        config, out = tiny_workspace
+        for path in (out.parent / "events.csv", out.parent / "run.cfg"):
+            path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        assert main(["prepare", "--config", config]) == 0
+        assert (out / "train_examples.tsv").read_text() == GOLDEN_TRAIN
+        assert (out / "marginals.tsv").read_text() == GOLDEN_MARGINALS
+
     def test_rerun_is_byte_identical(self, tiny_workspace):
         config, out = tiny_workspace
         main(["prepare", "--config", config])
@@ -484,6 +493,7 @@ class TestTrainVariants:
                 "Is a directory",
                 "trace-month-checkpoint-is-a-directory",
             ),
+            setting("prepare", {"data.input": "{nul_log}"}, "line 2: NUL byte", "prepare-log-nul-byte"),
         ],
     )
     def test_invalid_train_setting_fails_cleanly(
@@ -492,6 +502,9 @@ class TestTrainVariants:
         """A config value or option the program rejects ends in one ``error:``
         line and exit 1, never a traceback."""
         tmp_path, events = small_events
+        nul_log = tmp_path / "nul.csv"  # a log whose second line holds a NUL byte
+        nul_log.write_text("u1,i1,0\nu\x002,i2,1\n", encoding="utf-8")
+        settings = {key: value.format(nul_log=nul_log) if key == "data.input" else value for key, value in settings.items()}
         config = write_config(
             tmp_path / "invalid.cfg",
             **{"data.input": str(events), "paths.output_dir": str(tmp_path / "invalid")} | settings,
@@ -500,7 +513,8 @@ class TestTrainVariants:
         (stray / "month_0001.ckpt").mkdir(parents=True, exist_ok=True)
         assert main([*command.format(ckpt=small_checkpoint, stray=stray).split(), "--config", config]) == 1
         err = capsys.readouterr().err
-        assert "error:" in err and message in err
+        assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
+        assert message in err
         assert "Traceback" not in err
 
 

@@ -6,6 +6,7 @@ from twotower.config import (
     ConfigError,
     RunConfig,
     fingerprint,
+    load_config,
     loss_config_from,
     parse_config,
     render_config,
@@ -46,6 +47,11 @@ class TestParsing:
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("just some words\n")
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("\ufeffseed = 42\n", encoding="utf-8")
+        assert load_config(str(path)).seed == 42
 
     def test_verify_seeds_parsed(self):
         config = parse_config("verify.seeds = 4,5 ,6\n")

@@ -109,6 +109,17 @@ class TestIngest:
         log = ingest_logs(io.BytesIO(b"u1,i1,0\n"))
         assert len(log.records) == 1
 
+    @pytest.mark.parametrize("source", [io.StringIO, lambda text: io.BytesIO(text.encode())], ids=["text", "bytes"])
+    def test_byte_order_mark_is_not_part_of_the_first_user(self, source):
+        text = "u1,a,0\nu1,b,40\nu2,a,41\n"
+        plain, marked = ingest_logs(source(text)), ingest_logs(source("\ufeff" + text))
+        assert marked.user_vocab == plain.user_vocab == {"u1": 0, "u2": 1}
+        assert event_rows(marked) == event_rows(plain)
+
+    def test_nul_byte_names_line(self):
+        with pytest.raises(IngestError, match="line 2: NUL"):
+            ingest_logs(io.StringIO("u1,a,0\nu\x001,b,40\n"))
+
     def test_far_days_cost_one_entry_per_event(self):
         """Months come per event, so a day index of 10**12 and the widest ISO
         range are two-line logs like any other."""

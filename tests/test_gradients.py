@@ -71,9 +71,8 @@ def family_case(family: str, rng: np.random.Generator):
     if family == "full_softmax_row":
         return random_batch(rng)[0], LossConfig(family="full_softmax_row"), {}
     if family == "full_softmax_col":
-        batch = random_batch(rng, extra_keys=[(0,), (1, 2)])[0]
-        universe = np.arange(len(batch.table))  # the batch's keys and the extra ones
-        return batch, LossConfig(family="full_softmax_col"), {"user_universe": universe}
+        batch, marginals = random_batch(rng, extra_keys=[(0,), (1, 2)])  # counts every key of the table
+        return batch, LossConfig(family="full_softmax_col"), {"marginals": marginals}
     if family == "ssm":
         seed = int(rng.integers(2**31))
         batch = random_batch(rng)[0]

@@ -11,19 +11,18 @@ from twotower.data import EmpiricalMarginals, Examples, Sequences, compute_margi
 from twotower.losses import (
     PRESETS,
     LossConfig,
-    bce_loss,
     bce_value,
     bidirectional_nce_loss,
-    full_softmax_row_loss,
     full_softmax_value,
     logsumexp,
     loss_with_gradients,
     proposal_distribution,
-    ssm_loss,
 )
 from twotower.model import EncoderConfig, ModelParams
 
 ENC = EncoderConfig("mean")
+BCE = LossConfig(family="bce")
+FULL_ROW = LossConfig(family="full_softmax_row")
 
 
 def make_params(num_items=6, dim=4, temperature=0.25, seed=0) -> ModelParams:
@@ -118,7 +117,7 @@ class TestBceLoss:
         params = make_params(num_items=2, dim=2)
         params.item_embeddings[:] = np.array([[1.0, 0.0], [0.0, 1.0]])
         batch = examples_of([(0, (0,), 1, 0)], labels=[1])
-        out = bce_loss(batch, params, ENC)
+        out = loss_with_gradients(batch, params, ENC, BCE)
         assert out.value == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_saturated_extremes(self):
@@ -126,12 +125,12 @@ class TestBceLoss:
         params.item_embeddings[:] = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
         # cosine 1 -> logit +20 (positive); cosine -1 -> logit -20 (negative)
         batch = examples_of([(0, (0,), 1, 0), (0, (0,), 2, 0)], labels=[1, 0])
-        out = bce_loss(batch, params, ENC)
+        out = loss_with_gradients(batch, params, ENC, BCE)
         assert out.value == pytest.approx(0.0, abs=1e-8)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            bce_loss(examples_of([], labels=[]), make_params(), ENC)
+            loss_with_gradients(examples_of([], labels=[]), make_params(), ENC, BCE)
 
 
 def bidirectional_oracle(phi, log_p_u, log_p_i, alpha, beta, d_alpha, d_beta):
@@ -154,17 +153,17 @@ class TestBidirectionalLoss:
     def test_uniform_two_by_two_gives_two_log_two(self):
         phi = np.zeros((2, 2))
         biases = np.full(2, math.log(0.5))
-        out = bidirectional_nce_loss(phi, biases, biases, LossConfig.from_preset("bbcnce"))
-        assert out.value == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
+        value, _ = bidirectional_nce_loss(phi, biases, biases, LossConfig.from_preset("bbcnce"))
+        assert value == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
     def test_infonce_is_the_row_term_alone(self):
         rng = np.random.default_rng(0)
         phi = rng.normal(size=(4, 4))
         log_p_u = np.log(rng.uniform(0.05, 0.5, size=4))
         log_p_i = np.log(rng.uniform(0.05, 0.5, size=4))
-        infonce = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("infonce"))
+        infonce, _ = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("infonce"))
         expected = bidirectional_oracle(phi, log_p_u, log_p_i, alpha=1, beta=0, d_alpha=0, d_beta=0)
-        assert infonce.value == pytest.approx(expected, abs=1e-12)
+        assert infonce == pytest.approx(expected, abs=1e-12)
 
     def test_three_by_three_hand_computation(self):
         phi = np.array([[1.2, -0.4, 0.3], [0.0, 2.1, -1.0], [0.5, 0.6, 0.7]])
@@ -172,11 +171,11 @@ class TestBidirectionalLoss:
         log_p_i = np.log(np.array([0.25, 0.5, 0.25]))
         for preset in PRESETS:
             config = LossConfig.from_preset(preset)
-            out = bidirectional_nce_loss(phi, log_p_u, log_p_i, config)
+            value, _ = bidirectional_nce_loss(phi, log_p_u, log_p_i, config)
             expected = bidirectional_oracle(
                 phi, log_p_u, log_p_i, config.alpha, config.beta, config.delta_alpha, config.delta_beta
             )
-            assert out.value == pytest.approx(expected, abs=1e-12), preset
+            assert value == pytest.approx(expected, abs=1e-12), preset
 
     def test_batch_of_one_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -187,11 +186,11 @@ class TestBidirectionalLoss:
         phi = rng.normal(size=(5, 5))
         log_p_u = np.log(rng.uniform(0.05, 0.5, size=5))
         log_p_i = np.log(rng.uniform(0.05, 0.5, size=5))
-        simclr = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("simclr")).value
-        row_only = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("infonce")).value
-        col_only = bidirectional_nce_loss(
+        simclr, _ = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("simclr"))
+        row_only, _ = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("infonce"))
+        col_only, _ = bidirectional_nce_loss(
             phi, log_p_u, log_p_i, LossConfig(family="bidirectional", alpha=0, beta=1, delta_alpha=0, delta_beta=0)
-        ).value
+        )
         assert simclr == row_only + col_only  # identical accumulation order: exact
 
     def test_bbcnce_decomposes_exactly(self):
@@ -199,30 +198,30 @@ class TestBidirectionalLoss:
         phi = rng.normal(size=(4, 4))
         log_p_u = np.log(rng.uniform(0.05, 0.5, size=4))
         log_p_i = np.log(rng.uniform(0.05, 0.5, size=4))
-        bbc = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("bbcnce")).value
-        row = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("row_bcnce")).value
-        col = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("col_bcnce")).value
+        bbc, _ = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("bbcnce"))
+        row, _ = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("row_bcnce"))
+        col, _ = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("col_bcnce"))
         assert bbc == row + col
 
     def test_delta_flags_cancel_under_uniform_marginals(self):
         rng = np.random.default_rng(3)
         phi = rng.normal(size=(6, 6))
         uniform = np.full(6, math.log(1.0 / 6.0))
-        with_bias = bidirectional_nce_loss(phi, uniform, uniform, LossConfig.from_preset("bbcnce")).value
-        without = bidirectional_nce_loss(phi, uniform, uniform, LossConfig.from_preset("simclr")).value
+        with_bias, _ = bidirectional_nce_loss(phi, uniform, uniform, LossConfig.from_preset("bbcnce"))
+        without, _ = bidirectional_nce_loss(phi, uniform, uniform, LossConfig.from_preset("simclr"))
         assert abs(with_bias - without) < 1e-9
 
     def test_row_softmax_distributions_sum_to_one(self):
         rng = np.random.default_rng(4)
         phi = rng.normal(size=(5, 5))
         log_p = np.log(rng.uniform(0.05, 0.5, size=5))
-        out = bidirectional_nce_loss(phi, log_p, log_p, LossConfig.from_preset("infonce"))
-        p_row = 5.0 * out.dscore + np.eye(5)
+        _, dscore = bidirectional_nce_loss(phi, log_p, log_p, LossConfig.from_preset("infonce"))
+        p_row = 5.0 * dscore + np.eye(5)
         np.testing.assert_allclose(p_row.sum(axis=1), 1.0, atol=1e-9)
-        out_col = bidirectional_nce_loss(
+        _, dscore_col = bidirectional_nce_loss(
             phi, log_p, log_p, LossConfig(family="bidirectional", alpha=0, beta=1, delta_alpha=0, delta_beta=1)
         )
-        p_col = 5.0 * out_col.dscore + np.eye(5)
+        p_col = 5.0 * dscore_col + np.eye(5)
         np.testing.assert_allclose(p_col.sum(axis=0), 1.0, atol=1e-9)
 
     def test_per_row_shift_invariance(self):
@@ -231,8 +230,8 @@ class TestBidirectionalLoss:
         log_p = np.log(rng.uniform(0.1, 0.4, size=4))
         shifts = rng.normal(size=(4, 1)) * 10.0
         config = LossConfig.from_preset("infonce")
-        a = bidirectional_nce_loss(phi, log_p, log_p, config).value
-        b = bidirectional_nce_loss(phi + shifts, log_p, log_p, config).value
+        a, _ = bidirectional_nce_loss(phi, log_p, log_p, config)
+        b, _ = bidirectional_nce_loss(phi + shifts, log_p, log_p, config)
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_values_nonnegative_and_finite(self):
@@ -242,7 +241,7 @@ class TestBidirectionalLoss:
             phi = rng.normal(size=(size, size)) * rng.uniform(0.5, 4.0)
             log_p = np.log(rng.dirichlet(np.ones(size)))
             for preset in PRESETS:
-                value = bidirectional_nce_loss(phi, log_p, log_p, LossConfig.from_preset(preset)).value
+                value, _ = bidirectional_nce_loss(phi, log_p, log_p, LossConfig.from_preset(preset))
                 assert value >= 0.0 and np.isfinite(value)
 
 
@@ -261,14 +260,14 @@ class TestFullSoftmax:
         params = make_params(num_items=4, dim=3, seed=2)
         batch = examples_of([(0, (t,), (t + 1) % 4, 0) for t in range(4)])
         marginals = compute_marginals(batch, 4)  # every user and item at probability 1/4
-        full = full_softmax_row_loss(batch, params, ENC)
+        full = loss_with_gradients(batch, params, ENC, FULL_ROW)
         in_batch = loss_with_gradients(batch, params, ENC, LossConfig.from_preset("row_bcnce"), marginals=marginals)
         assert in_batch.value == pytest.approx(full.value, abs=1e-12)
 
     def test_gradient_rows_cover_vocabulary(self):
         params = make_params(num_items=5, dim=3, seed=3)
         batch = examples_of([(0, (0,), 1, 0), (0, (2,), 3, 0)])
-        out = full_softmax_row_loss(batch, params, ENC)
+        out = loss_with_gradients(batch, params, ENC, FULL_ROW)
         assert set(out.gradients.rows) == {0, 1, 2, 3, 4}
 
 
@@ -279,8 +278,9 @@ class TestSampledSoftmax:
         marginals = uniform_marginals(num_items)
         batch = examples_of([(0, (0,), 2, 0), (0, (1, 3), 4, 0)])
         rng = np.random.default_rng(0)
-        sampled = ssm_loss(batch, params, ENC, marginals, num_sampled=num_items - 1, rng=rng)
-        full = full_softmax_row_loss(batch, params, ENC)
+        exhaustive = LossConfig(family="ssm", num_sampled=num_items - 1)
+        sampled = loss_with_gradients(batch, params, ENC, exhaustive, marginals=marginals, rng=rng)
+        full = loss_with_gradients(batch, params, ENC, FULL_ROW)
         assert sampled.value == pytest.approx(full.value, abs=1e-9)
 
     def test_single_negative_hand_computation(self):
@@ -290,7 +290,8 @@ class TestSampledSoftmax:
         marginals = uniform_marginals(num_items)
         batch = examples_of([(0, (0,), 1, 0)])
         rng = np.random.default_rng(1)
-        out = ssm_loss(batch, params, ENC, marginals, num_sampled=1, rng=rng)
+        config = LossConfig(family="ssm", num_sampled=1)
+        out = loss_with_gradients(batch, params, ENC, config, marginals=marginals, rng=rng)
         # positive logit: cos((1,0),(0,1))/tau = 0; the drawn negative is item 0 or 2
         # with cosine +1 or -1; uniform proposal corrections cancel.
         phi_pos = 0.0
@@ -311,7 +312,7 @@ class TestSampledSoftmax:
         params = make_params(num_items=num_items, dim=4, seed=6)
         marginals = uniform_marginals(num_items)
         batch = examples_of([(0, (0, 3), 7, 0)])
-        full = full_softmax_row_loss(batch, params, ENC).value
+        full = loss_with_gradients(batch, params, ENC, FULL_ROW).value
 
         from twotower.model import encode_user, score
 
@@ -327,8 +328,9 @@ class TestSampledSoftmax:
         assert exact_expectation < full  # one term always missing
 
         rng = np.random.default_rng(2)
+        config = LossConfig(family="ssm", num_sampled=8)
         draws = np.array(
-            [ssm_loss(batch, params, ENC, marginals, num_sampled=8, rng=rng).value for _ in range(10_000)]
+            [loss_with_gradients(batch, params, ENC, config, marginals=marginals, rng=rng).value for _ in range(10_000)]
         )
         stderr = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - exact_expectation) <= 3.0 * stderr
@@ -341,29 +343,34 @@ class TestSampledSoftmax:
         marginals = uniform_marginals(num_items)
         batch = examples_of([(0, (0,), 3, 0)])
         rng = np.random.default_rng(3)
+        config = LossConfig(family="ssm", num_sampled=4)
         for _ in range(200):
-            out = ssm_loss(batch, params, ENC, marginals, num_sampled=4, rng=rng)
+            out = loss_with_gradients(batch, params, ENC, config, marginals=marginals, rng=rng)
             # value is finite and positive; collision would double-count the target
             assert np.isfinite(out.value)
 
     def test_num_sampled_must_be_below_vocab(self):
         params = make_params(num_items=4)
         with pytest.raises(ValueError, match="vocabulary"):
-            ssm_loss(
+            loss_with_gradients(
                 examples_of([(0, (0,), 1, 0)]),
                 params,
                 ENC,
-                uniform_marginals(4),
-                num_sampled=4,
+                LossConfig(family="ssm", num_sampled=4),
+                marginals=uniform_marginals(4),
                 rng=np.random.default_rng(0),
             )
         # the marginal proposal covers only the items seen in training
         seen_two = EmpiricalMarginals(np.array([2]), np.array([1, 1, 0, 0]))
         batch = examples_of([(0, (0,), 1, 0)])
+        two = LossConfig(family="ssm", num_sampled=2)
         with pytest.raises(ValueError, match="covers 2 items"):
-            ssm_loss(batch, params, ENC, seen_two, num_sampled=2, rng=np.random.default_rng(0))
-        ssm_loss(batch, params, ENC, seen_two, num_sampled=2, rng=np.random.default_rng(0), proposal="uniform")
-        assert ssm_loss(batch, params, ENC, seen_two, num_sampled=1, rng=np.random.default_rng(0)).gradients.rows.size
+            loss_with_gradients(batch, params, ENC, two, marginals=seen_two, rng=np.random.default_rng(0))
+        uniform_two = LossConfig(family="ssm", num_sampled=2, ssm_proposal="uniform")
+        loss_with_gradients(batch, params, ENC, uniform_two, marginals=seen_two, rng=np.random.default_rng(0))
+        one = LossConfig(family="ssm", num_sampled=1)
+        out = loss_with_gradients(batch, params, ENC, one, marginals=seen_two, rng=np.random.default_rng(0))
+        assert out.gradients.rows.size
 
     def test_marginal_proposal_over_a_larger_table(self):
         """Item counts over the first 4 ids of a 6-row table leave the other
@@ -371,7 +378,9 @@ class TestSampledSoftmax:
         marginals = EmpiricalMarginals(np.array([4]), np.ones(4, dtype=np.int64))
         assert proposal_distribution(marginals, 6, "marginal", 2).tolist() == [0.25] * 4 + [0.0] * 2
         batch = examples_of([(0, (0,), 1, 0)])
-        out = ssm_loss(batch, make_params(num_items=6), ENC, marginals, num_sampled=3, rng=np.random.default_rng(0))
+        params = make_params(num_items=6)
+        config = LossConfig(family="ssm", num_sampled=3)
+        out = loss_with_gradients(batch, params, ENC, config, marginals=marginals, rng=np.random.default_rng(0))
         assert set(out.gradients.rows.tolist()) == {0, 1, 2, 3}
 
     def test_zero_probability_positive_rejected(self):
@@ -379,12 +388,12 @@ class TestSampledSoftmax:
         # items 0 and 1 seen in training, so one negative can be drawn; the positive 2 was never seen
         marginals = EmpiricalMarginals(np.array([2]), np.array([1, 1, 0, 0]))
         with pytest.raises(ValueError, match="zero proposal"):
-            ssm_loss(
+            loss_with_gradients(
                 examples_of([(0, (0,), 2, 0)]),
                 params,
                 ENC,
-                marginals,
-                num_sampled=1,
+                LossConfig(family="ssm", num_sampled=1),
+                marginals=marginals,
                 rng=np.random.default_rng(0),
             )
 
@@ -412,11 +421,18 @@ class TestDispatcher:
         with pytest.raises(ValueError, match="marginals"):
             loss_with_gradients(batch, make_params(), ENC, LossConfig.from_preset("bbcnce"))
 
-    def test_full_softmax_col_needs_universe(self):
+    def test_full_softmax_col_needs_marginals(self):
         params = make_params()
         batch = examples_of([(0, (0,), 1, 0)])
-        with pytest.raises(ValueError, match="universe"):
+        with pytest.raises(ValueError, match="full_softmax_col loss needs the training marginals"):
             loss_with_gradients(batch, params, ENC, LossConfig(family="full_softmax_col"))
+
+    def test_full_softmax_col_rejects_an_uncounted_key(self):
+        """The universe is the keys the marginals count; a batch key outside it has no softmax row."""
+        batch = examples_of([(0, (0,), 1, 0), (1, (2,), 3, 0)])
+        only_first = EmpiricalMarginals(np.array([1, 0]), np.ones(6, dtype=np.int64))
+        with pytest.raises(ValueError, match="not counted by the training marginals"):
+            loss_with_gradients(batch, make_params(), ENC, LossConfig(family="full_softmax_col"), marginals=only_first)
 
     def test_full_softmax_col_value(self):
         params = make_params(num_items=5, dim=3, seed=9)
@@ -425,7 +441,8 @@ class TestDispatcher:
         ids = np.array([0, 1])
         batch = Examples(Sequences.of(universe), ids, np.array([1, 2]), np.array([4, 0]), ids * 0, ids * 0 + 1)
         config = LossConfig(family="full_softmax_col")
-        out = loss_with_gradients(batch, params, ENC, config, user_universe=np.arange(3))
+        universe_counted = EmpiricalMarginals(np.ones(3, dtype=np.int64), np.ones(5, dtype=np.int64))
+        out = loss_with_gradients(batch, params, ENC, config, marginals=universe_counted)
         # scalar oracle: softmax over the user universe per batch item
         from twotower.model import encode_user, score
 

@@ -417,7 +417,6 @@ class TestTrainingLoop:
         from twotower.data import sample_negatives_bce
 
         spec, examples, marginals = synthetic_training_set(num_months=1, num_samples=400)
-        universe = np.unique(examples.key)
         labeled = sample_negatives_bce(examples, "uniform", num_items=spec.num_items + spec.num_users, rng_seed=0)
         cases = [
             (LossConfig(family="bce"), labeled),
@@ -436,7 +435,6 @@ class TestTrainingLoop:
                 loss_config,
                 train_config(epochs_per_month=1, batch_size=64),
                 marginals=marginals,
-                user_universe=universe,
             )
             assert result.steps > 0, loss_config.family
             assert np.any(params.item_embeddings != before), loss_config.family

@@ -18,6 +18,7 @@ from twotower.data import DAYS_PER_MONTH
 from twotower.losses import LossConfig
 from twotower.verify import (
     EQUAL_OPTIMA_GROUPS,
+    SWEEP,
     EmpiricalTables,
     OptimumReport,
     StackedLoss,
@@ -267,6 +268,13 @@ class TestTargets:
         assert math.isnan(target[0, 1])
         assert np.isfinite(target[tables.observed]).all()
 
+    def test_configuration_outside_the_table_rejected(self):
+        uniform_ssm = LossConfig(family="ssm", ssm_proposal="uniform")
+        with pytest.raises(ValueError, match="no known optimum"):
+            target_table(uniform_ssm, dense_tables([[1, 1], [1, 1]]))
+        with pytest.raises(ValueError, match="no known optimum"):
+            optimum_gauge(uniform_ssm)
+
     def test_gauge_classification(self):
         assert optimum_gauge(LossConfig(family="bce")) == "none"
         assert optimum_gauge(LossConfig.from_preset("bbcnce")) == "none"
@@ -376,6 +384,17 @@ class TestSweep:
             "col_bcnce",
             "bbcnce",
         ]
+
+    def test_groups_agree_with_the_table(self):
+        """Each row of the table sits in exactly one group, the group named by
+        its target, and a group mixes at most one gauge other than ``none``
+        (the gauge its agreement rows compare under)."""
+        rows = {row.label: row for row in SWEEP}
+        grouped = [label for labels in EQUAL_OPTIMA_GROUPS.values() for label in labels]
+        assert sorted(grouped) == sorted(rows)
+        for group, labels in EQUAL_OPTIMA_GROUPS.items():
+            assert {rows[label].target for label in labels} == {group}
+            assert len({rows[label].gauge for label in labels} - {"none"}) <= 1, group
 
     def test_sweep_cardinality_and_report_shape(self):
         spec = SyntheticSpec(num_users=4, num_items=5, joint=random_joint(4, 5, seed=21), num_samples=8_000)
