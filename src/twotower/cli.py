@@ -27,7 +27,7 @@ import numpy as np
 from . import config as config_mod
 from . import data as data_mod
 from .config import ConfigError, RunConfig, fingerprint, loss_config_from, render_config, verify_seeds
-from .evaluation import EvalCases, EvalPool, PoolTooSmallError, RankingIndex, build_eval_cases, evaluate
+from .evaluation import EvalCases, EvalPool, PoolTooSmallError, RankingIndex, build_eval_cases, evaluate, top_n
 from .losses import proposal_distribution
 from .model import EncoderConfig, ModelParams, encode_user
 from .trainer import (
@@ -329,14 +329,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "verify", random_joint, v.num_users, v.num_items, seed=v.table_seed, table_rank=v.table_rank, sparsity=v.sparsity
     )
     spec = _configured("verify", SyntheticSpec, v.num_users, v.num_items, joint=joint, num_samples=v.num_samples)
-    result = run_table_sweep(
-        spec,
-        seeds,
-        dim=v.dim,
-        temperature=v.temperature,
-        epochs=v.epochs,
-        learning_rate=v.learning_rate,
-    )
+    try:
+        result = run_table_sweep(
+            spec, seeds, dim=v.dim, temperature=v.temperature, epochs=v.epochs, learning_rate=v.learning_rate
+        )
+    except NonFiniteGradientError as exc:
+        raise CliError(f"verify: {exc}") from exc
     text = sweep_report_text(result)
     out_path = os.path.join(cfg.paths.output_dir, "sweep_report.tsv")
     with open(out_path, "w", encoding="utf-8") as out:
@@ -349,9 +347,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    top_n = cfg.eval.top_n if args.top_n is None else args.top_n
-    if top_n < 1:
-        raise CliError(f"top-n must be >= 1, got {top_n}")
+    count = cfg.eval.top_n if args.top_n is None else args.top_n
+    if count < 1:
+        raise CliError(f"top-n must be >= 1, got {count}")
     prepared = _run_pipeline(cfg)
     checkpoint = _load_params(args, cfg, prepared.log.num_items)
     params = checkpoint.params
@@ -371,7 +369,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         if not ids:
             raise CliError("no known items in the query sequence")
         index = RankingIndex.build(params, enc, data_mod.Sequences.of([ids]), strict=False)
-        query, candidates = 0, np.arange(params.num_items)
+        query, candidates = 0, np.arange(params.num_items)[None]
         label = {idx: tok for tok, idx in prepared.log.item_vocab.items()}
     else:
         if len(tokens) != 1:
@@ -383,12 +381,12 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         parts = (prepared.split.train, prepared.split.validation, prepared.split.test)
         keys, owners = data_mod.first_owners(np.concatenate([p.key for p in parts]), np.concatenate([p.user for p in parts]))
         index = RankingIndex.build(params, enc, prepared.split.train.table.take(keys))
-        query, candidates = prepared.log.item_vocab[tok], np.arange(len(keys))
+        query, candidates = prepared.log.item_vocab[tok], np.arange(len(keys))[None]
         user_token = {idx: t for t, idx in prepared.log.user_vocab.items()}
         label = [user_token[owner] for owner in owners.tolist()]
-    ranked, scores = (column[0, :top_n] for column in index.rank(task, np.array([query]), candidates[None]))
-    names = [label[candidate] for candidate in ranked.tolist()]
-    for rank, (name, score_value) in enumerate(zip(names, scores), start=1):
+    ranked, scores = top_n(index.scores(task, np.array([query]), candidates), candidates, count)
+    names = [label[candidate] for candidate in ranked[0].tolist()]
+    for rank, (name, score_value) in enumerate(zip(names, scores[0]), start=1):
         print(f"{rank}\t{name}\t{score_value:.6f}")
     return 0
 

@@ -9,7 +9,6 @@ statistics (trailing-window interaction counts) of the retrieved objects.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,7 +127,7 @@ def build_eval_cases(
 @dataclass
 class RankingIndex:
     """Row-normalized item table and row-normalized vectors of distinct
-    pseudo-users, built once per parameter snapshot, so that ranking a case
+    pseudo-users, built once per parameter snapshot, so that scoring a case
     is a row gather and one matrix-vector product."""
 
     items: np.ndarray  # (num_items, d)
@@ -153,7 +152,7 @@ class RankingIndex:
     def for_cases(
         cls, cases: EvalCases, pool: EvalPool, params: ModelParams, enc_config: EncoderConfig
     ) -> tuple["RankingIndex", np.ndarray]:
-        """The index of the cases and each case's query as :meth:`rank` takes
+        """The index of the cases and each case's query as :meth:`scores` takes
         it.  IR encodes the cases' distinct query keys in first-appearance
         order and queries by row, UT encodes the pool's keys."""
         if pool.task == "ut":
@@ -164,18 +163,46 @@ class RankingIndex:
         row[order] = np.arange(order.size)
         return cls.build(params, enc_config, pool.table.take(keys[order])), row[inverse]
 
-    def rank(self, task: str, queries: np.ndarray, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each row of ``candidates`` by descending score, ties by ascending
-        id, and the scores in that order.  IR ranks item ids for user-table
-        rows ``queries``, UT user-table rows for item ids ``queries``."""
+    def scores(self, task: str, queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        """The match score of every entry of ``candidates (n, C)``: IR scores
+        item ids for user-table rows ``queries``, UT user-table rows for item
+        ids ``queries``."""
         if task == "ir":
             table, q_hat = self.items, self.users[queries]
         else:
             table, q_hat = self.users, self.items[queries]
         # matmul, not einsum: the per-row matrix-vector product of ``table[row] @ q``, to the bit.
-        scores = np.matmul(table[candidates], q_hat[:, :, None])[:, :, 0] / self.temperature
-        order = np.lexsort((candidates, -scores))
-        return np.take_along_axis(candidates, order, axis=1), np.take_along_axis(scores, order, axis=1)
+        return np.matmul(table[candidates], q_hat[:, :, None])[:, :, 0] / self.temperature
+
+
+# Ranking order: descending score, ties by ascending id.  Both reductions
+# below need the ids of a row to be distinct and its scores to be finite
+# (``ModelParams`` holds only finite parameters).
+
+
+def positive_rank(scores: np.ndarray, ids: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """The 0-based rank of ``positive[r]`` within row ``r``, which holds it:
+    the count of entries that score higher, or as high with a smaller id."""
+    positive = positive[:, None]
+    s_pos = np.take_along_axis(scores, np.argmax(ids == positive, axis=1)[:, None], axis=1)
+    return np.count_nonzero((scores > s_pos) | ((scores == s_pos) & (ids < positive)), axis=1)
+
+
+def top_n(scores: np.ndarray, ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``min(n, C)`` ids of each row in ranking order, and their
+    scores.  A partition picks them; a row with more entries at or above its
+    n-th score than n is tied across the cutoff and is fully sorted."""
+    width = ids.shape[1]
+    n = min(n, width)
+    if n < width:
+        pick = np.argpartition(scores, width - n, axis=1)[:, width - n :]  # column 0 holds the n-th score
+        nth = np.take_along_axis(scores, pick[:, :1], axis=1)
+        tied = np.flatnonzero(np.count_nonzero(scores >= nth, axis=1) > n)
+        if tied.size:
+            pick[tied] = np.lexsort((ids[tied], -scores[tied]))[:, :n]
+        ids, scores = np.take_along_axis(ids, pick, axis=1), np.take_along_axis(scores, pick, axis=1)
+    order = np.lexsort((ids, -scores))
+    return np.take_along_axis(ids, order, axis=1), np.take_along_axis(scores, order, axis=1)
 
 
 def popularity_counts(
@@ -193,11 +220,12 @@ def popularity_counts(
 
 
 def popularity_stats(objects: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
-    """Median and mean trailing-window popularity over all retrieved objects."""
-    values = counts[objects.ravel()].tolist()
-    if not values:
+    """Median and mean trailing-window popularity over all retrieved objects.
+    The counts are integers, so both are exact while their sum stays below 2**53."""
+    values = counts[objects.ravel()]
+    if not values.size:
         return 0.0, 0.0
-    return float(statistics.median(values)), float(statistics.fmean(values))
+    return float(np.median(values)), float(np.mean(values))
 
 
 def rank_metrics(ranks: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,7 +249,8 @@ def evaluate(
     keep_per_case: bool = False,
 ) -> EvalReport:
     """Rank every case and aggregate metrics (mean of per-case values).
-    One ``RankingIndex`` serves all cases, ranked ``RANK_CHUNK`` at a time."""
+    One ``RankingIndex`` scores all cases, ``RANK_CHUNK`` at a time; each
+    case needs only its positive's rank and its top N, so no row is sorted."""
     if not len(cases):
         raise ValueError("no evaluation cases")
     index, queries = RankingIndex.for_cases(cases, pool, params, enc_config)
@@ -229,9 +258,10 @@ def evaluate(
     top = np.empty((len(cases), min(cases.cutoff, cases.candidates.shape[1])), dtype=np.int64)
     for start in range(0, len(cases), RANK_CHUNK):
         rows = slice(start, start + RANK_CHUNK)
-        ranked = index.rank(cases.task, queries[rows], cases.candidates[rows])[0]
-        ranks[rows] = np.argmax(ranked == cases.positive[rows, None], axis=1)
-        top[rows] = ranked[:, : top.shape[1]]
+        candidates = cases.candidates[rows]
+        scores = index.scores(cases.task, queries[rows], candidates)
+        ranks[rows] = positive_rank(scores, candidates, cases.positive[rows])
+        top[rows] = top_n(scores, candidates, cases.cutoff)[0]
     recalls, ndcgs = rank_metrics(ranks, cases.cutoff)
     if pool.task == "ut":
         top = pool.key_owner[top]

@@ -46,12 +46,17 @@ class ModelParams:
     temperature: float
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.temperature):
+            raise ValueError(f"temperature must be finite, got {self.temperature}")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         if self.item_embeddings.ndim != 2:
             raise ValueError("item_embeddings must be a 2-d table")
         if self.attention_vector.shape != (self.item_embeddings.shape[1],):
             raise ValueError("attention_vector dimension must match the table")
+        for name in ("item_embeddings", "attention_vector"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
 
     @property
     def num_items(self) -> int:

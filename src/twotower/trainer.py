@@ -41,7 +41,8 @@ CHECKPOINT_VERSION = 1
 
 
 class NonFiniteGradientError(RuntimeError):
-    """A gradient became NaN or infinite; training aborts loudly."""
+    """A gradient or an updated parameter became NaN or infinite; training
+    aborts loudly."""
 
 
 class NonFiniteLossError(RuntimeError):
@@ -393,6 +394,9 @@ def train_incremental(
                     raise NonFiniteLossError(f"non-finite loss {out.value} (month {month}, epoch {epoch})")
                 apply_optimizer_step(params, out.gradients, state)
                 steps += 1
+            # A finite step can still overflow a parameter; no checkpoint or snapshot may hold one.
+            if not (np.isfinite(params.item_embeddings).all() and np.isfinite(params.attention_vector).all()):
+                raise NonFiniteGradientError(f"non-finite parameters after month {month}, epoch {epoch}")
             if shuffled:
                 _save(f"shuffled_epoch_{epoch:02d}.ckpt", phase, epoch + 1)
             elif epoch < epochs - 1:

@@ -11,7 +11,10 @@ from readable rows, ``example_rows`` reads them back, and ``events_of``,
 ``verify`` harness that the stacked ``verify.population_loss`` replaced,
 and ``stacked_population_values`` the loss values of a stack, which
 training never reads.  ``reference_accumulate`` is the sort-based
-``GradientTable.accumulate`` that an occupancy count replaced.
+``GradientTable.accumulate`` that an occupancy count replaced, and
+``reference_rank`` (through ``reference_order``) the full sort of every
+candidate row that the positive's count rank and a partitioned top N
+replaced.
 """
 
 from __future__ import annotations
@@ -269,3 +272,22 @@ def reference_accumulate(ids: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray
     flat = (inverse[:, None] * dim + np.arange(dim)).ravel()
     values = np.bincount(flat, weights=grads.ravel(), minlength=rows.size * dim)
     return rows, values.reshape(rows.size, dim)
+
+
+def reference_order(scores: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every row of ``ids`` by descending score, ties by ascending id, with a
+    full ``np.lexsort``, and the scores in that order."""
+    order = np.lexsort((ids, -scores))
+    return np.take_along_axis(ids, order, axis=1), np.take_along_axis(scores, order, axis=1)
+
+
+def reference_rank(index, task: str, queries: np.ndarray, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The full ranking that ``evaluation.positive_rank`` and ``top_n`` replaced,
+    as ``RankingIndex.rank`` computed it: each row of ``candidates`` by
+    descending score, ties by ascending id, and the scores in that order."""
+    if task == "ir":
+        table, q_hat = index.items, index.users[queries]
+    else:
+        table, q_hat = index.users, index.items[queries]
+    return reference_order(np.matmul(table[candidates], q_hat[:, :, None])[:, :, 0] / index.temperature, candidates)
+

@@ -17,7 +17,7 @@ import twotower
 from reference import sample_events
 from twotower.cli import main
 from twotower.model import EncoderConfig, encode_user, score
-from twotower.trainer import load_checkpoint
+from twotower.trainer import load_checkpoint, save_checkpoint
 from twotower.verify import SyntheticSpec, generate_synthetic, random_joint
 
 TINY_EVENTS = (
@@ -349,6 +349,38 @@ def small_checkpoint(small_events):
     return str(out / "checkpoints" / "final.ckpt")
 
 
+@pytest.fixture(scope="module")
+def non_finite_checkpoints(small_checkpoint):
+    """Copies of ``small_checkpoint`` written with a NaN temperature, an
+    infinite item table or one NaN entry in one item row, and a directory
+    whose one month checkpoint holds that NaN entry."""
+    directory = os.path.join(os.path.dirname(os.path.dirname(small_checkpoint)), "non_finite")
+    os.makedirs(os.path.join(directory, "months"), exist_ok=True)
+
+    def write(name, source, corrupt):
+        checkpoint = load_checkpoint(source)
+        corrupt(checkpoint.params)
+        save_checkpoint(os.path.join(directory, name), checkpoint)
+        return os.path.join(directory, name)
+
+    def nan_temperature(params):
+        params.temperature = float("nan")
+
+    def inf_items(params):
+        params.item_embeddings[:] = np.inf
+
+    def nan_row(params):
+        params.item_embeddings[3, 1] = np.nan
+
+    month = small_checkpoint.replace("final", "month_0001")
+    return {
+        "nan_temperature": write("nan_temperature.ckpt", small_checkpoint, nan_temperature),
+        "inf_items": write("inf_items.ckpt", small_checkpoint, inf_items),
+        "nan_row": write("nan_row.ckpt", small_checkpoint, nan_row),
+        "nan_months": os.path.dirname(write("months/month_0001.ckpt", month, nan_row)),
+    }
+
+
 def setting(command, settings, message, id):
     return pytest.param(command, settings, message, id=id)
 
@@ -494,10 +526,58 @@ class TestTrainVariants:
                 "trace-month-checkpoint-is-a-directory",
             ),
             setting("prepare", {"data.input": "{nul_log}"}, "line 2: NUL byte", "prepare-log-nul-byte"),
+            setting(
+                "eval --checkpoint {nan_temperature}",
+                {},
+                "corrupt checkpoint (temperature must be finite, got nan)",
+                "eval-checkpoint-nan-temperature",
+            ),
+            setting(
+                "eval --task ir --checkpoint {inf_items}",
+                {},
+                "corrupt checkpoint (item_embeddings must be finite)",
+                "eval-checkpoint-inf-items",
+            ),
+            setting(
+                "eval --task ut --checkpoint {nan_row}",
+                {},
+                "corrupt checkpoint (item_embeddings must be finite)",
+                "eval-checkpoint-nan-row",
+            ),
+            setting(
+                "trace --checkpoint-dir {nan_months}",
+                {"eval.num_negatives": 2},
+                "corrupt checkpoint (item_embeddings must be finite)",
+                "trace-month-checkpoint-nan-row",
+            ),
+            setting(
+                "retrieve --task ir --checkpoint {nan_temperature} --query i1",
+                {},
+                "corrupt checkpoint (temperature must be finite, got nan)",
+                "retrieve-checkpoint-nan-temperature",
+            ),
+            setting(
+                "retrieve --task ut --checkpoint {inf_items} --query i1",
+                {},
+                "corrupt checkpoint (item_embeddings must be finite)",
+                "retrieve-checkpoint-inf-items",
+            ),
+            setting(
+                "retrieve --task ir --checkpoint {nan_row} --query i1",
+                {},
+                "corrupt checkpoint (item_embeddings must be finite)",
+                "retrieve-checkpoint-nan-row",
+            ),
+            setting(
+                "verify",
+                {"verify.learning_rate": 1.7e308, "verify.epochs": 2, "verify.num_samples": 2000},
+                "verify: non-finite gradient",
+                "verify-verify.learning_rate-diverges",
+            ),
         ],
     )
     def test_invalid_train_setting_fails_cleanly(
-        self, small_events, small_checkpoint, capsys, command, settings, message
+        self, small_events, small_checkpoint, non_finite_checkpoints, capsys, command, settings, message
     ):
         """A config value or option the program rejects ends in one ``error:``
         line and exit 1, never a traceback."""
@@ -511,7 +591,8 @@ class TestTrainVariants:
         )
         stray = tmp_path / "stray"  # a checkpoint directory whose one month checkpoint is a directory
         (stray / "month_0001.ckpt").mkdir(parents=True, exist_ok=True)
-        assert main([*command.format(ckpt=small_checkpoint, stray=stray).split(), "--config", config]) == 1
+        argv = command.format(ckpt=small_checkpoint, stray=stray, **non_finite_checkpoints).split()
+        assert main([*argv, "--config", config]) == 1
         err = capsys.readouterr().err
         assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
         assert message in err

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference import events_of, example_rows, examples_of
+from reference import events_of, example_rows, examples_of, reference_order, reference_rank
 from twotower.data import Sequences
 from twotower.evaluation import (
     RANK_CHUNK,
@@ -16,7 +18,9 @@ from twotower.evaluation import (
     evaluate,
     popularity_counts,
     popularity_stats,
+    positive_rank,
     rank_metrics,
+    top_n,
 )
 from twotower.model import EncoderConfig, ModelParams, encode_user, score
 
@@ -186,8 +190,9 @@ class TestBuildCases:
 
 
 def rank_one(index, task, query, candidates):
-    """The ranking of one case as a list, through the batched ``rank``."""
-    return index.rank(task, np.array([query]), np.array([candidates]))[0][0].tolist()
+    """The ranking of one case as a list: its top N at N = the row width."""
+    ids = np.array([candidates])
+    return top_n(index.scores(task, np.array([query]), ids), ids, len(candidates))[0][0].tolist()
 
 
 class TestRanking:
@@ -212,11 +217,14 @@ class TestRanking:
         seqs = [tuple(int(x) for x in rng.integers(0, 9, size=rng.integers(1, 4))) for _ in range(20)]
         candidates = np.array([rng.choice(9, size=5, replace=False) for _ in seqs])
         index = RankingIndex.build(params, ENC, Sequences.of(seqs))
-        ranked, scores = index.rank("ir", np.arange(20), candidates)
-        for seq, row, got, got_scores in zip(seqs, candidates.tolist(), ranked.tolist(), scores):
+        row_scores = index.scores("ir", np.arange(20), candidates)
+        ranked, scores = top_n(row_scores, candidates, 5)
+        ranks = positive_rank(row_scores, candidates, candidates[:, 0])
+        for seq, row, got, got_scores, rank in zip(seqs, candidates.tolist(), ranked.tolist(), scores, ranks):
             user = encode_user(seq, params, ENC)
             oracle = {item: score(user, params.item_embeddings[item], params.temperature) for item in row}
             assert got == sorted(row, key=lambda item: (-oracle[item], item))
+            assert rank == got.index(row[0])
             np.testing.assert_allclose(got_scores, [oracle[item] for item in got], rtol=0, atol=1e-12)
 
     def test_ut_ranking_uses_user_tower(self):
@@ -357,8 +365,9 @@ def oracle_scores(cases, pool, params, enc):
 
 
 class TestRankingIndexMatchesOracle:
-    """``evaluate`` and ``RankingIndex.rank`` rank exactly like the per-case
-    oracle, exact ties included, over more cases than one ``RANK_CHUNK``."""
+    """``evaluate``, ``positive_rank`` and ``top_n`` rank exactly like the
+    per-case oracle, exact ties included, over more cases than one
+    ``RANK_CHUNK``."""
 
     @staticmethod
     def tied_setup(seed, aggregator):
@@ -386,7 +395,9 @@ class TestRankingIndexMatchesOracle:
         assert len(cases) > 2 * RANK_CHUNK
         report = evaluate(cases, pool, params, enc, keep_per_case=True)
         index, queries = RankingIndex.for_cases(cases, pool, params, enc)
-        ranked = index.rank(task, queries, cases.candidates)[0].tolist()
+        row_scores = index.scores(task, queries, cases.candidates)
+        ranked = top_n(row_scores, cases.candidates, cases.candidates.shape[1])[0].tolist()
+        ranks = positive_rank(row_scores, cases.candidates, cases.positive).tolist()
         recalls, ndcgs, tied = [], [], 0
         for c, (scores, row) in enumerate(zip(oracle_scores(cases, pool, params, enc), report.per_case)):
             expected = sorted(cases.candidates[c].tolist(), key=lambda cand: (-scores[cand], cand))
@@ -397,6 +408,7 @@ class TestRankingIndexMatchesOracle:
                 top = [int(pool.key_owner[idx]) for idx in top]
             assert row["top"] == top
             k = expected.index(int(cases.positive[c]))
+            assert ranks[c] == k
             assert row["recall"] == (1.0 if k < 5 else 0.0)
             assert row["ndcg"] == (1.0 / math.log2(k + 2) if k < 5 else 0.0)
             recalls.append(row["recall"])
@@ -414,7 +426,9 @@ class TestRankingIndexMatchesOracle:
         index = RankingIndex.build(params, enc, pool.table.take(pool.user_keys))
         size = params.num_items if task == "ir" else len(pool.user_keys)
         query = 1 if task == "ir" else 5  # a key row, or item 5 (tied with items 6 and 7)
-        ranked, scores = index.rank(task, np.array([query]), np.arange(size)[None])
+        ids = np.arange(size)[None]
+        row_scores = index.scores(task, np.array([query]), ids)
+        ranked, scores = top_n(row_scores, ids, size)
         if task == "ir":
             user = encode_user(pool.table[int(pool.user_keys[query])], params, enc)
             oracle = [score(user, params.item_embeddings[i], params.temperature) for i in range(size)]
@@ -424,3 +438,49 @@ class TestRankingIndexMatchesOracle:
         assert ranked.shape == scores.shape == (1, size)
         assert ranked[0].tolist() == sorted(range(size), key=lambda c: (-oracle[c], c))
         np.testing.assert_allclose(scores[0], [oracle[c] for c in ranked[0].tolist()], rtol=0, atol=1e-12)
+        for n in (1, 5, size + 3):  # the top N that ``retrieve`` prints is the head of that order
+            head, head_scores = top_n(row_scores, ids, n)
+            assert head[0].tolist() == ranked[0, :n].tolist()
+            assert head_scores[0].tolist() == scores[0, :n].tolist()
+        assert ranked.tolist() == reference_rank(index, task, np.array([query]), ids)[0].tolist()
+
+
+# Scores from a few distinct values, so that ties straddle the N-th position;
+# 0.0 and -0.0 compare equal and tie too.
+TIED_SCORES = np.array([-1.5, -0.0, 0.0, 0.25, 0.25, 3.0])
+
+
+class TestRankWithoutSorting:
+    """``positive_rank`` and ``top_n`` give exactly what the full sort of
+    ``reference_order`` gives: the rank of one entry and the head of the order."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        rows=st.sampled_from([1, 2, 9, RANK_CHUNK + 3]),
+        width=st.integers(1, 14),
+        levels=st.integers(1, len(TIED_SCORES)),
+        cutoff=st.sampled_from(["one", "inside", "width", "above"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_sort(self, rows, width, levels, cutoff, seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.choice(TIED_SCORES[:levels], size=(rows, width))
+        ids = np.stack([rng.choice(3 * width, size=width, replace=False) for _ in range(rows)])  # distinct per row
+        n = {"one": 1, "inside": max(1, width // 2), "width": width, "above": width + 5}[cutoff]
+        order, ordered_scores = reference_order(scores, ids)
+        got, got_scores = top_n(scores, ids, n)
+        assert got.shape == got_scores.shape == (rows, min(n, width))
+        np.testing.assert_array_equal(got, order[:, :n])
+        np.testing.assert_array_equal(got_scores, ordered_scores[:, :n])
+        positive = ids[np.arange(rows), rng.integers(width, size=rows)]  # anywhere in the row
+        expected_rank = np.argmax(order == positive[:, None], axis=1)
+        np.testing.assert_array_equal(positive_rank(scores, ids, positive), expected_rank)
+
+    def test_ties_across_the_cutoff_are_taken_by_ascending_id(self):
+        scores = np.array([[1.0, 2.0, 1.0, 1.0, 0.5], [1.0, 2.0, 3.0, 0.0, -1.0]])
+        ids = np.array([[9, 4, 7, 2, 0], [9, 4, 7, 2, 0]])
+        got, got_scores = top_n(scores, ids, 3)
+        assert got.tolist() == [[4, 2, 7], [7, 4, 9]]
+        assert got_scores.tolist() == [[2.0, 1.0, 1.0], [3.0, 2.0, 1.0]]
+        assert positive_rank(scores, ids, ids[:, 0]).tolist() == [3, 2]
+        assert positive_rank(scores, ids, np.array([7, 0])).tolist() == [2, 4]

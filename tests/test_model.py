@@ -1,5 +1,7 @@
 """Encoders, scoring, and the analytic backward passes."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,26 @@ class TestParams:
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValueError):
             ModelParams(np.zeros((2, 2)), np.zeros(2), temperature=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("temperature", math.nan, "temperature must be finite"),
+            ("temperature", math.inf, "temperature must be finite"),
+            ("item_embeddings", math.inf, "item_embeddings must be finite"),
+            ("item_embeddings", math.nan, "item_embeddings must be finite"),
+            ("attention_vector", -math.inf, "attention_vector must be finite"),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, field, value, message):
+        """One NaN or infinite entry anywhere, and the parameters never exist."""
+        parts = {"item_embeddings": np.zeros((3, 2)), "attention_vector": np.zeros(2), "temperature": 0.25}
+        if field == "temperature":
+            parts[field] = value
+        else:
+            parts[field].flat[-1] = value
+        with pytest.raises(ValueError, match=message):
+            ModelParams(**parts)
 
     def test_clone_is_independent(self):
         params = make_params()

@@ -492,3 +492,16 @@ class TestTrainingLoop:
         with pytest.raises(NonFiniteLossError, match="inf"):
             train_incremental(examples, params, ENC, LOSS, train_config(), marginals=marginals)
         np.testing.assert_array_equal(params.item_embeddings, before)
+
+    def test_overflowing_last_step_aborts_before_the_checkpoint(self, tmp_path):
+        """A finite gradient that overflows a parameter on the last step of an
+        epoch stops training before a checkpoint or validation snapshot holds it."""
+        spec, examples, marginals = synthetic_training_set(num_months=1, num_samples=120)
+        config = train_config(epochs_per_month=1, batch_size=len(examples), optimizer="sgd", learning_rate=1e308)
+        calls = []
+        with pytest.raises(NonFiniteGradientError, match="non-finite parameters after month 1, epoch 0"):
+            train_incremental(
+                examples, fresh_params(spec), ENC, LOSS, config, marginals=marginals,
+                eval_fn=lambda params, month: calls.append(month) or {}, checkpoint_dir=str(tmp_path),
+            )
+        assert calls == [] and os.listdir(tmp_path) == []

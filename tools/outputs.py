@@ -15,7 +15,9 @@ months from a first day that is not the first of a month; its seventh,
 partial month is left out), then runs `prepare`, `train --export-embeddings`, a resume from
 the first checkpoint into a second directory, `eval` for both tasks (plain
 and `--verbose`), `trace` for both tasks (runs with month checkpoints) and
-two `retrieve` queries per task, under each loss configuration of `CASES`;
+four `retrieve` runs per task (two queries at `--top-n 10`, then the first
+again at `--top-n 1` and at a `--top-n` above the candidate count), under
+each loss configuration of `CASES`;
 and `verify` for sweep seeds 1, 2 and 3 (the seeds the benchmark's
 `verify_sweep` runs) plus 4.  Every command runs
 in-process with the run directory as working directory and relative paths,
@@ -66,6 +68,8 @@ CASES = {
     "bbcnce": ("incremental", {}),
     "bbcnce_iso": ("incremental_iso", {"data.months_total": 6}),
     "bbcnce_months_total": ("incremental", {"data.months_total": 4}),
+    # A cutoff wider than the 30-candidate row: every candidate is in the top N.
+    "bbcnce_top_n_40": ("incremental", {"eval.top_n": 40}),
     # One-item pseudo-users are shared by many users, so the user a key
     # stands for depends on which examples are searched first.
     "bbcnce_one_item": ("targeting", {"data.max_seq_len": 1, "eval.num_negatives": 29}),
@@ -95,6 +99,7 @@ CASES = {
     ),
 }
 VERIFY_SEEDS = (1, 2, 3, 4)
+RETRIEVE_ALL = 100_000  # a --top-n above every log's item and pseudo-user count
 
 
 def _write_config(path: Path, settings: dict) -> str:
@@ -150,8 +155,10 @@ def run_matrix(directory: Path) -> int:
         items = sorted({line.split(",")[1] for line in Path(f"logs/{shape}.csv").read_text().splitlines()})
         queries = {"ir": [" ".join(items[:3]), " ".join(items[-5:])], "ut": [items[0], items[len(items) // 2]]}
         for task, texts in queries.items():
-            for k, query in enumerate(texts):
-                flags = ["--task", task, "--query", query, "--top-n", "10"]
+            # (query, --top-n): 10, then 1 and one above every candidate count for the first query.
+            runs = [(text, 10) for text in texts] + [(texts[0], 1), (texts[0], RETRIEVE_ALL)]
+            for k, (query, top_n) in enumerate(runs):
+                flags = ["--task", task, "--query", query, "--top-n", str(top_n)]
                 _cli(cli, f"{name}.retrieve_{task}{k}", ["retrieve", "--config", cfg, "--checkpoint", ckpt, *flags])
 
     for seed in VERIFY_SEEDS:
