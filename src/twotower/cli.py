@@ -67,12 +67,11 @@ class Prepared:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    path = args.config
-    if not os.path.exists(path):
-        raise CliError(f"config file not found: {path}")
-    cfg = config_mod.load_config(path)
+    cfg = config_mod.load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
+    if cfg.seed < 0:
+        raise ConfigError(f"key 'seed': must be >= 0, got {cfg.seed}")
     return cfg
 
 
@@ -95,8 +94,6 @@ def _run_pipeline(cfg: RunConfig) -> Prepared:
     path = cfg.data.input
     if not path:
         raise CliError("data.input is not set in the config")
-    if not os.path.exists(path):
-        raise CliError(f"input log not found: {path}")
     with open(path, "r", encoding="utf-8") as src:
         try:
             log = data_mod.ingest_logs(src, delimiter=cfg.data.delimiter)
@@ -174,12 +171,14 @@ def _validation_eval_fn(cfg: RunConfig, prepared: Prepared, enc: EncoderConfig):
 
 
 def _write_trace(path: str, rows: list[dict], keep_months: Collection[int] = ()) -> None:
-    """Write ``rows`` after the lines of the existing file whose month is in
-    ``keep_months`` (a resumed run keeps the months its checkpoint finished)."""
+    """Write ``rows`` after the lines of the existing file whose month field
+    reads as this function writes a month of ``keep_months`` (a resumed run
+    keeps the months its checkpoint finished); every other line is dropped."""
+    finished = {str(month) for month in keep_months}
     kept = []
-    if keep_months and os.path.exists(path):
-        with open(path, encoding="utf-8") as src:
-            kept = [line for line in list(src)[1:] if int(line.split("\t", 1)[0]) in keep_months]
+    if finished and os.path.exists(path):
+        with open(path, encoding="utf-8", errors="replace") as src:
+            kept = [line for line in list(src)[1:] if line.split("\t", 1)[0] in finished]
     with open(path, "w", encoding="utf-8") as out:
         out.write("month\trecall\tndcg\n")
         out.writelines(kept)
@@ -219,13 +218,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     eval_fn = _validation_eval_fn(cfg, prepared, enc)
     checkpoint_dir = os.path.join(cfg.paths.output_dir, "checkpoints")
 
-    resume = None
-    if args.checkpoint:
-        try:
-            resume = load_checkpoint(args.checkpoint, expected_fingerprint=fp)
-        except (OSError, CheckpointError) as exc:
-            raise CliError(str(exc)) from exc
-
+    resume = load_checkpoint(args.checkpoint, expected_fingerprint=fp) if args.checkpoint else None
     try:
         result = train_incremental(
             examples, params, enc, loss_config, train_config,
@@ -253,10 +246,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _load_params(args: argparse.Namespace, cfg: RunConfig, num_items: int) -> Checkpoint:
     if not args.checkpoint:
         raise CliError("--checkpoint is required")
-    try:
-        checkpoint = load_checkpoint(args.checkpoint, expected_fingerprint=fingerprint(cfg))
-    except (OSError, CheckpointError) as exc:
-        raise CliError(str(exc)) from exc
+    checkpoint = load_checkpoint(args.checkpoint, expected_fingerprint=fingerprint(cfg))
     if checkpoint.params.num_items != num_items:
         raise CliError(
             f"checkpoint vocabulary ({checkpoint.params.num_items} items) does not match data ({num_items})"
@@ -368,7 +358,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
                 logger.warning("unknown item token %r skipped", tok)
         if not ids:
             raise CliError("no known items in the query sequence")
-        index = RankingIndex.build(params, enc, data_mod.Sequences.of([ids]), strict=False)
+        index = RankingIndex.build(params, enc, data_mod.Sequences.of([ids]))
         query, candidates = 0, np.arange(params.num_items)[None]
         label = {idx: tok for tok, idx in prepared.log.item_vocab.items()}
     else:
@@ -404,10 +394,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     cases, pool = _test_cases(cfg, prepared, task)  # the same cases for every checkpoint
     rows = []
     for path in paths:
-        try:
-            checkpoint = load_checkpoint(path, expected_fingerprint=fingerprint(cfg))
-        except (OSError, CheckpointError) as exc:
-            raise CliError(str(exc)) from exc
+        checkpoint = load_checkpoint(path, expected_fingerprint=fingerprint(cfg))
         if checkpoint.epoch_cursor or not 0 < checkpoint.month_cursor <= len(checkpoint.months):
             raise CliError(f"{path}: not the checkpoint of a finished month")
         report = evaluate(cases, pool, checkpoint.params, enc)
@@ -468,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (CliError, ConfigError) as exc:
+    except (CliError, ConfigError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

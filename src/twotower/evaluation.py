@@ -135,16 +135,14 @@ class RankingIndex:
     temperature: float
 
     @classmethod
-    def build(
-        cls, params: ModelParams, enc_config: EncoderConfig, sequences: Sequences, strict: bool = True
-    ) -> "RankingIndex":
+    def build(cls, params: ModelParams, enc_config: EncoderConfig, sequences: Sequences) -> "RankingIndex":
         """Encode each of the distinct ``sequences`` once, as a row of the user
         table, ``ENCODE_CHUNK`` at a time (a padded batch gathers ``(n, L, d)``)."""
         items, _ = normalize_rows(params.item_embeddings)
         users = np.empty((len(sequences), params.dim))
         for start in range(0, len(sequences), ENCODE_CHUNK):
             chunk = sequences.take(np.arange(start, min(start + ENCODE_CHUNK, len(sequences))))
-            users[start : start + len(chunk)] = encode_user_batch(chunk, params, enc_config, strict=strict).vectors
+            users[start : start + len(chunk)] = encode_user_batch(chunk, params, enc_config).vectors
         users, _ = normalize_rows(users)
         return cls(items, users, params.temperature)
 
@@ -153,15 +151,12 @@ class RankingIndex:
         cls, cases: EvalCases, pool: EvalPool, params: ModelParams, enc_config: EncoderConfig
     ) -> tuple["RankingIndex", np.ndarray]:
         """The index of the cases and each case's query as :meth:`scores` takes
-        it.  IR encodes the cases' distinct query keys in first-appearance
-        order and queries by row, UT encodes the pool's keys."""
+        it.  IR encodes the cases' distinct query keys in ascending order and
+        queries by row, UT encodes the pool's keys."""
         if pool.task == "ut":
             return cls.build(params, enc_config, pool.table.take(pool.user_keys)), cases.query
-        keys, first, inverse = np.unique(cases.query, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        row = np.empty_like(order)
-        row[order] = np.arange(order.size)
-        return cls.build(params, enc_config, pool.table.take(keys[order])), row[inverse]
+        keys, row = np.unique(cases.query, return_inverse=True)
+        return cls.build(params, enc_config, pool.table.take(keys)), row
 
     def scores(self, task: str, queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """The match score of every entry of ``candidates (n, C)``: IR scores

@@ -20,15 +20,12 @@ everything below the scores lives here.
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Sequences
-
-logger = logging.getLogger(__name__)
 
 AGGREGATORS = ("mean", "last", "attention")
 
@@ -128,40 +125,25 @@ class UserBatch:
     weights: np.ndarray | None
 
 
-def _pad_sequences(sequences: Sequences, params: ModelParams, strict: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Padded ids, mask and lengths of the CSR rows.  With ``strict``
-    (training), out-of-vocabulary ids raise; otherwise they are skipped with
-    a warning and only a sequence left with no known item raises."""
+def _pad_sequences(sequences: Sequences, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Padded ids, mask and lengths of the CSR rows; an out-of-vocabulary id raises."""
     lengths = np.diff(sequences.offsets)
     if np.any(lengths == 0):
         raise ValueError("pseudo-user sequence is empty")
     flat = sequences.items
     known = (flat >= 0) & (flat < params.num_items)
     if not np.all(known):
-        bad = flat[~known]
-        if strict:
-            raise VocabularyError(f"unknown item id(s) {bad.tolist()} in pseudo-user sequence")
-        logger.warning("skipping %d unknown item id(s) in pseudo-user sequences", bad.size)
-        owner = np.repeat(np.arange(lengths.size), lengths)
-        lengths = np.bincount(owner[known], minlength=lengths.size)
-        if np.any(lengths == 0):
-            raise VocabularyError("pseudo-user sequence contains no known items")
-        flat = flat[known]
+        raise VocabularyError(f"unknown item id(s) {flat[~known].tolist()} in pseudo-user sequence")
     mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
     ids = np.zeros(mask.shape, dtype=np.int64)
     ids[mask] = flat
     return ids, mask, lengths
 
 
-def encode_user_batch(
-    sequences: Sequences,
-    params: ModelParams,
-    config: EncoderConfig,
-    strict: bool = True,
-) -> UserBatch:
+def encode_user_batch(sequences: Sequences, params: ModelParams, config: EncoderConfig) -> UserBatch:
     """Pool every sequence's embedding rows into one raw user vector: a
     masked mean, the row at ``len - 1``, or a masked-softmax attention."""
-    ids, mask, lengths = _pad_sequences(sequences, params, strict)
+    ids, mask, lengths = _pad_sequences(sequences, params)
     weights = None
     if config.aggregator == "last":
         vectors = params.item_embeddings[ids[np.arange(lengths.size), lengths - 1]]
@@ -178,18 +160,10 @@ def encode_user_batch(
     return UserBatch(ids, mask, lengths, vectors, weights)
 
 
-def encode_user(
-    pseudo_user: Sequence[int],
-    params: ModelParams,
-    config: EncoderConfig,
-    strict: bool = True,
-) -> np.ndarray:
-    """Aggregate the sequence's embedding rows into one raw user vector.
-
-    With ``strict`` (training), out-of-vocabulary ids raise; otherwise they
-    are skipped with a warning and only a fully unknown sequence raises.
-    """
-    return encode_user_batch(Sequences.of([pseudo_user]), params, config, strict).vectors[0]
+def encode_user(pseudo_user: Sequence[int], params: ModelParams, config: EncoderConfig) -> np.ndarray:
+    """Aggregate the sequence's embedding rows into one raw user vector; an
+    out-of-vocabulary id raises ``VocabularyError``."""
+    return encode_user_batch(Sequences.of([pseudo_user]), params, config).vectors[0]
 
 
 def score(u_vec: np.ndarray, i_vec: np.ndarray, temperature: float) -> float:
@@ -247,14 +221,13 @@ def score_matrix_forward(
     col_item_ids: Sequence[int] | np.ndarray,
     params: ModelParams,
     config: EncoderConfig,
-    strict: bool = True,
 ) -> tuple[np.ndarray, MatrixCache]:
     """Score every user row against item columns.
 
     1-d ``col_item_ids`` are columns shared by all rows (scores ``(B, C)``);
     2-d ids ``(B, K)`` give each row its own candidates (scores ``(B, K)``).
     """
-    users = encode_user_batch(sequences, params, config, strict)
+    users = encode_user_batch(sequences, params, config)
     col_ids = np.asarray(col_item_ids, dtype=np.int64)
     if np.any((col_ids < 0) | (col_ids >= params.num_items)):
         raise VocabularyError("unknown item id among score columns")

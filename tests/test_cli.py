@@ -574,29 +574,76 @@ class TestTrainVariants:
                 "verify: non-finite gradient",
                 "verify-verify.learning_rate-diverges",
             ),
+            setting("prepare", {"paths.output_dir": "{file}"}, "[Errno 17] File exists", "prepare-output-dir-is-a-file"),
+            setting("prepare", {"data.input": "{directory}"}, "[Errno 21] Is a directory", "prepare-input-is-a-directory"),
+            setting("prepare --config {directory}", {}, "[Errno 21] Is a directory", "prepare-config-is-a-directory"),
+            setting(
+                "train --export-embeddings {missing}/x.tsv",
+                {},
+                "[Errno 2] No such file or directory",
+                "train-export-under-a-missing-directory",
+            ),
+            setting(
+                "prepare",
+                {"seed": -1, "loss.family": "bce", "loss.preset": ""},
+                "key 'seed': must be >= 0, got -1",
+                "prepare-bce-seed-neg",
+            ),
+            setting("train --seed -1", {}, "key 'seed': must be >= 0, got -1", "train-seed-flag-neg"),
         ],
     )
     def test_invalid_train_setting_fails_cleanly(
         self, small_events, small_checkpoint, non_finite_checkpoints, capsys, command, settings, message
     ):
-        """A config value or option the program rejects ends in one ``error:``
-        line and exit 1, never a traceback."""
+        """A config value, option or path the program rejects ends in one
+        ``error:`` line and exit 1, never a traceback."""
         tmp_path, events = small_events
         nul_log = tmp_path / "nul.csv"  # a log whose second line holds a NUL byte
         nul_log.write_text("u1,i1,0\nu\x002,i2,1\n", encoding="utf-8")
-        settings = {key: value.format(nul_log=nul_log) if key == "data.input" else value for key, value in settings.items()}
+        stray = tmp_path / "stray"  # a checkpoint directory whose one month checkpoint is a directory
+        (stray / "month_0001.ckpt").mkdir(parents=True, exist_ok=True)
+        paths = {"nul_log": nul_log, "stray": stray, "file": events, "directory": tmp_path, "missing": tmp_path / "absent"}
+        settings = {key: value.format(**paths) if isinstance(value, str) else value for key, value in settings.items()}
         config = write_config(
             tmp_path / "invalid.cfg",
             **{"data.input": str(events), "paths.output_dir": str(tmp_path / "invalid")} | settings,
         )
-        stray = tmp_path / "stray"  # a checkpoint directory whose one month checkpoint is a directory
-        (stray / "month_0001.ckpt").mkdir(parents=True, exist_ok=True)
-        argv = command.format(ckpt=small_checkpoint, stray=stray, **non_finite_checkpoints).split()
-        assert main([*argv, "--config", config]) == 1
+        command, *options = command.format(ckpt=small_checkpoint, **paths, **non_finite_checkpoints).split()
+        assert main([command, "--config", config, *options]) == 1  # a --config among the options comes last and wins
         err = capsys.readouterr().err
         assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
         assert message in err
         assert "Traceback" not in err
+
+
+class TestPathBoundary:
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(
+        option=st.sampled_from(["--config", "data.input", "paths.output_dir", "--checkpoint", "--export-embeddings"]),
+        kind=st.sampled_from(["missing", "directory", "file", "under_missing"]),
+    )
+    def test_no_path_ends_in_a_traceback(self, small_events, small_checkpoint, tmp_path_factory, option, kind):
+        """Whatever a path option names (nothing, a directory, an unrelated
+        file, a path under a missing directory), ``main`` returns 0, or 1
+        with one ``error:`` line; no exception escapes it."""
+        _, events = small_events
+        base = tmp_path_factory.mktemp("paths")
+        unrelated = base / "notes.txt"
+        unrelated.write_text("not what the option names\n", encoding="utf-8")
+        path = {"missing": base / "absent", "directory": base, "file": unrelated, "under_missing": base / "absent" / "x"}
+        settings = {"data.input": str(events), "eval.num_negatives": 2, "paths.output_dir": str(base / "out")}
+        if option in settings:
+            settings[option] = str(path[kind])
+        argv = {"--checkpoint": ["eval"], "--export-embeddings": ["train"]}.get(option, ["prepare"])
+        argv += ["--config", write_config(base / "run.cfg", **settings)]
+        argv += ["--checkpoint", small_checkpoint] if argv[0] == "eval" else []
+        argv += [option, str(path[kind])] if option.startswith("--") else []
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        errors = sum(line.startswith("error: ") for line in err.getvalue().splitlines())
+        assert (code, errors) in ((0, 0), (1, 1))
+        assert "Traceback" not in err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -731,6 +778,26 @@ class TestResumeViaCli:
         assert final_a == final_b
         # resuming in place rewrites the rows of the resumed months once
         assert (out_resume / "trace.tsv").read_text() == (out_full / "trace.tsv").read_text()
+
+    def test_resume_drops_malformed_trace_rows(self, small_events, small_checkpoint, tmp_path):
+        """A resume keeps the rows of ``trace.tsv`` whose month field reads
+        as a finished month does and drops every other row."""
+        _, events = small_events
+        month = small_checkpoint.replace("final", "month_0001")
+        written = {}
+        dirty = [b"x\t0.1\t0.2\n", b"\n", b"01\t0\t0\n", b"1\t0.5\t0.5\n", b" 1\t0\t0\n", b"\xff\t1\t1\n"]
+        for name, old in (("clean", None), ("dirty", dirty)):
+            out = tmp_path / name
+            settings = {"data.input": str(events), "eval.num_negatives": 2, "paths.output_dir": str(out)}
+            config = write_config(tmp_path / f"{name}.cfg", **settings)
+            if old:
+                out.mkdir()
+                (out / "trace.tsv").write_bytes(b"".join([b"month\trecall\tndcg\n", *old]))
+            assert main(["train", "--config", config, "--checkpoint", month]) == 0
+            written[name] = (out / "trace.tsv").read_bytes().splitlines(keepends=True)
+        header, *rows = written["clean"]
+        assert rows and all(row.startswith(b"2\t") for row in rows)
+        assert written["dirty"] == [header, b"1\t0.5\t0.5\n", *rows]
 
     def test_shuffled_run_resumes_from_its_epoch_checkpoint(self, tmp_path, capsys):
         events = tmp_path / "events.csv"

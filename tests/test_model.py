@@ -103,21 +103,10 @@ class TestEncodeUser:
         dist_0 = np.linalg.norm(out - params.item_embeddings[0])
         assert dist_5 < dist_0
 
-    def test_oov_raises_in_strict_mode(self):
+    def test_oov_raises(self):
         params = make_params()
         with pytest.raises(VocabularyError):
             encode_user([0, 99], params, EncoderConfig("mean"))
-
-    def test_oov_skipped_at_inference(self, caplog):
-        params = make_params()
-        with caplog.at_level("WARNING"):
-            out = encode_user([0, 99], params, EncoderConfig("mean"), strict=False)
-        np.testing.assert_allclose(out, params.item_embeddings[0])
-
-    def test_fully_unknown_sequence_fails_even_lenient(self):
-        params = make_params()
-        with pytest.raises(VocabularyError):
-            encode_user([99], params, EncoderConfig("mean"), strict=False)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
