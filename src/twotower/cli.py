@@ -11,6 +11,7 @@ next to its outputs, and is deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import glob
 import json
@@ -21,6 +22,7 @@ import shutil
 import sys
 from collections.abc import Callable, Collection
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -186,17 +188,16 @@ def _write_trace(path: str, rows: list[dict], keep_months: Collection[int] = ())
             out.write(f"{row['month']}\t{row.get('recall', float('nan')):.6f}\t{row.get('ndcg', float('nan')):.6f}\n")
 
 
-def _export_embeddings(path: str, params: ModelParams, prepared: Prepared, enc: EncoderConfig) -> None:
+def _export_embeddings(out: TextIO, params: ModelParams, prepared: Prepared, enc: EncoderConfig) -> None:
     item_token = {idx: tok for tok, idx in prepared.log.item_vocab.items()}
     train = prepared.split.train
-    with open(path, "w", encoding="utf-8") as out:
-        for idx in range(params.num_items):
-            vec = " ".join(f"{v:.6f}" for v in params.item_embeddings[idx])
-            out.write(f"item\t{item_token[idx]}\t{vec}\n")
-        for key in (train.table[k] for k in np.unique(train.key).tolist()):
-            vec = " ".join(f"{v:.6f}" for v in encode_user(key, params, enc))
-            seq = " ".join(item_token[i] for i in key)
-            out.write(f"user\t{seq}\t{vec}\n")
+    for idx in range(params.num_items):
+        vec = " ".join(f"{v:.6f}" for v in params.item_embeddings[idx])
+        out.write(f"item\t{item_token[idx]}\t{vec}\n")
+    for key in (train.table[k] for k in np.unique(train.key).tolist()):
+        vec = " ".join(f"{v:.6f}" for v in encode_user(key, params, enc))
+        seq = " ".join(item_token[i] for i in key)
+        out.write(f"user\t{seq}\t{vec}\n")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -219,13 +220,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     checkpoint_dir = os.path.join(cfg.paths.output_dir, "checkpoints")
 
     resume = load_checkpoint(args.checkpoint, expected_fingerprint=fp) if args.checkpoint else None
-    try:
-        result = train_incremental(
-            examples, params, enc, loss_config, train_config,
-            marginals=prepared.marginals, eval_fn=eval_fn, checkpoint_dir=checkpoint_dir, fingerprint=fp, resume=resume,
-        )
-    except (NonFiniteLossError, NonFiniteGradientError) as exc:
-        raise CliError(f"train: {exc}") from exc
+    # Opened before the first step, so a path that cannot be written costs no training.
+    export = open(args.export_embeddings, "w", encoding="utf-8") if args.export_embeddings else None
+    with export or contextlib.nullcontext():
+        try:
+            result = train_incremental(
+                examples, params, enc, loss_config, train_config,
+                marginals=prepared.marginals, eval_fn=eval_fn, checkpoint_dir=checkpoint_dir, fingerprint=fp, resume=resume,
+            )
+        except (NonFiniteLossError, NonFiniteGradientError) as exc:
+            raise CliError(f"train: {exc}") from exc
+        if export:
+            _export_embeddings(export, params, prepared, enc)
 
     done = resume.months[: resume.month_cursor] if resume is not None else ()
     _write_trace(os.path.join(cfg.paths.output_dir, "trace.tsv"), result.trace, keep_months=done)
@@ -235,8 +241,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         os.replace(final_path + ".tmp", final_path)
     for notice in result.notices:
         logger.info("%s", notice)
-    if args.export_embeddings:
-        _export_embeddings(args.export_embeddings, params, prepared, enc)
     print(f"trained {result.steps} steps over months {list(result.months)}; final checkpoint {final_path}")
     for row in result.trace:
         print(f"  month {row['month']}: recall={row.get('recall', float('nan')):.4f} ndcg={row.get('ndcg', float('nan')):.4f}")

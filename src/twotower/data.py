@@ -384,6 +384,15 @@ def first_owners(keys: np.ndarray, users: np.ndarray) -> tuple[np.ndarray, np.nd
     return distinct, users[first]
 
 
+def smallest_keys(keys: np.ndarray, m: int) -> np.ndarray:
+    """The columns of the ``m >= 1`` smallest keys of each row, in no set
+    order.  Over i.i.d. keys this draws ``m`` columns without replacement:
+    uniform keys give a uniform subset, keys ``-(log w + Gumbel)`` the
+    successive draw with weights ``w`` (Gumbel-top-k).  A column keyed above
+    every eligible one is never picked while its row holds ``m`` eligible keys."""
+    return np.argpartition(keys, m - 1, axis=1)[:, :m]
+
+
 def sample_negatives_bce(
     train_examples: Examples,
     strategy: str,
@@ -422,15 +431,9 @@ def sample_negatives_bce(
     keys = {"item-marginal": user_keys, "product-of-marginals": train_examples.key, "uniform": user_keys}.get(strategy)
     items = {"user-marginal": vocabulary, "product-of-marginals": train_examples.target, "uniform": vocabulary}.get(strategy)
 
-    neg_key = np.repeat(train_examples.key, ratio)
-    neg_item = np.repeat(train_examples.target, ratio)
-    # One draw at a time: the bounds interleave, and a vectorized draw of
-    # bounded integers is not the same stream as scalar draws.
-    for j in range(neg_key.size):
-        if keys is not None:
-            neg_key[j] = keys[rng.integers(keys.size)]
-        if items is not None:
-            neg_item[j] = items[rng.integers(items.size)]
+    draws = len(train_examples) * ratio  # keys first, then items; a strategy draws only the columns it changes
+    neg_key = np.repeat(train_examples.key, ratio) if keys is None else keys[rng.integers(keys.size, size=draws)]
+    neg_item = np.repeat(train_examples.target, ratio) if items is None else items[rng.integers(items.size, size=draws)]
 
     def interleave(positive: np.ndarray, negative: np.ndarray) -> np.ndarray:
         return np.column_stack((positive, negative.reshape(-1, ratio))).ravel()

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Events, Examples, Sequences, first_owners
+from .data import Events, Examples, Sequences, first_owners, smallest_keys
 from .model import EncoderConfig, ModelParams, encode_user_batch, normalize_rows
 
 TASKS = ("ir", "ut")
 ENCODE_CHUNK = 512  # pseudo-users per padded encoder batch in RankingIndex.build
 RANK_CHUNK = 128  # cases per candidate gather in evaluate; sets the peak memory of a ranking
+CASE_CELLS = 2**17  # random keys per block of cases in build_eval_cases (1 MiB); sets the peak memory of a draw
 
 
 class PoolTooSmallError(ValueError):
@@ -83,7 +84,9 @@ def build_eval_cases(
     IR: each test example's target is the positive, negatives drawn
     uniformly without replacement from the test item pool excluding every
     positive of that user.  UT is symmetric over pseudo-user keys; a key
-    stands for the smallest user id among its examples.
+    stands for the smallest user id among its examples.  The draw takes
+    ``CASE_CELLS`` random keys at a time, so its result does not depend on
+    how the cases fall into blocks.
     """
     if task not in TASKS:
         raise ValueError(f"task must be one of {TASKS}")
@@ -101,26 +104,35 @@ def build_eval_cases(
     if task == "ir":
         universe = np.unique(ex.target)
         groups, queries, positives = ex.user, ex.key, ex.target
+        slots = np.searchsorted(universe, positives)
         pool = EvalPool("ir", ex.table)
     else:
-        keys, owners = first_owners(ex.key, ex.user)
-        universe = np.arange(keys.size)
-        groups, queries, positives = ex.target, ex.target, np.searchsorted(keys, ex.key)
-        pool = EvalPool("ut", ex.table, keys, owners)
-    excluded: dict[int, set[int]] = {}
-    for group, positive in zip(groups.tolist(), positives.tolist()):
-        excluded.setdefault(group, set()).add(positive)
-    # One eligible-negative array per exclusion set; every positive is in the universe.
-    eligible = {group: np.delete(universe, np.searchsorted(universe, sorted(pos))) for group, pos in excluded.items()}
+        user_keys, owners = first_owners(ex.key, ex.user)
+        universe = np.arange(user_keys.size)
+        groups, queries, positives = ex.target, ex.target, np.searchsorted(user_keys, ex.key)
+        slots = positives
+        pool = EvalPool("ut", ex.table, user_keys, owners)
+    # Each exclusion group's distinct positives as universe slots, one CSR row per group.
+    group_of = np.unique(groups, return_inverse=True)[1]
+    pairs = np.unique(group_of * universe.size + slots)  # distinct (group, slot), grouped
+    sizes = np.bincount(pairs // universe.size)
+    excluded = Sequences(np.r_[0, np.cumsum(sizes)], pairs % universe.size)
+    eligible = universe.size - int(sizes.max())
+    if eligible < num_negatives:
+        what = "item" if task == "ir" else "user"
+        raise PoolTooSmallError(f"{what} pool too small: {eligible} eligible negatives, {num_negatives} requested")
     candidates = np.empty((len(ex), 1 + num_negatives), dtype=np.int64)
     candidates[:, 0] = positives
-    for case, group in enumerate(groups.tolist()):
-        pick = eligible[group]
-        if pick.size < num_negatives:
-            what = "item" if task == "ir" else "user"
-            raise PoolTooSmallError(f"{what} pool too small: {pick.size} eligible negatives, {num_negatives} requested")
-        if num_negatives:
-            candidates[case, 1:] = rng.choice(pick, size=num_negatives, replace=False)
+    if num_negatives:
+        # One i.i.d. uniform key per (case, universe slot), a group's positives keyed
+        # above 1: a case's smallest keys are a uniform draw from its eligible pool.
+        block = max(1, CASE_CELLS // universe.size)
+        for start in range(0, len(ex), block):
+            rows = slice(start, start + block)
+            mask = excluded.take(group_of[rows])
+            keys = rng.random((len(mask), universe.size))
+            keys[np.repeat(np.arange(len(mask)), np.diff(mask.offsets)), mask.items] = 2.0
+            candidates[rows, 1:] = universe[smallest_keys(keys, num_negatives)]
     return EvalCases(task, cutoff, queries, positives, candidates), pool
 
 

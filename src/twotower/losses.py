@@ -36,7 +36,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import EmpiricalMarginals, Examples
+from .data import EmpiricalMarginals, Examples, smallest_keys
 from .model import EncoderConfig, GradientTable, ModelParams, score_matrix_backward, score_matrix_forward
 
 LOSS_FAMILIES = ("bce", "ssm", "full_softmax_row", "full_softmax_col", "bidirectional")
@@ -221,17 +221,14 @@ def proposal_distribution(
 def _ssm_candidates(targets: np.ndarray, q: np.ndarray, num_sampled: int, rng: np.random.Generator) -> np.ndarray:
     """Each row's positive followed by ``num_sampled`` negatives drawn without
     replacement from the proposal ``q`` over the whole vocabulary, the
-    positive excluded."""
-    candidates = np.empty((targets.size, 1 + num_sampled), dtype=np.int64)  # positive first
-    candidates[:, 0] = targets
-    for b, target in enumerate(targets.tolist()):
-        if q[target] <= 0.0:
-            raise ValueError(f"positive item {target} has zero proposal probability")
-        masked = q.copy()
-        masked[target] = 0.0
-        masked /= masked.sum()
-        candidates[b, 1:] = rng.choice(q.size, size=num_sampled, replace=False, p=masked)
-    return candidates
+    positive excluded: the top ``num_sampled`` of ``log q + Gumbel`` per row."""
+    zero = targets[q[targets] <= 0.0]
+    if zero.size:
+        raise ValueError(f"positive item {zero[0]} has zero proposal probability")
+    with np.errstate(divide="ignore"):
+        keys = -np.log(q) - rng.gumbel(size=(targets.size, q.size))  # a zero-q item keys +inf
+    keys[np.arange(targets.size), targets] = np.inf
+    return np.column_stack((targets, smallest_keys(keys, num_sampled)))
 
 
 def loss_with_gradients(

@@ -381,8 +381,10 @@ def non_finite_checkpoints(small_checkpoint):
     }
 
 
-def setting(command, settings, message, id):
-    return pytest.param(command, settings, message, id=id)
+def setting(command, settings, message, id, absent=None):
+    """A row of ``test_invalid_train_setting_fails_cleanly``; ``absent`` names
+    a path the failed command must not have written."""
+    return pytest.param(command, settings, message, absent, id=id)
 
 
 class TestTrainVariants:
@@ -440,7 +442,7 @@ class TestTrainVariants:
 
 
     @pytest.mark.parametrize(
-        "command, settings, message",
+        "command, settings, message, absent",
         [
             setting(
                 "train", {"train.mode": "sideways"}, "mode must be one of", "train.mode-sideways-mode must be one of"
@@ -579,9 +581,10 @@ class TestTrainVariants:
             setting("prepare --config {directory}", {}, "[Errno 21] Is a directory", "prepare-config-is-a-directory"),
             setting(
                 "train --export-embeddings {missing}/x.tsv",
-                {},
+                {"paths.output_dir": "{directory}/export"},
                 "[Errno 2] No such file or directory",
                 "train-export-under-a-missing-directory",
+                absent="{directory}/export/checkpoints",  # the export path fails before the first step
             ),
             setting(
                 "prepare",
@@ -593,7 +596,7 @@ class TestTrainVariants:
         ],
     )
     def test_invalid_train_setting_fails_cleanly(
-        self, small_events, small_checkpoint, non_finite_checkpoints, capsys, command, settings, message
+        self, small_events, small_checkpoint, non_finite_checkpoints, capsys, command, settings, message, absent
     ):
         """A config value, option or path the program rejects ends in one
         ``error:`` line and exit 1, never a traceback."""
@@ -614,6 +617,7 @@ class TestTrainVariants:
         assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
         assert message in err
         assert "Traceback" not in err
+        assert absent is None or not os.path.exists(absent.format(**paths))
 
 
 class TestPathBoundary:

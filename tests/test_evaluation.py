@@ -1,13 +1,16 @@
 """Eval-case construction, ranking, Recall/NDCG oracles, popularity stats."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from reference import events_of, example_rows, examples_of, reference_order, reference_rank
+from twotower import evaluation
 from twotower.data import Sequences
 from twotower.evaluation import (
     RANK_CHUNK,
@@ -289,37 +292,6 @@ class TestEvaluate:
         assert reports[0] == reports[1]
 
 
-def reference_cases(rows, task, num_negatives, seed, cutoff):
-    """The case draw as first written, over ``(user, pseudo-user, target,
-    day)`` rows: one ``np.isin`` per case, then ``rng.choice`` over that
-    case's eligible negatives."""
-    rng = np.random.default_rng(seed)
-    ordered = sorted(rows, key=lambda r: (r[0], r[3], r[2], r[1]))
-    out = []
-    if task == "ir":
-        pool_arr = np.array(sorted({target for _, _, target, _ in ordered}), dtype=np.int64)
-        positives = {}
-        for user, _, target, _ in ordered:
-            positives.setdefault(user, set()).add(target)
-        for user, seq, target, _ in ordered:
-            eligible = pool_arr[~np.isin(pool_arr, sorted(positives[user]))]
-            negs = rng.choice(eligible, size=num_negatives, replace=False) if num_negatives else []
-            out.append((seq, target, (target, *[int(n) for n in negs])))
-        return out
-    keys = sorted({seq for _, seq, _, _ in ordered})
-    key_index = {key: pos for pos, key in enumerate(keys)}
-    positives = {}
-    for _, seq, target, _ in ordered:
-        positives.setdefault(target, set()).add(key_index[seq])
-    all_indices = np.arange(len(keys))
-    for _, seq, target, _ in ordered:
-        eligible = all_indices[~np.isin(all_indices, sorted(positives[target]))]
-        negs = rng.choice(eligible, size=num_negatives, replace=False) if num_negatives else []
-        positive = key_index[seq]
-        out.append((target, positive, (positive, *[int(n) for n in negs])))
-    return out
-
-
 def random_rows(rng, num_users=30, num_items=40, count=120):
     """Test example rows with repeated users, items and pseudo-user keys."""
     out = []
@@ -330,17 +302,126 @@ def random_rows(rng, num_users=30, num_items=40, count=120):
     return out
 
 
-class TestCaseDrawUnchanged:
+def case_groups(rows, task):
+    """Per case of ``(user, pseudo-user, target, day)`` rows, in the order
+    ``build_eval_cases`` puts them: its exclusion group, its positive as a
+    candidate id, and the set of its eligible negatives."""
+    ordered = sorted(rows, key=lambda r: (r[0], r[3], r[2], r[1]))
+    excluded = {}
+    if task == "ir":
+        universe = {target for _, _, target, _ in rows}
+        for user, _, target, _ in rows:
+            excluded.setdefault(user, set()).add(target)
+        return [(user, target, universe - excluded[user]) for user, _, target, _ in ordered]
+    index = {key: pos for pos, key in enumerate(sorted({tuple(seq) for _, seq, _, _ in rows}))}
+    for _, seq, target, _ in rows:
+        excluded.setdefault(target, set()).add(index[tuple(seq)])
+    universe = set(index.values())
+    return [(target, index[tuple(seq)], universe - excluded[target]) for _, seq, target, _ in ordered]
+
+
+def reference_draw(rows, task, num_negatives, seed):
+    """The keyed draw one case at a time, in case order: each case takes the
+    next ``len(universe)`` doubles of the stream as the keys of the sorted
+    universe, keys every member outside its eligible pool 2.0, and keeps the
+    members with the ``num_negatives`` smallest keys (sorted: the order of a
+    row's negatives is free).  Per case: ``(positive, negatives)``."""
+    rng = np.random.default_rng(seed)
+    universe = sorted({r[2] for r in rows}) if task == "ir" else range(len({tuple(r[1]) for r in rows}))
+    out = []
+    for _, positive, eligible in case_groups(rows, task):
+        keys = [key if member in eligible else 2.0 for member, key in zip(universe, rng.random(len(universe)))]
+        out.append((positive, sorted(universe[j] for j in np.argsort(keys)[:num_negatives])))
+    return out
+
+
+def assert_valid_draw(cases, groups):
+    """Each row holds its positive first, then distinct eligible negatives."""
+    for row, (_, positive, eligible) in zip(cases.candidates.tolist(), groups):
+        assert row[0] == positive
+        assert len(set(row[1:])) == len(row) - 1
+        assert set(row[1:]) <= eligible
+
+
+class TestCaseDraw:
     @pytest.mark.parametrize("task", ["ir", "ut"])
     @pytest.mark.parametrize("seed", [0, 1, 7, 23, 101])
     def test_matches_per_case_reference(self, task, seed):
         rows = random_rows(np.random.default_rng(seed + 1000))
         for num_negatives in (0, 5, 15):
-            cases, pool = build_eval_cases(examples_of(rows), task, num_negatives=num_negatives, seed=seed, cutoff=4)
-            queries = [pool.table[q] for q in cases.query.tolist()] if task == "ir" else cases.query.tolist()
-            candidates = [tuple(row) for row in cases.candidates.tolist()]
-            got = list(zip(queries, cases.positive.tolist(), candidates))
-            assert got == reference_cases(rows, task, num_negatives, seed, 4)
+            cases, _ = build_eval_cases(examples_of(rows), task, num_negatives=num_negatives, seed=seed, cutoff=4)
+            got = [(row[0], sorted(row[1:])) for row in cases.candidates.tolist()]
+            assert got == reference_draw(rows, task, num_negatives, seed)
+
+    @pytest.mark.parametrize("task", ["ir", "ut"])
+    def test_negatives_are_uniform_over_each_groups_pool(self, task):
+        """Eight users each buy two of eight items, 300 times over: every
+        exclusion group (a user for IR, an item for UT) leaves six eligible
+        negatives, and its 1,800 drawn negatives spread evenly over them
+        (one chi-square over all groups, one degree of freedom lost per group)."""
+        rows = [(u, (u,), (u + j) % 8, 90 + r) for u in range(8) for j in range(2) for r in range(300)]
+        cases, _ = build_eval_cases(examples_of(rows), task, num_negatives=3, seed=11, cutoff=3)
+        groups = case_groups(rows, task)
+        assert_valid_draw(cases, groups)
+        drawn = {group: Counter() for group, _, _ in groups}
+        for row, (group, _, _) in zip(cases.candidates[:, 1:].tolist(), groups):
+            drawn[group].update(row)
+        eligible = {group: sorted(pool) for group, _, pool in groups}
+        observed = np.array([drawn[group][c] for group in sorted(drawn) for c in eligible[group]])
+        assert observed.size == 8 * 6 and observed.sum() == 8 * 1_800
+        assert chisquare(observed, ddof=len(drawn) - 1).pvalue > 0.001
+
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.lists(st.integers(0, 6), min_size=1, max_size=3).map(tuple),
+                st.integers(0, 9),
+                st.integers(90, 99),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        task=st.sampled_from(["ir", "ut"]),
+        request=st.sampled_from(["none", "one", "all", "one too many"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_draw_properties(self, rows, task, request, seed):
+        """Positive first, no excluded or repeated negative, the same draw for
+        the same seed, and a too-small pool refused exactly when the smallest
+        group holds fewer eligible negatives than requested."""
+        groups = case_groups(rows, task)
+        smallest = min(len(eligible) for _, _, eligible in groups)
+        num_negatives = {"none": 0, "one": 1, "all": smallest, "one too many": smallest + 1}[request]
+        examples = examples_of(rows)
+        if num_negatives > smallest:
+            what = "item" if task == "ir" else "user"
+            message = f"{what} pool too small: {smallest} eligible negatives, {num_negatives} requested"
+            with pytest.raises(PoolTooSmallError, match=message):
+                build_eval_cases(examples, task, num_negatives=num_negatives, seed=seed, cutoff=3)
+            return
+        cases, _ = build_eval_cases(examples, task, num_negatives=num_negatives, seed=seed, cutoff=3)
+        again, _ = build_eval_cases(examples, task, num_negatives=num_negatives, seed=seed, cutoff=3)
+        assert cases.candidates.shape == (len(rows), 1 + num_negatives)
+        np.testing.assert_array_equal(cases.candidates, again.candidates)
+        assert_valid_draw(cases, groups)
+
+    @pytest.mark.parametrize("task", ["ir", "ut"])
+    def test_block_boundary_inside_a_group(self, task, monkeypatch):
+        """Blocks of two cases split the cases of user 0 (five, IR) and of
+        item 0 (four, UT); each block keys its own exclusions, and the draw
+        is the one a single block makes."""
+        rows = [(0, (0,), 0, 90 + r) for r in range(3)] + [(0, (0,), 1, 95), (0, (1,), 0, 96)]
+        rows += [(u, (u,), u + 1, 90) for u in range(1, 9)]
+        examples = examples_of(rows)
+        whole, _ = build_eval_cases(examples, task, num_negatives=5, seed=4, cutoff=3)
+        universe = len({r[2] for r in rows}) if task == "ir" else len({r[1] for r in rows})
+        monkeypatch.setattr(evaluation, "CASE_CELLS", 2 * universe)
+        blocks, _ = build_eval_cases(examples, task, num_negatives=5, seed=4, cutoff=3)
+        assert_valid_draw(blocks, case_groups(rows, task))
+        np.testing.assert_array_equal(blocks.candidates, whole.candidates)
 
 
 def oracle_scores(cases, pool, params, enc):

@@ -1,16 +1,19 @@
 """Loss values against independent scalar oracles, plus the preset algebra."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.special
+from scipy.stats import chisquare
 
 from reference import example_rows, examples_of
 from twotower.data import EmpiricalMarginals, Examples, Sequences, compute_marginals
 from twotower.losses import (
     PRESETS,
     LossConfig,
+    _ssm_candidates,
     bce_value,
     bidirectional_nce_loss,
     full_softmax_value,
@@ -348,6 +351,32 @@ class TestSampledSoftmax:
             out = loss_with_gradients(batch, params, ENC, config, marginals=marginals, rng=rng)
             # value is finite and positive; collision would double-count the target
             assert np.isfinite(out.value)
+
+    def test_candidates_follow_successive_sampling(self):
+        """On a 6-item vocabulary with one zero-probability item, how often
+        each item is among a row's 3 negatives matches its exact inclusion
+        probability under successive weighted draws without replacement,
+        enumerated over every ordered draw."""
+        q = np.array([0.1, 0.3, 0.25, 0.0, 0.2, 0.15])
+        positive, num_sampled, rows = 1, 3, 20_000
+        eligible = [0, 2, 4, 5]
+        inclusion = dict.fromkeys(eligible, 0.0)
+        for order in itertools.permutations(eligible, num_sampled):
+            p, left = 1.0, sum(q[eligible])
+            for item in order:
+                p *= q[item] / left
+                left -= q[item]
+            for item in order:
+                inclusion[item] += p
+        candidates = _ssm_candidates(np.full(rows, positive), q, num_sampled, np.random.default_rng(8))
+        assert candidates.shape == (rows, 1 + num_sampled)
+        assert np.all(candidates[:, 0] == positive)
+        negatives = candidates[:, 1:]
+        assert np.isin(negatives, eligible).all()  # never the positive nor the zero-probability item
+        assert np.all(np.diff(np.sort(negatives, axis=1), axis=1) > 0)  # no repeat within a row
+        observed = np.bincount(negatives.ravel(), minlength=q.size)[eligible]
+        expected = rows * np.array([inclusion[item] for item in eligible])
+        assert chisquare(observed, expected * observed.sum() / expected.sum()).pvalue > 0.001
 
     def test_num_sampled_must_be_below_vocab(self):
         params = make_params(num_items=4)
