@@ -30,7 +30,7 @@ from . import config as config_mod
 from . import data as data_mod
 from .config import ConfigError, RunConfig, fingerprint, loss_config_from, render_config, verify_seeds
 from .evaluation import EvalCases, EvalPool, PoolTooSmallError, RankingIndex, build_eval_cases, evaluate, top_n
-from .losses import proposal_distribution
+from .losses import IN_BATCH_PEAK_ARRAYS, proposal_distribution
 from .model import EncoderConfig, ModelParams, encode_user
 from .trainer import (
     Checkpoint,
@@ -200,6 +200,31 @@ def _export_embeddings(out: TextIO, params: ModelParams, prepared: Prepared, enc
         out.write(f"user\t{seq}\t{vec}\n")
 
 
+def physical_memory() -> int | None:
+    """Bytes of physical memory, or ``None`` where ``os.sysconf`` cannot tell."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * page_size if pages > 0 and page_size > 0 else None
+
+
+def _check_in_batch_memory(examples: data_mod.Examples, train: TrainConfig) -> None:
+    """Fail before the first step when the largest in-batch batch a phase
+    can make (``batch_size``, capped at the phase's example count) needs
+    more than physical memory at the step's peak."""
+    phase_sizes = [len(examples)] if train.mode == "shuffled" else np.unique(examples.month, return_counts=True)[1]
+    size = min(train.batch_size, int(max(phase_sizes)))
+    peak = IN_BATCH_PEAK_ARRAYS * 8 * size**2
+    memory = physical_memory()
+    if memory is not None and peak > memory:
+        raise CliError(
+            f"train: an in-batch batch of {size} examples needs {peak / 2**30:.1f} GiB at the step's peak "
+            f"({IN_BATCH_PEAK_ARRAYS} float64 arrays of {size} x {size}), more than the {memory / 2**30:.1f} GiB "
+            "of physical memory; lower train.batch_size"
+        )
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     prepared = _run_pipeline(cfg)
@@ -208,11 +233,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     loss_config = _configured("loss", loss_config_from, cfg)
     if loss_config.family == "bidirectional" and cfg.train.batch_size < 2:
         raise CliError("in-batch losses need train.batch_size >= 2 (a batch must contain a negative)")
-    if loss_config.family == "ssm":  # a num_sampled the proposal cannot supply fails before the first step
-        proposal = (prepared.marginals, prepared.log.num_items, loss_config.ssm_proposal, loss_config.num_sampled)
-        _configured("loss", proposal_distribution, *proposal)
+    proposal = None
+    if loss_config.family == "ssm":  # built once; a num_sampled it cannot supply fails before the first step
+        settings = (prepared.marginals, prepared.log.num_items, loss_config.ssm_proposal, loss_config.num_sampled)
+        proposal = _configured("loss", proposal_distribution, *settings)
     fp = fingerprint(cfg)
     train_config = _configured("train", TrainConfig, seed=cfg.seed, **dataclasses.asdict(cfg.train))
+    if loss_config.family == "bidirectional":
+        _check_in_batch_memory(prepared.split.train, train_config)
     model = cfg.model
     params = _configured("model", ModelParams.initialize, prepared.log.num_items, model.dim, model.temperature, cfg.seed)
     examples = _labeled_train(cfg, prepared) if loss_config.family == "bce" else prepared.split.train
@@ -226,7 +254,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         try:
             result = train_incremental(
                 examples, params, enc, loss_config, train_config,
-                marginals=prepared.marginals, eval_fn=eval_fn, checkpoint_dir=checkpoint_dir, fingerprint=fp, resume=resume,
+                marginals=prepared.marginals, proposal=proposal, eval_fn=eval_fn,
+                checkpoint_dir=checkpoint_dir, fingerprint=fp, resume=resume,
             )
         except (NonFiniteLossError, NonFiniteGradientError) as exc:
             raise CliError(f"train: {exc}") from exc

@@ -23,7 +23,9 @@ gradient with respect to those scores; :func:`loss_with_gradients` chains it
 through the one scoring kernel of :mod:`twotower.model` (shared columns for
 the in-batch and full-softmax losses, per-row candidates for ``bce`` pairs
 and ``ssm``).  Softmax terms are computed with max-subtracted log-sum-exp
-throughout; bias terms are added to the logits before stabilization.
+throughout; bias terms are added to the logits before stabilization.  The
+softmax kernels work in buffers they allocate themselves and never write the
+scores they are given.
 In-batch duplicates (two examples sharing a target) are not masked: the
 marginal correction is the intended remedy for popularity skew.
 """
@@ -49,6 +51,11 @@ PRESETS: Mapping[str, tuple[int, int, int, int]] = {
     "col_bcnce": (0, 0, 1, 1),
     "bbcnce": (1, 1, 1, 1),
 }
+
+# (B, B) float64 arrays an in-batch step holds at its peak: the cosines and
+# scores of the forward pass plus at most 3.5 inside ``bidirectional_nce_loss``
+# (each half's buffer and logsumexp's exponentials and maxima mask).
+IN_BATCH_PEAK_ARRAYS = 5.5
 
 
 @dataclass(frozen=True)
@@ -100,13 +107,30 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
     scipy's order of operations: the maxima are taken out of the sum, each
     counted once, and the rest enters as ``log1p(rest / count)``; an
-    all-``-inf`` line gives ``-inf``.
+    all-``-inf`` line gives ``-inf``.  The exponentials live in one
+    temporary, with the maxima zeroed in place; ``a`` is not written.
     """
     a_max = a.max(axis, keepdims=True)
     top = a == a_max
-    rest = np.where(top, 0.0, np.exp(a - a_max)).sum(axis, keepdims=True)
+    rest = np.subtract(a, a_max)
+    np.exp(rest, out=rest)
+    np.copyto(rest, 0.0, where=top)
+    rest = rest.sum(axis, keepdims=True)
     count = top.sum(axis, keepdims=True, dtype=float)
     return np.squeeze(np.log1p(rest / count) + np.log(count) + a_max, axis=axis)
+
+
+def _softmax_nll(logits: np.ndarray, axis: int, rows: np.ndarray, cols: np.ndarray, out: np.ndarray) -> float:
+    """Mean softmax NLL along ``axis`` of the positives ``logits[rows, cols]``,
+    one per line; ``out`` (``logits`` itself, or a buffer of its shape)
+    receives the score gradient of each term: the softmax minus the
+    positive's one-hot.  The positives are read before ``out`` is written."""
+    lse = logsumexp(logits, axis=axis)
+    value = float((lse - logits[rows, cols]).mean())
+    np.subtract(logits, np.expand_dims(lse, axis), out=out)
+    np.exp(out, out=out)
+    out[rows, cols] -= 1.0
+    return value
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -144,7 +168,9 @@ def bidirectional_nce_loss(
     against column r (the batch's users, each logit reduced by
     ``delta_beta * log_p_u`` of its row).  The value is
     ``alpha * mean(row terms) + beta * mean(col terms)`` -- accumulated in
-    that order so the two halves decompose exactly.
+    that order so the two halves decompose exactly.  Each half works in one
+    buffer of its own, its shifted logits turned into its gradient in place;
+    the score matrix is not written.
     """
     phi = np.asarray(score_matrix, dtype=float)
     if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
@@ -157,41 +183,33 @@ def bidirectional_nce_loss(
     if log_p_u.shape != (size,) or log_p_i.shape != (size,):
         raise ValueError("bias vectors must align with the batch")
 
-    alpha, beta = config.alpha, config.beta
     diag = np.arange(size)
-    dphi = np.zeros_like(phi)
-    value = 0.0
-
-    if alpha:
-        h = phi - config.delta_alpha * log_p_i[None, :]
-        row_lse = logsumexp(h, axis=1)
-        row_terms = row_lse - h[diag, diag]
-        value += alpha * float(row_terms.mean())
-        p_row = np.exp(h - row_lse[:, None])
-        p_row[diag, diag] -= 1.0
-        dphi += (alpha / size) * p_row
-    if beta:
-        o = phi - config.delta_beta * log_p_u[:, None]
-        col_lse = logsumexp(o, axis=0)
-        col_terms = col_lse - o[diag, diag]
-        value += beta * float(col_terms.mean())
-        p_col = np.exp(o - col_lse[None, :])
-        p_col[diag, diag] -= 1.0
-        dphi += (beta / size) * p_col
-
+    value, dphi = 0.0, None
+    halves = (
+        (config.alpha, 1, config.delta_alpha * log_p_i[None, :]),  # row softmax over the batch's items
+        (config.beta, 0, config.delta_beta * log_p_u[:, None]),  # column softmax over the batch's users
+    )
+    for weight, axis, bias in halves:
+        if not weight:
+            continue
+        logits = np.subtract(phi, bias)  # the half's own buffer, turned into its gradient in place
+        value += weight * _softmax_nll(logits, axis, diag, diag, out=logits)
+        np.multiply(logits, weight / size, out=logits)
+        if dphi is None:
+            dphi = logits
+        else:
+            dphi += logits
     return value, dphi
 
 
 def full_softmax_value(phi: np.ndarray, positive_cols: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact softmax NLL along axis 1 with its score gradient."""
+    """Exact softmax NLL along axis 1 with its score gradient, computed in
+    the gradient's buffer; ``phi`` is not written."""
     phi = np.asarray(phi, dtype=float)
-    positive_cols = np.asarray(positive_cols, dtype=np.int64)
-    rows = np.arange(phi.shape[0])
-    lse = logsumexp(phi, axis=1)
-    value = float((lse - phi[rows, positive_cols]).mean())
-    dphi = np.exp(phi - lse[:, None])
-    dphi[rows, positive_cols] -= 1.0
-    return value, dphi / phi.shape[0]
+    dphi = np.empty_like(phi)
+    value = _softmax_nll(phi, 1, np.arange(phi.shape[0]), np.asarray(positive_cols, dtype=np.int64), out=dphi)
+    dphi /= phi.shape[0]
+    return value, dphi
 
 
 def proposal_distribution(
@@ -239,6 +257,7 @@ def loss_with_gradients(
     *,
     marginals: EmpiricalMarginals | None = None,
     rng: np.random.Generator | None = None,
+    proposal: np.ndarray | None = None,
 ) -> LossOutput:
     """Evaluate the configured loss on a batch; value plus exact gradients.
 
@@ -246,7 +265,9 @@ def loss_with_gradients(
     kernel from the scores to ``(value, dscore)``; one forward and one
     backward pass through the model serve every family.  The bidirectional,
     ``full_softmax_col`` and ``ssm`` losses read the training ``marginals``;
-    ``ssm`` draws its candidates with ``rng``.
+    ``ssm`` draws its candidates with ``rng`` from ``proposal``, the
+    ``proposal_distribution`` of the marginals (built here when not given,
+    so a training run can build it once).
     """
     if not len(batch):
         raise ValueError("batch is empty")
@@ -277,7 +298,9 @@ def loss_with_gradients(
     else:  # ssm
         if rng is None:
             raise ValueError("ssm loss needs an rng")
-        q = proposal_distribution(marginals, params.num_items, config.ssm_proposal, config.num_sampled)
+        q = proposal
+        if q is None:
+            q = proposal_distribution(marginals, params.num_items, config.ssm_proposal, config.num_sampled)
         items = _ssm_candidates(batch.target, q, config.num_sampled, rng)
         log_q = np.log(q[items])
 
@@ -286,4 +309,5 @@ def loss_with_gradients(
 
     phi, cache = score_matrix_forward(users, items, params, enc_config)
     value, dscore = kernel(phi)
+    del phi  # freed before the backward pass, which reads the cosines instead
     return LossOutput(value, score_matrix_backward(cache, dscore, params, enc_config), dscore)

@@ -188,19 +188,23 @@ def _user_backward(
     d_vectors: np.ndarray,
     params: ModelParams,
     config: EncoderConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Gradient rows of the pooled sequence positions, in batch order, as
-    ``(item ids, gradients)``, plus the attention-vector gradient."""
+    out: np.ndarray,
+) -> np.ndarray | None:
+    """Write the gradient rows of the pooled sequence positions, in batch
+    order, into ``out``; return the attention-vector gradient."""
     if config.aggregator == "last":
-        return users.ids[np.arange(users.lengths.size), users.lengths - 1], d_vectors, None
+        out[...] = d_vectors
+        return None
     if config.aggregator == "mean":
-        return users.ids[users.mask], np.repeat(d_vectors / users.lengths[:, None], users.lengths, axis=0), None
+        owner = np.repeat(np.arange(users.lengths.size), users.lengths)
+        np.take(d_vectors / users.lengths[:, None], owner, axis=0, out=out)
+        return None
     rows = params.item_embeddings[users.ids]
     q = np.einsum("bld,bd->bl", rows, d_vectors)  # dL/dw per position
     ds = users.weights * (q - np.sum(users.weights * q, axis=1, keepdims=True))  # softmax backward
     w, ds_flat = users.weights[users.mask], ds[users.mask]
-    grads = w[:, None] * np.repeat(d_vectors, users.lengths, axis=0) + ds_flat[:, None] * params.attention_vector
-    return users.ids[users.mask], grads, np.einsum("bld,bl->d", rows, ds)
+    np.add(w[:, None] * np.repeat(d_vectors, users.lengths, axis=0), ds_flat[:, None] * params.attention_vector, out=out)
+    return np.einsum("bld,bl->d", rows, ds)
 
 
 @dataclass
@@ -213,7 +217,7 @@ class MatrixCache:
     u_norm: np.ndarray
     v_hat: np.ndarray  # (C, d) or (B, K, d)
     v_norm: np.ndarray
-    cos: np.ndarray  # (B, C) or (B, K) cosines; phi = cos / tau
+    cos: np.ndarray  # (B, C) or (B, K) cosines; phi = cos / tau; score_matrix_backward overwrites them
 
 
 def score_matrix_forward(
@@ -247,21 +251,29 @@ def score_matrix_backward(
     """Chain a loss gradient w.r.t. the scores down to parameter rows.
 
     Row gradients are summed column contributions first, then the user
-    positions in batch order.
+    positions in batch order.  Both parts are written into one gradient
+    buffer, and the cache's cosines, read once, take their own gradient in
+    place, so a cache serves one backward pass.
     """
     tau = params.temperature
     dphi = np.asarray(dphi, dtype=float)
-    g_cos = dphi * cache.cos
+    users = cache.users
+    if config.aggregator == "last":
+        user_ids = users.ids[np.arange(users.lengths.size), users.lengths - 1]
+    else:
+        user_ids = users.ids[users.mask]
+    ids = np.concatenate((cache.col_ids.ravel(), user_ids))
+    grads = np.empty((ids.size, params.dim))  # one row per id, each part written in place
+    items = grads[: cache.col_ids.size]
+    g_cos = np.multiply(dphi, cache.cos, out=cache.cos)
     if cache.col_ids.ndim == 1:
         pulled = dphi @ cache.v_hat
-        d_items = (dphi.T @ cache.u_hat - g_cos.sum(axis=0)[:, None] * cache.v_hat) / (tau * cache.v_norm[:, None])
+        d_items = dphi.T @ cache.u_hat - g_cos.sum(axis=0)[:, None] * cache.v_hat
+        np.divide(d_items, tau * cache.v_norm[:, None], out=items)
     else:
         pulled = np.einsum("bk,bkd->bd", dphi, cache.v_hat)
-        d_items = (dphi[:, :, None] * cache.u_hat[:, None, :] - g_cos[:, :, None] * cache.v_hat) / (
-            tau * cache.v_norm[:, :, None]
-        )
+        d_items = dphi[:, :, None] * cache.u_hat[:, None, :] - g_cos[:, :, None] * cache.v_hat
+        np.divide(d_items, tau * cache.v_norm[:, :, None], out=items.reshape(d_items.shape))
     d_users = (pulled - g_cos.sum(axis=1)[:, None] * cache.u_hat) / (tau * cache.u_norm[:, None])
-    user_ids, user_grads, d_attention = _user_backward(cache.users, d_users, params, config)
-    ids = np.concatenate((cache.col_ids.ravel(), user_ids))
-    grads = np.concatenate((d_items.reshape(-1, params.dim), user_grads))
+    d_attention = _user_backward(users, d_users, params, config, out=grads[cache.col_ids.size :])
     return GradientTable.accumulate(ids, grads, d_attention)

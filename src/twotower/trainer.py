@@ -324,6 +324,7 @@ def train_incremental(
     train_config: TrainConfig,
     *,
     marginals: EmpiricalMarginals | None = None,
+    proposal: np.ndarray | None = None,
     eval_fn: Callable[[ModelParams, int], dict] | None = None,
     checkpoint_dir: str | None = None,
     fingerprint: int = 0,
@@ -341,7 +342,8 @@ def train_incremental(
 
     ``examples`` must already be in the form the loss family consumes
     (with the ``label`` column for ``bce``); the bidirectional,
-    ``full_softmax_col`` and ``ssm`` losses read the training ``marginals``.
+    ``full_softmax_col`` and ``ssm`` losses read the training ``marginals``,
+    and ``ssm`` draws from ``proposal`` (see ``losses.loss_with_gradients``).
     After each phase the optional ``eval_fn`` is invoked on a parameter
     snapshot and its metrics are appended to the trace.  ``resume``
     continues from a checkpoint's cursor in either mode.
@@ -389,7 +391,9 @@ def train_incremental(
                 if loss_config.family == "bidirectional" and len(batch) < 2:
                     notices.append(f"dropped trailing batch of 1 example (month {month})")
                     continue
-                out = loss_with_gradients(batch, params, enc_config, loss_config, marginals=marginals, rng=rng)
+                out = loss_with_gradients(
+                    batch, params, enc_config, loss_config, marginals=marginals, rng=rng, proposal=proposal
+                )
                 if not math.isfinite(out.value):
                     raise NonFiniteLossError(f"non-finite loss {out.value} (month {month}, epoch {epoch})")
                 apply_optimizer_step(params, out.gradients, state)

@@ -14,7 +14,9 @@ training never reads.  ``reference_accumulate`` is the sort-based
 ``GradientTable.accumulate`` that an occupancy count replaced, and
 ``reference_rank`` (through ``reference_order``) the full sort of every
 candidate row that the positive's count rank and a partitioned top N
-replaced.
+replaced.  ``reference_logsumexp``, ``reference_bidirectional_nce_loss`` and
+``reference_full_softmax_value`` are the out-of-place softmax kernels that
+the in-place ones in ``twotower.losses`` replaced, operation for operation.
 """
 
 from __future__ import annotations
@@ -291,3 +293,49 @@ def reference_rank(index, task: str, queries: np.ndarray, candidates: np.ndarray
         table, q_hat = index.users, index.items[queries]
     return reference_order(np.matmul(table[candidates], q_hat[:, :, None])[:, :, 0] / index.temperature, candidates)
 
+
+
+def reference_logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """``losses.logsumexp`` with a fresh array for each step: scipy's order of
+    operations, the maxima taken out of the sum by ``np.where``."""
+    a_max = a.max(axis, keepdims=True)
+    top = a == a_max
+    rest = np.where(top, 0.0, np.exp(a - a_max)).sum(axis, keepdims=True)
+    count = top.sum(axis, keepdims=True, dtype=float)
+    return np.squeeze(np.log1p(rest / count) + np.log(count) + a_max, axis=axis)
+
+
+def reference_bidirectional_nce_loss(
+    phi: np.ndarray, log_p_u: np.ndarray, log_p_i: np.ndarray, config: LossConfig
+) -> tuple[float, np.ndarray]:
+    """``losses.bidirectional_nce_loss`` on a valid square score matrix, each
+    half's shifted logits, softmax and gradient in arrays of their own."""
+    size = phi.shape[0]
+    diag = np.arange(size)
+    dphi = np.zeros_like(phi)
+    value = 0.0
+    if config.alpha:
+        h = phi - config.delta_alpha * log_p_i[None, :]
+        row_lse = reference_logsumexp(h, axis=1)
+        value += config.alpha * float((row_lse - h[diag, diag]).mean())
+        p_row = np.exp(h - row_lse[:, None])
+        p_row[diag, diag] -= 1.0
+        dphi += (config.alpha / size) * p_row
+    if config.beta:
+        o = phi - config.delta_beta * log_p_u[:, None]
+        col_lse = reference_logsumexp(o, axis=0)
+        value += config.beta * float((col_lse - o[diag, diag]).mean())
+        p_col = np.exp(o - col_lse[None, :])
+        p_col[diag, diag] -= 1.0
+        dphi += (config.beta / size) * p_col
+    return value, dphi
+
+
+def reference_full_softmax_value(phi: np.ndarray, positive_cols: np.ndarray) -> tuple[float, np.ndarray]:
+    """``losses.full_softmax_value`` with the softmax and the gradient in arrays of their own."""
+    rows = np.arange(phi.shape[0])
+    lse = reference_logsumexp(phi, axis=1)
+    value = float((lse - phi[rows, positive_cols]).mean())
+    dphi = np.exp(phi - lse[:, None])
+    dphi[rows, positive_cols] -= 1.0
+    return value, dphi / phi.shape[0]

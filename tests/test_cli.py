@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -15,9 +16,12 @@ from hypothesis import strategies as st
 
 import twotower
 from reference import sample_events
+from twotower import cli as cli_mod
+from twotower import config as config_mod
+from twotower import losses as losses_mod
 from twotower.cli import main
 from twotower.model import EncoderConfig, encode_user, score
-from twotower.trainer import load_checkpoint, save_checkpoint
+from twotower.trainer import TrainConfig, load_checkpoint, save_checkpoint
 from twotower.verify import SyntheticSpec, generate_synthetic, random_joint
 
 TINY_EVENTS = (
@@ -426,6 +430,48 @@ class TestTrainVariants:
         config, out = self._run(tmp_path, events, "shuffled", **{"train.mode": "shuffled"})
         names = os.listdir(out / "checkpoints")
         assert any(name.startswith("shuffled_epoch_") for name in names)
+
+    def test_ssm_proposal_built_once_per_run(self, small_events, monkeypatch):
+        tmp_path, events = small_events
+        calls = []
+        real = losses_mod.proposal_distribution
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(losses_mod, "proposal_distribution", counting)
+        monkeypatch.setattr(cli_mod, "proposal_distribution", counting)
+        self._run(tmp_path, events, "ssm_once", **{"loss.family": "ssm", "loss.preset": "", "loss.num_sampled": 4})
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode", ["incremental", "shuffled"])
+    def test_in_batch_size_beyond_physical_memory_rejected(self, small_events, monkeypatch, capsys, mode):
+        """A batch size above a phase's example count is capped to it (the
+        largest month, or the pooled data when shuffled), and a batch whose
+        step needs more than physical memory fails before the first step.
+        The memory figure is patched, so nothing large is allocated."""
+        tmp_path, events = small_events
+        out = tmp_path / f"huge_batch_{mode}"
+        settings = {"data.input": str(events), "train.batch_size": 100_000, "train.mode": mode}
+        config = write_config(tmp_path / f"huge_batch_{mode}.cfg", **settings, **{"paths.output_dir": str(out)})
+        train = cli_mod._run_pipeline(config_mod.load_config(config)).split.train
+        size = len(train) if mode == "shuffled" else int(np.bincount(train.month).max())
+        assert size < 100_000
+        peak = losses_mod.IN_BATCH_PEAK_ARRAYS * 8 * size**2
+        monkeypatch.setattr(cli_mod, "physical_memory", lambda: int(peak) - 1)
+        assert main(["train", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert f"error: train: an in-batch batch of {size} examples needs" in err
+        assert "lower train.batch_size" in err
+        assert not (out / "checkpoints").exists()
+        monkeypatch.setattr(cli_mod, "physical_memory", lambda: math.ceil(peak))
+        cli_mod._check_in_batch_memory(train, TrainConfig(batch_size=100_000, mode=mode))  # fits: no error
+
+    def test_physical_memory_without_sysconf(self, monkeypatch):
+        assert cli_mod.physical_memory() > 0
+        monkeypatch.delattr(os, "sysconf")
+        assert cli_mod.physical_memory() is None
 
     def test_batch_size_one_rejected_for_in_batch_loss(self, small_events, capsys):
         tmp_path, events = small_events

@@ -2,15 +2,24 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.special
 from scipy.stats import chisquare
 
-from reference import example_rows, examples_of
+from reference import (
+    example_rows,
+    examples_of,
+    reference_bidirectional_nce_loss,
+    reference_full_softmax_value,
+    reference_logsumexp,
+)
+from twotower import losses as losses_mod
 from twotower.data import EmpiricalMarginals, Examples, Sequences, compute_marginals
 from twotower.losses import (
+    IN_BATCH_PEAK_ARRAYS,
     PRESETS,
     LossConfig,
     _ssm_candidates,
@@ -274,6 +283,103 @@ class TestFullSoftmax:
         assert set(out.gradients.rows) == {0, 1, 2, 3, 4}
 
 
+def _scores(size: int, seed: int) -> np.ndarray:
+    """A score matrix with tied row and column maxima and ``-inf`` cells;
+    the diagonal stays finite, so every line keeps a finite entry."""
+    rng = np.random.default_rng(seed)
+    phi = np.round(rng.normal(scale=3.0, size=(size, size)), 1)  # rounding ties values, maxima among them
+    phi[rng.random(phi.shape) < 0.2] = -np.inf
+    phi[0, :2] = phi[:2, 0] = phi.max() + 1.0  # a tie for the top of row 0 and of column 0
+    phi[np.diag_indices(size)] = rng.normal(size=size)
+    return phi
+
+
+def _peak_arrays(fn, size: int) -> float:
+    """Peak memory that the call ``fn()`` allocates, in ``(size, size)`` float64 arrays."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peak / (8 * size * size)
+
+
+class TestInPlaceKernels:
+    """The softmax kernels against the out-of-place code they replaced
+    (``tests/reference.py``): the same bits for value and gradient, the
+    gradient in the same memory layout, the input never written, and a
+    bounded peak of temporaries."""
+
+    @staticmethod
+    def _same_bits(ours: tuple[float, np.ndarray], theirs: tuple[float, np.ndarray]) -> None:
+        assert np.float64(ours[0]).tobytes() == np.float64(theirs[0]).tobytes()
+        assert ours[1].tobytes() == theirs[1].tobytes()
+        assert ours[1].strides == theirs[1].strides
+
+    @pytest.mark.parametrize("size", [2, 3, 257])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_bidirectional_matches_the_out_of_place_loss(self, preset, size):
+        config = LossConfig.from_preset(preset)
+        rng = np.random.default_rng(size)
+        log_p_u, log_p_i = np.log(rng.dirichlet(np.ones(size), size=2))
+        log_p_i[:2] = log_p_i[0]  # tied biases
+        for seed in range(3):
+            phi = _scores(size, seed)
+            before = phi.copy()
+            ours = bidirectional_nce_loss(phi, log_p_u, log_p_i, config)
+            assert phi.tobytes() == before.tobytes()
+            self._same_bits(ours, reference_bidirectional_nce_loss(phi, log_p_u, log_p_i, config))
+
+    @pytest.mark.parametrize("size", [2, 3, 257])
+    def test_full_softmax_matches_the_out_of_place_loss(self, size):
+        """Row-major scores (``full_softmax_row``, ``ssm``) and their
+        transpose (``full_softmax_col``)."""
+        positives = np.random.default_rng(size).integers(0, size, size=size)
+        for seed in range(3):
+            for phi in (_scores(size, seed), _scores(size, seed).T):
+                before = phi.copy()
+                ours = full_softmax_value(phi, positives)
+                assert phi.tobytes() == before.tobytes()
+                self._same_bits(ours, reference_full_softmax_value(phi, positives))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_logsumexp_matches_the_out_of_place_code(self, axis):
+        for phi in (_scores(257, 0), _scores(3, 1).T, np.full((2, 3), -np.inf)):
+            before = phi.copy()
+            with np.errstate(invalid="ignore"):  # an all -inf line subtracts -inf from -inf
+                ours = logsumexp(phi, axis=axis)
+                theirs = reference_logsumexp(phi, axis=axis)
+            assert phi.tobytes() == before.tobytes()
+            assert ours.tobytes() == theirs.tobytes()
+
+    def test_peak_memory_of_the_kernels(self):
+        """At B = 256 the out-of-place code peaked at 6.15 ``(B, B)`` arrays
+        in the bbcNCE kernel and 2.13 in ``logsumexp``."""
+        size = 256
+        phi = _scores(size, 0)
+        log_p = np.full(size, -math.log(size))
+        bbcnce = LossConfig.from_preset("bbcnce")
+        assert _peak_arrays(lambda: bidirectional_nce_loss(phi, log_p, log_p, bbcnce), size) <= 3.5
+        assert _peak_arrays(lambda: logsumexp(phi, axis=1), size) <= 1.5
+
+    def test_peak_memory_of_an_in_batch_step(self):
+        """A whole bbcNCE step, forward to sparse gradient, stays within the
+        ``IN_BATCH_PEAK_ARRAYS`` that ``train`` budgets for a batch; one-item
+        histories and a 4-d table keep the other arrays small."""
+        size, num_items = 512, 600
+        params = make_params(num_items=num_items, dim=4, seed=1)
+        batch = examples_of([(u, (u,), u + 1, 0) for u in range(size)])
+        marginals = compute_marginals(batch, num_items)
+        config = LossConfig.from_preset("bbcnce")
+        step = _peak_arrays(lambda: loss_with_gradients(batch, params, ENC, config, marginals=marginals), size)
+        assert step <= IN_BATCH_PEAK_ARRAYS
+
+
 class TestSampledSoftmax:
     def test_exhaustive_sampling_equals_full_softmax(self):
         num_items = 5
@@ -411,6 +517,24 @@ class TestSampledSoftmax:
         config = LossConfig(family="ssm", num_sampled=3)
         out = loss_with_gradients(batch, params, ENC, config, marginals=marginals, rng=np.random.default_rng(0))
         assert set(out.gradients.rows.tolist()) == {0, 1, 2, 3}
+
+    def test_a_given_proposal_draws_as_the_built_one(self, monkeypatch):
+        """A run builds the proposal once and passes it to every step, which
+        then builds none and draws exactly as from its own."""
+        params = make_params(num_items=6, dim=3, seed=4)
+        marginals = EmpiricalMarginals(np.array([4]), np.array([1, 2, 0, 1, 3, 1]))
+        batch = examples_of([(0, (0,), 1, 0), (0, (2, 3), 4, 0)])
+        config = LossConfig(family="ssm", num_sampled=3)
+        built = loss_with_gradients(batch, params, ENC, config, marginals=marginals, rng=np.random.default_rng(5))
+        proposal = proposal_distribution(marginals, 6, "marginal", 3)
+        monkeypatch.setattr(losses_mod, "proposal_distribution", None)  # a call would fail
+        given = loss_with_gradients(
+            batch, params, ENC, config, marginals=marginals, rng=np.random.default_rng(5), proposal=proposal
+        )
+        assert given.value == built.value
+        assert given.dscore.tobytes() == built.dscore.tobytes()
+        assert given.gradients.rows.tolist() == built.gradients.rows.tolist()
+        assert given.gradients.values.tobytes() == built.gradients.values.tobytes()
 
     def test_zero_probability_positive_rejected(self):
         params = make_params(num_items=4)

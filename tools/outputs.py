@@ -26,7 +26,9 @@ under its own name and the stdout of every command goes to `stdout/`.
 
 `compare` lists the files that are byte-identical, and for each differing
 TSV or JSON file the largest absolute difference of every numeric column
-(JSON: every numeric field).  It exits 0 only when the two trees hold the
+(TSV columns are split on tabs; JSON: every numeric field).  A TSV column of
+space-separated token lists (item sequences, embedding vectors) also reports
+how many rows differ.  It exits 0 only when the two trees hold the
 same files with the same bytes.
 """
 
@@ -191,10 +193,10 @@ def _gap(x, y) -> float:
 
 
 def _tsv_cells(text: str) -> list[tuple[str, str]]:
-    """(column, value) of every cell split on tabs and spaces; a first row
-    with no number names the columns."""
-    rows = [line.split() for line in text.splitlines()]
-    header = rows[0] if rows and all(_number(cell) is None for cell in rows[0]) else []
+    """(column, value) of every cell split on tabs; a first row with no
+    number names the columns."""
+    rows = [line.split("\t") for line in text.splitlines()]
+    header = rows[0] if rows and all(_number(tok) is None for cell in rows[0] for tok in cell.split()) else []
     return [(header[k] if k < len(header) else f"col{k}", cell) for row in rows for k, cell in enumerate(row)]
 
 
@@ -207,14 +209,29 @@ def _json_cells(value, path: str = "") -> list[tuple[str, object]]:
     return [(path, value)]
 
 
-def _gaps(cells_a: list, cells_b: list) -> dict[str, float]:
-    """Largest gap per column; files of another shape gap at ``layout``."""
+def _gaps(cells_a: list, cells_b: list) -> dict[str, str]:
+    """What differs in each column that differs: the largest |diff| of its
+    values, and for a column of space-separated token lists (item sequences,
+    vectors) also the number of rows that differ.  Two token lists of one
+    length gap by their largest token |diff|, two of other lengths by inf.
+    Files of another shape differ at ``layout``."""
     if [name for name, _ in cells_a] != [name for name, _ in cells_b]:
-        return {"layout": math.inf}
+        return {"layout": "differs"}
     gaps: dict[str, float] = {}
+    rows: dict[str, int] = {}  # rows that differ
+    lists: set[str] = set()  # columns holding a list of several tokens
     for (name, x), (_, y) in zip(cells_a, cells_b):
-        gaps[name] = max(gaps.get(name, 0.0), _gap(x, y))
-    return gaps
+        tokens_x, tokens_y = (v.split(" ") if isinstance(v, str) else [v] for v in (x, y))
+        if len(tokens_x) > 1 or len(tokens_y) > 1:
+            lists.add(name)
+        rows[name] = rows.get(name, 0) + (tokens_x != tokens_y)
+        gap = max(map(_gap, tokens_x, tokens_y)) if len(tokens_x) == len(tokens_y) else math.inf
+        gaps[name] = max(gaps.get(name, 0.0), gap)
+    return {
+        name: (f"{rows[name]} rows differ, " if name in lists else "") + f"max |diff| {gap:.3g}"
+        for name, gap in gaps.items()
+        if rows[name]
+    }
 
 
 def compare(a: Path, b: Path) -> int:
@@ -232,9 +249,8 @@ def compare(a: Path, b: Path) -> int:
         parse = cells.get(Path(name).suffix)
         if parse is not None:
             gaps = _gaps(parse((a / name).read_text(encoding="utf-8")), parse((b / name).read_text(encoding="utf-8")))
-            for column, gap in sorted(gaps.items()):
-                if gap:
-                    print(f"    {column}: max |diff| {gap:.3g}")
+            for column, what in sorted(gaps.items()):
+                print(f"    {column}: {what}")
     return 0 if not differ and files_a == files_b else 1
 
 
