@@ -14,5 +14,5 @@ __version__ = "0.1.0"
 
 from .data import DatasetSplit, EmpiricalMarginals, Events, Examples, Sequences  # noqa: F401
 from .losses import LossConfig, LossOutput  # noqa: F401
-from .model import EncoderConfig, ModelParams  # noqa: F401
+from .model import ModelParams  # noqa: F401
 from .trainer import Checkpoint, TrainConfig  # noqa: F401

@@ -31,7 +31,7 @@ from . import data as data_mod
 from .config import ConfigError, RunConfig, fingerprint, loss_config_from, render_config, verify_seeds
 from .evaluation import EvalCases, EvalPool, PoolTooSmallError, RankingIndex, build_eval_cases, evaluate, top_n
 from .losses import IN_BATCH_PEAK_ARRAYS, proposal_distribution
-from .model import EncoderConfig, ModelParams, encode_user
+from .model import ModelParams, encode_user_batch
 from .trainer import (
     Checkpoint,
     CheckpointError,
@@ -147,7 +147,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _validation_eval_fn(cfg: RunConfig, prepared: Prepared, enc: EncoderConfig):
+def _validation_eval_fn(cfg: RunConfig, prepared: Prepared):
     if not len(prepared.split.validation):
         logger.warning("validation split empty; no per-month metrics recorded")
         return None
@@ -166,7 +166,7 @@ def _validation_eval_fn(cfg: RunConfig, prepared: Prepared, enc: EncoderConfig):
         raise CliError(f"eval: {exc}") from exc
 
     def eval_fn(params: ModelParams, month: int) -> dict:
-        report = evaluate(cases, pool, params, enc)
+        report = evaluate(cases, pool, params)
         return {"recall": report.recall_at_n, "ndcg": report.ndcg_at_n}
 
     return eval_fn
@@ -188,14 +188,15 @@ def _write_trace(path: str, rows: list[dict], keep_months: Collection[int] = ())
             out.write(f"{row['month']}\t{row.get('recall', float('nan')):.6f}\t{row.get('ndcg', float('nan')):.6f}\n")
 
 
-def _export_embeddings(out: TextIO, params: ModelParams, prepared: Prepared, enc: EncoderConfig) -> None:
+def _export_embeddings(out: TextIO, params: ModelParams, prepared: Prepared) -> None:
     item_token = {idx: tok for tok, idx in prepared.log.item_vocab.items()}
     train = prepared.split.train
     for idx in range(params.num_items):
         vec = " ".join(f"{v:.6f}" for v in params.item_embeddings[idx])
         out.write(f"item\t{item_token[idx]}\t{vec}\n")
-    for key in (train.table[k] for k in np.unique(train.key).tolist()):
-        vec = " ".join(f"{v:.6f}" for v in encode_user(key, params, enc))
+    keys = train.table.take(np.unique(train.key))
+    for key, user in zip(keys, encode_user_batch(keys, params).vectors):
+        vec = " ".join(f"{v:.6f}" for v in user)
         seq = " ".join(item_token[i] for i in key)
         out.write(f"user\t{seq}\t{vec}\n")
 
@@ -229,7 +230,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     prepared = _run_pipeline(cfg)
     _write_resolved(cfg)
-    enc = _configured("model", EncoderConfig, cfg.model.aggregator)
     loss_config = _configured("loss", loss_config_from, cfg)
     if loss_config.family == "bidirectional" and cfg.train.batch_size < 2:
         raise CliError("in-batch losses need train.batch_size >= 2 (a batch must contain a negative)")
@@ -242,9 +242,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     if loss_config.family == "bidirectional":
         _check_in_batch_memory(prepared.split.train, train_config)
     model = cfg.model
-    params = _configured("model", ModelParams.initialize, prepared.log.num_items, model.dim, model.temperature, cfg.seed)
+    params = _configured(
+        "model", ModelParams.initialize, prepared.log.num_items, model.dim, model.temperature, cfg.seed, model.aggregator
+    )
     examples = _labeled_train(cfg, prepared) if loss_config.family == "bce" else prepared.split.train
-    eval_fn = _validation_eval_fn(cfg, prepared, enc)
+    eval_fn = _validation_eval_fn(cfg, prepared)
     checkpoint_dir = os.path.join(cfg.paths.output_dir, "checkpoints")
 
     resume = load_checkpoint(args.checkpoint, expected_fingerprint=fp) if args.checkpoint else None
@@ -253,14 +255,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     with export or contextlib.nullcontext():
         try:
             result = train_incremental(
-                examples, params, enc, loss_config, train_config,
+                examples, params, loss_config, train_config,
                 marginals=prepared.marginals, proposal=proposal, eval_fn=eval_fn,
                 checkpoint_dir=checkpoint_dir, fingerprint=fp, resume=resume,
             )
         except (NonFiniteLossError, NonFiniteGradientError) as exc:
             raise CliError(f"train: {exc}") from exc
         if export:
-            _export_embeddings(export, params, prepared, enc)
+            _export_embeddings(export, params, prepared)
 
     done = resume.months[: resume.month_cursor] if resume is not None else ()
     _write_trace(os.path.join(cfg.paths.output_dir, "trace.tsv"), result.trace, keep_months=done)
@@ -315,7 +317,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         cases,
         pool,
         checkpoint.params,
-        _configured("model", EncoderConfig, cfg.model.aggregator),
         records=prepared.log.records,
         anchor_day=prepared.log.first_day(prepared.months_total),
         window_days=cfg.eval.popularity_window_days,
@@ -376,7 +377,6 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     prepared = _run_pipeline(cfg)
     checkpoint = _load_params(args, cfg, prepared.log.num_items)
     params = checkpoint.params
-    enc = _configured("model", EncoderConfig, cfg.model.aggregator)
     task = args.task or cfg.eval.task
     tokens = [t for t in re.split(r"[ ,]+", args.query.strip()) if t]
     if not tokens:
@@ -391,7 +391,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
                 logger.warning("unknown item token %r skipped", tok)
         if not ids:
             raise CliError("no known items in the query sequence")
-        index = RankingIndex.build(params, enc, data_mod.Sequences.of([ids]))
+        index = RankingIndex.build(params, data_mod.Sequences.of([ids]))
         query, candidates = 0, np.arange(params.num_items)[None]
         label = {idx: tok for tok, idx in prepared.log.item_vocab.items()}
     else:
@@ -403,7 +403,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         # A key stands for the user of its first example in train, validation, test order.
         parts = (prepared.split.train, prepared.split.validation, prepared.split.test)
         keys, owners = data_mod.first_owners(np.concatenate([p.key for p in parts]), np.concatenate([p.user for p in parts]))
-        index = RankingIndex.build(params, enc, prepared.split.train.table.take(keys))
+        index = RankingIndex.build(params, prepared.split.train.table.take(keys))
         query, candidates = prepared.log.item_vocab[tok], np.arange(len(keys))[None]
         user_token = {idx: t for t, idx in prepared.log.user_vocab.items()}
         label = [user_token[owner] for owner in owners.tolist()]
@@ -419,18 +419,17 @@ def cmd_trace(args: argparse.Namespace) -> int:
     prepared = _run_pipeline(cfg)
     _write_resolved(cfg)
     directory = args.checkpoint_dir or os.path.join(cfg.paths.output_dir, "checkpoints")
-    paths = sorted(p for p in glob.glob(os.path.join(directory, "month_*.ckpt")) if "_epoch_" not in p)
+    paths = sorted(p for p in glob.glob(os.path.join(directory, "month_*.ckpt")) if "_epoch_" not in os.path.basename(p))
     if not paths:
         raise CliError(f"no month checkpoints found in {directory}")
     task = args.task or cfg.eval.task
-    enc = _configured("model", EncoderConfig, cfg.model.aggregator)
     cases, pool = _test_cases(cfg, prepared, task)  # the same cases for every checkpoint
     rows = []
     for path in paths:
         checkpoint = load_checkpoint(path, expected_fingerprint=fingerprint(cfg))
         if checkpoint.epoch_cursor or not 0 < checkpoint.month_cursor <= len(checkpoint.months):
             raise CliError(f"{path}: not the checkpoint of a finished month")
-        report = evaluate(cases, pool, checkpoint.params, enc)
+        report = evaluate(cases, pool, checkpoint.params)
         month = checkpoint.months[checkpoint.month_cursor - 1]
         rows.append({"month": month, "recall": report.recall_at_n, "ndcg": report.ndcg_at_n})
     rows.sort(key=lambda row: row["month"])

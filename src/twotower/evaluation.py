@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Events, Examples, Sequences, first_owners, smallest_keys
-from .model import EncoderConfig, ModelParams, encode_user_batch, normalize_rows
+from .model import ModelParams, encode_user_batch, normalize_rows
 
 TASKS = ("ir", "ut")
 ENCODE_CHUNK = 512  # pseudo-users per padded encoder batch in RankingIndex.build
@@ -147,28 +147,26 @@ class RankingIndex:
     temperature: float
 
     @classmethod
-    def build(cls, params: ModelParams, enc_config: EncoderConfig, sequences: Sequences) -> "RankingIndex":
+    def build(cls, params: ModelParams, sequences: Sequences) -> "RankingIndex":
         """Encode each of the distinct ``sequences`` once, as a row of the user
         table, ``ENCODE_CHUNK`` at a time (a padded batch gathers ``(n, L, d)``)."""
         items, _ = normalize_rows(params.item_embeddings)
         users = np.empty((len(sequences), params.dim))
         for start in range(0, len(sequences), ENCODE_CHUNK):
             chunk = sequences.take(np.arange(start, min(start + ENCODE_CHUNK, len(sequences))))
-            users[start : start + len(chunk)] = encode_user_batch(chunk, params, enc_config).vectors
+            users[start : start + len(chunk)] = encode_user_batch(chunk, params).vectors
         users, _ = normalize_rows(users)
         return cls(items, users, params.temperature)
 
     @classmethod
-    def for_cases(
-        cls, cases: EvalCases, pool: EvalPool, params: ModelParams, enc_config: EncoderConfig
-    ) -> tuple["RankingIndex", np.ndarray]:
+    def for_cases(cls, cases: EvalCases, pool: EvalPool, params: ModelParams) -> tuple["RankingIndex", np.ndarray]:
         """The index of the cases and each case's query as :meth:`scores` takes
         it.  IR encodes the cases' distinct query keys in ascending order and
         queries by row, UT encodes the pool's keys."""
         if pool.task == "ut":
-            return cls.build(params, enc_config, pool.table.take(pool.user_keys)), cases.query
+            return cls.build(params, pool.table.take(pool.user_keys)), cases.query
         keys, row = np.unique(cases.query, return_inverse=True)
-        return cls.build(params, enc_config, pool.table.take(keys)), row
+        return cls.build(params, pool.table.take(keys)), row
 
     def scores(self, task: str, queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """The match score of every entry of ``candidates (n, C)``: IR scores
@@ -248,7 +246,6 @@ def evaluate(
     cases: EvalCases,
     pool: EvalPool,
     params: ModelParams,
-    enc_config: EncoderConfig,
     *,
     records: Events | None = None,
     anchor_day: int | None = None,
@@ -260,7 +257,7 @@ def evaluate(
     case needs only its positive's rank and its top N, so no row is sorted."""
     if not len(cases):
         raise ValueError("no evaluation cases")
-    index, queries = RankingIndex.for_cases(cases, pool, params, enc_config)
+    index, queries = RankingIndex.for_cases(cases, pool, params)
     ranks = np.empty(len(cases), dtype=np.int64)
     top = np.empty((len(cases), min(cases.cutoff, cases.candidates.shape[1])), dtype=np.int64)
     for start in range(0, len(cases), RANK_CHUNK):

@@ -39,7 +39,7 @@ from typing import Mapping
 import numpy as np
 
 from .data import EmpiricalMarginals, Examples, smallest_keys
-from .model import EncoderConfig, GradientTable, ModelParams, score_matrix_backward, score_matrix_forward
+from .model import GradientTable, ModelParams, score_matrix_backward, score_matrix_forward
 
 LOSS_FAMILIES = ("bce", "ssm", "full_softmax_row", "full_softmax_col", "bidirectional")
 
@@ -252,7 +252,6 @@ def _ssm_candidates(targets: np.ndarray, q: np.ndarray, num_sampled: int, rng: n
 def loss_with_gradients(
     batch: Examples,
     params: ModelParams,
-    enc_config: EncoderConfig,
     config: LossConfig,
     *,
     marginals: EmpiricalMarginals | None = None,
@@ -307,7 +306,7 @@ def loss_with_gradients(
         def kernel(phi: np.ndarray) -> tuple[float, np.ndarray]:
             return full_softmax_value(phi - log_q, np.zeros(len(batch), dtype=np.int64))
 
-    phi, cache = score_matrix_forward(users, items, params, enc_config)
+    phi, cache = score_matrix_forward(users, items, params)
     value, dscore = kernel(phi)
     del phi  # freed before the backward pass, which reads the cosines instead
-    return LossOutput(value, score_matrix_backward(cache, dscore, params, enc_config), dscore)
+    return LossOutput(value, score_matrix_backward(cache, dscore, params), dscore)

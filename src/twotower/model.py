@@ -36,13 +36,17 @@ class VocabularyError(KeyError):
 
 @dataclass
 class ModelParams:
-    """Embedding table, attention query vector and temperature."""
+    """Embedding table, attention query vector, temperature and the user
+    tower's pooling (``aggregator``); the item tower is always a table lookup."""
 
     item_embeddings: np.ndarray  # (num_items, dim)
     attention_vector: np.ndarray  # (dim,)
     temperature: float
+    aggregator: str = "mean"
 
     def __post_init__(self) -> None:
+        if self.aggregator not in AGGREGATORS:
+            raise ValueError(f"aggregator must be one of {AGGREGATORS}")
         if not np.isfinite(self.temperature):
             raise ValueError(f"temperature must be finite, got {self.temperature}")
         if self.temperature <= 0:
@@ -64,7 +68,7 @@ class ModelParams:
         return self.item_embeddings.shape[1]
 
     @classmethod
-    def initialize(cls, num_items: int, dim: int, temperature: float, seed: int) -> "ModelParams":
+    def initialize(cls, num_items: int, dim: int, temperature: float, seed: int, aggregator: str = "mean") -> "ModelParams":
         """Fresh parameters: table i.i.d. uniform on [-1/sqrt(d), +1/sqrt(d)],
         attention vector zero (attention pooling then starts out as mean)."""
         if dim < 1:
@@ -72,21 +76,10 @@ class ModelParams:
         rng = np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(dim)
         table = rng.uniform(-scale, scale, size=(num_items, dim))
-        return cls(table, np.zeros(dim), temperature)
+        return cls(table, np.zeros(dim), temperature, aggregator)
 
     def clone(self) -> "ModelParams":
-        return ModelParams(self.item_embeddings.copy(), self.attention_vector.copy(), self.temperature)
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    """User-tower configuration; the item tower is always a table lookup."""
-
-    aggregator: str = "mean"
-
-    def __post_init__(self) -> None:
-        if self.aggregator not in AGGREGATORS:
-            raise ValueError(f"aggregator must be one of {AGGREGATORS}")
+        return ModelParams(self.item_embeddings.copy(), self.attention_vector.copy(), self.temperature, self.aggregator)
 
 
 @dataclass
@@ -116,13 +109,15 @@ class GradientTable:
 class UserBatch:
     """Pseudo-users padded to ``(B, L)``: item ids (padding holds id 0), the
     mask of real positions, the lengths, the pooled raw vectors ``(B, d)``
-    and, under attention pooling, the ``(B, L)`` weights (0 on padding)."""
+    and, under attention pooling, the ``(B, L)`` weights (0 on padding) and
+    the gathered ``(B, L, d)`` rows, which the backward pass reads again."""
 
     ids: np.ndarray
     mask: np.ndarray
     lengths: np.ndarray
     vectors: np.ndarray
-    weights: np.ndarray | None
+    weights: np.ndarray | None = None
+    rows: np.ndarray | None = None
 
 
 def _pad_sequences(sequences: Sequences, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,39 +135,21 @@ def _pad_sequences(sequences: Sequences, params: ModelParams) -> tuple[np.ndarra
     return ids, mask, lengths
 
 
-def encode_user_batch(sequences: Sequences, params: ModelParams, config: EncoderConfig) -> UserBatch:
-    """Pool every sequence's embedding rows into one raw user vector: a
-    masked mean, the row at ``len - 1``, or a masked-softmax attention."""
+def encode_user_batch(sequences: Sequences, params: ModelParams) -> UserBatch:
+    """Pool every sequence's embedding rows into one raw user vector, as
+    ``params.aggregator`` says: a masked mean, the row at ``len - 1``, or a
+    masked-softmax attention.  An out-of-vocabulary id raises ``VocabularyError``."""
     ids, mask, lengths = _pad_sequences(sequences, params)
-    weights = None
-    if config.aggregator == "last":
-        vectors = params.item_embeddings[ids[np.arange(lengths.size), lengths - 1]]
-    else:
-        rows = params.item_embeddings[ids]  # (B, L, d)
-        if config.aggregator == "mean":
-            rows[~mask] = 0.0
-            vectors = rows.sum(axis=1) / lengths[:, None]
-        else:
-            logits = np.where(mask, rows @ params.attention_vector, -np.inf)
-            e = np.exp(logits - logits.max(axis=1, keepdims=True))
-            weights = e / e.sum(axis=1, keepdims=True)
-            vectors = np.einsum("bl,bld->bd", weights, rows)
-    return UserBatch(ids, mask, lengths, vectors, weights)
-
-
-def encode_user(pseudo_user: Sequence[int], params: ModelParams, config: EncoderConfig) -> np.ndarray:
-    """Aggregate the sequence's embedding rows into one raw user vector; an
-    out-of-vocabulary id raises ``VocabularyError``."""
-    return encode_user_batch(Sequences.of([pseudo_user]), params, config).vectors[0]
-
-
-def score(u_vec: np.ndarray, i_vec: np.ndarray, temperature: float) -> float:
-    """Temperature-scaled cosine: ``<u|i> / (|u||i| tau)``."""
-    nu = np.linalg.norm(u_vec)
-    ni = np.linalg.norm(i_vec)
-    if nu == 0.0 or ni == 0.0:
-        raise ValueError("cannot score a zero-norm vector")
-    return float(u_vec @ i_vec / (nu * ni * temperature))
+    if params.aggregator == "last":
+        return UserBatch(ids, mask, lengths, params.item_embeddings[ids[np.arange(lengths.size), lengths - 1]])
+    rows = params.item_embeddings[ids]  # (B, L, d)
+    if params.aggregator == "mean":
+        rows[~mask] = 0.0
+        return UserBatch(ids, mask, lengths, rows.sum(axis=1) / lengths[:, None])
+    logits = np.where(mask, rows @ params.attention_vector, -np.inf)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    weights = e / e.sum(axis=1, keepdims=True)
+    return UserBatch(ids, mask, lengths, np.einsum("bl,bld->bd", weights, rows), weights, rows)
 
 
 def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,19 +164,18 @@ def _user_backward(
     users: UserBatch,
     d_vectors: np.ndarray,
     params: ModelParams,
-    config: EncoderConfig,
     out: np.ndarray,
 ) -> np.ndarray | None:
     """Write the gradient rows of the pooled sequence positions, in batch
     order, into ``out``; return the attention-vector gradient."""
-    if config.aggregator == "last":
+    if params.aggregator == "last":
         out[...] = d_vectors
         return None
-    if config.aggregator == "mean":
+    if params.aggregator == "mean":
         owner = np.repeat(np.arange(users.lengths.size), users.lengths)
         np.take(d_vectors / users.lengths[:, None], owner, axis=0, out=out)
         return None
-    rows = params.item_embeddings[users.ids]
+    rows = users.rows
     q = np.einsum("bld,bd->bl", rows, d_vectors)  # dL/dw per position
     ds = users.weights * (q - np.sum(users.weights * q, axis=1, keepdims=True))  # softmax backward
     w, ds_flat = users.weights[users.mask], ds[users.mask]
@@ -224,14 +200,13 @@ def score_matrix_forward(
     sequences: Sequences,
     col_item_ids: Sequence[int] | np.ndarray,
     params: ModelParams,
-    config: EncoderConfig,
 ) -> tuple[np.ndarray, MatrixCache]:
     """Score every user row against item columns.
 
     1-d ``col_item_ids`` are columns shared by all rows (scores ``(B, C)``);
     2-d ids ``(B, K)`` give each row its own candidates (scores ``(B, K)``).
     """
-    users = encode_user_batch(sequences, params, config)
+    users = encode_user_batch(sequences, params)
     col_ids = np.asarray(col_item_ids, dtype=np.int64)
     if np.any((col_ids < 0) | (col_ids >= params.num_items)):
         raise VocabularyError("unknown item id among score columns")
@@ -246,7 +221,6 @@ def score_matrix_backward(
     cache: MatrixCache,
     dphi: np.ndarray,
     params: ModelParams,
-    config: EncoderConfig,
 ) -> GradientTable:
     """Chain a loss gradient w.r.t. the scores down to parameter rows.
 
@@ -258,7 +232,7 @@ def score_matrix_backward(
     tau = params.temperature
     dphi = np.asarray(dphi, dtype=float)
     users = cache.users
-    if config.aggregator == "last":
+    if params.aggregator == "last":
         user_ids = users.ids[np.arange(users.lengths.size), users.lengths - 1]
     else:
         user_ids = users.ids[users.mask]
@@ -275,5 +249,5 @@ def score_matrix_backward(
         d_items = dphi[:, :, None] * cache.u_hat[:, None, :] - g_cos[:, :, None] * cache.v_hat
         np.divide(d_items, tau * cache.v_norm[:, :, None], out=items.reshape(d_items.shape))
     d_users = (pulled - g_cos.sum(axis=1)[:, None] * cache.u_hat) / (tau * cache.u_norm[:, None])
-    d_attention = _user_backward(users, d_users, params, config, out=grads[cache.col_ids.size :])
+    d_attention = _user_backward(users, d_users, params, out=grads[cache.col_ids.size :])
     return GradientTable.accumulate(ids, grads, d_attention)

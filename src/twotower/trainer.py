@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import EmpiricalMarginals, Examples, make_batches
 from .losses import LossConfig, loss_with_gradients
-from .model import EncoderConfig, GradientTable, ModelParams
+from .model import GradientTable, ModelParams
 
 CHECKPOINT_MAGIC = b"UMCK"
 CHECKPOINT_VERSION = 1
@@ -173,7 +173,6 @@ class Checkpoint:
     epoch_cursor: int  # next epoch within months[month_cursor]
     months: tuple[int, ...]
     seed: int
-    aggregator: str
     fingerprint: int
 
 
@@ -209,7 +208,7 @@ def save_checkpoint(path: str, checkpoint: Checkpoint) -> None:
         "epoch_cursor": checkpoint.epoch_cursor,
         "months": list(checkpoint.months),
         "seed": checkpoint.seed,
-        "aggregator": checkpoint.aggregator,
+        "aggregator": params.aggregator,
         "temperature": params.temperature,
         "rng": {"scheme": "seed-phase-epoch", "seed": checkpoint.seed},
         "optimizer": {
@@ -269,7 +268,9 @@ def load_checkpoint(path: str, expected_fingerprint: int | None = None) -> Check
         if offset != len(blob):
             raise ValueError(f"{len(blob) - offset} bytes after the payload")
 
-        params = ModelParams(arrays["item_embeddings"], arrays["attention_vector"], meta["temperature"])
+        params = ModelParams(
+            arrays["item_embeddings"], arrays["attention_vector"], meta["temperature"], meta["aggregator"]
+        )
         opt_meta = meta["optimizer"]
         opt = OptimizerState(
             kind=opt_meta["kind"],
@@ -293,7 +294,6 @@ def load_checkpoint(path: str, expected_fingerprint: int | None = None) -> Check
             epoch_cursor=meta["epoch_cursor"],
             months=tuple(meta["months"]),
             seed=meta["seed"],
-            aggregator=meta["aggregator"],
             fingerprint=fingerprint,
         )
     except CheckpointError:
@@ -319,7 +319,6 @@ def _epoch_rng(seed: int, phase: int, epoch: int) -> np.random.Generator:
 def train_incremental(
     examples: Examples,
     params: ModelParams,
-    enc_config: EncoderConfig,
     loss_config: LossConfig,
     train_config: TrainConfig,
     *,
@@ -376,10 +375,7 @@ def train_incremental(
         if not checkpoint_dir:
             return
         path = os.path.join(checkpoint_dir, name)
-        save_checkpoint(
-            path,
-            Checkpoint(params, state, phase, epoch, months, train_config.seed, enc_config.aggregator, fingerprint),
-        )
+        save_checkpoint(path, Checkpoint(params, state, phase, epoch, months, train_config.seed, fingerprint))
         checkpoints.append(path)
 
     for phase in range(start_phase, len(phases)):
@@ -391,9 +387,7 @@ def train_incremental(
                 if loss_config.family == "bidirectional" and len(batch) < 2:
                     notices.append(f"dropped trailing batch of 1 example (month {month})")
                     continue
-                out = loss_with_gradients(
-                    batch, params, enc_config, loss_config, marginals=marginals, rng=rng, proposal=proposal
-                )
+                out = loss_with_gradients(batch, params, loss_config, marginals=marginals, rng=rng, proposal=proposal)
                 if not math.isfinite(out.value):
                     raise NonFiniteLossError(f"non-finite loss {out.value} (month {month}, epoch {epoch})")
                 apply_optimizer_step(params, out.gradients, state)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .data import DAYS_PER_MONTH, Sequences
 from .losses import LossConfig, logsumexp
-from .model import EncoderConfig, ModelParams, score_matrix_backward, score_matrix_forward
+from .model import ModelParams, score_matrix_backward, score_matrix_forward
 from .trainer import OptimizerState, apply_optimizer_step
 
 
@@ -77,10 +77,6 @@ EQUAL_OPTIMA_GROUPS: dict[str, tuple[str, ...]] = {
     "log p(u|i)": ("bce/item-marginal", "col_bcnce"),
     "pmi": ("bce/product-of-marginals", "infonce", "simclr"),
 }
-
-# A synthetic user is one token, so every aggregator pools it to that
-# token's row; mean pooling stands for all of them.
-USER_ENCODER = EncoderConfig("mean")
 
 # Optimum gates: a trained table passes when its gauged residual is at most
 # RESIDUAL_GATE and its gauged rank correlation at least RANK_GATE.
@@ -188,13 +184,12 @@ class EmpiricalTables:
 class SyntheticSample:
     """A drawn sample held as arrays: each event's day and its (user, item)
     cell ``user * num_items + item``, sorted by day, with the cell counts of
-    the whole sample and of each month."""
+    the whole sample."""
 
     spec: SyntheticSpec
     days: np.ndarray
     cells: np.ndarray
     counts: np.ndarray
-    month_counts: list[np.ndarray]
 
     @property
     def tables(self) -> EmpiricalTables:
@@ -215,16 +210,14 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticSample:
 
     num_cells = spec.num_users * spec.num_items
     cells = np.empty(spec.num_samples, dtype=np.int64)
-    month_counts = []
     for month in range(1, spec.num_months + 1):
         sel = month_of == month
         n = int(sel.sum())
         if n:
             flat = spec.table_for_month(month).ravel()
             cells[sel] = rng.choice(flat.size, size=n, p=flat)
-        month_counts.append(np.bincount(cells[sel], minlength=num_cells).reshape(spec.num_users, spec.num_items))
     counts = np.bincount(cells, minlength=num_cells).reshape(spec.num_users, spec.num_items)
-    return SyntheticSample(spec, days, cells, counts, month_counts)
+    return SyntheticSample(spec, days, cells, counts)
 
 
 def _sweep_row(config: LossConfig) -> SweepRow:
@@ -355,7 +348,7 @@ def phi_table(
     spec: SyntheticSpec,
 ) -> np.ndarray:
     """Score every synthetic user token against every item."""
-    phi, _ = score_matrix_forward(spec.user_sequences(), np.arange(spec.num_items), params, USER_ENCODER)
+    phi, _ = score_matrix_forward(spec.user_sequences(), np.arange(spec.num_items), params)
     return phi
 
 
@@ -383,7 +376,9 @@ def train_to_optimum(
     """
     num_configs, m, k = len(configs), spec.num_users, spec.num_items
     init = ModelParams.initialize(k + m, dim, temperature, seed)
-    params = ModelParams(np.tile(init.item_embeddings, (num_configs, 1)), init.attention_vector, temperature)
+    # A synthetic user is one token, so every aggregator pools it to that
+    # token's row; mean pooling stands for all of them.
+    params = ModelParams(np.tile(init.item_embeddings, (num_configs, 1)), init.attention_vector, temperature, "mean")
     first_row = (k + m) * np.arange(num_configs)[:, None]
     users = Sequences(np.arange(num_configs * m + 1), (first_row + k + np.arange(m)).ravel())
     items = np.repeat(first_row + np.arange(k), m, axis=0)  # (C * M, K)
@@ -391,9 +386,9 @@ def train_to_optimum(
     opt = OptimizerState(kind="adam", learning_rate=learning_rate)
     for epoch in range(epochs):
         opt.learning_rate = learning_rate * 0.5 * (1.0 + math.cos(math.pi * epoch / epochs))
-        phi, cache = score_matrix_forward(users, items, params, USER_ENCODER)
+        phi, cache = score_matrix_forward(users, items, params)
         dphi = population_loss(phi.reshape(num_configs, m, k), loss)
-        grads = score_matrix_backward(cache, dphi.reshape(num_configs * m, k), params, USER_ENCODER)
+        grads = score_matrix_backward(cache, dphi.reshape(num_configs * m, k), params)
         apply_optimizer_step(params, grads, opt)
     return [
         ModelParams(block.copy(), init.attention_vector.copy(), temperature)

@@ -17,6 +17,9 @@ candidate row that the positive's count rank and a partitioned top N
 replaced.  ``reference_logsumexp``, ``reference_bidirectional_nce_loss`` and
 ``reference_full_softmax_value`` are the out-of-place softmax kernels that
 the in-place ones in ``twotower.losses`` replaced, operation for operation.
+``encode_user`` and ``score`` encode and score one pseudo-user at a time,
+as the per-key loop that one batched ``model.encode_user_batch`` call
+replaced did, and the oracles of the normalized-dot-product kernels.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import numpy as np
 
 from twotower.data import DAYS_PER_MONTH, Events, Examples, Sequences
 from twotower.losses import LossConfig, logsumexp
+from twotower.model import ModelParams, encode_user_batch
 
 UserKey = tuple[int, ...]
 
@@ -264,6 +268,16 @@ def stacked_population_values(phi: np.ndarray, loss, configs: Sequence[LossConfi
     bce_value = np.sum(loss.positives * np.logaddexp(0.0, -phi), axis=(1, 2))
     bce_value += np.sum(loss.p_n * np.logaddexp(0.0, phi), axis=(1, 2))
     return loss.alpha[:, 0, 0] * row_value + loss.beta[:, 0, 0] * col_value + bce_value
+
+
+def encode_user(pseudo_user: Sequence[int], params: ModelParams) -> np.ndarray:
+    """One pseudo-user's raw vector, encoded in a batch of its own (no padding)."""
+    return encode_user_batch(Sequences.of([pseudo_user]), params).vectors[0]
+
+
+def score(u_vec: np.ndarray, i_vec: np.ndarray, temperature: float) -> float:
+    """Temperature-scaled cosine: ``<u|i> / (|u||i| tau)``."""
+    return float(u_vec @ i_vec / (np.linalg.norm(u_vec) * np.linalg.norm(i_vec) * temperature))
 
 
 def reference_accumulate(ids: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ from twotower.evaluation import (
     rank_metrics,
 )
 from twotower.losses import LossConfig, bidirectional_nce_loss, loss_with_gradients
-from twotower.model import EncoderConfig, ModelParams
+from twotower.model import ModelParams
 from twotower.trainer import TrainConfig, load_checkpoint, train_incremental
 from twotower.verify import (
     SyntheticSpec,
@@ -38,8 +38,6 @@ from twotower.verify import (
     run_table_sweep,
     train_to_optimum,
 )
-
-ENC = EncoderConfig("mean")
 
 
 def report(criterion: int, name: str, passed: bool, detail: str = "") -> None:
@@ -259,8 +257,8 @@ def test_criterion_6_ssm_exactness():
             ]
         )
         sampler = np.random.default_rng(seed)
-        sampled = loss_with_gradients(batch, params, ENC, exhaustive, marginals=marginals, rng=sampler)
-        full = loss_with_gradients(batch, params, ENC, LossConfig(family="full_softmax_row"))
+        sampled = loss_with_gradients(batch, params, exhaustive, marginals=marginals, rng=sampler)
+        full = loss_with_gradients(batch, params, LossConfig(family="full_softmax_row"))
         worst = max(worst, abs(sampled.value - full.value))
     report(6, "SSM with num_sampled = K-1 equals the full softmax", worst <= 1e-9, f"max gap {worst:.1e}")
 
@@ -298,7 +296,7 @@ def run_drift_experiment(seed: int):
     cases, pool = final_month_cases(spec, seed)
 
     def eval_fn(params, month):
-        rep = evaluate(cases, pool, params, ENC)
+        rep = evaluate(cases, pool, params)
         return {"ndcg": rep.ndcg_at_n}
 
     config = TrainConfig(epochs_per_month=2, batch_size=128, learning_rate=0.01, optimizer="adam", seed=seed)
@@ -306,14 +304,14 @@ def run_drift_experiment(seed: int):
 
     params_inc = ModelParams.initialize(spec.num_items + spec.num_users, 8, 0.1, seed)
     inc = train_incremental(
-        examples, params_inc, ENC, loss, config, marginals=marginals, eval_fn=eval_fn
+        examples, params_inc, loss, config, marginals=marginals, eval_fn=eval_fn
     )
     trace = [row["ndcg"] for row in inc.trace]
 
     params_shuf = ModelParams.initialize(spec.num_items + spec.num_users, 8, 0.1, seed)
     shuffled = dataclasses.replace(config, mode="shuffled")
-    train_incremental(examples, params_shuf, ENC, loss, shuffled, marginals=marginals)
-    shuf_ndcg = evaluate(cases, pool, params_shuf, ENC).ndcg_at_n
+    train_incremental(examples, params_shuf, loss, shuffled, marginals=marginals)
+    shuf_ndcg = evaluate(cases, pool, params_shuf).ndcg_at_n
     return trace, shuf_ndcg
 
 
@@ -405,7 +403,7 @@ def test_criterion_9_determinism(tmp_path):
     full_dir = str(tmp_path / "full")
     params_full = init()
     train_incremental(
-        examples, params_full, ENC, loss, config,
+        examples, params_full, loss, config,
         marginals=marginals, checkpoint_dir=full_dir, fingerprint=1,
     )
 
@@ -414,7 +412,7 @@ def test_criterion_9_determinism(tmp_path):
     params_part = init()
     resume = load_checkpoint(os.path.join(full_dir, f"month_{months[0]:04d}.ckpt"), expected_fingerprint=1)
     train_incremental(
-        examples, params_part, ENC, loss, config,
+        examples, params_part, loss, config,
         marginals=marginals, checkpoint_dir=part_dir, fingerprint=1, resume=resume,
     )
     bit_identical = bool(

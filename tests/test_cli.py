@@ -15,12 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twotower
-from reference import sample_events
+from reference import encode_user, sample_events, score
 from twotower import cli as cli_mod
 from twotower import config as config_mod
 from twotower import losses as losses_mod
 from twotower.cli import main
-from twotower.model import EncoderConfig, encode_user, score
 from twotower.trainer import TrainConfig, load_checkpoint, save_checkpoint
 from twotower.verify import SyntheticSpec, generate_synthetic, random_joint
 
@@ -239,6 +238,14 @@ class TestTrainEvalTrace:
         kinds = {line.split("\t")[0] for line in lines}
         assert kinds == {"item", "user"}
         assert sum(1 for line in lines if line.startswith("item\t")) == 24
+        # Every user vector is its key's vector encoded on its own.
+        params = load_checkpoint(str(out / "checkpoints" / "final.ckpt")).params
+        item_vocab = {line.split("\t")[1]: idx for idx, line in enumerate(lines[:24])}
+        for line in lines[24:]:
+            kind, seq, vec = line.split("\t")
+            assert kind == "user"
+            expected = encode_user([item_vocab[token] for token in seq.split()], params)
+            np.testing.assert_allclose(np.array(vec.split(), dtype=float), expected, rtol=0, atol=5e-7)
 
     def test_fingerprint_mismatch_is_an_error(self, trained_workspace, tmp_path, capsys):
         config, out = trained_workspace
@@ -301,8 +308,7 @@ class TestTrainEvalTrace:
 
         log = ingest_logs(io.StringIO(open(events_path).read()))
         checkpoint = load_checkpoint(ckpt)
-        enc = EncoderConfig("mean")
-        user = encode_user([log.item_vocab["i0"], log.item_vocab["i1"]], checkpoint.params, enc)
+        user = encode_user([log.item_vocab["i0"], log.item_vocab["i1"]], checkpoint.params)
         best = min(
             range(checkpoint.params.num_items),
             key=lambda item: (-score(user, checkpoint.params.item_embeddings[item], checkpoint.params.temperature), item),
@@ -354,12 +360,14 @@ def small_checkpoint(small_events):
 
 
 @pytest.fixture(scope="module")
-def non_finite_checkpoints(small_checkpoint):
+def invalid_checkpoints(small_checkpoint):
     """Copies of ``small_checkpoint`` written with a NaN temperature, an
-    infinite item table or one NaN entry in one item row, and a directory
-    whose one month checkpoint holds that NaN entry."""
-    directory = os.path.join(os.path.dirname(os.path.dirname(small_checkpoint)), "non_finite")
-    os.makedirs(os.path.join(directory, "months"), exist_ok=True)
+    infinite item table, one NaN entry in one item row or an unknown
+    pooling, and directories whose one month checkpoint holds that NaN
+    entry or that pooling."""
+    directory = os.path.join(os.path.dirname(os.path.dirname(small_checkpoint)), "invalid")
+    for months in ("months", "aggregator_months"):
+        os.makedirs(os.path.join(directory, months), exist_ok=True)
 
     def write(name, source, corrupt):
         checkpoint = load_checkpoint(source)
@@ -376,12 +384,17 @@ def non_finite_checkpoints(small_checkpoint):
     def nan_row(params):
         params.item_embeddings[3, 1] = np.nan
 
+    def unknown_aggregator(params):
+        params.aggregator = "max"
+
     month = small_checkpoint.replace("final", "month_0001")
     return {
         "nan_temperature": write("nan_temperature.ckpt", small_checkpoint, nan_temperature),
         "inf_items": write("inf_items.ckpt", small_checkpoint, inf_items),
         "nan_row": write("nan_row.ckpt", small_checkpoint, nan_row),
         "nan_months": os.path.dirname(write("months/month_0001.ckpt", month, nan_row)),
+        "max_aggregator": write("max_aggregator.ckpt", small_checkpoint, unknown_aggregator),
+        "max_aggregator_months": os.path.dirname(write("aggregator_months/month_0001.ckpt", month, unknown_aggregator)),
     }
 
 
@@ -617,6 +630,24 @@ class TestTrainVariants:
                 "retrieve-checkpoint-nan-row",
             ),
             setting(
+                "eval --checkpoint {max_aggregator}",
+                {},
+                "corrupt checkpoint (aggregator must be one of",
+                "eval-checkpoint-unknown-aggregator",
+            ),
+            setting(
+                "trace --checkpoint-dir {max_aggregator_months}",
+                {"eval.num_negatives": 2},
+                "corrupt checkpoint (aggregator must be one of",
+                "trace-month-checkpoint-unknown-aggregator",
+            ),
+            setting(
+                "retrieve --task ut --checkpoint {max_aggregator} --query i1",
+                {},
+                "corrupt checkpoint (aggregator must be one of",
+                "retrieve-checkpoint-unknown-aggregator",
+            ),
+            setting(
                 "verify",
                 {"verify.learning_rate": 1.7e308, "verify.epochs": 2, "verify.num_samples": 2000},
                 "verify: non-finite gradient",
@@ -642,7 +673,7 @@ class TestTrainVariants:
         ],
     )
     def test_invalid_train_setting_fails_cleanly(
-        self, small_events, small_checkpoint, non_finite_checkpoints, capsys, command, settings, message, absent
+        self, small_events, small_checkpoint, invalid_checkpoints, capsys, command, settings, message, absent
     ):
         """A config value, option or path the program rejects ends in one
         ``error:`` line and exit 1, never a traceback."""
@@ -657,7 +688,7 @@ class TestTrainVariants:
             tmp_path / "invalid.cfg",
             **{"data.input": str(events), "paths.output_dir": str(tmp_path / "invalid")} | settings,
         )
-        command, *options = command.format(ckpt=small_checkpoint, **paths, **non_finite_checkpoints).split()
+        command, *options = command.format(ckpt=small_checkpoint, **paths, **invalid_checkpoints).split()
         assert main([command, "--config", config, *options]) == 1  # a --config among the options comes last and wins
         err = capsys.readouterr().err
         assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
@@ -756,6 +787,16 @@ class TestTraceMonths:
         printed = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()[1:]]
         written = [line.split("\t")[0] for line in (out / "month_trace.tsv").read_text().splitlines()[1:]]
         assert printed == written == [str(month) for month in months]
+
+    def test_epoch_in_the_directory_path_hides_no_checkpoint(self, late_workspace, tmp_path, capsys):
+        """Only a file name marks an epoch checkpoint, not ``_epoch_`` in the directory path."""
+        config, out = late_workspace
+        directory = tmp_path / "run_epoch_1" / "checkpoints"
+        shutil.copytree(out / "checkpoints", directory)
+        capsys.readouterr()
+        assert main(["trace", "--config", config, "--checkpoint-dir", str(directory)]) == 0
+        printed = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert printed == ["9999", "10000", "10001", "10002"]
 
     @settings(derandomize=True, database=None, max_examples=12, deadline=None)
     @given(name=st.sampled_from(["month_0000.ckpt", "month_99999.ckpt", "month_x.ckpt"]), stray=stray_entries())

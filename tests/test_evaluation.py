@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from reference import events_of, example_rows, examples_of, reference_order, reference_rank
+from reference import encode_user, events_of, example_rows, examples_of, reference_order, reference_rank, score
 from twotower import evaluation
 from twotower.data import Sequences
 from twotower.evaluation import (
@@ -25,9 +25,7 @@ from twotower.evaluation import (
     rank_metrics,
     top_n,
 )
-from twotower.model import EncoderConfig, ModelParams, encode_user, score
-
-ENC = EncoderConfig("mean")
+from twotower.model import ModelParams
 
 
 def brute_recall(ranking, positives, cutoff):
@@ -149,7 +147,7 @@ class TestBuildCases:
         cases, pool = build_eval_cases(examples, "ir", num_negatives=0, seed=0, cutoff=5)
         params = ModelParams.initialize(8, 4, 0.25, 0)
         assert cases.candidates.tolist() == [[4]]
-        assert evaluate(cases, pool, params, ENC).recall_at_n == 1.0
+        assert evaluate(cases, pool, params).recall_at_n == 1.0
 
     def test_negatives_never_collide_with_user_positives(self):
         examples = make_test_examples()
@@ -204,14 +202,14 @@ class TestRanking:
         params.item_embeddings[:] = np.array(
             [[1.0, 0.0, 0.0], [0.9, 0.1, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]
         )
-        index = RankingIndex.build(params, ENC, Sequences.of([(0,)]))  # user row 0: the sequence (0,)
+        index = RankingIndex.build(params, Sequences.of([(0,)]))  # user row 0: the sequence (0,)
         assert rank_one(index, "ir", 0, [1, 2, 3]) == [1, 2, 3]
 
     def test_ties_break_by_ascending_id(self):
         params = ModelParams.initialize(5, 2, 0.25, 0)
         params.item_embeddings[:] = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [0.5, 0.0], [0.0, 1.0]])
         # items 1,2,3 all have cosine 1 with the query row 0
-        index = RankingIndex.build(params, ENC, Sequences.of([(0,)]))
+        index = RankingIndex.build(params, Sequences.of([(0,)]))
         assert rank_one(index, "ir", 0, [3, 1, 2, 4]) == [1, 2, 3, 4]
 
     def test_matches_pairwise_scoring_oracle(self):
@@ -219,12 +217,12 @@ class TestRanking:
         rng = np.random.default_rng(4)
         seqs = [tuple(int(x) for x in rng.integers(0, 9, size=rng.integers(1, 4))) for _ in range(20)]
         candidates = np.array([rng.choice(9, size=5, replace=False) for _ in seqs])
-        index = RankingIndex.build(params, ENC, Sequences.of(seqs))
+        index = RankingIndex.build(params, Sequences.of(seqs))
         row_scores = index.scores("ir", np.arange(20), candidates)
         ranked, scores = top_n(row_scores, candidates, 5)
         ranks = positive_rank(row_scores, candidates, candidates[:, 0])
         for seq, row, got, got_scores, rank in zip(seqs, candidates.tolist(), ranked.tolist(), scores, ranks):
-            user = encode_user(seq, params, ENC)
+            user = encode_user(seq, params)
             oracle = {item: score(user, params.item_embeddings[item], params.temperature) for item in row}
             assert got == sorted(row, key=lambda item: (-oracle[item], item))
             assert rank == got.index(row[0])
@@ -233,10 +231,10 @@ class TestRanking:
     def test_ut_ranking_uses_user_tower(self):
         params = ModelParams.initialize(6, 3, 0.25, 5)
         keys = ((0,), (1, 2), (3,))
-        index = RankingIndex.build(params, ENC, Sequences.of(keys))
+        index = RankingIndex.build(params, Sequences.of(keys))
         item_vec = params.item_embeddings[4]
         scored = sorted(
-            range(3), key=lambda pos: (-score(encode_user(keys[pos], params, ENC), item_vec, params.temperature), pos)
+            range(3), key=lambda pos: (-score(encode_user(keys[pos], params), item_vec, params.temperature), pos)
         )
         assert rank_one(index, "ut", 4, [0, 1, 2]) == scored
 
@@ -266,7 +264,7 @@ class TestEvaluate:
         examples = make_test_examples()
         cases, pool = build_eval_cases(examples, "ir", num_negatives=3, seed=0, cutoff=3)
         params = ModelParams.initialize(8, 4, 0.25, 1)
-        report = evaluate(cases, pool, params, ENC, keep_per_case=True)
+        report = evaluate(cases, pool, params, keep_per_case=True)
         assert report.num_cases == len(cases)
         assert report.recall_at_n == pytest.approx(np.mean([c["recall"] for c in report.per_case]))
         assert report.ndcg_at_n == pytest.approx(np.mean([c["ndcg"] for c in report.per_case]))
@@ -278,7 +276,7 @@ class TestEvaluate:
         cases, pool = build_eval_cases(examples, "ir", num_negatives=3, seed=0, cutoff=3)
         params = ModelParams.initialize(8, 4, 0.25, 1)
         records = events_of([(0, i % 8, 50) for i in range(40)])
-        report = evaluate(cases, pool, params, ENC, records=records, anchor_day=90)
+        report = evaluate(cases, pool, params, records=records, anchor_day=90)
         assert report.popularity_median is not None
         assert report.popularity_mean == pytest.approx(5.0)  # every item appears 5 times
 
@@ -288,7 +286,7 @@ class TestEvaluate:
         reports = []
         for _ in range(2):
             cases, pool = build_eval_cases(examples, "ir", num_negatives=3, seed=7, cutoff=3)
-            reports.append(evaluate(cases, pool, params, ENC))
+            reports.append(evaluate(cases, pool, params))
         assert reports[0] == reports[1]
 
 
@@ -424,14 +422,14 @@ class TestCaseDraw:
         np.testing.assert_array_equal(blocks.candidates, whole.candidates)
 
 
-def oracle_scores(cases, pool, params, enc):
+def oracle_scores(cases, pool, params):
     """Per-case reference scores from ``encode_user`` and ``score``, one
     dict per case; each distinct pseudo-user is encoded once."""
     encoded = {}
 
     def user(key):
         if key not in encoded:
-            encoded[key] = encode_user(pool.table[key], params, enc)
+            encoded[key] = encode_user(pool.table[key], params)
         return encoded[key]
 
     out = []
@@ -454,7 +452,7 @@ class TestRankingIndexMatchesOracle:
     def tied_setup(seed, aggregator):
         rng = np.random.default_rng(seed)
         num_items = 40
-        params = ModelParams.initialize(num_items, 6, 0.2, seed)
+        params = ModelParams.initialize(num_items, 6, 0.2, seed, aggregator)
         params.attention_vector[:] = rng.normal(size=6)
         # Duplicate item rows: items 5, 6 and 7 score exactly alike for every query.
         params.item_embeddings[6] = params.item_embeddings[5]
@@ -465,22 +463,22 @@ class TestRankingIndexMatchesOracle:
         for user, seq in enumerate([(3,), (3, 3), (9, 3)]):
             for target in (5, 11, 12):
                 rows.append((100 + user, seq, target, 95))
-        return params, examples_of(rows), EncoderConfig(aggregator)
+        return params, examples_of(rows)
 
     @pytest.mark.parametrize("aggregator", ["mean", "last", "attention"])
     @pytest.mark.parametrize("task", ["ir", "ut"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_evaluate_and_rank_candidates(self, aggregator, task, seed):
-        params, examples, enc = self.tied_setup(seed, aggregator)
+        params, examples = self.tied_setup(seed, aggregator)
         cases, pool = build_eval_cases(examples, task, num_negatives=25, seed=seed, cutoff=5)
         assert len(cases) > 2 * RANK_CHUNK
-        report = evaluate(cases, pool, params, enc, keep_per_case=True)
-        index, queries = RankingIndex.for_cases(cases, pool, params, enc)
+        report = evaluate(cases, pool, params, keep_per_case=True)
+        index, queries = RankingIndex.for_cases(cases, pool, params)
         row_scores = index.scores(task, queries, cases.candidates)
         ranked = top_n(row_scores, cases.candidates, cases.candidates.shape[1])[0].tolist()
         ranks = positive_rank(row_scores, cases.candidates, cases.positive).tolist()
         recalls, ndcgs, tied = [], [], 0
-        for c, (scores, row) in enumerate(zip(oracle_scores(cases, pool, params, enc), report.per_case)):
+        for c, (scores, row) in enumerate(zip(oracle_scores(cases, pool, params), report.per_case)):
             expected = sorted(cases.candidates[c].tolist(), key=lambda cand: (-scores[cand], cand))
             tied += len(set(scores.values())) < len(scores)
             assert ranked[c] == expected
@@ -502,20 +500,20 @@ class TestRankingIndexMatchesOracle:
     @pytest.mark.parametrize("task", ["ir", "ut"])
     def test_one_row_over_the_vocabulary(self, aggregator, task):
         """The shape ``retrieve`` ranks: one query against every item or key."""
-        params, examples, enc = self.tied_setup(0, aggregator)
+        params, examples = self.tied_setup(0, aggregator)
         cases, pool = build_eval_cases(examples, "ut", num_negatives=0, seed=0, cutoff=5)
-        index = RankingIndex.build(params, enc, pool.table.take(pool.user_keys))
+        index = RankingIndex.build(params, pool.table.take(pool.user_keys))
         size = params.num_items if task == "ir" else len(pool.user_keys)
         query = 1 if task == "ir" else 5  # a key row, or item 5 (tied with items 6 and 7)
         ids = np.arange(size)[None]
         row_scores = index.scores(task, np.array([query]), ids)
         ranked, scores = top_n(row_scores, ids, size)
         if task == "ir":
-            user = encode_user(pool.table[int(pool.user_keys[query])], params, enc)
+            user = encode_user(pool.table[int(pool.user_keys[query])], params)
             oracle = [score(user, params.item_embeddings[i], params.temperature) for i in range(size)]
         else:
             item = params.item_embeddings[query]
-            oracle = [score(encode_user(pool.table[int(k)], params, enc), item, params.temperature) for k in pool.user_keys]
+            oracle = [score(encode_user(pool.table[int(k)], params), item, params.temperature) for k in pool.user_keys]
         assert ranked.shape == scores.shape == (1, size)
         assert ranked[0].tolist() == sorted(range(size), key=lambda c: (-oracle[c], c))
         np.testing.assert_allclose(scores[0], [oracle[c] for c in ranked[0].tolist()], rtol=0, atol=1e-12)

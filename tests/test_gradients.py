@@ -9,15 +9,15 @@ from gradcheck import max_relative_error, numeric_gradient
 from reference import examples_of
 from twotower.data import EmpiricalMarginals, Examples
 from twotower.losses import LossConfig, loss_with_gradients
-from twotower.model import EncoderConfig, ModelParams
+from twotower.model import ModelParams
 
 NUM_ITEMS = 6
 DIM = 4
 BATCH = 3
 
 
-def small_params(rng: np.random.Generator, scale: float = 1e-2) -> ModelParams:
-    params = ModelParams.initialize(NUM_ITEMS, DIM, temperature=0.25, seed=0)
+def small_params(rng: np.random.Generator, scale: float = 1e-2, aggregator: str = "mean") -> ModelParams:
+    params = ModelParams.initialize(NUM_ITEMS, DIM, temperature=0.25, seed=0, aggregator=aggregator)
     params.item_embeddings[:] = rng.uniform(-1.0, 1.0, size=(NUM_ITEMS, DIM)) * scale
     params.attention_vector[:] = rng.uniform(-1.0, 1.0, size=DIM) * scale
     return params
@@ -83,8 +83,7 @@ def family_case(family: str, rng: np.random.Generator):
 
 def check_family(family: str, aggregator: str, instance_seed: int) -> float:
     rng = np.random.default_rng(instance_seed)
-    params = small_params(rng)
-    enc = EncoderConfig(aggregator)
+    params = small_params(rng, aggregator=aggregator)
     batch, config, extra = family_case(family, rng)
     ssm_seed = extra.pop("ssm_seed", None)
 
@@ -92,7 +91,7 @@ def check_family(family: str, aggregator: str, instance_seed: int) -> float:
         kwargs = dict(extra)
         if ssm_seed is not None:
             kwargs["rng"] = np.random.default_rng(ssm_seed)
-        return loss_with_gradients(batch, params, enc, config, **kwargs)
+        return loss_with_gradients(batch, params, config, **kwargs)
 
     analytic = evaluate().gradients
     rows = sorted(analytic.rows)
@@ -122,7 +121,6 @@ class TestSharingEdgeCases:
         """Two positives sharing one target accumulate into a single row."""
         rng = np.random.default_rng(99)
         params = small_params(rng)
-        enc = EncoderConfig("mean")
         batch = examples_of([(0, (0, 1), 5, 0), (1, (2,), 5, 0), (2, (3, 5), 4, 0)])
         marginals = bias_marginals(
             batch,
@@ -131,7 +129,7 @@ class TestSharingEdgeCases:
         config = LossConfig.from_preset("bbcnce")
 
         def evaluate():
-            return loss_with_gradients(batch, params, enc, config, marginals=marginals)
+            return loss_with_gradients(batch, params, config, marginals=marginals)
 
         analytic = evaluate().gradients
         numeric = numeric_gradient(lambda: evaluate().value, params, sorted(analytic.rows), with_attention=False)
@@ -140,15 +138,14 @@ class TestSharingEdgeCases:
     def test_repeated_item_under_attention(self):
         """An item repeated inside one sequence gets both position gradients."""
         rng = np.random.default_rng(98)
-        params = small_params(rng)
-        enc = EncoderConfig("attention")
+        params = small_params(rng, aggregator="attention")
         batch = examples_of([(0, (4, 4, 1), 2, 0), (1, (0, 4), 3, 0)])
         half = math.log(0.5)
         marginals = bias_marginals(batch, {(4, 4, 1): half, (0, 4): half}, {2: half, 3: half})
         config = LossConfig.from_preset("simclr")
 
         def evaluate():
-            return loss_with_gradients(batch, params, enc, config, marginals=marginals)
+            return loss_with_gradients(batch, params, config, marginals=marginals)
 
         analytic = evaluate().gradients
         numeric = numeric_gradient(lambda: evaluate().value, params, sorted(analytic.rows), with_attention=True)
@@ -165,9 +162,7 @@ class TestCriticalPoint:
         batch = examples_of([(0, (0,), 1, 0), (1, (2,), 3, 0)])
         quarter = math.log(0.25)
         marginals = bias_marginals(batch, {(0,): quarter, (2,): quarter}, {1: quarter, 3: quarter})
-        out = loss_with_gradients(
-            batch, params, EncoderConfig("mean"), LossConfig.from_preset("simclr"), marginals=marginals
-        )
+        out = loss_with_gradients(batch, params, LossConfig.from_preset("simclr"), marginals=marginals)
         assert abs(np.asarray(out.dscore).sum()) < 1e-12
         for grad in out.gradients.values:
             np.testing.assert_allclose(grad, 0.0, atol=1e-12)
@@ -175,7 +170,5 @@ class TestCriticalPoint:
     def test_bce_logit_slope_at_zero(self):
         params = ModelParams.initialize(2, 2, temperature=1.0, seed=0)
         params.item_embeddings[:] = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = loss_with_gradients(
-            examples_of([(0, (0,), 1, 0)], labels=[1]), params, EncoderConfig("mean"), LossConfig(family="bce")
-        )
+        out = loss_with_gradients(examples_of([(0, (0,), 1, 0)], labels=[1]), params, LossConfig(family="bce"))
         assert out.dscore[0] == pytest.approx(-0.5, abs=1e-12)

@@ -10,11 +10,13 @@ import scipy.special
 from scipy.stats import chisquare
 
 from reference import (
+    encode_user,
     example_rows,
     examples_of,
     reference_bidirectional_nce_loss,
     reference_full_softmax_value,
     reference_logsumexp,
+    score,
 )
 from twotower import losses as losses_mod
 from twotower.data import EmpiricalMarginals, Examples, Sequences, compute_marginals
@@ -30,9 +32,8 @@ from twotower.losses import (
     loss_with_gradients,
     proposal_distribution,
 )
-from twotower.model import EncoderConfig, ModelParams
+from twotower.model import ModelParams
 
-ENC = EncoderConfig("mean")
 BCE = LossConfig(family="bce")
 FULL_ROW = LossConfig(family="full_softmax_row")
 
@@ -129,7 +130,7 @@ class TestBceLoss:
         params = make_params(num_items=2, dim=2)
         params.item_embeddings[:] = np.array([[1.0, 0.0], [0.0, 1.0]])
         batch = examples_of([(0, (0,), 1, 0)], labels=[1])
-        out = loss_with_gradients(batch, params, ENC, BCE)
+        out = loss_with_gradients(batch, params, BCE)
         assert out.value == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_saturated_extremes(self):
@@ -137,12 +138,12 @@ class TestBceLoss:
         params.item_embeddings[:] = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
         # cosine 1 -> logit +20 (positive); cosine -1 -> logit -20 (negative)
         batch = examples_of([(0, (0,), 1, 0), (0, (0,), 2, 0)], labels=[1, 0])
-        out = loss_with_gradients(batch, params, ENC, BCE)
+        out = loss_with_gradients(batch, params, BCE)
         assert out.value == pytest.approx(0.0, abs=1e-8)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            loss_with_gradients(examples_of([], labels=[]), make_params(), ENC, BCE)
+            loss_with_gradients(examples_of([], labels=[]), make_params(), BCE)
 
 
 def bidirectional_oracle(phi, log_p_u, log_p_i, alpha, beta, d_alpha, d_beta):
@@ -272,14 +273,14 @@ class TestFullSoftmax:
         params = make_params(num_items=4, dim=3, seed=2)
         batch = examples_of([(0, (t,), (t + 1) % 4, 0) for t in range(4)])
         marginals = compute_marginals(batch, 4)  # every user and item at probability 1/4
-        full = loss_with_gradients(batch, params, ENC, FULL_ROW)
-        in_batch = loss_with_gradients(batch, params, ENC, LossConfig.from_preset("row_bcnce"), marginals=marginals)
+        full = loss_with_gradients(batch, params, FULL_ROW)
+        in_batch = loss_with_gradients(batch, params, LossConfig.from_preset("row_bcnce"), marginals=marginals)
         assert in_batch.value == pytest.approx(full.value, abs=1e-12)
 
     def test_gradient_rows_cover_vocabulary(self):
         params = make_params(num_items=5, dim=3, seed=3)
         batch = examples_of([(0, (0,), 1, 0), (0, (2,), 3, 0)])
-        out = loss_with_gradients(batch, params, ENC, FULL_ROW)
+        out = loss_with_gradients(batch, params, FULL_ROW)
         assert set(out.gradients.rows) == {0, 1, 2, 3, 4}
 
 
@@ -376,7 +377,7 @@ class TestInPlaceKernels:
         batch = examples_of([(u, (u,), u + 1, 0) for u in range(size)])
         marginals = compute_marginals(batch, num_items)
         config = LossConfig.from_preset("bbcnce")
-        step = _peak_arrays(lambda: loss_with_gradients(batch, params, ENC, config, marginals=marginals), size)
+        step = _peak_arrays(lambda: loss_with_gradients(batch, params, config, marginals=marginals), size)
         assert step <= IN_BATCH_PEAK_ARRAYS
 
 
@@ -388,8 +389,8 @@ class TestSampledSoftmax:
         batch = examples_of([(0, (0,), 2, 0), (0, (1, 3), 4, 0)])
         rng = np.random.default_rng(0)
         exhaustive = LossConfig(family="ssm", num_sampled=num_items - 1)
-        sampled = loss_with_gradients(batch, params, ENC, exhaustive, marginals=marginals, rng=rng)
-        full = loss_with_gradients(batch, params, ENC, FULL_ROW)
+        sampled = loss_with_gradients(batch, params, exhaustive, marginals=marginals, rng=rng)
+        full = loss_with_gradients(batch, params, FULL_ROW)
         assert sampled.value == pytest.approx(full.value, abs=1e-9)
 
     def test_single_negative_hand_computation(self):
@@ -400,7 +401,7 @@ class TestSampledSoftmax:
         batch = examples_of([(0, (0,), 1, 0)])
         rng = np.random.default_rng(1)
         config = LossConfig(family="ssm", num_sampled=1)
-        out = loss_with_gradients(batch, params, ENC, config, marginals=marginals, rng=rng)
+        out = loss_with_gradients(batch, params, config, marginals=marginals, rng=rng)
         # positive logit: cos((1,0),(0,1))/tau = 0; the drawn negative is item 0 or 2
         # with cosine +1 or -1; uniform proposal corrections cancel.
         phi_pos = 0.0
@@ -421,11 +422,9 @@ class TestSampledSoftmax:
         params = make_params(num_items=num_items, dim=4, seed=6)
         marginals = uniform_marginals(num_items)
         batch = examples_of([(0, (0, 3), 7, 0)])
-        full = loss_with_gradients(batch, params, ENC, FULL_ROW).value
+        full = loss_with_gradients(batch, params, FULL_ROW).value
 
-        from twotower.model import encode_user, score
-
-        user = encode_user((0, 3), params, ENC)
+        user = encode_user((0, 3), params)
         logits = [score(user, params.item_embeddings[i], params.temperature) for i in range(num_items)]
         negatives = [i for i in range(num_items) if i != 7]
         loo_losses = []
@@ -439,7 +438,7 @@ class TestSampledSoftmax:
         rng = np.random.default_rng(2)
         config = LossConfig(family="ssm", num_sampled=8)
         draws = np.array(
-            [loss_with_gradients(batch, params, ENC, config, marginals=marginals, rng=rng).value for _ in range(10_000)]
+            [loss_with_gradients(batch, params, config, marginals=marginals, rng=rng).value for _ in range(10_000)]
         )
         stderr = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - exact_expectation) <= 3.0 * stderr
@@ -454,7 +453,7 @@ class TestSampledSoftmax:
         rng = np.random.default_rng(3)
         config = LossConfig(family="ssm", num_sampled=4)
         for _ in range(200):
-            out = loss_with_gradients(batch, params, ENC, config, marginals=marginals, rng=rng)
+            out = loss_with_gradients(batch, params, config, marginals=marginals, rng=rng)
             # value is finite and positive; collision would double-count the target
             assert np.isfinite(out.value)
 
@@ -490,7 +489,6 @@ class TestSampledSoftmax:
             loss_with_gradients(
                 examples_of([(0, (0,), 1, 0)]),
                 params,
-                ENC,
                 LossConfig(family="ssm", num_sampled=4),
                 marginals=uniform_marginals(4),
                 rng=np.random.default_rng(0),
@@ -500,11 +498,11 @@ class TestSampledSoftmax:
         batch = examples_of([(0, (0,), 1, 0)])
         two = LossConfig(family="ssm", num_sampled=2)
         with pytest.raises(ValueError, match="covers 2 items"):
-            loss_with_gradients(batch, params, ENC, two, marginals=seen_two, rng=np.random.default_rng(0))
+            loss_with_gradients(batch, params, two, marginals=seen_two, rng=np.random.default_rng(0))
         uniform_two = LossConfig(family="ssm", num_sampled=2, ssm_proposal="uniform")
-        loss_with_gradients(batch, params, ENC, uniform_two, marginals=seen_two, rng=np.random.default_rng(0))
+        loss_with_gradients(batch, params, uniform_two, marginals=seen_two, rng=np.random.default_rng(0))
         one = LossConfig(family="ssm", num_sampled=1)
-        out = loss_with_gradients(batch, params, ENC, one, marginals=seen_two, rng=np.random.default_rng(0))
+        out = loss_with_gradients(batch, params, one, marginals=seen_two, rng=np.random.default_rng(0))
         assert out.gradients.rows.size
 
     def test_marginal_proposal_over_a_larger_table(self):
@@ -515,7 +513,7 @@ class TestSampledSoftmax:
         batch = examples_of([(0, (0,), 1, 0)])
         params = make_params(num_items=6)
         config = LossConfig(family="ssm", num_sampled=3)
-        out = loss_with_gradients(batch, params, ENC, config, marginals=marginals, rng=np.random.default_rng(0))
+        out = loss_with_gradients(batch, params, config, marginals=marginals, rng=np.random.default_rng(0))
         assert set(out.gradients.rows.tolist()) == {0, 1, 2, 3}
 
     def test_a_given_proposal_draws_as_the_built_one(self, monkeypatch):
@@ -525,11 +523,11 @@ class TestSampledSoftmax:
         marginals = EmpiricalMarginals(np.array([4]), np.array([1, 2, 0, 1, 3, 1]))
         batch = examples_of([(0, (0,), 1, 0), (0, (2, 3), 4, 0)])
         config = LossConfig(family="ssm", num_sampled=3)
-        built = loss_with_gradients(batch, params, ENC, config, marginals=marginals, rng=np.random.default_rng(5))
+        built = loss_with_gradients(batch, params, config, marginals=marginals, rng=np.random.default_rng(5))
         proposal = proposal_distribution(marginals, 6, "marginal", 3)
         monkeypatch.setattr(losses_mod, "proposal_distribution", None)  # a call would fail
         given = loss_with_gradients(
-            batch, params, ENC, config, marginals=marginals, rng=np.random.default_rng(5), proposal=proposal
+            batch, params, config, marginals=marginals, rng=np.random.default_rng(5), proposal=proposal
         )
         assert given.value == built.value
         assert given.dscore.tobytes() == built.dscore.tobytes()
@@ -544,7 +542,6 @@ class TestSampledSoftmax:
             loss_with_gradients(
                 examples_of([(0, (0,), 2, 0)]),
                 params,
-                ENC,
                 LossConfig(family="ssm", num_sampled=1),
                 marginals=marginals,
                 rng=np.random.default_rng(0),
@@ -565,27 +562,27 @@ class TestDispatcher:
             (examples, LossConfig(family="ssm", num_sampled=3)),
         ]
         for batch, config in cases:
-            out = loss_with_gradients(batch, params, ENC, config, marginals=marginals, rng=rng)
+            out = loss_with_gradients(batch, params, config, marginals=marginals, rng=rng)
             assert out.gradients is not None and out.gradients.rows.size, config.family
             assert np.isfinite(out.value)
 
     def test_bidirectional_needs_marginals(self):
         batch = examples_of([(0, (0,), 1, 0), (1, (2,), 3, 0)])
         with pytest.raises(ValueError, match="marginals"):
-            loss_with_gradients(batch, make_params(), ENC, LossConfig.from_preset("bbcnce"))
+            loss_with_gradients(batch, make_params(), LossConfig.from_preset("bbcnce"))
 
     def test_full_softmax_col_needs_marginals(self):
         params = make_params()
         batch = examples_of([(0, (0,), 1, 0)])
         with pytest.raises(ValueError, match="full_softmax_col loss needs the training marginals"):
-            loss_with_gradients(batch, params, ENC, LossConfig(family="full_softmax_col"))
+            loss_with_gradients(batch, params, LossConfig(family="full_softmax_col"))
 
     def test_full_softmax_col_rejects_an_uncounted_key(self):
         """The universe is the keys the marginals count; a batch key outside it has no softmax row."""
         batch = examples_of([(0, (0,), 1, 0), (1, (2,), 3, 0)])
         only_first = EmpiricalMarginals(np.array([1, 0]), np.ones(6, dtype=np.int64))
         with pytest.raises(ValueError, match="not counted by the training marginals"):
-            loss_with_gradients(batch, make_params(), ENC, LossConfig(family="full_softmax_col"), marginals=only_first)
+            loss_with_gradients(batch, make_params(), LossConfig(family="full_softmax_col"), marginals=only_first)
 
     def test_full_softmax_col_value(self):
         params = make_params(num_items=5, dim=3, seed=9)
@@ -595,13 +592,11 @@ class TestDispatcher:
         batch = Examples(Sequences.of(universe), ids, np.array([1, 2]), np.array([4, 0]), ids * 0, ids * 0 + 1)
         config = LossConfig(family="full_softmax_col")
         universe_counted = EmpiricalMarginals(np.ones(3, dtype=np.int64), np.ones(5, dtype=np.int64))
-        out = loss_with_gradients(batch, params, ENC, config, marginals=universe_counted)
+        out = loss_with_gradients(batch, params, config, marginals=universe_counted)
         # scalar oracle: softmax over the user universe per batch item
-        from twotower.model import encode_user, score
-
         expected = 0.0
         for _, seq, target, _ in example_rows(batch):
-            logits = [score(encode_user(key, params, ENC), params.item_embeddings[target], 0.25) for key in universe]
+            logits = [score(encode_user(key, params), params.item_embeddings[target], 0.25) for key in universe]
             own = universe.index(seq)
             expected += -(logits[own] - math.log(sum(math.exp(l) for l in logits)))
         assert out.value == pytest.approx(expected / 2.0, abs=1e-12)

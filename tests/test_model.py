@@ -1,5 +1,6 @@
 """Encoders, scoring, and the analytic backward passes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,23 +9,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcheck import row_gradient
-from reference import example_rows, examples_of, reference_accumulate
+from reference import encode_user, example_rows, examples_of, reference_accumulate, score
 from twotower.data import Sequences
 from twotower.model import (
-    EncoderConfig,
+    AGGREGATORS,
     GradientTable,
     ModelParams,
     VocabularyError,
-    encode_user,
+    encode_user_batch,
     normalize_rows,
-    score,
     score_matrix_backward,
     score_matrix_forward,
 )
 
 
-def make_params(num_items=6, dim=4, temperature=0.25, seed=0) -> ModelParams:
-    return ModelParams.initialize(num_items, dim, temperature, seed)
+def make_params(num_items=6, dim=4, temperature=0.25, seed=0, aggregator="mean") -> ModelParams:
+    return ModelParams.initialize(num_items, dim, temperature, seed, aggregator)
+
+
+def pair_score(u: np.ndarray, v: np.ndarray, temperature: float) -> float:
+    """The kernel's score of a user whose one row is ``u`` against the item row ``v``."""
+    params = ModelParams(np.stack([v, u]), np.zeros(u.size), temperature)
+    return float(score_matrix_forward(Sequences.of([(1,)]), [0], params)[0][0, 0])
 
 
 class TestParams:
@@ -63,41 +69,45 @@ class TestParams:
             ModelParams(**parts)
 
     def test_clone_is_independent(self):
-        params = make_params()
+        params = make_params(aggregator="attention")
         other = params.clone()
         other.item_embeddings[0, 0] += 1.0
         assert params.item_embeddings[0, 0] != other.item_embeddings[0, 0]
+        assert other.aggregator == "attention"
+
+    @pytest.mark.parametrize("aggregator", ["max", "", "Mean", None])
+    def test_unknown_aggregator_rejected(self, aggregator):
+        with pytest.raises(ValueError, match="aggregator must be one of"):
+            ModelParams(np.zeros((2, 2)), np.zeros(2), 0.25, aggregator)
+        with pytest.raises(ValueError, match="aggregator must be one of"):
+            make_params(aggregator=aggregator)
 
 
 class TestEncodeUser:
     def test_singleton_equals_row_for_every_aggregator(self):
-        params = make_params()
-        for aggregator in ("mean", "last", "attention"):
-            out = encode_user([3], params, EncoderConfig(aggregator))
-            np.testing.assert_allclose(out, params.item_embeddings[3])
+        for aggregator in AGGREGATORS:
+            params = make_params(aggregator=aggregator)
+            np.testing.assert_allclose(encode_user([3], params), params.item_embeddings[3])
 
     def test_mean_of_two_rows(self):
         params = make_params()
-        out = encode_user([1, 4], params, EncoderConfig("mean"))
+        out = encode_user([1, 4], params)
         np.testing.assert_allclose(out, (params.item_embeddings[1] + params.item_embeddings[4]) / 2)
 
     def test_last_picks_final_row(self):
-        params = make_params()
-        out = encode_user([1, 4, 2], params, EncoderConfig("last"))
-        np.testing.assert_allclose(out, params.item_embeddings[2])
+        params = make_params(aggregator="last")
+        np.testing.assert_allclose(encode_user([1, 4, 2], params), params.item_embeddings[2])
 
     def test_attention_with_zero_query_equals_mean(self):
-        params = make_params(seed=3)
+        params = make_params(seed=3, aggregator="attention")
         params.attention_vector[:] = 0.0
         seq = [0, 2, 5, 2]
-        att = encode_user(seq, params, EncoderConfig("attention"))
-        mean = encode_user(seq, params, EncoderConfig("mean"))
-        np.testing.assert_allclose(att, mean, atol=1e-12)
+        np.testing.assert_allclose(encode_user(seq, params), encode_user(seq, dataclasses.replace(params, aggregator="mean")), atol=1e-12)
 
     def test_attention_weights_follow_query(self):
-        params = make_params(seed=1)
+        params = make_params(seed=1, aggregator="attention")
         params.attention_vector[:] = 10.0 * params.item_embeddings[5]
-        out = encode_user([0, 5], params, EncoderConfig("attention"))
+        out = encode_user([0, 5], params)
         # strong query along row 5 pushes the weight there
         dist_5 = np.linalg.norm(out - params.item_embeddings[5])
         dist_0 = np.linalg.norm(out - params.item_embeddings[0])
@@ -106,11 +116,22 @@ class TestEncodeUser:
     def test_oov_raises(self):
         params = make_params()
         with pytest.raises(VocabularyError):
-            encode_user([0, 99], params, EncoderConfig("mean"))
+            encode_user([0, 99], params)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            encode_user([], make_params(), EncoderConfig("mean"))
+            encode_user([], make_params())
+
+    @pytest.mark.parametrize("aggregator", AGGREGATORS)
+    def test_batch_matches_one_at_a_time(self, aggregator):
+        """Padding to the longest row changes no pooled vector beyond rounding."""
+        params = make_params(num_items=9, seed=4, aggregator=aggregator)
+        params.attention_vector[:] = np.random.default_rng(2).normal(size=params.dim)
+        rng = np.random.default_rng(3)
+        sequences = [tuple(rng.integers(0, 9, size=rng.integers(1, 7)).tolist()) for _ in range(12)]
+        batch = encode_user_batch(Sequences.of(sequences), params).vectors
+        for seq, vector in zip(sequences, batch):
+            np.testing.assert_allclose(vector, encode_user(seq, params), rtol=0, atol=1e-12)
 
 
 class TestEncodeItem:
@@ -118,25 +139,27 @@ class TestEncodeItem:
         """The item tower is the row lookup ``params.item_embeddings[i]``."""
         params = make_params()
         params.item_embeddings[2] = np.arange(4, dtype=float)
-        np.testing.assert_allclose(encode_user([2], params, EncoderConfig("mean")), np.arange(4))
+        np.testing.assert_allclose(encode_user([2], params), np.arange(4))
 
 
 class TestScore:
+    """The pair score of ``score_matrix_forward``: a temperature-scaled cosine."""
+
     def test_identical_vectors(self):
         v = np.array([0.3, -0.2, 0.9])
-        assert score(v, v, temperature=0.25) == pytest.approx(4.0, abs=1e-12)
+        assert pair_score(v, v, temperature=0.25) == pytest.approx(4.0, abs=1e-12)
 
     def test_orthogonal_vectors(self):
-        assert score(np.array([1.0, 0.0]), np.array([0.0, 2.0]), 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert pair_score(np.array([1.0, 0.0]), np.array([0.0, 2.0]), 0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_computed_value(self):
         u = np.array([1.0, 2.0])
         v = np.array([3.0, 4.0])
-        assert score(u, v, 0.5) == pytest.approx(1.96774, abs=1e-5)
+        assert pair_score(u, v, 0.5) == pytest.approx(1.96774, abs=1e-5)
 
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError):
-            score(np.zeros(3), np.ones(3), 1.0)
+            pair_score(np.zeros(3), np.ones(3), 1.0)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
@@ -144,7 +167,7 @@ class TestScore:
             u = rng.normal(size=5)
             v = rng.normal(size=5)
             c = rng.uniform(0.01, 100.0)
-            assert score(c * u, v, 0.1) == pytest.approx(score(u, v, 0.1), rel=1e-12)
+            assert pair_score(c * u, v, 0.1) == pytest.approx(pair_score(u, v, 0.1), rel=1e-12)
 
     def test_bounded_by_inverse_temperature(self):
         rng = np.random.default_rng(1)
@@ -152,7 +175,7 @@ class TestScore:
             for _ in range(100):
                 u = rng.normal(size=4)
                 v = rng.normal(size=4)
-                assert abs(score(u, v, tau)) <= 1.0 / tau + 1e-12
+                assert abs(pair_score(u, v, tau)) <= 1.0 / tau + 1e-12
 
 
 def _batch(params, rng, size):
@@ -164,75 +187,69 @@ def _batch(params, rng, size):
     return examples_of(rows)
 
 
-def score_matrix(batch, params, enc):
+def score_matrix(batch, params):
     """Entry (r, c) scores the user of example r against the target of example c."""
-    return score_matrix_forward(batch.pseudo_users(), batch.target, params, enc)[0]
+    return score_matrix_forward(batch.pseudo_users(), batch.target, params)[0]
 
 
 class TestScoreMatrix:
     def test_single_example_matrix(self):
         params = make_params()
-        enc = EncoderConfig("mean")
         batch = examples_of([(0, (1, 2), 4, 0)])
-        mat = score_matrix(batch, params, enc)
+        mat = score_matrix(batch, params)
         assert mat.shape == (1, 1)
-        u = encode_user((1, 2), params, enc)
+        u = encode_user((1, 2), params)
         assert mat[0, 0] == pytest.approx(score(u, params.item_embeddings[4], params.temperature), abs=1e-12)
 
     def test_entries_match_independent_scores(self):
         params = make_params(seed=5)
-        enc = EncoderConfig("mean")
         rng = np.random.default_rng(2)
         batch = _batch(params, rng, 4)
-        mat = score_matrix(batch, params, enc)
+        mat = score_matrix(batch, params)
         for r, (_, seq, _, _) in enumerate(example_rows(batch)):
-            u = encode_user(seq, params, enc)
+            u = encode_user(seq, params)
             for c, (_, _, target, _) in enumerate(example_rows(batch)):
                 expected = score(u, params.item_embeddings[target], params.temperature)
                 assert mat[r, c] == pytest.approx(expected, abs=1e-12)
 
     def test_permutation_consistency(self):
         params = make_params(seed=6)
-        enc = EncoderConfig("mean")
         rng = np.random.default_rng(3)
         batch = _batch(params, rng, 5)
-        mat = score_matrix(batch, params, enc)
+        mat = score_matrix(batch, params)
         perm = [3, 0, 4, 1, 2]
-        permuted = score_matrix(batch.take(perm), params, enc)
+        permuted = score_matrix(batch.take(perm), params)
         np.testing.assert_allclose(permuted, mat[np.ix_(perm, perm)], atol=1e-14)
 
     def test_diagonal_is_positive_pair_scores(self):
-        params = make_params(seed=7)
-        enc = EncoderConfig("attention")
+        params = make_params(seed=7, aggregator="attention")
         rng = np.random.default_rng(4)
         batch = _batch(params, rng, 6)
-        mat = score_matrix(batch, params, enc)
+        mat = score_matrix(batch, params)
         for r, (_, seq, target, _) in enumerate(example_rows(batch)):
-            u = encode_user(seq, params, enc)
+            u = encode_user(seq, params)
             assert mat[r, r] == pytest.approx(score(u, params.item_embeddings[target], params.temperature))
 
     def test_scores_bounded(self):
         params = make_params(seed=8, temperature=0.1)
         batch = _batch(params, np.random.default_rng(5), 8)
-        mat = score_matrix(batch, params, EncoderConfig("mean"))
+        mat = score_matrix(batch, params)
         assert np.all(np.abs(mat) <= 10.0 + 1e-9)
 
 
 class TestSharedRowGradients:
     def test_gradient_touches_only_batch_rows(self):
         params = make_params(num_items=10, seed=9)
-        enc = EncoderConfig("mean")
         sequences = Sequences.of([(0, 1), (2,)])
         targets = [3, 4]
-        phi, cache = score_matrix_forward(sequences, targets, params, enc)
-        grads = score_matrix_backward(cache, np.ones_like(phi), params, enc)
+        phi, cache = score_matrix_forward(sequences, targets, params)
+        grads = score_matrix_backward(cache, np.ones_like(phi), params)
         assert set(grads.rows) == {0, 1, 2, 3, 4}
 
     def test_step_changes_touched_row_only(self):
         params = make_params(num_items=8, seed=10)
-        enc = EncoderConfig("mean")
-        phi, cache = score_matrix_forward(Sequences.of([(0,)]), [1], params, enc)
-        grads = score_matrix_backward(cache, np.ones_like(phi), params, enc)
+        phi, cache = score_matrix_forward(Sequences.of([(0,)]), [1], params)
+        grads = score_matrix_backward(cache, np.ones_like(phi), params)
         before = params.item_embeddings.copy()
         for row, g in zip(grads.rows, grads.values):
             params.item_embeddings[row] -= 0.1 * g
@@ -241,11 +258,10 @@ class TestSharedRowGradients:
 
     def test_repeated_item_in_sequence_accumulates(self):
         params = make_params(num_items=5, seed=11)
-        enc = EncoderConfig("mean")
-        phi_a, cache_a = score_matrix_forward(Sequences.of([(0, 0)]), [1], params, enc)
-        grads_a = score_matrix_backward(cache_a, np.ones_like(phi_a), params, enc)
-        phi_b, cache_b = score_matrix_forward(Sequences.of([(0,)]), [1], params, enc)
-        grads_b = score_matrix_backward(cache_b, np.ones_like(phi_b), params, enc)
+        phi_a, cache_a = score_matrix_forward(Sequences.of([(0, 0)]), [1], params)
+        grads_a = score_matrix_backward(cache_a, np.ones_like(phi_a), params)
+        phi_b, cache_b = score_matrix_forward(Sequences.of([(0,)]), [1], params)
+        grads_b = score_matrix_backward(cache_b, np.ones_like(phi_b), params)
         np.testing.assert_allclose(row_gradient(grads_a, 0), row_gradient(grads_b, 0), atol=1e-12)
         assert np.any(row_gradient(grads_b, 0) != 0.0)
 
@@ -258,9 +274,8 @@ class TestSharedRowGradients:
         parameter), under both kernel branches.  The sum is exact when taken
         in the kernel's order: target columns first, then history positions
         in batch order, which is the order the copies are numbered in."""
-        params = make_params(num_items=6, seed=12)
+        params = make_params(num_items=6, seed=12, aggregator=aggregator)
         params.attention_vector[:] = np.random.default_rng(0).normal(size=params.dim)
-        enc = EncoderConfig(aggregator)
         sequences = [(2, 0, 2), (1,), (3, 2)]
         targets = np.array([[2, 4], [2, 5], [0, 2]]) if per_row else np.array([2, 4, 2])
         dphi = np.random.default_rng(1).normal(size=targets.shape if per_row else (3, 3))
@@ -274,13 +289,15 @@ class TestSharedRowGradients:
         untied_targets = np.array([untie(row) for row in targets]) if per_row else np.array(untie(targets))
         untied_sequences = [tuple(untie(seq)) for seq in sequences]
         extra = np.repeat(params.item_embeddings[2:3], 7, axis=0)
-        untied = ModelParams(np.vstack([params.item_embeddings, extra]), params.attention_vector.copy(), params.temperature)
+        untied = ModelParams(
+            np.vstack([params.item_embeddings, extra]), params.attention_vector.copy(), params.temperature, aggregator
+        )
 
-        phi, cache = score_matrix_forward(Sequences.of(sequences), targets, params, enc)
-        phi_u, cache_u = score_matrix_forward(Sequences.of(untied_sequences), untied_targets, untied, enc)
+        phi, cache = score_matrix_forward(Sequences.of(sequences), targets, params)
+        phi_u, cache_u = score_matrix_forward(Sequences.of(untied_sequences), untied_targets, untied)
         np.testing.assert_array_equal(phi_u, phi)
-        tied = score_matrix_backward(cache, dphi, params, enc)
-        split = score_matrix_backward(cache_u, dphi, untied, enc)
+        tied = score_matrix_backward(cache, dphi, params)
+        split = score_matrix_backward(cache_u, dphi, untied)
         reference = np.zeros(params.dim)
         for r in range(params.num_items, params.num_items + 7):
             reference = reference + row_gradient(split, r)

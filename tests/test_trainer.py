@@ -11,7 +11,7 @@ from reference import example_rows, examples_of, sample_examples
 from twotower import trainer as trainer_mod
 from twotower.data import EmpiricalMarginals, compute_marginals
 from twotower.losses import LossConfig, loss_with_gradients
-from twotower.model import EncoderConfig, GradientTable, ModelParams
+from twotower.model import GradientTable, ModelParams
 from twotower.trainer import (
     Checkpoint,
     CheckpointError,
@@ -26,7 +26,6 @@ from twotower.trainer import (
 )
 from twotower.verify import SyntheticSpec, generate_synthetic, random_joint
 
-ENC = EncoderConfig("mean")
 
 
 def grads_of(rows: dict[int, list[float]], attention=None) -> GradientTable:
@@ -117,10 +116,10 @@ class TestOptimizerStep:
 
 class TestCheckpointFile:
     def _checkpoint(self, seed=3):
-        params = ModelParams.initialize(5, 3, 0.25, seed)
+        params = ModelParams.initialize(5, 3, 0.25, seed, "attention")
         state = OptimizerState(kind="adam", learning_rate=0.01)
         apply_optimizer_step(params, grads_of({2: [0.1, 0.2, 0.3]}, attention=[1.0, 0.0, 0.0]), state)
-        return Checkpoint(params, state, month_cursor=1, epoch_cursor=0, months=(1, 2, 3), seed=seed, aggregator="mean", fingerprint=0xDEADBEEF)
+        return Checkpoint(params, state, month_cursor=1, epoch_cursor=0, months=(1, 2, 3), seed=seed, fingerprint=0xDEADBEEF)
 
     def test_round_trip(self, tmp_path):
         original = self._checkpoint()
@@ -130,6 +129,7 @@ class TestCheckpointFile:
         np.testing.assert_array_equal(loaded.params.item_embeddings, original.params.item_embeddings)
         np.testing.assert_array_equal(loaded.params.attention_vector, original.params.attention_vector)
         assert loaded.params.temperature == original.params.temperature
+        assert loaded.params.aggregator == "attention"
         assert loaded.months == (1, 2, 3)
         assert loaded.month_cursor == 1 and loaded.epoch_cursor == 0
         assert loaded.fingerprint == 0xDEADBEEF
@@ -233,7 +233,7 @@ class TestTrainingLoop:
         month1 = examples.take(examples.month == 1)
         params = fresh_params(spec)
         config = train_config(epochs_per_month=1, batch_size=len(month1) + 10)
-        result = train_incremental(month1, params, ENC, LOSS, config, marginals=marginals)
+        result = train_incremental(month1, params, LOSS, config, marginals=marginals)
         assert result.months == (1,)
         assert result.steps == 1
 
@@ -242,7 +242,7 @@ class TestTrainingLoop:
         months = sorted(set(examples.month.tolist()))
         config = train_config(epochs_per_month=2, batch_size=50)
         params = fresh_params(spec)
-        result = train_incremental(examples, params, ENC, LOSS, config, marginals=marginals)
+        result = train_incremental(examples, params, LOSS, config, marginals=marginals)
         expected = 0
         for month in months:
             n = int(np.sum(examples.month == month))
@@ -280,7 +280,7 @@ class TestTrainingLoop:
         monkeypatch.setattr(trainer_mod, "loss_with_gradients", recording_loss)
         config = train_config(epochs_per_month=2, batch_size=16)
         params = fresh_params(spec)
-        result = train_incremental(examples, params, ENC, LOSS, config, marginals=marginals, eval_fn=eval_fn)
+        result = train_incremental(examples, params, LOSS, config, marginals=marginals, eval_fn=eval_fn)
         assert result.months == (1, 2, 3)
         assert list(per_month) == [1, 2, 3]
         for month, (fed, months) in per_month.items():
@@ -301,7 +301,7 @@ class TestTrainingLoop:
         params = fresh_params(spec)
         config = train_config(epochs_per_month=1)
         result = train_incremental(
-            examples, params, ENC, LOSS, config, marginals=marginals, eval_fn=eval_fn
+            examples, params, LOSS, config, marginals=marginals, eval_fn=eval_fn
         )
         assert seen == months
         assert [row["month"] for row in result.trace] == months
@@ -315,7 +315,7 @@ class TestTrainingLoop:
         full_dir = str(tmp_path / "full")
         params_full = fresh_params(spec)
         full = train_incremental(
-            examples, params_full, ENC, LOSS, config,
+            examples, params_full, LOSS, config,
             marginals=marginals, checkpoint_dir=full_dir, fingerprint=7,
         )
 
@@ -323,7 +323,7 @@ class TestTrainingLoop:
         params_part = fresh_params(spec)
         resume_ckpt = load_checkpoint(os.path.join(full_dir, f"month_{months[0]:04d}.ckpt"), expected_fingerprint=7)
         resumed = train_incremental(
-            examples, params_part, ENC, LOSS, config,
+            examples, params_part, LOSS, config,
             marginals=marginals, checkpoint_dir=part_dir, fingerprint=7, resume=resume_ckpt,
         )
         written = [os.path.basename(p) for p in resumed.checkpoints]
@@ -341,14 +341,14 @@ class TestTrainingLoop:
         full_dir = str(tmp_path / "full")
         params_full = fresh_params(spec)
         train_incremental(
-            examples, params_full, ENC, LOSS, config,
+            examples, params_full, LOSS, config,
             marginals=marginals, checkpoint_dir=full_dir, fingerprint=3,
         )
 
         epoch_ckpt = load_checkpoint(os.path.join(full_dir, f"month_{months[1]:04d}_epoch_00.ckpt"), expected_fingerprint=3)
         params_resumed = fresh_params(spec)
         train_incremental(
-            examples, params_resumed, ENC, LOSS, config,
+            examples, params_resumed, LOSS, config,
             marginals=marginals, checkpoint_dir=str(tmp_path / "resume"), fingerprint=3, resume=epoch_ckpt,
         )
         np.testing.assert_array_equal(params_resumed.item_embeddings, params_full.item_embeddings)
@@ -358,7 +358,7 @@ class TestTrainingLoop:
         outs = []
         for _ in range(2):
             params = fresh_params(spec)
-            train_incremental(examples, params, ENC, LOSS, train_config(), marginals=marginals)
+            train_incremental(examples, params, LOSS, train_config(), marginals=marginals)
             outs.append(params.item_embeddings.copy())
         np.testing.assert_array_equal(outs[0], outs[1])
 
@@ -366,10 +366,10 @@ class TestTrainingLoop:
         spec, examples, marginals = synthetic_training_set(num_months=1)
         config = train_config(epochs_per_month=2)
         params_inc = fresh_params(spec)
-        inc = train_incremental(examples, params_inc, ENC, LOSS, config, marginals=marginals)
+        inc = train_incremental(examples, params_inc, LOSS, config, marginals=marginals)
         params_shuf = fresh_params(spec)
         shuffled = dataclasses.replace(config, mode="shuffled")
-        shuf = train_incremental(examples, params_shuf, ENC, LOSS, shuffled, marginals=marginals)
+        shuf = train_incremental(examples, params_shuf, LOSS, shuffled, marginals=marginals)
         assert inc.steps == shuf.steps
         np.testing.assert_array_equal(params_inc.item_embeddings, params_shuf.item_embeddings)
 
@@ -382,7 +382,7 @@ class TestTrainingLoop:
 
         full_dir = str(tmp_path / "full")
         full = train_incremental(
-            examples, fresh_params(spec), ENC, LOSS, config,
+            examples, fresh_params(spec), LOSS, config,
             marginals=marginals, eval_fn=eval_fn, checkpoint_dir=full_dir, fingerprint=5,
         )
         assert [os.path.basename(p) for p in full.checkpoints] == [f"shuffled_epoch_{e:02d}.ckpt" for e in range(3)]
@@ -391,7 +391,7 @@ class TestTrainingLoop:
         resume_ckpt = load_checkpoint(os.path.join(full_dir, "shuffled_epoch_00.ckpt"), expected_fingerprint=5)
         resume_dir = str(tmp_path / "resume")
         resumed = train_incremental(
-            examples, fresh_params(spec), ENC, LOSS, config,
+            examples, fresh_params(spec), LOSS, config,
             marginals=marginals, eval_fn=eval_fn, checkpoint_dir=resume_dir, fingerprint=5, resume=resume_ckpt,
         )
         assert resumed.steps == full.steps * 2 // 3
@@ -405,7 +405,7 @@ class TestTrainingLoop:
         params = fresh_params(spec)
         values = []
         for _ in range(6):
-            out = loss_with_gradients(examples, params, ENC, LOSS, marginals=marginals)
+            out = loss_with_gradients(examples, params, LOSS, marginals=marginals)
             values.append(out.value)
             state = OptimizerState(kind="sgd", learning_rate=0.02)
             apply_optimizer_step(params, out.gradients, state)
@@ -431,7 +431,6 @@ class TestTrainingLoop:
             result = train_incremental(
                 data,
                 params,
-                ENC,
                 loss_config,
                 train_config(epochs_per_month=1, batch_size=64),
                 marginals=marginals,
@@ -442,8 +441,7 @@ class TestTrainingLoop:
 
     def test_attention_aggregator_trains_its_query_vector(self):
         spec, examples, marginals = synthetic_training_set(num_months=1, num_samples=400)
-        params = fresh_params(spec)
-        enc = EncoderConfig("attention")
+        params = dataclasses.replace(fresh_params(spec), aggregator="attention")
         # singleton pseudo-users make attention weights constant but the
         # query gradient flows through multi-item sequences; build some
         rows = example_rows(examples)
@@ -451,7 +449,7 @@ class TestTrainingLoop:
         merged = examples_of([(user, (seq[0], nxt[1][0]), target, day) for (user, seq, target, day), nxt in zip(rows, nexts)])
         unseen_keys = EmpiricalMarginals(np.zeros(len(merged.table), dtype=np.int64), marginals.count_item)
         train_incremental(
-            merged, params, enc, LOSS, train_config(epochs_per_month=1, batch_size=32),
+            merged, params, LOSS, train_config(epochs_per_month=1, batch_size=32),
             marginals=unseen_keys,
         )
         assert np.any(params.attention_vector != 0.0)
@@ -460,20 +458,20 @@ class TestTrainingLoop:
         """The months come from the examples; with none there is nothing to train."""
         spec, examples, _ = synthetic_training_set()
         with pytest.raises(ValueError, match="months"):
-            train_incremental(examples.take(examples.month < 0), fresh_params(spec), ENC, LOSS, train_config())
+            train_incremental(examples.take(examples.month < 0), fresh_params(spec), LOSS, train_config())
 
     def test_mismatched_resume_months_rejected(self, tmp_path):
         spec, examples, marginals = synthetic_training_set(num_months=3)
         params = fresh_params(spec)
         first_two = examples.take(examples.month <= 2)
         result = train_incremental(
-            first_two, params, ENC, LOSS, train_config(),
+            first_two, params, LOSS, train_config(),
             marginals=marginals, checkpoint_dir=str(tmp_path), fingerprint=0,
         )
         assert result.months == (1, 2)
         checkpoint = load_checkpoint(result.checkpoints[0])
         with pytest.raises(CheckpointError, match="months"):
-            train_incremental(examples, params, ENC, LOSS, train_config(), resume=checkpoint)
+            train_incremental(examples, params, LOSS, train_config(), resume=checkpoint)
 
     def test_non_finite_loss_aborts(self, monkeypatch):
         """A loss value of NaN or infinity stops training before the step,
@@ -490,7 +488,7 @@ class TestTrainingLoop:
         params = fresh_params(spec)
         before = params.item_embeddings.copy()
         with pytest.raises(NonFiniteLossError, match="inf"):
-            train_incremental(examples, params, ENC, LOSS, train_config(), marginals=marginals)
+            train_incremental(examples, params, LOSS, train_config(), marginals=marginals)
         np.testing.assert_array_equal(params.item_embeddings, before)
 
     def test_overflowing_last_step_aborts_before_the_checkpoint(self, tmp_path):
@@ -501,7 +499,7 @@ class TestTrainingLoop:
         calls = []
         with pytest.raises(NonFiniteGradientError, match="non-finite parameters after month 1, epoch 0"):
             train_incremental(
-                examples, fresh_params(spec), ENC, LOSS, config, marginals=marginals,
+                examples, fresh_params(spec), LOSS, config, marginals=marginals,
                 eval_fn=lambda params, month: calls.append(month) or {}, checkpoint_dir=str(tmp_path),
             )
         assert calls == [] and os.listdir(tmp_path) == []

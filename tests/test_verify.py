@@ -14,8 +14,10 @@ from reference import (
     sample_examples,
     stacked_population_values,
 )
-from twotower.data import DAYS_PER_MONTH
+from twotower.data import DAYS_PER_MONTH, compute_marginals
 from twotower.losses import LossConfig
+from twotower.model import ModelParams
+from twotower.trainer import TrainConfig, train_incremental
 from twotower.verify import (
     EQUAL_OPTIMA_GROUPS,
     SWEEP,
@@ -23,6 +25,7 @@ from twotower.verify import (
     OptimumReport,
     StackedLoss,
     SyntheticSpec,
+    _center,
     _rank_corr,
     check_optimum,
     generate_synthetic,
@@ -113,13 +116,15 @@ class TestGenerateSynthetic:
         b[1, 2] = 1.0
         spec = SyntheticSpec(num_users=2, num_items=3, drift=[a, b], num_months=2, num_samples=1_000)
         sample = generate_synthetic(spec, seed=5)
+        months = Counter()
         for user, item, day in sample_events(sample):
             month = day // DAYS_PER_MONTH + 1
+            months[month] += 1
             if month == 1:
                 assert (user, item) == (0, 0)
             else:
                 assert (user, item) == (1, 2)
-        assert sample.month_counts[0][0, 0] > 0 and sample.month_counts[1][1, 2] > 0
+        assert months[1] > 0 and months[2] > 0
 
     def test_examples_use_reserved_user_tokens(self):
         spec = SyntheticSpec(num_users=3, num_items=4, joint=random_joint(3, 4, seed=6), num_samples=50)
@@ -346,11 +351,6 @@ class TestMinibatchConvergence:
         the aggregated full-batch harness) must also land near the predicted
         optimum.  The gate is looser than the full-batch one: finite batches
         and stochastic steps leave residual noise around the target."""
-        from twotower.data import compute_marginals
-        from twotower.model import EncoderConfig, ModelParams
-        from twotower.trainer import TrainConfig, train_incremental
-
-        enc = EncoderConfig("mean")
         spec = SyntheticSpec(
             num_users=8, num_items=12, joint=random_joint(8, 12, seed=7), num_samples=20_000, num_months=1
         )
@@ -359,7 +359,7 @@ class TestMinibatchConvergence:
         params = ModelParams.initialize(20, 10, 0.05, seed=3)
         config = TrainConfig(epochs_per_month=25, batch_size=128, learning_rate=0.02, seed=4)
         loss = LossConfig.from_preset("bbcnce")
-        train_incremental(sample_examples(sample), params, enc, loss, config, marginals=marginals)
+        train_incremental(sample_examples(sample), params, loss, config, marginals=marginals)
 
         tables = sample.tables
         phi = phi_table(params, spec)
@@ -367,6 +367,44 @@ class TestMinibatchConvergence:
         mask = tables.observed
         rho = spearmanr(phi[mask], target[mask]).statistic
         assert rho >= 0.85
+
+    # preset: (gauge, own target, the targets that gauge tells apart from it).
+    # Under a per-user gauge row equals joint and col equals pmi; under a
+    # per-item gauge col equals joint and row equals pmi.
+    BIAS_TARGETS = {
+        "infonce": ("per-user", "pmi", ("joint",)),
+        "row_bcnce": ("per-user", "row", ("pmi",)),
+        "col_bcnce": ("per-item", "col", ("pmi",)),
+        "bbcnce": ("none", "joint", ("col", "row", "pmi")),
+    }
+
+    @pytest.mark.parametrize("sample_seed", [2, 3])
+    def test_each_in_batch_preset_learns_its_own_target(self, sample_seed):
+        """The paper's bias claim through the minibatch trainer: each in-batch
+        preset's gauged rank correlation with its own target beats every
+        target its gauge can tell apart by at least 0.1.  With 6,000 samples
+        and 20 epochs (about 3 s a seed on 2 vCPUs) the smallest margins
+        measured over sample seeds 2, 3 and 5 were 0.21 to 0.24."""
+        spec = SyntheticSpec(num_users=8, num_items=12, joint=random_joint(8, 12, seed=7), num_samples=6_000)
+        sample = generate_synthetic(spec, seed=sample_seed)
+        examples = sample_examples(sample)
+        marginals = compute_marginals(examples, spec.num_items + spec.num_users)
+        tables = sample.tables
+        log_joint, mask = tables.log_joint, tables.observed
+        targets = {
+            "joint": log_joint,
+            "row": log_joint - tables.log_p_user[:, None],
+            "col": log_joint - tables.log_p_item[None, :],
+            "pmi": log_joint - tables.log_p_user[:, None] - tables.log_p_item[None, :],
+        }
+        config = TrainConfig(epochs_per_month=20, batch_size=128, learning_rate=0.02, seed=4)
+        for preset, (gauge, own, others) in self.BIAS_TARGETS.items():
+            params = ModelParams.initialize(20, 10, 0.05, seed=3)
+            train_incremental(examples, params, LossConfig.from_preset(preset), config, marginals=marginals)
+            phi = _center(phi_table(params, spec), mask, gauge)[mask]
+            rho = {name: _rank_corr(phi, _center(target, mask, gauge)[mask]) for name, target in targets.items()}
+            for other in others:
+                assert rho[own] >= rho[other] + 0.1, (preset, own, other, rho)
 
 
 class TestSweep:
