@@ -96,7 +96,7 @@ def _run_pipeline(cfg: RunConfig) -> Prepared:
     path = cfg.data.input
     if not path:
         raise CliError("data.input is not set in the config")
-    with open(path, "r", encoding="utf-8") as src:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as src:  # ingest names a line not UTF-8
         try:
             log = data_mod.ingest_logs(src, delimiter=cfg.data.delimiter)
         except data_mod.IngestError as exc:

@@ -18,10 +18,12 @@ share a user identity iff their key ids are equal.
 from __future__ import annotations
 
 import datetime
+import functools
 import itertools
 import logging
 import math
-from collections.abc import Iterable, Iterator, Sequence
+import re
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import IO, Union
 
@@ -33,6 +35,10 @@ logger = logging.getLogger(__name__)
 DAYS_PER_MONTH = 30
 # Day indices stay below this bound, so day arithmetic never leaves int64.
 MAX_DAY = 2**53
+# Lines read or written at a time.  Each holds a few small strings, and a
+# whole log's would outgrow the interpreter's free small-object memory (and
+# with it the peak resident memory); the old per-line loops held one line's.
+BLOCK = 256
 
 NEGATIVE_STRATEGIES = ("user-marginal", "item-marginal", "product-of-marginals", "uniform")
 
@@ -192,15 +198,52 @@ class DatasetSplit:
     test: Examples
 
 
-def _parse_day_field(raw: str) -> Union[int, datetime.date]:
-    raw = raw.strip()
+def _parse_day_field(raw: str) -> Union[int, datetime.date, None]:
+    """An integer day index or an ISO date, or ``None`` for neither."""
     try:
         return int(raw)
     except ValueError:
+        pass
+    try:
         return datetime.date.fromisoformat(raw)
+    except ValueError:
+        return None
 
 
-def ingest_logs(source: Union[IO[str], IO[bytes], Iterable[str]], delimiter: str = ",") -> InteractionLog:
+# A byte that is not UTF-8, decoded with ``errors="surrogateescape"``: a lone surrogate.
+_NOT_UTF8 = re.compile("[\ud800-\udfff]")
+# The ASCII characters that ``str.strip`` removes, "\n" aside.
+_ASCII_SPACE = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _check_line(lineno: int, line: str, delimiter: str, mode: type | None) -> None:
+    """Raise the ``IngestError`` of line ``lineno`` in a log whose first event
+    has a day of type ``mode`` (``None`` when unknown); return if it is valid."""
+    if _NOT_UTF8.search(line):
+        raise IngestError(f"line {lineno}: not valid UTF-8")
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return
+    if "\0" in line:
+        raise IngestError(f"line {lineno}: NUL byte in a field")
+    fields = line.split(delimiter)
+    if len(fields) != 3:
+        raise IngestError(f"line {lineno}: expected 3 fields separated by {delimiter!r}, got {len(fields)}")
+    user_raw, item_raw, day_raw = (f.strip() for f in fields)
+    if not user_raw or not item_raw:
+        raise IngestError(f"line {lineno}: empty user or item field")
+    day_value = _parse_day_field(day_raw)
+    if day_value is None:
+        raise IngestError(f"line {lineno}: cannot parse date {day_raw!r}")
+    if mode is not None and type(day_value) is not mode:
+        raise IngestError(f"line {lineno}: mixes integer days with ISO dates")
+    if isinstance(day_value, int) and day_value < 0:
+        raise IngestError(f"line {lineno}: negative day index {day_value}")
+    if isinstance(day_value, int) and day_value >= MAX_DAY:
+        raise IngestError(f"line {lineno}: day index {day_value} is not below {MAX_DAY}")
+
+
+def ingest_logs(source: Union[IO[str], IO[bytes]], delimiter: str = ",") -> InteractionLog:
     """Parse a delimited event log into event columns and dense vocabularies.
 
     Each line must read ``user,item,date`` where the date is either an
@@ -208,8 +251,11 @@ def ingest_logs(source: Union[IO[str], IO[bytes], Iterable[str]], delimiter: str
     ISO dates cannot be mixed within one log.  Vocabulary ids are assigned in
     first-appearance order; events come back sorted by ``(user, day)`` with
     the input order preserved for ties.  Duplicate lines are retained: the
-    interaction counts drive the empirical marginals downstream.  A leading
-    UTF-8 byte-order mark is dropped; a NUL byte in a field is an error.
+    interaction counts drive the empirical marginals downstream.  Only a
+    line feed ends a line; blank lines and ``#`` comments are skipped, and
+    whitespace around a line and around each field is dropped.  A leading UTF-8
+    byte-order mark is dropped; a NUL byte in a field, or a byte that is not
+    UTF-8 anywhere in a line, is an error.
 
     For ISO input, day 0 is the earliest date in the log and months are
     calendar months; for integer input, months are consecutive
@@ -217,66 +263,77 @@ def ingest_logs(source: Union[IO[str], IO[bytes], Iterable[str]], delimiter: str
     """
     if not delimiter:
         raise ValueError("delimiter must not be empty")
+    text = source.read()
+    body = (text.decode("utf-8", errors="surrogateescape") if isinstance(text, bytes) else text).removeprefix("\ufeff")
+    ascii_text = body.isascii()
+    spaced = not ascii_text or any(c in body for c in _ASCII_SPACE)
+    # The event lines joined by "\n": every line but blank ones and comments, stripped.
+    if spaced or "#" in body or "\n\n" in body or body.startswith("\n"):
+        joined = "\n".join(line for line in map(str.strip, body.split("\n")) if line and line[0] != "#")
+    else:
+        joined = body.removesuffix("\n")
+    count = joined.count("\n") + 1 if joined else 0
+
+    # Whole-text and column checks mark the suspect events (and lines not
+    # UTF-8); the one per-line check raises on the first of them.
+    flagged = [] if ascii_text or not _NOT_UTF8.search(body) else [
+        k for k, line in enumerate(body.split("\n"), start=1) if _NOT_UTF8.search(line)
+    ]
+    data = joined.replace(delimiter, "\0").encode("utf-8", "surrogatepass")
+    codes = np.frombuffer(data, dtype=np.uint8)
+    newlines = np.flatnonzero(codes == ord("\n"))
+    # An event holds two delimiters, NUL bytes in ``data``; no line holds one with a "\n".
+    delimiters = np.bincount(np.searchsorted(newlines, np.flatnonzero(codes == 0)), minlength=count)
+    suspect = (delimiters != 2) | ("\n" in delimiter)
+    if "\0" in body:
+        suspect |= np.array(["\0" in line for line in joined.split("\n")], dtype=bool)
+
+    # Fields are read from the events before the first suspect one, which
+    # raises, a block at a time, so that few of their strings live at once.
+    # Ids number the keys in first-appearance order.
+    n = int(np.argmax(suspect)) if suspect.any() else count
+    ends = np.r_[-1, newlines, len(data)]  # the "\n" before and after each event
     user_vocab: dict[str, int] = {}
     item_vocab: dict[str, int] = {}
-    users: list[int] = []
-    items: list[int] = []
-    values: list = []
-    mode: str | None = None  # "int" or "date"
+    day_index: dict[str, int] = {}
+    ids = np.empty((3, n), dtype=np.int64)
+    for start in range(0, n, BLOCK):
+        stop = min(start + BLOCK, n)
+        fields = data[ends[start] + 1 : ends[stop]].decode("utf-8", "surrogatepass").replace("\0", "\n").split("\n")
+        if spaced:
+            fields = list(map(str.strip, fields))
+        columns = (fields[0::3], fields[1::3], fields[2::3])
+        for column, vocab, out in zip(columns, (user_vocab, item_vocab, day_index), ids[:, start:stop]):
+            vocab.update(zip(itertools.filterfalse(vocab.__contains__, dict.fromkeys(column)), itertools.count(len(vocab))))
+            out[:] = np.fromiter(map(vocab.__getitem__, column), dtype=np.int64, count=stop - start)
+    user, item, day_id = ids
+    if "" in user_vocab or "" in item_vocab:
+        suspect[:n] |= (user == user_vocab.get("", -1)) | (item == item_vocab.get("", -1))
 
-    for lineno, line in enumerate(source, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        if lineno == 1:
-            line = line.removeprefix("\ufeff")  # a UTF-8 byte-order mark is not part of the first user
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "\0" in line:
-            raise IngestError(f"line {lineno}: NUL byte in a field")
-        fields = line.split(delimiter)
-        if len(fields) != 3:
-            raise IngestError(f"line {lineno}: expected 3 fields separated by {delimiter!r}, got {len(fields)}")
-        user_raw, item_raw, day_raw = (f.strip() for f in fields)
-        if not user_raw or not item_raw:
-            raise IngestError(f"line {lineno}: empty user or item field")
-        try:
-            day_value = _parse_day_field(day_raw)
-        except ValueError as exc:
-            raise IngestError(f"line {lineno}: cannot parse date {day_raw!r}") from exc
-        this_mode = "int" if isinstance(day_value, int) else "date"
-        if mode is None:
-            mode = this_mode
-        elif mode != this_mode:
-            raise IngestError(f"line {lineno}: mixes integer days with ISO dates")
-        if this_mode == "int" and day_value < 0:
-            raise IngestError(f"line {lineno}: negative day index {day_value}")
-        if this_mode == "int" and day_value >= MAX_DAY:
-            raise IngestError(f"line {lineno}: day index {day_value} is not below {MAX_DAY}")
-        if user_raw not in user_vocab:
-            user_vocab[user_raw] = len(user_vocab)
-        if item_raw not in item_vocab:
-            item_vocab[item_raw] = len(item_vocab)
-        users.append(user_vocab[user_raw])
-        items.append(item_vocab[item_raw])
-        values.append(day_value)
-
-    if not values:
+    # Each distinct day string is parsed once.
+    values = list(map(_parse_day_field, day_index))
+    mode = type(values[day_id[0]]) if values and values[day_id[0]] is not None else None
+    bad = np.array([type(v) is not mode or mode is int and not 0 <= v < MAX_DAY for v in values], dtype=bool)
+    suspect[:n] |= bad[day_id]
+    if flagged or suspect.any():
+        lines = body.split("\n")
+        lineno = [k for k, line in enumerate(map(str.strip, lines), start=1) if line and line[0] != "#"]
+        for k in sorted(flagged + np.array(lineno, dtype=np.int64)[suspect].tolist()):  # each one raises
+            _check_line(k, lines[k - 1], delimiter, mode)
+    if not count:
         raise IngestError("input log is empty")
 
-    epoch = None
-    if mode == "date":
+    if mode is int:
+        epoch = None
+        day = np.array(values, dtype=np.int64)[day_id]
+        month = day // DAYS_PER_MONTH + 1
+    else:
         epoch = min(values)
         epoch_month = epoch.year * 12 + epoch.month - 1
-        day = np.array([(date - epoch).days for date in values], dtype=np.int64)
-        month = np.array([date.year * 12 + date.month - epoch_month for date in values], dtype=np.int64)
-    else:
-        day = np.array(values, dtype=np.int64)
-        month = day // DAYS_PER_MONTH + 1
-    user = np.array(users, dtype=np.int64)
+        day = np.array([(date - epoch).days for date in values], dtype=np.int64)[day_id]
+        month = np.array([date.year * 12 + date.month - epoch_month for date in values], dtype=np.int64)[day_id]
     order = np.lexsort((day, user))
-    events = Events(user[order], np.array(items, dtype=np.int64)[order], day[order], month[order])
-    return InteractionLog(events, user_vocab, item_vocab, epoch)
+    return InteractionLog(Events(user[order], item[order], day[order], month[order]), user_vocab, item_vocab, epoch)
 
 
 def build_examples(records: Events, horizon_days: int, max_seq_len: int) -> Examples:
@@ -314,14 +371,22 @@ def build_examples(records: Events, horizon_days: int, max_seq_len: int) -> Exam
     padded = np.full((cuts.size, int(lengths.max(initial=0))), -1, dtype=np.int64)
     filled = np.arange(padded.shape[1]) < lengths[:, None]
     padded[filled] = item[_ranges(starts, lengths)]
-    distinct, cut_key = np.unique(padded, axis=0, return_inverse=True)
+    # Rows sorted by their columns, the first column first (np.lexsort of no
+    # column raises), and numbered by run of equal rows.
+    order = np.lexsort(padded.T[::-1]) if cuts.size else np.arange(0)
+    ordered = padded[order]
+    first = np.ones(cuts.size, dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    cut_key = np.empty(cuts.size, dtype=np.int64)
+    cut_key[order] = np.cumsum(first) - 1
+    distinct = ordered[first]
     kept = distinct >= 0
     table = Sequences(np.r_[0, np.cumsum(kept.sum(axis=1))], distinct[kept])
 
     counts = ends - cuts
     source = np.repeat(np.arange(cuts.size), counts)
     target = item[_ranges(cuts, counts)]
-    return Examples(table, user[cuts][source], cut_key.ravel()[source], target, day[cuts][source], records.month[cuts][source])
+    return Examples(table, user[cuts][source], cut_key[source], target, day[cuts][source], records.month[cuts][source])
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -463,12 +528,41 @@ def make_batches(num_examples: int, batch_size: int, rng: np.random.Generator) -
         yield order[start : start + batch_size]
 
 
-def _row_text(examples: Examples) -> list[str]:
+def _text(values: np.ndarray, form: Callable[[np.ndarray], list[str]]) -> list[str]:
+    """The text of each entry of ``values``; ``form`` formats the distinct
+    entries, ascending, so each is formatted once (-0.0 would print as 0.0,
+    but no log marginal is -0.0)."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array(form(distinct), dtype=object)[inverse].tolist()
+
+
+def _each(fmt: Callable[[object], str]) -> Callable[[np.ndarray], list[str]]:
+    return lambda values: list(map(fmt, values.tolist()))
+
+
+_INT, _LOG = _each(str), _each("{:.6f}".format)
+
+
+def _sequence_text(table: Sequences, keys: np.ndarray) -> list[str]:
+    """The rows of ``table`` at ``keys``, as space-separated items."""
+    rows = table.take(keys)
+    items, offsets = _text(rows.items, _INT), rows.offsets.tolist()
+    return [" ".join(items[a:b]) for a, b in zip(offsets, offsets[1:])]
+
+
+def _write_tsv(path: str, *columns: list[str], head: str = "") -> None:
+    """Write ``head``, then one line of tab-separated cells per row of
+    ``columns``, ``BLOCK`` lines at a time."""
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(head)
+        for start in range(0, len(columns[0]), BLOCK):
+            out.write("\n".join(map("\t".join, zip(*(column[start : start + BLOCK] for column in columns)))) + "\n")
+
+
+def _example_columns(examples: Examples) -> list[list[str]]:
     """Each example's user, space-separated item sequence and target."""
-    keys = np.unique(examples.key).tolist()
-    seq = dict(zip(keys, (" ".join(map(str, examples.table[k])) for k in keys)))
-    columns = (examples.user.tolist(), examples.key.tolist(), examples.target.tolist())
-    return [f"{u}\t{seq[k]}\t{t}" for u, k, t in zip(*columns)]
+    sequences = functools.partial(_sequence_text, examples.table)
+    return [_text(examples.user, _INT), _text(examples.key, sequences), _text(examples.target, _INT)]
 
 
 def write_examples_tsv(examples: Examples, marginals: EmpiricalMarginals, path: str) -> None:
@@ -478,25 +572,23 @@ def write_examples_tsv(examples: Examples, marginals: EmpiricalMarginals, path: 
     two log-marginal bias terms from ``marginals`` (6 decimal places).
     """
     log_p_u, log_p_i = marginals.log_bias(examples)
-    with open(path, "w", encoding="utf-8") as out:
-        for row, lpu, lpi in zip(_row_text(examples), log_p_u.tolist(), log_p_i.tolist()):
-            out.write(f"{row}\t{lpu:.6f}\t{lpi:.6f}\n")
+    _write_tsv(path, *_example_columns(examples), _text(log_p_u, _LOG), _text(log_p_i, _LOG))
 
 
 def write_labeled_tsv(examples: Examples, path: str) -> None:
     """Write the binary-label example file (bias columns replaced by the label)."""
-    with open(path, "w", encoding="utf-8") as out:
-        for row, label in zip(_row_text(examples), examples.label.tolist()):
-            out.write(f"{row}\t{label}\n")
+    _write_tsv(path, *_example_columns(examples), _text(examples.label, _INT))
 
 
 def write_marginals_tsv(marginals: EmpiricalMarginals, table: Sequences, path: str) -> None:
     """Write the counted user keys (``table`` rows) and items with their
     counts and logs, one entry per line, each in ascending id order."""
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(f"total\t{marginals.total}\n")
-        for key in np.flatnonzero(marginals.count_user).tolist():
-            seq = " ".join(map(str, table[key]))
-            out.write(f"user\t{seq}\t{marginals.count_user[key]}\t{marginals.log_p_user[key]:.6f}\n")
-        for item in np.flatnonzero(marginals.count_item).tolist():
-            out.write(f"item\t{item}\t{marginals.count_item[item]}\t{marginals.log_p_item[item]:.6f}\n")
+    keys, items = np.flatnonzero(marginals.count_user), np.flatnonzero(marginals.count_item)
+    _write_tsv(
+        path,
+        ["user"] * keys.size + ["item"] * items.size,
+        _sequence_text(table, keys) + _INT(items),
+        _text(np.r_[marginals.count_user[keys], marginals.count_item[items]], _INT),
+        _text(np.r_[marginals.log_p_user[keys], marginals.log_p_item[items]], _LOG),
+        head=f"total\t{marginals.total}\n",
+    )

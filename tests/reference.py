@@ -20,18 +20,34 @@ the in-place ones in ``twotower.losses`` replaced, operation for operation.
 ``encode_user`` and ``score`` encode and score one pseudo-user at a time,
 as the per-key loop that one batched ``model.encode_user_batch`` call
 replaced did, and the oracles of the normalized-dot-product kernels.
+``reference_ingest_logs`` is the per-line ingest loop that the whole-text
+``ingest_logs`` replaced, and ``reference_write_examples_tsv``,
+``reference_write_labeled_tsv`` and ``reference_write_marginals_tsv`` the
+per-row writers that the writers formatting each distinct value once
+replaced.
 """
 
 from __future__ import annotations
 
+import datetime
 import math
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import IO, Union
 
 import numpy as np
 
-from twotower.data import DAYS_PER_MONTH, Events, Examples, Sequences
+from twotower.data import (
+    DAYS_PER_MONTH,
+    MAX_DAY,
+    EmpiricalMarginals,
+    Events,
+    Examples,
+    IngestError,
+    InteractionLog,
+    Sequences,
+)
 from twotower.losses import LossConfig, logsumexp
 from twotower.model import ModelParams, encode_user_batch
 
@@ -353,3 +369,109 @@ def reference_full_softmax_value(phi: np.ndarray, positive_cols: np.ndarray) -> 
     dphi = np.exp(phi - lse[:, None])
     dphi[rows, positive_cols] -= 1.0
     return value, dphi / phi.shape[0]
+
+
+def reference_ingest_logs(source: Union[IO[str], IO[bytes], Iterable[str]], delimiter: str = ",") -> InteractionLog:
+    """``ingest_logs`` one line at a time.  A line holding a byte that is not
+    UTF-8 (a lone surrogate once decoded with ``errors="surrogateescape"``)
+    is an error, wherever it stands."""
+    if not delimiter:
+        raise ValueError("delimiter must not be empty")
+    user_vocab: dict[str, int] = {}
+    item_vocab: dict[str, int] = {}
+    users: list[int] = []
+    items: list[int] = []
+    values: list = []
+    mode: str | None = None  # "int" or "date"
+
+    for lineno, line in enumerate(source, start=1):
+        if isinstance(line, bytes):
+            line = line.decode("utf-8", errors="surrogateescape")
+        if any("\ud800" <= ch <= "\udfff" for ch in line):
+            raise IngestError(f"line {lineno}: not valid UTF-8")
+        if lineno == 1:
+            line = line.removeprefix("\ufeff")
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "\0" in line:
+            raise IngestError(f"line {lineno}: NUL byte in a field")
+        fields = line.split(delimiter)
+        if len(fields) != 3:
+            raise IngestError(f"line {lineno}: expected 3 fields separated by {delimiter!r}, got {len(fields)}")
+        user_raw, item_raw, day_raw = (f.strip() for f in fields)
+        if not user_raw or not item_raw:
+            raise IngestError(f"line {lineno}: empty user or item field")
+        try:
+            try:
+                day_value = int(day_raw)
+            except ValueError:
+                day_value = datetime.date.fromisoformat(day_raw)
+        except ValueError as exc:
+            raise IngestError(f"line {lineno}: cannot parse date {day_raw!r}") from exc
+        this_mode = "int" if isinstance(day_value, int) else "date"
+        if mode is None:
+            mode = this_mode
+        elif mode != this_mode:
+            raise IngestError(f"line {lineno}: mixes integer days with ISO dates")
+        if this_mode == "int" and day_value < 0:
+            raise IngestError(f"line {lineno}: negative day index {day_value}")
+        if this_mode == "int" and day_value >= MAX_DAY:
+            raise IngestError(f"line {lineno}: day index {day_value} is not below {MAX_DAY}")
+        if user_raw not in user_vocab:
+            user_vocab[user_raw] = len(user_vocab)
+        if item_raw not in item_vocab:
+            item_vocab[item_raw] = len(item_vocab)
+        users.append(user_vocab[user_raw])
+        items.append(item_vocab[item_raw])
+        values.append(day_value)
+
+    if not values:
+        raise IngestError("input log is empty")
+
+    epoch: datetime.date | None = None
+    if mode == "date":
+        epoch = min(values)
+        epoch_month = epoch.year * 12 + epoch.month - 1
+        day = np.array([(date - epoch).days for date in values], dtype=np.int64)
+        month = np.array([date.year * 12 + date.month - epoch_month for date in values], dtype=np.int64)
+    else:
+        day = np.array(values, dtype=np.int64)
+        month = day // DAYS_PER_MONTH + 1
+    user = np.array(users, dtype=np.int64)
+    order = np.lexsort((day, user))
+    events = Events(user[order], np.array(items, dtype=np.int64)[order], day[order], month[order])
+    return InteractionLog(events, user_vocab, item_vocab, epoch)
+
+
+def _reference_row_text(examples: Examples) -> list[str]:
+    keys = np.unique(examples.key).tolist()
+    seq = dict(zip(keys, (" ".join(map(str, examples.table[k])) for k in keys)))
+    columns = (examples.user.tolist(), examples.key.tolist(), examples.target.tolist())
+    return [f"{u}\t{seq[k]}\t{t}" for u, k, t in zip(*columns)]
+
+
+def reference_write_examples_tsv(examples: Examples, marginals: EmpiricalMarginals, path: str) -> None:
+    """``write_examples_tsv`` one row at a time."""
+    log_p_u, log_p_i = marginals.log_bias(examples)
+    with open(path, "w", encoding="utf-8") as out:
+        for row, lpu, lpi in zip(_reference_row_text(examples), log_p_u.tolist(), log_p_i.tolist()):
+            out.write(f"{row}\t{lpu:.6f}\t{lpi:.6f}\n")
+
+
+def reference_write_labeled_tsv(examples: Examples, path: str) -> None:
+    """``write_labeled_tsv`` one row at a time."""
+    with open(path, "w", encoding="utf-8") as out:
+        for row, label in zip(_reference_row_text(examples), examples.label.tolist()):
+            out.write(f"{row}\t{label}\n")
+
+
+def reference_write_marginals_tsv(marginals: EmpiricalMarginals, table: Sequences, path: str) -> None:
+    """``write_marginals_tsv`` one entry at a time."""
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(f"total\t{marginals.total}\n")
+        for key in np.flatnonzero(marginals.count_user).tolist():
+            seq = " ".join(map(str, table[key]))
+            out.write(f"user\t{seq}\t{marginals.count_user[key]}\t{marginals.log_p_user[key]:.6f}\n")
+        for item in np.flatnonzero(marginals.count_item).tolist():
+            out.write(f"item\t{item}\t{marginals.count_item[item]}\t{marginals.log_p_item[item]:.6f}\n")

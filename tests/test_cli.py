@@ -587,6 +587,7 @@ class TestTrainVariants:
                 "trace-month-checkpoint-is-a-directory",
             ),
             setting("prepare", {"data.input": "{nul_log}"}, "line 2: NUL byte", "prepare-log-nul-byte"),
+            setting("prepare", {"data.input": "{latin1_log}"}, "latin1.csv: line 3: not valid UTF-8", "prepare-log-not-utf-8"),
             setting(
                 "eval --checkpoint {nan_temperature}",
                 {},
@@ -680,9 +681,12 @@ class TestTrainVariants:
         tmp_path, events = small_events
         nul_log = tmp_path / "nul.csv"  # a log whose second line holds a NUL byte
         nul_log.write_text("u1,i1,0\nu\x002,i2,1\n", encoding="utf-8")
+        latin1_log = tmp_path / "latin1.csv"  # a log whose third line holds the byte 0xff
+        latin1_log.write_bytes(b"u1,i1,0\nu2,i2,1\nu\xff3,i3,2\n")
         stray = tmp_path / "stray"  # a checkpoint directory whose one month checkpoint is a directory
         (stray / "month_0001.ckpt").mkdir(parents=True, exist_ok=True)
-        paths = {"nul_log": nul_log, "stray": stray, "file": events, "directory": tmp_path, "missing": tmp_path / "absent"}
+        paths = {"nul_log": nul_log, "latin1_log": latin1_log, "stray": stray, "file": events, "directory": tmp_path}
+        paths["missing"] = tmp_path / "absent"
         settings = {key: value.format(**paths) if isinstance(value, str) else value for key, value in settings.items()}
         config = write_config(
             tmp_path / "invalid.cfg",

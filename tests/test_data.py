@@ -1,8 +1,12 @@
 """Data pipeline: ingestion, windowing, splitting, marginals, sampling."""
 
+import datetime
+import importlib.util
 import io
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +22,13 @@ from reference import (
     examples_of,
     reference_build_examples,
     reference_filter,
+    reference_ingest_logs,
     reference_marginals,
+    reference_write_examples_tsv,
+    reference_write_labeled_tsv,
+    reference_write_marginals_tsv,
 )
+from twotower import data as data_module
 from twotower.data import (
     DatasetSplit,
     EmpiricalMarginals,
@@ -33,6 +42,7 @@ from twotower.data import (
     split_by_time,
     write_examples_tsv,
     write_labeled_tsv,
+    write_marginals_tsv,
 )
 
 
@@ -138,6 +148,153 @@ class TestIngest:
             ingest_logs(io.StringIO(f"a,x,0\nb,y,{2**53}\n"))
 
 
+# Delimiters, whitespace around fields and lines (a delimiter's own
+# characters left out), and the characters of users and items: inner
+# whitespace, "#", a byte-order mark, "\r" and "\x85", which a line split
+# at every line boundary (``str.splitlines``) would break a line at.  An
+# ASCII log draws from the ASCII characters alone.
+DELIMITERS = [",", "|", "\t", "::"]
+PADDING = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u3000"
+TOKEN_CHARS = "ab#\r \xe9\x85\ufeff"
+# The error each mutation of a valid log makes, for ``mutated_logs``.
+MUTATIONS = ["fields", "empty_user", "bad_date", "mixed", "negative", "too_big", "nul", "not_utf8"]
+
+
+def _event_line(parts: list[str], delimiter: str) -> str:
+    """An event line from ``[pad, user, pad, pad, item, pad, pad, day, pad]``."""
+    return "".join(parts[0:3]) + delimiter + "".join(parts[3:6]) + delimiter + "".join(parts[6:9])
+
+
+@st.composite
+def valid_logs(draw):
+    """A valid log as ``(lines, delimiter, iso, newline, bom, trailing)``: an
+    event line is a list of parts (see ``_event_line``), any other line (blank,
+    whitespace or a ``#`` comment, which may hold a NUL) a string."""
+    delimiter = draw(st.sampled_from(DELIMITERS))
+    iso = draw(st.booleans())
+    ascii_only = draw(st.booleans())
+    padding = "".join(c for c in PADDING if c not in delimiter and (c.isascii() or not ascii_only))
+    pad = st.text(alphabet=padding, max_size=2)
+    token_chars = "".join(c for c in TOKEN_CHARS if c.isascii() or not ascii_only)
+    token = st.text(alphabet=token_chars, min_size=1, max_size=3).map(str.strip).filter(lambda t: t and t[0] not in "#\ufeff")
+    if iso:
+        dates = st.dates(datetime.date(2020, 1, 1), datetime.date(2021, 12, 31))
+        day = dates.map(datetime.date.isoformat)
+    else:
+        day = st.builds(str.format, st.sampled_from(["{}", "0{}", "+{}"]), st.integers(0, 400))
+    event = st.builds(list, st.tuples(pad, token, pad, pad, token, pad, pad, day, pad))
+    other = st.one_of(pad, st.builds(lambda p, c: p + "#" + c, pad, st.text(alphabet="ab,|#\0\t ", max_size=4)))
+    lines = draw(st.lists(event, min_size=1, max_size=12))
+    for position in draw(st.lists(st.integers(0, 11), max_size=3)):  # duplicate lines
+        lines.insert(position % len(lines), list(lines[position % len(lines)]))
+    for position in draw(st.lists(st.integers(0, 15), max_size=4)):
+        lines.insert(position % (len(lines) + 1), draw(other))
+    return lines, delimiter, iso, draw(st.sampled_from(["\n", "\r\n"])), draw(st.booleans()), draw(st.booleans())
+
+
+def _render(lines, delimiter, newline, bom, trailing) -> str:
+    text = newline.join(line if isinstance(line, str) else _event_line(line, delimiter) for line in lines)
+    return ("\ufeff" if bom else "") + text + (newline if trailing else "")
+
+
+def _mutate(draw, lines: list, delimiter: str, iso: bool, kind: str) -> None:
+    """Make one mutation of ``kind`` (``MUTATIONS``) to the lines of a log; a
+    "not_utf8" line holds a lone surrogate, a byte that is not UTF-8 once
+    encoded with ``errors="surrogateescape"``."""
+    events = [k for k, line in enumerate(lines) if not isinstance(line, str)]
+    if kind == "not_utf8":
+        k = draw(st.integers(0, len(lines) - 1))
+        line = lines[k] if isinstance(lines[k], str) else _event_line(lines[k], delimiter)
+        at = draw(st.integers(0, len(line)))
+        lines[k] = line[:at] + "\udcff" + line[at:]
+        return
+    if not events:  # an earlier mutation left no event to change
+        return
+    if kind == "mixed":  # the first event sets the day format, so mix in a later one
+        lines.append(list(lines[events[0]]))
+        events.append(len(lines) - 1)
+        k = events[draw(st.integers(1, len(events) - 1))]
+    else:
+        k = draw(st.sampled_from(events))
+    parts = lines[k]
+    if kind == "fields":  # one field more, or one less
+        line = _event_line(parts, delimiter)
+        lines[k] = line + delimiter + "x" if draw(st.booleans()) else line.replace(delimiter, "", 1)
+    elif kind == "empty_user":
+        parts[1] = ""
+    elif kind == "nul":
+        parts[1] = parts[1][:1] + "\0" + parts[1][1:]
+    else:
+        parts[7] = {
+            "bad_date": draw(st.sampled_from(["2023-13-45", "x1", "", "1.5"])),
+            "mixed": "5" if iso else "2021-03-04",
+            "negative": "-3",
+            "too_big": str(2**53 + draw(st.integers(0, 5))),
+        }[kind]
+
+
+@st.composite
+def mutated_logs(draw, kinds: list[str]):
+    """A valid log with one mutation of each of ``kinds``, as ``(text, delimiter)``."""
+    lines, delimiter, iso, newline, bom, trailing = draw(valid_logs())
+    for kind in kinds:
+        _mutate(draw, lines, delimiter, iso, kind)
+    return _render(lines, delimiter, newline, bom, trailing), delimiter
+
+
+def _ingest_outcome(ingest, data: bytes, as_text: bool, delimiter: str):
+    """The log ``ingest`` reads from ``data`` (as a text or a byte stream),
+    or the message of its ``IngestError``."""
+    source = io.StringIO(data.decode("utf-8", errors="surrogateescape")) if as_text else io.BytesIO(data)
+    try:
+        log = ingest(source, delimiter=delimiter)
+    except IngestError as exc:
+        return str(exc)
+    records = log.records
+    columns = (records.user.tolist(), records.item.tolist(), records.day.tolist(), records.month.tolist())
+    return list(log.user_vocab.items()), list(log.item_vocab.items()), columns, log.epoch
+
+
+class TestIngestMatchesReference:
+    """The whole-text ``ingest_logs`` against the per-line loop it replaced
+    (``reference_ingest_logs``): equal logs from valid input, the same
+    ``IngestError`` (message and line) from input with faults.  Fields are
+    read ``block`` lines at a time, so that small logs span several blocks."""
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(log=valid_logs(), as_text=st.booleans(), block=st.sampled_from([1, 2, 5, data_module.BLOCK]))
+    def test_valid_logs(self, log, as_text, block):
+        lines, delimiter, iso, newline, bom, trailing = log
+        raw = _render(lines, delimiter, newline, bom, trailing).encode("utf-8")
+        expected = _ingest_outcome(reference_ingest_logs, raw, as_text, delimiter)
+        assert not isinstance(expected, str)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_module, "BLOCK", block)
+            assert _ingest_outcome(ingest_logs, raw, as_text, delimiter) == expected
+        assert (expected[3] is not None) == iso
+
+    @pytest.mark.parametrize("kind", MUTATIONS)
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(data=st.data(), as_text=st.booleans(), block=st.sampled_from([1, 3, data_module.BLOCK]))
+    def test_one_fault_names_the_same_line(self, kind, data, as_text, block):
+        self._same_error(data.draw(mutated_logs([kind])), as_text, block)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data(), kinds=st.lists(st.sampled_from(MUTATIONS), min_size=2, max_size=2), as_text=st.booleans())
+    def test_the_first_of_two_faults_is_named(self, data, kinds, as_text):
+        self._same_error(data.draw(mutated_logs(kinds)), as_text, data.draw(st.sampled_from([1, 3, data_module.BLOCK])))
+
+    @staticmethod
+    def _same_error(log, as_text, block):
+        text, delimiter = log
+        raw = text.encode("utf-8", errors="surrogateescape")
+        expected = _ingest_outcome(reference_ingest_logs, raw, as_text, delimiter)
+        assert isinstance(expected, str) and expected.startswith("line ")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_module, "BLOCK", block)
+            assert _ingest_outcome(ingest_logs, raw, as_text, delimiter) == expected
+
+
 def brute_force_windows(records, horizon, max_len):
     """Independent enumeration: walk every purchase day of every user."""
     expected = []
@@ -201,6 +358,27 @@ class TestBuildExamples:
             target_days = [day for item, day in by_user[user] if item == target]
             assert any(cut <= d < cut + horizon for d in target_days)
             assert len(seq) <= 4
+
+    def test_key_ids_sort_a_prefix_before_its_extensions(self):
+        """The ``-1`` padding sorts a pseudo-user before its own extensions,
+        and item 0 after the end of a shorter sequence."""
+        # cuts: user 0 (0,) (0, 0) (0, 0, 1); user 1 (0,) (0, 2); user 2 (1,) (1, 0)
+        records = [(0, 0, 0), (0, 0, 1), (0, 1, 2), (0, 3, 3), (1, 0, 0), (1, 2, 1), (1, 3, 2)]
+        records += [(2, 1, 0), (2, 0, 1), (2, 3, 2)]
+        examples = build_examples(events_of(records), horizon_days=1, max_seq_len=10)
+        assert list(examples.table) == [(0,), (0, 0), (0, 0, 1), (0, 2), (1,), (1, 0)]
+        assert list(examples.pseudo_users()) == [row[1] for row in example_rows(examples)]
+
+    @pytest.mark.parametrize("max_seq_len", [1, 50])
+    def test_key_ids_follow_sorted_tuple_order(self, max_seq_len):
+        """Key ids number the distinct pseudo-users as ``sorted(set(tuples))``,
+        for one-item keys and for 50-item histories over few items."""
+        rng = np.random.default_rng(max_seq_len)
+        records = [(int(rng.integers(4)), int(rng.integers(5)), int(rng.integers(150))) for _ in range(400)]
+        examples = build_examples(events_of(records), horizon_days=3, max_seq_len=max_seq_len)
+        pseudo_users = list(examples.pseudo_users())
+        assert list(examples.table) == sorted(set(pseudo_users))
+        assert max(map(len, pseudo_users)) == max_seq_len
 
     def test_truncation_keeps_most_recent(self):
         examples = build_examples(events_of([(0, i, i) for i in range(6)]), horizon_days=1, max_seq_len=2)
@@ -465,6 +643,55 @@ class TestExampleFile:
         path = tmp_path / "labeled.tsv"
         write_labeled_tsv(examples_of([(3, (1, 2), 7, 5)], labels=[0]), str(path))
         assert path.read_text() == "3\t1 2\t7\t0\n"
+
+
+_LOGGEN_SPEC = importlib.util.spec_from_file_location("loggen", Path(__file__).resolve().parent.parent / "bench" / "loggen.py")
+
+
+@pytest.fixture(scope="module")
+def incremental_prepared():
+    """The benchmark's ``incremental``-shaped log (seed 1) through the
+    pipeline at the default settings: the vocabulary size, the filtered
+    split and its training marginals."""
+    loggen = importlib.util.module_from_spec(_LOGGEN_SPEC)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, "loggen", loggen)  # a dataclass looks its module up there
+        _LOGGEN_SPEC.loader.exec_module(loggen)
+    events = loggen.generate(loggen.LogShape(users=500, items=400, events=4000, months=6), 1)
+    log = ingest_logs(io.StringIO("".join(f"u{u},i{i},{d}\n" for u, i, d in events.tolist())))
+    split = filter_sparse(split_by_time(build_examples(log.records, 30, 20), log.num_months), 3)
+    return log.num_items, split, compute_marginals(split.train, log.num_items)
+
+
+class TestWritersMatchReference:
+    """Each writer writes the bytes of the per-row writer it replaced
+    (``tests/reference.py``) on an ``incremental``-shaped log."""
+
+    @staticmethod
+    def _same_bytes(tmp_path, write, reference, *args):
+        write(*args, str(tmp_path / "new.tsv"))
+        reference(*args, str(tmp_path / "reference.tsv"))
+        assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "reference.tsv").read_bytes()
+        return (tmp_path / "new.tsv").read_bytes()
+
+    @pytest.mark.parametrize("part", ["train", "validation", "test", "empty"])
+    def test_example_splits(self, tmp_path, incremental_prepared, part):
+        _, split, marginals = incremental_prepared
+        examples = split.train.take(np.zeros(0, dtype=np.int64)) if part == "empty" else getattr(split, part)
+        written = self._same_bytes(tmp_path, write_examples_tsv, reference_write_examples_tsv, examples, marginals)
+        assert written.count(b"\n") == len(examples)
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["product-of-marginals", "empty"])
+    def test_labeled_set(self, tmp_path, incremental_prepared, empty):
+        num_items, split, _ = incremental_prepared
+        labeled = sample_negatives_bce(split.train, "product-of-marginals", num_items, ratio=2, rng_seed=3)
+        labeled = labeled.take(np.zeros(0, dtype=np.int64)) if empty else labeled
+        written = self._same_bytes(tmp_path, write_labeled_tsv, reference_write_labeled_tsv, labeled)
+        assert written.count(b"\n") == len(labeled)
+
+    def test_marginals(self, tmp_path, incremental_prepared):
+        _, split, marginals = incremental_prepared
+        self._same_bytes(tmp_path, write_marginals_tsv, reference_write_marginals_tsv, marginals, split.train.table)
 
 
 def _rows(examples):

@@ -12,8 +12,11 @@ source tree under test, and `loggen` from this checkout's `bench/`.  It
 writes seeded `bench/loggen.py` logs shaped like the benchmark's three data
 workloads, plus a copy of the `incremental` log with ISO dates (calendar
 months from a first day that is not the first of a month; its seventh,
-partial month is left out), then runs `prepare`, `train --export-embeddings`, a resume from
-the first checkpoint into a second directory, `eval` for both tasks (plain
+partial month is left out) and a messy copy of the `targeting` log (CRLF
+line ends, a byte-order mark, `#` comment and blank lines, and whitespace
+around every field, which ingest must read as the plain log), then runs
+`prepare`, `train --export-embeddings`, a resume from the first checkpoint
+into a second directory, `eval` for both tasks (plain
 and `--verbose`), `trace` for both tasks (runs with month checkpoints) and
 four `retrieve` runs per task (two queries at `--top-n 10`, then the first
 again at `--top-n 1` and at a `--top-n` above the candidate count), under
@@ -65,11 +68,13 @@ BASE = {
 # The ISO-dated copy of a log: integer day 0 becomes this date.
 ISO_EPOCH = datetime.date(2023, 1, 17)
 ISO_LOGS = {"incremental_iso": "incremental"}
+MESSY_LOGS = {"targeting_messy": "targeting"}
 # name -> (log, settings over BASE)
 CASES = {
     "bbcnce": ("incremental", {}),
     "bbcnce_iso": ("incremental_iso", {"data.months_total": 6}),
     "bbcnce_months_total": ("incremental", {"data.months_total": 4}),
+    "bbcnce_messy": ("targeting_messy", {}),
     # A cutoff wider than the 30-candidate row: every candidate is in the top N.
     "bbcnce_top_n_40": ("incremental", {"eval.top_n": 40}),
     # One-item pseudo-users are shared by many users, so the user a key
@@ -135,6 +140,13 @@ def run_matrix(directory: Path) -> int:
             for line in src:
                 user, item, day = line.rstrip("\n").split(",")
                 out.write(f"{user},{item},{ISO_EPOCH + datetime.timedelta(days=int(day))}\n")
+    for name, source in MESSY_LOGS.items():
+        lines = [f"# a messy copy of {source}.csv", ""]
+        for k, line in enumerate(Path(f"logs/{source}.csv").read_text(encoding="utf-8").splitlines()):
+            lines.append(" " + line.replace(",", " ,\t") + " ")
+            if k % 500 == 250:
+                lines += ["", "  # a comment", "\t"]
+        Path(f"logs/{name}.csv").write_bytes(("\ufeff" + "\r\n".join(lines) + "\r\n").encode("utf-8"))
 
     for name, (shape, extra) in CASES.items():
         settings = {**BASE, "data.input": f"logs/{shape}.csv"} | extra
@@ -154,7 +166,8 @@ def run_matrix(directory: Path) -> int:
             if extra.get("train.mode") != "shuffled":  # trace reads month checkpoints
                 _cli(cli, f"{name}.trace_{task}", ["trace", "--config", cfg, "--task", task])
                 shutil.copyfile(f"{name}/month_trace.tsv", f"{name}/month_trace_{task}.tsv")
-        items = sorted({line.split(",")[1] for line in Path(f"logs/{shape}.csv").read_text().splitlines()})
+        plain = (ISO_LOGS | MESSY_LOGS).get(shape, shape)  # the log a copy was made from holds the same items
+        items = sorted({line.split(",")[1] for line in Path(f"logs/{plain}.csv").read_text().splitlines()})
         queries = {"ir": [" ".join(items[:3]), " ".join(items[-5:])], "ut": [items[0], items[len(items) // 2]]}
         for task, texts in queries.items():
             # (query, --top-n): 10, then 1 and one above every candidate count for the first query.
