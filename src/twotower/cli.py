@@ -249,7 +249,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     eval_fn = _validation_eval_fn(cfg, prepared)
     checkpoint_dir = os.path.join(cfg.paths.output_dir, "checkpoints")
 
-    resume = load_checkpoint(args.checkpoint, expected_fingerprint=fp) if args.checkpoint else None
+    resume = _load_checked(args.checkpoint, cfg, prepared.log.num_items) if args.checkpoint else None
     # Opened before the first step, so a path that cannot be written costs no training.
     export = open(args.export_embeddings, "w", encoding="utf-8") if args.export_embeddings else None
     with export or contextlib.nullcontext():
@@ -278,10 +278,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_params(args: argparse.Namespace, cfg: RunConfig, num_items: int) -> Checkpoint:
-    if not args.checkpoint:
+def _load_checked(path: str | None, cfg: RunConfig, num_items: int) -> Checkpoint:
+    """The checkpoint at ``path``, refused unless it was trained under this
+    config's fingerprint on a vocabulary of ``num_items`` items."""
+    if not path:
         raise CliError("--checkpoint is required")
-    checkpoint = load_checkpoint(args.checkpoint, expected_fingerprint=fingerprint(cfg))
+    checkpoint = load_checkpoint(path, expected_fingerprint=fingerprint(cfg))
     if checkpoint.params.num_items != num_items:
         raise CliError(
             f"checkpoint vocabulary ({checkpoint.params.num_items} items) does not match data ({num_items})"
@@ -308,7 +310,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     prepared = _run_pipeline(cfg)
     _write_resolved(cfg)
-    checkpoint = _load_params(args, cfg, prepared.log.num_items)
+    checkpoint = _load_checked(args.checkpoint, cfg, prepared.log.num_items)
     task = args.task or cfg.eval.task
     cases, pool = _test_cases(cfg, prepared, task)
     report = _configured(
@@ -375,7 +377,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     if count < 1:
         raise CliError(f"top-n must be >= 1, got {count}")
     prepared = _run_pipeline(cfg)
-    checkpoint = _load_params(args, cfg, prepared.log.num_items)
+    checkpoint = _load_checked(args.checkpoint, cfg, prepared.log.num_items)
     params = checkpoint.params
     task = args.task or cfg.eval.task
     tokens = [t for t in re.split(r"[ ,]+", args.query.strip()) if t]
@@ -426,7 +428,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     cases, pool = _test_cases(cfg, prepared, task)  # the same cases for every checkpoint
     rows = []
     for path in paths:
-        checkpoint = load_checkpoint(path, expected_fingerprint=fingerprint(cfg))
+        checkpoint = _load_checked(path, cfg, prepared.log.num_items)
         if checkpoint.epoch_cursor or not 0 < checkpoint.month_cursor <= len(checkpoint.months):
             raise CliError(f"{path}: not the checkpoint of a finished month")
         report = evaluate(cases, pool, checkpoint.params)

@@ -14,7 +14,7 @@ loss: ``score_matrix_forward`` scores the batch against shared item columns
 row (``(B, K)`` ids and scores; ``K = 1`` scores pairs), and
 ``score_matrix_backward`` chains the loss gradient with respect to those
 scores through normalization and pooling into a sparse ``GradientTable``
-over embedding rows.  The loss modules supply the score gradient;
+over the rows of the parameter table.  The loss modules supply the score gradient;
 everything below the scores lives here.
 """
 
@@ -36,11 +36,12 @@ class VocabularyError(KeyError):
 
 @dataclass
 class ModelParams:
-    """Embedding table, attention query vector, temperature and the user
-    tower's pooling (``aggregator``); the item tower is always a table lookup."""
+    """One parameter table, the temperature and the user tower's pooling
+    (``aggregator``).  The table holds the item embeddings in its first
+    ``num_items`` rows and the attention query in its last row; the item
+    tower is always a row lookup."""
 
-    item_embeddings: np.ndarray  # (num_items, dim)
-    attention_vector: np.ndarray  # (dim,)
+    table: np.ndarray  # (num_items + 1, dim)
     temperature: float
     aggregator: str = "mean"
 
@@ -51,48 +52,56 @@ class ModelParams:
             raise ValueError(f"temperature must be finite, got {self.temperature}")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
-        if self.item_embeddings.ndim != 2:
-            raise ValueError("item_embeddings must be a 2-d table")
-        if self.attention_vector.shape != (self.item_embeddings.shape[1],):
-            raise ValueError("attention_vector dimension must match the table")
+        if self.table.ndim != 2 or self.table.shape[0] < 1:
+            raise ValueError("table must be 2-d, its last row the attention query")
         for name in ("item_embeddings", "attention_vector"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
 
     @property
+    def item_embeddings(self) -> np.ndarray:
+        """The item rows, a writable view ``(num_items, dim)`` of the table."""
+        return self.table[:-1]
+
+    @property
+    def attention_vector(self) -> np.ndarray:
+        """The attention query, a writable view ``(dim,)`` of the table's last row."""
+        return self.table[-1]
+
+    @property
     def num_items(self) -> int:
-        return self.item_embeddings.shape[0]
+        return self.table.shape[0] - 1
 
     @property
     def dim(self) -> int:
-        return self.item_embeddings.shape[1]
+        return self.table.shape[1]
 
     @classmethod
     def initialize(cls, num_items: int, dim: int, temperature: float, seed: int, aggregator: str = "mean") -> "ModelParams":
-        """Fresh parameters: table i.i.d. uniform on [-1/sqrt(d), +1/sqrt(d)],
-        attention vector zero (attention pooling then starts out as mean)."""
+        """Fresh parameters: item rows i.i.d. uniform on [-1/sqrt(d), +1/sqrt(d)],
+        attention row zero (attention pooling then starts out as mean)."""
         if dim < 1:
             raise ValueError("dim must be >= 1")
         rng = np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(dim)
-        table = rng.uniform(-scale, scale, size=(num_items, dim))
-        return cls(table, np.zeros(dim), temperature, aggregator)
+        items = rng.uniform(-scale, scale, size=(num_items, dim))
+        return cls(np.vstack([items, np.zeros((1, dim))]), temperature, aggregator)
 
     def clone(self) -> "ModelParams":
-        return ModelParams(self.item_embeddings.copy(), self.attention_vector.copy(), self.temperature, self.aggregator)
+        return ModelParams(self.table.copy(), self.temperature, self.aggregator)
 
 
 @dataclass
 class GradientTable:
-    """Sparse gradient: the touched embedding rows as unique ascending ids
-    with one gradient row each, plus the attention-vector gradient."""
+    """Sparse gradient over the parameter table: the touched rows as unique
+    ascending ids with one gradient row each (id ``num_items`` is the
+    attention row)."""
 
     rows: np.ndarray  # (R,) int64
     values: np.ndarray  # (R, dim)
-    attention: np.ndarray | None = None
 
     @classmethod
-    def accumulate(cls, ids: np.ndarray, grads: np.ndarray, attention: np.ndarray | None = None) -> "GradientTable":
+    def accumulate(cls, ids: np.ndarray, grads: np.ndarray) -> "GradientTable":
         """Sum the gradient rows of repeated ids, found by a count, not a sort.
         ``np.bincount`` adds its weights in input order, so each row's sum
         takes its contributions in the order given, as a loop over them would."""
@@ -102,7 +111,7 @@ class GradientTable:
         dim = grads.shape[1]
         flat = (inverse[:, None] * dim + np.arange(dim)).ravel()
         values = np.bincount(flat, weights=grads.ravel(), minlength=rows.size * dim)
-        return cls(rows, values.reshape(rows.size, dim), attention)
+        return cls(rows, values.reshape(rows.size, dim))
 
 
 @dataclass
@@ -165,22 +174,23 @@ def _user_backward(
     d_vectors: np.ndarray,
     params: ModelParams,
     out: np.ndarray,
-) -> np.ndarray | None:
+) -> None:
     """Write the gradient rows of the pooled sequence positions, in batch
-    order, into ``out``; return the attention-vector gradient."""
+    order, into ``out``; under attention pooling the attention row's
+    gradient follows them as ``out``'s last row."""
     if params.aggregator == "last":
         out[...] = d_vectors
-        return None
+        return
     if params.aggregator == "mean":
         owner = np.repeat(np.arange(users.lengths.size), users.lengths)
         np.take(d_vectors / users.lengths[:, None], owner, axis=0, out=out)
-        return None
+        return
     rows = users.rows
     q = np.einsum("bld,bd->bl", rows, d_vectors)  # dL/dw per position
     ds = users.weights * (q - np.sum(users.weights * q, axis=1, keepdims=True))  # softmax backward
     w, ds_flat = users.weights[users.mask], ds[users.mask]
-    np.add(w[:, None] * np.repeat(d_vectors, users.lengths, axis=0), ds_flat[:, None] * params.attention_vector, out=out)
-    return np.einsum("bld,bl->d", rows, ds)
+    np.add(w[:, None] * np.repeat(d_vectors, users.lengths, axis=0), ds_flat[:, None] * params.attention_vector, out=out[:-1])
+    out[-1] = np.einsum("bld,bl->d", rows, ds)
 
 
 @dataclass
@@ -225,7 +235,8 @@ def score_matrix_backward(
     """Chain a loss gradient w.r.t. the scores down to parameter rows.
 
     Row gradients are summed column contributions first, then the user
-    positions in batch order.  Both parts are written into one gradient
+    positions in batch order; under attention pooling the attention row
+    (id ``num_items``) comes last.  All parts are written into one gradient
     buffer, and the cache's cosines, read once, take their own gradient in
     place, so a cache serves one backward pass.
     """
@@ -236,7 +247,8 @@ def score_matrix_backward(
         user_ids = users.ids[np.arange(users.lengths.size), users.lengths - 1]
     else:
         user_ids = users.ids[users.mask]
-    ids = np.concatenate((cache.col_ids.ravel(), user_ids))
+    attention = np.array([params.num_items] if params.aggregator == "attention" else [], dtype=np.int64)
+    ids = np.concatenate((cache.col_ids.ravel(), user_ids, attention))
     grads = np.empty((ids.size, params.dim))  # one row per id, each part written in place
     items = grads[: cache.col_ids.size]
     g_cos = np.multiply(dphi, cache.cos, out=cache.cos)
@@ -249,5 +261,5 @@ def score_matrix_backward(
         d_items = dphi[:, :, None] * cache.u_hat[:, None, :] - g_cos[:, :, None] * cache.v_hat
         np.divide(d_items, tau * cache.v_norm[:, :, None], out=items.reshape(d_items.shape))
     d_users = (pulled - g_cos.sum(axis=1)[:, None] * cache.u_hat) / (tau * cache.u_norm[:, None])
-    d_attention = _user_backward(users, d_users, params, out=grads[cache.col_ids.size :])
-    return GradientTable.accumulate(ids, grads, d_attention)
+    _user_backward(users, d_users, params, out=grads[cache.col_ids.size :])
+    return GradientTable.accumulate(ids, grads)

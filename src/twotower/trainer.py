@@ -4,20 +4,22 @@ One loop serves both modes.  In ``incremental`` mode it consumes training
 data in absolute-time order: for each month, a fixed number of epochs over
 that month's batches, writing a checkpoint at every epoch and month
 boundary.  In ``shuffled`` mode (the baseline) the same loop runs one phase
-over the pooled data.  Each step applies SGD or lazy Adam: the Adam moments
-are dense tables with a per-row step count, and a step moves only the rows
-its gradient touched.
+over the pooled data.  Each step applies SGD or lazy Adam to the one
+parameter table (item rows and the attention row): the Adam moments are
+dense tables of the same shape with a per-row step count, and a step moves
+only the rows its gradient touched.
 
 Determinism contract: every random draw is made by a generator derived from
 ``(seed, phase, epoch)``, so resuming from any epoch or month checkpoint, in
 either mode, reproduces the uninterrupted run bit for bit.
 
-Checkpoints are a small binary container: magic ``UMCK``, a format version,
+Checkpoints are a small binary container: magic ``UMCK``, format version 2,
 the 64-bit fingerprint of the identity-relevant configuration, a JSON
-metadata block (cursor, rng derivation, optimizer scalars, array manifest)
-and the raw little-endian float64/int64 array payload.  The Adam tables are
-stored for the rows that have taken a step only.  A checkpoint is written to
-a temporary file and renamed into place.
+metadata block (cursor, optimizer scalars, array manifest), the raw
+little-endian float64/int64 array payload (the parameter table and the Adam
+rows) and a CRC-32 of every byte before it.  The Adam tables are stored for
+the rows that have taken a step only.  A checkpoint is written to a
+temporary file and renamed into place.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 import math
 import os
 import struct
+import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -37,7 +40,7 @@ from .losses import LossConfig, loss_with_gradients
 from .model import GradientTable, ModelParams
 
 CHECKPOINT_MAGIC = b"UMCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -83,22 +86,19 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """SGD, or lazily-updated Adam: dense moment tables ``m`` and ``v`` and a
-    per-row step count ``t``, allocated at the first step.  A step moves only
-    the rows in its gradient and advances only their counts, so every row
-    keeps its own bias correction."""
+    """SGD, or lazily-updated Adam: moment tables ``m`` and ``v`` shaped as
+    the parameter table and a per-row step count ``t``, allocated at the
+    first step.  A step moves only the rows in its gradient and advances
+    only their counts, so every row keeps its own bias correction."""
 
     kind: str
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    m: np.ndarray | None = None  # (num_items, dim)
-    v: np.ndarray | None = None  # (num_items, dim)
-    t: np.ndarray | None = None  # (num_items,) int64; 0 = never updated
-    attn_m: np.ndarray | None = None
-    attn_v: np.ndarray | None = None
-    attn_t: int = 0
+    m: np.ndarray | None = None  # (num_items + 1, dim)
+    v: np.ndarray | None = None  # (num_items + 1, dim)
+    t: np.ndarray | None = None  # (num_items + 1,) int64; 0 = never updated
     _powers: dict[float, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -111,11 +111,12 @@ class OptimizerState:
             epsilon=config.adam_epsilon,
         )
 
-    def tables(self, num_items: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The Adam tables ``(m, v, t)``, allocated as zeros on first use."""
+    def tables(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The Adam tables ``(m, v, t)`` of a parameter table of ``shape``,
+        allocated as zeros on first use."""
         if self.t is None:
-            self.m, self.v = np.zeros((num_items, dim)), np.zeros((num_items, dim))
-            self.t = np.zeros(num_items, dtype=np.int64)
+            self.m, self.v = np.zeros(shape), np.zeros(shape)
+            self.t = np.zeros(shape[0], dtype=np.int64)
         return self.m, self.v, self.t
 
     def _bias_correction(self, beta: float, t: np.ndarray) -> np.ndarray:
@@ -128,11 +129,11 @@ class OptimizerState:
         return 1.0 - table[t]
 
     def _adam_update(self, m: np.ndarray, v: np.ndarray, t: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """New moments and the step for rows (or one vector) at step counts ``t``."""
+        """New moments and the step for rows at step counts ``t``."""
         m = self.beta1 * m + (1.0 - self.beta1) * grad
         v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-        m_hat = m / self._bias_correction(self.beta1, t)[..., None]
-        v_hat = v / self._bias_correction(self.beta2, t)[..., None]
+        m_hat = m / self._bias_correction(self.beta1, t)[:, None]
+        v_hat = v / self._bias_correction(self.beta2, t)[:, None]
         step = self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
         return m, v, step
 
@@ -140,29 +141,18 @@ class OptimizerState:
 def apply_optimizer_step(params: ModelParams, grads: GradientTable, state: OptimizerState) -> None:
     """Apply one update in place; rows absent from the gradient are untouched."""
     finite = np.all(np.isfinite(grads.values), axis=1)
-    if not np.all(finite) or (grads.attention is not None and not np.all(np.isfinite(grads.attention))):
+    if not np.all(finite):
         bad_rows = grads.rows[~finite].tolist()
         raise NonFiniteGradientError(f"non-finite gradient (rows {bad_rows[:8]}{'...' if len(bad_rows) > 8 else ''})")
     rows = grads.rows
     if state.kind == "sgd":
-        params.item_embeddings[rows] -= state.learning_rate * grads.values
-        if grads.attention is not None:
-            params.attention_vector -= state.learning_rate * grads.attention
+        params.table[rows] -= state.learning_rate * grads.values
         return
-    m, v, t = state.tables(params.num_items, params.dim)
+    m, v, t = state.tables(params.table.shape)
     row_t = t[rows] + 1
     m[rows], v[rows], step = state._adam_update(m[rows], v[rows], row_t, grads.values)
     t[rows] = row_t
-    params.item_embeddings[rows] -= step
-    if grads.attention is not None:
-        state.attn_t += 1
-        if state.attn_m is None:
-            state.attn_m = np.zeros(params.dim)
-            state.attn_v = np.zeros(params.dim)
-        state.attn_m, state.attn_v, step = state._adam_update(
-            state.attn_m, state.attn_v, np.asarray(state.attn_t), grads.attention
-        )
-        params.attention_vector -= step
+    params.table[rows] -= step
 
 
 @dataclass
@@ -189,19 +179,14 @@ def _array_payload(arrays: list[tuple[str, np.ndarray]]) -> tuple[list[dict], by
 
 def save_checkpoint(path: str, checkpoint: Checkpoint) -> None:
     params, opt = checkpoint.params, checkpoint.optimizer
-    arrays: list[tuple[str, np.ndarray]] = [
-        ("item_embeddings", params.item_embeddings),
-        ("attention_vector", params.attention_vector),
-    ]
+    arrays: list[tuple[str, np.ndarray]] = [("table", params.table)]
     if opt.kind == "adam":
-        m, v, t = opt.tables(params.num_items, params.dim)
+        m, v, t = opt.tables(params.table.shape)
         row_ids = np.flatnonzero(t)  # only rows that have taken a step
         arrays.append(("adam_row_ids", row_ids))
         arrays.append(("adam_row_m", m[row_ids]))
         arrays.append(("adam_row_v", v[row_ids]))
         arrays.append(("adam_row_t", t[row_ids]))
-        arrays.append(("adam_attn_m", opt.attn_m if opt.attn_m is not None else np.zeros(0)))
-        arrays.append(("adam_attn_v", opt.attn_v if opt.attn_v is not None else np.zeros(0)))
     manifest, payload = _array_payload(arrays)
     meta = {
         "month_cursor": checkpoint.month_cursor,
@@ -210,14 +195,12 @@ def save_checkpoint(path: str, checkpoint: Checkpoint) -> None:
         "seed": checkpoint.seed,
         "aggregator": params.aggregator,
         "temperature": params.temperature,
-        "rng": {"scheme": "seed-phase-epoch", "seed": checkpoint.seed},
         "optimizer": {
             "kind": opt.kind,
             "learning_rate": opt.learning_rate,
             "beta1": opt.beta1,
             "beta2": opt.beta2,
             "epsilon": opt.epsilon,
-            "attn_t": opt.attn_t,
         },
         "arrays": manifest,
     }
@@ -227,12 +210,11 @@ def save_checkpoint(path: str, checkpoint: Checkpoint) -> None:
     tmp_path = path + ".tmp"
     try:
         with open(tmp_path, "wb") as out:
-            out.write(CHECKPOINT_MAGIC)
-            out.write(struct.pack("<I", CHECKPOINT_VERSION))
-            out.write(struct.pack("<Q", checkpoint.fingerprint))
-            out.write(struct.pack("<I", len(meta_bytes)))
-            out.write(meta_bytes)
+            head = struct.pack("<4sIQI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, checkpoint.fingerprint, len(meta_bytes))
+            head += meta_bytes
+            out.write(head)
             out.write(payload)
+            out.write(struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))))
         os.replace(tmp_path, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -241,8 +223,9 @@ def save_checkpoint(path: str, checkpoint: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str, expected_fingerprint: int | None = None) -> Checkpoint:
-    """Read a checkpoint.  A file that is cut short, has bytes after the
-    payload or does not parse raises ``CheckpointError`` and never loads."""
+    """Read a checkpoint.  A file whose checksum does not match, that is cut
+    short, has bytes after the payload or does not parse raises
+    ``CheckpointError`` and never loads."""
     with open(path, "rb") as src:
         blob = src.read()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -251,6 +234,9 @@ def load_checkpoint(path: str, expected_fingerprint: int | None = None) -> Check
         version, fingerprint, meta_len = struct.unpack_from("<IQI", blob, 4)
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        body = memoryview(blob)[:-4]  # everything the CRC-32 trailer covers
+        if zlib.crc32(body) != struct.unpack_from("<I", blob, len(body))[0]:
+            raise ValueError("checksum mismatch")
         if expected_fingerprint is not None and fingerprint != expected_fingerprint:
             raise CheckpointError(
                 f"{path}: configuration fingerprint mismatch "
@@ -262,15 +248,13 @@ def load_checkpoint(path: str, expected_fingerprint: int | None = None) -> Check
         for entry in meta["arrays"]:
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(blob, dtype=entry["dtype"], count=count, offset=offset).reshape(shape)
+            arr = np.frombuffer(body, dtype=entry["dtype"], count=count, offset=offset).reshape(shape)
             arrays[entry["name"]] = arr.copy()
             offset += arr.nbytes
-        if offset != len(blob):
-            raise ValueError(f"{len(blob) - offset} bytes after the payload")
+        if offset != len(body):
+            raise ValueError(f"{len(body) - offset} bytes after the payload")
 
-        params = ModelParams(
-            arrays["item_embeddings"], arrays["attention_vector"], meta["temperature"], meta["aggregator"]
-        )
+        params = ModelParams(arrays["table"], meta["temperature"], meta["aggregator"])
         opt_meta = meta["optimizer"]
         opt = OptimizerState(
             kind=opt_meta["kind"],
@@ -278,15 +262,11 @@ def load_checkpoint(path: str, expected_fingerprint: int | None = None) -> Check
             beta1=opt_meta["beta1"],
             beta2=opt_meta["beta2"],
             epsilon=opt_meta["epsilon"],
-            attn_t=opt_meta["attn_t"],
         )
         if opt.kind == "adam":
             row_ids = arrays["adam_row_ids"]
-            m, v, t = opt.tables(params.num_items, params.dim)
+            m, v, t = opt.tables(params.table.shape)
             m[row_ids], v[row_ids], t[row_ids] = arrays["adam_row_m"], arrays["adam_row_v"], arrays["adam_row_t"]
-            if arrays["adam_attn_m"].size:
-                opt.attn_m = arrays["adam_attn_m"]
-                opt.attn_v = arrays["adam_attn_v"]
         return Checkpoint(
             params=params,
             optimizer=opt,
@@ -359,8 +339,7 @@ def train_incremental(
     if resume is not None:
         if resume.months != months:
             raise CheckpointError(f"checkpoint months {resume.months} do not match the data's {months}")
-        params.item_embeddings[...] = resume.params.item_embeddings
-        params.attention_vector[...] = resume.params.attention_vector
+        params.table[...] = resume.params.table
         state = resume.optimizer
         start_phase, start_epoch = resume.month_cursor, resume.epoch_cursor
 
@@ -393,7 +372,7 @@ def train_incremental(
                 apply_optimizer_step(params, out.gradients, state)
                 steps += 1
             # A finite step can still overflow a parameter; no checkpoint or snapshot may hold one.
-            if not (np.isfinite(params.item_embeddings).all() and np.isfinite(params.attention_vector).all()):
+            if not np.isfinite(params.table).all():
                 raise NonFiniteGradientError(f"non-finite parameters after month {month}, epoch {epoch}")
             if shuffled:
                 _save(f"shuffled_epoch_{epoch:02d}.ckpt", phase, epoch + 1)

@@ -378,7 +378,8 @@ def train_to_optimum(
     init = ModelParams.initialize(k + m, dim, temperature, seed)
     # A synthetic user is one token, so every aggregator pools it to that
     # token's row; mean pooling stands for all of them.
-    params = ModelParams(np.tile(init.item_embeddings, (num_configs, 1)), init.attention_vector, temperature, "mean")
+    stack = np.vstack([np.tile(init.item_embeddings, (num_configs, 1)), init.attention_vector])
+    params = ModelParams(stack, temperature, "mean")
     first_row = (k + m) * np.arange(num_configs)[:, None]
     users = Sequences(np.arange(num_configs * m + 1), (first_row + k + np.arange(m)).ravel())
     items = np.repeat(first_row + np.arange(k), m, axis=0)  # (C * M, K)
@@ -391,7 +392,7 @@ def train_to_optimum(
         grads = score_matrix_backward(cache, dphi.reshape(num_configs * m, k), params)
         apply_optimizer_step(params, grads, opt)
     return [
-        ModelParams(block.copy(), init.attention_vector.copy(), temperature)
+        ModelParams(np.vstack([block, params.attention_vector]), temperature)
         for block in np.split(params.item_embeddings, num_configs)
     ]
 

@@ -17,35 +17,25 @@ def numeric_gradient(
     loss_fn: Callable[[], float],
     params: ModelParams,
     rows: list[int],
-    with_attention: bool,
     step: float = 1e-6,
 ) -> GradientTable:
+    """The gradient of ``rows`` of the parameter table (row ``num_items`` is
+    the attention query)."""
     grads = GradientTable(np.asarray(rows, dtype=np.int64), np.zeros((len(rows), params.dim)))
     for g, row in zip(grads.values, rows):
         for j in range(params.dim):
-            original = params.item_embeddings[row, j]
-            params.item_embeddings[row, j] = original + step
+            original = params.table[row, j]
+            params.table[row, j] = original + step
             up = loss_fn()
-            params.item_embeddings[row, j] = original - step
+            params.table[row, j] = original - step
             down = loss_fn()
-            params.item_embeddings[row, j] = original
+            params.table[row, j] = original
             g[j] = (up - down) / (2.0 * step)
-    if with_attention:
-        g = np.zeros(params.dim)
-        for j in range(params.dim):
-            original = params.attention_vector[j]
-            params.attention_vector[j] = original + step
-            up = loss_fn()
-            params.attention_vector[j] = original - step
-            down = loss_fn()
-            params.attention_vector[j] = original
-            g[j] = (up - down) / (2.0 * step)
-        grads.attention = g
     return grads
 
 
 def row_gradient(grads: GradientTable, row: int) -> np.ndarray:
-    """The gradient of embedding row ``row`` (zero if the table omits it)."""
+    """The gradient of table row ``row`` (zero if the table omits it)."""
     hit = np.flatnonzero(grads.rows == row)
     return grads.values[hit[0]] if hit.size else np.zeros(grads.values.shape[1])
 
@@ -61,8 +51,6 @@ def max_relative_error(analytic: GradientTable, numeric: GradientTable) -> float
     scale = 0.0
     for num in numeric.values:
         scale = max(scale, float(np.max(np.abs(num))))
-    if numeric.attention is not None:
-        scale = max(scale, float(np.max(np.abs(numeric.attention))))
     floor = 1e-6 * max(1.0, scale)
 
     worst = 0.0
@@ -70,8 +58,4 @@ def max_relative_error(analytic: GradientTable, numeric: GradientTable) -> float
         ana = row_gradient(analytic, row)
         denom = np.maximum(np.maximum(np.abs(num), np.abs(ana)), floor)
         worst = max(worst, float(np.max(np.abs(ana - num) / denom)))
-    if numeric.attention is not None:
-        ana = analytic.attention if analytic.attention is not None else np.zeros_like(numeric.attention)
-        denom = np.maximum(np.maximum(np.abs(numeric.attention), np.abs(ana)), floor)
-        worst = max(worst, float(np.max(np.abs(ana - numeric.attention) / denom)))
     return worst

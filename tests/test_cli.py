@@ -6,6 +6,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -363,10 +364,11 @@ def small_checkpoint(small_events):
 def invalid_checkpoints(small_checkpoint):
     """Copies of ``small_checkpoint`` written with a NaN temperature, an
     infinite item table, one NaN entry in one item row or an unknown
-    pooling, and directories whose one month checkpoint holds that NaN
-    entry or that pooling."""
+    pooling, a copy whose header says format version 1, and directories
+    whose one month checkpoint holds that NaN entry, that pooling or one
+    item row more than the data's vocabulary."""
     directory = os.path.join(os.path.dirname(os.path.dirname(small_checkpoint)), "invalid")
-    for months in ("months", "aggregator_months"):
+    for months in ("months", "aggregator_months", "vocabulary_months"):
         os.makedirs(os.path.join(directory, months), exist_ok=True)
 
     def write(name, source, corrupt):
@@ -387,6 +389,14 @@ def invalid_checkpoints(small_checkpoint):
     def unknown_aggregator(params):
         params.aggregator = "max"
 
+    def extra_item(params):
+        params.table = np.vstack([params.table[:1], params.table])
+
+    version_1 = os.path.join(directory, "version_1.ckpt")
+    with open(small_checkpoint, "rb") as src, open(version_1, "wb") as out:
+        blob = src.read()
+        out.write(blob[:4] + struct.pack("<I", 1) + blob[8:])
+
     month = small_checkpoint.replace("final", "month_0001")
     return {
         "nan_temperature": write("nan_temperature.ckpt", small_checkpoint, nan_temperature),
@@ -395,6 +405,8 @@ def invalid_checkpoints(small_checkpoint):
         "nan_months": os.path.dirname(write("months/month_0001.ckpt", month, nan_row)),
         "max_aggregator": write("max_aggregator.ckpt", small_checkpoint, unknown_aggregator),
         "max_aggregator_months": os.path.dirname(write("aggregator_months/month_0001.ckpt", month, unknown_aggregator)),
+        "vocabulary_months": os.path.dirname(write("vocabulary_months/month_0001.ckpt", month, extra_item)),
+        "version_1": version_1,
     }
 
 
@@ -648,6 +660,19 @@ class TestTrainVariants:
                 "corrupt checkpoint (aggregator must be one of",
                 "retrieve-checkpoint-unknown-aggregator",
             ),
+            setting(
+                "trace --checkpoint-dir {vocabulary_months}",
+                {"eval.num_negatives": 2},
+                "checkpoint vocabulary (13 items) does not match data (12)",
+                "trace-month-checkpoint-vocabulary",
+            ),
+            setting(
+                "train --checkpoint {vocabulary_months}/month_0001.ckpt",
+                {},
+                "checkpoint vocabulary (13 items) does not match data (12)",
+                "train-resume-checkpoint-vocabulary",
+            ),
+            setting("eval --checkpoint {version_1}", {}, "unsupported checkpoint version 1", "eval-checkpoint-version-1"),
             setting(
                 "verify",
                 {"verify.learning_rate": 1.7e308, "verify.epochs": 2, "verify.num_samples": 2000},

@@ -94,8 +94,8 @@ def check_family(family: str, aggregator: str, instance_seed: int) -> float:
         return loss_with_gradients(batch, params, config, **kwargs)
 
     analytic = evaluate().gradients
-    rows = sorted(analytic.rows)
-    numeric = numeric_gradient(lambda: evaluate().value, params, rows, with_attention=aggregator == "attention")
+    rows = sorted({*analytic.rows.tolist(), params.num_items})  # the attention row, whether or not pooling reads it
+    numeric = numeric_gradient(lambda: evaluate().value, params, rows)
     return max_relative_error(analytic, numeric)
 
 
@@ -132,7 +132,7 @@ class TestSharingEdgeCases:
             return loss_with_gradients(batch, params, config, marginals=marginals)
 
         analytic = evaluate().gradients
-        numeric = numeric_gradient(lambda: evaluate().value, params, sorted(analytic.rows), with_attention=False)
+        numeric = numeric_gradient(lambda: evaluate().value, params, sorted(analytic.rows))
         assert max_relative_error(analytic, numeric) <= 1e-4
 
     def test_repeated_item_under_attention(self):
@@ -148,7 +148,7 @@ class TestSharingEdgeCases:
             return loss_with_gradients(batch, params, config, marginals=marginals)
 
         analytic = evaluate().gradients
-        numeric = numeric_gradient(lambda: evaluate().value, params, sorted(analytic.rows), with_attention=True)
+        numeric = numeric_gradient(lambda: evaluate().value, params, sorted({*analytic.rows.tolist(), params.num_items}))
         assert max_relative_error(analytic, numeric) <= 1e-4
 
 

@@ -29,7 +29,7 @@ def make_params(num_items=6, dim=4, temperature=0.25, seed=0, aggregator="mean")
 
 def pair_score(u: np.ndarray, v: np.ndarray, temperature: float) -> float:
     """The kernel's score of a user whose one row is ``u`` against the item row ``v``."""
-    params = ModelParams(np.stack([v, u]), np.zeros(u.size), temperature)
+    params = ModelParams(np.stack([v, u, np.zeros(u.size)]), temperature)
     return float(score_matrix_forward(Sequences.of([(1,)]), [0], params)[0][0, 0])
 
 
@@ -46,7 +46,7 @@ class TestParams:
 
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValueError):
-            ModelParams(np.zeros((2, 2)), np.zeros(2), temperature=0.0)
+            ModelParams(np.zeros((3, 2)), temperature=0.0)
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -60,13 +60,13 @@ class TestParams:
     )
     def test_non_finite_parameters_rejected(self, field, value, message):
         """One NaN or infinite entry anywhere, and the parameters never exist."""
-        parts = {"item_embeddings": np.zeros((3, 2)), "attention_vector": np.zeros(2), "temperature": 0.25}
+        table, temperature = np.zeros((4, 2)), 0.25
         if field == "temperature":
-            parts[field] = value
+            temperature = value
         else:
-            parts[field].flat[-1] = value
+            {"item_embeddings": table[:-1], "attention_vector": table[-1]}[field].flat[-1] = value
         with pytest.raises(ValueError, match=message):
-            ModelParams(**parts)
+            ModelParams(table, temperature)
 
     def test_clone_is_independent(self):
         params = make_params(aggregator="attention")
@@ -78,7 +78,7 @@ class TestParams:
     @pytest.mark.parametrize("aggregator", ["max", "", "Mean", None])
     def test_unknown_aggregator_rejected(self, aggregator):
         with pytest.raises(ValueError, match="aggregator must be one of"):
-            ModelParams(np.zeros((2, 2)), np.zeros(2), 0.25, aggregator)
+            ModelParams(np.zeros((3, 2)), 0.25, aggregator)
         with pytest.raises(ValueError, match="aggregator must be one of"):
             make_params(aggregator=aggregator)
 
@@ -290,7 +290,7 @@ class TestSharedRowGradients:
         untied_sequences = [tuple(untie(seq)) for seq in sequences]
         extra = np.repeat(params.item_embeddings[2:3], 7, axis=0)
         untied = ModelParams(
-            np.vstack([params.item_embeddings, extra]), params.attention_vector.copy(), params.temperature, aggregator
+            np.vstack([params.item_embeddings, extra, params.attention_vector]), params.temperature, aggregator
         )
 
         phi, cache = score_matrix_forward(Sequences.of(sequences), targets, params)
@@ -306,7 +306,7 @@ class TestSharedRowGradients:
         for r in (0, 1, 3, 4, 5):
             np.testing.assert_array_equal(row_gradient(tied, r), row_gradient(split, r))
         if aggregator == "attention":
-            np.testing.assert_array_equal(tied.attention, split.attention)
+            np.testing.assert_array_equal(row_gradient(tied, params.num_items), row_gradient(split, untied.num_items))
 
 
 class TestGradientTable:

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -28,18 +29,19 @@ from twotower.verify import SyntheticSpec, generate_synthetic, random_joint
 
 
 
-def grads_of(rows: dict[int, list[float]], attention=None) -> GradientTable:
+def grads_of(rows: dict[int, list[float]]) -> GradientTable:
     ids = sorted(rows)
-    return GradientTable(
-        np.array(ids, dtype=np.int64),
-        np.array([rows[r] for r in ids], dtype=float),
-        None if attention is None else np.asarray(attention, dtype=float),
-    )
+    return GradientTable(np.array(ids, dtype=np.int64), np.array([rows[r] for r in ids], dtype=float))
+
+
+def resealed(blob: bytes) -> bytes:
+    """``blob`` with its CRC-32 trailer recomputed over the bytes before it."""
+    return blob[:-4] + struct.pack("<I", zlib.crc32(blob[:-4]))
 
 
 class TestOptimizerStep:
     def test_sgd_decrements_along_gradient(self):
-        params = ModelParams(np.zeros((2, 3)), np.zeros(3), 1.0)
+        params = ModelParams(np.zeros((3, 3)), 1.0)
         state = OptimizerState(kind="sgd", learning_rate=0.1)
         apply_optimizer_step(params, grads_of({0: [1.0, 0.0, 0.0]}), state)
         np.testing.assert_allclose(params.item_embeddings[0], [-0.1, 0.0, 0.0], atol=1e-15)
@@ -47,7 +49,7 @@ class TestOptimizerStep:
 
     def test_adam_first_step_magnitude_is_learning_rate(self):
         for scale in (1e-4, 1.0, 1e4):
-            params = ModelParams(np.zeros((1, 2)), np.zeros(2), 1.0)
+            params = ModelParams(np.zeros((2, 2)), 1.0)
             state = OptimizerState(kind="adam", learning_rate=0.01)
             apply_optimizer_step(params, grads_of({0: [scale, -scale]}), state)
             np.testing.assert_allclose(np.abs(params.item_embeddings[0]), 0.01, rtol=1e-3)
@@ -59,7 +61,7 @@ class TestOptimizerStep:
         g0 = np.array([0.3, -0.7])
         g1 = np.array([-1.2, 0.4])
 
-        params = ModelParams(np.zeros((2, 2)), np.zeros(2), 1.0)
+        params = ModelParams(np.zeros((3, 2)), 1.0)
         state = OptimizerState(kind="adam", learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
         apply_optimizer_step(params, grads_of({0: g0}), state)
         apply_optimizer_step(params, grads_of({1: g1}), state)
@@ -75,7 +77,7 @@ class TestOptimizerStep:
         np.testing.assert_allclose(params.item_embeddings, dense, atol=1e-15)
 
     def test_adam_moments_persist_across_steps(self):
-        params = ModelParams(np.zeros((1, 1)), np.zeros(1), 1.0)
+        params = ModelParams(np.zeros((2, 1)), 1.0)
         state = OptimizerState(kind="adam", learning_rate=0.1)
         apply_optimizer_step(params, grads_of({0: [1.0]}), state)
         apply_optimizer_step(params, grads_of({0: [1.0]}), state)
@@ -89,10 +91,10 @@ class TestOptimizerStep:
         included, over thousands of steps."""
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
         rng = np.random.default_rng(4)
-        params = ModelParams(np.zeros((3, 2)), np.zeros(2), 1.0)
+        params = ModelParams(np.zeros((4, 2)), 1.0)
         state = OptimizerState(kind="adam", learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
         ref = np.zeros((3, 2))
-        ref_m, ref_v, ref_t = np.zeros((3, 2)), np.zeros((3, 2)), [0, 0, 0]
+        ref_m, ref_v, ref_t = np.zeros((3, 2)), np.zeros((3, 2)), [0, 0, 0, 0]  # row 3, the attention row, never steps
         for step in range(3000):
             touched = [0, 1] if step % 3 else [0, 2]
             grads = {row: rng.normal(size=2) for row in touched}
@@ -108,7 +110,7 @@ class TestOptimizerStep:
         np.testing.assert_array_equal(params.item_embeddings, ref)
 
     def test_non_finite_gradient_aborts(self):
-        params = ModelParams(np.zeros((1, 2)), np.zeros(2), 1.0)
+        params = ModelParams(np.zeros((2, 2)), 1.0)
         state = OptimizerState(kind="sgd", learning_rate=0.1)
         with pytest.raises(NonFiniteGradientError, match="rows \\[0\\]"):
             apply_optimizer_step(params, grads_of({0: [float("nan"), 0.0]}), state)
@@ -118,7 +120,7 @@ class TestCheckpointFile:
     def _checkpoint(self, seed=3):
         params = ModelParams.initialize(5, 3, 0.25, seed, "attention")
         state = OptimizerState(kind="adam", learning_rate=0.01)
-        apply_optimizer_step(params, grads_of({2: [0.1, 0.2, 0.3]}, attention=[1.0, 0.0, 0.0]), state)
+        apply_optimizer_step(params, grads_of({2: [0.1, 0.2, 0.3], 5: [1.0, 0.0, 0.0]}), state)  # row 5: attention
         return Checkpoint(params, state, month_cursor=1, epoch_cursor=0, months=(1, 2, 3), seed=seed, fingerprint=0xDEADBEEF)
 
     def test_round_trip(self, tmp_path):
@@ -135,8 +137,7 @@ class TestCheckpointFile:
         assert loaded.fingerprint == 0xDEADBEEF
         np.testing.assert_array_equal(loaded.optimizer.m, original.optimizer.m)
         np.testing.assert_array_equal(loaded.optimizer.v, original.optimizer.v)
-        np.testing.assert_array_equal(loaded.optimizer.t, [0, 0, 1, 0, 0])
-        np.testing.assert_array_equal(loaded.optimizer.attn_m, original.optimizer.attn_m)
+        np.testing.assert_array_equal(loaded.optimizer.t, [0, 0, 1, 0, 0, 1])
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "c.ckpt")
@@ -159,15 +160,65 @@ class TestCheckpointFile:
             with pytest.raises(CheckpointError):
                 load_checkpoint(str(path))
         path.write_bytes(blob + b"\x00")
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
+            load_checkpoint(str(path))
+        path.write_bytes(resealed(blob[:-4] + b"\x00" + blob[-4:]))  # a byte after the payload, checksum valid
         with pytest.raises(CheckpointError, match="after the payload"):
             load_checkpoint(str(path))
+
+    def test_every_single_bit_flip_rejected(self, tmp_path):
+        """The CRC-32 trailer catches every single-bit error, so a flip in any
+        field (header, metadata, payload or the trailer itself) never loads."""
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(str(path), self._checkpoint())
+        blob = path.read_bytes()
+        for bit in range(8 * len(blob)):
+            damaged = bytearray(blob)
+            damaged[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(damaged)
+            with pytest.raises(CheckpointError):
+                load_checkpoint(str(path))
+
+    def test_seeded_corruptions_rejected(self, tmp_path):
+        """Seeded damage of several kinds after the magic: scattered bit
+        flips, a burst of flipped bits, an overwritten byte, two unequal
+        bytes swapped and a run of 8 bytes overwritten; none of them loads."""
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(str(path), self._checkpoint())
+        blob = path.read_bytes()
+        rng = np.random.default_rng(18)
+        for trial in range(500):
+            damaged = bytearray(blob)
+            kind = trial % 5
+            if kind == 0:
+                for bit in rng.choice(np.arange(32, 8 * len(blob)), size=int(rng.integers(2, 9)), replace=False):
+                    damaged[bit // 8] ^= 1 << (bit % 8)
+            elif kind == 1:
+                start = int(rng.integers(4, len(blob) - 4))
+                damaged[start : start + 4] = bytes(b ^ int(x) for b, x in zip(damaged[start : start + 4], rng.integers(1, 256, size=4)))
+            elif kind == 2:
+                at = int(rng.integers(4, len(blob)))
+                damaged[at] = (damaged[at] + int(rng.integers(1, 256))) % 256
+            elif kind == 3:
+                i, j = rng.choice(np.arange(4, len(blob)), size=2, replace=False)
+                if damaged[i] == damaged[j]:
+                    damaged[i] ^= 0xFF
+                damaged[i], damaged[j] = damaged[j], damaged[i]
+            else:
+                start = int(rng.integers(4, len(blob) - 8))
+                fill = 0 if any(damaged[start : start + 8]) else 0xFF
+                damaged[start : start + 8] = bytes([fill]) * 8
+            assert damaged != blob
+            path.write_bytes(damaged)
+            with pytest.raises(CheckpointError):
+                load_checkpoint(str(path))
 
     def test_missing_array_rejected(self, tmp_path):
         path = tmp_path / "c.ckpt"
         save_checkpoint(str(path), self._checkpoint())
         blob = path.read_bytes()
-        path.write_bytes(blob.replace(b'"attention_vector"', b'"attention_vectoX"'))
-        with pytest.raises(CheckpointError, match="attention_vector"):
+        path.write_bytes(resealed(blob.replace(b'"table"', b'"tablX"')))
+        with pytest.raises(CheckpointError, match="table"):
             load_checkpoint(str(path))
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
@@ -214,8 +265,21 @@ def synthetic_training_set(num_months=3, num_samples=1_500, seed=5):
     return spec, examples, compute_marginals(examples, spec.num_items + spec.num_users)
 
 
-def fresh_params(spec, seed=11):
-    return ModelParams.initialize(spec.num_items + spec.num_users, 4, 0.2, seed)
+def fresh_params(spec, seed=11, aggregator="mean"):
+    return ModelParams.initialize(spec.num_items + spec.num_users, 4, 0.2, seed, aggregator)
+
+
+def pooled_training_set(aggregator):
+    """The three-month synthetic set for ``aggregator``.  Under attention
+    pooling each pseudo-user also holds the next example's token, so the
+    attention weights vary and the attention row takes non-zero steps."""
+    spec, examples, marginals = synthetic_training_set(num_months=3)
+    if aggregator == "attention":
+        rows = example_rows(examples)
+        nexts = rows[1:] + rows[:1]
+        examples = examples_of([(user, (seq[0], nxt[1][0]), target, day) for (user, seq, target, day), nxt in zip(rows, nexts)])
+        marginals = compute_marginals(examples, spec.num_items + spec.num_users)
+    return spec, examples, marginals
 
 
 def train_config(**kwargs) -> TrainConfig:
@@ -307,20 +371,21 @@ class TestTrainingLoop:
         assert [row["month"] for row in result.trace] == months
         assert np.any(params.item_embeddings != 0.0)
 
-    def test_resume_from_month_checkpoint_is_bit_identical(self, tmp_path):
-        spec, examples, marginals = synthetic_training_set(num_months=3)
+    @pytest.mark.parametrize("aggregator", ["mean", "attention"])
+    def test_resume_from_month_checkpoint_is_bit_identical(self, tmp_path, aggregator):
+        spec, examples, marginals = pooled_training_set(aggregator)
         months = sorted(set(examples.month.tolist()))
         config = train_config()
 
         full_dir = str(tmp_path / "full")
-        params_full = fresh_params(spec)
+        params_full = fresh_params(spec, aggregator=aggregator)
         full = train_incremental(
             examples, params_full, LOSS, config,
             marginals=marginals, checkpoint_dir=full_dir, fingerprint=7,
         )
 
         part_dir = str(tmp_path / "part")
-        params_part = fresh_params(spec)
+        params_part = fresh_params(spec, aggregator=aggregator)
         resume_ckpt = load_checkpoint(os.path.join(full_dir, f"month_{months[0]:04d}.ckpt"), expected_fingerprint=7)
         resumed = train_incremental(
             examples, params_part, LOSS, config,
@@ -330,28 +395,32 @@ class TestTrainingLoop:
         assert written == [name for m in months[1:] for name in (f"month_{m:04d}_epoch_00.ckpt", f"month_{m:04d}.ckpt")]
         np.testing.assert_array_equal(params_part.item_embeddings, params_full.item_embeddings)
         np.testing.assert_array_equal(params_part.attention_vector, params_full.attention_vector)
+        assert np.any(params_full.attention_vector != 0.0) == (aggregator == "attention")
         final = f"month_{months[-1]:04d}.ckpt"
         assert open(os.path.join(part_dir, final), "rb").read() == open(os.path.join(full_dir, final), "rb").read()
 
-    def test_resume_from_epoch_checkpoint_is_bit_identical(self, tmp_path):
-        spec, examples, marginals = synthetic_training_set(num_months=3)
+    @pytest.mark.parametrize("aggregator", ["mean", "attention"])
+    def test_resume_from_epoch_checkpoint_is_bit_identical(self, tmp_path, aggregator):
+        spec, examples, marginals = pooled_training_set(aggregator)
         months = sorted(set(examples.month.tolist()))
         config = train_config(epochs_per_month=2)
 
         full_dir = str(tmp_path / "full")
-        params_full = fresh_params(spec)
+        params_full = fresh_params(spec, aggregator=aggregator)
         train_incremental(
             examples, params_full, LOSS, config,
             marginals=marginals, checkpoint_dir=full_dir, fingerprint=3,
         )
 
         epoch_ckpt = load_checkpoint(os.path.join(full_dir, f"month_{months[1]:04d}_epoch_00.ckpt"), expected_fingerprint=3)
-        params_resumed = fresh_params(spec)
+        params_resumed = fresh_params(spec, aggregator=aggregator)
         train_incremental(
             examples, params_resumed, LOSS, config,
             marginals=marginals, checkpoint_dir=str(tmp_path / "resume"), fingerprint=3, resume=epoch_ckpt,
         )
         np.testing.assert_array_equal(params_resumed.item_embeddings, params_full.item_embeddings)
+        np.testing.assert_array_equal(params_resumed.attention_vector, params_full.attention_vector)
+        assert np.any(params_full.attention_vector != 0.0) == (aggregator == "attention")
 
     def test_repeat_runs_are_identical(self):
         spec, examples, marginals = synthetic_training_set(num_months=3)
