@@ -17,7 +17,7 @@ from .data import Events, Examples, Sequences, first_owners, smallest_keys
 from .model import ModelParams, encode_user_batch, normalize_rows
 
 TASKS = ("ir", "ut")
-ENCODE_CHUNK = 512  # pseudo-users per padded encoder batch in RankingIndex.build
+ENCODE_CHUNK = 512  # pseudo-users per encoder batch in RankingIndex.build; bounds its (N, d) gather, changes no bit
 RANK_CHUNK = 128  # cases per candidate gather in evaluate; sets the peak memory of a ranking
 CASE_CELLS = 2**17  # random keys per block of cases in build_eval_cases (1 MiB); sets the peak memory of a draw
 
@@ -51,9 +51,8 @@ class EvalCases:
 class EvalPool:
     """Shared candidate universe for a batch of cases: the key table the
     key ids refer to and, for UT, the candidate key ids (ascending) with the
-    user each one stands for."""
+    user each one stands for.  The task is the cases' ``EvalCases.task``."""
 
-    task: str
     table: Sequences
     user_keys: np.ndarray | None = None
     key_owner: np.ndarray | None = None
@@ -105,13 +104,13 @@ def build_eval_cases(
         universe = np.unique(ex.target)
         groups, queries, positives = ex.user, ex.key, ex.target
         slots = np.searchsorted(universe, positives)
-        pool = EvalPool("ir", ex.table)
+        pool = EvalPool(ex.table)
     else:
         user_keys, owners = first_owners(ex.key, ex.user)
         universe = np.arange(user_keys.size)
         groups, queries, positives = ex.target, ex.target, np.searchsorted(user_keys, ex.key)
         slots = positives
-        pool = EvalPool("ut", ex.table, user_keys, owners)
+        pool = EvalPool(ex.table, user_keys, owners)
     # Each exclusion group's distinct positives as universe slots, one CSR row per group.
     group_of = np.unique(groups, return_inverse=True)[1]
     pairs = np.unique(group_of * universe.size + slots)  # distinct (group, slot), grouped
@@ -149,7 +148,8 @@ class RankingIndex:
     @classmethod
     def build(cls, params: ModelParams, sequences: Sequences) -> "RankingIndex":
         """Encode each of the distinct ``sequences`` once, as a row of the user
-        table, ``ENCODE_CHUNK`` at a time (a padded batch gathers ``(n, L, d)``)."""
+        table, ``ENCODE_CHUNK`` at a time (a batch gathers one row per
+        position).  A row does not depend on the chunk its sequence falls in."""
         items, _ = normalize_rows(params.item_embeddings)
         users = np.empty((len(sequences), params.dim))
         for start in range(0, len(sequences), ENCODE_CHUNK):
@@ -163,7 +163,7 @@ class RankingIndex:
         """The index of the cases and each case's query as :meth:`scores` takes
         it.  IR encodes the cases' distinct query keys in ascending order and
         queries by row, UT encodes the pool's keys."""
-        if pool.task == "ut":
+        if cases.task == "ut":
             return cls.build(params, pool.table.take(pool.user_keys)), cases.query
         keys, row = np.unique(cases.query, return_inverse=True)
         return cls.build(params, pool.table.take(keys)), row
@@ -267,7 +267,7 @@ def evaluate(
         ranks[rows] = positive_rank(scores, candidates, cases.positive[rows])
         top[rows] = top_n(scores, candidates, cases.cutoff)[0]
     recalls, ndcgs = rank_metrics(ranks, cases.cutoff)
-    if pool.task == "ut":
+    if cases.task == "ut":
         top = pool.key_owner[top]
 
     per_case = None
@@ -281,7 +281,7 @@ def evaluate(
     pop_median = pop_mean = None
     if records is not None and anchor_day is not None:
         item_counts, user_counts = popularity_counts(records, anchor_day, window_days)
-        counts = item_counts if pool.task == "ir" else user_counts
+        counts = item_counts if cases.task == "ir" else user_counts
         pop_median, pop_mean = popularity_stats(top, counts)
 
     return EvalReport(

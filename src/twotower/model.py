@@ -6,20 +6,23 @@ mean, last or attention pooling.  The match score is the l2-normalized dot
 product rescaled by a fixed temperature, so scores live in
 ``[-1/tau, +1/tau]`` and are invariant to the scale of either vector.
 
-A batch of pseudo-users (CSR rows, ``data.Sequences``) is held padded: a
-``(B, L)`` id matrix, the mask of its real positions and the lengths, so
-pooling and its backward pass are array operations over the whole batch.  One scoring kernel serves every
-loss: ``score_matrix_forward`` scores the batch against shared item columns
-(1-d ids, a ``(B, C)`` score matrix) or against candidates of its own per
-row (``(B, K)`` ids and scores; ``K = 1`` scores pairs), and
-``score_matrix_backward`` chains the loss gradient with respect to those
-scores through normalization and pooling into a sparse ``GradientTable``
-over the rows of the parameter table.  The loss modules supply the score gradient;
-everything below the scores lives here.
+A batch of pseudo-users is pooled straight from its CSR rows
+(``data.Sequences``): every array runs over the flat positions, and each
+sequence's sums go through ``sum_rows``, which adds in position order, so a
+pseudo-user's vector depends on its own rows only, not on its batch.
+
+One scoring kernel serves every loss: ``score_matrix_forward`` scores the
+batch against shared item columns (1-d ids, a ``(B, C)`` score matrix) or
+against candidates of its own per row (``(B, K)`` ids and scores; ``K = 1``
+scores pairs), and ``score_matrix_backward`` chains the loss gradient with
+respect to those scores through normalization and pooling into a sparse
+``GradientTable`` over the rows of the parameter table.  The loss modules
+supply the score gradient; everything below the scores lives here.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -91,6 +94,15 @@ class ModelParams:
         return ModelParams(self.table.copy(), self.temperature, self.aggregator)
 
 
+def sum_rows(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """``size`` sums, the ``k``-th of every ``values[j]`` with ``index[j] == k``.
+    ``np.bincount`` adds its weights in input order, so each sum takes its
+    terms in the order given, as a loop over them would, starting from +0.0."""
+    width = math.prod(values.shape[1:])
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=size * width).reshape(size, *values.shape[1:])
+
+
 @dataclass
 class GradientTable:
     """Sparse gradient over the parameter table: the touched rows as unique
@@ -102,63 +114,48 @@ class GradientTable:
 
     @classmethod
     def accumulate(cls, ids: np.ndarray, grads: np.ndarray) -> "GradientTable":
-        """Sum the gradient rows of repeated ids, found by a count, not a sort.
-        ``np.bincount`` adds its weights in input order, so each row's sum
-        takes its contributions in the order given, as a loop over them would."""
+        """Sum the gradient rows of repeated ids, found by a count, not a sort."""
         present = np.bincount(ids) > 0
         rows = np.flatnonzero(present)
-        inverse = (np.cumsum(present) - 1)[ids]
-        dim = grads.shape[1]
-        flat = (inverse[:, None] * dim + np.arange(dim)).ravel()
-        values = np.bincount(flat, weights=grads.ravel(), minlength=rows.size * dim)
-        return cls(rows, values.reshape(rows.size, dim))
+        return cls(rows, sum_rows((np.cumsum(present) - 1)[ids], grads, rows.size))
 
 
 @dataclass
 class UserBatch:
-    """Pseudo-users padded to ``(B, L)``: item ids (padding holds id 0), the
-    mask of real positions, the lengths, the pooled raw vectors ``(B, d)``
-    and, under attention pooling, the ``(B, L)`` weights (0 on padding) and
-    the gathered ``(B, L, d)`` rows, which the backward pass reads again."""
+    """Pseudo-users as CSR positions: the item ids, each position's sequence
+    (``owner``), the lengths, the pooled raw vectors ``(B, d)`` and, under
+    attention pooling, each position's weight and the gathered ``(N, d)``
+    rows, which the backward pass reads again."""
 
-    ids: np.ndarray
-    mask: np.ndarray
+    items: np.ndarray
+    owner: np.ndarray
     lengths: np.ndarray
     vectors: np.ndarray
     weights: np.ndarray | None = None
     rows: np.ndarray | None = None
 
 
-def _pad_sequences(sequences: Sequences, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Padded ids, mask and lengths of the CSR rows; an out-of-vocabulary id raises."""
+def encode_user_batch(sequences: Sequences, params: ModelParams) -> UserBatch:
+    """Pool every sequence's embedding rows into one raw user vector, as
+    ``params.aggregator`` says: the mean, the last row, or a softmax
+    attention over the rows.  An out-of-vocabulary id raises ``VocabularyError``."""
     lengths = np.diff(sequences.offsets)
     if np.any(lengths == 0):
         raise ValueError("pseudo-user sequence is empty")
-    flat = sequences.items
-    known = (flat >= 0) & (flat < params.num_items)
+    items = sequences.items
+    known = (items >= 0) & (items < params.num_items)
     if not np.all(known):
-        raise VocabularyError(f"unknown item id(s) {flat[~known].tolist()} in pseudo-user sequence")
-    mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    ids = np.zeros(mask.shape, dtype=np.int64)
-    ids[mask] = flat
-    return ids, mask, lengths
-
-
-def encode_user_batch(sequences: Sequences, params: ModelParams) -> UserBatch:
-    """Pool every sequence's embedding rows into one raw user vector, as
-    ``params.aggregator`` says: a masked mean, the row at ``len - 1``, or a
-    masked-softmax attention.  An out-of-vocabulary id raises ``VocabularyError``."""
-    ids, mask, lengths = _pad_sequences(sequences, params)
+        raise VocabularyError(f"unknown item id(s) {items[~known].tolist()} in pseudo-user sequence")
+    owner = np.repeat(np.arange(lengths.size), lengths)
     if params.aggregator == "last":
-        return UserBatch(ids, mask, lengths, params.item_embeddings[ids[np.arange(lengths.size), lengths - 1]])
-    rows = params.item_embeddings[ids]  # (B, L, d)
+        return UserBatch(items, owner, lengths, params.item_embeddings[items[sequences.offsets[1:] - 1]])
+    rows = params.item_embeddings[items]  # (N, d)
     if params.aggregator == "mean":
-        rows[~mask] = 0.0
-        return UserBatch(ids, mask, lengths, rows.sum(axis=1) / lengths[:, None])
-    logits = np.where(mask, rows @ params.attention_vector, -np.inf)
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    weights = e / e.sum(axis=1, keepdims=True)
-    return UserBatch(ids, mask, lengths, np.einsum("bl,bld->bd", weights, rows), weights, rows)
+        return UserBatch(items, owner, lengths, sum_rows(owner, rows, lengths.size) / lengths[:, None])
+    logits = np.add.reduce(rows * params.attention_vector, axis=1)  # row by row: a logit reads its own row only
+    e = np.exp(logits - np.maximum.reduceat(logits, sequences.offsets[:-1])[owner])
+    weights = e / sum_rows(owner, e, lengths.size)[owner]
+    return UserBatch(items, owner, lengths, sum_rows(owner, weights[:, None] * rows, lengths.size), weights, rows)
 
 
 def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,15 +179,13 @@ def _user_backward(
         out[...] = d_vectors
         return
     if params.aggregator == "mean":
-        owner = np.repeat(np.arange(users.lengths.size), users.lengths)
-        np.take(d_vectors / users.lengths[:, None], owner, axis=0, out=out)
+        np.take(d_vectors / users.lengths[:, None], users.owner, axis=0, out=out)
         return
-    rows = users.rows
-    q = np.einsum("bld,bd->bl", rows, d_vectors)  # dL/dw per position
-    ds = users.weights * (q - np.sum(users.weights * q, axis=1, keepdims=True))  # softmax backward
-    w, ds_flat = users.weights[users.mask], ds[users.mask]
-    np.add(w[:, None] * np.repeat(d_vectors, users.lengths, axis=0), ds_flat[:, None] * params.attention_vector, out=out[:-1])
-    out[-1] = np.einsum("bld,bl->d", rows, ds)
+    w, rows, d_rows = users.weights, users.rows, d_vectors[users.owner]
+    q = np.add.reduce(rows * d_rows, axis=1)  # dL/dw per position
+    ds = w * (q - sum_rows(users.owner, w * q, users.lengths.size)[users.owner])  # softmax backward
+    np.add(w[:, None] * d_rows, ds[:, None] * params.attention_vector, out=out[:-1])
+    out[-1] = ds @ rows
 
 
 @dataclass
@@ -243,10 +238,7 @@ def score_matrix_backward(
     tau = params.temperature
     dphi = np.asarray(dphi, dtype=float)
     users = cache.users
-    if params.aggregator == "last":
-        user_ids = users.ids[np.arange(users.lengths.size), users.lengths - 1]
-    else:
-        user_ids = users.ids[users.mask]
+    user_ids = users.items[np.cumsum(users.lengths) - 1] if params.aggregator == "last" else users.items
     attention = np.array([params.num_items] if params.aggregator == "attention" else [], dtype=np.int64)
     ids = np.concatenate((cache.col_ids.ravel(), user_ids, attention))
     grads = np.empty((ids.size, params.dim))  # one row per id, each part written in place

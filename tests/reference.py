@@ -287,7 +287,8 @@ def stacked_population_values(phi: np.ndarray, loss, configs: Sequence[LossConfi
 
 
 def encode_user(pseudo_user: Sequence[int], params: ModelParams) -> np.ndarray:
-    """One pseudo-user's raw vector, encoded in a batch of its own (no padding)."""
+    """One pseudo-user's raw vector, encoded in a batch of its own; in any
+    other batch it has the same bits."""
     return encode_user_batch(Sequences.of([pseudo_user]), params).vectors[0]
 
 

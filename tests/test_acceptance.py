@@ -285,7 +285,7 @@ def final_month_cases(spec: SyntheticSpec, seed: int, cutoff: int = 5):
     final = SyntheticSpec(num_users=8, num_items=12, joint=spec.drift[-1], num_samples=400, num_months=1)
     examples = sample_examples(generate_synthetic(final, seed=seed + 9000))
     candidates = np.tile(np.arange(12), (len(examples), 1))
-    return EvalCases("ir", cutoff, examples.key, examples.target, candidates), EvalPool("ir", examples.table)
+    return EvalCases("ir", cutoff, examples.key, examples.target, candidates), EvalPool(examples.table)
 
 
 def run_drift_experiment(seed: int):

@@ -262,15 +262,32 @@ class TestTrainEvalTrace:
         assert main(["eval", "--config", altered, "--checkpoint", ckpt]) == 1
         assert "fingerprint" in capsys.readouterr().err
 
-    def test_corrupt_checkpoint_fails_cleanly(self, trained_workspace, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["eval"],
+            ["retrieve", "--task", "ir", "--query", "i0 i1"],
+            ["retrieve", "--task", "ut", "--query", "i0"],
+            ["train"],
+        ],
+        ids=["eval", "retrieve-ir", "retrieve-ut", "train"],
+    )
+    def test_corrupt_checkpoint_fails_cleanly(self, trained_workspace, tmp_path, capsys, command):
+        """Every command that loads a checkpoint refuses a cut, extended or
+        bit-flipped one with one ``error:`` line and exit code 1."""
         config, out = trained_workspace
         blob = (out / "checkpoints" / "final.ckpt").read_bytes()
         bad = tmp_path / "bad.ckpt"
-        for damaged in [blob[:cut] for cut in (0, 4, 11, 19, 20, 60, len(blob) // 2, len(blob) - 1)] + [blob + b"\x00"]:
-            bad.write_bytes(damaged)
-            assert main(["eval", "--config", config, "--checkpoint", str(bad)]) == 1
+        damaged = [blob[:cut] for cut in (0, 4, 11, 19, 20, 60, len(blob) // 2, len(blob) - 1)] + [blob + b"\x00"]
+        for bit in [0, 8 * 5 + 3, 8 * 30, 8 * len(blob) - 1, *np.random.default_rng(19).integers(0, 8 * len(blob), 4)]:
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            damaged.append(bytes(flipped))
+        for data in damaged:
+            bad.write_bytes(data)
+            assert main([command[0], "--config", config, "--checkpoint", str(bad), *command[1:]]) == 1
             err = capsys.readouterr().err
-            assert "error:" in err and "Traceback" not in err
+            assert err.count("error:") == 1 and err.splitlines()[-1].startswith("error:") and "Traceback" not in err
 
     def test_too_few_eval_negatives_fails_cleanly(self, trained_workspace, tmp_path, capsys):
         config, out = trained_workspace

@@ -523,6 +523,18 @@ class TestRankingIndexMatchesOracle:
             assert head_scores[0].tolist() == scores[0, :n].tolist()
         assert ranked.tolist() == reference_rank(index, task, np.array([query]), ids)[0].tolist()
 
+    @pytest.mark.parametrize("chunk", [1, 7, evaluation.ENCODE_CHUNK])
+    def test_user_rows_do_not_depend_on_the_chunk(self, chunk, monkeypatch):
+        """Under attention pooling a key's row keeps its bytes however many
+        keys share its encoder batch."""
+        rng = np.random.default_rng(5)
+        params = ModelParams.initialize(40, 6, 0.2, 5, "attention")
+        params.attention_vector[:] = rng.normal(size=6)
+        sequences = Sequences.of(rng.integers(0, 40, size=rng.integers(1, 51)).tolist() for _ in range(30))
+        alone = np.vstack([RankingIndex.build(params, sequences.take(np.array([k]))).users for k in range(len(sequences))])
+        monkeypatch.setattr(evaluation, "ENCODE_CHUNK", chunk)
+        assert RankingIndex.build(params, sequences).users.tobytes() == alone.tobytes()
+
 
 # Scores from a few distinct values, so that ties straddle the N-th position;
 # 0.0 and -0.0 compare equal and tie too.

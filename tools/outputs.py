@@ -87,6 +87,9 @@ CASES = {
     ),
     "full_softmax_row": ("incremental", {"loss.family": "full_softmax_row", "loss.preset": ""}),
     "full_softmax_col": ("incremental", {"loss.family": "full_softmax_col", "loss.preset": ""}),
+    # Attention through the shared-column kernel, trace and a UT retrieve
+    # over more pseudo-user keys than one ENCODE_CHUNK.
+    "bbcnce_attention": ("incremental", {"model.aggregator": "attention"}),
     "bce_attention_shuffled": (
         "long_history",
         {
