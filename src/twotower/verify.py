@@ -9,11 +9,15 @@ names for it: ``log p(i|u)``, ``log p(u|i)``, ``pmi(u,i)`` or ``log p(u,i)``.
 Training is full-batch: with the batch equal to the whole sample, the
 in-batch denominators reduce exactly to marginal-weighted sums over the
 observed support, so the loss is evaluated in aggregated (count-weighted)
-form with gradients flowing through the regular encoder backward pass.
-Synthetic users enter the shared embedding table as one reserved token each,
-giving every user a free embedding row.  A seed's configurations train
-together as one stacked problem: one forward pass, loss, backward pass and
-Adam step per epoch serve all of them.
+form.  Synthetic users enter the shared embedding table as one reserved
+token each, giving every user a free embedding row.  A seed's
+configurations train together as one stacked problem: one forward pass,
+loss, backward pass and Adam step per epoch serve all of them.  Every user
+scores every item of its own block, so the forward and backward passes are
+batched matrix products over ``(C, K + M, d)`` blocks
+(:func:`dense_forward`, :func:`dense_backward`), which the tests pin to
+``model.score_matrix_forward`` and ``score_matrix_backward``; the trained
+tables are scored through ``score_matrix_forward``.
 
 A one-sided loss cannot pin the score table completely: a row-only softmax
 is invariant to adding any per-user offset (a column-only one to any
@@ -35,7 +39,7 @@ import numpy as np
 
 from .data import DAYS_PER_MONTH, Sequences
 from .losses import LossConfig, logsumexp
-from .model import ModelParams, score_matrix_backward, score_matrix_forward
+from .model import GradientTable, ModelParams, normalize_rows, score_matrix_forward
 from .trainer import OptimizerState, apply_optimizer_step
 
 
@@ -134,6 +138,8 @@ def random_joint(
         raise ValueError("num_users and num_items must be >= 1")
     if table_rank < 1:
         raise ValueError("table_rank must be >= 1")
+    if not 0 <= sparsity <= 1:
+        raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")
     rng = np.random.default_rng(seed)
     left = rng.gamma(shape=2.0, scale=1.0, size=(num_users, table_rank))
     right = rng.gamma(shape=2.0, scale=1.0, size=(table_rank, num_items))
@@ -232,28 +238,37 @@ def optimum_gauge(config: LossConfig) -> str:
     return _sweep_row(config).gauge
 
 
+# The axis along which a gauge's undetermined offsets vary (gauge ``none``: one constant).
+_GAUGE_AXIS = {"per-user": 1, "per-item": 0}
+
+
+def _masked_mean(table: np.ndarray, mask: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """``np.nanmean`` of ``table`` with NaN off ``mask``, keeping dimensions,
+    value for value; a slice with no cell of ``mask`` (a user or item the
+    sample never drew) is NaN without a warning."""
+    with np.errstate(invalid="ignore"):
+        return np.where(mask, table, 0.0).sum(axis=axis, keepdims=True) / mask.sum(axis=axis, keepdims=True)
+
+
 def _center(table: np.ndarray, mask: np.ndarray, gauge: str) -> np.ndarray:
     """Remove the gauge's undetermined offsets over the observed support."""
-    masked = np.where(mask, table, np.nan)
-    if gauge == "per-user":
-        return masked - np.nanmean(masked, axis=1, keepdims=True)
-    if gauge == "per-item":
-        return masked - np.nanmean(masked, axis=0, keepdims=True)
-    return masked - np.nanmean(masked)
+    return np.where(mask, table, np.nan) - _masked_mean(table, mask, _GAUGE_AXIS.get(gauge))
 
 
 def target_table(config: LossConfig, tables: EmpiricalTables) -> tuple[str, np.ndarray]:
     """Predicted optimum of the score table, NaN outside the observed support."""
     name = _sweep_row(config).target
     log_joint = tables.log_joint
-    if name == "log p(i|u)":
-        target = log_joint - tables.log_p_user[:, None]
-    elif name == "log p(u|i)":
-        target = log_joint - tables.log_p_item[None, :]
-    elif name == "pmi":
-        target = log_joint - tables.log_p_user[:, None] - tables.log_p_item[None, :]
-    else:
-        target = log_joint
+    # A user or item the sample never drew gives -inf - -inf = NaN there, off the support.
+    with np.errstate(invalid="ignore"):
+        if name == "log p(i|u)":
+            target = log_joint - tables.log_p_user[:, None]
+        elif name == "log p(u|i)":
+            target = log_joint - tables.log_p_item[None, :]
+        elif name == "pmi":
+            target = log_joint - tables.log_p_user[:, None] - tables.log_p_item[None, :]
+        else:
+            target = log_joint
     return name, np.where(tables.observed, target, np.nan)
 
 
@@ -352,6 +367,33 @@ def phi_table(
     return phi
 
 
+def dense_forward(blocks: np.ndarray, num_items: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score each block's user rows (those after its first ``num_items``)
+    against its own item rows, one batched matrix product for all blocks.
+    Returns the rows of the ``(C, K + M, d)`` blocks as unit vectors, their
+    norms and the ``(C, M, K)`` cosines; a zero row raises ``ValueError``,
+    as in ``score_matrix_forward``."""
+    hat, norms = normalize_rows(blocks)
+    return hat, norms, hat[:, num_items:] @ hat[:, :num_items].transpose(0, 2, 1)
+
+
+def dense_backward(
+    hat: np.ndarray, norms: np.ndarray, cos: np.ndarray, dphi: np.ndarray, temperature: float, out: np.ndarray
+) -> None:
+    """Write the gradient of every block row into ``out`` ``(C, K + M, d)``,
+    given :func:`dense_forward`'s state and the loss gradient ``dphi``
+    ``(C, M, K)`` with respect to the scores ``cos / temperature``: item rows
+    from ``dphi.T @ u_hat``, user rows from ``dphi @ v_hat``, each block on
+    its own."""
+    k = cos.shape[2]
+    v_hat, u_hat = hat[:, :k], hat[:, k:]
+    g_cos = dphi * cos
+    d_items = dphi.transpose(0, 2, 1) @ u_hat - g_cos.sum(axis=1)[:, :, None] * v_hat
+    np.divide(d_items, temperature * norms[:, :k, None], out=out[:, :k])
+    d_users = dphi @ v_hat - g_cos.sum(axis=2)[:, :, None] * u_hat
+    np.divide(d_users, temperature * norms[:, k:, None], out=out[:, k:])
+
+
 def train_to_optimum(
     configs: Sequence[LossConfig],
     tables: EmpiricalTables,
@@ -370,26 +412,27 @@ def train_to_optimum(
     The configurations train together as one stacked problem: block ``c`` of
     the embedding table holds configuration ``c``'s item rows and user
     tokens, each block starting from the same seeded initialization, and
-    every user row is scored only against its own block's items.  Adam is
-    elementwise and every row steps every epoch, so the blocks never
-    interact.  Returns one ``ModelParams`` per configuration.
+    every user row is scored only against its own block's items.  The
+    blocks are a ``(C, K + M, d)`` view of the table, scored and
+    differentiated by batched matrix products, which compute each block on
+    its own; Adam is elementwise and every row steps every epoch, so the
+    blocks never interact.  Returns one ``ModelParams`` per configuration.
     """
     num_configs, m, k = len(configs), spec.num_users, spec.num_items
     init = ModelParams.initialize(k + m, dim, temperature, seed)
-    # A synthetic user is one token, so every aggregator pools it to that
-    # token's row; mean pooling stands for all of them.
+    # A synthetic user is one token, which every aggregator pools to its row:
+    # training reads the user rows as they are, and mean pooling scores them.
     stack = np.vstack([np.tile(init.item_embeddings, (num_configs, 1)), init.attention_vector])
-    params = ModelParams(stack, temperature, "mean")
-    first_row = (k + m) * np.arange(num_configs)[:, None]
-    users = Sequences(np.arange(num_configs * m + 1), (first_row + k + np.arange(m)).ravel())
-    items = np.repeat(first_row + np.arange(k), m, axis=0)  # (C * M, K)
+    params = ModelParams(stack, temperature)
+    blocks = params.item_embeddings.reshape(num_configs, k + m, dim)  # a view: each step moves it
+    grad = np.empty_like(blocks)
+    grads = GradientTable(np.arange(num_configs * (k + m)), grad.reshape(-1, dim))  # the attention row never steps
     loss = StackedLoss.build(tables, configs)
     opt = OptimizerState(kind="adam", learning_rate=learning_rate)
     for epoch in range(epochs):
         opt.learning_rate = learning_rate * 0.5 * (1.0 + math.cos(math.pi * epoch / epochs))
-        phi, cache = score_matrix_forward(users, items, params)
-        dphi = population_loss(phi.reshape(num_configs, m, k), loss)
-        grads = score_matrix_backward(cache, dphi.reshape(num_configs * m, k), params)
+        hat, norms, cos = dense_forward(blocks, k)
+        dense_backward(hat, norms, cos, population_loss(cos / temperature, loss), temperature, out=grad)
         apply_optimizer_step(params, grads, opt)
     return [
         ModelParams(np.vstack([block, params.attention_vector]), temperature)
@@ -473,8 +516,7 @@ def check_optimum(
         residual_gauged, rank_gauged = residual, rank
     else:
         diff_table = np.where(mask, phi - target, np.nan)
-        axis = 1 if gauge == "per-user" else 0
-        offsets = np.nanmean(diff_table, axis=axis, keepdims=True)
+        offsets = _masked_mean(diff_table, mask, _GAUGE_AXIS[gauge])
         residual_gauged = float(np.nanmax(np.abs(diff_table - offsets)))
         rank_gauged = _rank_corr(_center(phi, mask, gauge)[mask], _center(target, mask, gauge)[mask])
 

@@ -607,6 +607,8 @@ class TestTrainVariants:
             setting("verify", {"verify.seeds": -1}, "verify.seeds: seeds must be distinct", "verify-verify.seeds-neg"),
             setting("verify", {"verify.seeds": "1,1"}, "verify.seeds: seeds must be distinct", "verify-verify.seeds-dup"),
             setting("verify", {"verify.table_seed": -1}, "verify: table_seed must be >= 0", "verify-verify.table_seed-neg"),
+            setting("verify", {"verify.sparsity": -0.5}, "verify: sparsity must be in [0, 1]", "verify-verify.sparsity-neg"),
+            setting("verify", {"verify.sparsity": 1.5}, "verify: sparsity must be in [0, 1]", "verify-verify.sparsity-1.5"),
             setting("retrieve --checkpoint {ckpt} --query i1 --top-n -3", {}, "top-n", "retrieve-top-n-negative"),
             setting("retrieve --checkpoint {ckpt} --query i1 --top-n 0", {}, "top-n", "retrieve-top-n-0"),
             setting(
@@ -1006,6 +1008,24 @@ class TestVerifyCommand:
         report = (out / "sweep_report.tsv").read_text()
         assert "\tFAIL" in report
         assert "optimum checks passed" in capsys.readouterr().out
+
+
+    def test_sparse_sample_keeps_stderr_clean(self, tmp_path):
+        """A 20-event sample leaves users and items of the 8x12 table unseen;
+        the sweep still reports without a numpy warning on stderr."""
+        out = tmp_path / "out"
+        config = write_config(
+            tmp_path / "verify.cfg",
+            **{"verify.num_samples": 20, "verify.seeds": "1", "paths.output_dir": str(out)},
+        )
+        src = os.path.dirname(os.path.dirname(twotower.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        command = [sys.executable, "-m", "twotower.cli", "verify", "--config", config]
+        done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode in (0, 1), done.stderr
+        assert "Warning" not in done.stderr, done.stderr
+        assert "optimum checks passed" in done.stdout
+        assert (out / "sweep_report.tsv").exists()
 
 
 def test_runtime_imports_no_scipy():

@@ -1,6 +1,7 @@
 """Synthetic generator, population losses, and the optimum checker."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -14,9 +15,9 @@ from reference import (
     sample_examples,
     stacked_population_values,
 )
-from twotower.data import DAYS_PER_MONTH, compute_marginals
+from twotower.data import DAYS_PER_MONTH, Sequences, compute_marginals
 from twotower.losses import LossConfig
-from twotower.model import ModelParams
+from twotower.model import ModelParams, score_matrix_backward, score_matrix_forward
 from twotower.trainer import TrainConfig, train_incremental
 from twotower.verify import (
     EQUAL_OPTIMA_GROUPS,
@@ -28,6 +29,8 @@ from twotower.verify import (
     _center,
     _rank_corr,
     check_optimum,
+    dense_backward,
+    dense_forward,
     generate_synthetic,
     optimum_gauge,
     phi_table,
@@ -49,6 +52,16 @@ class TestRandomJoint:
             assert np.all(joint >= 0)
             assert np.all(joint.sum(axis=1) > 0)
             assert np.all(joint.sum(axis=0) > 0)
+
+    @pytest.mark.parametrize("sparsity", [-0.5, 1.5, math.nan])
+    def test_sparsity_outside_unit_interval_rejected(self, sparsity):
+        with pytest.raises(ValueError, match=r"sparsity must be in \[0, 1\]"):
+            random_joint(3, 4, seed=1, sparsity=sparsity)
+
+    @pytest.mark.parametrize("sparsity", [0.0, 1.0])
+    def test_unit_interval_ends_accepted(self, sparsity):
+        joint = random_joint(3, 4, seed=1, sparsity=sparsity)
+        assert np.all(joint.sum(axis=1) > 0) and np.all(joint.sum(axis=0) > 0)
 
 
 class TestSyntheticSpec:
@@ -310,6 +323,29 @@ class TestRankCorrelation:
         assert math.isnan(_rank_corr(np.array([1.0, np.nan, 2.0]), np.arange(3.0)))
 
 
+class TestUnobservedUsersAndItems:
+    """A sample that never draws some user or item leaves whole rows and
+    columns off the support; centering still matches the NaN-skipping means
+    it stands for, bit for bit."""
+
+    COUNTS = [[3, 0, 1, 0], [0, 0, 0, 0], [2, 5, 0, 0]]  # user 1 and item 3 never drawn
+
+    def test_center_matches_nanmean(self):
+        tables = dense_tables(self.COUNTS)
+        mask = tables.observed
+        table = np.random.default_rng(4).normal(size=mask.shape)
+        masked = np.where(mask, table, np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = {
+                "per-user": masked - np.nanmean(masked, axis=1, keepdims=True),
+                "per-item": masked - np.nanmean(masked, axis=0, keepdims=True),
+                "none": masked - np.nanmean(masked),
+            }
+        for gauge, want in expected.items():
+            assert _center(table, mask, gauge).tobytes() == want.tobytes(), gauge
+
+
 class TestCheckOptimum:
     def test_uniform_counts_null_check(self):
         """Exactly uniform counts make every target constant: rank correlation
@@ -444,6 +480,43 @@ class TestSweep:
         assert text.splitlines()[0].startswith("label\tseed\ttarget\tgauge")
         row = [line for line in text.splitlines() if line.startswith("row_bcnce\t1")][0]
         assert "log p(i|u)" in row
+
+
+class TestDenseKernel:
+    """The sweep's dense kernel computes what the production scoring kernel
+    computes for the same stack: one-token users, each scored against the
+    items of its own block."""
+
+    M, K, D = 4, 5, 6
+
+    def _stack(self, num_configs):
+        rng = np.random.default_rng(num_configs)
+        params = ModelParams(rng.normal(size=(num_configs * (self.K + self.M) + 1, self.D)), 0.05)
+        blocks = params.item_embeddings.reshape(num_configs, self.K + self.M, self.D)
+        first_row = (self.K + self.M) * np.arange(num_configs)[:, None]
+        users = Sequences(np.arange(num_configs * self.M + 1), (first_row + self.K + np.arange(self.M)).ravel())
+        items = np.repeat(first_row + np.arange(self.K), self.M, axis=0)  # (C * M, K)
+        return params, blocks, users, items
+
+    @pytest.mark.parametrize("num_configs", [1, 3])
+    def test_matches_score_matrix_kernel(self, num_configs):
+        params, blocks, users, items = self._stack(num_configs)
+        hat, norms, cos = dense_forward(blocks, self.K)
+        phi, cache = score_matrix_forward(users, items, params)
+        np.testing.assert_allclose(cos.reshape(-1, self.K), phi * params.temperature, rtol=0, atol=1e-15)
+
+        dphi = np.random.default_rng(7).normal(size=cos.shape)
+        grad = np.empty_like(blocks)
+        dense_backward(hat, norms, cos, dphi, params.temperature, out=grad)
+        expected = score_matrix_backward(cache, dphi.reshape(-1, self.K), params)
+        np.testing.assert_array_equal(expected.rows, np.arange(num_configs * (self.K + self.M)))
+        np.testing.assert_allclose(grad.reshape(-1, self.D), expected.values, rtol=0, atol=1e-12)
+
+    def test_zero_user_row_rejected(self):
+        _, blocks, _, _ = self._stack(3)
+        blocks[1, self.K + 2] = 0.0
+        with pytest.raises(ValueError, match="zero-norm vector encountered during scoring"):
+            dense_forward(blocks, self.K)
 
 
 class TestStackedTraining:
