@@ -42,7 +42,6 @@ from .trainer import (
     save_checkpoint,
     train_incremental,
 )
-from .verify import SyntheticSpec, random_joint, run_table_sweep, sweep_report_text
 
 logger = logging.getLogger(__name__)
 
@@ -339,6 +338,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import SyntheticSpec, random_joint, run_table_sweep, sweep_report_text  # only this command needs it
+
     cfg = _load_config(args)
     _write_resolved(cfg)
     v = cfg.verify

@@ -109,6 +109,8 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     counted once, and the rest enters as ``log1p(rest / count)``; an
     all-``-inf`` line gives ``-inf``.  The exponentials live in one
     temporary, with the maxima zeroed in place; ``a`` is not written.
+    That contract now serves only the in-batch kernels here and the test
+    references: the ``verify`` population loss builds its softmax without it.
     """
     a_max = a.max(axis, keepdims=True)
     top = a == a_max

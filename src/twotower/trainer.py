@@ -80,6 +80,11 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError("optimizer must be 'sgd' or 'adam'")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.adam_epsilon > 0:
+            raise ValueError(f"adam_epsilon must be positive, got {self.adam_epsilon}")
         if self.mode not in TRAIN_MODES:
             raise ValueError(f"mode must be one of {TRAIN_MODES}")
 
@@ -128,31 +133,49 @@ class OptimizerState:
             table = self._powers[beta] = np.array([beta**k for k in range(max(1024, 2 * int(t.max())))])
         return 1.0 - table[t]
 
-    def _adam_update(self, m: np.ndarray, v: np.ndarray, t: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """New moments and the step for rows at step counts ``t``."""
-        m = self.beta1 * m + (1.0 - self.beta1) * grad
-        v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-        m_hat = m / self._bias_correction(self.beta1, t)[:, None]
+    def _adam_update(self, m: np.ndarray, v: np.ndarray, t: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """Advance the moments ``m`` and ``v`` of rows at step counts ``t``
+        in place and return the rows' step."""
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        step = m / self._bias_correction(self.beta1, t)[:, None]
+        step *= self.learning_rate
         v_hat = v / self._bias_correction(self.beta2, t)[:, None]
-        step = self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-        return m, v, step
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += self.epsilon
+        step /= v_hat
+        return step
+
+
+def _row_index(rows: np.ndarray) -> np.ndarray | slice:
+    """The unique, ascending ``rows`` as the equivalent slice when they form
+    one contiguous run, so indexing gives views; otherwise ``rows`` itself."""
+    if rows.size and rows[-1] - rows[0] == rows.size - 1:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
 
 
 def apply_optimizer_step(params: ModelParams, grads: GradientTable, state: OptimizerState) -> None:
-    """Apply one update in place; rows absent from the gradient are untouched."""
-    finite = np.all(np.isfinite(grads.values), axis=1)
-    if not np.all(finite):
-        bad_rows = grads.rows[~finite].tolist()
+    """Apply one update in place; rows absent from the gradient are untouched.
+
+    The tables are indexed by :func:`_row_index`: a contiguous run of rows
+    (every ``verify`` step) updates its moments in place through views, any
+    other row set is gathered and scattered back, with the same arithmetic."""
+    if not np.isfinite(grads.values).all():
+        bad_rows = grads.rows[~np.isfinite(grads.values).all(axis=1)].tolist()
         raise NonFiniteGradientError(f"non-finite gradient (rows {bad_rows[:8]}{'...' if len(bad_rows) > 8 else ''})")
-    rows = grads.rows
+    index = _row_index(grads.rows)
+    table = params.table
     if state.kind == "sgd":
-        params.table[rows] -= state.learning_rate * grads.values
+        table[index] -= state.learning_rate * grads.values
         return
-    m, v, t = state.tables(params.table.shape)
-    row_t = t[rows] + 1
-    m[rows], v[rows], step = state._adam_update(m[rows], v[rows], row_t, grads.values)
-    t[rows] = row_t
-    params.table[rows] -= step
+    m, v, t = state.tables(table.shape)
+    m_rows, v_rows, row_t = m[index], v[index], t[index] + 1
+    step = state._adam_update(m_rows, v_rows, row_t, grads.values)
+    m[index], v[index], t[index] = m_rows, v_rows, row_t  # a slice's views are written already: no copy
+    table[index] -= step
 
 
 @dataclass
@@ -366,10 +389,13 @@ def train_incremental(
                 if loss_config.family == "bidirectional" and len(batch) < 2:
                     notices.append(f"dropped trailing batch of 1 example (month {month})")
                     continue
-                out = loss_with_gradients(batch, params, loss_config, marginals=marginals, rng=rng, proposal=proposal)
-                if not math.isfinite(out.value):
-                    raise NonFiniteLossError(f"non-finite loss {out.value} (month {month}, epoch {epoch})")
-                apply_optimizer_step(params, out.gradients, state)
+                # A diverging step goes quietly non-finite: the loss, gradient
+                # and end-of-epoch parameter checks raise for it.
+                with np.errstate(all="ignore"):
+                    out = loss_with_gradients(batch, params, loss_config, marginals=marginals, rng=rng, proposal=proposal)
+                    if not math.isfinite(out.value):
+                        raise NonFiniteLossError(f"non-finite loss {out.value} (month {month}, epoch {epoch})")
+                    apply_optimizer_step(params, out.gradients, state)
                 steps += 1
             # A finite step can still overflow a parameter; no checkpoint or snapshot may hold one.
             if not np.isfinite(params.table).all():

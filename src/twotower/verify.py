@@ -17,7 +17,10 @@ scores every item of its own block, so the forward and backward passes are
 batched matrix products over ``(C, K + M, d)`` blocks
 (:func:`dense_forward`, :func:`dense_backward`), which the tests pin to
 ``model.score_matrix_forward`` and ``score_matrix_backward``; the trained
-tables are scored through ``score_matrix_forward``.
+tables are scored through ``score_matrix_forward``.  The loss gradient
+builds each softmax half with one exponential (:func:`population_loss`),
+and the Adam step indexes its tables by a slice, since every step moves
+one contiguous run of rows.
 
 A one-sided loss cannot pin the score table completely: a row-only softmax
 is invariant to adding any per-user offset (a column-only one to any
@@ -38,9 +41,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import DAYS_PER_MONTH, Sequences
-from .losses import LossConfig, logsumexp
+from .losses import LossConfig
 from .model import GradientTable, ModelParams, normalize_rows, score_matrix_forward
-from .trainer import OptimizerState, apply_optimizer_step
+from .trainer import NonFiniteGradientError, OptimizerState, apply_optimizer_step
 
 
 class SweepRow(NamedTuple):
@@ -286,7 +289,9 @@ class StackedLoss:
     ``log p(u)`` (an uncorrected side), or ``0`` everywhere (the uniform ssm
     proposal).
     Unused terms get weight 0 and finite offsets.  Weights are ``(C, 1, 1)``,
-    every other array ``(C, M, K)``.
+    every other array ``(C, M, K)``.  The gradient's two constant parts are
+    built here once: ``base = -(alpha + beta) * joint - positives`` and
+    ``bce_weight = p_n + positives``, the factor of ``sigmoid(phi)``.
     """
 
     tables: EmpiricalTables
@@ -296,6 +301,12 @@ class StackedLoss:
     col_offset: np.ndarray
     positives: np.ndarray  # the joint for the bce family, else 0
     p_n: np.ndarray  # the bce negative distribution, else 0
+    base: np.ndarray = field(init=False)
+    bce_weight: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.base = -(self.alpha + self.beta) * self.tables.joint - self.positives
+        self.bce_weight = self.p_n + self.positives
 
     @classmethod
     def build(cls, tables: EmpiricalTables, configs: Sequence[LossConfig]) -> "StackedLoss":
@@ -336,6 +347,15 @@ class StackedLoss:
         return cls(tables, *(np.stack(column) for column in zip(*terms)))
 
 
+def _weighted_softmax(logits: np.ndarray, axis: int, weight: np.ndarray) -> np.ndarray:
+    """``weight * softmax(logits)`` along ``axis``, in the buffer ``logits``:
+    each line shifted by its maximum, so the exponentials never overflow."""
+    logits -= logits.max(axis=axis, keepdims=True)
+    np.exp(logits, out=logits)
+    logits *= weight / logits.sum(axis=axis, keepdims=True)
+    return logits
+
+
 def population_loss(phi: np.ndarray, loss: StackedLoss) -> np.ndarray:
     """Gradients ``(C, M, K)`` of the exact full-batch losses of the stacked
     configurations at the score tables ``phi`` ``(C, M, K)``; training reads
@@ -343,19 +363,21 @@ def population_loss(phi: np.ndarray, loss: StackedLoss) -> np.ndarray:
 
     For the in-batch families the denominators are the exact large-batch
     sums: every candidate enters weighted by its empirical marginal, which
-    restricts the partition to the observed support.
+    restricts the partition to the observed support.  The gradient is
+    ``row + col + bce_weight * sigmoid(phi) + base``, each softmax half
+    built directly with one exponential: the row half is
+    ``alpha * p(u) * softmax(phi + row_offset)`` over items, the column
+    half ``beta * p(i) * softmax(phi + col_offset)`` over users.
     """
     tables = loss.tables
-    joint = tables.joint
-    w = phi + loss.row_offset
-    lse = logsumexp(w, axis=2)[:, :, None]
-    row_grad = -joint + tables.p_user[:, None] * np.exp(w - lse)
-    w = phi + loss.col_offset
-    lse = logsumexp(w, axis=1)[:, None, :]
-    col_grad = -joint + tables.p_item[None, :] * np.exp(w - lse)
-    sig = 1.0 / (1.0 + np.exp(-phi))
-    bce_grad = -loss.positives * (1.0 - sig) + loss.p_n * sig
-    return loss.alpha * row_grad + loss.beta * col_grad + bce_grad
+    grad = _weighted_softmax(phi + loss.row_offset, 2, loss.alpha * tables.p_user[:, None])
+    grad += _weighted_softmax(phi + loss.col_offset, 1, loss.beta * tables.p_item)
+    with np.errstate(over="ignore"):  # exp(-phi) = inf for phi below about -709: the sigmoid is exactly 0
+        sig = np.exp(-phi)
+    sig += 1.0
+    grad += np.divide(loss.bce_weight, sig, out=sig)
+    grad += loss.base
+    return grad
 
 
 def phi_table(
@@ -429,11 +451,16 @@ def train_to_optimum(
     grads = GradientTable(np.arange(num_configs * (k + m)), grad.reshape(-1, dim))  # the attention row never steps
     loss = StackedLoss.build(tables, configs)
     opt = OptimizerState(kind="adam", learning_rate=learning_rate)
-    for epoch in range(epochs):
-        opt.learning_rate = learning_rate * 0.5 * (1.0 + math.cos(math.pi * epoch / epochs))
-        hat, norms, cos = dense_forward(blocks, k)
-        dense_backward(hat, norms, cos, population_loss(cos / temperature, loss), temperature, out=grad)
-        apply_optimizer_step(params, grads, opt)
+    # A diverging step goes quietly non-finite: the next step's gradient
+    # check, or the check after the last epoch, raises for it.
+    with np.errstate(all="ignore"):
+        for epoch in range(epochs):
+            opt.learning_rate = learning_rate * 0.5 * (1.0 + math.cos(math.pi * epoch / epochs))
+            hat, norms, cos = dense_forward(blocks, k)
+            dense_backward(hat, norms, cos, population_loss(cos / temperature, loss), temperature, out=grad)
+            apply_optimizer_step(params, grads, opt)
+    if not np.isfinite(blocks).all():
+        raise NonFiniteGradientError(f"non-finite parameters after epoch {epochs - 1}")
     return [
         ModelParams(np.vstack([block, params.attention_vector]), temperature)
         for block in np.split(params.item_embeddings, num_configs)

@@ -65,6 +65,18 @@ def write_config(path, **overrides) -> str:
     return str(path)
 
 
+def _run_python(args: list[str]) -> subprocess.CompletedProcess:
+    """``python <args>`` in a fresh interpreter that imports this ``twotower``."""
+    src = os.path.dirname(os.path.dirname(twotower.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+
+
+def _run_cli_process(argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m twotower.cli <argv>`` in a fresh interpreter."""
+    return _run_python(["-m", "twotower.cli", *argv])
+
+
 @pytest.fixture
 def tiny_workspace(tmp_path):
     events = tmp_path / "events.csv"
@@ -561,6 +573,11 @@ class TestTrainVariants:
                 "train: non-finite",
                 "train-sgd-diverges",
             ),
+            setting("train", {"train.adam_beta1": 1e308}, "train: adam_beta1 must be in [0, 1)", "train-beta1-1e308"),
+            setting("train", {"train.adam_beta1": 2}, "train: adam_beta1 must be in [0, 1)", "train-beta1-2"),
+            setting("train", {"train.adam_beta2": 1e308}, "train: adam_beta2 must be in [0, 1)", "train-beta2-1e308"),
+            setting("train", {"train.adam_beta2": -1}, "train: adam_beta2 must be in [0, 1)", "train-beta2-neg"),
+            setting("train", {"train.adam_epsilon": 0}, "train: adam_epsilon must be positive", "train-epsilon-0"),
             setting("train", {"loss.family": "foo"}, "unknown loss family", "train-loss.family-foo"),
             setting("train", {"loss.preset": "zz"}, "unknown preset", "train-loss.preset-zz"),
             setting(
@@ -1018,22 +1035,81 @@ class TestVerifyCommand:
             tmp_path / "verify.cfg",
             **{"verify.num_samples": 20, "verify.seeds": "1", "paths.output_dir": str(out)},
         )
-        src = os.path.dirname(os.path.dirname(twotower.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        command = [sys.executable, "-m", "twotower.cli", "verify", "--config", config]
-        done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
+        done = _run_cli_process(["verify", "--config", config])
         assert done.returncode in (0, 1), done.stderr
         assert "Warning" not in done.stderr, done.stderr
         assert "optimum checks passed" in done.stdout
         assert (out / "sweep_report.tsv").exists()
 
 
+class TestDivergenceKeepsStderrClean:
+    """A learning rate that sends training to infinity ends in one
+    ``error:`` line, with no numpy warning before it."""
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"verify.epochs": 2}, "verify: non-finite gradient"),
+            ({"verify.epochs": 1}, "verify: non-finite parameters after epoch 0"),
+        ],
+        ids=["two-epochs", "one-epoch"],
+    )
+    def test_verify(self, tmp_path, settings, message):
+        settings = settings | {"verify.learning_rate": 1e308, "verify.num_samples": 2000}
+        config = write_config(tmp_path / "verify.cfg", **settings, **{"paths.output_dir": str(tmp_path / "out")})
+        self._check(_run_cli_process(["verify", "--config", config]), message)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_train(self, small_events, optimizer):
+        tmp_path, events = small_events
+        settings = {"train.optimizer": optimizer, "train.learning_rate": 1e308, "eval.num_negatives": 2}
+        out = tmp_path / f"diverge_{optimizer}"
+        config = write_config(
+            tmp_path / f"diverge_{optimizer}.cfg", **{"data.input": str(events), "paths.output_dir": str(out)} | settings
+        )
+        self._check(_run_cli_process(["train", "--config", config]), "train: non-finite loss")
+
+    @staticmethod
+    def _check(done: subprocess.CompletedProcess, message: str) -> None:
+        """Exit 1, and stderr is the one ``error:`` line, naming ``message``."""
+        assert done.returncode == 1
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error: ") and message in line, done.stderr
+
+    def test_small_temperature_verify(self, tmp_path):
+        """At temperature 0.001 the scores reach 1000 in magnitude; the
+        sigmoid's exponential overflows to its exact limit without a warning."""
+        settings = {"verify.temperature": 0.001, "verify.epochs": 20, "verify.num_samples": 2000, "verify.seeds": "1"}
+        config = write_config(tmp_path / "verify.cfg", **settings, **{"paths.output_dir": str(tmp_path / "out")})
+        done = _run_cli_process(["verify", "--config", config])
+        assert done.returncode in (0, 1), done.stderr
+        assert done.stderr == ""
+        assert "optimum checks passed" in done.stdout
+
+
+def test_prepare_does_not_import_verify(tmp_path):
+    """Only ``verify`` imports the sweep module: a fresh interpreter that
+    imports the command line and runs ``prepare`` never loads it."""
+    events = tmp_path / "events.csv"
+    events.write_text(TINY_EVENTS, encoding="utf-8")
+    config = write_config(
+        tmp_path / "run.cfg",
+        **{"data.input": str(events), "data.min_degree": 1, "paths.output_dir": str(tmp_path / "out")},
+    )
+    probe = (
+        "import sys, twotower.cli as cli; "
+        f"code = cli.main(['prepare', '--config', {config!r}]); "
+        "print(code, 'twotower.verify' in sys.modules)"
+    )
+    done = _run_python(["-c", probe])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
 def test_runtime_imports_no_scipy():
     """The runtime needs only numpy: importing the command line loads no
     scipy module (scipy is a test dependency)."""
-    src = os.path.dirname(os.path.dirname(twotower.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = "import sys, twotower.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    done = _run_python(["-c", probe])
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

@@ -115,6 +115,49 @@ class TestOptimizerStep:
         with pytest.raises(NonFiniteGradientError, match="rows \\[0\\]"):
             apply_optimizer_step(params, grads_of({0: [float("nan"), 0.0]}), state)
 
+    # Row sets of a 7-row table (row 6 is the attention row).
+    ROW_SETS = {
+        "run-from-0": [0, 1, 2, 3],
+        "run-in-middle": [2, 3, 4, 5],
+        "one-row": [4],
+        "not-contiguous": [0, 2, 3, 6],
+        "attention-row": [6],
+    }
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    @pytest.mark.parametrize("rows", ROW_SETS.values(), ids=ROW_SETS.keys())
+    def test_sliced_step_equals_gathered_step(self, monkeypatch, kind, rows):
+        """A contiguous run of rows is indexed by a slice; over 50 steps the
+        table and the Adam state equal, byte for byte, those of the gathered
+        path, forced here by indexing every row set by its id array."""
+
+        def run():
+            rng = np.random.default_rng(8)
+            params = ModelParams(rng.normal(size=(7, 3)), 1.0)
+            state = OptimizerState(kind=kind, learning_rate=0.05)
+            for _ in range(50):
+                apply_optimizer_step(params, GradientTable(np.array(rows), rng.normal(size=(len(rows), 3))), state)
+            return [params.table] + ([] if kind == "sgd" else [state.m, state.v, state.t])
+
+        sliced = run()
+        monkeypatch.setattr(trainer_mod, "_row_index", lambda rows: rows)
+        gathered = run()
+        assert [a.tobytes() for a in sliced] == [a.tobytes() for a in gathered]
+
+    def test_contiguous_rows_index_by_a_slice(self):
+        assert trainer_mod._row_index(np.array([2, 3, 4])) == slice(2, 5)
+        assert trainer_mod._row_index(np.array([6])) == slice(6, 7)
+        assert isinstance(trainer_mod._row_index(np.array([0, 2, 3])), np.ndarray)
+
+    def test_non_finite_gradient_in_a_run_names_its_rows(self):
+        params = ModelParams(np.zeros((6, 2)), 1.0)
+        state = OptimizerState(kind="adam", learning_rate=0.1)
+        values = np.zeros((4, 2))
+        values[1, 0], values[3, 1] = np.nan, np.inf
+        with pytest.raises(NonFiniteGradientError, match=r"rows \[2, 4\]"):
+            apply_optimizer_step(params, GradientTable(np.arange(1, 5), values), state)
+        assert not params.table.any() and state.t is None  # the check runs before anything moves
+
 
 class TestCheckpointFile:
     def _checkpoint(self, seed=3):

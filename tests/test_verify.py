@@ -223,17 +223,44 @@ class TestPopulationLoss:
     @pytest.mark.parametrize("table", ["small", "sampled"])
     def test_stacked_matches_reference_per_configuration(self, index, table):
         """Each slice of the stacked loss is the one-configuration reference:
-        the gradient bit for bit, the value within 1e-15."""
-        if table == "small":
-            tables = dense_tables([[5, 1, 0, 2], [0, 3, 4, 1], [2, 0, 1, 6]])
-        else:
-            spec = SyntheticSpec(num_users=8, num_items=12, joint=random_joint(8, 12, seed=7), num_samples=20_000)
-            tables = generate_synthetic(spec, seed=3).tables
+        the gradient and the value within 1e-15.  The gradient builds each
+        softmax with one exponential, where the reference subtracts a
+        logsumexp, so the two differ in the last bits."""
+        tables = self._tables(table)
         phi = np.random.default_rng(index).normal(size=(len(STACK), *tables.joint.shape)) * 3.0
         values, dphi = stacked_loss(phi, tables, STACK)
         value, grad = reference_population_loss(phi[index], tables, STACK[index])
-        assert dphi[index].tobytes() == grad.tobytes()
+        np.testing.assert_allclose(dphi[index], grad, rtol=0, atol=1e-15)
         assert abs(values[index] - value) <= 1e-15
+
+    @staticmethod
+    def _tables(table):
+        if table == "small":
+            return dense_tables([[5, 1, 0, 2], [0, 3, 4, 1], [2, 0, 1, 6]])
+        spec = SyntheticSpec(num_users=8, num_items=12, joint=random_joint(8, 12, seed=7), num_samples=20_000)
+        return generate_synthetic(spec, seed=3).tables
+
+    # (largest |phi|, tolerance): the reference's ``w - lse`` is off by up to
+    # the spacing of floats near ``|phi|`` (3.6e-15 at 20, 1.1e-13 at 1000),
+    # which its ``exp`` passes on to each softmax weight; over 20 draws the
+    # largest difference was 1.1e-15 at 20 and 2.0e-14 at 1000.
+    @pytest.mark.parametrize("scale,tolerance", [(20.0, 4e-15), (1000.0, 4e-14)], ids=["20", "1000"])
+    @pytest.mark.parametrize("table", ["small", "sampled"])
+    def test_large_logits_stay_finite_and_exact(self, table, scale, tolerance):
+        """Scores up to 1000 in magnitude (cosines at temperature 0.001): the
+        gradient is finite, computed without a numpy warning, and within the
+        tolerance of the reference for every configuration."""
+        tables = self._tables(table)
+        phi = np.random.default_rng(5).uniform(-scale, scale, size=(len(STACK), *tables.joint.shape))
+        loss = StackedLoss.build(tables, STACK)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dphi = population_loss(phi, loss)
+        assert np.isfinite(dphi).all()
+        for index, config in enumerate(STACK):
+            with np.errstate(over="ignore"):  # the reference's sigmoid overflows to its exact 0
+                _, grad = reference_population_loss(phi[index], tables, config)
+            np.testing.assert_allclose(dphi[index], grad, rtol=0, atol=tolerance, err_msg=STACK_IDS[index])
 
     def test_bce_optimum_is_stationary(self):
         tables = dense_tables([[5, 1, 2], [3, 4, 1]])  # strictly positive support

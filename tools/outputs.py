@@ -23,8 +23,8 @@ again at `--top-n 1` and at a `--top-n` above the candidate count), under
 each loss configuration of `CASES`;
 and the `verify` runs of `VERIFY_CASES`: sweep seeds 1, 2 and 3 (the seeds
 the benchmark's `verify_sweep` runs) plus 4 at the default settings, a
-20-event sample that leaves users and items of the table unseen, and a 4x5
-table.  Every command runs
+20-event sample that leaves users and items of the table unseen, a 4x5
+table, and seed 1 at temperature 0.002 for 300 epochs.  Every command runs
 in-process with the run directory as working directory and relative paths,
 so two runs write the same bytes wherever they live.  Each report is kept
 under its own name and the stdout of every command goes to `stdout/`.
@@ -121,6 +121,8 @@ VERIFY_CASES = {f"verify{seed}": {"verify.seeds": seed} for seed in (1, 2, 3, 4)
         "verify.dim": 6,
         "verify.epochs": 300,
     },
+    # Scores up to 1/0.002 = 500 in magnitude: the large-logit side of the population loss.
+    "verify_tau_0.002": {"verify.seeds": 1, "verify.temperature": 0.002, "verify.epochs": 300},
 }
 RETRIEVE_ALL = 100_000  # a --top-n above every log's item and pseudo-user count
 
