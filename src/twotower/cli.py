@@ -30,7 +30,7 @@ from . import config as config_mod
 from . import data as data_mod
 from .config import ConfigError, RunConfig, fingerprint, loss_config_from, render_config, verify_seeds
 from .evaluation import EvalCases, EvalPool, PoolTooSmallError, RankingIndex, build_eval_cases, evaluate, top_n
-from .losses import IN_BATCH_PEAK_ARRAYS, proposal_distribution
+from .losses import IN_BATCH_PEAK_ARRAYS, check_in_batch_temperature, proposal_distribution
 from .model import ModelParams, encode_user_batch
 from .trainer import (
     Checkpoint,
@@ -230,8 +230,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     prepared = _run_pipeline(cfg)
     _write_resolved(cfg)
     loss_config = _configured("loss", loss_config_from, cfg)
-    if loss_config.family == "bidirectional" and cfg.train.batch_size < 2:
-        raise CliError("in-batch losses need train.batch_size >= 2 (a batch must contain a negative)")
+    if loss_config.family == "bidirectional":
+        if cfg.train.batch_size < 2:
+            raise CliError("in-batch losses need train.batch_size >= 2 (a batch must contain a negative)")
+        _configured("model", check_in_batch_temperature, cfg.model.temperature)
     proposal = None
     if loss_config.family == "ssm":  # built once; a num_sampled it cannot supply fails before the first step
         settings = (prepared.marginals, prepared.log.num_items, loss_config.ssm_proposal, loss_config.num_sampled)

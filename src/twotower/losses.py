@@ -22,10 +22,15 @@ Every loss is a kernel from the raw scores to ``(value, dscore)``, its
 gradient with respect to those scores; :func:`loss_with_gradients` chains it
 through the one scoring kernel of :mod:`twotower.model` (shared columns for
 the in-batch and full-softmax losses, per-row candidates for ``bce`` pairs
-and ``ssm``).  Softmax terms are computed with max-subtracted log-sum-exp
-throughout; bias terms are added to the logits before stabilization.  The
-softmax kernels work in buffers they allocate themselves and never write the
-scores they are given.
+and ``ssm``).  Each softmax kernel takes one exponential per score, shifted
+so that it cannot overflow: the in-batch loss shifts the whole matrix by its
+maximum and shares that exponential between its two halves, each bias
+entering as a weight of its line; the full-softmax and ``ssm`` kernels shift
+each row by its own maximum.  The shared shift keeps every line sum a normal
+float only while the scores span at most 700, so the in-batch losses need a
+temperature of at least ``MIN_IN_BATCH_TEMPERATURE`` (1/350), which
+``train`` checks.  The softmax kernels work in buffers they allocate
+themselves and never write the scores they are given.
 In-batch duplicates (two examples sharing a target) are not masked: the
 marginal correction is the intended remedy for popularity skew.
 """
@@ -52,10 +57,16 @@ PRESETS: Mapping[str, tuple[int, int, int, int]] = {
     "bbcnce": (1, 1, 1, 1),
 }
 
-# (B, B) float64 arrays an in-batch step holds at its peak: the cosines and
-# scores of the forward pass plus at most 3.5 inside ``bidirectional_nce_loss``
-# (each half's buffer and logsumexp's exponentials and maxima mask).
-IN_BATCH_PEAK_ARRAYS = 5.5
+# (B, B) float64 arrays an in-batch step holds at its peak, measured at 4.07:
+# the cosines and scores of the forward pass plus about 2.05 inside
+# ``bidirectional_nce_loss`` (the shared exponential, which becomes the
+# gradient, and its rank-2 scaling factor).
+IN_BATCH_PEAK_ARRAYS = 4.5
+
+# Cosine scores over the temperature lie within 2 / temperature of the score
+# matrix's maximum, so the in-batch kernel's one exponential keeps every line
+# sum a normal float while 2 / temperature <= 700.
+MIN_IN_BATCH_TEMPERATURE = 2.0 / 700.0
 
 
 @dataclass(frozen=True)
@@ -102,39 +113,6 @@ class LossOutput:
     dscore: np.ndarray
 
 
-def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """``log(sum(exp(a)))`` along ``axis``, bit-identical to scipy's.
-
-    scipy's order of operations: the maxima are taken out of the sum, each
-    counted once, and the rest enters as ``log1p(rest / count)``; an
-    all-``-inf`` line gives ``-inf``.  The exponentials live in one
-    temporary, with the maxima zeroed in place; ``a`` is not written.
-    That contract now serves only the in-batch kernels here and the test
-    references: the ``verify`` population loss builds its softmax without it.
-    """
-    a_max = a.max(axis, keepdims=True)
-    top = a == a_max
-    rest = np.subtract(a, a_max)
-    np.exp(rest, out=rest)
-    np.copyto(rest, 0.0, where=top)
-    rest = rest.sum(axis, keepdims=True)
-    count = top.sum(axis, keepdims=True, dtype=float)
-    return np.squeeze(np.log1p(rest / count) + np.log(count) + a_max, axis=axis)
-
-
-def _softmax_nll(logits: np.ndarray, axis: int, rows: np.ndarray, cols: np.ndarray, out: np.ndarray) -> float:
-    """Mean softmax NLL along ``axis`` of the positives ``logits[rows, cols]``,
-    one per line; ``out`` (``logits`` itself, or a buffer of its shape)
-    receives the score gradient of each term: the softmax minus the
-    positive's one-hot.  The positives are read before ``out`` is written."""
-    lse = logsumexp(logits, axis=axis)
-    value = float((lse - logits[rows, cols]).mean())
-    np.subtract(logits, np.expand_dims(lse, axis), out=out)
-    np.exp(out, out=out)
-    out[rows, cols] -= 1.0
-    return value
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x, dtype=float)
     pos = x >= 0
@@ -155,6 +133,26 @@ def bce_value(phi: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     return value, dphi
 
 
+def check_in_batch_temperature(temperature: float) -> None:
+    """Refuse a temperature below :data:`MIN_IN_BATCH_TEMPERATURE`, where the
+    in-batch kernel's one exponential could leave a line sum subnormal."""
+    if not temperature >= MIN_IN_BATCH_TEMPERATURE:
+        raise ValueError(
+            f"temperature must be >= 1/350 (about {MIN_IN_BATCH_TEMPERATURE:.5f}) under the in-batch losses,"
+            f" got {temperature}"
+        )
+
+
+def _line_sums(sums: np.ndarray) -> np.ndarray:
+    """``sums`` of exponentials, refused unless each is a finite normal float."""
+    if not (sums.min() >= np.finfo(float).tiny and sums.max() < np.inf):
+        raise ValueError(
+            "softmax line sum is zero, subnormal or not finite: the scores span more than the"
+            " exponential's range (scores of cosines need a temperature >= 1/350)"
+        )
+    return sums
+
+
 def bidirectional_nce_loss(
     score_matrix: np.ndarray,
     log_p_u: np.ndarray,
@@ -170,9 +168,17 @@ def bidirectional_nce_loss(
     against column r (the batch's users, each logit reduced by
     ``delta_beta * log_p_u`` of its row).  The value is
     ``alpha * mean(row terms) + beta * mean(col terms)`` -- accumulated in
-    that order so the two halves decompose exactly.  Each half works in one
-    buffer of its own, its shifted logits turned into its gradient in place;
-    the score matrix is not written.
+    that order so the two halves decompose exactly.
+
+    Both halves share one exponential ``E = exp(phi - m)``, shifted by the
+    matrix maximum ``m``.  A bias enters as a weight of its line: the row
+    sums are ``E @ w_i`` with ``w_i = exp(-delta_alpha * log_p_i)``, the
+    column sums ``w_u @ E`` with ``w_u = exp(-delta_beta * log_p_u)``.  The
+    gradient is ``E`` scaled in place by the rank-2 factor
+    ``(alpha / B) w_i[j] / rowsum[r] + (beta / B) w_u[r] / colsum[j]``, less
+    ``(alpha + beta) / B`` on the diagonal.  The score matrix is not
+    written; ``-inf`` cells are allowed, and a line sum that is zero,
+    subnormal or not finite raises ``ValueError``.
     """
     phi = np.asarray(score_matrix, dtype=float)
     if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
@@ -186,31 +192,43 @@ def bidirectional_nce_loss(
         raise ValueError("bias vectors must align with the batch")
 
     diag = np.arange(size)
-    value, dphi = 0.0, None
-    halves = (
-        (config.alpha, 1, config.delta_alpha * log_p_i[None, :]),  # row softmax over the batch's items
-        (config.beta, 0, config.delta_beta * log_p_u[:, None]),  # column softmax over the batch's users
-    )
-    for weight, axis, bias in halves:
-        if not weight:
-            continue
-        logits = np.subtract(phi, bias)  # the half's own buffer, turned into its gradient in place
-        value += weight * _softmax_nll(logits, axis, diag, diag, out=logits)
-        np.multiply(logits, weight / size, out=logits)
-        if dphi is None:
-            dphi = logits
-        else:
-            dphi += logits
+    top = phi.max()
+    dphi = np.subtract(phi, top, out=np.empty_like(phi))  # E, turned into the gradient in place
+    np.exp(dphi, out=dphi)
+    gap = top - phi[diag, diag]
+    value, left, right = 0.0, [], []
+    if config.alpha:  # row softmax over the batch's items
+        w_i = np.exp(-config.delta_alpha * log_p_i)
+        sums = _line_sums(dphi @ w_i)
+        value += config.alpha * float(np.mean(np.log(sums) + gap + config.delta_alpha * log_p_i))
+        left.append(config.alpha / size / sums)
+        right.append(w_i)
+    if config.beta:  # column softmax over the batch's users
+        w_u = np.exp(-config.delta_beta * log_p_u)
+        sums = _line_sums(w_u @ dphi)
+        value += config.beta * float(np.mean(np.log(sums) + gap + config.delta_beta * log_p_u))
+        left.append(config.beta / size * w_u)
+        right.append(1.0 / sums)
+    dphi *= np.stack(left, axis=1) @ np.stack(right)
+    dphi[diag, diag] -= (config.alpha + config.beta) / size
     return value, dphi
 
 
 def full_softmax_value(phi: np.ndarray, positive_cols: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact softmax NLL along axis 1 with its score gradient, computed in
-    the gradient's buffer; ``phi`` is not written."""
+    """Exact softmax NLL along axis 1 with its score gradient: one
+    exponential of each row shifted by its maximum, in the gradient's
+    buffer, then ``e / sum`` less the positive's one-hot; ``phi`` is not
+    written."""
     phi = np.asarray(phi, dtype=float)
-    dphi = np.empty_like(phi)
-    value = _softmax_nll(phi, 1, np.arange(phi.shape[0]), np.asarray(positive_cols, dtype=np.int64), out=dphi)
-    dphi /= phi.shape[0]
+    size = phi.shape[0]
+    rows, cols = np.arange(size), np.asarray(positive_cols, dtype=np.int64)
+    top = phi.max(axis=1)
+    dphi = np.subtract(phi, top[:, None], out=np.empty_like(phi))
+    np.exp(dphi, out=dphi)
+    sums = dphi.sum(axis=1)
+    value = float(np.mean(np.log(sums) + (top - phi[rows, cols])))
+    dphi *= (1.0 / (size * sums))[:, None]
+    dphi[rows, cols] -= 1.0 / size
     return value, dphi
 
 

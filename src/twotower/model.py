@@ -37,6 +37,11 @@ class VocabularyError(KeyError):
     """Raised when an item id falls outside the embedding table."""
 
 
+class DegenerateNormError(ValueError):
+    """Raised when a vector to be scored has a zero or non-finite norm, so
+    it has no cosine."""
+
+
 @dataclass
 class ModelParams:
     """One parameter table, the temperature and the user tower's pooling
@@ -58,7 +63,7 @@ class ModelParams:
         if self.table.ndim != 2 or self.table.shape[0] < 1:
             raise ValueError("table must be 2-d, its last row the attention query")
         for name in ("item_embeddings", "attention_vector"):
-            if not np.isfinite(getattr(self, name)).all():
+            if not finite_norms(getattr(self, name)):  # a row whose square overflows has no cosine
                 raise ValueError(f"{name} must be finite")
 
     @property
@@ -159,11 +164,22 @@ def encode_user_batch(sequences: Sequences, params: ModelParams) -> UserBatch:
 
 
 def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit vectors along the last axis and their norms, as ``np.linalg.norm``."""
+    """Unit vectors along the last axis and their norms, as ``np.linalg.norm``.
+    A zero norm, or one that is not finite (a row whose square overflows),
+    raises :class:`DegenerateNormError`."""
     norms = np.sqrt(np.add.reduce(x * x, axis=-1))
-    if np.any(norms == 0.0):
-        raise ValueError("zero-norm vector encountered during scoring")
+    if not (norms.min(initial=np.inf) > 0.0 and norms.max(initial=0.0) < np.inf):  # a NaN fails both
+        if np.any(norms == 0.0):
+            raise DegenerateNormError("zero-norm vector encountered during scoring")
+        raise DegenerateNormError("non-finite norm encountered during scoring")
     return x / norms[..., None], norms
+
+
+def finite_norms(x: np.ndarray) -> bool:
+    """Whether every row along the last axis has a finite norm: each entry
+    is finite and no row's sum of squares overflows."""
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(np.add.reduce(x * x, axis=-1)).all())
 
 
 def _user_backward(

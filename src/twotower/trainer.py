@@ -37,7 +37,7 @@ import numpy as np
 
 from .data import EmpiricalMarginals, Examples, make_batches
 from .losses import LossConfig, loss_with_gradients
-from .model import GradientTable, ModelParams
+from .model import DegenerateNormError, GradientTable, ModelParams, finite_norms
 
 CHECKPOINT_MAGIC = b"UMCK"
 CHECKPOINT_VERSION = 2
@@ -389,16 +389,20 @@ def train_incremental(
                 if loss_config.family == "bidirectional" and len(batch) < 2:
                     notices.append(f"dropped trailing batch of 1 example (month {month})")
                     continue
-                # A diverging step goes quietly non-finite: the loss, gradient
-                # and end-of-epoch parameter checks raise for it.
+                # A diverging step goes quietly non-finite: the norm, loss,
+                # gradient and end-of-epoch parameter checks raise for it.
                 with np.errstate(all="ignore"):
-                    out = loss_with_gradients(batch, params, loss_config, marginals=marginals, rng=rng, proposal=proposal)
+                    try:
+                        out = loss_with_gradients(batch, params, loss_config, marginals=marginals, rng=rng, proposal=proposal)
+                    except DegenerateNormError as exc:  # a row with no cosine scores no finite loss
+                        raise NonFiniteLossError(f"non-finite loss: {exc} (month {month}, epoch {epoch})") from exc
                     if not math.isfinite(out.value):
                         raise NonFiniteLossError(f"non-finite loss {out.value} (month {month}, epoch {epoch})")
                     apply_optimizer_step(params, out.gradients, state)
                 steps += 1
-            # A finite step can still overflow a parameter; no checkpoint or snapshot may hold one.
-            if not np.isfinite(params.table).all():
+            # A finite step can still overflow a parameter, or a row's norm; no
+            # checkpoint or snapshot may hold one.
+            if not finite_norms(params.table):
                 raise NonFiniteGradientError(f"non-finite parameters after month {month}, epoch {epoch}")
             if shuffled:
                 _save(f"shuffled_epoch_{epoch:02d}.ckpt", phase, epoch + 1)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .data import DAYS_PER_MONTH, Sequences
 from .losses import LossConfig
-from .model import GradientTable, ModelParams, normalize_rows, score_matrix_forward
+from .model import DegenerateNormError, GradientTable, ModelParams, finite_norms, normalize_rows, score_matrix_forward
 from .trainer import NonFiniteGradientError, OptimizerState, apply_optimizer_step
 
 
@@ -451,15 +451,18 @@ def train_to_optimum(
     grads = GradientTable(np.arange(num_configs * (k + m)), grad.reshape(-1, dim))  # the attention row never steps
     loss = StackedLoss.build(tables, configs)
     opt = OptimizerState(kind="adam", learning_rate=learning_rate)
-    # A diverging step goes quietly non-finite: the next step's gradient
-    # check, or the check after the last epoch, raises for it.
+    # A diverging step goes quietly non-finite: the next step's norm or
+    # gradient check, or the check after the last epoch, raises for it.
     with np.errstate(all="ignore"):
         for epoch in range(epochs):
             opt.learning_rate = learning_rate * 0.5 * (1.0 + math.cos(math.pi * epoch / epochs))
-            hat, norms, cos = dense_forward(blocks, k)
+            try:
+                hat, norms, cos = dense_forward(blocks, k)
+            except DegenerateNormError as exc:  # a row with no cosine has no finite gradient
+                raise NonFiniteGradientError(f"non-finite gradient: {exc} (epoch {epoch})") from exc
             dense_backward(hat, norms, cos, population_loss(cos / temperature, loss), temperature, out=grad)
             apply_optimizer_step(params, grads, opt)
-    if not np.isfinite(blocks).all():
+    if not finite_norms(blocks):
         raise NonFiniteGradientError(f"non-finite parameters after epoch {epochs - 1}")
     return [
         ModelParams(np.vstack([block, params.attention_vector]), temperature)

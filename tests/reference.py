@@ -14,9 +14,11 @@ training never reads.  ``reference_accumulate`` is the sort-based
 ``GradientTable.accumulate`` that an occupancy count replaced, and
 ``reference_rank`` (through ``reference_order``) the full sort of every
 candidate row that the positive's count rank and a partitioned top N
-replaced.  ``reference_logsumexp``, ``reference_bidirectional_nce_loss`` and
-``reference_full_softmax_value`` are the out-of-place softmax kernels that
-the in-place ones in ``twotower.losses`` replaced, operation for operation.
+replaced.  ``logsumexp`` is the scipy-order log-sum-exp that the softmax
+kernels of ``twotower.losses`` used before they took one exponential per
+line, and ``reference_logsumexp`` the same with a fresh array per step;
+``reference_bidirectional_nce_loss`` and ``reference_full_softmax_value``
+are the out-of-place logsumexp kernels that those replaced.
 ``encode_user`` and ``score`` encode and score one pseudo-user at a time,
 as the per-key loop that one batched ``model.encode_user_batch`` call
 replaced did, and the oracles of the normalized-dot-product kernels.
@@ -48,7 +50,7 @@ from twotower.data import (
     InteractionLog,
     Sequences,
 )
-from twotower.losses import LossConfig, logsumexp
+from twotower.losses import LossConfig
 from twotower.model import ModelParams, encode_user_batch
 
 UserKey = tuple[int, ...]
@@ -324,6 +326,24 @@ def reference_rank(index, task: str, queries: np.ndarray, candidates: np.ndarray
         table, q_hat = index.users, index.items[queries]
     return reference_order(np.matmul(table[candidates], q_hat[:, :, None])[:, :, 0] / index.temperature, candidates)
 
+
+
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """``log(sum(exp(a)))`` along ``axis``, bit-identical to scipy's.
+
+    scipy's order of operations: the maxima are taken out of the sum, each
+    counted once, and the rest enters as ``log1p(rest / count)``; an
+    all-``-inf`` line gives ``-inf``.  The exponentials live in one
+    temporary, with the maxima zeroed in place; ``a`` is not written.
+    """
+    a_max = a.max(axis, keepdims=True)
+    top = a == a_max
+    rest = np.subtract(a, a_max)
+    np.exp(rest, out=rest)
+    np.copyto(rest, 0.0, where=top)
+    rest = rest.sum(axis, keepdims=True)
+    count = top.sum(axis, keepdims=True, dtype=float)
+    return np.squeeze(np.log1p(rest / count) + np.log(count) + a_max, axis=axis)
 
 
 def reference_logsumexp(a: np.ndarray, axis: int) -> np.ndarray:

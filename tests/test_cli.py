@@ -392,8 +392,8 @@ def small_checkpoint(small_events):
 @pytest.fixture(scope="module")
 def invalid_checkpoints(small_checkpoint):
     """Copies of ``small_checkpoint`` written with a NaN temperature, an
-    infinite item table, one NaN entry in one item row or an unknown
-    pooling, a copy whose header says format version 1, and directories
+    infinite item table, one NaN entry in one item row, one item row whose
+    norm overflows or an unknown pooling, a copy whose header says format version 1, and directories
     whose one month checkpoint holds that NaN entry, that pooling or one
     item row more than the data's vocabulary."""
     directory = os.path.join(os.path.dirname(os.path.dirname(small_checkpoint)), "invalid")
@@ -415,6 +415,9 @@ def invalid_checkpoints(small_checkpoint):
     def nan_row(params):
         params.item_embeddings[3, 1] = np.nan
 
+    def overflowing_row(params):
+        params.item_embeddings[3] = 1e200
+
     def unknown_aggregator(params):
         params.aggregator = "max"
 
@@ -431,6 +434,7 @@ def invalid_checkpoints(small_checkpoint):
         "nan_temperature": write("nan_temperature.ckpt", small_checkpoint, nan_temperature),
         "inf_items": write("inf_items.ckpt", small_checkpoint, inf_items),
         "nan_row": write("nan_row.ckpt", small_checkpoint, nan_row),
+        "overflowing_row": write("overflowing_row.ckpt", small_checkpoint, overflowing_row),
         "nan_months": os.path.dirname(write("months/month_0001.ckpt", month, nan_row)),
         "max_aggregator": write("max_aggregator.ckpt", small_checkpoint, unknown_aggregator),
         "max_aggregator_months": os.path.dirname(write("aggregator_months/month_0001.ckpt", month, unknown_aggregator)),
@@ -677,6 +681,18 @@ class TestTrainVariants:
                 {},
                 "corrupt checkpoint (item_embeddings must be finite)",
                 "retrieve-checkpoint-nan-row",
+            ),
+            setting(
+                "retrieve --task ir --checkpoint {overflowing_row} --query i1",
+                {},
+                "corrupt checkpoint (item_embeddings must be finite)",
+                "retrieve-checkpoint-overflowing-row",
+            ),
+            setting(
+                "eval --task ir --checkpoint {overflowing_row}",
+                {},
+                "corrupt checkpoint (item_embeddings must be finite)",
+                "eval-checkpoint-overflowing-row",
             ),
             setting(
                 "eval --checkpoint {max_aggregator}",
@@ -1069,6 +1085,21 @@ class TestDivergenceKeepsStderrClean:
         )
         self._check(_run_cli_process(["train", "--config", config]), "train: non-finite loss")
 
+    def test_train_overflowing_norm(self, small_events):
+        """At learning rate 1e200 the first SGD step leaves finite rows whose
+        squares overflow; the next step's scoring refuses their norm instead
+        of scoring them as zero vectors and training on to exit 0."""
+        tmp_path, events = small_events
+        settings = {"train.optimizer": "sgd", "train.learning_rate": 1e200, "eval.num_negatives": 2}
+        config = write_config(
+            tmp_path / "overflow_norm.cfg",
+            **{"data.input": str(events), "paths.output_dir": str(tmp_path / "overflow_norm")} | settings,
+        )
+        self._check(
+            _run_cli_process(["train", "--config", config]),
+            "train: non-finite loss: non-finite norm encountered during scoring",
+        )
+
     @staticmethod
     def _check(done: subprocess.CompletedProcess, message: str) -> None:
         """Exit 1, and stderr is the one ``error:`` line, naming ``message``."""
@@ -1085,6 +1116,31 @@ class TestDivergenceKeepsStderrClean:
         assert done.returncode in (0, 1), done.stderr
         assert done.stderr == ""
         assert "optimum checks passed" in done.stdout
+
+
+class TestInBatchTemperatureFloor:
+    """The in-batch losses' one exponential needs scores that span at most
+    700, so ``train`` refuses a temperature below 1/350 (about 0.002857)."""
+
+    def _train(self, small_events, temperature: float) -> subprocess.CompletedProcess:
+        tmp_path, events = small_events
+        out = tmp_path / f"tau_{temperature}"
+        settings = {"model.temperature": temperature, "eval.num_negatives": 2}
+        config = write_config(
+            tmp_path / f"tau_{temperature}.cfg", **{"data.input": str(events), "paths.output_dir": str(out)} | settings
+        )
+        return _run_cli_process(["train", "--config", config])
+
+    def test_just_above_the_floor_trains(self, small_events):
+        done = self._train(small_events, 0.003)
+        assert done.returncode == 0, done.stderr
+        assert "Warning" not in done.stderr and "error" not in done.stderr
+
+    def test_just_below_the_floor_is_refused(self, small_events):
+        done = self._train(small_events, 0.0028)
+        assert done.returncode == 1
+        [line] = done.stderr.splitlines()
+        assert line == "error: model: temperature must be >= 1/350 (about 0.00286) under the in-batch losses, got 0.0028"
 
 
 def test_prepare_does_not_import_verify(tmp_path):

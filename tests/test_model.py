@@ -12,11 +12,13 @@ from gradcheck import row_gradient
 from reference import encode_user, example_rows, examples_of, reference_accumulate, score
 from twotower.data import Sequences
 from twotower.model import (
+    DegenerateNormError,
     AGGREGATORS,
     GradientTable,
     ModelParams,
     VocabularyError,
     encode_user_batch,
+    finite_norms,
     normalize_rows,
     score_matrix_backward,
     score_matrix_forward,
@@ -56,10 +58,13 @@ class TestParams:
             ("item_embeddings", math.inf, "item_embeddings must be finite"),
             ("item_embeddings", math.nan, "item_embeddings must be finite"),
             ("attention_vector", -math.inf, "attention_vector must be finite"),
+            ("item_embeddings", 1e200, "item_embeddings must be finite"),
+            ("attention_vector", 1e200, "attention_vector must be finite"),
         ],
     )
     def test_non_finite_parameters_rejected(self, field, value, message):
-        """One NaN or infinite entry anywhere, and the parameters never exist."""
+        """One NaN or infinite entry anywhere, or one whose square
+        overflows the row's norm, and the parameters never exist."""
         table, temperature = np.zeros((4, 2)), 0.25
         if field == "temperature":
             temperature = value
@@ -349,3 +354,18 @@ class TestNormalizeRows:
         x[1] = 0.0
         with pytest.raises(ValueError, match="zero-norm"):
             normalize_rows(x)
+
+    @pytest.mark.parametrize("entry", [1e200, np.inf, np.nan])
+    def test_non_finite_norm_rejected(self, entry):
+        """A row whose square overflows would score as a zero vector
+        (``x / inf``); it is refused, as are infinite and NaN rows."""
+        x = np.ones((3, 4))
+        x[2, 1] = entry
+        assert not finite_norms(x)
+        with np.errstate(over="ignore"), pytest.raises(DegenerateNormError, match="non-finite norm"):
+            normalize_rows(x)
+
+    def test_finite_norms(self):
+        assert finite_norms(np.zeros((2, 3))) and finite_norms(np.full((2, 3), 1e150))
+        assert finite_norms(np.empty((0, 3)))
+        assert not finite_norms(np.full((2, 3), 1e155))

@@ -603,6 +603,16 @@ class TestTrainingLoop:
             train_incremental(examples, params, LOSS, train_config(), marginals=marginals)
         np.testing.assert_array_equal(params.item_embeddings, before)
 
+    def test_overflowing_norm_on_the_last_step_aborts_before_the_checkpoint(self, tmp_path):
+        """A last step that leaves finite parameters whose squares overflow
+        stops training as well: such a row has no cosine to rank by."""
+        spec, examples, marginals = synthetic_training_set(num_months=1, num_samples=120)
+        config = train_config(epochs_per_month=1, batch_size=len(examples), optimizer="sgd", learning_rate=1e200)
+        params = fresh_params(spec)
+        with pytest.raises(NonFiniteGradientError, match="non-finite parameters after month 1, epoch 0"):
+            train_incremental(examples, params, LOSS, config, marginals=marginals, checkpoint_dir=str(tmp_path))
+        assert np.isfinite(params.table).all() and os.listdir(tmp_path) == []
+
     def test_overflowing_last_step_aborts_before_the_checkpoint(self, tmp_path):
         """A finite gradient that overflows a parameter on the last step of an
         epoch stops training before a checkpoint or validation snapshot holds it."""

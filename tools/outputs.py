@@ -20,7 +20,8 @@ into a second directory, `eval` for both tasks (plain
 and `--verbose`), `trace` for both tasks (runs with month checkpoints) and
 four `retrieve` runs per task (two queries at `--top-n 10`, then the first
 again at `--top-n 1` and at a `--top-n` above the candidate count), under
-each loss configuration of `CASES`;
+each loss configuration of `CASES` (among them `bbcnce` at temperature 0.003,
+just above the in-batch losses' floor of 1/350);
 and the `verify` runs of `VERIFY_CASES`: sweep seeds 1, 2 and 3 (the seeds
 the benchmark's `verify_sweep` runs) plus 4 at the default settings, a
 20-event sample that leaves users and items of the table unseen, a 4x5
@@ -92,6 +93,8 @@ CASES = {
     # Attention through the shared-column kernel, trace and a UT retrieve
     # over more pseudo-user keys than one ENCODE_CHUNK.
     "bbcnce_attention": ("incremental", {"model.aggregator": "attention"}),
+    # Scores up to 1/0.003 = 333 in magnitude: the large-logit side of the in-batch loss's shared exponential.
+    "bbcnce_tau_0.003": ("incremental", {"model.temperature": 0.003}),
     "bce_attention_shuffled": (
         "long_history",
         {
