@@ -22,17 +22,27 @@ Every loss is a kernel from the raw scores to ``(value, dscore)``, its
 gradient with respect to those scores; :func:`loss_with_gradients` chains it
 through the one scoring kernel of :mod:`twotower.model` (shared columns for
 the in-batch and full-softmax losses, per-row candidates for ``bce`` pairs
-and ``ssm``).  Each softmax kernel takes one exponential per score, shifted
-so that it cannot overflow: the in-batch loss shifts the whole matrix by its
-maximum and shares that exponential between its two halves, each bias
-entering as a weight of its line; the full-softmax and ``ssm`` kernels shift
-each row by its own maximum.  The shared shift keeps every line sum a normal
+and ``ssm``).  The shared-column losses score each distinct pseudo-user and
+item of a batch once: the in-batch loss the distinct pseudo-users against
+the distinct targets, ``full_softmax_row`` the distinct pseudo-users against
+the vocabulary, ``full_softmax_col`` the universe against the distinct
+targets.  Example ``b`` is a cell ``(rows[b], cols[b])`` of that matrix, and
+a line that several examples share enters the kernels weighted by their
+count, as the biases do, so the value and the gradient are those of the
+expanded batch, where every example has a line of its own.
+
+Each softmax kernel takes one exponential per score, shifted so that it
+cannot overflow: the in-batch loss shifts the whole matrix by its maximum
+and shares that exponential between its two halves, each bias entering as a
+weight of its line; the full-softmax and ``ssm`` kernels shift each row by
+its own maximum.  The shared shift keeps every line sum a normal
 float only while the scores span at most 700, so the in-batch losses need a
 temperature of at least ``MIN_IN_BATCH_TEMPERATURE`` (1/350), which
 ``train`` checks.  The softmax kernels work in buffers they allocate
 themselves and never write the scores they are given.
-In-batch duplicates (two examples sharing a target) are not masked: the
-marginal correction is the intended remedy for popularity skew.
+In-batch duplicates (two examples sharing a target) are not masked: each
+is a negative of the other's line, and the marginal correction is the
+intended remedy for popularity skew.
 """
 
 from __future__ import annotations
@@ -57,10 +67,12 @@ PRESETS: Mapping[str, tuple[int, int, int, int]] = {
     "bbcnce": (1, 1, 1, 1),
 }
 
-# (B, B) float64 arrays an in-batch step holds at its peak, measured at 4.07:
-# the cosines and scores of the forward pass plus about 2.05 inside
-# ``bidirectional_nce_loss`` (the shared exponential, which becomes the
-# gradient, and its rank-2 scaling factor).
+# (B, B) float64 arrays an in-batch step holds at its peak when every key
+# and target of the batch is distinct, measured at 4.07: the cosines and
+# scores of the forward pass plus about 2.05 inside ``bidirectional_nce_loss``
+# (the shared exponential, which becomes the gradient, and its rank-2 scaling
+# factor).  These are (R, C) arrays over the R distinct keys and C distinct
+# targets, so a batch with repeats holds less: this is the worst case.
 IN_BATCH_PEAK_ARRAYS = 4.5
 
 # Cosine scores over the temperature lie within 2 / temperature of the score
@@ -106,7 +118,9 @@ class LossConfig:
 
 @dataclass
 class LossOutput:
-    """Loss value, parameter gradients (sparse by row) and score gradients."""
+    """Loss value, parameter gradients (sparse by row) and the gradient
+    with respect to the scored matrix: over the distinct cells for the
+    shared-column losses, one row per example for ``bce`` and ``ssm``."""
 
     value: float
     gradients: GradientTable
@@ -155,80 +169,96 @@ def _line_sums(sums: np.ndarray) -> np.ndarray:
 
 def bidirectional_nce_loss(
     score_matrix: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
     log_p_u: np.ndarray,
     log_p_i: np.ndarray,
     config: LossConfig,
 ) -> tuple[float, np.ndarray]:
-    """Generalized bidirectional in-batch loss on a precomputed score matrix,
-    and its score gradient.
+    """Generalized bidirectional in-batch loss over a batch's distinct
+    pseudo-users and items, and its gradient with respect to their scores.
 
-    The r-th diagonal entry is the positive pair.  The row term softmaxes
-    entry (r, r) against row r (the batch's items, each logit reduced by
+    ``score_matrix`` scores the R distinct pseudo-users against the C
+    distinct items, and example ``b`` is its cell ``(rows[b], cols[b])``:
+    the batch is the ``(B, B)`` matrix ``phi[rows][:, cols]`` with the
+    positive pairs on its diagonal.  The row term softmaxes each positive
+    against its row of that matrix (the batch's items, each logit reduced by
     ``delta_alpha * log_p_i`` of its column); the column term softmaxes it
-    against column r (the batch's users, each logit reduced by
+    against its column (the batch's users, each logit reduced by
     ``delta_beta * log_p_u`` of its row).  The value is
-    ``alpha * mean(row terms) + beta * mean(col terms)`` -- accumulated in
-    that order so the two halves decompose exactly.
+    ``alpha * mean(row terms) + beta * mean(col terms)`` over the B
+    examples -- accumulated in that order so the two halves decompose
+    exactly.
 
-    Both halves share one exponential ``E = exp(phi - m)``, shifted by the
-    matrix maximum ``m``.  A bias enters as a weight of its line: the row
-    sums are ``E @ w_i`` with ``w_i = exp(-delta_alpha * log_p_i)``, the
-    column sums ``w_u @ E`` with ``w_u = exp(-delta_beta * log_p_u)``.  The
-    gradient is ``E`` scaled in place by the rank-2 factor
-    ``(alpha / B) w_i[j] / rowsum[r] + (beta / B) w_u[r] / colsum[j]``, less
-    ``(alpha + beta) / B`` on the diagonal.  The score matrix is not
-    written; ``-inf`` cells are allowed, and a line sum that is zero,
-    subnormal or not finite raises ``ValueError``.
+    Both halves share one exponential ``E = exp(phi - m)`` of the distinct
+    matrix, shifted by its maximum ``m``.  A bias and a multiplicity enter
+    as weights of their line: with ``a`` and ``c`` the examples of each row
+    and each column, the row sums are ``E @ (c w_i)`` with
+    ``w_i = exp(-delta_alpha * log_p_i)``, the column sums ``(a w_u) @ E``
+    with ``w_u = exp(-delta_beta * log_p_u)``.  The gradient is ``E`` scaled
+    in place by the rank-2 factor ``(alpha / B) a[r] / rowsum[r] c[j] w_i[j]
+    + (beta / B) a[r] w_u[r] c[j] / colsum[j]``, less ``(alpha + beta) / B``
+    at each example's cell, once per example.
+    Identity cells (``rows = cols = arange(B)``) give the square in-batch
+    loss.  The score matrix is not written; ``-inf`` cells are allowed, and
+    a line sum that is zero, subnormal or not finite raises ``ValueError``.
     """
     phi = np.asarray(score_matrix, dtype=float)
-    if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
-        raise ValueError("score matrix must be square")
-    size = phi.shape[0]
+    if phi.ndim != 2:
+        raise ValueError("score matrix must be 2-d")
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    size = rows.size
     if size < 2:
         raise ValueError("in-batch loss needs a batch of at least 2 (no negatives otherwise)")
+    if rows.shape != (size,) or cols.shape != (size,):
+        raise ValueError("cells must be two 1-d index arrays of the same length")
+    a, c = np.bincount(rows, minlength=phi.shape[0]), np.bincount(cols, minlength=phi.shape[1])
+    if a.shape != phi.shape[:1] or c.shape != phi.shape[1:] or not (a.all() and c.all()):
+        raise ValueError("cells must cover every row and column of the score matrix, and no more")
     log_p_u = np.asarray(log_p_u, dtype=float)
     log_p_i = np.asarray(log_p_i, dtype=float)
-    if log_p_u.shape != (size,) or log_p_i.shape != (size,):
-        raise ValueError("bias vectors must align with the batch")
+    if log_p_u.shape != a.shape or log_p_i.shape != c.shape:
+        raise ValueError("bias vectors must align with the score matrix")
 
-    diag = np.arange(size)
     top = phi.max()
     dphi = np.subtract(phi, top, out=np.empty_like(phi))  # E, turned into the gradient in place
     np.exp(dphi, out=dphi)
-    gap = top - phi[diag, diag]
+    gap = top - phi[rows, cols]
     value, left, right = 0.0, [], []
     if config.alpha:  # row softmax over the batch's items
-        w_i = np.exp(-config.delta_alpha * log_p_i)
+        w_i = c * np.exp(-config.delta_alpha * log_p_i)
         sums = _line_sums(dphi @ w_i)
-        value += config.alpha * float(np.mean(np.log(sums) + gap + config.delta_alpha * log_p_i))
-        left.append(config.alpha / size / sums)
+        value += config.alpha * float(np.mean(np.log(sums)[rows] + gap + config.delta_alpha * log_p_i[cols]))
+        left.append(config.alpha / size * a / sums)
         right.append(w_i)
     if config.beta:  # column softmax over the batch's users
-        w_u = np.exp(-config.delta_beta * log_p_u)
+        w_u = a * np.exp(-config.delta_beta * log_p_u)
         sums = _line_sums(w_u @ dphi)
-        value += config.beta * float(np.mean(np.log(sums) + gap + config.delta_beta * log_p_u))
+        value += config.beta * float(np.mean(np.log(sums)[cols] + gap + config.delta_beta * log_p_u[rows]))
         left.append(config.beta / size * w_u)
-        right.append(1.0 / sums)
+        right.append(c / sums)
     dphi *= np.stack(left, axis=1) @ np.stack(right)
-    dphi[diag, diag] -= (config.alpha + config.beta) / size
+    np.subtract.at(dphi, (rows, cols), (config.alpha + config.beta) / size)
     return value, dphi
 
 
-def full_softmax_value(phi: np.ndarray, positive_cols: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact softmax NLL along axis 1 with its score gradient: one
-    exponential of each row shifted by its maximum, in the gradient's
-    buffer, then ``e / sum`` less the positive's one-hot; ``phi`` is not
-    written."""
+def full_softmax_value(phi: np.ndarray, rows: np.ndarray, positive_cols: np.ndarray) -> tuple[float, np.ndarray]:
+    """Exact softmax NLL along axis 1 with its score gradient, for examples
+    whose softmax is row ``rows[b]`` and whose positive is its column
+    ``positive_cols[b]``; several examples may share a row.  One exponential
+    of each row shifted by its maximum, in the gradient's buffer, then
+    ``e / sum`` weighted by the row's examples, less ``1 / B`` at each
+    example's cell; ``phi`` is not written."""
     phi = np.asarray(phi, dtype=float)
-    size = phi.shape[0]
-    rows, cols = np.arange(size), np.asarray(positive_cols, dtype=np.int64)
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(positive_cols, dtype=np.int64)
+    size = rows.size
     top = phi.max(axis=1)
     dphi = np.subtract(phi, top[:, None], out=np.empty_like(phi))
     np.exp(dphi, out=dphi)
     sums = dphi.sum(axis=1)
-    value = float(np.mean(np.log(sums) + (top - phi[rows, cols])))
-    dphi *= (1.0 / (size * sums))[:, None]
-    dphi[rows, cols] -= 1.0 / size
+    value = float(np.mean(np.log(sums)[rows] + (top[rows] - phi[rows, cols])))
+    dphi *= (np.bincount(rows, minlength=sums.size) / (size * sums))[:, None]
+    np.subtract.at(dphi, (rows, cols), 1.0 / size)
     return value, dphi
 
 
@@ -293,25 +323,28 @@ def loss_with_gradients(
     family = config.family
     if marginals is None and family in ("bidirectional", "full_softmax_col", "ssm"):
         raise ValueError(f"{family} loss needs the training marginals")
-    users, items = batch.pseudo_users(), batch.target
     if family == "bce":
-        items = batch.target[:, None]  # one candidate per row
+        users, items = batch.pseudo_users(), batch.target[:, None]  # one candidate per row
         kernel = partial(bce_value, labels=batch.label[:, None])
-    elif family == "bidirectional":
-        log_p_u, log_p_i = marginals.log_bias(batch)
-        kernel = partial(bidirectional_nce_loss, log_p_u=log_p_u, log_p_i=log_p_i, config=config)
-    elif family == "full_softmax_row":
-        items = np.arange(params.num_items)
-        kernel = partial(full_softmax_value, positive_cols=batch.target)
-    elif family == "full_softmax_col":
+    elif family == "bidirectional":  # distinct pseudo-users against distinct targets
+        keys, rows = np.unique(batch.key, return_inverse=True)
+        items, cols = np.unique(batch.target, return_inverse=True)
+        users, log_p_u, log_p_i = batch.table.take(keys), marginals.log_p_user[keys], marginals.log_p_item[items]
+        kernel = partial(bidirectional_nce_loss, rows=rows, cols=cols, log_p_u=log_p_u, log_p_i=log_p_i, config=config)
+    elif family == "full_softmax_row":  # distinct pseudo-users against the vocabulary
+        keys, rows = np.unique(batch.key, return_inverse=True)
+        users, items = batch.table.take(keys), np.arange(params.num_items)
+        kernel = partial(full_softmax_value, rows=rows, positive_cols=batch.target)
+    elif family == "full_softmax_col":  # the counted pseudo-users against distinct targets
         universe = np.flatnonzero(marginals.count_user)  # key ids, ascending
         if not np.isin(batch.key, universe).all():
             raise ValueError("batch pseudo-user not counted by the training marginals")
-        users = batch.table.take(universe)  # rows are the universe's users, columns the batch's targets
+        users = batch.table.take(universe)
+        items, cols = np.unique(batch.target, return_inverse=True)
         positives = np.searchsorted(universe, batch.key)
 
         def kernel(phi: np.ndarray) -> tuple[float, np.ndarray]:
-            value, dphi_t = full_softmax_value(phi.T, positives)
+            value, dphi_t = full_softmax_value(phi.T, cols, positives)
             return value, dphi_t.T
 
     else:  # ssm
@@ -320,11 +353,12 @@ def loss_with_gradients(
         q = proposal
         if q is None:
             q = proposal_distribution(marginals, params.num_items, config.ssm_proposal, config.num_sampled)
-        items = _ssm_candidates(batch.target, q, config.num_sampled, rng)
+        users, items = batch.pseudo_users(), _ssm_candidates(batch.target, q, config.num_sampled, rng)
         log_q = np.log(q[items])
+        rows = np.arange(len(batch))
 
         def kernel(phi: np.ndarray) -> tuple[float, np.ndarray]:
-            return full_softmax_value(phi - log_q, np.zeros(len(batch), dtype=np.int64))
+            return full_softmax_value(phi - log_q, rows, np.zeros(len(batch), dtype=np.int64))
 
     phi, cache = score_matrix_forward(users, items, params)
     value, dscore = kernel(phi)

@@ -8,8 +8,9 @@ product rescaled by a fixed temperature, so scores live in
 
 A batch of pseudo-users is pooled straight from its CSR rows
 (``data.Sequences``): every array runs over the flat positions, and each
-sequence's sums go through ``sum_rows``, which adds in position order, so a
-pseudo-user's vector depends on its own rows only, not on its batch.
+sequence's sums go through ``np.bincount`` (``sum_rows`` for rows), which
+adds in position order, so a pseudo-user's vector depends on its own rows
+only, not on its batch.
 
 One scoring kernel serves every loss: ``score_matrix_forward`` scores the
 batch against shared item columns (1-d ids, a ``(B, C)`` score matrix) or
@@ -22,7 +23,6 @@ supply the score gradient; everything below the scores lives here.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -100,12 +100,14 @@ class ModelParams:
 
 
 def sum_rows(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """``size`` sums, the ``k``-th of every ``values[j]`` with ``index[j] == k``.
-    ``np.bincount`` adds its weights in input order, so each sum takes its
-    terms in the order given, as a loop over them would, starting from +0.0."""
-    width = math.prod(values.shape[1:])
+    """``size`` rows, the ``k``-th the sum of every row ``values[j]`` (of an
+    ``(N, d)`` array) with ``index[j] == k``.  ``np.bincount`` adds its
+    weights in input order, so each sum takes its terms in the order given,
+    as a loop over them would, starting from +0.0; a 1-d sum is that
+    ``np.bincount`` itself."""
+    width = values.shape[1]
     flat = (index[:, None] * width + np.arange(width)).ravel()
-    return np.bincount(flat, weights=values.ravel(), minlength=size * width).reshape(size, *values.shape[1:])
+    return np.bincount(flat, weights=values.ravel(), minlength=size * width).reshape(size, width)
 
 
 @dataclass
@@ -159,7 +161,7 @@ def encode_user_batch(sequences: Sequences, params: ModelParams) -> UserBatch:
         return UserBatch(items, owner, lengths, sum_rows(owner, rows, lengths.size) / lengths[:, None])
     logits = np.add.reduce(rows * params.attention_vector, axis=1)  # row by row: a logit reads its own row only
     e = np.exp(logits - np.maximum.reduceat(logits, sequences.offsets[:-1])[owner])
-    weights = e / sum_rows(owner, e, lengths.size)[owner]
+    weights = e / np.bincount(owner, e, lengths.size)[owner]
     return UserBatch(items, owner, lengths, sum_rows(owner, weights[:, None] * rows, lengths.size), weights, rows)
 
 
@@ -199,7 +201,7 @@ def _user_backward(
         return
     w, rows, d_rows = users.weights, users.rows, d_vectors[users.owner]
     q = np.add.reduce(rows * d_rows, axis=1)  # dL/dw per position
-    ds = w * (q - sum_rows(users.owner, w * q, users.lengths.size)[users.owner])  # softmax backward
+    ds = w * (q - np.bincount(users.owner, w * q, users.lengths.size)[users.owner])  # softmax backward
     np.add(w[:, None] * d_rows, ds[:, None] * params.attention_vector, out=out[:-1])
     out[-1] = ds @ rows
 

@@ -18,7 +18,11 @@ replaced.  ``logsumexp`` is the scipy-order log-sum-exp that the softmax
 kernels of ``twotower.losses`` used before they took one exponential per
 line, and ``reference_logsumexp`` the same with a fresh array per step;
 ``reference_bidirectional_nce_loss`` and ``reference_full_softmax_value``
-are the out-of-place logsumexp kernels that those replaced.
+are the out-of-place logsumexp kernels that those replaced, on a square
+batch (``identity_cells`` gives its examples' cells).
+``reference_shared_column_loss`` is the step of the shared-column losses
+that scoring each distinct pseudo-user and item once replaced: every
+example scored on a line of its own, through the kernels on identity cells.
 ``encode_user`` and ``score`` encode and score one pseudo-user at a time,
 as the per-key loop that one batched ``model.encode_user_batch`` call
 replaced did, and the oracles of the normalized-dot-product kernels.
@@ -50,8 +54,8 @@ from twotower.data import (
     InteractionLog,
     Sequences,
 )
-from twotower.losses import LossConfig
-from twotower.model import ModelParams, encode_user_batch
+from twotower.losses import LossConfig, bidirectional_nce_loss, full_softmax_value
+from twotower.model import GradientTable, ModelParams, encode_user_batch, score_matrix_backward, score_matrix_forward
 
 UserKey = tuple[int, ...]
 
@@ -390,6 +394,47 @@ def reference_full_softmax_value(phi: np.ndarray, positive_cols: np.ndarray) -> 
     dphi = np.exp(phi - lse[:, None])
     dphi[rows, positive_cols] -= 1.0
     return value, dphi / phi.shape[0]
+
+
+def identity_cells(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of a square batch's examples: example ``r`` is cell ``(r, r)``."""
+    size = len(phi)
+    return np.arange(size), np.arange(size)
+
+
+def reference_shared_column_loss(
+    batch: Examples, params: ModelParams, config: LossConfig, marginals: EmpiricalMarginals
+) -> tuple[float, GradientTable]:
+    """``losses.loss_with_gradients`` of the shared-column families
+    (``bidirectional``, ``full_softmax_row``, ``full_softmax_col``) with
+    every example scored on a line of its own, through the kernels of
+    ``twotower.losses`` on identity cells: a ``(B, B)`` in-batch matrix
+    with the positives on its diagonal, ``B`` rows against the vocabulary,
+    or the universe against ``B`` columns."""
+    users, items, cells = batch.pseudo_users(), batch.target, np.arange(len(batch))
+    if config.family == "bidirectional":
+        log_p_u, log_p_i = marginals.log_bias(batch)
+
+        def kernel(phi: np.ndarray) -> tuple[float, np.ndarray]:
+            return bidirectional_nce_loss(phi, cells, cells, log_p_u, log_p_i, config)
+
+    elif config.family == "full_softmax_row":
+        items = np.arange(params.num_items)
+
+        def kernel(phi: np.ndarray) -> tuple[float, np.ndarray]:
+            return full_softmax_value(phi, cells, batch.target)
+
+    else:
+        universe = np.flatnonzero(marginals.count_user)
+        users = batch.table.take(universe)
+
+        def kernel(phi: np.ndarray) -> tuple[float, np.ndarray]:
+            value, dphi_t = full_softmax_value(phi.T, cells, np.searchsorted(universe, batch.key))
+            return value, dphi_t.T
+
+    phi, cache = score_matrix_forward(users, items, params)
+    value, dscore = kernel(phi)
+    return value, score_matrix_backward(cache, dscore, params)
 
 
 def reference_ingest_logs(source: Union[IO[str], IO[bytes], Iterable[str]], delimiter: str = ",") -> InteractionLog:

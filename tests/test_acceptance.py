@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from reference import events_of, examples_of, sample_events, sample_examples
+from reference import events_of, examples_of, identity_cells, sample_events, sample_examples
 from test_gradients import FAMILIES, check_family
 from twotower.cli import main
 from twotower.config import VerifySection
@@ -215,17 +215,18 @@ def test_criterion_5_preset_identities():
     for _ in range(20):
         size = int(rng.integers(2, 9))
         phi = rng.normal(size=(size, size)) * rng.uniform(0.5, 3.0)
+        eye = identity_cells(phi)
         log_p_u = np.log(rng.dirichlet(np.ones(size)))
         log_p_i = np.log(rng.dirichlet(np.ones(size)))
-        simclr, _ = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("simclr"))
-        row, _ = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("infonce"))
+        simclr, _ = bidirectional_nce_loss(phi, *eye, log_p_u, log_p_i, LossConfig.from_preset("simclr"))
+        row, _ = bidirectional_nce_loss(phi, *eye, log_p_u, log_p_i, LossConfig.from_preset("infonce"))
         col, _ = bidirectional_nce_loss(
-            phi, log_p_u, log_p_i, LossConfig(family="bidirectional", alpha=0, beta=1, delta_alpha=0, delta_beta=0)
+            phi, *eye, log_p_u, log_p_i, LossConfig(family="bidirectional", alpha=0, beta=1, delta_alpha=0, delta_beta=0)
         )
         exact &= simclr == row + col
         uniform = np.full(size, -math.log(size))
-        with_bias, _ = bidirectional_nce_loss(phi, uniform, uniform, LossConfig.from_preset("bbcnce"))
-        without, _ = bidirectional_nce_loss(phi, uniform, uniform, LossConfig.from_preset("simclr"))
+        with_bias, _ = bidirectional_nce_loss(phi, *eye, uniform, uniform, LossConfig.from_preset("bbcnce"))
+        without, _ = bidirectional_nce_loss(phi, *eye, uniform, uniform, LossConfig.from_preset("simclr"))
         cancel = max(cancel, abs(with_bias - without))
     report(
         5,

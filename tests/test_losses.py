@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -15,10 +15,12 @@ from reference import (
     encode_user,
     example_rows,
     examples_of,
+    identity_cells,
     logsumexp,
     reference_bidirectional_nce_loss,
     reference_full_softmax_value,
     reference_logsumexp,
+    reference_shared_column_loss,
     score,
 )
 from twotower import losses as losses_mod
@@ -36,7 +38,7 @@ from twotower.losses import (
     loss_with_gradients,
     proposal_distribution,
 )
-from twotower.model import ModelParams
+from twotower.model import AGGREGATORS, ModelParams
 
 BCE = LossConfig(family="bce")
 FULL_ROW = LossConfig(family="full_softmax_row")
@@ -170,26 +172,29 @@ def bidirectional_oracle(phi, log_p_u, log_p_i, alpha, beta, d_alpha, d_beta):
 class TestBidirectionalLoss:
     def test_uniform_two_by_two_gives_two_log_two(self):
         phi = np.zeros((2, 2))
+        eye = identity_cells(phi)
         biases = np.full(2, math.log(0.5))
-        value, _ = bidirectional_nce_loss(phi, biases, biases, LossConfig.from_preset("bbcnce"))
+        value, _ = bidirectional_nce_loss(phi, *eye, biases, biases, LossConfig.from_preset("bbcnce"))
         assert value == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
     def test_infonce_is_the_row_term_alone(self):
         rng = np.random.default_rng(0)
         phi = rng.normal(size=(4, 4))
+        eye = identity_cells(phi)
         log_p_u = np.log(rng.uniform(0.05, 0.5, size=4))
         log_p_i = np.log(rng.uniform(0.05, 0.5, size=4))
-        infonce, _ = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("infonce"))
+        infonce, _ = bidirectional_nce_loss(phi, *eye, log_p_u, log_p_i, LossConfig.from_preset("infonce"))
         expected = bidirectional_oracle(phi, log_p_u, log_p_i, alpha=1, beta=0, d_alpha=0, d_beta=0)
         assert infonce == pytest.approx(expected, abs=1e-12)
 
     def test_three_by_three_hand_computation(self):
         phi = np.array([[1.2, -0.4, 0.3], [0.0, 2.1, -1.0], [0.5, 0.6, 0.7]])
+        eye = identity_cells(phi)
         log_p_u = np.log(np.array([0.5, 0.3, 0.2]))
         log_p_i = np.log(np.array([0.25, 0.5, 0.25]))
         for preset in PRESETS:
             config = LossConfig.from_preset(preset)
-            value, _ = bidirectional_nce_loss(phi, log_p_u, log_p_i, config)
+            value, _ = bidirectional_nce_loss(phi, *eye, log_p_u, log_p_i, config)
             expected = bidirectional_oracle(
                 phi, log_p_u, log_p_i, config.alpha, config.beta, config.delta_alpha, config.delta_beta
             )
@@ -197,47 +202,51 @@ class TestBidirectionalLoss:
 
     def test_batch_of_one_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            bidirectional_nce_loss(np.zeros((1, 1)), np.zeros(1), np.zeros(1), LossConfig.from_preset("bbcnce"))
+            bidirectional_nce_loss(np.zeros((1, 1)), [0], [0], np.zeros(1), np.zeros(1), LossConfig.from_preset("bbcnce"))
 
     def test_simclr_decomposes_exactly(self):
         rng = np.random.default_rng(1)
         phi = rng.normal(size=(5, 5))
+        eye = identity_cells(phi)
         log_p_u = np.log(rng.uniform(0.05, 0.5, size=5))
         log_p_i = np.log(rng.uniform(0.05, 0.5, size=5))
-        simclr, _ = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("simclr"))
-        row_only, _ = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("infonce"))
+        simclr, _ = bidirectional_nce_loss(phi, *eye, log_p_u, log_p_i, LossConfig.from_preset("simclr"))
+        row_only, _ = bidirectional_nce_loss(phi, *eye, log_p_u, log_p_i, LossConfig.from_preset("infonce"))
         col_only, _ = bidirectional_nce_loss(
-            phi, log_p_u, log_p_i, LossConfig(family="bidirectional", alpha=0, beta=1, delta_alpha=0, delta_beta=0)
+            phi, *eye, log_p_u, log_p_i, LossConfig(family="bidirectional", alpha=0, beta=1, delta_alpha=0, delta_beta=0)
         )
         assert simclr == row_only + col_only  # identical accumulation order: exact
 
     def test_bbcnce_decomposes_exactly(self):
         rng = np.random.default_rng(2)
         phi = rng.normal(size=(4, 4))
+        eye = identity_cells(phi)
         log_p_u = np.log(rng.uniform(0.05, 0.5, size=4))
         log_p_i = np.log(rng.uniform(0.05, 0.5, size=4))
-        bbc, _ = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("bbcnce"))
-        row, _ = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("row_bcnce"))
-        col, _ = bidirectional_nce_loss(phi, log_p_u, log_p_i, LossConfig.from_preset("col_bcnce"))
+        bbc, _ = bidirectional_nce_loss(phi, *eye, log_p_u, log_p_i, LossConfig.from_preset("bbcnce"))
+        row, _ = bidirectional_nce_loss(phi, *eye, log_p_u, log_p_i, LossConfig.from_preset("row_bcnce"))
+        col, _ = bidirectional_nce_loss(phi, *eye, log_p_u, log_p_i, LossConfig.from_preset("col_bcnce"))
         assert bbc == row + col
 
     def test_delta_flags_cancel_under_uniform_marginals(self):
         rng = np.random.default_rng(3)
         phi = rng.normal(size=(6, 6))
+        eye = identity_cells(phi)
         uniform = np.full(6, math.log(1.0 / 6.0))
-        with_bias, _ = bidirectional_nce_loss(phi, uniform, uniform, LossConfig.from_preset("bbcnce"))
-        without, _ = bidirectional_nce_loss(phi, uniform, uniform, LossConfig.from_preset("simclr"))
+        with_bias, _ = bidirectional_nce_loss(phi, *eye, uniform, uniform, LossConfig.from_preset("bbcnce"))
+        without, _ = bidirectional_nce_loss(phi, *eye, uniform, uniform, LossConfig.from_preset("simclr"))
         assert abs(with_bias - without) < 1e-9
 
     def test_row_softmax_distributions_sum_to_one(self):
         rng = np.random.default_rng(4)
         phi = rng.normal(size=(5, 5))
+        eye = identity_cells(phi)
         log_p = np.log(rng.uniform(0.05, 0.5, size=5))
-        _, dscore = bidirectional_nce_loss(phi, log_p, log_p, LossConfig.from_preset("infonce"))
+        _, dscore = bidirectional_nce_loss(phi, *eye, log_p, log_p, LossConfig.from_preset("infonce"))
         p_row = 5.0 * dscore + np.eye(5)
         np.testing.assert_allclose(p_row.sum(axis=1), 1.0, atol=1e-9)
         _, dscore_col = bidirectional_nce_loss(
-            phi, log_p, log_p, LossConfig(family="bidirectional", alpha=0, beta=1, delta_alpha=0, delta_beta=1)
+            phi, *eye, log_p, log_p, LossConfig(family="bidirectional", alpha=0, beta=1, delta_alpha=0, delta_beta=1)
         )
         p_col = 5.0 * dscore_col + np.eye(5)
         np.testing.assert_allclose(p_col.sum(axis=0), 1.0, atol=1e-9)
@@ -245,11 +254,12 @@ class TestBidirectionalLoss:
     def test_per_row_shift_invariance(self):
         rng = np.random.default_rng(5)
         phi = rng.normal(size=(4, 4))
+        eye = identity_cells(phi)
         log_p = np.log(rng.uniform(0.1, 0.4, size=4))
         shifts = rng.normal(size=(4, 1)) * 10.0
         config = LossConfig.from_preset("infonce")
-        a, _ = bidirectional_nce_loss(phi, log_p, log_p, config)
-        b, _ = bidirectional_nce_loss(phi + shifts, log_p, log_p, config)
+        a, _ = bidirectional_nce_loss(phi, *eye, log_p, log_p, config)
+        b, _ = bidirectional_nce_loss(phi + shifts, *eye, log_p, log_p, config)
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_values_nonnegative_and_finite(self):
@@ -257,21 +267,22 @@ class TestBidirectionalLoss:
         for _ in range(25):
             size = int(rng.integers(2, 7))
             phi = rng.normal(size=(size, size)) * rng.uniform(0.5, 4.0)
+            eye = identity_cells(phi)
             log_p = np.log(rng.dirichlet(np.ones(size)))
             for preset in PRESETS:
-                value, _ = bidirectional_nce_loss(phi, log_p, log_p, LossConfig.from_preset(preset))
+                value, _ = bidirectional_nce_loss(phi, *eye, log_p, log_p, LossConfig.from_preset(preset))
                 assert value >= 0.0 and np.isfinite(value)
 
 
 class TestFullSoftmax:
     def test_single_item_vocabulary(self):
-        value, _ = full_softmax_value(np.zeros((3, 1)), np.zeros(3, dtype=int))
+        value, _ = full_softmax_value(np.zeros((3, 1)), np.arange(3), np.zeros(3, dtype=int))
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_three_way_hand_computation(self):
         phi = np.array([[1.0, 0.0, -1.0]])
         expected = -math.log(math.exp(1.0) / (math.exp(1.0) + 1.0 + math.exp(-1.0)))
-        value, _ = full_softmax_value(phi, np.array([0]))
+        value, _ = full_softmax_value(phi, np.array([0]), np.array([0]))
         assert value == pytest.approx(expected, abs=1e-12)
 
     def test_matches_bidirectional_row_term_when_batch_covers_vocab(self):
@@ -348,8 +359,9 @@ class TestInPlaceKernels:
         log_p_i[:2] = log_p_i[0]  # tied biases
         for seed in range(3):
             phi = _scores(size, seed)
+            eye = identity_cells(phi)
             before = phi.copy()
-            ours = bidirectional_nce_loss(phi, log_p_u, log_p_i, config)
+            ours = bidirectional_nce_loss(phi, *eye, log_p_u, log_p_i, config)
             assert phi.tobytes() == before.tobytes()
             theirs = reference_bidirectional_nce_loss(phi, log_p_u, log_p_i, config)
             _assert_close(ours, theirs, _tolerance(phi, log_p_u, log_p_i))
@@ -362,7 +374,7 @@ class TestInPlaceKernels:
         for seed in range(3):
             for phi in (_scores(size, seed), _scores(size, seed).T):
                 before = phi.copy()
-                ours = full_softmax_value(phi, positives)
+                ours = full_softmax_value(phi, np.arange(len(phi)), positives)
                 assert phi.tobytes() == before.tobytes()
                 _assert_close(ours, reference_full_softmax_value(phi, positives), _tolerance(phi))
 
@@ -385,8 +397,9 @@ class TestInPlaceKernels:
         phi = _scores(size, 0)
         log_p = np.full(size, -math.log(size))
         bbcnce = LossConfig.from_preset("bbcnce")
-        assert _peak_arrays(lambda: bidirectional_nce_loss(phi, log_p, log_p, bbcnce), size) <= 2.5
-        assert _peak_arrays(lambda: full_softmax_value(phi, np.zeros(size, dtype=np.int64)), size) <= 1.5
+        rows, cols = identity_cells(phi)
+        assert _peak_arrays(lambda: bidirectional_nce_loss(phi, rows, cols, log_p, log_p, bbcnce), size) <= 2.5
+        assert _peak_arrays(lambda: full_softmax_value(phi, rows, np.zeros(size, dtype=np.int64)), size) <= 1.5
         assert _peak_arrays(lambda: logsumexp(phi, axis=1), size) <= 1.5
 
     def test_peak_memory_of_an_in_batch_step(self):
@@ -436,9 +449,10 @@ class TestOneExponentialKernels:
     )
     def test_bidirectional_matches_the_reference(self, size, seed, preset, temperature):
         phi = _scores(size, seed) if temperature is None else _cosine_scores(size, seed, temperature)
+        eye = identity_cells(phi)
         log_p_u, log_p_i = _log_biases(size, seed)
         config = LossConfig.from_preset(preset)
-        ours = bidirectional_nce_loss(phi, log_p_u, log_p_i, config)
+        ours = bidirectional_nce_loss(phi, *eye, log_p_u, log_p_i, config)
         theirs = reference_bidirectional_nce_loss(phi, log_p_u, log_p_i, config)
         _assert_close(ours, theirs, _tolerance(phi, log_p_u, log_p_i))
 
@@ -453,15 +467,17 @@ class TestOneExponentialKernels:
         phi = _scores(size, seed) if temperature is None else _cosine_scores(size, seed, temperature)
         phi = phi.T if transpose else phi
         positives = np.random.default_rng(seed).integers(0, size, size=size)
-        _assert_close(full_softmax_value(phi, positives), reference_full_softmax_value(phi, positives), _tolerance(phi))
+        ours = full_softmax_value(phi, np.arange(len(phi)), positives)
+        _assert_close(ours, reference_full_softmax_value(phi, positives), _tolerance(phi))
 
     def test_an_underflowing_line_sum_is_refused(self):
         """Cosine scores at a temperature below the floor span more than
         the exponential's range: a row far below the matrix maximum sums to
         zero, and the kernel names it instead of returning NaN."""
         phi = np.array([[1.0, 1.0], [-1.0, -1.0]]) / 0.001
+        eye = identity_cells(phi)
         with pytest.raises(ValueError, match="line sum is zero, subnormal or not finite"):
-            bidirectional_nce_loss(phi, np.zeros(2), np.zeros(2), LossConfig.from_preset("bbcnce"))
+            bidirectional_nce_loss(phi, *eye, np.zeros(2), np.zeros(2), LossConfig.from_preset("bbcnce"))
 
     def test_temperature_floor(self):
         check_in_batch_temperature(MIN_IN_BATCH_TEMPERATURE)
@@ -469,6 +485,146 @@ class TestOneExponentialKernels:
         for temperature in (0.0028, 0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="temperature must be >= 1/350"):
                 check_in_batch_temperature(temperature)
+
+
+CELL_SHAPES = ("repeats", "one_cell", "one_key", "one_target", "distinct")
+SHARED_COLUMN_LOSSES = (*sorted(PRESETS), "full_softmax_row", "full_softmax_col")
+
+
+def _cells(shape: str, size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The cells ``(rows, cols)`` of ``size`` examples over R distinct
+    pseudo-users and C distinct items, every one of them used: a random
+    batch with repeats, all examples on one cell (R = C = 1), one key with
+    many targets, one target with many keys, or every key and target
+    distinct."""
+    num_rows, num_cols = {
+        "one_cell": (1, 1),
+        "one_key": (1, size),
+        "one_target": (size, 1),
+        "distinct": (size, size),
+    }.get(shape) or tuple(int(n) for n in rng.integers(1, size + 1, size=2))
+
+    def cover(count: int) -> np.ndarray:
+        return rng.permutation(np.r_[np.arange(count), rng.integers(0, count, size=size - count)])
+
+    return cover(num_rows), cover(num_cols), num_rows, num_cols
+
+
+class TestDistinctCells:
+    """Scoring each distinct pseudo-user and item once equals scoring the
+    expanded batch, where every example has a line of its own.  The kernels
+    match the logsumexp references on ``phi[rows][:, cols]`` with identity
+    cells, their gradient summed into the distinct cells; a repeated line
+    sums its examples' terms, so rounding grows with the batch size B, and
+    they stay within B times :func:`_tolerance` (over 300 seeded trials of
+    cosine scores at most 10.8 ulps of it in the value and 0.42 B in the
+    gradient).
+    ``loss_with_gradients`` matches ``reference_shared_column_loss``, the
+    square kernels on the expanded batch: the value within ``4 B eps / tau``
+    and the parameter gradient within that times ``max(1, max |gradient|)``
+    (at most 0.95 and 1.63 of one such unit over 600 seeded trials of every
+    shared-column loss)."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        size=st.integers(2, 300),
+        seed=st.integers(0, 2**16),
+        shape=st.sampled_from(CELL_SHAPES),
+        preset=st.sampled_from(sorted(PRESETS)),
+        temperature=st.one_of(st.floats(MIN_IN_BATCH_TEMPERATURE, 1.0), st.none()),
+    )
+    @example(size=2, seed=0, shape="one_cell", preset="bbcnce", temperature=0.05)
+    def test_bidirectional_kernel_matches_the_expanded_batch(self, size, seed, shape, preset, temperature):
+        rng = np.random.default_rng(seed)
+        rows, cols, num_rows, num_cols = _cells(shape, size, rng)
+        if temperature is None:
+            phi = np.round(rng.normal(scale=3.0, size=(num_rows, num_cols)), 1)  # tied scores
+        else:
+            phi = _cosine_scores(max(num_rows, num_cols), seed, temperature)[:num_rows, :num_cols]
+        log_p_u, log_p_i = _log_biases(max(num_rows, num_cols), seed)
+        log_p_u, log_p_i = log_p_u[:num_rows], log_p_i[:num_cols]
+        config = LossConfig.from_preset(preset)
+        ours = bidirectional_nce_loss(phi, rows, cols, log_p_u, log_p_i, config)
+        value, expanded = reference_bidirectional_nce_loss(phi[rows][:, cols], log_p_u[rows], log_p_i[cols], config)
+        folded = np.zeros_like(phi)
+        np.add.at(folded, (rows[:, None], cols[None, :]), expanded)
+        _assert_close(ours, (value, folded), size * _tolerance(phi, log_p_u, log_p_i))
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        size=st.integers(2, 300),
+        seed=st.integers(0, 2**16),
+        shape=st.sampled_from(CELL_SHAPES),
+        temperature=st.one_of(st.floats(MIN_IN_BATCH_TEMPERATURE, 1.0), st.none()),
+        transpose=st.booleans(),
+    )
+    @example(size=2, seed=0, shape="one_cell", temperature=0.05, transpose=False)
+    def test_full_softmax_kernel_matches_the_expanded_batch(self, size, seed, shape, temperature, transpose):
+        """Distinct rows, each example's positive a column of its row: the
+        users against the vocabulary, or (transposed) the items against
+        the universe."""
+        rng = np.random.default_rng(seed)
+        rows, _, num_rows, _ = _cells(shape, size, rng)
+        width = int(rng.integers(1, 50))
+        if temperature is None:
+            phi = np.round(rng.normal(scale=3.0, size=(num_rows, width)), 1)
+        else:
+            phi = _cosine_scores(max(num_rows, width), seed, temperature)[:num_rows, :width]
+        phi = np.asfortranarray(phi) if transpose else phi  # the layout of ``full_softmax_col``'s transpose
+        positives = rng.integers(0, width, size=size)
+        value, expanded = reference_full_softmax_value(phi[rows], positives)
+        folded = np.zeros_like(phi)
+        np.add.at(folded, rows, expanded)
+        _assert_close(full_softmax_value(phi, rows, positives), (value, folded), size * _tolerance(phi))
+
+    def test_cells_must_cover_the_matrix(self):
+        """Each row and column of the distinct matrix holds an example's
+        cell, and no cell lies outside it: a line without an example has no
+        multiplicity to weigh it by."""
+        phi, bias, bbcnce = np.zeros((2, 3)), np.zeros(3), LossConfig.from_preset("bbcnce")
+        for rows, cols in (([0, 1], [0, 1]), ([0, 0, 1], [0, 1, 3]), ([0, 2, 1], [0, 1, 2])):
+            with pytest.raises(ValueError, match="cells must cover every row and column"):
+                bidirectional_nce_loss(phi, rows, cols, bias[:2], bias, bbcnce)
+        with pytest.raises(ValueError, match="bias vectors must align"):
+            bidirectional_nce_loss(phi, [0, 1, 1], [0, 1, 2], bias, bias, bbcnce)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        size=st.integers(2, 300),
+        seed=st.integers(0, 2**16),
+        shape=st.sampled_from(CELL_SHAPES),
+        loss=st.sampled_from(SHARED_COLUMN_LOSSES),
+        aggregator=st.sampled_from(AGGREGATORS),
+        temperature=st.floats(MIN_IN_BATCH_TEMPERATURE, 1.0),
+    )
+    @example(size=2, seed=0, shape="one_cell", loss="bbcnce", aggregator="mean", temperature=0.05)
+    def test_loss_matches_the_expanded_batch(self, size, seed, shape, loss, aggregator, temperature):
+        """Keys are rows of a larger table in no particular order, targets
+        items of a larger vocabulary, and the marginals count every key, so
+        the universe of ``full_softmax_col`` holds keys outside the batch."""
+        rng = np.random.default_rng(seed)
+        rows, cols, num_rows, num_cols = _cells(shape, size, rng)
+        num_items, num_keys = num_cols + int(rng.integers(0, 5)), num_rows + int(rng.integers(0, 4))
+        params = ModelParams.initialize(num_items, 4, temperature, seed, aggregator)
+        params.attention_vector[:] = rng.normal(size=4)
+        lengths = rng.integers(1, 6, size=num_keys)
+        table = Sequences(np.r_[0, np.cumsum(lengths)], rng.integers(0, num_items, size=lengths.sum()))
+        key = rng.permutation(num_keys)[:num_rows][rows]
+        target = rng.permutation(num_items)[:num_cols][cols]
+        zeros = np.zeros(size, dtype=np.int64)
+        batch = Examples(table, zeros, key, target, zeros, zeros + 1)
+        item_counts = np.r_[1, rng.integers(0, 4, size=num_items - 1)]
+        marginals = EmpiricalMarginals(rng.integers(1, 4, size=num_keys), item_counts)
+        config = LossConfig.from_preset(loss) if loss in PRESETS else LossConfig(family=loss)
+        ours = loss_with_gradients(batch, params, config, marginals=marginals)
+        value, gradients = reference_shared_column_loss(batch, params, config, marginals)
+        tolerance = 4 * size * np.finfo(float).eps / temperature
+        assert abs(ours.value - value) <= tolerance
+        assert ours.gradients.rows.tolist() == gradients.rows.tolist()
+        scale = max(1.0, np.abs(gradients.values).max())
+        assert np.abs(ours.gradients.values - gradients.values).max() <= tolerance * scale
+        distinct = {"full_softmax_row": (num_rows, num_items), "full_softmax_col": (num_keys, num_cols)}
+        assert ours.dscore.shape == distinct.get(config.family, (num_rows, num_cols))
 
 
 class TestSampledSoftmax:
