@@ -29,7 +29,7 @@ import numpy as np
 from . import config as config_mod
 from . import data as data_mod
 from .config import ConfigError, RunConfig, fingerprint, loss_config_from, render_config, verify_seeds
-from .evaluation import EvalCases, EvalPool, PoolTooSmallError, RankingIndex, build_eval_cases, evaluate, top_n
+from .evaluation import TASKS, EvalCases, EvalPool, PoolTooSmallError, RankingIndex, build_eval_cases, evaluate, top_n
 from .losses import IN_BATCH_PEAK_ARRAYS, check_in_batch_temperature, proposal_distribution
 from .model import ModelParams, encode_user_batch
 from .trainer import (
@@ -379,10 +379,12 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     count = cfg.eval.top_n if args.top_n is None else args.top_n
     if count < 1:
         raise CliError(f"top-n must be >= 1, got {count}")
+    task = args.task or cfg.eval.task
+    if task not in TASKS:
+        raise CliError(f"eval.task must be one of {TASKS}, got {task!r}")
     prepared = _run_pipeline(cfg)
     checkpoint = _load_checked(args.checkpoint, cfg, prepared.log.num_items)
     params = checkpoint.params
-    task = args.task or cfg.eval.task
     tokens = [t for t in re.split(r"[ ,]+", args.query.strip()) if t]
     if not tokens:
         raise CliError("--query is empty")

@@ -18,7 +18,7 @@ from .model import ModelParams, encode_user_batch, normalize_rows
 
 TASKS = ("ir", "ut")
 ENCODE_CHUNK = 512  # pseudo-users per encoder batch in RankingIndex.build; bounds its (N, d) gather, changes no bit
-RANK_CHUNK = 128  # cases per candidate gather in evaluate; sets the peak memory of a ranking
+RANK_CHUNK = 128  # cases per scored block in evaluate; bounds a block to RANK_CHUNK x (distinct vectors) scores
 CASE_CELLS = 2**17  # random keys per block of cases in build_eval_cases (1 MiB); sets the peak memory of a draw
 
 
@@ -135,15 +135,29 @@ def build_eval_cases(
     return EvalCases(task, cutoff, queries, positives, candidates), pool
 
 
+def distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``table``, rows byte-equal after ``+ 0.0`` (which
+    folds -0.0 into 0.0) counted once, and the index of each row among them."""
+    table = table + 0.0
+    keys = table.view(np.dtype((np.void, table.itemsize * table.shape[1])))[:, 0]
+    _, first, slot = np.unique(keys, return_index=True, return_inverse=True)
+    return table[first], slot
+
+
 @dataclass
 class RankingIndex:
     """Row-normalized item table and row-normalized vectors of distinct
-    pseudo-users, built once per parameter snapshot, so that scoring a case
-    is a row gather and one matrix-vector product."""
+    pseudo-users, built once per parameter snapshot, and each table's
+    distinct vectors, so that a block of cases is scored with one matrix
+    product and one gather."""
 
     items: np.ndarray  # (num_items, d)
     users: np.ndarray  # (num_sequences, d); row r encodes the r-th sequence
     temperature: float
+    item_vectors: np.ndarray  # (distinct item vectors, d)
+    item_slot: np.ndarray  # (num_items,); row r of items is item_vectors[item_slot[r]]
+    user_vectors: np.ndarray
+    user_slot: np.ndarray
 
     @classmethod
     def build(cls, params: ModelParams, sequences: Sequences) -> "RankingIndex":
@@ -156,7 +170,7 @@ class RankingIndex:
             chunk = sequences.take(np.arange(start, min(start + ENCODE_CHUNK, len(sequences))))
             users[start : start + len(chunk)] = encode_user_batch(chunk, params).vectors
         users, _ = normalize_rows(users)
-        return cls(items, users, params.temperature)
+        return cls(items, users, params.temperature, *distinct_rows(items), *distinct_rows(users))
 
     @classmethod
     def for_cases(cls, cases: EvalCases, pool: EvalPool, params: ModelParams) -> tuple["RankingIndex", np.ndarray]:
@@ -171,13 +185,18 @@ class RankingIndex:
     def scores(self, task: str, queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """The match score of every entry of ``candidates (n, C)``: IR scores
         item ids for user-table rows ``queries``, UT user-table rows for item
-        ids ``queries``."""
+        ids ``queries``.  One matrix product scores the distinct queries
+        against the candidate table's distinct vectors, and each entry reads
+        its score from that block, so candidates of equal vectors score
+        alike and tie exactly.  The block holds (distinct queries) x
+        (distinct vectors) floats."""
         if task == "ir":
-            table, q_hat = self.items, self.users[queries]
+            table, vectors, slot = self.users, self.item_vectors, self.item_slot
         else:
-            table, q_hat = self.users, self.items[queries]
-        # matmul, not einsum: the per-row matrix-vector product of ``table[row] @ q``, to the bit.
-        return np.matmul(table[candidates], q_hat[:, :, None])[:, :, 0] / self.temperature
+            table, vectors, slot = self.items, self.user_vectors, self.user_slot
+        distinct, row = np.unique(queries, return_inverse=True)
+        block = table[distinct] @ vectors.T
+        return block.ravel()[row[:, None] * len(vectors) + slot[candidates]] / self.temperature
 
 
 # Ranking order: descending score, ties by ascending id.  Both reductions
@@ -253,19 +272,27 @@ def evaluate(
     keep_per_case: bool = False,
 ) -> EvalReport:
     """Rank every case and aggregate metrics (mean of per-case values).
-    One ``RankingIndex`` scores all cases, ``RANK_CHUNK`` at a time; each
-    case needs only its positive's rank and its top N, so no row is sorted."""
+    One ``RankingIndex`` scores all cases, ``RANK_CHUNK`` at a time in stable
+    query order, so that a block holds few distinct queries; ranks are
+    written back by case index.  Each case needs only its positive's rank,
+    so no row is sorted; the top N is built only when it is read (per-case
+    records or popularity)."""
     if not len(cases):
         raise ValueError("no evaluation cases")
     index, queries = RankingIndex.for_cases(cases, pool, params)
+    popularity = records is not None and anchor_day is not None
+    order = np.argsort(queries, kind="stable")
     ranks = np.empty(len(cases), dtype=np.int64)
-    top = np.empty((len(cases), min(cases.cutoff, cases.candidates.shape[1])), dtype=np.int64)
+    # The top N is read only by the per-case records and popularity; otherwise it has no rows.
+    width = min(cases.cutoff, cases.candidates.shape[1])
+    top = np.empty((len(cases) if keep_per_case or popularity else 0, width), dtype=np.int64)
     for start in range(0, len(cases), RANK_CHUNK):
-        rows = slice(start, start + RANK_CHUNK)
+        rows = order[start : start + RANK_CHUNK]
         candidates = cases.candidates[rows]
         scores = index.scores(cases.task, queries[rows], candidates)
         ranks[rows] = positive_rank(scores, candidates, cases.positive[rows])
-        top[rows] = top_n(scores, candidates, cases.cutoff)[0]
+        if len(top):
+            top[rows] = top_n(scores, candidates, cases.cutoff)[0]
     recalls, ndcgs = rank_metrics(ranks, cases.cutoff)
     if cases.task == "ut":
         top = pool.key_owner[top]
@@ -279,7 +306,7 @@ def evaluate(
         ]
 
     pop_median = pop_mean = None
-    if records is not None and anchor_day is not None:
+    if popularity:
         item_counts, user_counts = popularity_counts(records, anchor_day, window_days)
         counts = item_counts if cases.task == "ir" else user_counts
         pop_median, pop_mean = popularity_stats(top, counts)

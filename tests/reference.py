@@ -13,10 +13,11 @@ and ``stacked_population_values`` the loss values of a stack, which
 training never reads.  ``reference_accumulate`` is the sort-based
 ``GradientTable.accumulate`` that an occupancy count replaced, and
 ``reference_rank`` (through ``reference_order``) the full sort of every
-candidate row that the positive's count rank and a partitioned top N
-replaced.  ``logsumexp`` is the scipy-order log-sum-exp that the softmax
-kernels of ``twotower.losses`` used before they took one exponential per
-line, and ``reference_logsumexp`` the same with a fresh array per step;
+candidate row, scored one pair at a time, that the positive's count rank,
+a partitioned top N and the scored block of distinct vectors replaced.
+``logsumexp`` is the scipy-order log-sum-exp that the softmax kernels of
+``twotower.losses`` used before they took one exponential per line, and
+``reference_logsumexp`` the same with a fresh array per step;
 ``reference_bidirectional_nce_loss`` and ``reference_full_softmax_value``
 are the out-of-place logsumexp kernels that those replaced, on a square
 batch (``identity_cells`` gives its examples' cells).
@@ -321,15 +322,16 @@ def reference_order(scores: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np
 
 
 def reference_rank(index, task: str, queries: np.ndarray, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The full ranking that ``evaluation.positive_rank`` and ``top_n`` replaced,
-    as ``RankingIndex.rank`` computed it: each row of ``candidates`` by
+    """The full ranking that ``evaluation.positive_rank`` and ``top_n`` stand
+    for, from scores taken one (query, candidate) pair at a time
+    (``np.einsum``, so equal vectors score alike in any slot) rather than
+    from ``RankingIndex.scores``'s block: each row of ``candidates`` by
     descending score, ties by ascending id, and the scores in that order."""
     if task == "ir":
         table, q_hat = index.items, index.users[queries]
     else:
         table, q_hat = index.users, index.items[queries]
-    return reference_order(np.matmul(table[candidates], q_hat[:, :, None])[:, :, 0] / index.temperature, candidates)
-
+    return reference_order(np.einsum("ncd,nd->nc", table[candidates], q_hat) / index.temperature, candidates)
 
 
 def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """End-to-end command tests on a tiny fixture and a synthetic workspace."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -9,6 +10,8 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -806,6 +809,65 @@ class TestPathBoundary:
         errors = sum(line.startswith("error: ") for line in err.getvalue().splitlines())
         assert (code, errors) in ((0, 0), (1, 1))
         assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def loggen_run(tmp_path_factory):
+    """A 900-event ``bench/loggen.py`` log and ``final.ckpt`` of a run on it."""
+    spec = importlib.util.spec_from_file_location("loggen", Path(__file__).resolve().parent.parent / "bench" / "loggen.py")
+    loggen = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, "loggen", loggen)  # a dataclass looks its module up there
+        spec.loader.exec_module(loggen)
+    tmp_path = tmp_path_factory.mktemp("loggen")
+    events = tmp_path / "events.csv"
+    loggen.write_csv(loggen.LogShape(users=100, items=150, events=900, months=4), 3, str(events))
+    base = {"data.input": str(events), "model.dim": 8, "train.epochs_per_month": 1, "train.batch_size": 64}
+    config = write_config(tmp_path / "run.cfg", **base, **{"eval.num_negatives": 5, "paths.output_dir": str(tmp_path / "out")})
+    assert main(["train", "--config", config]) == 0
+    item = events.read_text().split("\n", 1)[0].split(",")[1]
+    return base, str(tmp_path / "out" / "checkpoints" / "final.ckpt"), item
+
+
+def sizes(high: int, huge: int):
+    """A size from -1 to ``high``, or one far above any pool."""
+    return st.one_of(st.integers(-1, high), st.just(huge))
+
+
+class TestEvalSettings:
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        num_negatives=sizes(30, 10**12),
+        top_n=sizes(200, 10**12),
+        window=sizes(400, 10**18),
+        task=st.one_of(st.sampled_from(["ir", "ut"]), st.sampled_from(["", "IR", "both"])),
+    )
+    def test_each_value_runs_or_fails_in_one_line(self, loggen_run, tmp_path_factory, num_negatives, top_n, window, task):
+        """``train`` (its validation), ``eval`` and ``retrieve`` under any of the
+        eval settings exit 0, or 1 with one ``error:`` line, with no
+        traceback or warning; an unknown task fails every one of them."""
+        base, checkpoint, item = loggen_run
+        tmp_path = tmp_path_factory.mktemp("eval_settings")
+        settings = {
+            "eval.num_negatives": num_negatives,
+            "eval.top_n": top_n,
+            "eval.popularity_window_days": window,
+            "eval.task": task,
+            "paths.output_dir": str(tmp_path / "out"),
+        }
+        config = write_config(tmp_path / "run.cfg", **base, **settings)
+        commands = [["train"], ["eval", "--checkpoint", checkpoint], ["retrieve", "--checkpoint", checkpoint, "--query", item]]
+        for command, *options in commands:
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main([command, "--config", config, *options])
+            errors = sum(line.startswith("error: ") for line in err.getvalue().splitlines())
+            assert (code, errors) in ((0, 0), (1, 1)), (command, err.getvalue())
+            assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+            assert not caught, [str(w.message) for w in caught]
+            assert task in ("ir", "ut") or code == 1, command
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 """Eval-case construction, ranking, Recall/NDCG oracles, popularity stats."""
 
+import dataclasses
+import json
 import math
 from collections import Counter
 
@@ -575,3 +577,114 @@ class TestRankWithoutSorting:
         assert got_scores.tolist() == [[2.0, 1.0, 1.0], [3.0, 2.0, 1.0]]
         assert positive_rank(scores, ids, ids[:, 0]).tolist() == [3, 2]
         assert positive_rank(scores, ids, np.array([7, 0])).tolist() == [2, 4]
+
+
+class TestEqualVectorsTie:
+    """Candidates whose vectors are equal score exactly alike wherever they sit
+    in a row, so they rank by ascending id.  Scored with one matrix-vector
+    product per row, a candidate in the BLAS kernel's tail slots scored other
+    last bits than an equal row in another slot."""
+
+    @staticmethod
+    def assert_adjacent_by_id(scores, ids, low, high):
+        """``low`` ranks right before ``high`` in every row, and ``positive_rank``
+        places each id where the full ranking does."""
+        ranked = top_n(scores, ids, ids.shape[1])[0]
+        at_low = np.argmax(ranked == low, axis=1)
+        np.testing.assert_array_equal(np.argmax(ranked == high, axis=1), at_low + 1)
+        np.testing.assert_array_equal(positive_rank(scores, ids, np.full(len(ids), low)), at_low)
+        np.testing.assert_array_equal(positive_rank(scores, ids, np.full(len(ids), high)), at_low + 1)
+        np.testing.assert_array_equal(positive_rank(scores, ids, ids[:, 0]), np.argmax(ranked == ids[:, :1], axis=1))
+
+    @staticmethod
+    def tied_rows(rng, width, count, pool, first_last):
+        """``count`` rows of ``width`` distinct ids from ``pool``: the two ids of
+        ``first_last`` in the first and last slots, in alternating order."""
+        a, b = first_last
+        others = np.setdiff1d(pool, first_last)
+        middle = np.stack([rng.choice(others, size=width - 2, replace=False) for _ in range(count)])
+        swap = np.arange(count) % 2 == 1
+        return np.column_stack([np.where(swap, b, a), middle, np.where(swap, a, b)])
+
+    @pytest.mark.parametrize("width", [26, 30, 101])
+    def test_case_rows(self, width):
+        rng = np.random.default_rng(width)
+        params = ModelParams.initialize(120, 32, 0.05, 0)
+        params.item_embeddings[7] = params.item_embeddings[5]
+        sequences = Sequences.of(rng.integers(0, 120, size=3).tolist() for _ in range(40))
+        index = RankingIndex.build(params, sequences)
+        ids = self.tied_rows(rng, width, 40, np.arange(120), (5, 7))
+        self.assert_adjacent_by_id(index.scores("ir", np.arange(40), ids), ids, 5, 7)
+        # evaluate ranks the same rows: the positive in the first slot, the cutoff the row width.
+        cases = evaluation.EvalCases("ir", width, np.arange(40), ids[:, 0].copy(), ids)
+        report = evaluate(cases, EvalPool(sequences), params, keep_per_case=True)
+        for row in report.per_case:
+            assert row["top"].index(7) == row["top"].index(5) + 1
+
+    def test_one_row_over_the_vocabulary(self):
+        """The row ``retrieve`` scores: every item of a 4k+1 vocabulary, its
+        first and last rows equal."""
+        size = 4 * 60 + 1
+        rng = np.random.default_rng(3)
+        params = ModelParams.initialize(size, 32, 0.05, 3)
+        params.item_embeddings[size - 1] = params.item_embeddings[0]
+        index = RankingIndex.build(params, Sequences.of(rng.integers(0, size, size=2).tolist() for _ in range(30)))
+        ids = np.arange(size)[None]
+        scores = np.vstack([index.scores("ir", np.array([query]), ids) for query in range(30)])
+        self.assert_adjacent_by_id(scores, np.repeat(ids, 30, axis=0), 0, size - 1)
+        ranked = top_n(scores, np.repeat(ids, 30, axis=0), size)[0]
+        np.testing.assert_array_equal(ranked, reference_rank(index, "ir", np.arange(30), np.repeat(ids, 30, axis=0))[0])
+
+    def test_user_targeting_over_keys_equal_under_last_pooling(self):
+        """Keys ``(4, 9)`` and ``(11, 9)`` pool to item 9's vector under ``last``."""
+        rng = np.random.default_rng(5)
+        params = ModelParams.initialize(60, 32, 0.05, 5, "last")
+        keys = [(4, 9)] + [(k, 10 + k) for k in range(1, 40)] + [(11, 9)]  # last items 9, 11..49, 9
+        index = RankingIndex.build(params, Sequences.of(keys))
+        ids = self.tied_rows(rng, 30, 60, np.arange(len(keys)), (0, len(keys) - 1))
+        self.assert_adjacent_by_id(index.scores("ut", np.arange(60), ids), ids, 0, len(keys) - 1)
+
+
+class TestReportInvariance:
+    """``evaluate``'s report depends on the cases, not on how they fall into
+    blocks, the order they come in, or what else is asked of the report."""
+
+    @staticmethod
+    def tied_cases(task):
+        """Cases over tied keys and items, and a log that covers every user and item."""
+        params, examples = TestRankingIndexMatchesOracle.tied_setup(1, "last")
+        cases, pool = build_eval_cases(examples, task, num_negatives=25, seed=1, cutoff=5)
+        records = events_of([(u, i % 40, 60 + i % 40) for u in range(103) for i in range(u, u + 1 + u % 7)])
+        return cases, pool, params, records
+
+    @pytest.mark.parametrize("task", ["ir", "ut"])
+    def test_bytes_do_not_depend_on_the_block(self, task, monkeypatch):
+        cases, pool, params, records = self.tied_cases(task)
+        kwargs = dict(records=records, anchor_day=100, keep_per_case=True)
+        expected = json.dumps(dataclasses.asdict(evaluate(cases, pool, params, **kwargs)))
+        for chunk in (1, 7, 128):
+            monkeypatch.setattr(evaluation, "RANK_CHUNK", chunk)
+            assert json.dumps(dataclasses.asdict(evaluate(cases, pool, params, **kwargs))) == expected
+
+    @pytest.mark.parametrize("task", ["ir", "ut"])
+    def test_bytes_do_not_depend_on_the_case_order(self, task):
+        """Permuted cases give the permuted per-case records; the aggregates
+        are the same except that NDCG is the float mean in case order."""
+        cases, pool, params, records = self.tied_cases(task)
+        kwargs = dict(records=records, anchor_day=100, keep_per_case=True)
+        report = evaluate(cases, pool, params, **kwargs)
+        perm = np.random.default_rng(0).permutation(len(cases))
+        shuffled = evaluation.EvalCases(task, cases.cutoff, cases.query[perm], cases.positive[perm], cases.candidates[perm])
+        permuted = evaluate(shuffled, pool, params, **kwargs)
+        assert json.dumps(permuted.per_case) == json.dumps([report.per_case[c] for c in perm])
+        assert permuted.ndcg_at_n == float(np.mean([row["ndcg"] for row in permuted.per_case]))
+        permuted.per_case, permuted.ndcg_at_n = report.per_case, report.ndcg_at_n
+        assert json.dumps(dataclasses.asdict(permuted)) == json.dumps(dataclasses.asdict(report))
+
+    @pytest.mark.parametrize("task", ["ir", "ut"])
+    def test_metrics_do_not_depend_on_what_is_kept(self, task):
+        cases, pool, params, records = self.tied_cases(task)
+        plain = evaluate(cases, pool, params)
+        for kwargs in (dict(keep_per_case=True), dict(records=records, anchor_day=100), dict(records=records)):
+            report = evaluate(cases, pool, params, **kwargs)
+            assert (report.recall_at_n, report.ndcg_at_n) == (plain.recall_at_n, plain.ndcg_at_n)

@@ -1,6 +1,7 @@
 """``tools/outputs.py compare`` on hand-made run directories."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -59,3 +60,39 @@ def test_other_shape_differs_at_layout(tmp_path, capsys, b):
     code, lines = _compare(tmp_path, {"x.tsv": "0\t1\n"}, {"x.tsv": b}, capsys)
     assert code == 1
     assert lines[-1] == "    layout: differs"
+
+
+@pytest.mark.parametrize(
+    "b, verdict",
+    [
+        ("1\tu1\t2.500000\n2\tu3\t2.500000\n3\tu7\t1.000000\n", "only swaps"),
+        ("1\tu3\t2.500000\n2\tu1\t2.500000\n3\tu9\t1.000000\n", "only swaps"),  # u9 ties with u7 across the cutoff
+        ("1\tu3\t2.500000\n2\tu7\t2.500000\n3\tu1\t1.000000\n", "differs beyond"),
+        ("1\tu1\t2.500001\n2\tu3\t2.500000\n3\tu7\t1.000000\n", "differs beyond"),
+    ],
+)
+def test_retrieve_stdout_is_called_out_by_printed_score(tmp_path, capsys, b, verdict):
+    a = "1\tu3\t2.500000\n2\tu1\t2.500000\n3\tu7\t1.000000\n"
+    code, lines = _compare(tmp_path, {"x.retrieve_ut0.txt": a}, {"x.retrieve_ut0.txt": b}, capsys)
+    assert code == 1
+    assert lines[-1].startswith(f"    {verdict}")
+
+
+def test_verbose_top_lists_read_their_scores(tmp_path, capsys):
+    """Case 0 swaps two ids of equal score, case 1 ranks another id at a
+    lower score: one of the two differing cases is more than a swap."""
+
+    def report(tops):
+        cases = [{"query": [1], "recall": 1.0, "ndcg": 1.0, "top": top} for top in tops]
+        return json.dumps({"task": "ir", "per_case": cases})
+
+    def scores(tops, values):
+        return "".join(f"{c}\t{k}\t{i}\t{v}\n" for c, top in enumerate(tops) for k, (i, v) in enumerate(zip(top, values), 1))
+
+    tops_a, tops_b = [[4, 2], [5, 6]], [[2, 4], [6, 5]]
+    a = {"eval_report_ir_verbose.json": report(tops_a), "eval_top_ir.tsv": scores(tops_a, ["1.000000", "1.000000"])}
+    b = {"eval_report_ir_verbose.json": report(tops_b), "eval_top_ir.tsv": scores(tops_b, ["1.000000", "1.000000"])}
+    b["eval_top_ir.tsv"] = b["eval_top_ir.tsv"].replace("1\t1\t6\t1.000000", "1\t1\t6\t1.500000")
+    code, lines = _compare(tmp_path, a, b, capsys)
+    assert code == 1
+    assert "    top: 2 cases differ, differs beyond swaps of equal printed score in 1 (cases [1])" in lines

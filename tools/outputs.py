@@ -34,8 +34,14 @@ under its own name and the stdout of every command goes to `stdout/`.
 TSV or JSON file the largest absolute difference of every numeric column
 (TSV columns are split on tabs; JSON: every numeric field).  A TSV column of
 space-separated token lists (item sequences, embedding vectors) also reports
-how many rows differ.  It exits 0 only when the two trees hold the
-same files with the same bytes.
+how many rows differ.  A differing `retrieve` stdout, and each differing
+`top` list of a verbose eval report, is also called out as either only
+swaps among entries of equal printed score, or more.  The report prints no
+scores, so `run` writes each verbose eval's top N with its scores (6
+decimals, as `retrieve` prints them) to `eval_top_<task>.tsv` beside it,
+ranked by the library's `RankingIndex.scores` and `top_n` in the blocks
+`evaluate` uses.  It exits 0 only when the two trees hold the same files
+with the same bytes.
 """
 
 from __future__ import annotations
@@ -50,6 +56,8 @@ import os
 import shutil
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -146,6 +154,30 @@ def _cli(cli, name: str, argv: list[str], codes: tuple[int, ...] = (0,)) -> None
         raise SystemExit(f"{name}: {' '.join(argv)} exited {code}")
 
 
+def _write_top_scores(cli, config: str, checkpoint: str, task: str, path: str) -> None:
+    """One ``case rank object score`` line per entry of each test case's top
+    N, the objects as ``eval --verbose`` lists them."""
+    from twotower import evaluation
+
+    args = cli.build_parser().parse_args(["eval", "--config", config, "--checkpoint", checkpoint, "--task", task])
+    cfg = cli._load_config(args)
+    prepared = cli._run_pipeline(cfg)
+    params = cli._load_checked(checkpoint, cfg, prepared.log.num_items).params
+    cases, pool = cli._test_cases(cfg, prepared, task)
+    index, queries = evaluation.RankingIndex.for_cases(cases, pool, params)
+    order = np.argsort(queries, kind="stable")
+    lines = [None] * len(cases)
+    for start in range(0, len(cases), evaluation.RANK_CHUNK):
+        rows = order[start : start + evaluation.RANK_CHUNK]
+        candidates = cases.candidates[rows]
+        ids, scores = evaluation.top_n(index.scores(task, queries[rows], candidates), candidates, cases.cutoff)
+        if task == "ut":
+            ids = pool.key_owner[ids]
+        for case, row, values in zip(rows.tolist(), ids.tolist(), scores.tolist()):
+            lines[case] = "".join(f"{case}\t{k}\t{obj}\t{v:.6f}\n" for k, (obj, v) in enumerate(zip(row, values), 1))
+    Path(path).write_text("".join(lines), encoding="utf-8")
+
+
 def run_matrix(directory: Path) -> int:
     sys.path.insert(0, str(ROOT / "bench"))
     import loggen
@@ -185,6 +217,7 @@ def run_matrix(directory: Path) -> int:
                 flags = ["--task", task] + (["--verbose"] if verbose else [])
                 _cli(cli, f"{name}.eval_{task}{verbose}", ["eval", "--config", cfg, "--checkpoint", ckpt, *flags])
                 shutil.copyfile(f"{name}/eval_report.json", f"{name}/eval_report_{task}{verbose}.json")
+            _write_top_scores(cli, cfg, ckpt, task, f"{name}/eval_top_{task}.tsv")
             if extra.get("train.mode") != "shuffled":  # trace reads month checkpoints
                 _cli(cli, f"{name}.trace_{task}", ["trace", "--config", cfg, "--task", task])
                 shutil.copyfile(f"{name}/month_trace.tsv", f"{name}/month_trace_{task}.tsv")
@@ -269,6 +302,59 @@ def _gaps(cells_a: list, cells_b: list) -> dict[str, str]:
     }
 
 
+def equal_score_swaps(rows_a: list[tuple[str, str]], rows_b: list[tuple[str, str]]) -> bool:
+    """Whether two ranked lists of ``(object, printed score)`` differ only by
+    swaps among entries of equal printed score: the scores read the same at
+    every rank and each run of equal score holds the same objects.  The run
+    that ends the list may also hold other objects, traded across the
+    cutoff with unlisted entries of that same score."""
+    if [score for _, score in rows_a] != [score for _, score in rows_b]:
+        return False
+    start = 0
+    while start < len(rows_a):
+        end = start
+        while end < len(rows_a) and rows_a[end][1] == rows_a[start][1]:
+            end += 1
+        if end < len(rows_a) and sorted(o for o, _ in rows_a[start:end]) != sorted(o for o, _ in rows_b[start:end]):
+            return False
+        start = end
+    return True
+
+
+def _swap_verdict(ok: bool) -> str:
+    return "only swaps among entries of equal printed score" if ok else "differs beyond swaps of equal printed score"
+
+
+def _retrieve_rows(path: Path) -> list[tuple[str, str]]:
+    """``(name, score)`` of each ``rank name score`` line of a retrieve stdout."""
+    return [tuple(line.split("\t")[1:3]) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def _top_swaps(a: Path, b: Path, name: str) -> str | None:
+    """The verdict on the differing ``top`` lists of a verbose eval report,
+    with the scores of its ``eval_top_<task>.tsv``."""
+    cases = [json.loads((root / name).read_text(encoding="utf-8"))["per_case"] for root in (a, b)]
+    differ = [c for c, (x, y) in enumerate(zip(*cases)) if x["top"] != y["top"]]
+    if not differ:
+        return None
+    task = json.loads((a / name).read_text(encoding="utf-8"))["task"]
+    scored = []
+    for root, per_case in zip((a, b), cases):
+        path = root / Path(name).parent / f"eval_top_{task}.tsv"
+        if not path.is_file():
+            return f"top: {len(differ)} cases differ; no {path.name} with their scores"
+        rows: dict[int, list[tuple[str, str]]] = {}
+        for line in path.read_text(encoding="utf-8").splitlines():
+            case, _, obj, score = line.split("\t")
+            rows.setdefault(int(case), []).append((obj, score))
+        if any([o for o, _ in rows.get(c, [])] != [str(x) for x in per_case[c]["top"]] for c in differ):
+            return f"top: {len(differ)} cases differ; {path.name} does not list the report's top"
+        scored.append(rows)
+    beyond = [c for c in differ if not equal_score_swaps(scored[0][c], scored[1][c])]
+    where = f" in {len(beyond)} (cases {beyond[:5]})" if beyond else ""
+    return f"top: {len(differ)} cases differ, {_swap_verdict(not beyond)}{where}"
+
+
 def compare(a: Path, b: Path) -> int:
     files_a, files_b = _files(a), _files(b)
     differ = [name for name in sorted(files_a & files_b) if (a / name).read_bytes() != (b / name).read_bytes()]
@@ -286,6 +372,11 @@ def compare(a: Path, b: Path) -> int:
             gaps = _gaps(parse((a / name).read_text(encoding="utf-8")), parse((b / name).read_text(encoding="utf-8")))
             for column, what in sorted(gaps.items()):
                 print(f"    {column}: {what}")
+        if ".retrieve_" in name:
+            print("    " + _swap_verdict(equal_score_swaps(_retrieve_rows(a / name), _retrieve_rows(b / name))))
+        verdict = _top_swaps(a, b, name) if name.endswith("_verbose.json") else None
+        if verdict:
+            print(f"    {verdict}")
     return 0 if not differ and files_a == files_b else 1
 
 
