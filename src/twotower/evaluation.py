@@ -276,7 +276,8 @@ def evaluate(
     query order, so that a block holds few distinct queries; ranks are
     written back by case index.  Each case needs only its positive's rank,
     so no row is sorted; the top N is built only when it is read (per-case
-    records or popularity)."""
+    records or popularity).  IR per-case records of one query share its
+    item list."""
     if not len(cases):
         raise ValueError("no evaluation cases")
     index, queries = RankingIndex.for_cases(cases, pool, params)
@@ -299,7 +300,12 @@ def evaluate(
 
     per_case = None
     if keep_per_case:
-        shown = [list(pool.table[q]) for q in cases.query.tolist()] if cases.task == "ir" else cases.query.tolist()
+        if cases.task == "ir":  # one list per distinct query, shared by the cases that ask it
+            distinct, inverse = np.unique(cases.query, return_inverse=True)
+            texts = [list(pool.table[q]) for q in distinct.tolist()]
+            shown = [texts[k] for k in inverse.tolist()]
+        else:
+            shown = cases.query.tolist()
         per_case = [
             {"query": query, "recall": r, "ndcg": n, "top": objects}
             for query, r, n, objects in zip(shown, recalls.tolist(), ndcgs.tolist(), top.tolist())

@@ -135,18 +135,35 @@ class OptimizerState:
 
     def _adam_update(self, m: np.ndarray, v: np.ndarray, t: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """Advance the moments ``m`` and ``v`` of rows at step counts ``t``
-        in place and return the rows' step."""
+        in place and return the rows' step.  Rows that share one count (every
+        ``verify`` step) divide by the scalar ``1 - beta**t``, the same Python
+        float the per-row table holds, so the bits are those of the per-row
+        path; rows at mixed counts divide by a column of corrections."""
         m *= self.beta1
         m += (1.0 - self.beta1) * grad
         v *= self.beta2
         v += (1.0 - self.beta2) * grad * grad
-        step = m / self._bias_correction(self.beta1, t)[:, None]
+        count = _shared_count(t)
+        if count is None:
+            correction1 = self._bias_correction(self.beta1, t)[:, None]
+            correction2 = self._bias_correction(self.beta2, t)[:, None]
+        else:
+            correction1, correction2 = 1.0 - self.beta1**count, 1.0 - self.beta2**count
+        step = m / correction1
         step *= self.learning_rate
-        v_hat = v / self._bias_correction(self.beta2, t)[:, None]
+        v_hat = v / correction2
         np.sqrt(v_hat, out=v_hat)
         v_hat += self.epsilon
         step /= v_hat
         return step
+
+
+def _shared_count(t: np.ndarray) -> int | None:
+    """The step count of every row of ``t`` as a Python int when they share
+    one, else ``None``."""
+    if t.size and (t == t[0]).all():
+        return int(t[0])
+    return None
 
 
 def _row_index(rows: np.ndarray) -> np.ndarray | slice:

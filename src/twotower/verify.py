@@ -10,17 +10,20 @@ Training is full-batch: with the batch equal to the whole sample, the
 in-batch denominators reduce exactly to marginal-weighted sums over the
 observed support, so the loss is evaluated in aggregated (count-weighted)
 form.  Synthetic users enter the shared embedding table as one reserved
-token each, giving every user a free embedding row.  A seed's
-configurations train together as one stacked problem: one forward pass,
-loss, backward pass and Adam step per epoch serve all of them.  Every user
-scores every item of its own block, so the forward and backward passes are
-batched matrix products over ``(C, K + M, d)`` blocks
+token each, giving every user a free embedding row.  Every configuration
+of every seed trains in one stacked problem, each (seed, configuration)
+block over its own seed's counts from its own seed's initialization: one
+forward pass, loss, backward pass and Adam step per epoch serve all of
+them.  Every user scores every item of its own block, so the forward and
+backward passes are batched matrix products over ``(C, K + M, d)`` blocks
 (:func:`dense_forward`, :func:`dense_backward`), which the tests pin to
 ``model.score_matrix_forward`` and ``score_matrix_backward``; the trained
 tables are scored through ``score_matrix_forward``.  The loss gradient
-builds each softmax half with one exponential (:func:`population_loss`),
-and the Adam step indexes its tables by a slice, since every step moves
-one contiguous run of rows.
+builds each softmax half with one exponential (:func:`population_loss`).
+Every step moves one contiguous run of rows, all at one step count, so the
+Adam step indexes its tables by a slice and divides by one scalar bias
+correction per moment.  Blocks never interact: a seed trained with others
+reaches the tables it reaches alone, bit for bit.
 
 A one-sided loss cannot pin the score table completely: a row-only softmax
 is invariant to adding any per-user offset (a column-only one to any
@@ -277,8 +280,9 @@ def target_table(config: LossConfig, tables: EmpiricalTables) -> tuple[str, np.n
 
 @dataclass
 class StackedLoss:
-    """Per-configuration constants of the population losses of ``C``
-    configurations over one empirical table, stacked on a leading axis.
+    """Per-block constants of the population losses of ``C`` blocks, each
+    one configuration over its own empirical table, stacked on a leading
+    axis.
 
     Every configuration is one formula, ``alpha * row + beta * col + bce``:
     a weighted row softmax over items with logits ``phi + row_offset``, the
@@ -289,12 +293,17 @@ class StackedLoss:
     ``log p(u)`` (an uncorrected side), or ``0`` everywhere (the uniform ssm
     proposal).
     Unused terms get weight 0 and finite offsets.  Weights are ``(C, 1, 1)``,
-    every other array ``(C, M, K)``.  The gradient's two constant parts are
-    built here once: ``base = -(alpha + beta) * joint - positives`` and
-    ``bce_weight = p_n + positives``, the factor of ``sigmoid(phi)``.
+    the marginals ``p_user`` ``(C, M, 1)`` and ``p_item`` ``(C, 1, K)``,
+    every other array ``(C, M, K)``.  The gradient's constant parts are built
+    here once: ``base = -(alpha + beta) * joint - positives``,
+    ``bce_weight = p_n + positives`` (the factor of ``sigmoid(phi)``), and
+    the softmax halves' line weights ``row_weight = alpha * p(u)`` and
+    ``col_weight = beta * p(i)``.
     """
 
-    tables: EmpiricalTables
+    joint: np.ndarray
+    p_user: np.ndarray
+    p_item: np.ndarray
     alpha: np.ndarray
     row_offset: np.ndarray
     beta: np.ndarray
@@ -303,48 +312,56 @@ class StackedLoss:
     p_n: np.ndarray  # the bce negative distribution, else 0
     base: np.ndarray = field(init=False)
     bce_weight: np.ndarray = field(init=False)
+    row_weight: np.ndarray = field(init=False)
+    col_weight: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        self.base = -(self.alpha + self.beta) * self.tables.joint - self.positives
+        self.base = -(self.alpha + self.beta) * self.joint - self.positives
         self.bce_weight = self.p_n + self.positives
+        self.row_weight = self.alpha * self.p_user
+        self.col_weight = self.beta * self.p_item
 
     @classmethod
-    def build(cls, tables: EmpiricalTables, configs: Sequence[LossConfig]) -> "StackedLoss":
-        joint = tables.joint
-        m, k = joint.shape
-        zero = np.zeros((m, k))
+    def build(cls, tables: Sequence[EmpiricalTables], configs: Sequence[LossConfig]) -> "StackedLoss":
+        """Every configuration over each of ``tables``, block ``s * len(configs) + c``
+        holding configuration ``c`` over ``tables[s]``."""
         on, off = np.ones((1, 1)), np.zeros((1, 1))
-        item_support = np.where(tables.p_item > 0, 0.0, -np.inf)[None, :] + zero
-        user_support = np.where(tables.p_user > 0, 0.0, -np.inf)[:, None] + zero
-        log_pi = tables.log_p_item[None, :] + zero
-        log_pu = tables.log_p_user[:, None] + zero
         terms = []
-        for config in configs:
-            row = col = (off, zero)  # (weight, offset)
-            positives = p_n = zero
-            if config.family == "bce":
-                positives = joint
-                if config.negative_strategy == "user-marginal":
-                    p_n = tables.p_user[:, None] / k * np.ones_like(joint)
-                elif config.negative_strategy == "item-marginal":
-                    p_n = np.ones_like(joint) * tables.p_item[None, :] / m
-                elif config.negative_strategy == "product-of-marginals":
-                    p_n = tables.p_user[:, None] * tables.p_item[None, :]
-                elif config.negative_strategy == "uniform":
-                    p_n = np.full_like(joint, 1.0 / (m * k))
+        for table in tables:
+            joint = table.joint
+            m, k = joint.shape
+            zero = np.zeros((m, k))
+            item_support = np.where(table.p_item > 0, 0.0, -np.inf)[None, :] + zero
+            user_support = np.where(table.p_user > 0, 0.0, -np.inf)[:, None] + zero
+            log_pi = table.log_p_item[None, :] + zero
+            log_pu = table.log_p_user[:, None] + zero
+            marginals = (joint, table.p_user[:, None], table.p_item[None, :])
+            for config in configs:
+                row = col = (off, zero)  # (weight, offset)
+                positives = p_n = zero
+                if config.family == "bce":
+                    positives = joint
+                    if config.negative_strategy == "user-marginal":
+                        p_n = table.p_user[:, None] / k * np.ones_like(joint)
+                    elif config.negative_strategy == "item-marginal":
+                        p_n = np.ones_like(joint) * table.p_item[None, :] / m
+                    elif config.negative_strategy == "product-of-marginals":
+                        p_n = table.p_user[:, None] * table.p_item[None, :]
+                    elif config.negative_strategy == "uniform":
+                        p_n = np.full_like(joint, 1.0 / (m * k))
+                    else:
+                        raise ValueError(f"unknown strategy {config.negative_strategy!r}")
+                elif config.family == "ssm":
+                    row = (on, item_support if config.ssm_proposal == "marginal" else zero)
+                elif config.family == "bidirectional":
+                    if config.alpha:
+                        row = (on, item_support if config.delta_alpha else log_pi)
+                    if config.beta:
+                        col = (on, user_support if config.delta_beta else log_pu)
                 else:
-                    raise ValueError(f"unknown strategy {config.negative_strategy!r}")
-            elif config.family == "ssm":
-                row = (on, item_support if config.ssm_proposal == "marginal" else zero)
-            elif config.family == "bidirectional":
-                if config.alpha:
-                    row = (on, item_support if config.delta_alpha else log_pi)
-                if config.beta:
-                    col = (on, user_support if config.delta_beta else log_pu)
-            else:
-                raise ValueError(f"population loss undefined for family {config.family!r}")
-            terms.append((*row, *col, positives, p_n))
-        return cls(tables, *(np.stack(column) for column in zip(*terms)))
+                    raise ValueError(f"population loss undefined for family {config.family!r}")
+                terms.append((*marginals, *row, *col, positives, p_n))
+        return cls(*(np.stack(column) for column in zip(*terms)))
 
 
 def _weighted_softmax(logits: np.ndarray, axis: int, weight: np.ndarray) -> np.ndarray:
@@ -369,9 +386,8 @@ def population_loss(phi: np.ndarray, loss: StackedLoss) -> np.ndarray:
     ``alpha * p(u) * softmax(phi + row_offset)`` over items, the column
     half ``beta * p(i) * softmax(phi + col_offset)`` over users.
     """
-    tables = loss.tables
-    grad = _weighted_softmax(phi + loss.row_offset, 2, loss.alpha * tables.p_user[:, None])
-    grad += _weighted_softmax(phi + loss.col_offset, 1, loss.beta * tables.p_item)
+    grad = _weighted_softmax(phi + loss.row_offset, 2, loss.row_weight)
+    grad += _weighted_softmax(phi + loss.col_offset, 1, loss.col_weight)
     with np.errstate(over="ignore"):  # exp(-phi) = inf for phi below about -709: the sigmoid is exactly 0
         sig = np.exp(-phi)
     sig += 1.0
@@ -409,47 +425,51 @@ def dense_backward(
     its own."""
     k = cos.shape[2]
     v_hat, u_hat = hat[:, :k], hat[:, k:]
+    scale = temperature * norms[:, :, None]
     g_cos = dphi * cos
     d_items = dphi.transpose(0, 2, 1) @ u_hat - g_cos.sum(axis=1)[:, :, None] * v_hat
-    np.divide(d_items, temperature * norms[:, :k, None], out=out[:, :k])
+    np.divide(d_items, scale[:, :k], out=out[:, :k])
     d_users = dphi @ v_hat - g_cos.sum(axis=2)[:, :, None] * u_hat
-    np.divide(d_users, temperature * norms[:, k:, None], out=out[:, k:])
+    np.divide(d_users, scale[:, k:], out=out[:, k:])
 
 
 def train_to_optimum(
     configs: Sequence[LossConfig],
-    tables: EmpiricalTables,
+    seeded_tables: Sequence[tuple[int, EmpiricalTables]],
     spec: SyntheticSpec,
     *,
     dim: int = 10,
     temperature: float = 0.05,
     epochs: int = 2000,
     learning_rate: float = 0.05,
-    seed: int = 0,
-) -> list[ModelParams]:
-    """Full-batch Adam training of each loss configuration on the empirical
-    tables; the learning rate decays on a cosine from ``learning_rate`` to 0
-    over the epochs, so each table settles at its optimum.
+) -> list[list[ModelParams]]:
+    """Full-batch Adam training of each loss configuration on each of the
+    ``(seed, tables)`` pairs; the learning rate decays on a cosine from
+    ``learning_rate`` to 0 over the epochs, so each table settles at its
+    optimum.
 
-    The configurations train together as one stacked problem: block ``c`` of
-    the embedding table holds configuration ``c``'s item rows and user
-    tokens, each block starting from the same seeded initialization, and
-    every user row is scored only against its own block's items.  The
-    blocks are a ``(C, K + M, d)`` view of the table, scored and
-    differentiated by batched matrix products, which compute each block on
-    its own; Adam is elementwise and every row steps every epoch, so the
-    blocks never interact.  Returns one ``ModelParams`` per configuration.
+    Every (pair, configuration) block trains in one stacked problem: block
+    ``s * len(configs) + c`` of the embedding table holds configuration
+    ``c``'s item rows and user tokens over pair ``s``'s tables, starting from
+    the initialization seeded by pair ``s``'s seed, and every user row is
+    scored only against its own block's items.  The blocks are a
+    ``(C, K + M, d)`` view of the table, scored and differentiated by
+    batched matrix products, which compute each block on its own; Adam is
+    elementwise and every row steps every epoch, so the blocks never
+    interact.  Returns, per pair, one ``ModelParams`` per configuration.
     """
     num_configs, m, k = len(configs), spec.num_users, spec.num_items
-    init = ModelParams.initialize(k + m, dim, temperature, seed)
+    num_blocks = len(seeded_tables) * num_configs
+    inits = [ModelParams.initialize(k + m, dim, temperature, seed).item_embeddings for seed, _ in seeded_tables]
     # A synthetic user is one token, which every aggregator pools to its row:
     # training reads the user rows as they are, and mean pooling scores them.
-    stack = np.vstack([np.tile(init.item_embeddings, (num_configs, 1)), init.attention_vector])
+    # The last row is the attention query, zero and never stepped.
+    stack = np.vstack([np.tile(init, (num_configs, 1)) for init in inits] + [np.zeros((1, dim))])
     params = ModelParams(stack, temperature)
-    blocks = params.item_embeddings.reshape(num_configs, k + m, dim)  # a view: each step moves it
+    blocks = params.item_embeddings.reshape(num_blocks, k + m, dim)  # a view: each step moves it
     grad = np.empty_like(blocks)
-    grads = GradientTable(np.arange(num_configs * (k + m)), grad.reshape(-1, dim))  # the attention row never steps
-    loss = StackedLoss.build(tables, configs)
+    grads = GradientTable(np.arange(num_blocks * (k + m)), grad.reshape(-1, dim))
+    loss = StackedLoss.build([tables for _, tables in seeded_tables], configs)
     opt = OptimizerState(kind="adam", learning_rate=learning_rate)
     # A diverging step goes quietly non-finite: the next step's norm or
     # gradient check, or the check after the last epoch, raises for it.
@@ -464,10 +484,8 @@ def train_to_optimum(
             apply_optimizer_step(params, grads, opt)
     if not finite_norms(blocks):
         raise NonFiniteGradientError(f"non-finite parameters after epoch {epochs - 1}")
-    return [
-        ModelParams(np.vstack([block, params.attention_vector]), temperature)
-        for block in np.split(params.item_embeddings, num_configs)
-    ]
+    trained = [ModelParams(np.vstack([block, params.attention_vector]), temperature) for block in blocks]
+    return [trained[start : start + num_configs] for start in range(0, num_blocks, num_configs)]
 
 
 @dataclass
@@ -599,31 +617,30 @@ def run_table_sweep(
     epochs: int = 2000,
     learning_rate: float = 0.05,
 ) -> SweepResult:
-    """Train every configuration per seed, all of a seed's together, and
-    gate each against its optimum.
+    """Train every configuration over every seed's sample, all in one stack,
+    and gate each against its optimum.
 
-    Gate failures are flagged in the report rows, never raised.  Pairwise
-    rank agreement inside each equal-optimum group is reported alongside.
+    Only each seed's count tables outlive its draw.  Gate failures are
+    flagged in the report rows, never raised.  Pairwise rank agreement
+    inside each equal-optimum group is reported alongside, seed by seed.
     """
     reports: list[OptimumReport] = []
     agreements: list[GroupAgreement] = []
     configs = sweep_configs()
-    for seed in seeds:
-        sample = generate_synthetic(spec, seed)
-        tables = sample.tables
+    seeded_tables = [(seed, generate_synthetic(spec, seed).tables) for seed in seeds]
+    trained = train_to_optimum(
+        [config for _, config in configs],
+        seeded_tables,
+        spec,
+        dim=dim,
+        temperature=temperature,
+        epochs=epochs,
+        learning_rate=learning_rate,
+    )
+    for (seed, tables), seed_params in zip(seeded_tables, trained):
         mask = tables.observed
-        trained = train_to_optimum(
-            [config for _, config in configs],
-            tables,
-            spec,
-            dim=dim,
-            temperature=temperature,
-            epochs=epochs,
-            learning_rate=learning_rate,
-            seed=seed,
-        )
         phi_tables: dict[str, np.ndarray] = {}
-        for (label, config), params in zip(configs, trained):
+        for (label, config), params in zip(configs, seed_params):
             phi = phi_tables[label] = phi_table(params, spec)
             reports.append(check_optimum(config, phi, tables, temperature, label=label, seed=seed))
         for group, labels in EQUAL_OPTIMA_GROUPS.items():

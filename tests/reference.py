@@ -268,26 +268,28 @@ def reference_population_loss(
     return value, dphi
 
 
-def stacked_population_values(phi: np.ndarray, loss, configs: Sequence[LossConfig]) -> np.ndarray:
-    """Exact full-batch losses ``(C,)`` of the configurations of a
-    ``verify.StackedLoss`` at the score tables ``phi`` ``(C, M, K)``: the
-    formula ``alpha * row + beta * col + bce`` whose gradient
-    ``verify.population_loss`` returns.  A corrected side adds its log
-    marginal on the observed cells."""
-    tables = loss.tables
-    joint = tables.joint
-    zero = np.zeros_like(joint)
-    item_bias = np.where(tables.observed, tables.log_p_item[None, :], 0.0)
-    user_bias = np.where(tables.observed, tables.log_p_user[:, None], 0.0)
-    bidirectional = [c for c in configs if c.family == "bidirectional"]
-    row_bias = np.stack([item_bias if c in bidirectional and c.alpha and c.delta_alpha else zero for c in configs])
-    col_bias = np.stack([user_bias if c in bidirectional and c.beta and c.delta_beta else zero for c in configs])
+def stacked_population_values(phi: np.ndarray, loss, tables: Sequence, configs: Sequence[LossConfig]) -> np.ndarray:
+    """Exact full-batch losses ``(C,)`` of the blocks of
+    ``verify.StackedLoss.build(tables, configs)`` at the score tables ``phi``
+    ``(C, M, K)``: the formula ``alpha * row + beta * col + bce`` whose
+    gradient ``verify.population_loss`` returns.  A corrected side adds its
+    log marginal on the observed cells of its block's table."""
+    row_bias, col_bias = [], []
+    for table in tables:
+        zero = np.zeros_like(table.joint)
+        item_bias = np.where(table.observed, table.log_p_item[None, :], 0.0)
+        user_bias = np.where(table.observed, table.log_p_user[:, None], 0.0)
+        for c in configs:
+            bidirectional = c.family == "bidirectional"
+            row_bias.append(item_bias if bidirectional and c.alpha and c.delta_alpha else zero)
+            col_bias.append(user_bias if bidirectional and c.beta and c.delta_beta else zero)
+    joint = loss.joint
     w = phi + loss.row_offset
     lse = logsumexp(w, axis=2)[:, :, None]
-    row_value = np.sum(joint * (-phi + row_bias + lse), axis=(1, 2))
+    row_value = np.sum(joint * (-phi + np.stack(row_bias) + lse), axis=(1, 2))
     w = phi + loss.col_offset
     lse = logsumexp(w, axis=1)[:, None, :]
-    col_value = np.sum(joint * (-phi + col_bias + lse), axis=(1, 2))
+    col_value = np.sum(joint * (-phi + np.stack(col_bias) + lse), axis=(1, 2))
     bce_value = np.sum(loss.positives * np.logaddexp(0.0, -phi), axis=(1, 2))
     bce_value += np.sum(loss.p_n * np.logaddexp(0.0, phi), axis=(1, 2))
     return loss.alpha[:, 0, 0] * row_value + loss.beta[:, 0, 0] * col_value + bce_value

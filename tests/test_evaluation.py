@@ -488,6 +488,8 @@ class TestRankingIndexMatchesOracle:
             if task == "ut":
                 top = [int(pool.key_owner[idx]) for idx in top]
             assert row["top"] == top
+            query = int(cases.query[c])
+            assert row["query"] == (list(pool.table[query]) if task == "ir" else query)
             k = expected.index(int(cases.positive[c]))
             assert ranks[c] == k
             assert row["recall"] == (1.0 if k < 5 else 0.0)

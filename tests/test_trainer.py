@@ -158,6 +158,52 @@ class TestOptimizerStep:
             apply_optimizer_step(params, GradientTable(np.arange(1, 5), values), state)
         assert not params.table.any() and state.t is None  # the check runs before anything moves
 
+    @pytest.mark.parametrize("rows", [[0, 1, 2, 3, 4, 5], [1, 3, 4, 6]], ids=["slice", "gathered"])
+    def test_shared_count_step_equals_per_row_correction(self, monkeypatch, rows):
+        """Rows at one shared count divide by the scalar bias correction; over
+        2,000 steps the table and the Adam state equal, byte for byte, those
+        of the per-row path, forced here by reporting no shared count."""
+
+        def run():
+            rng = np.random.default_rng(5)
+            params = ModelParams(rng.normal(size=(7, 3)), 1.0)
+            state = OptimizerState(kind="adam", learning_rate=0.05)
+            for _ in range(2000):
+                apply_optimizer_step(params, GradientTable(np.array(rows), rng.normal(size=(len(rows), 3))), state)
+            return [params.table, state.m, state.v, state.t]
+
+        shared = run()
+        monkeypatch.setattr(trainer_mod, "_shared_count", lambda t: None)
+        per_row = run()
+        assert [a.tobytes() for a in shared] == [a.tobytes() for a in per_row]
+
+    def test_mixed_counts_take_the_per_row_path(self, monkeypatch, tmp_path):
+        """A step over rows at mixed counts, after a partial step or from a
+        resumed state, corrects each row by its own count; a step whose rows
+        share a count takes the scalar path."""
+        corrected = []
+        per_row = OptimizerState._bias_correction
+        monkeypatch.setattr(
+            OptimizerState, "_bias_correction", lambda self, beta, t: corrected.append(t.tolist()) or per_row(self, beta, t)
+        )
+        params = ModelParams(np.zeros((4, 2)), 1.0)
+        state = OptimizerState(kind="adam", learning_rate=0.1)
+        apply_optimizer_step(params, grads_of({0: [1.0, 2.0], 1: [3.0, 4.0]}), state)
+        assert corrected == []
+        apply_optimizer_step(params, grads_of({0: [1.0, 2.0], 1: [3.0, 4.0], 2: [5.0, 6.0]}), state)  # counts 2, 2, 1
+        assert corrected == [[2, 2, 1], [2, 2, 1]]
+
+        path = str(tmp_path / "c.ckpt")
+        save_checkpoint(path, Checkpoint(params, state, 0, 0, (1,), 0, 0))
+        resumed = load_checkpoint(path)
+        corrected.clear()
+        apply_optimizer_step(resumed.params, grads_of({r: [1.0, -1.0] for r in range(3)}), resumed.optimizer)
+        assert corrected == [[3, 3, 2], [3, 3, 2]]
+        corrected.clear()
+        apply_optimizer_step(resumed.params, grads_of({0: [1.0, -1.0], 1: [2.0, 0.5]}), resumed.optimizer)  # both at 4
+        assert corrected == []
+        np.testing.assert_array_equal(resumed.optimizer.t, [4, 4, 2, 0])
+
 
 class TestCheckpointFile:
     def _checkpoint(self, seed=3):

@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare, spearmanr
 
 from reference import (
@@ -25,6 +27,7 @@ from twotower.verify import (
     EmpiricalTables,
     OptimumReport,
     StackedLoss,
+    SweepResult,
     SyntheticSpec,
     _center,
     _rank_corr,
@@ -181,8 +184,8 @@ STACK_IDS = [label for label, _ in ALL_CONFIGS] + ["ssm/uniform"]
 def stacked_loss(phi, tables: EmpiricalTables, configs) -> tuple[np.ndarray, np.ndarray]:
     """Losses and gradients of ``configs`` stacked, at their score tables ``phi``."""
     phi = np.asarray(phi, dtype=float)
-    loss = StackedLoss.build(tables, configs)
-    return stacked_population_values(phi, loss, configs), population_loss(phi, loss)
+    loss = StackedLoss.build([tables], configs)
+    return stacked_population_values(phi, loss, [tables], configs), population_loss(phi, loss)
 
 
 class TestPopulationLoss:
@@ -193,9 +196,9 @@ class TestPopulationLoss:
         """Slice ``index`` of the stacked gradient matches central differences
         of its own loss, and moving its scores leaves every other loss as is."""
         tables = dense_tables([[5, 1, 0, 2], [0, 3, 4, 1], [2, 0, 1, 6]])
-        loss = StackedLoss.build(tables, STACK)
+        loss = StackedLoss.build([tables], STACK)
         phi = self._phi((len(STACK), *tables.joint.shape), seed=seed)
-        values, dphi = stacked_population_values(phi, loss, STACK), population_loss(phi, loss)
+        values, dphi = stacked_population_values(phi, loss, [tables], STACK), population_loss(phi, loss)
         others = np.arange(len(STACK)) != index
         step = 1e-6
         for u in range(phi.shape[1]):
@@ -204,8 +207,8 @@ class TestPopulationLoss:
                 up[index, u, i] += step
                 down = phi.copy()
                 down[index, u, i] -= step
-                values_up = stacked_population_values(up, loss, STACK)
-                values_down = stacked_population_values(down, loss, STACK)
+                values_up = stacked_population_values(up, loss, [tables], STACK)
+                values_down = stacked_population_values(down, loss, [tables], STACK)
                 numeric = (values_up[index] - values_down[index]) / (2 * step)
                 assert dphi[index, u, i] == pytest.approx(numeric, abs=5e-7), (STACK_IDS[index], u, i)
                 assert np.array_equal(values_up[others], values[others])
@@ -252,7 +255,7 @@ class TestPopulationLoss:
         tolerance of the reference for every configuration."""
         tables = self._tables(table)
         phi = np.random.default_rng(5).uniform(-scale, scale, size=(len(STACK), *tables.joint.shape))
-        loss = StackedLoss.build(tables, STACK)
+        loss = StackedLoss.build([tables], STACK)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             dphi = population_loss(phi, loss)
@@ -380,7 +383,7 @@ class TestCheckOptimum:
         spec = SyntheticSpec(num_users=3, num_items=4, joint=np.full((3, 4), 1 / 12), num_samples=120)
         tables = dense_tables(np.full((3, 4), 10))
         config = LossConfig.from_preset("bbcnce")
-        [params] = train_to_optimum([config], tables, spec, dim=6, epochs=400, learning_rate=0.05, seed=0)
+        [[params]] = train_to_optimum([config], [(0, tables)], spec, dim=6, epochs=400, learning_rate=0.05)
         report = check_optimum(config, phi_table(params, spec), tables, params.temperature)
         assert math.isnan(report.rank_correlation)
         assert report.residual <= 0.05
@@ -391,7 +394,7 @@ class TestCheckOptimum:
         spec = SyntheticSpec(num_users=4, num_items=5, joint=joint, num_samples=30_000)
         sample = generate_synthetic(spec, seed=1)
         config = LossConfig.from_preset("bbcnce")
-        [params] = train_to_optimum([config], sample.tables, spec, dim=6, epochs=1_000, learning_rate=0.05, seed=1)
+        [[params]] = train_to_optimum([config], [(1, sample.tables)], spec, dim=6, epochs=1_000, learning_rate=0.05)
         report = check_optimum(config, phi_table(params, spec), sample.tables, 0.05, label="bbcnce", seed=1)
         assert report.rank_correlation >= 0.95
         assert report.residual <= 0.25
@@ -402,7 +405,7 @@ class TestCheckOptimum:
         tables = dense_tables([[3, 0], [1, 2]])
         spec = SyntheticSpec(num_users=2, num_items=2, joint=np.full((2, 2), 0.25), num_samples=6)
         config = LossConfig.from_preset("bbcnce")
-        [params] = train_to_optimum([config], tables, spec, dim=4, epochs=50, learning_rate=0.05, seed=0)
+        [[params]] = train_to_optimum([config], [(0, tables)], spec, dim=4, epochs=50, learning_rate=0.05)
         report = check_optimum(config, phi_table(params, spec), tables, params.temperature)
         assert report.num_observed == 3
         assert report.num_excluded == 1
@@ -548,21 +551,43 @@ class TestDenseKernel:
 
 class TestStackedTraining:
     SPEC = SyntheticSpec(num_users=4, num_items=5, joint=random_joint(4, 5, seed=21), num_samples=8_000)
-    SETTINGS = dict(dim=6, epochs=300, learning_rate=0.05, seed=1)
+    SETTINGS = dict(dim=6, epochs=300, learning_rate=0.05)
 
     @pytest.fixture(scope="class")
     def stack(self):
         tables = generate_synthetic(self.SPEC, seed=1).tables
-        return tables, train_to_optimum([config for _, config in ALL_CONFIGS], tables, self.SPEC, **self.SETTINGS)
+        [trained] = train_to_optimum([config for _, config in ALL_CONFIGS], [(1, tables)], self.SPEC, **self.SETTINGS)
+        return tables, trained
 
     @pytest.mark.parametrize("index", range(len(ALL_CONFIGS)), ids=[label for label, _ in ALL_CONFIGS])
     def test_configuration_trains_as_alone(self, stack, index):
         """A configuration trained alone and inside the ten-configuration
-        stack reaches the same table: no block leaks into another."""
+        stack reaches the same table, bit for bit: no block leaks into another."""
         tables, trained = stack
-        label, config = ALL_CONFIGS[index]
-        [alone] = train_to_optimum([config], tables, self.SPEC, **self.SETTINGS)
-        phi_alone, phi_stacked = phi_table(alone, self.SPEC), phi_table(trained[index], self.SPEC)
-        np.testing.assert_allclose(phi_stacked, phi_alone, rtol=0, atol=1e-12)
-        reports = [check_optimum(config, phi, tables, 0.05, label=label, seed=1) for phi in (phi_alone, phi_stacked)]
-        assert reports[0] == reports[1]
+        _, config = ALL_CONFIGS[index]
+        [[alone]] = train_to_optimum([config], [(1, tables)], self.SPEC, **self.SETTINGS)
+        assert alone.table.tobytes() == trained[index].table.tobytes()
+
+    @settings(derandomize=True, database=None, max_examples=8, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 99), min_size=1, max_size=4, unique=True),
+        epochs=st.integers(1, 300),
+    )
+    @example(seeds=[1, 2, 3, 4], epochs=300)
+    def test_seeds_train_as_alone(self, seeds, epochs):
+        """Every seed's blocks trained in one stack with the other seeds' equal,
+        bit for bit, that seed trained alone, and so does the sweep report."""
+        kwargs = dict(dim=6, epochs=epochs, learning_rate=0.05)
+        configs = [config for _, config in ALL_CONFIGS]
+        seeded_tables = [(seed, generate_synthetic(self.SPEC, seed).tables) for seed in seeds]
+        stacked = train_to_optimum(configs, seeded_tables, self.SPEC, **kwargs)
+        for pair, blocks in zip(seeded_tables, stacked):
+            [alone] = train_to_optimum(configs, [pair], self.SPEC, **kwargs)
+            assert [params.table.tobytes() for params in blocks] == [params.table.tobytes() for params in alone]
+
+        singles = [run_table_sweep(self.SPEC, [seed], **kwargs) for seed in seeds]
+        joined = SweepResult(
+            [row for single in singles for row in single.reports],
+            [row for single in singles for row in single.agreements],
+        )
+        assert sweep_report_text(run_table_sweep(self.SPEC, seeds, **kwargs)) == sweep_report_text(joined)

@@ -23,9 +23,10 @@ again at `--top-n 1` and at a `--top-n` above the candidate count), under
 each loss configuration of `CASES` (among them `bbcnce` at temperature 0.003,
 just above the in-batch losses' floor of 1/350);
 and the `verify` runs of `VERIFY_CASES`: sweep seeds 1, 2 and 3 (the seeds
-the benchmark's `verify_sweep` runs) plus 4 at the default settings, a
-20-event sample that leaves users and items of the table unseen, a 4x5
-table, and seed 1 at temperature 0.002 for 300 epochs.  Every command runs
+the benchmark's `verify_sweep` runs) plus 4 at the default settings, one
+run of seeds 1, 2 and 3 together (the default `verify`), a 20-event sample
+that leaves users and items of the table unseen, a 4x5 table, and seed 1 at
+temperature 0.002 for 300 epochs.  Every command runs
 in-process with the run directory as working directory and relative paths,
 so two runs write the same bytes wherever they live.  Each report is kept
 under its own name and the stdout of every command goes to `stdout/`.
@@ -124,6 +125,8 @@ CASES = {
 # name -> verify settings.  A failed optimum gate exits 1 after writing its
 # report, as the 20-event sample's gates do.
 VERIFY_CASES = {f"verify{seed}": {"verify.seeds": seed} for seed in (1, 2, 3, 4)} | {
+    # The default run: three seeds' blocks in one stack.
+    "verify_seeds_1_2_3": {"verify.seeds": "1,2,3"},
     "verify_sparse": {"verify.seeds": 1, "verify.num_samples": 20},
     "verify_4x5": {
         "verify.seeds": "1,2",
