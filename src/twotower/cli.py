@@ -325,7 +325,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         window_days=cfg.eval.popularity_window_days,
         keep_per_case=args.verbose,
     )
-    payload = dataclasses.asdict(report)
+    # The report's own fields, not a deep copy of its per-case records.
+    payload = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
     if not args.verbose:
         payload.pop("per_case")
     out_path = os.path.join(cfg.paths.output_dir, "eval_report.json")

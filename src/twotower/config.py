@@ -14,7 +14,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields
 
-from .losses import LossConfig
+from .losses import LossConfig, preset_flags
 
 
 class ConfigError(ValueError):
@@ -185,20 +185,28 @@ def fingerprint(config: RunConfig) -> int:
 
 def loss_config_from(config: RunConfig) -> LossConfig:
     """Build the loss configuration from the ``loss`` section's fields of the
-    same names; a preset wins for the bidirectional family."""
+    same names; a preset wins for the bidirectional family.  An unknown
+    preset is refused under any family; the empty one means the flags."""
     section = config.loss
     values = {f.name: getattr(section, f.name) for f in fields(LossConfig)}
-    if section.family == "bidirectional" and section.preset:
-        return LossConfig.from_preset(section.preset, **values)
+    if section.preset:
+        flags = preset_flags(section.preset)
+        if section.family == "bidirectional":
+            values.update(flags)
     return LossConfig(**values)
 
 
 def verify_seeds(config: RunConfig) -> tuple[int, ...]:
-    """The sweep seeds: distinct non-negative integers, in the order given."""
+    """The sweep seeds: distinct non-negative integers, in the order given.
+    An empty list gives no seeds; an empty field within a list is refused."""
+    text = config.verify.seeds
+    parts = text.split(",") if text.strip() else []
+    if any(not part.strip() for part in parts):
+        raise ConfigError(f"verify.seeds: empty field in {text!r}")
     try:
-        seeds = tuple(int(s) for s in config.verify.seeds.split(",") if s.strip())
+        seeds = tuple(int(s) for s in parts)
     except ValueError as exc:
-        raise ConfigError(f"verify.seeds: cannot parse {config.verify.seeds!r}") from exc
+        raise ConfigError(f"verify.seeds: cannot parse {text!r}") from exc
     if any(seed < 0 for seed in seeds) or len(set(seeds)) < len(seeds):
-        raise ConfigError(f"verify.seeds: seeds must be distinct and >= 0, got {config.verify.seeds!r}")
+        raise ConfigError(f"verify.seeds: seeds must be distinct and >= 0, got {text!r}")
     return seeds

@@ -110,10 +110,14 @@ class LossConfig:
     @classmethod
     def from_preset(cls, name: str, **kwargs) -> "LossConfig":
         """The bidirectional loss with the preset's flags; ``kwargs`` set the other fields."""
-        if name not in PRESETS:
-            raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-        flags = dict(zip(("alpha", "delta_alpha", "beta", "delta_beta"), PRESETS[name]))
-        return cls(**{**kwargs, "family": "bidirectional", **flags})
+        return cls(**{**kwargs, "family": "bidirectional", **preset_flags(name)})
+
+
+def preset_flags(name: str) -> dict[str, int]:
+    """The bidirectional flags of a named preset; an unknown name is refused."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    return dict(zip(("alpha", "delta_alpha", "beta", "delta_beta"), PRESETS[name]))
 
 
 @dataclass

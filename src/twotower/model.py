@@ -10,7 +10,14 @@ A batch of pseudo-users is pooled straight from its CSR rows
 (``data.Sequences``): every array runs over the flat positions, and each
 sequence's sums go through ``np.bincount`` (``sum_rows`` for rows), which
 adds in position order, so a pseudo-user's vector depends on its own rows
-only, not on its batch.
+only, not on its batch.  Attention pooling takes each logit from the row of
+a distinct history item, which is the same row-wise reduce.
+
+Under mean and last pooling the backward pass writes one gradient row per
+pooled position, which ``GradientTable.accumulate`` sums in input order.
+Attention pooling sums each distinct history item's row through the
+``(R, B)`` matrix of its weights per sequence (``_user_backward``), which
+changes the gradient's last bits, not the pooled vectors'.
 
 One scoring kernel serves every loss: ``score_matrix_forward`` scores the
 batch against shared item columns (1-d ids, a ``(B, C)`` score matrix) or
@@ -110,6 +117,17 @@ def sum_rows(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(flat, weights=values.ravel(), minlength=size * width).reshape(size, width)
 
 
+def distinct_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ids, ascending, and each id's slot among them, found by
+    marking the ids present, not by a sort: ``distinct[slot] == ids``."""
+    present = np.zeros(int(ids.max(initial=-1)) + 1, dtype=bool)
+    present[ids] = True
+    distinct = np.flatnonzero(present)
+    slot = np.empty(present.size, dtype=np.int64)
+    slot[distinct] = np.arange(distinct.size)
+    return distinct, slot[ids]
+
+
 @dataclass
 class GradientTable:
     """Sparse gradient over the parameter table: the touched rows as unique
@@ -121,25 +139,27 @@ class GradientTable:
 
     @classmethod
     def accumulate(cls, ids: np.ndarray, grads: np.ndarray) -> "GradientTable":
-        """Sum the gradient rows of repeated ids, found by a count, not a sort."""
-        present = np.bincount(ids) > 0
-        rows = np.flatnonzero(present)
-        return cls(rows, sum_rows((np.cumsum(present) - 1)[ids], grads, rows.size))
+        """Sum the gradient rows of repeated ids."""
+        rows, slot = distinct_ids(ids)
+        return cls(rows, sum_rows(slot, grads, rows.size))
 
 
 @dataclass
 class UserBatch:
     """Pseudo-users as CSR positions: the item ids, each position's sequence
-    (``owner``), the lengths, the pooled raw vectors ``(B, d)`` and, under
-    attention pooling, each position's weight and the gathered ``(N, d)``
-    rows, which the backward pass reads again."""
+    (``owner``), the lengths and the pooled raw vectors ``(B, d)``.  Under
+    attention pooling it also holds each position's weight, the batch's
+    distinct history items (ascending), their ``(R, d)`` embedding rows and
+    each position's slot among them, which the backward pass reads again."""
 
     items: np.ndarray
     owner: np.ndarray
     lengths: np.ndarray
     vectors: np.ndarray
     weights: np.ndarray | None = None
-    rows: np.ndarray | None = None
+    distinct: np.ndarray | None = None
+    embedded: np.ndarray | None = None
+    slot: np.ndarray | None = None
 
 
 def encode_user_batch(sequences: Sequences, params: ModelParams) -> UserBatch:
@@ -156,13 +176,18 @@ def encode_user_batch(sequences: Sequences, params: ModelParams) -> UserBatch:
     owner = np.repeat(np.arange(lengths.size), lengths)
     if params.aggregator == "last":
         return UserBatch(items, owner, lengths, params.item_embeddings[items[sequences.offsets[1:] - 1]])
-    rows = params.item_embeddings[items]  # (N, d)
     if params.aggregator == "mean":
+        rows = params.item_embeddings[items]  # (N, d)
         return UserBatch(items, owner, lengths, sum_rows(owner, rows, lengths.size) / lengths[:, None])
-    logits = np.add.reduce(rows * params.attention_vector, axis=1)  # row by row: a logit reads its own row only
+    distinct, slot = distinct_ids(items)
+    embedded = params.item_embeddings[distinct]  # (R, d)
+    # Row by row: a logit reads its own row only, so a distinct item's logit is every position's.
+    logits = np.add.reduce(embedded * params.attention_vector, axis=1)[slot]
     e = np.exp(logits - np.maximum.reduceat(logits, sequences.offsets[:-1])[owner])
     weights = e / np.bincount(owner, e, lengths.size)[owner]
-    return UserBatch(items, owner, lengths, sum_rows(owner, weights[:, None] * rows, lengths.size), weights, rows)
+    rows = embedded[slot]  # (N, d), weighted in place
+    rows *= weights[:, None]
+    return UserBatch(items, owner, lengths, sum_rows(owner, rows, lengths.size), weights, distinct, embedded, slot)
 
 
 def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,19 +216,27 @@ def _user_backward(
     out: np.ndarray,
 ) -> None:
     """Write the gradient rows of the pooled sequence positions, in batch
-    order, into ``out``; under attention pooling the attention row's
-    gradient follows them as ``out``'s last row."""
+    order, into ``out``; under attention pooling, one row per distinct
+    history item instead, ascending, and the attention row's gradient
+    follows them as ``out``'s last row."""
     if params.aggregator == "last":
         out[...] = d_vectors
         return
     if params.aggregator == "mean":
         np.take(d_vectors / users.lengths[:, None], users.owner, axis=0, out=out)
         return
-    w, rows, d_rows = users.weights, users.rows, d_vectors[users.owner]
-    q = np.add.reduce(rows * d_rows, axis=1)  # dL/dw per position
-    ds = w * (q - np.bincount(users.owner, w * q, users.lengths.size)[users.owner])  # softmax backward
-    np.add(w[:, None] * d_rows, ds[:, None] * params.attention_vector, out=out[:-1])
-    out[-1] = ds @ rows
+    # Position j of sequence b adds w_j d_vectors[b] + ds_j a to its item's
+    # row, so the item rows are A_T @ d_vectors + s (x) a, with A_T[r, b] the
+    # summed weights of item r in sequence b and s[r] the summed ds of item r.
+    w, owner, slot, embedded = users.weights, users.owner, users.slot, users.embedded
+    size, width = users.distinct.size, users.lengths.size
+    cell = slot * width + owner  # each position's (item, sequence) cell of A_T
+    q = (embedded @ d_vectors.T).ravel()[cell]  # dL/dw per position
+    ds = w * (q - np.bincount(owner, w * q, width)[owner])  # softmax backward
+    s = np.bincount(slot, ds, size)
+    np.matmul(np.bincount(cell, w, size * width).reshape(size, width), d_vectors, out=out[:-1])
+    out[:-1] += s[:, None] * params.attention_vector
+    out[-1] = s @ embedded
 
 
 @dataclass
@@ -248,15 +281,21 @@ def score_matrix_backward(
     """Chain a loss gradient w.r.t. the scores down to parameter rows.
 
     Row gradients are summed column contributions first, then the user
-    positions in batch order; under attention pooling the attention row
-    (id ``num_items``) comes last.  All parts are written into one gradient
+    positions in batch order (under attention pooling, each distinct history
+    item's row, already summed over its positions, and then the attention
+    row, id ``num_items``).  All parts are written into one gradient
     buffer, and the cache's cosines, read once, take their own gradient in
     place, so a cache serves one backward pass.
     """
     tau = params.temperature
     dphi = np.asarray(dphi, dtype=float)
     users = cache.users
-    user_ids = users.items[np.cumsum(users.lengths) - 1] if params.aggregator == "last" else users.items
+    if params.aggregator == "last":
+        user_ids = users.items[np.cumsum(users.lengths) - 1]
+    elif params.aggregator == "attention":
+        user_ids = users.distinct
+    else:
+        user_ids = users.items
     attention = np.array([params.num_items] if params.aggregator == "attention" else [], dtype=np.int64)
     ids = np.concatenate((cache.col_ids.ravel(), user_ids, attention))
     grads = np.empty((ids.size, params.dim))  # one row per id, each part written in place

@@ -12,9 +12,13 @@ from readable rows, ``example_rows`` reads them back, and ``events_of``,
 and ``stacked_population_values`` the loss values of a stack, which
 training never reads.  ``reference_accumulate`` is the sort-based
 ``GradientTable.accumulate`` that an occupancy count replaced, and
-``reference_rank`` (through ``reference_order``) the full sort of every
-candidate row, scored one pair at a time, that the positive's count rank,
-a partitioned top N and the scored block of distinct vectors replaced.
+``reference_attention_backward`` the attention-pooled
+``score_matrix_backward`` that summing the history rows per distinct item
+through one matrix product replaced: one gradient row per history position,
+summed in input order.  ``reference_rank`` (through ``reference_order``) is
+the full sort of every candidate row, scored one pair at a time, that the
+positive's count rank, a partitioned top N and the scored block of distinct
+vectors replaced.
 ``logsumexp`` is the scipy-order log-sum-exp that the softmax kernels of
 ``twotower.losses`` used before they took one exponential per line, and
 ``reference_logsumexp`` the same with a fresh array per step;
@@ -56,7 +60,14 @@ from twotower.data import (
     Sequences,
 )
 from twotower.losses import LossConfig, bidirectional_nce_loss, full_softmax_value
-from twotower.model import GradientTable, ModelParams, encode_user_batch, score_matrix_backward, score_matrix_forward
+from twotower.model import (
+    GradientTable,
+    MatrixCache,
+    ModelParams,
+    encode_user_batch,
+    score_matrix_backward,
+    score_matrix_forward,
+)
 
 UserKey = tuple[int, ...]
 
@@ -314,6 +325,47 @@ def reference_accumulate(ids: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray
     flat = (inverse[:, None] * dim + np.arange(dim)).ravel()
     values = np.bincount(flat, weights=grads.ravel(), minlength=rows.size * dim)
     return rows, values.reshape(rows.size, dim)
+
+
+def reference_attention_backward(
+    cache: MatrixCache, dphi: np.ndarray, params: ModelParams
+) -> tuple[GradientTable, np.ndarray]:
+    """``score_matrix_backward`` of an attention-pooled batch as it was
+    before the history rows were summed per distinct item: the column rows,
+    then one row per history position in batch order (``w d + ds a``, its
+    ``q`` a row-by-row dot product), then the attention row ``ds @ rows``,
+    summed by ``GradientTable.accumulate``.  The cache is only read.
+
+    Also returns, for every entry of the table, the same sums taken over
+    absolute values, with each position's ``q`` the sum of absolute
+    products and its ``ds`` taken as ``w (|q| + sum of w |q|)``: a bound on
+    the terms that any order of summing, and any order of the dot products
+    behind ``q``, adds up, so that ``n`` rounding steps move an entry by at
+    most about ``n`` machine epsilons times its bound."""
+    tau, users, a = params.temperature, cache.users, params.attention_vector
+    g_cos = dphi * cache.cos
+    if cache.col_ids.ndim == 1:
+        pulled = dphi @ cache.v_hat
+        d_items = (dphi.T @ cache.u_hat - g_cos.sum(axis=0)[:, None] * cache.v_hat) / (tau * cache.v_norm[:, None])
+    else:
+        pulled = np.einsum("bk,bkd->bd", dphi, cache.v_hat)
+        d_items = dphi[:, :, None] * cache.u_hat[:, None, :] - g_cos[:, :, None] * cache.v_hat
+        d_items = d_items / (tau * cache.v_norm[:, :, None])
+    d_users = (pulled - g_cos.sum(axis=1)[:, None] * cache.u_hat) / (tau * cache.u_norm[:, None])
+    w, owner, size = users.weights, users.owner, users.lengths.size
+    rows, d_rows = params.item_embeddings[users.items], d_users[users.owner]
+    ids = np.concatenate((cache.col_ids.ravel(), users.items, [params.num_items]))
+
+    def table(ds: np.ndarray, d_rows: np.ndarray, rows: np.ndarray, a: np.ndarray, d_items: np.ndarray):
+        positions = w[:, None] * d_rows + ds[:, None] * a
+        return GradientTable.accumulate(ids, np.vstack((d_items.reshape(-1, params.dim), positions, ds @ rows)))
+
+    q = np.add.reduce(rows * d_rows, axis=1)
+    ds = w * (q - np.bincount(owner, w * q, size)[owner])
+    q_abs = np.add.reduce(np.abs(rows) * np.abs(d_rows), axis=1)
+    ds_abs = w * (q_abs + np.bincount(owner, w * q_abs, size)[owner])
+    bound = table(ds_abs, np.abs(d_rows), np.abs(rows), np.abs(a), np.abs(d_items))
+    return table(ds, d_rows, rows, a, d_items), bound.values
 
 
 def reference_order(scores: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

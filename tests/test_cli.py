@@ -588,6 +588,9 @@ class TestTrainVariants:
             setting("train", {"loss.family": "foo"}, "unknown loss family", "train-loss.family-foo"),
             setting("train", {"loss.preset": "zz"}, "unknown preset", "train-loss.preset-zz"),
             setting(
+                "train", {"loss.family": "bce", "loss.preset": "nope"}, "loss: unknown preset", "train-bce-loss.preset-nope"
+            ),
+            setting(
                 "train",
                 {"loss.family": "ssm", "loss.preset": "", "loss.num_sampled": 0},
                 "num_sampled",
@@ -630,6 +633,7 @@ class TestTrainVariants:
             setting("verify", {"verify.seeds": ""}, "verify: seeds", "verify-verify.seeds-empty"),
             setting("verify", {"verify.seeds": -1}, "verify.seeds: seeds must be distinct", "verify-verify.seeds-neg"),
             setting("verify", {"verify.seeds": "1,1"}, "verify.seeds: seeds must be distinct", "verify-verify.seeds-dup"),
+            setting("verify", {"verify.seeds": "1,,2"}, "verify.seeds: empty field", "verify-verify.seeds-empty-field"),
             setting("verify", {"verify.table_seed": -1}, "verify: table_seed must be >= 0", "verify-verify.table_seed-neg"),
             setting("verify", {"verify.sparsity": -0.5}, "verify: sparsity must be in [0, 1]", "verify-verify.sparsity-neg"),
             setting("verify", {"verify.sparsity": 1.5}, "verify: sparsity must be in [0, 1]", "verify-verify.sparsity-1.5"),

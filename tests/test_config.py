@@ -57,6 +57,14 @@ class TestParsing:
         config = parse_config("verify.seeds = 4,5 ,6\n")
         assert verify_seeds(config) == (4, 5, 6)
 
+    @pytest.mark.parametrize("seeds", ["1,,2", "1,2,", ",1", "1, ,2"])
+    def test_verify_seeds_empty_field_refused(self, seeds):
+        with pytest.raises(ConfigError, match="verify.seeds: empty field"):
+            verify_seeds(parse_config(f"verify.seeds = {seeds}\n"))
+
+    def test_verify_seeds_empty_list_gives_none(self):
+        assert verify_seeds(parse_config("verify.seeds =\n")) == ()
+
 
 class TestFingerprint:
     def test_eval_keys_do_not_change_identity(self):
@@ -87,6 +95,11 @@ class TestLossFromConfig:
         config = parse_config("loss.preset =\nloss.alpha = 1\nloss.beta = 0\nloss.delta_alpha = 0\nloss.delta_beta = 0\n")
         loss = loss_config_from(config)
         assert (loss.alpha, loss.delta_alpha, loss.beta, loss.delta_beta) == (1, 0, 0, 0)
+
+    @pytest.mark.parametrize("family", ["bidirectional", "bce", "full_softmax_row", "ssm"])
+    def test_unknown_preset_refused_under_any_family(self, family):
+        with pytest.raises(ValueError, match="unknown preset 'nope'"):
+            loss_config_from(parse_config(f"loss.family = {family}\nloss.preset = nope\n"))
 
     def test_bce_family_ignores_preset(self):
         config = parse_config("loss.family = bce\nloss.negative_strategy = user-marginal\n")

@@ -5,11 +5,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradcheck import row_gradient
-from reference import encode_user, example_rows, examples_of, reference_accumulate, score
+from reference import (
+    encode_user,
+    example_rows,
+    examples_of,
+    reference_accumulate,
+    reference_attention_backward,
+    score,
+)
 from twotower.data import Sequences
 from twotower.model import (
     DegenerateNormError,
@@ -23,6 +30,17 @@ from twotower.model import (
     score_matrix_backward,
     score_matrix_forward,
 )
+
+
+# How far the attention gradient, summed per distinct history item through
+# one matrix product, may move from the in-order sum over positions, as a
+# share of each entry's sum of absolute terms (``reference_attention_backward``).
+# Either order takes at most a few dozen rounding steps per entry on these
+# batches (a dot product of d <= 5 terms for each q, a history of <= 6
+# positions for each ds, <= 8 sequences and <= 8 columns for each row), each
+# worth at most machine epsilon of the bound; over 3,000 random batches the
+# largest move was 2 epsilons.
+ATTENTION_TOLERANCE = 64 * np.finfo(float).eps
 
 
 def make_params(num_items=6, dim=4, temperature=0.25, seed=0, aggregator="mean") -> ModelParams:
@@ -279,7 +297,9 @@ class TestSharedRowGradients:
         occurrence reads its own copy of row 2 (the chain rule for a shared
         parameter), under both kernel branches.  The sum is exact when taken
         in the kernel's order: target columns first, then history positions
-        in batch order, which is the order the copies are numbered in."""
+        in batch order, which is the order the copies are numbered in.
+        Attention pooling sums a shared row's history positions per item,
+        not in that order, so there the two agree to ``ATTENTION_TOLERANCE``."""
         params = make_params(num_items=6, seed=12, aggregator=aggregator)
         params.attention_vector[:] = np.random.default_rng(0).normal(size=params.dim)
         sequences = [(2, 0, 2), (1,), (3, 2)]
@@ -302,17 +322,58 @@ class TestSharedRowGradients:
         phi, cache = score_matrix_forward(Sequences.of(sequences), targets, params)
         phi_u, cache_u = score_matrix_forward(Sequences.of(untied_sequences), untied_targets, untied)
         np.testing.assert_array_equal(phi_u, phi)
+        bound = None  # under attention, each entry's bound on the rows of the in-order sum
+        if aggregator == "attention":
+            in_order, magnitude = reference_attention_backward(cache, dphi, params)
+            bound = GradientTable(in_order.rows, magnitude)
         tied = score_matrix_backward(cache, dphi, params)
         split = score_matrix_backward(cache_u, dphi, untied)
         reference = np.zeros(params.dim)
         for r in range(params.num_items, params.num_items + 7):
             reference = reference + row_gradient(split, r)
         assert np.any(reference != 0.0)
-        np.testing.assert_array_equal(row_gradient(tied, 2), reference)
-        for r in (0, 1, 3, 4, 5):
-            np.testing.assert_array_equal(row_gradient(tied, r), row_gradient(split, r))
+        expected = {2: reference} | {r: row_gradient(split, r) for r in (0, 1, 3, 4, 5)}
         if aggregator == "attention":
-            np.testing.assert_array_equal(row_gradient(tied, params.num_items), row_gradient(split, untied.num_items))
+            expected[params.num_items] = row_gradient(split, untied.num_items)
+        for r, row in expected.items():
+            if bound is None:
+                np.testing.assert_array_equal(row_gradient(tied, r), row)
+            else:
+                assert np.all(np.abs(row_gradient(tied, r) - row) <= ATTENTION_TOLERANCE * row_gradient(bound, r))
+
+
+class TestAttentionBackward:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+        vocabulary=st.integers(1, 12),
+        all_distinct=st.booleans(),
+        per_row=st.booleans(),
+        width=st.integers(1, 8),
+        dim=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(lengths=[3, 1], vocabulary=2, all_distinct=False, per_row=False, width=3, dim=3, seed=1)
+    @example(lengths=[4, 2, 3], vocabulary=9, all_distinct=True, per_row=True, width=2, dim=4, seed=2)
+    def test_matches_the_in_order_sum(self, lengths, vocabulary, all_distinct, per_row, width, dim, seed):
+        """The per-item sum through ``(R, B)`` has the rows of the in-order
+        sum and values within the tolerance.  Histories repeat items (a
+        small vocabulary) or hold ``R = N`` distinct ones, columns repeat
+        targets and are shared or per row."""
+        rng = np.random.default_rng(seed)
+        size = sum(lengths)
+        num_items = size if all_distinct else vocabulary
+        items = rng.permutation(num_items) if all_distinct else rng.integers(0, num_items, size=size)
+        sequences = Sequences(np.r_[0, np.cumsum(lengths)], items.astype(np.int64))
+        params = ModelParams.initialize(num_items, dim, 0.1, seed, "attention")
+        params.attention_vector[:] = rng.normal(size=dim)
+        shape = (len(lengths), width) if per_row else (width,)
+        phi, cache = score_matrix_forward(sequences, rng.integers(0, num_items, size=shape), params)
+        dphi = rng.normal(size=phi.shape)
+        expected, bound = reference_attention_backward(cache, dphi, params)
+        table = score_matrix_backward(cache, dphi, params)
+        assert table.rows.dtype == expected.rows.dtype and np.array_equal(table.rows, expected.rows)
+        assert np.all(np.abs(table.values - expected.values) <= ATTENTION_TOLERANCE * bound)
 
 
 class TestGradientTable:
