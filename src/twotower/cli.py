@@ -30,7 +30,7 @@ from . import config as config_mod
 from . import data as data_mod
 from .config import ConfigError, RunConfig, fingerprint, loss_config_from, render_config, verify_seeds
 from .evaluation import TASKS, EvalCases, EvalPool, PoolTooSmallError, RankingIndex, build_eval_cases, evaluate, top_n
-from .losses import IN_BATCH_PEAK_ARRAYS, check_in_batch_temperature, proposal_distribution
+from .losses import IN_BATCH_PEAK_ARRAYS, check_temperature, proposal_distribution
 from .model import ModelParams, encode_user_batch
 from .trainer import (
     Checkpoint,
@@ -184,7 +184,7 @@ def _write_trace(path: str, rows: list[dict], keep_months: Collection[int] = ())
         out.write("month\trecall\tndcg\n")
         out.writelines(kept)
         for row in rows:
-            out.write(f"{row['month']}\t{row.get('recall', float('nan')):.6f}\t{row.get('ndcg', float('nan')):.6f}\n")
+            out.write(f"{row['month']}\t{row['recall']:.6f}\t{row['ndcg']:.6f}\n")
 
 
 def _export_embeddings(out: TextIO, params: ModelParams, prepared: Prepared) -> None:
@@ -230,10 +230,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     prepared = _run_pipeline(cfg)
     _write_resolved(cfg)
     loss_config = _configured("loss", loss_config_from, cfg)
-    if loss_config.family == "bidirectional":
-        if cfg.train.batch_size < 2:
-            raise CliError("in-batch losses need train.batch_size >= 2 (a batch must contain a negative)")
-        _configured("model", check_in_batch_temperature, cfg.model.temperature)
+    if loss_config.family == "bidirectional" and cfg.train.batch_size < 2:
+        raise CliError("in-batch losses need train.batch_size >= 2 (a batch must contain a negative)")
+    _configured("model", check_temperature, cfg.model.temperature)
     proposal = None
     if loss_config.family == "ssm":  # built once; a num_sampled it cannot supply fails before the first step
         settings = (prepared.marginals, prepared.log.num_items, loss_config.ssm_proposal, loss_config.num_sampled)
@@ -275,7 +274,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         logger.info("%s", notice)
     print(f"trained {result.steps} steps over months {list(result.months)}; final checkpoint {final_path}")
     for row in result.trace:
-        print(f"  month {row['month']}: recall={row.get('recall', float('nan')):.4f} ndcg={row.get('ndcg', float('nan')):.4f}")
+        print(f"  month {row['month']}: recall={row['recall']:.4f} ndcg={row['ndcg']:.4f}")
     return 0
 
 

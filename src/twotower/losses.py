@@ -37,9 +37,9 @@ and shares that exponential between its two halves, each bias entering as a
 weight of its line; the full-softmax and ``ssm`` kernels shift each row by
 its own maximum.  The shared shift keeps every line sum a normal
 float only while the scores span at most 700, so the in-batch losses need a
-temperature of at least ``MIN_IN_BATCH_TEMPERATURE`` (1/350), which
-``train`` checks.  The softmax kernels work in buffers they allocate
-themselves and never write the scores they are given.
+temperature of at least ``MIN_TEMPERATURE`` (1/350).  ``train`` refuses a
+lower temperature under every loss.  The softmax kernels work in buffers
+they allocate themselves and never write the scores they are given.
 In-batch duplicates (two examples sharing a target) are not masked: each
 is a negative of the other's line, and the marginal correction is the
 intended remedy for popularity skew.
@@ -78,7 +78,7 @@ IN_BATCH_PEAK_ARRAYS = 4.5
 # Cosine scores over the temperature lie within 2 / temperature of the score
 # matrix's maximum, so the in-batch kernel's one exponential keeps every line
 # sum a normal float while 2 / temperature <= 700.
-MIN_IN_BATCH_TEMPERATURE = 2.0 / 700.0
+MIN_TEMPERATURE = 2.0 / 700.0
 
 
 @dataclass(frozen=True)
@@ -151,14 +151,12 @@ def bce_value(phi: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     return value, dphi
 
 
-def check_in_batch_temperature(temperature: float) -> None:
-    """Refuse a temperature below :data:`MIN_IN_BATCH_TEMPERATURE`, where the
-    in-batch kernel's one exponential could leave a line sum subnormal."""
-    if not temperature >= MIN_IN_BATCH_TEMPERATURE:
-        raise ValueError(
-            f"temperature must be >= 1/350 (about {MIN_IN_BATCH_TEMPERATURE:.5f}) under the in-batch losses,"
-            f" got {temperature}"
-        )
+def check_temperature(temperature: float) -> None:
+    """Refuse a temperature below :data:`MIN_TEMPERATURE`, where the in-batch
+    kernel's one exponential could leave a line sum subnormal and the
+    sigmoid of the binary losses saturates at nearly every score."""
+    if not temperature >= MIN_TEMPERATURE:
+        raise ValueError(f"temperature must be >= 1/350 (about {MIN_TEMPERATURE:.5f}), got {temperature}")
 
 
 def _line_sums(sums: np.ndarray) -> np.ndarray:

@@ -26,6 +26,11 @@ scores pairs), and ``score_matrix_backward`` chains the loss gradient with
 respect to those scores through normalization and pooling into a sparse
 ``GradientTable`` over the rows of the parameter table.  The loss modules
 supply the score gradient; everything below the scores lives here.
+
+For shared columns the backward pass through the cosines is one function,
+``cosine_backward``, which works over any leading axes.  It has two
+callers: ``score_matrix_backward`` on one ``(B, C)`` matrix, and the
+``verify`` sweep on its ``(C, M, K)`` stack of dense blocks.
 """
 
 from __future__ import annotations
@@ -239,6 +244,33 @@ def _user_backward(
     out[-1] = s @ embedded
 
 
+def cosine_backward(
+    dphi: np.ndarray,
+    cos: np.ndarray,
+    u_hat: np.ndarray,
+    u_scale: np.ndarray,
+    v_hat: np.ndarray,
+    v_scale: np.ndarray,
+    item_out: np.ndarray,
+    user_out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Chain the gradient ``dphi`` ``(..., B, C)`` of the scores ``cos / tau``,
+    every row against the same columns, to the raw vectors behind the unit
+    rows ``u_hat`` ``(..., B, d)`` and columns ``v_hat`` ``(..., C, d)``;
+    ``u_scale`` ``(..., B, 1)`` and ``v_scale`` ``(..., C, 1)`` are ``tau``
+    times their norms, and leading axes are independent stacks.  Writes the
+    column gradients ``dphi.T @ u_hat - (g_cos summed over rows) v_hat``
+    over ``v_scale`` into ``item_out`` and returns the row gradients
+    ``dphi @ v_hat - (g_cos summed over columns) u_hat`` over ``u_scale``
+    (in ``user_out`` if given).  ``g_cos = dphi * cos`` is written over
+    ``cos``, so the cosines serve one backward pass."""
+    g_cos = np.multiply(dphi, cos, out=cos)
+    d_items = dphi.swapaxes(-1, -2) @ u_hat - g_cos.sum(axis=-2)[..., None] * v_hat
+    np.divide(d_items, v_scale, out=item_out)
+    d_users = dphi @ v_hat - g_cos.sum(axis=-1)[..., None] * u_hat
+    return np.divide(d_users, u_scale, out=user_out)
+
+
 @dataclass
 class MatrixCache:
     """Forward state of a score matrix over shared columns or per-row candidates."""
@@ -300,15 +332,14 @@ def score_matrix_backward(
     ids = np.concatenate((cache.col_ids.ravel(), user_ids, attention))
     grads = np.empty((ids.size, params.dim))  # one row per id, each part written in place
     items = grads[: cache.col_ids.size]
-    g_cos = np.multiply(dphi, cache.cos, out=cache.cos)
     if cache.col_ids.ndim == 1:
-        pulled = dphi @ cache.v_hat
-        d_items = dphi.T @ cache.u_hat - g_cos.sum(axis=0)[:, None] * cache.v_hat
-        np.divide(d_items, tau * cache.v_norm[:, None], out=items)
+        u_scale, v_scale = tau * cache.u_norm[:, None], tau * cache.v_norm[:, None]
+        d_users = cosine_backward(dphi, cache.cos, cache.u_hat, u_scale, cache.v_hat, v_scale, items)
     else:
+        g_cos = np.multiply(dphi, cache.cos, out=cache.cos)
         pulled = np.einsum("bk,bkd->bd", dphi, cache.v_hat)
         d_items = dphi[:, :, None] * cache.u_hat[:, None, :] - g_cos[:, :, None] * cache.v_hat
         np.divide(d_items, tau * cache.v_norm[:, :, None], out=items.reshape(d_items.shape))
-    d_users = (pulled - g_cos.sum(axis=1)[:, None] * cache.u_hat) / (tau * cache.u_norm[:, None])
+        d_users = (pulled - g_cos.sum(axis=1)[:, None] * cache.u_hat) / (tau * cache.u_norm[:, None])
     _user_backward(users, d_users, params, out=grads[cache.col_ids.size :])
     return GradientTable.accumulate(ids, grads)

@@ -15,10 +15,11 @@ of every seed trains in one stacked problem, each (seed, configuration)
 block over its own seed's counts from its own seed's initialization: one
 forward pass, loss, backward pass and Adam step per epoch serve all of
 them.  Every user scores every item of its own block, so the forward and
-backward passes are batched matrix products over ``(C, K + M, d)`` blocks
-(:func:`dense_forward`, :func:`dense_backward`), which the tests pin to
-``model.score_matrix_forward`` and ``score_matrix_backward``; the trained
-tables are scored through ``score_matrix_forward``.  The loss gradient
+backward passes are batched matrix products over ``(C, K + M, d)`` blocks:
+:func:`dense_forward` scores them, and the backward pass is
+``model.cosine_backward``, the cosine backward ``score_matrix_backward``
+runs for shared columns.  The trained tables are the cosines of one more
+:func:`dense_forward` over the trained blocks.  The loss gradient
 builds each softmax half with one exponential (:func:`population_loss`).
 Every step moves one contiguous run of rows, all at one step count, so the
 Adam step indexes its tables by a slice and divides by one scalar bias
@@ -43,9 +44,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import DAYS_PER_MONTH, Sequences
+from .data import DAYS_PER_MONTH
 from .losses import LossConfig
-from .model import DegenerateNormError, GradientTable, ModelParams, finite_norms, normalize_rows, score_matrix_forward
+from .model import DegenerateNormError, GradientTable, ModelParams, cosine_backward, finite_norms, normalize_rows
 from .trainer import NonFiniteGradientError, OptimizerState, apply_optimizer_step
 
 
@@ -77,7 +78,6 @@ SWEEP: tuple[SweepRow, ...] = (
     SweepRow("col_bcnce", LossConfig.from_preset("col_bcnce"), "log p(u|i)", "per-item"),
     SweepRow("bbcnce", LossConfig.from_preset("bbcnce"), "log p(u,i)", "none"),
 )
-_ROW_OF_CONFIG = {row.config: row for row in SWEEP}
 
 # Each group's members share one optimum; the order sets the order of the
 # agreement rows in the sweep report.
@@ -125,11 +125,6 @@ class SyntheticSpec:
         if self.drift is not None:
             return self.drift[month - 1]
         return self.joint  # type: ignore[return-value]
-
-    def user_sequences(self) -> Sequences:
-        """Each synthetic user ``u`` as a one-token sequence: the embedding
-        row ``num_items + u`` reserved for it."""
-        return Sequences(np.arange(self.num_users + 1), self.num_items + np.arange(self.num_users))
 
 
 def random_joint(
@@ -212,8 +207,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticSample:
     """Draw ``num_samples`` i.i.d. (user, item) events with uniform timestamps.
 
     Each event's day is uniform over the month span; the (user, item) cell is
-    drawn from that month's joint table.  A user is scored as the one-token
-    sequence of its reserved row (:meth:`SyntheticSpec.user_sequences`).
+    drawn from that month's joint table.  User ``u`` is the one-token
+    sequence of its reserved embedding row ``num_items + u``.
     """
     rng = np.random.default_rng(seed)
     num_days = spec.num_months * DAYS_PER_MONTH
@@ -230,18 +225,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticSample:
             cells[sel] = rng.choice(flat.size, size=n, p=flat)
     counts = np.bincount(cells, minlength=num_cells).reshape(spec.num_users, spec.num_items)
     return SyntheticSample(spec, days, cells, counts)
-
-
-def _sweep_row(config: LossConfig) -> SweepRow:
-    if config not in _ROW_OF_CONFIG:
-        raise ValueError(f"no known optimum for loss configuration {config}")
-    return _ROW_OF_CONFIG[config]
-
-
-def optimum_gauge(config: LossConfig) -> str:
-    """Constant structure the loss leaves undetermined at its optimum (see
-    :data:`SWEEP`)."""
-    return _sweep_row(config).gauge
 
 
 # The axis along which a gauge's undetermined offsets vary (gauge ``none``: one constant).
@@ -261,9 +244,10 @@ def _center(table: np.ndarray, mask: np.ndarray, gauge: str) -> np.ndarray:
     return np.where(mask, table, np.nan) - _masked_mean(table, mask, _GAUGE_AXIS.get(gauge))
 
 
-def target_table(config: LossConfig, tables: EmpiricalTables) -> tuple[str, np.ndarray]:
-    """Predicted optimum of the score table, NaN outside the observed support."""
-    name = _sweep_row(config).target
+def target_table(row: SweepRow, tables: EmpiricalTables) -> np.ndarray:
+    """The row's predicted optimum of the score table, NaN outside the
+    observed support."""
+    name = row.target
     log_joint = tables.log_joint
     # A user or item the sample never drew gives -inf - -inf = NaN there, off the support.
     with np.errstate(invalid="ignore"):
@@ -275,7 +259,7 @@ def target_table(config: LossConfig, tables: EmpiricalTables) -> tuple[str, np.n
             target = log_joint - tables.log_p_user[:, None] - tables.log_p_item[None, :]
         else:
             target = log_joint
-    return name, np.where(tables.observed, target, np.nan)
+    return np.where(tables.observed, target, np.nan)
 
 
 @dataclass
@@ -396,41 +380,14 @@ def population_loss(phi: np.ndarray, loss: StackedLoss) -> np.ndarray:
     return grad
 
 
-def phi_table(
-    params: ModelParams,
-    spec: SyntheticSpec,
-) -> np.ndarray:
-    """Score every synthetic user token against every item."""
-    phi, _ = score_matrix_forward(spec.user_sequences(), np.arange(spec.num_items), params)
-    return phi
-
-
 def dense_forward(blocks: np.ndarray, num_items: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score each block's user rows (those after its first ``num_items``)
     against its own item rows, one batched matrix product for all blocks.
-    Returns the rows of the ``(C, K + M, d)`` blocks as unit vectors, their
-    norms and the ``(C, M, K)`` cosines; a zero row raises ``ValueError``,
-    as in ``score_matrix_forward``."""
+    Returns the rows of the ``(..., K + M, d)`` blocks as unit vectors,
+    their norms and the ``(..., M, K)`` cosines; a zero row raises
+    ``ValueError``, as in ``score_matrix_forward``."""
     hat, norms = normalize_rows(blocks)
-    return hat, norms, hat[:, num_items:] @ hat[:, :num_items].transpose(0, 2, 1)
-
-
-def dense_backward(
-    hat: np.ndarray, norms: np.ndarray, cos: np.ndarray, dphi: np.ndarray, temperature: float, out: np.ndarray
-) -> None:
-    """Write the gradient of every block row into ``out`` ``(C, K + M, d)``,
-    given :func:`dense_forward`'s state and the loss gradient ``dphi``
-    ``(C, M, K)`` with respect to the scores ``cos / temperature``: item rows
-    from ``dphi.T @ u_hat``, user rows from ``dphi @ v_hat``, each block on
-    its own."""
-    k = cos.shape[2]
-    v_hat, u_hat = hat[:, :k], hat[:, k:]
-    scale = temperature * norms[:, :, None]
-    g_cos = dphi * cos
-    d_items = dphi.transpose(0, 2, 1) @ u_hat - g_cos.sum(axis=1)[:, :, None] * v_hat
-    np.divide(d_items, scale[:, :k], out=out[:, :k])
-    d_users = dphi @ v_hat - g_cos.sum(axis=2)[:, :, None] * u_hat
-    np.divide(d_users, scale[:, k:], out=out[:, k:])
+    return hat, norms, hat[..., num_items:, :] @ hat[..., :num_items, :].swapaxes(-1, -2)
 
 
 def train_to_optimum(
@@ -442,7 +399,7 @@ def train_to_optimum(
     temperature: float = 0.05,
     epochs: int = 2000,
     learning_rate: float = 0.05,
-) -> list[list[ModelParams]]:
+) -> np.ndarray:
     """Full-batch Adam training of each loss configuration on each of the
     ``(seed, tables)`` pairs; the learning rate decays on a cosine from
     ``learning_rate`` to 0 over the epochs, so each table settles at its
@@ -453,21 +410,24 @@ def train_to_optimum(
     ``c``'s item rows and user tokens over pair ``s``'s tables, starting from
     the initialization seeded by pair ``s``'s seed, and every user row is
     scored only against its own block's items.  The blocks are a
-    ``(C, K + M, d)`` view of the table, scored and differentiated by
-    batched matrix products, which compute each block on its own; Adam is
+    ``(C, K + M, d)`` view of the table, scored by :func:`dense_forward` and
+    differentiated by ``model.cosine_backward``, batched matrix products
+    that compute each block on its own; Adam is
     elementwise and every row steps every epoch, so the blocks never
-    interact.  Returns, per pair, one ``ModelParams`` per configuration.
+    interact.  Returns the trained blocks ``(S, C, K + M, d)``: pair ``s``'s
+    configuration ``c`` at ``[s, c]``.
     """
     num_configs, m, k = len(configs), spec.num_users, spec.num_items
     num_blocks = len(seeded_tables) * num_configs
     inits = [ModelParams.initialize(k + m, dim, temperature, seed).item_embeddings for seed, _ in seeded_tables]
-    # A synthetic user is one token, which every aggregator pools to its row:
-    # training reads the user rows as they are, and mean pooling scores them.
-    # The last row is the attention query, zero and never stepped.
+    # A synthetic user is one token, which every aggregator pools to its row,
+    # so the dense kernels read the user rows as they are.  The last row is
+    # the attention query, zero and never stepped.
     stack = np.vstack([np.tile(init, (num_configs, 1)) for init in inits] + [np.zeros((1, dim))])
     params = ModelParams(stack, temperature)
     blocks = params.item_embeddings.reshape(num_blocks, k + m, dim)  # a view: each step moves it
     grad = np.empty_like(blocks)
+    halves = grad[:, :k], grad[:, k:]  # the item rows' gradient, then the user rows'
     grads = GradientTable(np.arange(num_blocks * (k + m)), grad.reshape(-1, dim))
     loss = StackedLoss.build([tables for _, tables in seeded_tables], configs)
     opt = OptimizerState(kind="adam", learning_rate=learning_rate)
@@ -480,12 +440,13 @@ def train_to_optimum(
                 hat, norms, cos = dense_forward(blocks, k)
             except DegenerateNormError as exc:  # a row with no cosine has no finite gradient
                 raise NonFiniteGradientError(f"non-finite gradient: {exc} (epoch {epoch})") from exc
-            dense_backward(hat, norms, cos, population_loss(cos / temperature, loss), temperature, out=grad)
+            dphi = population_loss(cos / temperature, loss)
+            scale = temperature * norms[:, :, None]
+            cosine_backward(dphi, cos, hat[:, k:], scale[:, k:], hat[:, :k], scale[:, :k], *halves)
             apply_optimizer_step(params, grads, opt)
     if not finite_norms(blocks):
         raise NonFiniteGradientError(f"non-finite parameters after epoch {epochs - 1}")
-    trained = [ModelParams(np.vstack([block, params.attention_vector]), temperature) for block in blocks]
-    return [trained[start : start + num_configs] for start in range(0, num_blocks, num_configs)]
+    return blocks.reshape(len(seeded_tables), num_configs, k + m, dim)
 
 
 @dataclass
@@ -534,23 +495,22 @@ def _rank_corr(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def check_optimum(
-    config: LossConfig,
+    row: SweepRow,
     phi: np.ndarray,
     tables: EmpiricalTables,
     temperature: float,
     *,
-    label: str = "",
     seed: int = 0,
 ) -> OptimumReport:
-    """Fit the additive constants to the trained score table ``phi`` (see
-    :func:`phi_table`) and report residual plus rank agreement.
+    """Fit the additive constants of ``row``'s optimum to the trained score
+    table ``phi`` and report residual plus rank agreement.
 
     Cells never observed in the sample have undefined log targets and are
     excluded (their count is reported).  A constant target (uniform joint)
     leaves rank correlation undefined; the residual gate alone then decides.
     """
-    target_name, target = target_table(config, tables)
-    gauge = optimum_gauge(config)
+    target = target_table(row, tables)
+    gauge = row.gauge
     mask = tables.observed
     phi_obs = phi[mask]
     target_obs = target[mask]
@@ -572,9 +532,9 @@ def check_optimum(
     range_ok = bool(np.abs(centered).max() <= 1.0 / temperature)
     passed = residual_gauged <= RESIDUAL_GATE and (math.isnan(rank_gauged) or rank_gauged >= RANK_GATE)
     return OptimumReport(
-        label=label,
+        label=row.label,
         seed=seed,
-        target_name=target_name,
+        target_name=row.target,
         gauge=gauge,
         constant=constant,
         residual=residual,
@@ -586,11 +546,6 @@ def check_optimum(
         range_ok=range_ok,
         passed=passed,
     )
-
-
-def sweep_configs() -> list[tuple[str, LossConfig]]:
-    """``(label, configuration)`` of every row of :data:`SWEEP`, in order."""
-    return [(row.label, row.config) for row in SWEEP]
 
 
 @dataclass
@@ -626,10 +581,9 @@ def run_table_sweep(
     """
     reports: list[OptimumReport] = []
     agreements: list[GroupAgreement] = []
-    configs = sweep_configs()
     seeded_tables = [(seed, generate_synthetic(spec, seed).tables) for seed in seeds]
-    trained = train_to_optimum(
-        [config for _, config in configs],
+    blocks = train_to_optimum(
+        [row.config for row in SWEEP],
         seeded_tables,
         spec,
         dim=dim,
@@ -637,12 +591,11 @@ def run_table_sweep(
         epochs=epochs,
         learning_rate=learning_rate,
     )
-    for (seed, tables), seed_params in zip(seeded_tables, trained):
+    _, _, cos = dense_forward(blocks, spec.num_items)
+    for (seed, tables), seed_phi in zip(seeded_tables, cos / temperature):
         mask = tables.observed
-        phi_tables: dict[str, np.ndarray] = {}
-        for (label, config), params in zip(configs, seed_params):
-            phi = phi_tables[label] = phi_table(params, spec)
-            reports.append(check_optimum(config, phi, tables, temperature, label=label, seed=seed))
+        phi_by_label = {row.label: phi for row, phi in zip(SWEEP, seed_phi)}
+        reports.extend(check_optimum(row, phi, tables, temperature, seed=seed) for row, phi in zip(SWEEP, seed_phi))
         for group, labels in EQUAL_OPTIMA_GROUPS.items():
             # One-sided members leave their per-side offsets undetermined, so
             # a mixed group compares tables centered by its one gauge other
@@ -651,8 +604,8 @@ def run_table_sweep(
             gauge = gauges.pop() if gauges else "none"
             for pos, label_a in enumerate(labels):
                 for label_b in labels[pos + 1 :]:
-                    a = _center(phi_tables[label_a], mask, gauge)[mask]
-                    b = _center(phi_tables[label_b], mask, gauge)[mask]
+                    a = _center(phi_by_label[label_a], mask, gauge)[mask]
+                    b = _center(phi_by_label[label_b], mask, gauge)[mask]
                     agreements.append(GroupAgreement(seed, group, label_a, label_b, _rank_corr(a, b)))
     return SweepResult(reports, agreements)
 

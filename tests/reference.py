@@ -6,7 +6,9 @@
 tuple per pseudo-user.  The property tests in ``test_data.py`` check the
 columnar pipeline against them.  ``examples_of`` builds columnar examples
 from readable rows, ``example_rows`` reads them back, and ``events_of``,
-``sample_events`` and ``sample_examples`` build the other inputs.
+``sample_events`` and ``sample_examples`` build the other inputs
+(``user_sequences`` the synthetic users, ``phi_table`` their score table
+under trained parameters).
 ``reference_population_loss`` is the one-configuration loss of the
 ``verify`` harness that the stacked ``verify.population_loss`` replaced,
 and ``stacked_population_values`` the loss values of a stack, which
@@ -157,13 +159,27 @@ def sample_events(sample) -> list[tuple[int, int, int]]:
     return list(zip(users.tolist(), items.tolist(), sample.days.tolist()))
 
 
+def user_sequences(spec) -> Sequences:
+    """Each user ``u`` of a ``verify.SyntheticSpec`` as a one-token sequence:
+    the embedding row ``num_items + u`` reserved for it."""
+    return Sequences(np.arange(spec.num_users + 1), spec.num_items + np.arange(spec.num_users))
+
+
 def sample_examples(sample) -> Examples:
     """The events of a ``verify.SyntheticSample`` as training examples in
     day order: user ``u``'s pseudo-user is key ``u`` of
-    ``spec.user_sequences()``, the one-token sequence of its reserved token."""
+    ``user_sequences(spec)``, the one-token sequence of its reserved token."""
     users, items = np.divmod(sample.cells, sample.spec.num_items)
     month = sample.days // DAYS_PER_MONTH + 1
-    return Examples(sample.spec.user_sequences(), users, users, items, sample.days, month)
+    return Examples(user_sequences(sample.spec), users, users, items, sample.days, month)
+
+
+def phi_table(params: ModelParams, spec) -> np.ndarray:
+    """Every user of a ``verify.SyntheticSpec`` scored against every item by
+    ``score_matrix_forward``, the production kernel, with the user as the
+    one-token sequence of its reserved row."""
+    phi, _ = score_matrix_forward(user_sequences(spec), np.arange(spec.num_items), params)
+    return phi
 
 
 def examples_of(

@@ -32,8 +32,8 @@ from twotower.model import ModelParams
 from twotower.trainer import TrainConfig, load_checkpoint, train_incremental
 from twotower.verify import (
     SyntheticSpec,
+    dense_forward,
     generate_synthetic,
-    phi_table,
     random_joint,
     run_table_sweep,
     train_to_optimum,
@@ -367,8 +367,8 @@ def test_criterion_8_popularity_direction():
         item_counts, _ = popularity_counts(events_of(sample_events(sample)), anchor_day=spec.num_months * DAYS_PER_MONTH, window_days=365)
         presets = ("infonce", "bbcnce")
         [trained] = train_to_optimum([LossConfig.from_preset(preset) for preset in presets], [(seed, tables)], spec)
-        for preset, params in zip(presets, trained):
-            phi = phi_table(params, spec)
+        _, _, cos = dense_forward(trained, spec.num_items)
+        for preset, phi in zip(presets, cos):
             top_lists = []
             for u in range(spec.num_users):
                 order = sorted(range(spec.num_items), key=lambda i: (-phi[u, i], i))[:5]

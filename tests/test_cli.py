@@ -569,6 +569,12 @@ class TestTrainVariants:
             ),
             setting("train", {"model.aggregator": "foo"}, "aggregator", "train-model.aggregator-foo"),
             setting("train", {"model.temperature": 0}, "temperature", "train-model.temperature-0"),
+            setting(
+                "train",
+                {"loss.family": "bce", "loss.preset": "", "model.temperature": 1e-300},
+                "error: model: temperature must be >= 1/350 (about 0.00286), got 1e-300",
+                "train-bce-model.temperature-1e-300",
+            ),
             setting("train", {"model.dim": 0}, "dim", "train-model.dim-0"),
             setting("train", {"model.temperature": "nan"}, "'model.temperature': 'nan' is not finite", "train-temp-nan"),
             setting("train", {"train.learning_rate": "nan"}, "'train.learning_rate': 'nan'", "train-lr-nan"),
@@ -1186,7 +1192,8 @@ class TestDivergenceKeepsStderrClean:
 
 class TestInBatchTemperatureFloor:
     """The in-batch losses' one exponential needs scores that span at most
-    700, so ``train`` refuses a temperature below 1/350 (about 0.002857)."""
+    700, so ``train`` refuses a temperature below 1/350 (about 0.002857),
+    under every loss (the settings table holds a ``bce`` row)."""
 
     def _train(self, small_events, temperature: float) -> subprocess.CompletedProcess:
         tmp_path, events = small_events
@@ -1206,7 +1213,7 @@ class TestInBatchTemperatureFloor:
         done = self._train(small_events, 0.0028)
         assert done.returncode == 1
         [line] = done.stderr.splitlines()
-        assert line == "error: model: temperature must be >= 1/350 (about 0.00286) under the in-batch losses, got 0.0028"
+        assert line == "error: model: temperature must be >= 1/350 (about 0.00286), got 0.0028"
 
 
 def test_prepare_does_not_import_verify(tmp_path):

@@ -27,13 +27,13 @@ from twotower import losses as losses_mod
 from twotower.data import EmpiricalMarginals, Examples, Sequences, compute_marginals
 from twotower.losses import (
     IN_BATCH_PEAK_ARRAYS,
-    MIN_IN_BATCH_TEMPERATURE,
+    MIN_TEMPERATURE,
     PRESETS,
     LossConfig,
     _ssm_candidates,
     bce_value,
     bidirectional_nce_loss,
-    check_in_batch_temperature,
+    check_temperature,
     full_softmax_value,
     loss_with_gradients,
     proposal_distribution,
@@ -445,7 +445,7 @@ class TestOneExponentialKernels:
         size=st.integers(2, 300),
         seed=st.integers(0, 2**16),
         preset=st.sampled_from(sorted(PRESETS)),
-        temperature=st.one_of(st.floats(MIN_IN_BATCH_TEMPERATURE, 1.0), st.none()),
+        temperature=st.one_of(st.floats(MIN_TEMPERATURE, 1.0), st.none()),
     )
     def test_bidirectional_matches_the_reference(self, size, seed, preset, temperature):
         phi = _scores(size, seed) if temperature is None else _cosine_scores(size, seed, temperature)
@@ -460,7 +460,7 @@ class TestOneExponentialKernels:
     @given(
         size=st.integers(2, 300),
         seed=st.integers(0, 2**16),
-        temperature=st.one_of(st.floats(MIN_IN_BATCH_TEMPERATURE, 1.0), st.none()),
+        temperature=st.one_of(st.floats(MIN_TEMPERATURE, 1.0), st.none()),
         transpose=st.booleans(),
     )
     def test_full_softmax_matches_the_reference(self, size, seed, temperature, transpose):
@@ -480,11 +480,11 @@ class TestOneExponentialKernels:
             bidirectional_nce_loss(phi, *eye, np.zeros(2), np.zeros(2), LossConfig.from_preset("bbcnce"))
 
     def test_temperature_floor(self):
-        check_in_batch_temperature(MIN_IN_BATCH_TEMPERATURE)
-        check_in_batch_temperature(0.003)
+        check_temperature(MIN_TEMPERATURE)
+        check_temperature(0.003)
         for temperature in (0.0028, 0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="temperature must be >= 1/350"):
-                check_in_batch_temperature(temperature)
+                check_temperature(temperature)
 
 
 CELL_SHAPES = ("repeats", "one_cell", "one_key", "one_target", "distinct")
@@ -531,7 +531,7 @@ class TestDistinctCells:
         seed=st.integers(0, 2**16),
         shape=st.sampled_from(CELL_SHAPES),
         preset=st.sampled_from(sorted(PRESETS)),
-        temperature=st.one_of(st.floats(MIN_IN_BATCH_TEMPERATURE, 1.0), st.none()),
+        temperature=st.one_of(st.floats(MIN_TEMPERATURE, 1.0), st.none()),
     )
     @example(size=2, seed=0, shape="one_cell", preset="bbcnce", temperature=0.05)
     def test_bidirectional_kernel_matches_the_expanded_batch(self, size, seed, shape, preset, temperature):
@@ -555,7 +555,7 @@ class TestDistinctCells:
         size=st.integers(2, 300),
         seed=st.integers(0, 2**16),
         shape=st.sampled_from(CELL_SHAPES),
-        temperature=st.one_of(st.floats(MIN_IN_BATCH_TEMPERATURE, 1.0), st.none()),
+        temperature=st.one_of(st.floats(MIN_TEMPERATURE, 1.0), st.none()),
         transpose=st.booleans(),
     )
     @example(size=2, seed=0, shape="one_cell", temperature=0.05, transpose=False)
@@ -595,7 +595,7 @@ class TestDistinctCells:
         shape=st.sampled_from(CELL_SHAPES),
         loss=st.sampled_from(SHARED_COLUMN_LOSSES),
         aggregator=st.sampled_from(AGGREGATORS),
-        temperature=st.floats(MIN_IN_BATCH_TEMPERATURE, 1.0),
+        temperature=st.floats(MIN_TEMPERATURE, 1.0),
     )
     @example(size=2, seed=0, shape="one_cell", loss="bbcnce", aggregator="mean", temperature=0.05)
     def test_loss_matches_the_expanded_batch(self, size, seed, shape, loss, aggregator, temperature):

@@ -12,14 +12,16 @@ from scipy.stats import chisquare, spearmanr
 
 from reference import (
     example_rows,
+    phi_table,
     reference_population_loss,
     sample_events,
     sample_examples,
     stacked_population_values,
+    user_sequences,
 )
-from twotower.data import DAYS_PER_MONTH, Sequences, compute_marginals
+from twotower.data import DAYS_PER_MONTH, compute_marginals
 from twotower.losses import LossConfig
-from twotower.model import ModelParams, score_matrix_backward, score_matrix_forward
+from twotower.model import ModelParams, cosine_backward, score_matrix_backward, score_matrix_forward
 from twotower.trainer import TrainConfig, train_incremental
 from twotower.verify import (
     EQUAL_OPTIMA_GROUPS,
@@ -32,15 +34,11 @@ from twotower.verify import (
     _center,
     _rank_corr,
     check_optimum,
-    dense_backward,
     dense_forward,
     generate_synthetic,
-    optimum_gauge,
-    phi_table,
     population_loss,
     random_joint,
     run_table_sweep,
-    sweep_configs,
     sweep_report_text,
     target_table,
     train_to_optimum,
@@ -175,10 +173,11 @@ class TestEmpiricalTables:
             dense_tables([[0, 0]])
 
 
-ALL_CONFIGS = sweep_configs()
+ROWS = {row.label: row for row in SWEEP}
+SWEEP_CONFIGS = [row.config for row in SWEEP]
 # The sweep's configurations plus the ssm loss with a uniform proposal.
-STACK = [config for _, config in ALL_CONFIGS] + [LossConfig(family="ssm", ssm_proposal="uniform")]
-STACK_IDS = [label for label, _ in ALL_CONFIGS] + ["ssm/uniform"]
+STACK = SWEEP_CONFIGS + [LossConfig(family="ssm", ssm_proposal="uniform")]
+STACK_IDS = list(ROWS) + ["ssm/uniform"]
 
 
 def stacked_loss(phi, tables: EmpiricalTables, configs) -> tuple[np.ndarray, np.ndarray]:
@@ -213,8 +212,8 @@ class TestPopulationLoss:
                 assert dphi[index, u, i] == pytest.approx(numeric, abs=5e-7), (STACK_IDS[index], u, i)
                 assert np.array_equal(values_up[others], values[others])
 
-    @pytest.mark.parametrize("label,config", ALL_CONFIGS, ids=[label for label, _ in ALL_CONFIGS])
-    def test_gradient_matches_finite_differences(self, label, config):
+    @pytest.mark.parametrize("label", ROWS, ids=list(ROWS))
+    def test_gradient_matches_finite_differences(self, label):
         self._check_finite_differences(STACK_IDS.index(label), seed=1)
 
     def test_ssm_uniform_proposal_gradient(self):
@@ -302,35 +301,38 @@ class TestPopulationLoss:
 
 class TestTargets:
     def test_target_names(self):
-        tables = dense_tables([[1, 1], [1, 1]])
-        assert target_table(LossConfig.from_preset("row_bcnce"), tables)[0] == "log p(i|u)"
-        assert target_table(LossConfig.from_preset("col_bcnce"), tables)[0] == "log p(u|i)"
-        assert target_table(LossConfig.from_preset("bbcnce"), tables)[0] == "log p(u,i)"
-        assert target_table(LossConfig.from_preset("infonce"), tables)[0] == "pmi"
-        assert target_table(LossConfig(family="ssm"), tables)[0] == "log p(i|u)"
-        assert target_table(LossConfig(family="bce", negative_strategy="uniform"), tables)[0] == "log p(u,i)"
+        """Each row's target names the table ``target_table`` builds for it."""
+        tables = dense_tables([[5, 1, 2], [3, 4, 1]])
+        log_joint, log_pu, log_pi = tables.log_joint, tables.log_p_user[:, None], tables.log_p_item[None, :]
+        formulas = {
+            "log p(i|u)": log_joint - log_pu,
+            "log p(u|i)": log_joint - log_pi,
+            "pmi": log_joint - log_pu - log_pi,
+            "log p(u,i)": log_joint,
+        }
+        assert ROWS["row_bcnce"].target == "log p(i|u)"
+        assert ROWS["col_bcnce"].target == "log p(u|i)"
+        assert ROWS["bbcnce"].target == "log p(u,i)"
+        assert ROWS["infonce"].target == "pmi"
+        assert ROWS["ssm"].target == "log p(i|u)"
+        assert ROWS["bce/uniform"].target == "log p(u,i)"
+        for row in SWEEP:
+            assert target_table(row, tables).tobytes() == formulas[row.target].tobytes(), row.label
 
     def test_unobserved_cells_are_nan(self):
         tables = dense_tables([[3, 0], [1, 2]])
-        _, target = target_table(LossConfig.from_preset("bbcnce"), tables)
+        target = target_table(ROWS["bbcnce"], tables)
         assert math.isnan(target[0, 1])
         assert np.isfinite(target[tables.observed]).all()
 
-    def test_configuration_outside_the_table_rejected(self):
-        uniform_ssm = LossConfig(family="ssm", ssm_proposal="uniform")
-        with pytest.raises(ValueError, match="no known optimum"):
-            target_table(uniform_ssm, dense_tables([[1, 1], [1, 1]]))
-        with pytest.raises(ValueError, match="no known optimum"):
-            optimum_gauge(uniform_ssm)
-
     def test_gauge_classification(self):
-        assert optimum_gauge(LossConfig(family="bce")) == "none"
-        assert optimum_gauge(LossConfig.from_preset("bbcnce")) == "none"
-        assert optimum_gauge(LossConfig.from_preset("simclr")) == "none"
-        assert optimum_gauge(LossConfig.from_preset("infonce")) == "per-user"
-        assert optimum_gauge(LossConfig.from_preset("row_bcnce")) == "per-user"
-        assert optimum_gauge(LossConfig(family="ssm")) == "per-user"
-        assert optimum_gauge(LossConfig.from_preset("col_bcnce")) == "per-item"
+        assert {row.gauge for row in SWEEP if row.config.family == "bce"} == {"none"}
+        assert ROWS["bbcnce"].gauge == "none"
+        assert ROWS["simclr"].gauge == "none"
+        assert ROWS["infonce"].gauge == "per-user"
+        assert ROWS["row_bcnce"].gauge == "per-user"
+        assert ROWS["ssm"].gauge == "per-user"
+        assert ROWS["col_bcnce"].gauge == "per-item"
 
 
 class TestRankCorrelation:
@@ -376,15 +378,20 @@ class TestUnobservedUsersAndItems:
             assert _center(table, mask, gauge).tobytes() == want.tobytes(), gauge
 
 
+def score_table(block: np.ndarray, spec: SyntheticSpec, temperature: float = 0.05) -> np.ndarray:
+    """The ``(M, K)`` score table of a block that ``train_to_optimum`` trained."""
+    return dense_forward(block, spec.num_items)[2] / temperature
+
+
 class TestCheckOptimum:
     def test_uniform_counts_null_check(self):
         """Exactly uniform counts make every target constant: rank correlation
         is undefined and the residual gate alone decides."""
         spec = SyntheticSpec(num_users=3, num_items=4, joint=np.full((3, 4), 1 / 12), num_samples=120)
         tables = dense_tables(np.full((3, 4), 10))
-        config = LossConfig.from_preset("bbcnce")
-        [[params]] = train_to_optimum([config], [(0, tables)], spec, dim=6, epochs=400, learning_rate=0.05)
-        report = check_optimum(config, phi_table(params, spec), tables, params.temperature)
+        row = ROWS["bbcnce"]
+        [[block]] = train_to_optimum([row.config], [(0, tables)], spec, dim=6, epochs=400, learning_rate=0.05)
+        report = check_optimum(row, score_table(block, spec), tables, 0.05)
         assert math.isnan(report.rank_correlation)
         assert report.residual <= 0.05
         assert report.passed
@@ -393,9 +400,9 @@ class TestCheckOptimum:
         joint = random_joint(4, 5, seed=13, sparsity=0.2)
         spec = SyntheticSpec(num_users=4, num_items=5, joint=joint, num_samples=30_000)
         sample = generate_synthetic(spec, seed=1)
-        config = LossConfig.from_preset("bbcnce")
-        [[params]] = train_to_optimum([config], [(1, sample.tables)], spec, dim=6, epochs=1_000, learning_rate=0.05)
-        report = check_optimum(config, phi_table(params, spec), sample.tables, 0.05, label="bbcnce", seed=1)
+        row = ROWS["bbcnce"]
+        [[block]] = train_to_optimum([row.config], [(1, sample.tables)], spec, dim=6, epochs=1_000, learning_rate=0.05)
+        report = check_optimum(row, score_table(block, spec), sample.tables, 0.05, seed=1)
         assert report.rank_correlation >= 0.95
         assert report.residual <= 0.25
         assert report.range_ok
@@ -404,9 +411,9 @@ class TestCheckOptimum:
     def test_report_counts_unobserved_cells(self):
         tables = dense_tables([[3, 0], [1, 2]])
         spec = SyntheticSpec(num_users=2, num_items=2, joint=np.full((2, 2), 0.25), num_samples=6)
-        config = LossConfig.from_preset("bbcnce")
-        [[params]] = train_to_optimum([config], [(0, tables)], spec, dim=4, epochs=50, learning_rate=0.05)
-        report = check_optimum(config, phi_table(params, spec), tables, params.temperature)
+        row = ROWS["bbcnce"]
+        [[block]] = train_to_optimum([row.config], [(0, tables)], spec, dim=4, epochs=50, learning_rate=0.05)
+        report = check_optimum(row, score_table(block, spec), tables, 0.05)
         assert report.num_observed == 3
         assert report.num_excluded == 1
 
@@ -429,7 +436,7 @@ class TestMinibatchConvergence:
 
         tables = sample.tables
         phi = phi_table(params, spec)
-        _, target = target_table(LossConfig.from_preset("bbcnce"), tables)
+        target = target_table(ROWS["bbcnce"], tables)
         mask = tables.observed
         rho = spearmanr(phi[mask], target[mask]).statistic
         assert rho >= 0.85
@@ -475,8 +482,7 @@ class TestMinibatchConvergence:
 
 class TestSweep:
     def test_grid_covers_all_strategies_and_presets(self):
-        labels = [label for label, _ in ALL_CONFIGS]
-        assert labels == [
+        assert list(ROWS) == [
             "bce/user-marginal",
             "bce/item-marginal",
             "bce/product-of-marginals",
@@ -513,37 +519,64 @@ class TestSweep:
 
 
 class TestDenseKernel:
-    """The sweep's dense kernel computes what the production scoring kernel
-    computes for the same stack: one-token users, each scored against the
-    items of its own block."""
+    """The sweep's dense kernels: :func:`dense_forward` and
+    ``model.cosine_backward`` over a stack of blocks compute each block as
+    it would be computed alone, and on one block they compute what the
+    production kernels compute for one-token users scored against shared
+    item columns."""
 
     M, K, D = 4, 5, 6
+    TAU = 0.05
 
-    def _stack(self, num_configs):
-        rng = np.random.default_rng(num_configs)
-        params = ModelParams(rng.normal(size=(num_configs * (self.K + self.M) + 1, self.D)), 0.05)
-        blocks = params.item_embeddings.reshape(num_configs, self.K + self.M, self.D)
-        first_row = (self.K + self.M) * np.arange(num_configs)[:, None]
-        users = Sequences(np.arange(num_configs * self.M + 1), (first_row + self.K + np.arange(self.M)).ravel())
-        items = np.repeat(first_row + np.arange(self.K), self.M, axis=0)  # (C * M, K)
-        return params, blocks, users, items
+    def _blocks(self, shape):
+        return np.random.default_rng(len(shape)).normal(size=(*shape, self.K + self.M, self.D))
 
-    @pytest.mark.parametrize("num_configs", [1, 3])
-    def test_matches_score_matrix_kernel(self, num_configs):
-        params, blocks, users, items = self._stack(num_configs)
+    def _backward(self, hat, norms, cos, dphi):
+        """``cosine_backward`` over blocks: the gradient of every block row."""
+        k = self.K
+        grad = np.empty_like(hat)
+        scale = self.TAU * norms[..., None]
+        cosine_backward(
+            dphi, cos, hat[..., k:, :], scale[..., k:, :], hat[..., :k, :], scale[..., :k, :],
+            grad[..., :k, :], grad[..., k:, :],
+        )
+        return grad
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)], ids=["C", "S-C"])
+    def test_stack_equals_separate_blocks(self, shape):
+        """A stack's cosines and gradients equal, byte for byte, those of
+        each block scored and differentiated alone by 2-d calls."""
+        blocks = self._blocks(shape)
         hat, norms, cos = dense_forward(blocks, self.K)
-        phi, cache = score_matrix_forward(users, items, params)
-        np.testing.assert_allclose(cos.reshape(-1, self.K), phi * params.temperature, rtol=0, atol=1e-15)
+        dphi = np.random.default_rng(7).normal(size=cos.shape)
+        alone = {}
+        for index in np.ndindex(shape):
+            one_hat, one_norms, one_cos = dense_forward(blocks[index], self.K)
+            assert one_cos.tobytes() == cos[index].tobytes()
+            alone[index] = self._backward(one_hat, one_norms, one_cos, dphi[index])
+        grad = self._backward(hat, norms, cos, dphi)
+        for index, expected in alone.items():
+            assert grad[index].tobytes() == expected.tobytes(), index
+
+    def test_shared_column_rows_equal_score_matrix_kernel(self):
+        """One block's users as one-token sequences under mean pooling:
+        ``score_matrix_forward`` over the shared item columns gives the dense
+        cosines over the temperature, and ``score_matrix_backward`` the item
+        and user rows of ``cosine_backward``, byte for byte."""
+        block = self._blocks(())
+        params = ModelParams(np.vstack([block, np.zeros((1, self.D))]), self.TAU)
+        spec = SyntheticSpec(num_users=self.M, num_items=self.K, joint=np.full((self.M, self.K), 1 / (self.M * self.K)))
+        phi, cache = score_matrix_forward(user_sequences(spec), np.arange(self.K), params)
+        hat, norms, cos = dense_forward(block, self.K)
+        assert phi.tobytes() == (cos / self.TAU).tobytes()
 
         dphi = np.random.default_rng(7).normal(size=cos.shape)
-        grad = np.empty_like(blocks)
-        dense_backward(hat, norms, cos, dphi, params.temperature, out=grad)
-        expected = score_matrix_backward(cache, dphi.reshape(-1, self.K), params)
-        np.testing.assert_array_equal(expected.rows, np.arange(num_configs * (self.K + self.M)))
-        np.testing.assert_allclose(grad.reshape(-1, self.D), expected.values, rtol=0, atol=1e-12)
+        expected = score_matrix_backward(cache, dphi, params)
+        assert expected.rows.tolist() == list(range(self.K + self.M))
+        assert expected.values.tobytes() == self._backward(hat, norms, cos, dphi).tobytes()
 
     def test_zero_user_row_rejected(self):
-        _, blocks, _, _ = self._stack(3)
+        blocks = self._blocks((3,))
         blocks[1, self.K + 2] = 0.0
         with pytest.raises(ValueError, match="zero-norm vector encountered during scoring"):
             dense_forward(blocks, self.K)
@@ -556,17 +589,16 @@ class TestStackedTraining:
     @pytest.fixture(scope="class")
     def stack(self):
         tables = generate_synthetic(self.SPEC, seed=1).tables
-        [trained] = train_to_optimum([config for _, config in ALL_CONFIGS], [(1, tables)], self.SPEC, **self.SETTINGS)
+        [trained] = train_to_optimum(SWEEP_CONFIGS, [(1, tables)], self.SPEC, **self.SETTINGS)
         return tables, trained
 
-    @pytest.mark.parametrize("index", range(len(ALL_CONFIGS)), ids=[label for label, _ in ALL_CONFIGS])
+    @pytest.mark.parametrize("index", range(len(SWEEP)), ids=list(ROWS))
     def test_configuration_trains_as_alone(self, stack, index):
         """A configuration trained alone and inside the ten-configuration
         stack reaches the same table, bit for bit: no block leaks into another."""
         tables, trained = stack
-        _, config = ALL_CONFIGS[index]
-        [[alone]] = train_to_optimum([config], [(1, tables)], self.SPEC, **self.SETTINGS)
-        assert alone.table.tobytes() == trained[index].table.tobytes()
+        [[alone]] = train_to_optimum([SWEEP[index].config], [(1, tables)], self.SPEC, **self.SETTINGS)
+        assert alone.tobytes() == trained[index].tobytes()
 
     @settings(derandomize=True, database=None, max_examples=8, deadline=None)
     @given(
@@ -578,12 +610,11 @@ class TestStackedTraining:
         """Every seed's blocks trained in one stack with the other seeds' equal,
         bit for bit, that seed trained alone, and so does the sweep report."""
         kwargs = dict(dim=6, epochs=epochs, learning_rate=0.05)
-        configs = [config for _, config in ALL_CONFIGS]
         seeded_tables = [(seed, generate_synthetic(self.SPEC, seed).tables) for seed in seeds]
-        stacked = train_to_optimum(configs, seeded_tables, self.SPEC, **kwargs)
+        stacked = train_to_optimum(SWEEP_CONFIGS, seeded_tables, self.SPEC, **kwargs)
         for pair, blocks in zip(seeded_tables, stacked):
-            [alone] = train_to_optimum(configs, [pair], self.SPEC, **kwargs)
-            assert [params.table.tobytes() for params in blocks] == [params.table.tobytes() for params in alone]
+            [alone] = train_to_optimum(SWEEP_CONFIGS, [pair], self.SPEC, **kwargs)
+            assert [block.tobytes() for block in blocks] == [block.tobytes() for block in alone]
 
         singles = [run_table_sweep(self.SPEC, [seed], **kwargs) for seed in seeds]
         joined = SweepResult(

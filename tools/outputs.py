@@ -21,7 +21,7 @@ and `--verbose`), `trace` for both tasks (runs with month checkpoints) and
 four `retrieve` runs per task (two queries at `--top-n 10`, then the first
 again at `--top-n 1` and at a `--top-n` above the candidate count), under
 each loss configuration of `CASES` (among them `bbcnce` at temperature 0.003,
-just above the in-batch losses' floor of 1/350);
+just above the temperature floor of 1/350);
 and the `verify` runs of `VERIFY_CASES`: sweep seeds 1, 2 and 3 (the seeds
 the benchmark's `verify_sweep` runs) plus 4 at the default settings, one
 run of seeds 1, 2 and 3 together (the default `verify`), a 20-event sample
