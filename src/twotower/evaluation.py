@@ -212,10 +212,11 @@ def positive_rank(scores: np.ndarray, ids: np.ndarray, positive: np.ndarray) -> 
     return np.count_nonzero((scores > s_pos) | ((scores == s_pos) & (ids < positive)), axis=1)
 
 
-def top_n(scores: np.ndarray, ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``min(n, C)`` ids of each row in ranking order, and their
-    scores.  A partition picks them; a row with more entries at or above its
-    n-th score than n is tied across the cutoff and is fully sorted."""
+def select_top_n(scores: np.ndarray, ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``min(n, C)`` ids of each row in ranking order, in no
+    particular order, and their scores.  A partition picks them; a row with
+    more entries at or above its n-th score than n is tied across the cutoff
+    and is fully sorted."""
     width = ids.shape[1]
     n = min(n, width)
     if n < width:
@@ -225,6 +226,13 @@ def top_n(scores: np.ndarray, ids: np.ndarray, n: int) -> tuple[np.ndarray, np.n
         if tied.size:
             pick[tied] = np.lexsort((ids[tied], -scores[tied]))[:, :n]
         ids, scores = np.take_along_axis(ids, pick, axis=1), np.take_along_axis(scores, pick, axis=1)
+    return ids, scores
+
+
+def top_n(scores: np.ndarray, ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``min(n, C)`` ids of each row in ranking order, and their
+    scores: :func:`select_top_n`'s entries, sorted."""
+    ids, scores = select_top_n(scores, ids, n)
     order = np.lexsort((ids, -scores))
     return np.take_along_axis(ids, order, axis=1), np.take_along_axis(scores, order, axis=1)
 
@@ -244,8 +252,9 @@ def popularity_counts(
 
 
 def popularity_stats(objects: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
-    """Median and mean trailing-window popularity over all retrieved objects.
-    The counts are integers, so both are exact while their sum stays below 2**53."""
+    """Median and mean trailing-window popularity over all retrieved objects,
+    in any order.  The counts are integers, so both are exact, whatever the
+    order, while their sum stays below 2**53."""
     values = counts[objects.ravel()]
     if not values.size:
         return 0.0, 0.0
@@ -275,9 +284,10 @@ def evaluate(
     One ``RankingIndex`` scores all cases, ``RANK_CHUNK`` at a time in stable
     query order, so that a block holds few distinct queries; ranks are
     written back by case index.  Each case needs only its positive's rank,
-    so no row is sorted; the top N is built only when it is read (per-case
-    records or popularity).  IR per-case records of one query share its
-    item list."""
+    so no row is sorted; the top N is built only when it is read: in
+    ranking order for the per-case records, else as the unordered set that
+    the popularity statistics read.  IR per-case records of one query share
+    its item list."""
     if not len(cases):
         raise ValueError("no evaluation cases")
     index, queries = RankingIndex.for_cases(cases, pool, params)
@@ -287,13 +297,14 @@ def evaluate(
     # The top N is read only by the per-case records and popularity; otherwise it has no rows.
     width = min(cases.cutoff, cases.candidates.shape[1])
     top = np.empty((len(cases) if keep_per_case or popularity else 0, width), dtype=np.int64)
+    pick_top = top_n if keep_per_case else select_top_n  # popularity's median and mean read no order
     for start in range(0, len(cases), RANK_CHUNK):
         rows = order[start : start + RANK_CHUNK]
         candidates = cases.candidates[rows]
         scores = index.scores(cases.task, queries[rows], candidates)
         ranks[rows] = positive_rank(scores, candidates, cases.positive[rows])
         if len(top):
-            top[rows] = top_n(scores, candidates, cases.cutoff)[0]
+            top[rows] = pick_top(scores, candidates, cases.cutoff)[0]
     recalls, ndcgs = rank_metrics(ranks, cases.cutoff)
     if cases.task == "ut":
         top = pool.key_owner[top]

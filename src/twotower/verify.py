@@ -1,10 +1,15 @@
 """Synthetic-data harness checking which probability each loss learns.
 
 Data is drawn i.i.d. from a known user-item joint table, so the realized
-empirical distribution can be counted exactly.  Each loss configuration of
-:data:`SWEEP` is trained to convergence on that data and the learned score
-table is compared, up to an additive constant, against the optimum the table
-names for it: ``log p(i|u)``, ``log p(u|i)``, ``pmi(u,i)`` or ``log p(u,i)``.
+empirical distribution can be counted exactly.  The sweep reads only each
+seed's ``(M, K)`` cell counts, so :func:`sample_counts` streams the draw
+into them ``SAMPLE_CHUNK`` events at a time, holding O(M * K + chunk)
+memory whatever ``num_samples`` is, and gives bit for bit the counts of
+:func:`generate_synthetic`, which holds every event.  Each loss
+configuration of :data:`SWEEP` is trained to convergence on that data and
+the learned score table is compared, up to an additive constant, against
+the optimum the table names for it: ``log p(i|u)``, ``log p(u|i)``,
+``pmi(u,i)`` or ``log p(u,i)``.
 
 Training is full-batch: with the batch equal to the whole sample, the
 in-batch denominators reduce exactly to marginal-weighted sums over the
@@ -87,6 +92,10 @@ EQUAL_OPTIMA_GROUPS: dict[str, tuple[str, ...]] = {
     "log p(u|i)": ("bce/item-marginal", "col_bcnce"),
     "pmi": ("bce/product-of-marginals", "infonce", "simclr"),
 }
+
+# Events per chunk of sample_counts' draw; bounds its temporaries to about
+# 0.5 MiB and changes no count.
+SAMPLE_CHUNK = 2**15
 
 # Optimum gates: a trained table passes when its gauged residual is at most
 # RESIDUAL_GATE and its gauged rank correlation at least RANK_GATE.
@@ -225,6 +234,37 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticSample:
             cells[sel] = rng.choice(flat.size, size=n, p=flat)
     counts = np.bincount(cells, minlength=num_cells).reshape(spec.num_users, spec.num_items)
     return SyntheticSample(spec, days, cells, counts)
+
+
+def _chunk_sizes(total: int) -> list[int]:
+    """``total`` split into runs of ``SAMPLE_CHUNK``, the last one shorter."""
+    return [min(SAMPLE_CHUNK, total - start) for start in range(0, total, SAMPLE_CHUNK)]
+
+
+def sample_counts(spec: SyntheticSpec, seed: int) -> np.ndarray:
+    """The ``(M, K)`` cell counts of ``generate_synthetic(spec, seed)``, bit
+    for bit, without holding the events.
+
+    The draw takes the same stream in the same order, ``SAMPLE_CHUNK`` draws
+    at a time: every event's day, which only sizes the months, then each
+    month's cells by the inverse CDF that ``Generator.choice(p=...)`` runs.
+    The bit generator keeps its state between calls, so chunked draws read
+    the stream a single call reads, and each chunk's ``bincount`` adds into
+    the counts.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = np.zeros(spec.num_months, dtype=np.int64)
+    for size in _chunk_sizes(spec.num_samples):
+        months = rng.integers(0, spec.num_months * DAYS_PER_MONTH, size=size)
+        months //= DAYS_PER_MONTH
+        sizes += np.bincount(months, minlength=spec.num_months)
+    counts = np.zeros(spec.num_users * spec.num_items, dtype=np.int64)
+    for month, size in enumerate(sizes.tolist(), 1):
+        cdf = np.cumsum(spec.table_for_month(month), dtype=float)
+        cdf /= cdf[-1]
+        for n in _chunk_sizes(size):
+            counts += np.bincount(cdf.searchsorted(rng.random(n), side="right"), minlength=counts.size)
+    return counts.reshape(spec.num_users, spec.num_items)
 
 
 # The axis along which a gauge's undetermined offsets vary (gauge ``none``: one constant).
@@ -575,13 +615,14 @@ def run_table_sweep(
     """Train every configuration over every seed's sample, all in one stack,
     and gate each against its optimum.
 
-    Only each seed's count tables outlive its draw.  Gate failures are
-    flagged in the report rows, never raised.  Pairwise rank agreement
-    inside each equal-optimum group is reported alongside, seed by seed.
+    Each seed's counts are streamed by :func:`sample_counts`.  Gate
+    failures are flagged in the report rows, never raised.  Pairwise rank
+    agreement inside each equal-optimum group is reported alongside, seed
+    by seed.
     """
     reports: list[OptimumReport] = []
     agreements: list[GroupAgreement] = []
-    seeded_tables = [(seed, generate_synthetic(spec, seed).tables) for seed in seeds]
+    seeded_tables = [(seed, EmpiricalTables(sample_counts(spec, seed))) for seed in seeds]
     blocks = train_to_optimum(
         [row.config for row in SWEEP],
         seeded_tables,

@@ -154,6 +154,27 @@ class TestPrepare:
         assert sum(1 for line in lines if line.endswith("\t0")) == 5
 
 
+@pytest.mark.parametrize("popularity", [None, 2.5])
+def test_report_json_matches_the_json_encoder(popularity):
+    """Hand-built reports, with ``null`` popularity, empty lists and no records."""
+    per_case = [
+        {"ndcg": 1.0, "query": [3, 10, 2], "recall": 1.0, "top": [7, 1]},
+        {"ndcg": 1 / math.log2(3), "query": [], "recall": 1.0, "top": [0]},
+        {"ndcg": 0.0, "query": 12, "recall": 0.0, "top": [4, 5, 6]},
+    ]
+    report = {
+        "cutoff": 2,
+        "ndcg_at_n": 0.5436432511904858,
+        "num_cases": 3,
+        "popularity_mean": popularity,
+        "popularity_median": popularity,
+        "recall_at_n": 2 / 3,
+        "task": "ir",
+    }
+    for payload in (report, report | {"per_case": per_case}, report | {"per_case": []}):
+        assert cli_mod.report_json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
 def synthetic_events_csv(path, seed=3):
     spec = SyntheticSpec(
         num_users=6,
@@ -244,6 +265,18 @@ class TestTrainEvalTrace:
         report = json.loads((out / "eval_report.json").read_text())
         assert len(report["per_case"]) == report["num_cases"]
         assert {"query", "recall", "ndcg", "top"} <= set(report["per_case"][0])
+
+    @pytest.mark.parametrize("task", ["ir", "ut"])
+    def test_verbose_report_bytes_are_the_json_encoders(self, trained_workspace, task):
+        """The per-case records' writer gives the bytes ``json.dump`` with
+        ``sort_keys`` and ``indent=2`` gives: IR queries are lists, UT ints."""
+        config, out = trained_workspace
+        ckpt = str(out / "checkpoints" / "final.ckpt")
+        assert main(["eval", "--config", config, "--checkpoint", ckpt, "--task", task, "--verbose"]) == 0
+        text = (out / "eval_report.json").read_text(encoding="utf-8")
+        report = json.loads(text)
+        assert isinstance(report["per_case"][0]["query"], list if task == "ir" else int)
+        assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
     def test_export_embeddings(self, trained_workspace, tmp_path):
         config, out = trained_workspace

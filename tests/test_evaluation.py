@@ -25,6 +25,7 @@ from twotower.evaluation import (
     popularity_stats,
     positive_rank,
     rank_metrics,
+    select_top_n,
     top_n,
 )
 from twotower.model import ModelParams
@@ -567,6 +568,11 @@ class TestRankWithoutSorting:
         assert got.shape == got_scores.shape == (rows, min(n, width))
         np.testing.assert_array_equal(got, order[:, :n])
         np.testing.assert_array_equal(got_scores, ordered_scores[:, :n])
+        # The selection holds the same entries in some order.
+        picked, picked_scores = select_top_n(scores, ids, n)
+        row_order = np.lexsort((picked, -picked_scores))
+        np.testing.assert_array_equal(np.take_along_axis(picked, row_order, axis=1), got)
+        np.testing.assert_array_equal(np.take_along_axis(picked_scores, row_order, axis=1), got_scores)
         positive = ids[np.arange(rows), rng.integers(width, size=rows)]  # anywhere in the row
         expected_rank = np.argmax(order == positive[:, None], axis=1)
         np.testing.assert_array_equal(positive_rank(scores, ids, positive), expected_rank)
@@ -690,3 +696,21 @@ class TestReportInvariance:
         for kwargs in (dict(keep_per_case=True), dict(records=records, anchor_day=100), dict(records=records)):
             report = evaluate(cases, pool, params, **kwargs)
             assert (report.recall_at_n, report.ndcg_at_n) == (plain.recall_at_n, plain.ndcg_at_n)
+
+    @pytest.mark.parametrize("task", ["ir", "ut"])
+    @pytest.mark.parametrize("cutoff", [1, 5, 13, 30])
+    def test_popularity_matches_the_ordered_top_n(self, task, cutoff):
+        """Popularity read from the unordered top-N selection equals the
+        statistics of the ordered top N, with and without per-case records."""
+        params, examples = TestRankingIndexMatchesOracle.tied_setup(1, "last")
+        cases, pool = build_eval_cases(examples, task, num_negatives=25, seed=1, cutoff=cutoff)
+        _, _, _, records = self.tied_cases(task)
+        index, queries = RankingIndex.for_cases(cases, pool, params)
+        ordered = top_n(index.scores(task, queries, cases.candidates), cases.candidates, cutoff)[0]
+        if task == "ut":
+            ordered = pool.key_owner[ordered]
+        item_counts, user_counts = popularity_counts(records, anchor_day=100)
+        expected = popularity_stats(ordered, item_counts if task == "ir" else user_counts)
+        for keep in (False, True):
+            report = evaluate(cases, pool, params, records=records, anchor_day=100, keep_per_case=keep)
+            assert (report.popularity_median, report.popularity_mean) == expected

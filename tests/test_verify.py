@@ -1,6 +1,7 @@
 """Synthetic generator, population losses, and the optimum checker."""
 
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -25,6 +26,7 @@ from twotower.model import ModelParams, cosine_backward, score_matrix_backward, 
 from twotower.trainer import TrainConfig, train_incremental
 from twotower.verify import (
     EQUAL_OPTIMA_GROUPS,
+    SAMPLE_CHUNK,
     SWEEP,
     EmpiricalTables,
     OptimumReport,
@@ -39,6 +41,7 @@ from twotower.verify import (
     population_loss,
     random_joint,
     run_table_sweep,
+    sample_counts,
     sweep_report_text,
     target_table,
     train_to_optimum,
@@ -154,6 +157,44 @@ class TestGenerateSynthetic:
         a = generate_synthetic(spec, seed=9)
         b = generate_synthetic(spec, seed=9)
         assert sample_events(a) == sample_events(b)
+
+
+class TestSampleCounts:
+    """``sample_counts`` streams ``generate_synthetic``'s draw into its counts."""
+
+    @settings(derandomize=True, database=None, max_examples=24, deadline=None)
+    @given(
+        num_samples=st.sampled_from([1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 2 * SAMPLE_CHUNK + 7]),
+        num_months=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(num_samples=1, num_months=3, seed=0)  # two of the three months draw no event
+    def test_equals_the_event_draw(self, num_samples, num_months, seed):
+        tables = [random_joint(3, 5, seed=seed % 1000 + month) for month in range(num_months)]
+        if num_months == 1:
+            spec = SyntheticSpec(num_users=3, num_items=5, joint=tables[0], num_samples=num_samples)
+        else:
+            spec = SyntheticSpec(num_users=3, num_items=5, drift=tables, num_months=num_months, num_samples=num_samples)
+        counts = sample_counts(spec, seed)
+        assert counts.dtype == np.int64
+        assert counts.tobytes() == generate_synthetic(spec, seed).counts.tobytes()
+
+    def test_draw_memory_does_not_grow_with_the_sample(self):
+        """At 2,000,000 samples the draw holds under 2 MiB; holding the events
+        took about 39 bytes each, 78 MiB."""
+        spec = SyntheticSpec(joint=random_joint(8, 12, seed=1), num_samples=2_000_000)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            counts = sample_counts(spec, 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert counts.sum() == 2_000_000
+        assert peak < 2 * 2**20
 
 
 def dense_tables(counts: np.ndarray) -> EmpiricalTables:

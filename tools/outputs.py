@@ -25,8 +25,9 @@ just above the temperature floor of 1/350);
 and the `verify` runs of `VERIFY_CASES`: sweep seeds 1, 2 and 3 (the seeds
 the benchmark's `verify_sweep` runs) plus 4 at the default settings, one
 run of seeds 1, 2 and 3 together (the default `verify`), a 20-event sample
-that leaves users and items of the table unseen, a 4x5 table, and seed 1 at
-temperature 0.002 for 300 epochs.  Every command runs
+that leaves users and items of the table unseen, a 4x5 table, seed 1 at
+temperature 0.002 for 300 epochs, and seeds 1 and 2 over samples of three
+draw chunks exactly and of one event more.  Every command runs
 in-process with the run directory as working directory and relative paths,
 so two runs write the same bytes wherever they live.  Each report is kept
 under its own name and the stdout of every command goes to `stdout/`.
@@ -137,6 +138,10 @@ VERIFY_CASES = {f"verify{seed}": {"verify.seeds": seed} for seed in (1, 2, 3, 4)
     },
     # Scores up to 1/0.002 = 500 in magnitude: the large-logit side of the population loss.
     "verify_tau_0.002": {"verify.seeds": 1, "verify.temperature": 0.002, "verify.epochs": 300},
+    # verify.sample_counts draws 2**15 events at a time: samples that end
+    # exactly at a chunk boundary and one event past it.
+    "verify_chunks_3": {"verify.seeds": "1,2", "verify.num_samples": 3 * 2**15, "verify.epochs": 300},
+    "verify_chunks_3_plus_1": {"verify.seeds": "1,2", "verify.num_samples": 3 * 2**15 + 1, "verify.epochs": 300},
 }
 RETRIEVE_ALL = 100_000  # a --top-n above every log's item and pseudo-user count
 
