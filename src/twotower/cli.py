@@ -5,7 +5,10 @@ shuffled), ``eval`` (ranking metrics on the test month), ``verify`` (the
 synthetic optimum sweep), ``retrieve`` (ad-hoc top-N for a query) and
 ``trace`` (per-month test metrics over saved checkpoints).  Every command
 reads one config document, honors ``--seed``, writes the resolved config
-next to its outputs, and is deterministic for a fixed seed.
+next to its outputs, and is deterministic for a fixed seed.  The commands
+that read the log build its examples once per output directory: the
+prepared file written beside the outputs stands in for the build while the
+log's bytes and the ``data.*`` settings match its key.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import argparse
 import contextlib
 import dataclasses
 import glob
+import io
 import json
 import logging
 import os
@@ -21,17 +25,18 @@ import re
 import shutil
 import sys
 from collections.abc import Callable, Collection
-from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
 
 from . import config as config_mod
 from . import data as data_mod
+from . import prepared as prepared_mod
 from .config import ConfigError, RunConfig, fingerprint, loss_config_from, render_config, verify_seeds
 from .evaluation import TASKS, EvalCases, EvalPool, PoolTooSmallError, RankingIndex, build_eval_cases, evaluate, top_n
 from .losses import IN_BATCH_PEAK_ARRAYS, check_temperature, proposal_distribution
 from .model import ModelParams, encode_user_batch
+from .prepared import Prepared
 from .trainer import (
     Checkpoint,
     CheckpointError,
@@ -59,14 +64,6 @@ _TAG_VALIDATION_CASES = 13
 _TAG_TEST_CASES = 17
 
 
-@dataclass
-class Prepared:
-    log: data_mod.InteractionLog
-    split: data_mod.DatasetSplit
-    marginals: data_mod.EmpiricalMarginals
-    months_total: int
-
-
 def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = config_mod.load_config(args.config)
     if args.seed is not None:
@@ -76,10 +73,14 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _write_resolved(cfg: RunConfig) -> None:
+def _write_resolved(cfg: RunConfig, prepared: Prepared | None = None) -> None:
+    """Write the resolved config into the output directory, and the prepared
+    file when ``prepared`` was built rather than loaded."""
     os.makedirs(cfg.paths.output_dir, exist_ok=True)
     with open(os.path.join(cfg.paths.output_dir, "resolved.cfg"), "w", encoding="utf-8") as out:
         out.write(render_config(cfg))
+    if prepared is not None and not prepared.loaded:
+        prepared_mod.save(os.path.join(cfg.paths.output_dir, prepared_mod.FILE_NAME), prepared)
 
 
 def _configured(section: str, build: Callable, *args, **kwargs):
@@ -92,16 +93,25 @@ def _configured(section: str, build: Callable, *args, **kwargs):
 
 
 def _run_pipeline(cfg: RunConfig) -> Prepared:
+    """The log of ``cfg`` ingested, cut into examples, split by month and
+    degree-filtered, with the training marginals: loaded from the output
+    directory's prepared file when its key matches, else built (and written
+    by ``_write_resolved``)."""
     path = cfg.data.input
     if not path:
         raise CliError("data.input is not set in the config")
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as src:  # ingest names a line not UTF-8
-        try:
-            log = data_mod.ingest_logs(src, delimiter=cfg.data.delimiter)
-        except data_mod.IngestError as exc:
-            raise CliError(f"{path}: {exc}") from exc
-        except ValueError as exc:
-            raise CliError(f"data: {exc}") from exc
+    with open(path, "rb") as src:
+        log_bytes = src.read()
+    key = prepared_mod.key_of(log_bytes, cfg)
+    prepared = prepared_mod.load(os.path.join(cfg.paths.output_dir, prepared_mod.FILE_NAME), key)
+    if prepared is not None:
+        return prepared
+    try:
+        log = data_mod.ingest_logs(io.BytesIO(log_bytes), delimiter=cfg.data.delimiter)
+    except data_mod.IngestError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+    except ValueError as exc:
+        raise CliError(f"data: {exc}") from exc
     examples = _configured("data", data_mod.build_examples, log.records, cfg.data.horizon_days, cfg.data.max_seq_len)
     months_total = cfg.data.months_total or log.num_months
     if months_total < 3:
@@ -111,7 +121,7 @@ def _run_pipeline(cfg: RunConfig) -> Prepared:
     if not len(split.train):
         raise CliError("no training examples survive the split and degree filter")
     marginals = data_mod.compute_marginals(split.train, log.num_items)
-    return Prepared(log, split, marginals, months_total)
+    return Prepared(log, split, marginals, months_total, key)
 
 
 def _labeled_train(cfg: RunConfig, prepared: Prepared) -> data_mod.Examples:
@@ -129,7 +139,7 @@ def _labeled_train(cfg: RunConfig, prepared: Prepared) -> data_mod.Examples:
 def cmd_prepare(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     prepared = _run_pipeline(cfg)
-    _write_resolved(cfg)
+    _write_resolved(cfg, prepared)
     out_dir = cfg.paths.output_dir
     for name in ("train", "validation", "test"):
         part = getattr(prepared.split, name)
@@ -228,7 +238,7 @@ def _check_in_batch_memory(examples: data_mod.Examples, train: TrainConfig) -> N
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     prepared = _run_pipeline(cfg)
-    _write_resolved(cfg)
+    _write_resolved(cfg, prepared)
     loss_config = _configured("loss", loss_config_from, cfg)
     if loss_config.family == "bidirectional" and cfg.train.batch_size < 2:
         raise CliError("in-batch losses need train.batch_size >= 2 (a batch must contain a negative)")
@@ -348,7 +358,7 @@ def report_json(payload: dict) -> str:
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     prepared = _run_pipeline(cfg)
-    _write_resolved(cfg)
+    _write_resolved(cfg, prepared)
     checkpoint = _load_checked(args.checkpoint, cfg, prepared.log.num_items)
     task = args.task or cfg.eval.task
     cases, pool = _test_cases(cfg, prepared, task)
@@ -462,7 +472,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     prepared = _run_pipeline(cfg)
-    _write_resolved(cfg)
+    _write_resolved(cfg, prepared)
     directory = args.checkpoint_dir or os.path.join(cfg.paths.output_dir, "checkpoints")
     paths = sorted(p for p in glob.glob(os.path.join(directory, "month_*.ckpt")) if "_epoch_" not in os.path.basename(p))
     if not paths:

@@ -13,28 +13,23 @@ Determinism contract: every random draw is made by a generator derived from
 ``(seed, phase, epoch)``, so resuming from any epoch or month checkpoint, in
 either mode, reproduces the uninterrupted run bit for bit.
 
-Checkpoints are a small binary container: magic ``UMCK``, format version 2,
-the 64-bit fingerprint of the identity-relevant configuration, a JSON
-metadata block (cursor, optimizer scalars, array manifest), the raw
-little-endian float64/int64 array payload (the parameter table and the Adam
-rows) and a CRC-32 of every byte before it.  The Adam tables are stored for
-the rows that have taken a step only.  A checkpoint is written to a
-temporary file and renamed into place.
+Checkpoints are written in the ``container`` format: magic ``UMCK``, format
+version 2, the 64-bit fingerprint of the identity-relevant configuration as
+the tag, a JSON metadata block (cursor, optimizer scalars, array manifest)
+and the float64/int64 arrays (the parameter table and the Adam rows).  The
+Adam tables are stored for the rows that have taken a step only.
 """
 
 from __future__ import annotations
 
-import contextlib
-import json
 import math
 import os
-import struct
-import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import container
 from .data import EmpiricalMarginals, Examples, make_batches
 from .losses import LossConfig, loss_with_gradients
 from .model import DegenerateNormError, GradientTable, ModelParams, finite_norms
@@ -206,17 +201,6 @@ class Checkpoint:
     fingerprint: int
 
 
-def _array_payload(arrays: list[tuple[str, np.ndarray]]) -> tuple[list[dict], bytes]:
-    manifest = []
-    chunks = []
-    for name, arr in arrays:
-        dtype = "<i8" if arr.dtype.kind == "i" else "<f8"
-        cast = arr.astype(dtype, copy=False)
-        manifest.append({"name": name, "dtype": dtype, "shape": list(arr.shape)})
-        chunks.append(cast.tobytes(order="C"))
-    return manifest, b"".join(chunks)
-
-
 def save_checkpoint(path: str, checkpoint: Checkpoint) -> None:
     params, opt = checkpoint.params, checkpoint.optimizer
     arrays: list[tuple[str, np.ndarray]] = [("table", params.table)]
@@ -227,7 +211,6 @@ def save_checkpoint(path: str, checkpoint: Checkpoint) -> None:
         arrays.append(("adam_row_m", m[row_ids]))
         arrays.append(("adam_row_v", v[row_ids]))
         arrays.append(("adam_row_t", t[row_ids]))
-    manifest, payload = _array_payload(arrays)
     meta = {
         "month_cursor": checkpoint.month_cursor,
         "epoch_cursor": checkpoint.epoch_cursor,
@@ -242,59 +225,25 @@ def save_checkpoint(path: str, checkpoint: Checkpoint) -> None:
             "beta2": opt.beta2,
             "epsilon": opt.epsilon,
         },
-        "arrays": manifest,
     }
-    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    # Write a temp file in the same directory and rename it over ``path``, so
-    # a write that fails midway never leaves a partial checkpoint behind.
-    tmp_path = path + ".tmp"
-    try:
-        with open(tmp_path, "wb") as out:
-            head = struct.pack("<4sIQI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, checkpoint.fingerprint, len(meta_bytes))
-            head += meta_bytes
-            out.write(head)
-            out.write(payload)
-            out.write(struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))))
-        os.replace(tmp_path, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp_path)
-        raise
+    container.write(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, checkpoint.fingerprint, meta, arrays)
 
 
 def load_checkpoint(path: str, expected_fingerprint: int | None = None) -> Checkpoint:
     """Read a checkpoint.  A file whose checksum does not match, that is cut
     short, has bytes after the payload or does not parse raises
     ``CheckpointError`` and never loads."""
-    with open(path, "rb") as src:
-        blob = src.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     try:
-        version, fingerprint, meta_len = struct.unpack_from("<IQI", blob, 4)
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        body = memoryview(blob)[:-4]  # everything the CRC-32 trailer covers
-        if zlib.crc32(body) != struct.unpack_from("<I", blob, len(body))[0]:
-            raise ValueError("checksum mismatch")
-        if expected_fingerprint is not None and fingerprint != expected_fingerprint:
-            raise CheckpointError(
-                f"{path}: configuration fingerprint mismatch "
-                f"(checkpoint {fingerprint:#018x}, config {expected_fingerprint:#018x})"
-            )
-        meta = json.loads(blob[20 : 20 + meta_len].decode("utf-8"))
-        offset = 20 + meta_len
-        arrays: dict[str, np.ndarray] = {}
-        for entry in meta["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(body, dtype=entry["dtype"], count=count, offset=offset).reshape(shape)
-            arrays[entry["name"]] = arr.copy()
-            offset += arr.nbytes
-        if offset != len(body):
-            raise ValueError(f"{len(body) - offset} bytes after the payload")
-
-        params = ModelParams(arrays["table"], meta["temperature"], meta["aggregator"])
+        fingerprint, meta, arrays = container.read(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+    except container.ContainerError as exc:
+        raise CheckpointError(str(exc)) from exc
+    if expected_fingerprint is not None and fingerprint != expected_fingerprint:
+        raise CheckpointError(
+            f"{path}: configuration fingerprint mismatch "
+            f"(checkpoint {fingerprint:#018x}, config {expected_fingerprint:#018x})"
+        )
+    try:
+        params = ModelParams(arrays["table"].copy(), meta["temperature"], meta["aggregator"])
         opt_meta = meta["optimizer"]
         opt = OptimizerState(
             kind=opt_meta["kind"],
@@ -316,9 +265,7 @@ def load_checkpoint(path: str, expected_fingerprint: int | None = None) -> Check
             seed=meta["seed"],
             fingerprint=fingerprint,
         )
-    except CheckpointError:
-        raise
-    except (struct.error, ValueError, KeyError, TypeError, IndexError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint ({exc})") from exc
 
 

@@ -20,10 +20,13 @@ from hypothesis import strategies as st
 
 import twotower
 from reference import encode_user, sample_events, score
+from test_trainer import resealed
 from twotower import cli as cli_mod
 from twotower import config as config_mod
 from twotower import losses as losses_mod
+from twotower import prepared as prepared_mod
 from twotower.cli import main
+from twotower.data import ingest_logs
 from twotower.trainer import TrainConfig, load_checkpoint, save_checkpoint
 from twotower.verify import SyntheticSpec, generate_synthetic, random_joint
 
@@ -115,6 +118,17 @@ class TestPrepare:
         assert main(["prepare", "--config", config]) == 0
         assert (out / "train_examples.tsv").read_text() == GOLDEN_TRAIN
         assert (out / "marginals.tsv").read_text() == GOLDEN_MARGINALS
+
+    def test_lone_carriage_return_stays_in_its_field(self, tiny_workspace):
+        """Only a line feed ends a line, through the command as in ``ingest_logs``:
+        an item token holding a carriage return is one token of its line."""
+        config, out = tiny_workspace
+        events = out.parent / "events.csv"
+        events.write_text(TINY_EVENTS.replace("i3", "i\r3"), encoding="utf-8", newline="")
+        assert main(["prepare", "--config", config]) == 0
+        assert (out / "train_examples.tsv").read_text() == GOLDEN_TRAIN
+        assert (out / "marginals.tsv").read_text() == GOLDEN_MARGINALS
+        assert "i\r3" in ingest_logs(io.BytesIO(events.read_bytes())).item_vocab
 
     def test_rerun_is_byte_identical(self, tiny_workspace):
         config, out = tiny_workspace
@@ -395,6 +409,222 @@ class TestTrainEvalTrace:
         ckpt = str(out / "checkpoints" / "final.ckpt")
         assert main(["retrieve", "--config", config, "--checkpoint", ckpt, "--task", "ut", "--query", "nope"]) == 1
         assert "unknown item token" in capsys.readouterr().err
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _run(tmp_path: Path, settings: dict, *argv: str) -> tuple[int, str, str]:
+    """``main([command, "--config", <settings>, *options])``: the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    config = write_config(tmp_path / "run.cfg", **settings)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], "--config", config, *argv[1:]])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _flipped(at: int):
+    return lambda blob: blob[: at % len(blob)] + bytes([blob[at % len(blob)] ^ 0x10]) + blob[at % len(blob) + 1 :]
+
+
+@pytest.fixture
+def prepared_workspace(tmp_path):
+    """The settings of a run on ``synthetic_events_csv`` into ``tmp_path / "out"``."""
+    events = tmp_path / "events.csv"
+    synthetic_events_csv(events)
+    settings = {
+        "seed": 5,
+        "data.input": str(events),
+        "data.max_seq_len": 6,
+        "model.dim": 8,
+        "train.epochs_per_month": 1,
+        "eval.top_n": 5,
+        "eval.num_negatives": 8,
+        "paths.output_dir": str(tmp_path / "out"),
+    }
+    return tmp_path, settings
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """One entry per pipeline run that builds from the log (an ingest call)."""
+    calls = []
+    ingest = cli_mod.data_mod.ingest_logs
+    monkeypatch.setattr(cli_mod.data_mod, "ingest_logs", lambda *args, **kwargs: calls.append(1) or ingest(*args, **kwargs))
+    return calls
+
+
+class TestPreparedFile:
+    """The output directory's prepared file stands in for ingest, example
+    building and the degree filter when its key (the log's bytes and the
+    ``data.*`` settings) matches, and is rebuilt silently otherwise."""
+
+    def test_key_covers_every_data_setting_but_the_input_path(self):
+        base = config_mod.RunConfig()
+        key = prepared_mod.key_of(b"u1,i1,0\n", base)
+        assert prepared_mod.key_of(b"u1,i1,1\n", base) != key
+        for name, (section, field, kind) in config_mod.FIELD_MAP.items():
+            changed = config_mod.parse_config(config_mod.render_config(base))
+            value = getattr(changed, field) if section is None else getattr(getattr(changed, section), field)
+            value = value + "x" if kind is str else value * 2 + 1
+            if section is None:
+                changed.seed = value
+            else:
+                setattr(getattr(changed, section), field, value)
+            stays = not name.startswith("data.") or name == "data.input"
+            assert (prepared_mod.key_of(b"u1,i1,0\n", changed) == key) == stays, name
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            "log byte",
+            {"data.horizon_days": 20},
+            {"data.max_seq_len": 3},
+            {"data.min_degree": 2},
+            {"data.months_total": 3},  # the log's own span, named
+        ],
+        ids=str,
+    )
+    def test_changed_input_misses_and_rewrites(self, prepared_workspace, builds, change):
+        """A one-byte log change at the same size and mtime, or another value
+        of a ``data.*`` key, rebuilds and rewrites the file as a fresh
+        directory's run writes it."""
+        tmp_path, settings = prepared_workspace
+        assert _run(tmp_path, settings, "prepare")[0] == 0
+        out = tmp_path / "out"
+        before = (out / prepared_mod.FILE_NAME).read_bytes()
+        if change == "log byte":
+            events = Path(settings["data.input"])
+            stat = events.stat()
+            events.write_bytes(events.read_bytes().replace(b"u1,", b"u2,", 1))
+            os.utime(events, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+            assert events.stat().st_size == stat.st_size
+        else:
+            settings |= change
+        builds.clear()
+        code, _, err = _run(tmp_path, settings, "prepare")
+        assert (code, err, len(builds)) == (0, "", 1)
+        assert (out / prepared_mod.FILE_NAME).read_bytes() != before
+        assert _run(tmp_path, settings | {"paths.output_dir": str(tmp_path / "fresh")}, "prepare")[0] == 0
+        fresh = _files(tmp_path / "fresh")
+        assert {name: blob for name, blob in _files(out).items() if name != "resolved.cfg"} == {
+            name: blob for name, blob in fresh.items() if name != "resolved.cfg"
+        }
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"seed": 9}, {"train.batch_size": 16}, {"train.learning_rate": 0.5}, {"eval.top_n": 3}, {"eval.task": "ut"}],
+        ids=str,
+    )
+    def test_other_settings_hit(self, prepared_workspace, builds, change):
+        tmp_path, settings = prepared_workspace
+        assert _run(tmp_path, settings, "prepare")[0] == 0
+        prepared = tmp_path / "out" / prepared_mod.FILE_NAME
+        before = prepared.stat()
+        builds.clear()
+        assert _run(tmp_path, settings | change, "prepare")[0] == 0
+        assert builds == []
+        assert (prepared.stat().st_ino, prepared.stat().st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda blob: b"", id="empty"),
+            pytest.param(lambda blob: blob[:4], id="magic-only"),
+            pytest.param(lambda blob: blob[: len(blob) // 2], id="cut-in-half"),
+            pytest.param(lambda blob: blob[:-1], id="last-byte-cut"),
+            pytest.param(lambda blob: blob + b"\0", id="appended"),
+            pytest.param(lambda blob: resealed(blob[:-4] + b"\0" + blob[-4:]), id="appended-resealed"),
+            pytest.param(_flipped(1), id="flipped-magic"),
+            pytest.param(_flipped(12), id="flipped-key"),
+            pytest.param(_flipped(40), id="flipped-metadata"),
+            pytest.param(_flipped(-100), id="flipped-payload"),
+            pytest.param(_flipped(-1), id="flipped-checksum"),
+            pytest.param(lambda blob: resealed(blob[:4] + struct.pack("<I", 2) + blob[8:]), id="version-2-resealed"),
+        ],
+    )
+    def test_damaged_file_is_rebuilt_never_loaded(self, prepared_workspace, builds, damage):
+        tmp_path, settings = prepared_workspace
+        code, stdout, _ = _run(tmp_path, settings, "prepare")
+        assert code == 0
+        out = tmp_path / "out"
+        good = _files(out)
+        (out / prepared_mod.FILE_NAME).write_bytes(damage(good[prepared_mod.FILE_NAME]))
+        builds.clear()
+        assert _run(tmp_path, settings, "prepare") == (0, stdout, "")
+        assert len(builds) == 1
+        assert _files(out) == good
+
+    @pytest.mark.parametrize("dates", ["integer", "iso"])
+    def test_cold_and_warm_runs_write_the_same_bytes(self, prepared_workspace, builds, dates):
+        """Every command's files and stdout are the same whether it builds the
+        data (the prepared file deleted before each command) or loads it."""
+        tmp_path, settings = prepared_workspace
+        if dates == "iso":  # calendar months from a day that is not the first of a month
+            events = Path(settings["data.input"])
+            lines = [line.rsplit(",", 1) for line in events.read_text().splitlines()]
+            epoch = np.datetime64("2023-01-17")
+            events.write_text("".join(f"{head},{epoch + int(day)}\n" for head, day in lines))
+        out = tmp_path / "out"
+        ckpt = str(out / "checkpoints" / "final.ckpt")
+        commands = [
+            ["prepare"],
+            ["train"],
+            ["eval", "--checkpoint", ckpt, "--task", "ir"],
+            ["eval", "--checkpoint", ckpt, "--task", "ut", "--verbose"],
+            ["trace", "--task", "ir"],
+            ["retrieve", "--checkpoint", ckpt, "--task", "ir", "--query", "i0 i3"],
+            ["retrieve", "--checkpoint", ckpt, "--task", "ut", "--query", "i2"],
+        ]
+        runs = {}
+        for cold in (True, False):
+            shutil.rmtree(out, ignore_errors=True)
+            builds.clear()
+            outputs, prepared = [], set()  # a cold retrieve leaves no prepared file behind
+            for argv in commands:
+                if cold and (out / prepared_mod.FILE_NAME).exists():
+                    (out / prepared_mod.FILE_NAME).unlink()
+                code, stdout, err = _run(tmp_path, settings, *argv)
+                assert (code, err) == (0, ""), argv
+                files = _files(out)
+                prepared.add(files.pop(prepared_mod.FILE_NAME, None))
+                outputs.append((stdout, files))
+            assert len(builds) == (len(commands) if cold else 1)
+            runs[cold] = outputs, prepared - {None}
+        assert runs[True] == runs[False]
+
+    def test_retrieve_writes_no_file(self, prepared_workspace, builds):
+        tmp_path, settings = prepared_workspace
+        assert _run(tmp_path, settings, "train")[0] == 0
+        out = tmp_path / "out"
+        query = ["--checkpoint", str(out / "checkpoints" / "final.ckpt"), "--query", "i2"]
+        code, warm, _ = _run(tmp_path, settings, "retrieve", *query)
+        assert code == 0 and len(builds) == 1
+        (out / prepared_mod.FILE_NAME).unlink()
+        files = _files(out)
+        assert _run(tmp_path, settings, "retrieve", *query) == (0, warm, "")
+        assert _files(out) == files
+        elsewhere = tmp_path / "elsewhere"
+        assert _run(tmp_path, settings | {"paths.output_dir": str(elsewhere)}, "retrieve", *query) == (0, warm, "")
+        assert not elsewhere.exists()
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"data.input": "{malformed}"}, {"data.delimiter": ";"}, {"data.horizon_days": 0}],
+        ids=["malformed-log", "other-delimiter", "horizon-0"],
+    )
+    def test_rejected_input_beside_a_valid_file_fails_as_in_a_fresh_directory(self, prepared_workspace, change):
+        tmp_path, settings = prepared_workspace
+        assert _run(tmp_path, settings, "prepare")[0] == 0
+        malformed = tmp_path / "malformed.csv"
+        malformed.write_text("u1,i1,0\nu2,i2\n", encoding="utf-8")
+        changed = settings | {key: str(value).format(malformed=malformed) for key, value in change.items()}
+        fresh = _run(tmp_path, changed | {"paths.output_dir": str(tmp_path / "fresh")}, "prepare")
+        assert fresh[0] == 1 and fresh[2].startswith("error: ")
+        before = _files(tmp_path / "out")
+        assert _run(tmp_path, changed, "prepare") == fresh
+        assert _files(tmp_path / "out") == before
 
 
 @pytest.fixture(scope="module")

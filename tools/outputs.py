@@ -32,6 +32,13 @@ in-process with the run directory as working directory and relative paths,
 so two runs write the same bytes wherever they live.  Each report is kept
 under its own name and the stdout of every command goes to `stdout/`.
 
+In each case's output directory the first command writes `prepared.bin`,
+the data built from the log under the `data.*` settings (see the README),
+and every later command loads it instead of building again; the resumed
+run writes its own in its own directory.  `compare` treats it as any other
+file, so a tree of a commit from before the file existed lists it as only
+in the other tree.
+
 `compare` lists the files that are byte-identical, and for each differing
 TSV or JSON file the largest absolute difference of every numeric column
 (TSV columns are split on tabs; JSON: every numeric field).  A TSV column of
