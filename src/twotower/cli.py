@@ -8,7 +8,8 @@ reads one config document, honors ``--seed``, writes the resolved config
 next to its outputs, and is deterministic for a fixed seed.  The commands
 that read the log build its examples once per output directory: the
 prepared file written beside the outputs stands in for the build while the
-log's bytes and the ``data.*`` settings match its key.
+log's bytes and the ``data.*`` settings match its key.  ``eval`` and
+``trace`` likewise draw each task's test cases once per output directory.
 """
 
 from __future__ import annotations
@@ -302,18 +303,25 @@ def _load_checked(path: str | None, cfg: RunConfig, num_items: int) -> Checkpoin
 
 
 def _test_cases(cfg: RunConfig, prepared: Prepared, task: str) -> tuple[EvalCases, EvalPool]:
+    """The test cases of ``task``, cut off at ``eval.top_n``: loaded from the
+    output directory's case file of the task when its key matches and its
+    cases fit the test split, else drawn and written there.  Nothing is
+    written unless the draw succeeds, and every error is the draw's."""
     if not len(prepared.split.test):
         raise CliError("test split is empty; nothing to evaluate")
+    seed = _derive_seed(cfg.seed, _TAG_TEST_CASES)
+    path = os.path.join(cfg.paths.output_dir, prepared_mod.cases_file(task))
+    key = prepared_mod.cases_key(prepared.key, task, cfg.eval.num_negatives, seed)
+    args = (prepared.split.test, task, cfg.eval.num_negatives)
+    loaded = prepared_mod.load_cases(path, key, *args, cfg.eval.top_n)
+    if loaded is not None:
+        return loaded
     try:
-        return build_eval_cases(
-            prepared.split.test,
-            task,
-            cfg.eval.num_negatives,
-            seed=_derive_seed(cfg.seed, _TAG_TEST_CASES),
-            cutoff=cfg.eval.top_n,
-        )
+        cases, pool = build_eval_cases(*args, seed=seed, cutoff=cfg.eval.top_n)
     except ValueError as exc:
         raise CliError(f"cannot build test cases: {exc}") from exc
+    prepared_mod.save_cases(path, key, cases, pool)
+    return cases, pool
 
 
 # The indents of a per-case record's fields and of its list elements in the eval report.

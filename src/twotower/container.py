@@ -1,12 +1,13 @@
 """One checksummed binary file format for named arrays.
 
-Checkpoints and the prepared-data file share it.  A file holds: a 4-byte
-magic naming its kind, a uint32 format version, a uint64 tag (a
-checkpoint's configuration fingerprint, the prepared data's key), a uint32
-length and a JSON metadata block (sorted keys; its ``arrays`` entry lists
-each array's name, dtype and shape), the arrays' raw bytes in that order
-(little-endian int64 and float64, and bytes), and a CRC-32 of every byte
-before it.  Integers in the header are little-endian.
+Checkpoints, the prepared-data file and the case files share it.  A file
+holds: a 4-byte magic naming its kind, a uint32 format version, a uint64
+tag (a checkpoint's configuration fingerprint, the first bits of the other
+files' key), a uint32 length and a JSON metadata block (sorted keys; its
+``arrays`` entry lists each array's name, dtype and shape), the arrays'
+raw bytes in that order (little-endian int64 and float64, and bytes), and
+a CRC-32 of every byte before it.  Integers in the header are
+little-endian.
 
 A file is written to a temporary file beside it, named for the writing
 process, and renamed into place: a write that fails midway leaves the

@@ -243,6 +243,19 @@ def _check_line(lineno: int, line: str, delimiter: str, mode: type | None) -> No
         raise IngestError(f"line {lineno}: day index {day_value} is not below {MAX_DAY}")
 
 
+def _event_lines(body: str) -> tuple[str, bool]:
+    """The event lines of ``body`` joined by line feeds (every line but
+    blank ones and comments, stripped), and whether its fields may hold
+    whitespace to strip.  CRLF line ends, which stripping would drop, are
+    dropped first, so that a log with no other whitespace takes the path
+    that strips nothing; a lone carriage return keeps it on the other."""
+    lines = body.replace("\r\n", "\n") if "\r" in body else body
+    spaced = not lines.isascii() or any(c in lines for c in _ASCII_SPACE)
+    if spaced or "#" in lines or "\n\n" in lines or lines.startswith("\n"):
+        return "\n".join(line for line in map(str.strip, body.split("\n")) if line and line[0] != "#"), spaced
+    return lines.removesuffix("\n"), False
+
+
 def ingest_logs(source: Union[IO[str], IO[bytes]], delimiter: str = ",") -> InteractionLog:
     """Parse a delimited event log into event columns and dense vocabularies.
 
@@ -266,12 +279,7 @@ def ingest_logs(source: Union[IO[str], IO[bytes]], delimiter: str = ",") -> Inte
     text = source.read()
     body = (text.decode("utf-8", errors="surrogateescape") if isinstance(text, bytes) else text).removeprefix("\ufeff")
     ascii_text = body.isascii()
-    spaced = not ascii_text or any(c in body for c in _ASCII_SPACE)
-    # The event lines joined by "\n": every line but blank ones and comments, stripped.
-    if spaced or "#" in body or "\n\n" in body or body.startswith("\n"):
-        joined = "\n".join(line for line in map(str.strip, body.split("\n")) if line and line[0] != "#")
-    else:
-        joined = body.removesuffix("\n")
+    joined, spaced = _event_lines(body)
     count = joined.count("\n") + 1 if joined else 0
 
     # Whole-text and column checks mark the suspect events (and lines not

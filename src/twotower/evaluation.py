@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,23 +71,13 @@ class EvalReport:
     per_case: list[dict] | None = None
 
 
-def build_eval_cases(
-    test_examples: Examples,
-    task: str,
-    num_negatives: int,
-    seed: int,
-    cutoff: int,
-) -> tuple[EvalCases, EvalPool]:
-    """One case per (query, positive) pair with sampled negatives, in the
-    order of the examples by (user, day, target, key).
-
-    IR: each test example's target is the positive, negatives drawn
-    uniformly without replacement from the test item pool excluding every
-    positive of that user.  UT is symmetric over pseudo-user keys; a key
-    stands for the smallest user id among its examples.  The draw takes
-    ``CASE_CELLS`` random keys at a time, so its result does not depend on
-    how the cases fall into blocks.
-    """
+def _case_frame(
+    test_examples: Examples, task: str, num_negatives: int, cutoff: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Sequences, EvalPool]:
+    """What the draw of ``build_eval_cases`` starts from, after its checks on
+    its arguments: each case's query and positive, the candidate universe,
+    each case's exclusion group as a row of ``excluded`` (the group's
+    positives as universe slots), and the pool."""
     if task not in TASKS:
         raise ValueError(f"task must be one of {TASKS}")
     if num_negatives < 0:
@@ -95,7 +86,6 @@ def build_eval_cases(
         raise ValueError("top-N cutoff must be >= 1")
     if not len(test_examples):
         raise ValueError("no test examples to evaluate")
-    rng = np.random.default_rng(seed)
     ex = test_examples
     ex = ex.take(np.lexsort((ex.key, ex.target, ex.day, ex.user)))
 
@@ -120,18 +110,74 @@ def build_eval_cases(
     if eligible < num_negatives:
         what = "item" if task == "ir" else "user"
         raise PoolTooSmallError(f"{what} pool too small: {eligible} eligible negatives, {num_negatives} requested")
-    candidates = np.empty((len(ex), 1 + num_negatives), dtype=np.int64)
+    return queries, positives, universe, group_of, excluded, pool
+
+
+def build_eval_cases(
+    test_examples: Examples,
+    task: str,
+    num_negatives: int,
+    seed: int,
+    cutoff: int,
+) -> tuple[EvalCases, EvalPool]:
+    """One case per (query, positive) pair with sampled negatives, in the
+    order of the examples by (user, day, target, key).
+
+    IR: each test example's target is the positive, negatives drawn
+    uniformly without replacement from the test item pool excluding every
+    positive of that user.  UT is symmetric over pseudo-user keys; a key
+    stands for the smallest user id among its examples.  The draw takes
+    ``CASE_CELLS`` random keys at a time, so its result does not depend on
+    how the cases fall into blocks.
+    """
+    queries, positives, universe, group_of, excluded, pool = _case_frame(test_examples, task, num_negatives, cutoff)
+    rng = np.random.default_rng(seed)
+    candidates = np.empty((queries.size, 1 + num_negatives), dtype=np.int64)
     candidates[:, 0] = positives
     if num_negatives:
         # One i.i.d. uniform key per (case, universe slot), a group's positives keyed
         # above 1: a case's smallest keys are a uniform draw from its eligible pool.
         block = max(1, CASE_CELLS // universe.size)
-        for start in range(0, len(ex), block):
+        for start in range(0, queries.size, block):
             rows = slice(start, start + block)
             mask = excluded.take(group_of[rows])
             keys = rng.random((len(mask), universe.size))
             keys[np.repeat(np.arange(len(mask)), np.diff(mask.offsets)), mask.items] = 2.0
             candidates[rows, 1:] = universe[smallest_keys(keys, num_negatives)]
+    return EvalCases(task, cutoff, queries, positives, candidates), pool
+
+
+def restore_eval_cases(
+    test_examples: Examples,
+    task: str,
+    num_negatives: int,
+    cutoff: int,
+    arrays: dict[str, np.ndarray],
+) -> tuple[EvalCases, EvalPool]:
+    """The cases and pool of ``build_eval_cases`` on these arguments, with
+    the candidates of ``arrays``, the ``query``, ``positive`` and
+    ``candidates`` columns of earlier cases and, for UT, their pool's
+    ``user_keys`` and ``key_owner``.  It raises the errors of
+    ``build_eval_cases`` on the arguments, and a ``ValueError`` unless the
+    arrays hold the queries, positives and pool of these test examples and
+    int64 candidate rows of ``1 + num_negatives`` ids of the pool, each
+    row's positive first."""
+    queries, positives, universe, _, _, pool = _case_frame(test_examples, task, num_negatives, cutoff)
+    expected = [("query", queries), ("positive", positives)]
+    if task == "ut":
+        expected += [("user_keys", pool.user_keys), ("key_owner", pool.key_owner)]
+    candidates = arrays["candidates"]
+    if (
+        not all(np.array_equal(arrays[name], column) for name, column in expected)
+        or candidates.dtype != np.int64
+        or candidates.shape != (queries.size, 1 + num_negatives)
+        or not np.array_equal(candidates[:, 0], positives)
+    ):
+        raise ValueError("the cases do not match the test examples")
+    member = np.zeros(int(universe[-1]) + 1, dtype=bool)
+    member[universe] = True
+    if candidates.min() < 0 or candidates.max() >= member.size or not member[candidates].all():
+        raise ValueError("a candidate lies outside the pool")
     return EvalCases(task, cutoff, queries, positives, candidates), pool
 
 
@@ -147,17 +193,13 @@ def distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class RankingIndex:
     """Row-normalized item table and row-normalized vectors of distinct
-    pseudo-users, built once per parameter snapshot, and each table's
-    distinct vectors, so that a block of cases is scored with one matrix
-    product and one gather."""
+    pseudo-users, built once per parameter snapshot, and the distinct
+    vectors of the table a task ranks, built when first read, so that a
+    block of cases is scored with one matrix product and one gather."""
 
     items: np.ndarray  # (num_items, d)
     users: np.ndarray  # (num_sequences, d); row r encodes the r-th sequence
     temperature: float
-    item_vectors: np.ndarray  # (distinct item vectors, d)
-    item_slot: np.ndarray  # (num_items,); row r of items is item_vectors[item_slot[r]]
-    user_vectors: np.ndarray
-    user_slot: np.ndarray
 
     @classmethod
     def build(cls, params: ModelParams, sequences: Sequences) -> "RankingIndex":
@@ -170,7 +212,17 @@ class RankingIndex:
             chunk = sequences.take(np.arange(start, min(start + ENCODE_CHUNK, len(sequences))))
             users[start : start + len(chunk)] = encode_user_batch(chunk, params).vectors
         users, _ = normalize_rows(users)
-        return cls(items, users, params.temperature, *distinct_rows(items), *distinct_rows(users))
+        return cls(items, users, params.temperature)
+
+    @cached_property
+    def distinct_items(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct item vectors, which IR ranks, and each item's slot among them."""
+        return distinct_rows(self.items)
+
+    @cached_property
+    def distinct_users(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct user-table vectors, which UT ranks, and each row's slot among them."""
+        return distinct_rows(self.users)
 
     @classmethod
     def for_cases(cls, cases: EvalCases, pool: EvalPool, params: ModelParams) -> tuple["RankingIndex", np.ndarray]:
@@ -191,9 +243,9 @@ class RankingIndex:
         alike and tie exactly.  The block holds (distinct queries) x
         (distinct vectors) floats."""
         if task == "ir":
-            table, vectors, slot = self.users, self.item_vectors, self.item_slot
+            table, (vectors, slot) = self.users, self.distinct_items
         else:
-            table, vectors, slot = self.items, self.user_vectors, self.user_slot
+            table, (vectors, slot) = self.items, self.distinct_users
         distinct, row = np.unique(queries, return_inverse=True)
         block = table[distinct] @ vectors.T
         return block.ravel()[row[:, None] * len(vectors) + slot[candidates]] / self.temperature

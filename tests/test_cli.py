@@ -20,13 +20,16 @@ from hypothesis import strategies as st
 
 import twotower
 from reference import encode_user, sample_events, score
+from test_outputs import outputs as outputs_tool
 from test_trainer import resealed
 from twotower import cli as cli_mod
 from twotower import config as config_mod
+from twotower import container
 from twotower import losses as losses_mod
 from twotower import prepared as prepared_mod
 from twotower.cli import main
 from twotower.data import ingest_logs
+from twotower.evaluation import TASKS
 from twotower.trainer import TrainConfig, load_checkpoint, save_checkpoint
 from twotower.verify import SyntheticSpec, generate_synthetic, random_joint
 
@@ -428,6 +431,23 @@ def _flipped(at: int):
     return lambda blob: blob[: at % len(blob)] + bytes([blob[at % len(blob)] ^ 0x10]) + blob[at % len(blob) + 1 :]
 
 
+# Damage done to the bytes of a container file, each of which must make it unreadable.
+DAMAGES = [
+    pytest.param(lambda blob: b"", id="empty"),
+    pytest.param(lambda blob: blob[:4], id="magic-only"),
+    pytest.param(lambda blob: blob[: len(blob) // 2], id="cut-in-half"),
+    pytest.param(lambda blob: blob[:-1], id="last-byte-cut"),
+    pytest.param(lambda blob: blob + b"\0", id="appended"),
+    pytest.param(lambda blob: resealed(blob[:-4] + b"\0" + blob[-4:]), id="appended-resealed"),
+    pytest.param(_flipped(1), id="flipped-magic"),
+    pytest.param(_flipped(12), id="flipped-key"),
+    pytest.param(_flipped(40), id="flipped-metadata"),
+    pytest.param(_flipped(-100), id="flipped-payload"),
+    pytest.param(_flipped(-1), id="flipped-checksum"),
+    pytest.param(lambda blob: resealed(blob[:4] + struct.pack("<I", 2) + blob[8:]), id="version-2-resealed"),
+]
+
+
 @pytest.fixture
 def prepared_workspace(tmp_path):
     """The settings of a run on ``synthetic_events_csv`` into ``tmp_path / "out"``."""
@@ -527,23 +547,7 @@ class TestPreparedFile:
         assert builds == []
         assert (prepared.stat().st_ino, prepared.stat().st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            pytest.param(lambda blob: b"", id="empty"),
-            pytest.param(lambda blob: blob[:4], id="magic-only"),
-            pytest.param(lambda blob: blob[: len(blob) // 2], id="cut-in-half"),
-            pytest.param(lambda blob: blob[:-1], id="last-byte-cut"),
-            pytest.param(lambda blob: blob + b"\0", id="appended"),
-            pytest.param(lambda blob: resealed(blob[:-4] + b"\0" + blob[-4:]), id="appended-resealed"),
-            pytest.param(_flipped(1), id="flipped-magic"),
-            pytest.param(_flipped(12), id="flipped-key"),
-            pytest.param(_flipped(40), id="flipped-metadata"),
-            pytest.param(_flipped(-100), id="flipped-payload"),
-            pytest.param(_flipped(-1), id="flipped-checksum"),
-            pytest.param(lambda blob: resealed(blob[:4] + struct.pack("<I", 2) + blob[8:]), id="version-2-resealed"),
-        ],
-    )
+    @pytest.mark.parametrize("damage", DAMAGES)
     def test_damaged_file_is_rebuilt_never_loaded(self, prepared_workspace, builds, damage):
         tmp_path, settings = prepared_workspace
         code, stdout, _ = _run(tmp_path, settings, "prepare")
@@ -625,6 +629,292 @@ class TestPreparedFile:
         before = _files(tmp_path / "out")
         assert _run(tmp_path, changed, "prepare") == fresh
         assert _files(tmp_path / "out") == before
+
+
+# A run on ``synthetic_events_csv`` with relative paths, from inside its directory.
+CASE_SETTINGS = {
+    "seed": 5,
+    "data.input": "events.csv",
+    "data.max_seq_len": 6,
+    "model.dim": 8,
+    "train.epochs_per_month": 1,
+    "eval.top_n": 5,
+    "eval.num_negatives": 8,
+    "paths.output_dir": "out",
+}
+CKPT = "out/checkpoints/final.ckpt"
+
+
+@pytest.fixture(scope="module")
+def case_template(tmp_path_factory):
+    """A directory holding ``events.csv`` and the outputs of ``train`` on it
+    under ``CASE_SETTINGS``."""
+    root = tmp_path_factory.mktemp("cases")
+    synthetic_events_csv(root / "events.csv")
+    with contextlib.chdir(root):
+        assert _run(Path("."), CASE_SETTINGS, "train")[0] == 0
+    return root
+
+
+@pytest.fixture
+def case_workspace(case_template, tmp_path, monkeypatch):
+    """A copy of ``case_template`` as the working directory, and its settings."""
+    shutil.copytree(case_template, tmp_path / "w")
+    monkeypatch.chdir(tmp_path / "w")
+    return Path("."), dict(CASE_SETTINGS)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The task of each case draw (a ``build_eval_cases`` call) the commands make."""
+    calls = []
+    build = cli_mod.build_eval_cases
+    monkeypatch.setattr(cli_mod, "build_eval_cases", lambda *args, **kwargs: calls.append(args[1]) or build(*args, **kwargs))
+    return calls
+
+
+def _case_files(out: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out.glob("eval_cases_*.bin"))}
+
+
+def _drawn(root: Path, settings: dict, task: str):
+    """What ``eval`` does before it ranks: the test cases and pool of ``task``."""
+    args = cli_mod.build_parser().parse_args(["eval", "--config", write_config(root / "run.cfg", **settings)])
+    cfg = cli_mod._load_config(args)
+    prepared = cli_mod._run_pipeline(cfg)
+    cli_mod._write_resolved(cfg, prepared)
+    return cli_mod._test_cases(cfg, prepared, task)
+
+
+def _refit(change):
+    """A case file rewritten under its own key, with a valid checksum, after ``change(arrays)``."""
+
+    def damage(path: Path) -> None:
+        _, meta, arrays = container.read(str(path), prepared_mod.CASES_MAGIC, prepared_mod.CASES_VERSION, "eval-cases")
+        arrays = {name: array.copy() for name, array in arrays.items()}
+        arrays = change(arrays) or arrays
+        key = bytes.fromhex(meta["key"])
+        prepared_mod._write_keyed(str(path), prepared_mod.CASES_MAGIC, prepared_mod.CASES_VERSION, key, {}, list(arrays.items()))
+
+    return damage
+
+
+def _set(name: str, index, value):
+    """A change that sets ``arrays[name][index]`` to ``value(arrays[name])``."""
+
+    def change(arrays):
+        arrays[name][index] = value(arrays[name])
+
+    return change
+
+
+def _outside_the_pool(arrays):
+    """An IR negative replaced by an item id that no test example targets."""
+    candidates = arrays["candidates"]
+    absent = np.setdiff1d(np.arange(candidates.max() + 1), candidates[:, 0])
+    candidates[0, 1] = absent[0] if absent.size else candidates.max() + 1
+
+
+class TestCaseFile:
+    """The output directory's case file of a task stands in for the draw of
+    its test cases when its key (the prepared data's key, the task,
+    ``eval.num_negatives`` and the seed) matches and its cases fit the test
+    split; it is drawn again and rewritten otherwise."""
+
+    def test_key_covers_the_data_task_negatives_and_seed(self):
+        base = (b"\1" * 32, "ir", 8, 7)
+        key = prepared_mod.cases_key(*base)
+        assert prepared_mod.cases_key(*base) == key
+        for changed in [(b"\2" * 32, "ir", 8, 7), (b"\1" * 32, "ut", 8, 7), (b"\1" * 32, "ir", 9, 7), (b"\1" * 32, "ir", 8, 8)]:
+            assert prepared_mod.cases_key(*changed) != key, changed
+
+    def test_cold_and_warm_runs_give_the_same_output(self, case_workspace, draws):
+        """Every eval, trace and ``eval_top`` file and stdout is the same
+        whether the cases are drawn (every case file deleted first) or loaded,
+        and so are the case files each run leaves."""
+        root, settings = case_workspace
+        config = write_config(root / "run.cfg", **settings)
+        commands = [
+            ["eval", "--checkpoint", CKPT, "--task", "ir"],
+            ["eval", "--checkpoint", CKPT, "--task", "ir", "--verbose"],
+            ["eval", "--checkpoint", CKPT, "--task", "ut"],
+            ["eval", "--checkpoint", CKPT, "--task", "ut", "--verbose"],
+            ["trace", "--task", "ir"],
+            ["trace", "--task", "ut"],
+            ["eval_top", "ir"],
+            ["eval_top", "ut"],
+        ]
+        shutil.copytree("out", "trained")
+        runs = {}
+        for cold in (True, False):
+            shutil.rmtree("out")
+            shutil.copytree("trained", "out")
+            outputs, cached = [], {}
+            draws.clear()
+            for argv in commands:
+                if cold:
+                    for path in Path("out").glob("eval_cases_*.bin"):
+                        path.unlink()
+                if argv[0] == "eval_top":
+                    outputs_tool._write_top_scores(cli_mod, config, CKPT, argv[1], f"out/eval_top_{argv[1]}.tsv")
+                    stdout = ""
+                else:
+                    code, stdout, err = _run(root, settings, *argv)
+                    assert (code, err) == (0, ""), argv
+                files = _files(Path("out"))
+                cached |= {name: files.pop(name) for name in _case_files(Path("out"))}
+                outputs.append((stdout, files))
+            assert draws == ([next(a for a in argv if a in TASKS) for argv in commands] if cold else ["ir", "ut"])
+            runs[cold] = outputs, cached
+        assert sorted(runs[True][1]) == ["eval_cases_ir.bin", "eval_cases_ut.bin"]
+        assert runs[True] == runs[False]
+
+    def test_loaded_cases_are_read_only_views(self, case_workspace):
+        root, settings = case_workspace
+        drawn, _ = _drawn(root, settings, "ut")
+        loaded, _ = _drawn(root, settings, "ut")
+        assert drawn.candidates.flags.writeable and not loaded.candidates.flags.writeable
+        assert loaded.candidates.tobytes() == drawn.candidates.tobytes()
+
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_damaged_file_is_rebuilt_never_loaded(self, case_workspace, draws, damage):
+        root, settings = case_workspace
+        argv = ["eval", "--checkpoint", CKPT, "--task", "ut", "--verbose"]
+        good = _run(root, settings, *argv)
+        files = _files(Path("out"))
+        path = Path("out") / prepared_mod.cases_file("ut")
+        path.write_bytes(damage(path.read_bytes()))
+        draws.clear()
+        assert _run(root, settings, *argv) == good
+        assert draws == ["ut"]
+        assert _files(Path("out")) == files
+
+    @pytest.mark.parametrize(
+        "task, change",
+        [
+            pytest.param("ir", _outside_the_pool, id="ir-negative-outside-the-pool"),
+            pytest.param("ir", _set("candidates", (0, 1), lambda c: -1), id="ir-negative-id"),
+            pytest.param("ut", _set("candidates", (0, 1), lambda c: c.max() + 1), id="ut-negative-outside-the-pool"),
+            pytest.param("ir", _set("candidates", (0, slice(0, 2)), lambda c: c[0, 1::-1]), id="positive-not-first"),
+            pytest.param("ir", _set("query", 0, lambda q: q[0] + 1), id="other-query"),
+            pytest.param("ut", _set("positive", 0, lambda p: p[0] + 1), id="other-positive"),
+            pytest.param("ut", _set("user_keys", -1, lambda k: k[-1] + 1), id="other-user-key"),
+            pytest.param("ut", _set("key_owner", 0, lambda o: o[0] + 1), id="other-key-owner"),
+            pytest.param("ut", lambda arrays: {n: a for n, a in arrays.items() if n != "key_owner"}, id="no-key-owner"),
+            pytest.param("ir", lambda arrays: {n: a for n, a in arrays.items() if n != "candidates"}, id="no-candidates"),
+            pytest.param("ir", lambda arrays: {**arrays, "candidates": arrays["candidates"][:, :-1]}, id="one-negative-less"),
+            pytest.param("ut", lambda arrays: {name: a[:-1] for name, a in arrays.items()}, id="one-case-less"),
+            pytest.param("ir", lambda arrays: {**arrays, "candidates": arrays["candidates"] + 0.0}, id="float-candidates"),
+        ],
+    )
+    def test_cases_that_do_not_fit_the_split_are_rebuilt_never_loaded(self, case_workspace, draws, task, change):
+        """A file of the right key whose arrays do not fit the test split
+        (written with a valid checksum, as a tampered file could be)."""
+        root, settings = case_workspace
+        argv = ["eval", "--checkpoint", CKPT, "--task", task, "--verbose"]
+        good = _run(root, settings, *argv)
+        files = _files(Path("out"))
+        path = Path("out") / prepared_mod.cases_file(task)
+        _refit(change)(path)
+        assert path.read_bytes() != files[path.name]
+        draws.clear()
+        assert _run(root, settings, *argv) == good
+        assert draws == [task]
+        assert _files(Path("out")) == files
+
+    @pytest.mark.parametrize(
+        "change",
+        ["log byte", "task", {"seed": 9}, {"eval.num_negatives": 7}, {"data.max_seq_len": 3}, {"data.min_degree": 2}],
+        ids=str,
+    )
+    def test_stale_file_is_rebuilt_and_rewritten(self, case_workspace, draws, change):
+        """A changed log byte, seed, ``eval.num_negatives`` or ``data.*`` value,
+        or another task's file under this task's name, draws again and
+        rewrites the file as a fresh directory writes it."""
+        root, settings = case_workspace
+        _drawn(root, settings, "ir")
+        if change == "log byte":
+            events = Path(settings["data.input"])
+            events.write_bytes(events.read_bytes().replace(b"u1,", b"u2,", 1))
+        elif change == "task":
+            _drawn(root, settings, "ut")
+            shutil.copyfile("out/eval_cases_ut.bin", "out/eval_cases_ir.bin")
+        else:
+            settings |= change
+        stale = _case_files(Path("out"))["eval_cases_ir.bin"]
+        draws.clear()
+        cases, _ = _drawn(root, settings, "ir")
+        assert draws == ["ir"]
+        assert _case_files(Path("out"))["eval_cases_ir.bin"] != stale
+        fresh, _ = _drawn(root, settings | {"paths.output_dir": "fresh"}, "ir")
+        assert _case_files(Path("out"))["eval_cases_ir.bin"] == _case_files(Path("fresh"))["eval_cases_ir.bin"]
+        assert cases.candidates.tobytes() == fresh.candidates.tobytes()
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"eval.top_n": 3}, {"eval.popularity_window_days": 30}, {"eval.task": "ut"}, {"train.learning_rate": 0.5}, {"model.dim": 4}],
+        ids=str,
+    )
+    def test_other_settings_hit(self, case_workspace, draws, change):
+        root, settings = case_workspace
+        _drawn(root, settings, "ir")
+        path = Path("out") / prepared_mod.cases_file("ir")
+        before = path.stat()
+        draws.clear()
+        _drawn(root, settings | change, "ir")
+        assert draws == []
+        assert (path.stat().st_ino, path.stat().st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    @pytest.mark.parametrize("task", ["ir", "ut"])
+    def test_changed_cutoff_reuses_the_file_and_reports_the_new_cutoff(self, case_workspace, draws, task):
+        root, settings = case_workspace
+        argv = ["eval", "--checkpoint", CKPT, "--task", task, "--verbose"]
+        assert _run(root, settings, *argv)[0] == 0
+        files = _case_files(Path("out"))
+        draws.clear()
+        settings["eval.top_n"] = 3
+        code, stdout, err = _run(root, settings, *argv)
+        assert (code, err, draws) == (0, "", [])
+        assert "recall@3=" in stdout and json.loads(Path("out/eval_report.json").read_text())["cutoff"] == 3
+        assert _case_files(Path("out")) == files
+        fresh = _run(root, settings | {"paths.output_dir": "fresh"}, *argv)
+        assert (code, stdout.replace("out/", "fresh/"), err) == fresh
+        assert Path("out/eval_report.json").read_bytes() == Path("fresh/eval_report.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"eval.top_n": 0},
+            {"eval.num_negatives": -1},
+            {"eval.num_negatives": 10_000},  # more than the pool holds
+            {"eval.task": "xx"},
+            {"data.months_total": 5},  # months 4 and 5 hold no test example
+        ],
+        ids=str,
+    )
+    def test_rejected_arguments_beside_a_valid_file_fail_as_in_a_fresh_directory(self, case_workspace, change):
+        """Each check of the draw on its arguments fails with the same
+        ``error:`` line whatever case file lies beside it, and writes none."""
+        root, settings = case_workspace
+        for task in TASKS:
+            assert _run(root, settings, "eval", "--checkpoint", CKPT, "--task", task)[0] == 0
+        shutil.copyfile("out/eval_cases_ir.bin", "out/eval_cases_xx.bin")  # the file an unknown task would read
+        files = _case_files(Path("out"))
+        argv = ["trace", "--checkpoint-dir", "out/checkpoints"]  # trace draws before it reads a checkpoint
+        fresh = _run(root, settings | change | {"paths.output_dir": "fresh"}, *argv)
+        assert fresh[0] == 1 and fresh[2].startswith("error: ") and fresh[1] == ""
+        assert _run(root, settings | change, *argv) == fresh
+        assert _case_files(Path("out")) == files
+        assert _case_files(Path("fresh")) == {}
+
+    def test_prepare_train_and_retrieve_write_no_case_file(self, case_workspace):
+        root, settings = case_workspace
+        settings["paths.output_dir"] = "other"
+        query = ["--checkpoint", "other/checkpoints/final.ckpt", "--query", "i2"]
+        for argv in (["prepare"], ["train"], ["retrieve", *query, "--task", "ir"], ["retrieve", *query, "--task", "ut"]):
+            assert _run(root, settings, *argv)[0] == 0, argv
+        assert (Path("other") / prepared_mod.FILE_NAME).exists()
+        assert _case_files(Path("other")) == {}
 
 
 @pytest.fixture(scope="module")

@@ -295,6 +295,30 @@ class TestIngestMatchesReference:
             assert _ingest_outcome(ingest_logs, raw, as_text, delimiter) == expected
 
 
+class TestCrlfLineEnds:
+    """A log whose only whitespace is its CRLF line ends reads as its LF
+    copy, on the path that strips no field; a lone carriage return stays in
+    its field."""
+
+    LOG = "u1,i1,0\nu2,i2,3\nu1,i3,40\nu3,i1,75\n"
+
+    @pytest.mark.parametrize("log", [LOG, LOG.rstrip("\n")], ids=["trailing", "no-trailing"])
+    def test_crlf_log_takes_the_path_that_strips_nothing(self, log):
+        assert data_module._event_lines(log.replace("\n", "\r\n")) == (log.rstrip("\n"), False)
+
+    @pytest.mark.parametrize("fault", ["", "u4,i2\n", "u4,,5\n", "u4,i2,x\n", "u4,i2,-1\n", "# note\n\n"])
+    def test_crlf_log_reads_as_its_lf_copy(self, fault):
+        lf = (self.LOG + fault + "u5,i4,80\n").encode("utf-8")
+        crlf = lf.replace(b"\n", b"\r\n")
+        for as_text in (False, True):
+            assert _ingest_outcome(ingest_logs, crlf, as_text, ",") == _ingest_outcome(ingest_logs, lf, as_text, ",")
+
+    def test_lone_carriage_return_stays_in_its_field(self):
+        text = "u1,i\r1,0\r\nu2,i2,3\r\n"
+        assert data_module._event_lines(text)[1]
+        assert list(ingest_logs(io.BytesIO(text.encode("utf-8"))).item_vocab) == ["i\r1", "i2"]
+
+
 def brute_force_windows(records, horizon, max_len):
     """Independent enumeration: walk every purchase day of every user."""
     expected = []

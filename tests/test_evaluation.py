@@ -587,6 +587,20 @@ class TestRankWithoutSorting:
         assert positive_rank(scores, ids, np.array([7, 0])).tolist() == [2, 4]
 
 
+class TestDistinctVectorsOfTheRankedTable:
+    @pytest.mark.parametrize("task", ["ir", "ut"])
+    def test_only_the_candidate_table_is_searched_for_equal_vectors(self, monkeypatch, task):
+        """IR ranks items and UT user-table rows: ``evaluate`` finds the
+        distinct vectors of that table alone."""
+        cases, pool = build_eval_cases(make_test_examples(), task, num_negatives=3, seed=4, cutoff=2)
+        params = ModelParams.initialize(8, 4, 0.25, 0)
+        searched = []
+        distinct_rows = evaluation.distinct_rows
+        monkeypatch.setattr(evaluation, "distinct_rows", lambda table: searched.append(table.shape) or distinct_rows(table))
+        evaluate(cases, pool, params)
+        assert searched == [(8, 4) if task == "ir" else (len(pool.user_keys), 4)]
+
+
 class TestEqualVectorsTie:
     """Candidates whose vectors are equal score exactly alike wherever they sit
     in a row, so they rank by ascending id.  Scored with one matrix-vector

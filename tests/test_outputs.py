@@ -96,3 +96,22 @@ def test_verbose_top_lists_read_their_scores(tmp_path, capsys):
     code, lines = _compare(tmp_path, a, b, capsys)
     assert code == 1
     assert "    top: 2 cases differ, differs beyond swaps of equal printed score in 1 (cases [1])" in lines
+
+
+def test_cache_files_in_one_tree_are_listed_under_their_own_heading(tmp_path, capsys):
+    """A tree of a commit from before a cache file existed holds none: such
+    files are listed apart from the other files found in one tree, and still
+    count, as any file, against a zero exit."""
+    trace = {"trace.tsv": "month\trecall\tndcg\n1\t0.5\t0.25\n"}
+    extra = {"prepared.bin": "p", "eval_cases_ir.bin": "c", "eval_cases_ut.bin": "c", "new.tsv": "x\n"}
+    code, lines = _compare(tmp_path, trace, trace | extra, capsys)
+    b = tmp_path / "b"
+    assert code == 1
+    assert lines == [
+        f"1 files byte-identical, 0 differ, 0 only in {tmp_path / 'a'}, 4 only in {b}",
+        f"  only in {b}: new.tsv",
+        "cache files only in one tree:",
+        f"  only in {b}: eval_cases_ir.bin",
+        f"  only in {b}: eval_cases_ut.bin",
+        f"  only in {b}: prepared.bin",
+    ]

@@ -35,9 +35,12 @@ under its own name and the stdout of every command goes to `stdout/`.
 In each case's output directory the first command writes `prepared.bin`,
 the data built from the log under the `data.*` settings (see the README),
 and every later command loads it instead of building again; the resumed
-run writes its own in its own directory.  `compare` treats it as any other
-file, so a tree of a commit from before the file existed lists it as only
-in the other tree.
+run writes its own in its own directory.  Likewise the first `eval` of each
+task writes its test cases to `eval_cases_<task>.bin`, which the later
+`eval`, `trace` and `eval_top` runs of that task load.  `compare` compares
+these cache files as any other file, but lists those found in only one
+tree under their own heading, since a tree of a commit from before a cache
+file existed holds none.
 
 `compare` lists the files that are byte-identical, and for each differing
 TSV or JSON file the largest absolute difference of every numeric column
@@ -61,6 +64,7 @@ import io
 import json
 import math
 import datetime
+import fnmatch
 import os
 import shutil
 import sys
@@ -370,6 +374,12 @@ def _top_swaps(a: Path, b: Path, name: str) -> str | None:
     return f"top: {len(differ)} cases differ, {_swap_verdict(not beyond)}{where}"
 
 
+def _is_cache(name: str) -> bool:
+    """Whether ``name`` is a file a command writes to spare a later one a build."""
+    base = Path(name).name
+    return base == "prepared.bin" or fnmatch.fnmatch(base, "eval_cases_*.bin")
+
+
 def compare(a: Path, b: Path) -> int:
     files_a, files_b = _files(a), _files(b)
     differ = [name for name in sorted(files_a & files_b) if (a / name).read_bytes() != (b / name).read_bytes()]
@@ -377,8 +387,15 @@ def compare(a: Path, b: Path) -> int:
         f"{len(files_a & files_b) - len(differ)} files byte-identical, {len(differ)} differ, "
         f"{len(files_a - files_b)} only in {a}, {len(files_b - files_a)} only in {b}"
     )
-    for name in sorted(files_a ^ files_b):
-        print(f"  only in {a if name in files_a else b}: {name}")
+    only = sorted(files_a ^ files_b)
+    caches = [name for name in only if _is_cache(name)]
+    for name in only:
+        if name not in caches:
+            print(f"  only in {a if name in files_a else b}: {name}")
+    if caches:
+        print("cache files only in one tree:")
+        for name in caches:
+            print(f"  only in {a if name in files_a else b}: {name}")
     cells = {".tsv": _tsv_cells, ".json": lambda text: _json_cells(json.loads(text))}
     for name in differ:
         print(f"  differs: {name}")
