@@ -4,8 +4,9 @@ Subcommands: ``prepare`` (logs to example files), ``train`` (incremental or
 shuffled), ``eval`` (ranking metrics on the test month), ``verify`` (the
 synthetic optimum sweep), ``retrieve`` (ad-hoc top-N for a query) and
 ``trace`` (per-month test metrics over saved checkpoints).  Every command
-reads one config document, honors ``--seed``, writes the resolved config
-next to its outputs, and is deterministic for a fixed seed.  The commands
+reads one config document, honors ``--seed`` and is deterministic for a
+fixed seed; all but ``retrieve`` write the resolved config next to their
+outputs.  Every output is written whole or not at all.  The commands
 that read the log build its examples once per output directory: the
 prepared file written beside the outputs stands in for the build while the
 log's bytes and the ``data.*`` settings match its key.  ``eval`` and
@@ -23,14 +24,14 @@ import json
 import logging
 import os
 import re
-import shutil
 import sys
-from collections.abc import Callable, Collection
+from collections.abc import Callable
 from typing import TextIO
 
 import numpy as np
 
 from . import config as config_mod
+from . import container
 from . import data as data_mod
 from . import prepared as prepared_mod
 from .config import ConfigError, RunConfig, fingerprint, loss_config_from, render_config, verify_seeds
@@ -78,7 +79,7 @@ def _write_resolved(cfg: RunConfig, prepared: Prepared | None = None) -> None:
     """Write the resolved config into the output directory, and the prepared
     file when ``prepared`` was built rather than loaded."""
     os.makedirs(cfg.paths.output_dir, exist_ok=True)
-    with open(os.path.join(cfg.paths.output_dir, "resolved.cfg"), "w", encoding="utf-8") as out:
+    with container.writing(os.path.join(cfg.paths.output_dir, "resolved.cfg")) as out:
         out.write(render_config(cfg))
     if prepared is not None and not prepared.loaded:
         prepared_mod.save(os.path.join(cfg.paths.output_dir, prepared_mod.FILE_NAME), prepared)
@@ -182,20 +183,12 @@ def _validation_eval_fn(cfg: RunConfig, prepared: Prepared):
     return eval_fn
 
 
-def _write_trace(path: str, rows: list[dict], keep_months: Collection[int] = ()) -> None:
-    """Write ``rows`` after the lines of the existing file whose month field
-    reads as this function writes a month of ``keep_months`` (a resumed run
-    keeps the months its checkpoint finished); every other line is dropped."""
-    finished = {str(month) for month in keep_months}
-    kept = []
-    if finished and os.path.exists(path):
-        with open(path, encoding="utf-8", errors="replace") as src:
-            kept = [line for line in list(src)[1:] if line.split("\t", 1)[0] in finished]
-    with open(path, "w", encoding="utf-8") as out:
-        out.write("month\trecall\tndcg\n")
-        out.writelines(kept)
-        for row in rows:
-            out.write(f"{row['month']}\t{row['recall']:.6f}\t{row['ndcg']:.6f}\n")
+def _write_trace(path: str, rows: list[dict]) -> str:
+    """Write ``rows`` to the trace file at ``path``; return its text."""
+    text = "month\trecall\tndcg\n" + "".join(f"{row['month']}\t{row['recall']:.6f}\t{row['ndcg']:.6f}\n" for row in rows)
+    with container.writing(path) as out:
+        out.write(text)
+    return text
 
 
 def _export_embeddings(out: TextIO, params: ModelParams, prepared: Prepared) -> None:
@@ -261,9 +254,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     checkpoint_dir = os.path.join(cfg.paths.output_dir, "checkpoints")
 
     resume = _load_checked(args.checkpoint, cfg, prepared.log.num_items) if args.checkpoint else None
+    if resume is not None and any(row.keys() != {"month", "recall", "ndcg"} for row in resume.trace):
+        raise CheckpointError(f"{args.checkpoint}: corrupt checkpoint (trace rows are not validation rows)")
     # Opened before the first step, so a path that cannot be written costs no training.
-    export = open(args.export_embeddings, "w", encoding="utf-8") if args.export_embeddings else None
-    with export or contextlib.nullcontext():
+    with container.writing(args.export_embeddings) if args.export_embeddings else contextlib.nullcontext() as export:
         try:
             result = train_incremental(
                 examples, params, loss_config, train_config,
@@ -275,12 +269,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         if export:
             _export_embeddings(export, params, prepared)
 
-    done = resume.months[: resume.month_cursor] if resume is not None else ()
-    _write_trace(os.path.join(cfg.paths.output_dir, "trace.tsv"), result.trace, keep_months=done)
+    _write_trace(os.path.join(cfg.paths.output_dir, "trace.tsv"), result.trace)
     final_path = os.path.join(checkpoint_dir, "final.ckpt")
     if result.checkpoints:
-        shutil.copyfile(result.checkpoints[-1], final_path + ".tmp")
-        os.replace(final_path + ".tmp", final_path)
+        with open(result.checkpoints[-1], "rb") as src, container.writing(final_path, "wb") as out:
+            out.write(src.read())
     for notice in result.notices:
         logger.info("%s", notice)
     print(f"trained {result.steps} steps over months {list(result.months)}; final checkpoint {final_path}")
@@ -386,7 +379,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not args.verbose:
         payload.pop("per_case")
     out_path = os.path.join(cfg.paths.output_dir, "eval_report.json")
-    with open(out_path, "w", encoding="utf-8") as out:
+    with container.writing(out_path) as out:
         out.write(report_json(payload) + "\n")
     print(
         f"{task} over {report.num_cases} cases: recall@{report.cutoff}={report.recall_at_n:.4f} "
@@ -422,7 +415,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CliError(f"verify: {exc}") from exc
     text = sweep_report_text(result)
     out_path = os.path.join(cfg.paths.output_dir, "sweep_report.tsv")
-    with open(out_path, "w", encoding="utf-8") as out:
+    with container.writing(out_path) as out:
         out.write(text)
     print(text, end="")
     failed = [r for r in result.reports if not r.passed]
@@ -497,10 +490,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         rows.append({"month": month, "recall": report.recall_at_n, "ndcg": report.ndcg_at_n})
     rows.sort(key=lambda row: row["month"])
     out_path = os.path.join(cfg.paths.output_dir, "month_trace.tsv")
-    _write_trace(out_path, rows)
-    print("month\trecall\tndcg")
-    for row in rows:
-        print(f"{row['month']}\t{row['recall']:.6f}\t{row['ndcg']:.6f}")
+    print(_write_trace(out_path, rows), end="")
     return 0
 
 

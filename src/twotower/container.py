@@ -9,10 +9,11 @@ raw bytes in that order (little-endian int64 and float64, and bytes), and
 a CRC-32 of every byte before it.  Integers in the header are
 little-endian.
 
-A file is written to a temporary file beside it, named for the writing
-process, and renamed into place: a write that fails midway leaves the
-previous file intact, and of two processes writing one path each renames a
-whole file.  The payload is streamed from the arrays, never joined.  A file
+Every output of the package is written by ``writing``: to a temporary file
+beside it, named for the writing process, renamed into place only when the
+write ends cleanly.  A write that fails midway leaves the previous file
+intact, and of two processes writing one path each renames a whole file.
+A container's payload is streamed from the arrays, never joined.  A file
 is read into one buffer and checked before any of it is used: the magic,
 the version, the checksum, and that the payload ends exactly at the
 checksum.  The arrays read are read-only views of that buffer, which places
@@ -23,10 +24,13 @@ the payload at an 8-byte boundary: the arrays of a payload that lists its
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import os
 import struct
 import zlib
+from collections.abc import Iterator
+from typing import IO
 
 import numpy as np
 
@@ -46,6 +50,24 @@ def _dtype(array: np.ndarray) -> str:
     return "|u1" if array.dtype == np.uint8 else "<f8"
 
 
+@contextlib.contextmanager
+def writing(path: str, mode: str = "w") -> Iterator[IO]:
+    """A file open in ``mode`` (text in UTF-8) on a temporary file beside
+    ``path``, renamed onto it when the block ends cleanly and removed on any
+    exception.  A directory at ``path`` raises before the block runs."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    tmp_path = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp_path, mode, encoding=None if "b" in mode else "utf-8") as out:
+            yield out
+        os.replace(tmp_path, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_path)
+        raise
+
+
 def write(path: str, magic: bytes, version: int, tag: int, meta: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
     """Write ``meta`` and ``arrays`` (each int64, float64 or uint8 after a
     cast) to ``path`` in one container of ``magic`` and ``version``."""
@@ -55,22 +77,15 @@ def write(path: str, magic: bytes, version: int, tag: int, meta: dict, arrays: l
         for (name, _), column in zip(arrays, columns)
     ]
     meta_bytes = json.dumps({**meta, "arrays": manifest}, sort_keys=True).encode("utf-8")
-    tmp_path = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp_path, "wb") as out:
-            head = struct.pack(_HEAD, magic, version, tag, len(meta_bytes)) + meta_bytes
-            out.write(head)
-            crc = zlib.crc32(head)
-            for column in columns:
-                chunk = memoryview(column).cast("B")
-                out.write(chunk)
-                crc = zlib.crc32(chunk, crc)
-            out.write(struct.pack("<I", crc))
-        os.replace(tmp_path, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp_path)
-        raise
+    with writing(path, "wb") as out:
+        head = struct.pack(_HEAD, magic, version, tag, len(meta_bytes)) + meta_bytes
+        out.write(head)
+        crc = zlib.crc32(head)
+        for column in columns:
+            chunk = memoryview(column).cast("B")
+            out.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        out.write(struct.pack("<I", crc))
 
 
 def read(path: str, magic: bytes, version: int, kind: str) -> tuple[int, dict, dict[str, np.ndarray]]:

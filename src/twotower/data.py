@@ -29,6 +29,8 @@ from typing import IO, Union
 
 import numpy as np
 
+from . import container
+
 logger = logging.getLogger(__name__)
 
 # Integer day indices fall into consecutive months of this many days.
@@ -561,7 +563,7 @@ def _sequence_text(table: Sequences, keys: np.ndarray) -> list[str]:
 def _write_tsv(path: str, *columns: list[str], head: str = "") -> None:
     """Write ``head``, then one line of tab-separated cells per row of
     ``columns``, ``BLOCK`` lines at a time."""
-    with open(path, "w", encoding="utf-8") as out:
+    with container.writing(path) as out:
         out.write(head)
         for start in range(0, len(columns[0]), BLOCK):
             out.write("\n".join(map("\t".join, zip(*(column[start : start + BLOCK] for column in columns)))) + "\n")

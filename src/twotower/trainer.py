@@ -14,10 +14,10 @@ Determinism contract: every random draw is made by a generator derived from
 either mode, reproduces the uninterrupted run bit for bit.
 
 Checkpoints are written in the ``container`` format: magic ``UMCK``, format
-version 2, the 64-bit fingerprint of the identity-relevant configuration as
-the tag, a JSON metadata block (cursor, optimizer scalars, array manifest)
-and the float64/int64 arrays (the parameter table and the Adam rows).  The
-Adam tables are stored for the rows that have taken a step only.
+version 3, the 64-bit fingerprint of the identity-relevant configuration as
+the tag, a JSON metadata block (cursor, optimizer scalars, the validation
+rows of the finished phases, array manifest) and the float64/int64 arrays:
+the parameter table, and the Adam rows of the rows that have taken a step.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from .losses import LossConfig, loss_with_gradients
 from .model import DegenerateNormError, GradientTable, ModelParams, finite_norms
 
 CHECKPOINT_MAGIC = b"UMCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+_OPTIMIZER_FIELDS = ("kind", "learning_rate", "beta1", "beta2", "epsilon")
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -199,6 +200,7 @@ class Checkpoint:
     months: tuple[int, ...]
     seed: int
     fingerprint: int
+    trace: list[dict] = field(default_factory=list)  # the validation rows of the finished phases
 
 
 def save_checkpoint(path: str, checkpoint: Checkpoint) -> None:
@@ -218,13 +220,8 @@ def save_checkpoint(path: str, checkpoint: Checkpoint) -> None:
         "seed": checkpoint.seed,
         "aggregator": params.aggregator,
         "temperature": params.temperature,
-        "optimizer": {
-            "kind": opt.kind,
-            "learning_rate": opt.learning_rate,
-            "beta1": opt.beta1,
-            "beta2": opt.beta2,
-            "epsilon": opt.epsilon,
-        },
+        "optimizer": {name: getattr(opt, name) for name in _OPTIMIZER_FIELDS},
+        "trace": checkpoint.trace,
     }
     container.write(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, checkpoint.fingerprint, meta, arrays)
 
@@ -244,14 +241,8 @@ def load_checkpoint(path: str, expected_fingerprint: int | None = None) -> Check
         )
     try:
         params = ModelParams(arrays["table"].copy(), meta["temperature"], meta["aggregator"])
-        opt_meta = meta["optimizer"]
-        opt = OptimizerState(
-            kind=opt_meta["kind"],
-            learning_rate=opt_meta["learning_rate"],
-            beta1=opt_meta["beta1"],
-            beta2=opt_meta["beta2"],
-            epsilon=opt_meta["epsilon"],
-        )
+        opt = OptimizerState(**{name: meta["optimizer"][name] for name in _OPTIMIZER_FIELDS})
+        trace = [{**{key: float(x) for key, x in row.items()}, "month": int(row["month"])} for row in meta["trace"]]
         if opt.kind == "adam":
             row_ids = arrays["adam_row_ids"]
             m, v, t = opt.tables(params.table.shape)
@@ -264,8 +255,9 @@ def load_checkpoint(path: str, expected_fingerprint: int | None = None) -> Check
             months=tuple(meta["months"]),
             seed=meta["seed"],
             fingerprint=fingerprint,
+            trace=trace,
         )
-    except (ValueError, KeyError, TypeError, IndexError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint ({exc})") from exc
 
 
@@ -311,8 +303,9 @@ def train_incremental(
     ``full_softmax_col`` and ``ssm`` losses read the training ``marginals``,
     and ``ssm`` draws from ``proposal`` (see ``losses.loss_with_gradients``).
     After each phase the optional ``eval_fn`` is invoked on a parameter
-    snapshot and its metrics are appended to the trace.  ``resume``
-    continues from a checkpoint's cursor in either mode.
+    snapshot and its metrics are appended to the trace before the phase's
+    last checkpoint, which holds them.  ``resume`` continues from a
+    checkpoint's cursor and trace in either mode.
     """
     months = tuple(np.unique(examples.month).tolist())
     if not months:
@@ -322,16 +315,15 @@ def train_incremental(
     phases = [(-1, examples)] if shuffled else [(month, examples.take(examples.month == month)) for month in months]
     epochs = train_config.epochs_per_month
     state = OptimizerState.from_config(train_config)
-    start_phase, start_epoch = 0, 0
+    start_phase, start_epoch, trace = 0, 0, []
     if resume is not None:
         if resume.months != months:
             raise CheckpointError(f"checkpoint months {resume.months} do not match the data's {months}")
         params.table[...] = resume.params.table
         state = resume.optimizer
-        start_phase, start_epoch = resume.month_cursor, resume.epoch_cursor
+        start_phase, start_epoch, trace = resume.month_cursor, resume.epoch_cursor, list(resume.trace)
 
     notices: list[str] = []
-    trace: list[dict] = []
     checkpoints: list[str] = []
     steps = 0
     if checkpoint_dir:
@@ -341,7 +333,7 @@ def train_incremental(
         if not checkpoint_dir:
             return
         path = os.path.join(checkpoint_dir, name)
-        save_checkpoint(path, Checkpoint(params, state, phase, epoch, months, train_config.seed, fingerprint))
+        save_checkpoint(path, Checkpoint(params, state, phase, epoch, months, train_config.seed, fingerprint, trace))
         checkpoints.append(path)
 
     for phase in range(start_phase, len(phases)):
@@ -368,12 +360,13 @@ def train_incremental(
             # checkpoint or snapshot may hold one.
             if not finite_norms(params.table):
                 raise NonFiniteGradientError(f"non-finite parameters after month {month}, epoch {epoch}")
+            last = epoch == epochs - 1
+            if last and eval_fn is not None:
+                trace.append({"month": month, **eval_fn(params.clone(), month)})
             if shuffled:
                 _save(f"shuffled_epoch_{epoch:02d}.ckpt", phase, epoch + 1)
-            elif epoch < epochs - 1:
+            elif last:
+                _save(f"month_{month:04d}.ckpt", phase + 1, 0)
+            else:
                 _save(f"month_{month:04d}_epoch_{epoch:02d}.ckpt", phase, epoch + 1)
-        if not shuffled:
-            _save(f"month_{month:04d}.ckpt", phase + 1, 0)
-        if eval_fn is not None:
-            trace.append({"month": month, **eval_fn(params.clone(), month)})
     return TrainResult(params, months, trace, notices, steps, checkpoints)

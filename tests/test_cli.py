@@ -1,6 +1,7 @@
 """End-to-end command tests on a tiny fixture and a synthetic workspace."""
 
 import contextlib
+import errno
 import importlib.util
 import io
 import json
@@ -27,6 +28,7 @@ from twotower import config as config_mod
 from twotower import container
 from twotower import losses as losses_mod
 from twotower import prepared as prepared_mod
+from twotower import trainer as trainer_mod
 from twotower.cli import main
 from twotower.data import ingest_logs
 from twotower.evaluation import TASKS
@@ -949,9 +951,10 @@ def small_checkpoint(small_events):
 def invalid_checkpoints(small_checkpoint):
     """Copies of ``small_checkpoint`` written with a NaN temperature, an
     infinite item table, one NaN entry in one item row, one item row whose
-    norm overflows or an unknown pooling, a copy whose header says format version 1, and directories
-    whose one month checkpoint holds that NaN entry, that pooling or one
-    item row more than the data's vocabulary."""
+    norm overflows, an unknown pooling, a trace that is not a list of rows or
+    trace rows that are not validation rows, copies whose header says format
+    version 1 or 2, and directories whose one month checkpoint holds that NaN
+    entry, that pooling or one item row more than the data's vocabulary."""
     directory = os.path.join(os.path.dirname(os.path.dirname(small_checkpoint)), "invalid")
     for months in ("months", "aggregator_months", "vocabulary_months"):
         os.makedirs(os.path.join(directory, months), exist_ok=True)
@@ -980,10 +983,15 @@ def invalid_checkpoints(small_checkpoint):
     def extra_item(params):
         params.table = np.vstack([params.table[:1], params.table])
 
-    version_1 = os.path.join(directory, "version_1.ckpt")
-    with open(small_checkpoint, "rb") as src, open(version_1, "wb") as out:
-        blob = src.read()
-        out.write(blob[:4] + struct.pack("<I", 1) + blob[8:])
+    blob = Path(small_checkpoint).read_bytes()
+    for version in (1, 2):
+        Path(directory, f"version_{version}.ckpt").write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+
+    def write_trace(name, trace):
+        checkpoint = load_checkpoint(small_checkpoint)
+        checkpoint.trace = trace
+        save_checkpoint(os.path.join(directory, name), checkpoint)
+        return os.path.join(directory, name)
 
     month = small_checkpoint.replace("final", "month_0001")
     return {
@@ -995,7 +1003,10 @@ def invalid_checkpoints(small_checkpoint):
         "max_aggregator": write("max_aggregator.ckpt", small_checkpoint, unknown_aggregator),
         "max_aggregator_months": os.path.dirname(write("aggregator_months/month_0001.ckpt", month, unknown_aggregator)),
         "vocabulary_months": os.path.dirname(write("vocabulary_months/month_0001.ckpt", month, extra_item)),
-        "version_1": version_1,
+        "version_1": os.path.join(directory, "version_1.ckpt"),
+        "version_2": os.path.join(directory, "version_2.ckpt"),
+        "string_trace": write_trace("string_trace.ckpt", "month 1"),
+        "other_trace": write_trace("other_trace.ckpt", [{"month": 1, "auc": 0.5}]),
     }
 
 
@@ -1291,6 +1302,20 @@ class TestTrainVariants:
                 "train-resume-checkpoint-vocabulary",
             ),
             setting("eval --checkpoint {version_1}", {}, "unsupported checkpoint version 1", "eval-checkpoint-version-1"),
+            setting("eval --checkpoint {version_2}", {}, "unsupported checkpoint version 2", "eval-checkpoint-version-2"),
+            setting(
+                "train --checkpoint {string_trace}",
+                {},
+                "string_trace.ckpt: corrupt checkpoint (",
+                "train-resume-checkpoint-string-trace",
+            ),
+            setting("eval --checkpoint {string_trace}", {}, "corrupt checkpoint (", "eval-checkpoint-string-trace"),
+            setting(
+                "train --checkpoint {other_trace}",
+                {},
+                "other_trace.ckpt: corrupt checkpoint (trace rows are not validation rows)",
+                "train-resume-checkpoint-other-trace",
+            ),
             setting(
                 "verify",
                 {"verify.learning_rate": 1.7e308, "verify.epochs": 2, "verify.num_samples": 2000},
@@ -1306,6 +1331,13 @@ class TestTrainVariants:
                 "[Errno 2] No such file or directory",
                 "train-export-under-a-missing-directory",
                 absent="{directory}/export/checkpoints",  # the export path fails before the first step
+            ),
+            setting(
+                "train --export-embeddings {directory}",
+                {"paths.output_dir": "{directory}/export"},
+                "[Errno 21] Is a directory",
+                "train-export-is-a-directory",
+                absent="{directory}/export/checkpoints",
             ),
             setting(
                 "prepare",
@@ -1576,25 +1608,81 @@ class TestResumeViaCli:
         # resuming in place rewrites the rows of the resumed months once
         assert (out_resume / "trace.tsv").read_text() == (out_full / "trace.tsv").read_text()
 
-    def test_resume_drops_malformed_trace_rows(self, small_events, small_checkpoint, tmp_path):
-        """A resume keeps the rows of ``trace.tsv`` whose month field reads
-        as a finished month does and drops every other row."""
+    @pytest.mark.parametrize("found", ["no-file", "garbage-rows", "other-seed"])
+    def test_resume_writes_the_uninterrupted_trace_whatever_the_directory_holds(self, small_events, tmp_path, found):
+        """A resume takes the rows of the months its checkpoint finished from
+        the checkpoint, never from the ``trace.tsv`` it finds beside it."""
         _, events = small_events
-        month = small_checkpoint.replace("final", "month_0001")
-        written = {}
-        dirty = [b"x\t0.1\t0.2\n", b"\n", b"01\t0\t0\n", b"1\t0.5\t0.5\n", b" 1\t0\t0\n", b"\xff\t1\t1\n"]
-        for name, old in (("clean", None), ("dirty", dirty)):
-            out = tmp_path / name
-            settings = {"data.input": str(events), "eval.num_negatives": 2, "paths.output_dir": str(out)}
-            config = write_config(tmp_path / f"{name}.cfg", **settings)
-            if old:
-                out.mkdir()
-                (out / "trace.tsv").write_bytes(b"".join([b"month\trecall\tndcg\n", *old]))
-            assert main(["train", "--config", config, "--checkpoint", month]) == 0
-            written[name] = (out / "trace.tsv").read_bytes().splitlines(keepends=True)
-        header, *rows = written["clean"]
-        assert rows and all(row.startswith(b"2\t") for row in rows)
-        assert written["dirty"] == [header, b"1\t0.5\t0.5\n", *rows]
+
+        def config(name):
+            settings = {"data.input": str(events), "eval.num_negatives": 2, "paths.output_dir": str(tmp_path / name)}
+            return write_config(tmp_path / f"{name}.cfg", **settings)
+
+        assert main(["train", "--config", config("full")]) == 0
+        full = (tmp_path / "full" / "trace.tsv").read_bytes()
+        assert full.count(b"\n") == 3  # the header and the rows of months 1 and 2
+        resumed = config("resumed")
+        if found == "garbage-rows":
+            (tmp_path / "resumed").mkdir()
+            garbage = [b"x\t0.1\t0.2\n", b"\n", b"01\t0\t0\n", b"1\t0.5\t0.5\n", b" 1\t0\t0\n", b"\xff\t1\t1\n"]
+            (tmp_path / "resumed" / "trace.tsv").write_bytes(b"".join([b"month\trecall\tndcg\n", *garbage]))
+        elif found == "other-seed":
+            assert main(["train", "--config", resumed, "--seed", "8"]) == 0
+            assert (tmp_path / "resumed" / "trace.tsv").read_bytes().split(b"\n")[1] != full.split(b"\n")[1]
+        month = str(tmp_path / "full" / "checkpoints" / "month_0001.ckpt")
+        assert main(["train", "--config", resumed, "--checkpoint", month]) == 0
+        assert (tmp_path / "resumed" / "trace.tsv").read_bytes() == full
+
+    @pytest.mark.parametrize(
+        "mode, where, count",
+        [
+            *(("incremental", "steps", epoch) for epoch in (1, 2, 3, 4)),
+            *(("incremental", "validation", month) for month in (1, 2)),
+            ("shuffled", "steps", 1),
+            ("shuffled", "steps", 2),
+            ("shuffled", "validation", 1),
+        ],
+    )
+    def test_interrupted_run_resumed_from_its_newest_checkpoint_is_the_uninterrupted_run(
+        self, small_events, tmp_path, monkeypatch, mode, where, count
+    ):
+        """A ``KeyboardInterrupt`` midway through the ``count``-th epoch's
+        steps, or in the ``count``-th validation, resumed in place from the
+        newest checkpoint the interrupted run wrote (from the start if none),
+        gives the uninterrupted run's ``trace.tsv`` and ``final.ckpt``."""
+        _, events = small_events
+        settings = {"data.input": str(events), "eval.num_negatives": 2, "train.epochs_per_month": 2, "train.mode": mode}
+
+        def train(name, *options):
+            config = write_config(tmp_path / f"{name}.cfg", **settings | {"paths.output_dir": str(tmp_path / name)})
+            return main(["train", "--config", config, *options])
+
+        assert train("full") == 0
+        saved, calls = [], []
+        save, batches, evaluate = trainer_mod.save_checkpoint, trainer_mod.make_batches, cli_mod.evaluate
+        monkeypatch.setattr(trainer_mod, "save_checkpoint", lambda path, ckpt: save(path, ckpt) or saved.append(path))
+
+        def interrupt():
+            calls.append(1)
+            if len(calls) == count:
+                raise KeyboardInterrupt
+
+        def interrupted_batches(*args):
+            for index, rows in enumerate(batches(*args)):
+                if index == 1:  # one step into the epoch
+                    interrupt()
+                yield rows
+
+        if where == "steps":
+            monkeypatch.setattr(trainer_mod, "make_batches", interrupted_batches)
+        else:
+            monkeypatch.setattr(cli_mod, "evaluate", lambda *args: interrupt() or evaluate(*args))
+        with pytest.raises(KeyboardInterrupt):
+            train("resumed")
+        monkeypatch.undo()
+        assert train("resumed", *(["--checkpoint", saved[-1]] if saved else [])) == 0
+        for name in ("trace.tsv", "checkpoints/final.ckpt"):
+            assert (tmp_path / "resumed" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
     def test_shuffled_run_resumes_from_its_epoch_checkpoint(self, tmp_path, capsys):
         events = tmp_path / "events.csv"
@@ -1625,6 +1713,85 @@ class TestResumeViaCli:
         final_b = (out_resume / "checkpoints" / "final.ckpt").read_bytes()
         assert final_a == final_b
         assert (out_resume / "trace.tsv").read_text() == (out_full / "trace.tsv").read_text()
+
+
+class _FullDisk:
+    """A file that keeps the first half of its first write, then fails as a
+    full disk does."""
+
+    def __init__(self, file):
+        self.file = file
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.file.close()
+
+    def write(self, data):
+        self.file.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.fixture(scope="module")
+def trained_bce(small_events):
+    """The settings and output directory of a bce ``train`` on ``small_events``."""
+    tmp_path, events = small_events
+    settings = {"data.input": str(events), "loss.family": "bce", "loss.preset": "", "eval.num_negatives": 2}
+    out = tmp_path / "bce"
+    assert main(["train", "--config", write_config(tmp_path / "bce.cfg", **settings, **{"paths.output_dir": str(out)})]) == 0
+    return settings, out
+
+
+# Each output of the package but the caches, and a command that writes it.
+OUTPUTS = [
+    *(("prepare", name) for name in ("resolved.cfg", "marginals.tsv", "train_labeled.tsv")),
+    *(("prepare", f"{part}_examples.tsv") for part in ("train", "validation", "test")),
+    ("train", "trace.tsv"),
+    ("train", "checkpoints/final.ckpt"),
+    ("train --export-embeddings {out}/vectors.tsv", "vectors.tsv"),
+    ("trace", "month_trace.tsv"),
+    ("eval --checkpoint {out}/checkpoints/final.ckpt", "eval_report.json"),
+    ("verify", "sweep_report.tsv"),
+]
+
+
+class TestWholeOutputs:
+    """Every output is renamed into place whole: a write that fails midway
+    leaves the file that was there and no temporary file."""
+
+    @pytest.mark.parametrize("command, target", OUTPUTS, ids=[target for _, target in OUTPUTS])
+    def test_failed_write_keeps_the_previous_file(self, trained_bce, tmp_path, monkeypatch, capsys, command, target):
+        settings, trained = trained_bce
+        out = tmp_path / "out"
+        shutil.copytree(trained, out)
+        if command == "verify":
+            settings = {"verify.num_users": 4, "verify.num_items": 5, "verify.num_samples": 500, "verify.epochs": 5}
+        config = write_config(tmp_path / "run.cfg", **settings, **{"paths.output_dir": str(out)})
+        (out / target).write_bytes(b"previous\n")
+        tmp = os.path.abspath(f"{out / target}.{os.getpid()}.tmp")
+
+        def full_disk_open(path, *args, **kwargs):
+            file = open(path, *args, **kwargs)
+            return _FullDisk(file) if os.path.abspath(path) == tmp else file
+
+        monkeypatch.setattr(container, "open", full_disk_open, raising=False)
+        name, *options = command.format(out=out).split()
+        assert main([name, "--config", config, *options]) == 1
+        assert "error: [Errno 28] No space left on device" in capsys.readouterr().err
+        assert (out / target).read_bytes() == b"previous\n"
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_failed_training_keeps_the_previous_export(self, trained_bce, tmp_path, capsys):
+        settings, trained = trained_bce
+        settings = settings | {"train.optimizer": "sgd", "train.learning_rate": 1e308, "paths.output_dir": str(tmp_path)}
+        export = tmp_path / "vectors.tsv"
+        export.write_bytes(b"previous\n")
+        config = write_config(tmp_path / "run.cfg", **settings)
+        assert main(["train", "--config", config, "--export-embeddings", str(export)]) == 1
+        assert "train: non-finite" in capsys.readouterr().err
+        assert export.read_bytes() == b"previous\n"
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestVerifyCommand:

@@ -210,7 +210,8 @@ class TestCheckpointFile:
         params = ModelParams.initialize(5, 3, 0.25, seed, "attention")
         state = OptimizerState(kind="adam", learning_rate=0.01)
         apply_optimizer_step(params, grads_of({2: [0.1, 0.2, 0.3], 5: [1.0, 0.0, 0.0]}), state)  # row 5: attention
-        return Checkpoint(params, state, month_cursor=1, epoch_cursor=0, months=(1, 2, 3), seed=seed, fingerprint=0xDEADBEEF)
+        trace = [{"month": 1, "ndcg": 0.1 + seed, "recall": 0.3}]
+        return Checkpoint(params, state, 1, 0, months=(1, 2, 3), seed=seed, fingerprint=0xDEADBEEF, trace=trace)
 
     def test_round_trip(self, tmp_path):
         original = self._checkpoint()
@@ -224,6 +225,7 @@ class TestCheckpointFile:
         assert loaded.months == (1, 2, 3)
         assert loaded.month_cursor == 1 and loaded.epoch_cursor == 0
         assert loaded.fingerprint == 0xDEADBEEF
+        assert loaded.trace == [{"month": 1, "ndcg": 3.1, "recall": 0.3}]
         np.testing.assert_array_equal(loaded.optimizer.m, original.optimizer.m)
         np.testing.assert_array_equal(loaded.optimizer.v, original.optimizer.v)
         np.testing.assert_array_equal(loaded.optimizer.t, [0, 0, 1, 0, 0, 1])
@@ -308,6 +310,26 @@ class TestCheckpointFile:
         blob = path.read_bytes()
         path.write_bytes(resealed(blob.replace(b'"table"', b'"tablX"')))
         with pytest.raises(CheckpointError, match="table"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize(
+        "field, damaged",
+        [
+            (b'"beta1"', b'"betaX"'),
+            (b'"optimizer": {', b'"optimizer": 5, "x": {'),
+            (b'"trace": [', b'"trace": 5, "x": ['),
+            (b'"month": 1', b'"month": "x"'),
+            (b'"recall": 0.3', b'"recall": [0.3]'),
+        ],
+        ids=["optimizer-field", "optimizer-scalar", "trace-scalar", "trace-month", "trace-metric"],
+    )
+    def test_malformed_metadata_rejected(self, tmp_path, field, damaged):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(str(path), self._checkpoint())
+        blob = path.read_bytes()
+        assert blob.count(field) == 1
+        path.write_bytes(resealed(blob.replace(field, damaged)))
+        with pytest.raises(CheckpointError, match="corrupt checkpoint"):
             load_checkpoint(str(path))
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
@@ -459,6 +481,21 @@ class TestTrainingLoop:
         assert seen == months
         assert [row["month"] for row in result.trace] == months
         assert np.any(params.item_embeddings != 0.0)
+
+    @pytest.mark.parametrize("mode", ["incremental", "shuffled"])
+    def test_each_checkpoint_holds_the_rows_of_the_phases_it_finished(self, tmp_path, mode):
+        """A phase is validated before its last checkpoint is written, so every
+        checkpoint carries the rows of the phases it finished."""
+        spec, examples, marginals = synthetic_training_set(num_months=3)
+        result = train_incremental(
+            examples, fresh_params(spec), LOSS, train_config(epochs_per_month=2, mode=mode), marginals=marginals,
+            eval_fn=lambda params, month: {"ndcg": float(month)}, checkpoint_dir=str(tmp_path),
+        )
+        assert len(result.trace) == (1 if mode == "shuffled" else 3)
+        for path in result.checkpoints:
+            checkpoint = load_checkpoint(path)
+            finished = checkpoint.month_cursor + (checkpoint.epoch_cursor == 2)  # a shuffled run's last epoch
+            assert checkpoint.trace == result.trace[:finished], os.path.basename(path)
 
     @pytest.mark.parametrize("aggregator", ["mean", "attention"])
     def test_resume_from_month_checkpoint_is_bit_identical(self, tmp_path, aggregator):

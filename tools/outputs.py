@@ -16,8 +16,10 @@ partial month is left out) and a messy copy of the `targeting` log (CRLF
 line ends, a byte-order mark, `#` comment and blank lines, and whitespace
 around every field, which ingest must read as the plain log), then runs
 `prepare`, `train --export-embeddings`, a resume from the first checkpoint
-into a second directory, `eval` for both tasks (plain
-and `--verbose`), `trace` for both tasks (runs with month checkpoints) and
+into a second directory (whose `trace.tsv` is whole: the rows of the months
+that checkpoint finished come from it, so the file equals the first run's),
+`eval` for both tasks (plain and `--verbose`), `trace` for both tasks (runs
+with month checkpoints) and
 four `retrieve` runs per task (two queries at `--top-n 10`, then the first
 again at `--top-n 1` and at a `--top-n` above the candidate count), under
 each loss configuration of `CASES` (among them `bbcnce` at temperature 0.003,
