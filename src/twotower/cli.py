@@ -96,9 +96,8 @@ def _configured(section: str, build: Callable, *args, **kwargs):
 
 def _run_pipeline(cfg: RunConfig) -> Prepared:
     """The log of ``cfg`` ingested, cut into examples, split by month and
-    degree-filtered, with the training marginals: loaded from the output
-    directory's prepared file when its key matches, else built (and written
-    by ``_write_resolved``)."""
+    degree-filtered: loaded from the output directory's prepared file when
+    its key matches, else built (and written by ``_write_resolved``)."""
     path = cfg.data.input
     if not path:
         raise CliError("data.input is not set in the config")
@@ -122,8 +121,7 @@ def _run_pipeline(cfg: RunConfig) -> Prepared:
     split = _configured("data", data_mod.filter_sparse, split, cfg.data.min_degree)
     if not len(split.train):
         raise CliError("no training examples survive the split and degree filter")
-    marginals = data_mod.compute_marginals(split.train, log.num_items)
-    return Prepared(log, split, marginals, months_total, key)
+    return Prepared(log, split, months_total, key)
 
 
 def _labeled_train(cfg: RunConfig, prepared: Prepared) -> data_mod.Examples:
@@ -271,9 +269,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     _write_trace(os.path.join(cfg.paths.output_dir, "trace.tsv"), result.trace)
     final_path = os.path.join(checkpoint_dir, "final.ckpt")
-    if result.checkpoints:
-        with open(result.checkpoints[-1], "rb") as src, container.writing(final_path, "wb") as out:
-            out.write(src.read())
+    # A resume with nothing left to train writes no checkpoint: its final one is the resumed checkpoint.
+    source = result.checkpoints[-1] if result.checkpoints else args.checkpoint
+    with open(source, "rb") as src, container.writing(final_path, "wb") as out:
+        out.write(src.read())
     for notice in result.notices:
         logger.info("%s", notice)
     print(f"trained {result.steps} steps over months {list(result.months)}; final checkpoint {final_path}")

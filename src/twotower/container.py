@@ -5,9 +5,14 @@ holds: a 4-byte magic naming its kind, a uint32 format version, a uint64
 tag (a checkpoint's configuration fingerprint, the first bits of the other
 files' key), a uint32 length and a JSON metadata block (sorted keys; its
 ``arrays`` entry lists each array's name, dtype and shape), the arrays'
-raw bytes in that order (little-endian int64 and float64, and bytes), and
-a CRC-32 of every byte before it.  Integers in the header are
-little-endian.
+raw bytes in that order, and a CRC-32 of every byte before it.  Integers
+in the header are little-endian.
+
+An array is stored little-endian as float64, as bytes (``|u1``, a uint8
+array) or, for an integer column, as the narrowest of uint16 and uint32
+that holds it when none of its values is negative, else as int64.  The
+arrays are stored by item size, largest first, so that each lies on a
+boundary of its item size.
 
 Every output of the package is written by ``writing``: to a temporary file
 beside it, named for the writing process, renamed into place only when the
@@ -16,9 +21,11 @@ intact, and of two processes writing one path each renames a whole file.
 A container's payload is streamed from the arrays, never joined.  A file
 is read into one buffer and checked before any of it is used: the magic,
 the version, the checksum, and that the payload ends exactly at the
-checksum.  The arrays read are read-only views of that buffer, which places
-the payload at an 8-byte boundary: the arrays of a payload that lists its
-8-byte arrays before its byte arrays are aligned.
+checksum.  The buffer places the payload at an 8-byte boundary.  The
+float64, int64 and byte arrays read are read-only views of it, aligned in a
+file of this layout; a uint16 or uint32 column is read as a read-only
+int64 copy, so every integer array reads as int64 whatever its width on
+disk.
 """
 
 from __future__ import annotations
@@ -37,7 +44,8 @@ import numpy as np
 # Header: magic, version, tag, metadata length.
 _HEAD = "<4sIQI"
 _HEAD_SIZE = struct.calcsize(_HEAD)
-_DTYPES = ("<i8", "<f8", "|u1")
+_DTYPES = ("<i8", "<f8", "<u4", "<u2", "|u1")
+_NARROW = ("<u4", "<u2")  # integer columns, widened to int64 on read
 
 
 class ContainerError(ValueError):
@@ -45,9 +53,17 @@ class ContainerError(ValueError):
 
 
 def _dtype(array: np.ndarray) -> str:
-    if array.dtype.kind == "i":
+    """The stored dtype of ``array``: a uint8 array is bytes, any other
+    integer array the narrowest of uint16 and uint32 that holds it when it
+    has no negative value, else int64; anything else float64."""
+    if array.dtype == np.uint8:
+        return "|u1"
+    if array.dtype.kind not in "iu":
+        return "<f8"
+    if array.size and array.min() < 0:
         return "<i8"
-    return "|u1" if array.dtype == np.uint8 else "<f8"
+    top = int(array.max()) if array.size else 0
+    return "<u2" if top < 2**16 else "<u4" if top < 2**32 else "<i8"
 
 
 @contextlib.contextmanager
@@ -69,19 +85,17 @@ def writing(path: str, mode: str = "w") -> Iterator[IO]:
 
 
 def write(path: str, magic: bytes, version: int, tag: int, meta: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
-    """Write ``meta`` and ``arrays`` (each int64, float64 or uint8 after a
-    cast) to ``path`` in one container of ``magic`` and ``version``."""
-    columns = [np.ascontiguousarray(array, dtype=_dtype(array)) for _, array in arrays]
-    manifest = [
-        {"name": name, "dtype": column.dtype.str, "shape": list(column.shape)}
-        for (name, _), column in zip(arrays, columns)
-    ]
+    """Write ``meta`` and ``arrays`` (each stored as ``_dtype`` tells) to
+    ``path`` in one container of ``magic`` and ``version``."""
+    named = [(name, np.ascontiguousarray(array, dtype=_dtype(array))) for name, array in arrays]
+    named.sort(key=lambda item: -item[1].itemsize)  # stable: arrays of one item size keep their order
+    manifest = [{"name": name, "dtype": column.dtype.str, "shape": list(column.shape)} for name, column in named]
     meta_bytes = json.dumps({**meta, "arrays": manifest}, sort_keys=True).encode("utf-8")
     with writing(path, "wb") as out:
         head = struct.pack(_HEAD, magic, version, tag, len(meta_bytes)) + meta_bytes
         out.write(head)
         crc = zlib.crc32(head)
-        for column in columns:
+        for _, column in named:
             chunk = memoryview(column).cast("B")
             out.write(chunk)
             crc = zlib.crc32(chunk, crc)
@@ -120,8 +134,11 @@ def read(path: str, magic: bytes, version: int, kind: str) -> tuple[int, dict, d
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
             array = np.frombuffer(body, dtype=entry["dtype"], count=count, offset=offset).reshape(shape)
-            arrays[entry["name"]] = array
             offset += array.nbytes
+            if entry["dtype"] in _NARROW:
+                array = array.astype(np.int64)
+                array.flags.writeable = False
+            arrays[entry["name"]] = array
         if offset != len(body):
             raise ValueError(f"{len(body) - offset} bytes after the payload")
     except ContainerError:

@@ -266,18 +266,19 @@ def positive_rank(scores: np.ndarray, ids: np.ndarray, positive: np.ndarray) -> 
 
 def select_top_n(scores: np.ndarray, ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The first ``min(n, C)`` ids of each row in ranking order, in no
-    particular order, and their scores.  A partition picks them; a row with
-    more entries at or above its n-th score than n is tied across the cutoff
-    and is fully sorted."""
+    particular order, and their scores.  A row keeps its entries at or above
+    its n-th score, read from a sort of its scores; a row with more such
+    entries than n is tied across the cutoff and takes its first n from a
+    full lexsort by (score, id)."""
     width = ids.shape[1]
     n = min(n, width)
     if n < width:
-        pick = np.argpartition(scores, width - n, axis=1)[:, width - n :]  # column 0 holds the n-th score
-        nth = np.take_along_axis(scores, pick[:, :1], axis=1)
-        tied = np.flatnonzero(np.count_nonzero(scores >= nth, axis=1) > n)
+        keep = scores >= np.sort(scores, axis=1)[:, width - n, None]
+        tied = np.flatnonzero(np.count_nonzero(keep, axis=1) > n)
         if tied.size:
-            pick[tied] = np.lexsort((ids[tied], -scores[tied]))[:, :n]
-        ids, scores = np.take_along_axis(ids, pick, axis=1), np.take_along_axis(scores, pick, axis=1)
+            keep[tied] = False
+            keep[tied[:, None], np.lexsort((ids[tied], -scores[tied]))[:, :n]] = True
+        ids, scores = ids[keep].reshape(-1, n), scores[keep].reshape(-1, n)
     return ids, scores
 
 

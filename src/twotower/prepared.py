@@ -33,6 +33,7 @@ import datetime
 import hashlib
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TypeVar
 
 import numpy as np
@@ -57,10 +58,14 @@ T = TypeVar("T")
 class Prepared:
     log: data_mod.InteractionLog
     split: data_mod.DatasetSplit
-    marginals: data_mod.EmpiricalMarginals
     months_total: int
     key: bytes
     loaded: bool = False  # read from the file, so there is nothing to write
+
+    @cached_property
+    def marginals(self) -> data_mod.EmpiricalMarginals:
+        """The training marginals, computed when first read."""
+        return data_mod.compute_marginals(self.split.train, self.log.num_items)
 
 
 def key_of(log_bytes: bytes, cfg: RunConfig) -> bytes:
@@ -99,7 +104,6 @@ def save(path: str, prepared: Prepared) -> None:
     arrays = [(f"events_{name}", getattr(log.records, name)) for name in _EVENT_COLUMNS]
     arrays += [("key_offsets", split.train.table.offsets), ("key_items", split.train.table.items)]
     arrays += [(f"{part}_{name}", getattr(getattr(split, part), name)) for part in _PARTS for name in _EXAMPLE_COLUMNS]
-    # The byte arrays go last, so that every int64 array loads aligned.
     arrays += [("user_tokens", _tokens(log.user_vocab)), ("item_tokens", _tokens(log.item_vocab))]
     meta = {"epoch": None if log.epoch is None else log.epoch.isoformat(), "months_total": prepared.months_total}
     _write_keyed(path, MAGIC, VERSION, prepared.key, meta, arrays)
@@ -115,9 +119,7 @@ def _decode(key: bytes, meta: dict, arrays: dict[str, np.ndarray]) -> Prepared:
     log = data_mod.InteractionLog(records, user_vocab, item_vocab, epoch)
     table = data_mod.Sequences(arrays["key_offsets"], arrays["key_items"])
     parts = (data_mod.Examples(table, *(arrays[f"{part}_{name}"] for name in _EXAMPLE_COLUMNS)) for part in _PARTS)
-    split = data_mod.DatasetSplit(*parts)
-    marginals = data_mod.compute_marginals(split.train, log.num_items)
-    return Prepared(log, split, marginals, meta["months_total"], key, loaded=True)
+    return Prepared(log, data_mod.DatasetSplit(*parts), meta["months_total"], key, loaded=True)
 
 
 def load(path: str, key: bytes) -> Prepared | None:

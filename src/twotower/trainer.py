@@ -16,8 +16,9 @@ either mode, reproduces the uninterrupted run bit for bit.
 Checkpoints are written in the ``container`` format: magic ``UMCK``, format
 version 3, the 64-bit fingerprint of the identity-relevant configuration as
 the tag, a JSON metadata block (cursor, optimizer scalars, the validation
-rows of the finished phases, array manifest) and the float64/int64 arrays:
-the parameter table, and the Adam rows of the rows that have taken a step.
+rows of the finished phases, array manifest) and the arrays: the float64
+parameter table, and the Adam rows of the rows that have taken a step
+(their float64 moments, and their ids and step counts as integer columns).
 """
 
 from __future__ import annotations
@@ -226,10 +227,15 @@ def save_checkpoint(path: str, checkpoint: Checkpoint) -> None:
     container.write(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, checkpoint.fingerprint, meta, arrays)
 
 
+def _is_int(value) -> bool:
+    """Whether a metadata value is a JSON integer (a bool is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_checkpoint(path: str, expected_fingerprint: int | None = None) -> Checkpoint:
     """Read a checkpoint.  A file whose checksum does not match, that is cut
-    short, has bytes after the payload or does not parse raises
-    ``CheckpointError`` and never loads."""
+    short, has bytes after the payload, does not parse or whose cursor
+    fields are not integers raises ``CheckpointError`` and never loads."""
     try:
         fingerprint, meta, arrays = container.read(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
     except container.ContainerError as exc:
@@ -240,6 +246,9 @@ def load_checkpoint(path: str, expected_fingerprint: int | None = None) -> Check
             f"(checkpoint {fingerprint:#018x}, config {expected_fingerprint:#018x})"
         )
     try:
+        cursor = [meta["month_cursor"], meta["epoch_cursor"], meta["seed"]]
+        if not isinstance(meta["months"], list) or not all(map(_is_int, cursor + meta["months"])):
+            raise ValueError("month_cursor, epoch_cursor and seed must be ints, and months a list of ints")
         params = ModelParams(arrays["table"].copy(), meta["temperature"], meta["aggregator"])
         opt = OptimizerState(**{name: meta["optimizer"][name] for name in _OPTIMIZER_FIELDS})
         trace = [{**{key: float(x) for key, x in row.items()}, "month": int(row["month"])} for row in meta["trace"]]

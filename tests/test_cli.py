@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import twotower
 from reference import encode_user, sample_events, score
 from test_outputs import outputs as outputs_tool
-from test_trainer import resealed
+from test_trainer import resealed, rewritten
 from twotower import cli as cli_mod
 from twotower import config as config_mod
 from twotower import container
@@ -600,6 +600,27 @@ class TestPreparedFile:
             runs[cold] = outputs, prepared - {None}
         assert runs[True] == runs[False]
 
+    def test_read_only_commands_never_compute_the_marginals(self, prepared_workspace, monkeypatch):
+        """``eval``, ``trace`` and ``retrieve`` on a warm directory read no
+        training marginals, so they never compute them."""
+        tmp_path, settings = prepared_workspace
+        assert _run(tmp_path, settings, "train")[0] == 0
+        ckpt = str(tmp_path / "out" / "checkpoints" / "final.ckpt")
+
+        def compute_marginals(*args):
+            raise AssertionError("the marginals were computed")
+
+        monkeypatch.setattr(cli_mod.data_mod, "compute_marginals", compute_marginals)
+        for argv in (
+            ["eval", "--checkpoint", ckpt, "--task", "ir"],
+            ["eval", "--checkpoint", ckpt, "--task", "ut"],
+            ["trace", "--task", "ir"],
+            ["retrieve", "--checkpoint", ckpt, "--task", "ir", "--query", "i0 i3"],
+            ["retrieve", "--checkpoint", ckpt, "--task", "ut", "--query", "i2"],
+        ):
+            code, _, err = _run(tmp_path, settings, *argv)
+            assert (code, err) == (0, ""), argv
+
     def test_retrieve_writes_no_file(self, prepared_workspace, builds):
         tmp_path, settings = prepared_workspace
         assert _run(tmp_path, settings, "train")[0] == 0
@@ -953,10 +974,11 @@ def invalid_checkpoints(small_checkpoint):
     infinite item table, one NaN entry in one item row, one item row whose
     norm overflows, an unknown pooling, a trace that is not a list of rows or
     trace rows that are not validation rows, copies whose header says format
-    version 1 or 2, and directories whose one month checkpoint holds that NaN
-    entry, that pooling or one item row more than the data's vocabulary."""
+    version 1 or 2, a copy whose ``month_cursor`` is the string ``"1"``, and
+    directories whose one month checkpoint holds that NaN entry, that
+    pooling, one item row more than the data's vocabulary or that cursor."""
     directory = os.path.join(os.path.dirname(os.path.dirname(small_checkpoint)), "invalid")
-    for months in ("months", "aggregator_months", "vocabulary_months"):
+    for months in ("months", "aggregator_months", "vocabulary_months", "cursor_months"):
         os.makedirs(os.path.join(directory, months), exist_ok=True)
 
     def write(name, source, corrupt):
@@ -1007,6 +1029,10 @@ def invalid_checkpoints(small_checkpoint):
         "version_2": os.path.join(directory, "version_2.ckpt"),
         "string_trace": write_trace("string_trace.ckpt", "month 1"),
         "other_trace": write_trace("other_trace.ckpt", [{"month": 1, "auc": 0.5}]),
+        "string_cursor": rewritten(small_checkpoint, os.path.join(directory, "string_cursor.ckpt"), month_cursor="1"),
+        "string_cursor_months": os.path.dirname(
+            rewritten(month, os.path.join(directory, "cursor_months", "month_0001.ckpt"), month_cursor="1")
+        ),
     }
 
 
@@ -1317,6 +1343,18 @@ class TestTrainVariants:
                 "train-resume-checkpoint-other-trace",
             ),
             setting(
+                "train --checkpoint {string_cursor}",
+                {},
+                "string_cursor.ckpt: corrupt checkpoint (month_cursor, epoch_cursor and seed must be ints",
+                "train-resume-checkpoint-string-cursor",
+            ),
+            setting(
+                "trace --checkpoint-dir {string_cursor_months}",
+                {"eval.num_negatives": 2},
+                "month_0001.ckpt: corrupt checkpoint (month_cursor, epoch_cursor and seed must be ints",
+                "trace-month-checkpoint-string-cursor",
+            ),
+            setting(
                 "verify",
                 {"verify.learning_rate": 1.7e308, "verify.epochs": 2, "verify.num_samples": 2000},
                 "verify: non-finite gradient",
@@ -1406,14 +1444,20 @@ class TestPathBoundary:
         assert "Traceback" not in err.getvalue()
 
 
-@pytest.fixture(scope="module")
-def loggen_run(tmp_path_factory):
-    """A 900-event ``bench/loggen.py`` log and ``final.ckpt`` of a run on it."""
+def import_loggen():
+    """The benchmark's ``bench/loggen.py`` module."""
     spec = importlib.util.spec_from_file_location("loggen", Path(__file__).resolve().parent.parent / "bench" / "loggen.py")
     loggen = importlib.util.module_from_spec(spec)
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(sys.modules, "loggen", loggen)  # a dataclass looks its module up there
         spec.loader.exec_module(loggen)
+    return loggen
+
+
+@pytest.fixture(scope="module")
+def loggen_run(tmp_path_factory):
+    """A 900-event ``bench/loggen.py`` log and ``final.ckpt`` of a run on it."""
+    loggen = import_loggen()
     tmp_path = tmp_path_factory.mktemp("loggen")
     events = tmp_path / "events.csv"
     loggen.write_csv(loggen.LogShape(users=100, items=150, events=900, months=4), 3, str(events))
@@ -1683,6 +1727,28 @@ class TestResumeViaCli:
         assert train("resumed", *(["--checkpoint", saved[-1]] if saved else [])) == 0
         for name in ("trace.tsv", "checkpoints/final.ckpt"):
             assert (tmp_path / "resumed" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+    def test_resume_with_nothing_left_to_train_writes_the_resumed_checkpoint_as_final(self, tmp_path, capsys):
+        """Resumed from the last month checkpoint of a run on a log of the
+        benchmark's ``targeting`` shape, into a fresh directory, ``train``
+        trains no step and its ``final.ckpt`` is that checkpoint."""
+        loggen = import_loggen()
+        events = tmp_path / "events.csv"
+        loggen.write_csv(loggen.LogShape(users=300, items=1200, events=2700, months=3), 1, str(events))
+        settings = {"data.input": str(events), "model.dim": 8, "train.epochs_per_month": 1, "train.batch_size": 256}
+
+        def config(name):
+            return write_config(tmp_path / f"{name}.cfg", **settings, **{"paths.output_dir": str(tmp_path / name)})
+
+        assert main(["train", "--config", config("full")]) == 0
+        last = sorted((tmp_path / "full" / "checkpoints").glob("month_????.ckpt"))[-1]
+        capsys.readouterr()
+        fresh = config("fresh")
+        assert main(["train", "--config", fresh, "--checkpoint", str(last)]) == 0
+        final = tmp_path / "fresh" / "checkpoints" / "final.ckpt"
+        assert capsys.readouterr().out.startswith(f"trained 0 steps over months [1, 2]; final checkpoint {final}\n")
+        assert final.read_bytes() == last.read_bytes()
+        assert main(["eval", "--config", fresh, "--checkpoint", str(final)]) == 0
 
     def test_shuffled_run_resumes_from_its_epoch_checkpoint(self, tmp_path, capsys):
         events = tmp_path / "events.csv"

@@ -4,7 +4,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from test_container import write_wide
+from twotower import container
 
 _SPEC = importlib.util.spec_from_file_location("outputs", Path(__file__).resolve().parent.parent / "tools" / "outputs.py")
 outputs = importlib.util.module_from_spec(_SPEC)
@@ -115,3 +119,26 @@ def test_cache_files_in_one_tree_are_listed_under_their_own_heading(tmp_path, ca
         f"  only in {b}: eval_cases_ut.bin",
         f"  only in {b}: prepared.bin",
     ]
+
+
+@pytest.mark.parametrize(
+    "change, verdict",
+    [
+        (None, "same arrays and metadata, other layout"),
+        ("value", "values differ: metadata months_total, array ids"),
+    ],
+    ids=["layout-only", "value"],
+)
+def test_container_files_are_compared_by_value(tmp_path, capsys, change, verdict):
+    """A container file the parent wrote with int64 columns and one written
+    with narrow columns differ in bytes only: both decode to the same arrays.
+    A changed value is named.  Either way the trees are not byte-identical."""
+    arrays = [("ids", np.array([3, 70_000])), ("table", np.array([0.5, -1.0])), ("tokens", np.frombuffer(b"a\nb", np.uint8))]
+    a, b = _tree(tmp_path / "a", {}), _tree(tmp_path / "b", {})
+    write_wide(a / "prepared.bin", b"UMPD", 1, 7, {"months_total": 3}, arrays)
+    if change == "value":
+        arrays[0] = ("ids", np.array([3, 70_001]))
+    container.write(str(b / "prepared.bin"), b"UMPD", 1, 7, {"months_total": 4 if change else 3}, arrays)
+    code = outputs.compare(a, b)
+    assert code == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["  differs: prepared.bin", f"    {verdict}"]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from reference import example_rows, examples_of, sample_examples
+from twotower import container
 from twotower import trainer as trainer_mod
 from twotower.data import EmpiricalMarginals, compute_marginals
 from twotower.losses import LossConfig, loss_with_gradients
@@ -37,6 +38,16 @@ def grads_of(rows: dict[int, list[float]]) -> GradientTable:
 def resealed(blob: bytes) -> bytes:
     """``blob`` with its CRC-32 trailer recomputed over the bytes before it."""
     return blob[:-4] + struct.pack("<I", zlib.crc32(blob[:-4]))
+
+
+def rewritten(source: str, path: str, **fields) -> str:
+    """The checkpoint at ``source`` written to ``path`` through
+    ``container.write``, under its own tag, with ``fields`` set in its
+    metadata: a file whose checksum is valid."""
+    magic, version = trainer_mod.CHECKPOINT_MAGIC, trainer_mod.CHECKPOINT_VERSION
+    tag, meta, arrays = container.read(source, magic, version, "checkpoint")
+    container.write(path, magic, version, tag, meta | fields, list(arrays.items()))
+    return path
 
 
 class TestOptimizerStep:
@@ -331,6 +342,26 @@ class TestCheckpointFile:
         path.write_bytes(resealed(blob.replace(field, damaged)))
         with pytest.raises(CheckpointError, match="corrupt checkpoint"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"month_cursor": "1"},
+            {"month_cursor": True},
+            {"epoch_cursor": 0.0},
+            {"seed": None},
+            {"months": "123"},
+            {"months": [1, "2", 3]},
+            {"months": [1, False, 3]},
+        ],
+        ids=str,
+    )
+    def test_cursor_field_that_is_no_int_rejected(self, tmp_path, fields):
+        path = str(tmp_path / "c.ckpt")
+        save_checkpoint(path, self._checkpoint())
+        rewritten(path, path, **fields)
+        with pytest.raises(CheckpointError, match="corrupt checkpoint .month_cursor, epoch_cursor and seed must be ints"):
+            load_checkpoint(path)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         """A write that raises after the header started leaves the previous

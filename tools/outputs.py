@@ -44,6 +44,12 @@ these cache files as any other file, but lists those found in only one
 tree under their own heading, since a tree of a commit from before a cache
 file existed holds none.
 
+A differing container file (a `*.ckpt`, `prepared.bin` or
+`eval_cases_*.bin`) is also decoded on both sides with this checkout's
+`twotower.container`, which reads every integer column as int64 whatever
+its width on disk, and called out as either the same arrays and metadata
+in another layout, or as what differs by value.
+
 `compare` lists the files that are byte-identical, and for each differing
 TSV or JSON file the largest absolute difference of every numeric column
 (TSV columns are split on tabs; JSON: every numeric field).  A TSV column of
@@ -382,6 +388,31 @@ def _is_cache(name: str) -> bool:
     return base == "prepared.bin" or fnmatch.fnmatch(base, "eval_cases_*.bin")
 
 
+def _container_verdict(a: Path, b: Path) -> str:
+    """Whether two container files hold the same tag, metadata and arrays
+    once read, integer columns widened; else what differs by value."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.append(str(ROOT / "src"))  # after PYTHONPATH: a run without one reads with this checkout's
+    from twotower import container
+
+    sides = []
+    for path in (a, b):
+        head = path.read_bytes()[:8]
+        try:
+            sides.append(container.read(str(path), head[:4], int.from_bytes(head[4:8], "little"), "container"))
+        except (container.ContainerError, OSError) as exc:
+            return f"not comparable by value: {exc}"
+    (tag_a, meta_a, arrays_a), (tag_b, meta_b, arrays_b) = sides
+    meta_a, meta_b = ({key: value for key, value in meta.items() if key != "arrays"} for meta in (meta_a, meta_b))
+    differ = ["tag"] if tag_a != tag_b else []
+    differ += [f"metadata {key}" for key in sorted(meta_a.keys() | meta_b.keys()) if meta_a.get(key) != meta_b.get(key)]
+    for name in sorted(arrays_a.keys() | arrays_b.keys()):
+        x, y = arrays_a.get(name), arrays_b.get(name)
+        if x is None or y is None or (x.dtype, x.shape) != (y.dtype, y.shape) or x.tobytes() != y.tobytes():
+            differ.append(f"array {name}")
+    return f"values differ: {', '.join(differ)}" if differ else "same arrays and metadata, other layout"
+
+
 def compare(a: Path, b: Path) -> int:
     files_a, files_b = _files(a), _files(b)
     differ = [name for name in sorted(files_a & files_b) if (a / name).read_bytes() != (b / name).read_bytes()]
@@ -408,6 +439,8 @@ def compare(a: Path, b: Path) -> int:
                 print(f"    {column}: {what}")
         if ".retrieve_" in name:
             print("    " + _swap_verdict(equal_score_swaps(_retrieve_rows(a / name), _retrieve_rows(b / name))))
+        if name.endswith(".ckpt") or _is_cache(name):
+            print(f"    {_container_verdict(a / name, b / name)}")
         verdict = _top_swaps(a, b, name) if name.endswith("_verbose.json") else None
         if verdict:
             print(f"    {verdict}")
